@@ -36,7 +36,9 @@ func (p *Program) EvalPar(db *relation.Database, pe *relation.ParExec) (*relatio
 // EvalExecLimits: both rails are checked at every statement boundary
 // (parallel statements are never interrupted mid-flight — the overshoot
 // is bounded by one statement), a violation aborts with a *LimitError,
-// and the aborted run leaves no partial state.
+// and the aborted run leaves no partial state. It also stops at the
+// same statement EvalExecLimits would once the answer is known to be
+// empty.
 func (p *Program) EvalParLimits(db *relation.Database, pe *relation.ParExec, lim Limits) (*relation.Relation, *Stats, error) {
 	if pe.P() <= 1 {
 		return p.EvalExecLimits(db, pe.Serial(), lim)
@@ -71,6 +73,7 @@ func (p *Program) EvalParLimits(db *relation.Database, pe *relation.ParExec, lim
 		attrsOf[i] = r.Attrs()
 	}
 
+	needed := p.answerDeps()
 	st := &Stats{}
 	cardOf := func(id int) int {
 		if vals[id] != nil {
@@ -80,7 +83,7 @@ func (p *Program) EvalParLimits(db *relation.Database, pe *relation.ParExec, lim
 	}
 	materialize := func(id int) *relation.Relation {
 		if vals[id] == nil {
-			vals[id] = pe.MergePar(parts[id])
+			vals[id] = parts[id].Merge()
 		}
 		return vals[id]
 	}
@@ -138,10 +141,8 @@ func (p *Program) EvalParLimits(db *relation.Database, pe *relation.ParExec, lim
 			}
 			if s.Kind == Join {
 				attrsOf[id] = attrsOf[s.Left].Union(attrsOf[s.Right])
-				st.Joins++
 			} else {
 				attrsOf[id] = attrsOf[s.Left]
-				st.Semijoins++
 			}
 		case Project:
 			// Shard-local only when the operand is already partitioned
@@ -155,20 +156,17 @@ func (p *Program) EvalParLimits(db *relation.Database, pe *relation.ParExec, lim
 				vals[id] = pe.Serial().Project(materialize(s.Left), s.Proj)
 			}
 			attrsOf[id] = s.Proj.Clone()
-			st.Projects++
 		}
 		d.Elapsed = time.Since(t0)
 		d.Out = cardOf(id)
-		st.Detail = append(st.Detail, d)
-		st.PerStmt = append(st.PerStmt, d.Out)
-		st.TuplesProduced += d.Out
-		if d.Out > st.MaxIntermediate {
-			st.MaxIntermediate = d.Out
-		}
+		st.record(d)
 		if enforce {
 			if err := lim.check(si, st.TuplesProduced); err != nil {
 				return nil, nil, err
 			}
+		}
+		if d.Out == 0 && needed[id] {
+			return p.skipRest(st, si+1, start), st, nil
 		}
 	}
 	out := materialize(ids - 1)

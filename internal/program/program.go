@@ -147,7 +147,11 @@ type StmtStat struct {
 // Stats records interpreter costs. Detail holds one entry per
 // statement with tuples-in/tuples-out and wall time, making the §6
 // cost analyses (semijoin programs are cheap; intermediate joins
-// dominate) directly observable on real runs.
+// dominate) directly observable on real runs. A run that ends early
+// because the answer is already known to be empty (see EvalExecLimits)
+// still has one entry per statement: the statements it skipped are
+// recorded with zero cardinalities and zero elapsed, and count toward
+// Joins/Projects/Semijoins like the rest.
 type Stats struct {
 	TuplesProduced   int        // total output tuples over all statements
 	MaxIntermediate  int        // largest single intermediate result
@@ -160,6 +164,24 @@ type Stats struct {
 	Repartitions     int           // partitionings built (initial or key change)
 	RepartitionBytes int64         // arena bytes moved building those partitionings
 	Elapsed          time.Duration // total wall time of the run
+}
+
+// record accounts one statement's observed cost.
+func (st *Stats) record(d StmtStat) {
+	switch d.Kind {
+	case Join:
+		st.Joins++
+	case Project:
+		st.Projects++
+	case Semijoin:
+		st.Semijoins++
+	}
+	st.Detail = append(st.Detail, d)
+	st.PerStmt = append(st.PerStmt, d.Out)
+	st.TuplesProduced += d.Out
+	if d.Out > st.MaxIntermediate {
+		st.MaxIntermediate = d.Out
+	}
 }
 
 // Table renders the per-statement cost breakdown as an aligned text
@@ -210,6 +232,12 @@ func (p *Program) EvalExec(db *relation.Database, ex *relation.Exec) (*relation.
 // ErrGasExhausted or ErrDeadlineExceeded) and a nil relation.
 // Evaluation never mutates db, so an aborted run leaves no partial
 // state.
+//
+// Join, semijoin and projection all map an empty operand to an empty
+// result, so once a statement the answer transitively depends on comes
+// out empty the answer is empty too: the run stops there, records the
+// remaining statements as skipped (see Stats) and returns the empty
+// relation over the result schema.
 func (p *Program) EvalExecLimits(db *relation.Database, ex *relation.Exec, lim Limits) (*relation.Relation, *Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -228,6 +256,7 @@ func (p *Program) EvalExecLimits(db *relation.Database, ex *relation.Exec, lim L
 	}
 	vals := make([]*relation.Relation, len(db.Rels), p.NumIDs())
 	copy(vals, db.Rels)
+	needed := p.answerDeps()
 	st := &Stats{}
 	start := time.Now()
 	for si, s := range p.Stmts {
@@ -238,32 +267,64 @@ func (p *Program) EvalExecLimits(db *relation.Database, ex *relation.Exec, lim L
 		case Join:
 			d.InRight = vals[s.Right].Card()
 			out = ex.Join(vals[s.Left], vals[s.Right])
-			st.Joins++
 		case Project:
 			out = ex.Project(vals[s.Left], s.Proj)
-			st.Projects++
 		case Semijoin:
 			d.InRight = vals[s.Right].Card()
 			out = ex.Semijoin(vals[s.Left], vals[s.Right])
-			st.Semijoins++
 		}
 		d.Elapsed = time.Since(t0)
 		d.Out = out.Card()
 		vals = append(vals, out)
-		st.Detail = append(st.Detail, d)
-		st.PerStmt = append(st.PerStmt, out.Card())
-		st.TuplesProduced += out.Card()
-		if out.Card() > st.MaxIntermediate {
-			st.MaxIntermediate = out.Card()
-		}
+		st.record(d)
 		if enforce {
 			if err := lim.check(si, st.TuplesProduced); err != nil {
 				return nil, nil, err
 			}
 		}
+		if d.Out == 0 && needed[len(db.Rels)+si] {
+			return p.skipRest(st, si+1, start), st, nil
+		}
 	}
 	st.Elapsed = time.Since(start)
 	return vals[len(vals)-1], st, nil
+}
+
+// answerDeps reports, for every relation id, whether the program's
+// answer transitively depends on it through join operands, semijoin
+// operands or a projection's operand.
+func (p *Program) answerDeps() []bool {
+	n := len(p.D.Rels)
+	needed := make([]bool, p.NumIDs())
+	needed[p.ResultID()] = true
+	// Operands precede their statement, so one backward pass closes the set.
+	for i := len(p.Stmts) - 1; i >= 0; i-- {
+		if !needed[n+i] {
+			continue
+		}
+		s := p.Stmts[i]
+		needed[s.Left] = true
+		if s.Kind != Project {
+			needed[s.Right] = true
+		}
+	}
+	return needed
+}
+
+// skipRest ends a run (begun at start) whose answer is known to be
+// empty: statements from index from on are recorded as skipped — no
+// input, no output, no time — and the empty relation over the result
+// schema is returned.
+func (p *Program) skipRest(st *Stats, from int, start time.Time) *relation.Relation {
+	for _, s := range p.Stmts[from:] {
+		d := StmtStat{Kind: s.Kind, InRight: -1}
+		if s.Kind != Project {
+			d.InRight = 0
+		}
+		st.record(d)
+	}
+	st.Elapsed = time.Since(start)
+	return relation.New(p.D.U, p.SchemaOf(p.ResultID()))
 }
 
 // InputRef names an input relation and an optional pre-projection

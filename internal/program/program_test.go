@@ -366,3 +366,107 @@ func TestBuilderErrors(t *testing.T) {
 		t.Error("X ⊄ U(D) accepted")
 	}
 }
+
+// TestEarlyExitOnEmpty: on a chain with one empty relation every plan's
+// answer is empty, and the evaluators must say so as soon as a statement
+// the answer depends on comes out empty — without running the rest, but
+// still accounting one entry per statement. Checked against NaivePlan,
+// serially and partition-parallel.
+func TestEarlyExitOnEmpty(t *testing.T) {
+	u := schema.NewUniverse()
+	d := parse(t, u, "ab, bc, cd, de")
+	tr, ok := qualgraph.QualTree(d)
+	if !ok {
+		t.Fatal("chain schema rejected as tree")
+	}
+	x := u.Set("a", "e")
+	full := urdb(d, 3, 200, 6)
+	naive, err := NaivePlan(d, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yan, err := Yannakakis(d, x, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullRed, _, err := FullReducer(d, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fullSt, err := yan.Eval(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe := relation.NewParExec(2)
+	pe.MinParallel = 0
+	type evalFn func(*relation.Database) (*relation.Relation, *Stats, error)
+	modes := func(p *Program) map[string]evalFn {
+		return map[string]evalFn{
+			"serial": p.Eval,
+			"p=2":    func(db *relation.Database) (*relation.Relation, *Stats, error) { return p.EvalPar(db, pe) },
+		}
+	}
+	for hole := range d.Rels {
+		db := full.WithRelation(hole, relation.New(u, d.Rels[hole]))
+		want, _, err := naive.Eval(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Card() != 0 {
+			t.Fatalf("hole %d: naive answer has %d tuples", hole, want.Card())
+		}
+		for name, p := range map[string]*Program{"yannakakis": yan, "fullreducer": fullRed, "naive": naive} {
+			for mode, eval := range modes(p) {
+				got, st, err := eval(db)
+				if err != nil {
+					t.Fatalf("hole %d %s %s: %v", hole, name, mode, err)
+				}
+				if got.Card() != 0 || !got.Attrs().Equal(p.SchemaOf(p.ResultID())) {
+					t.Errorf("hole %d %s %s: answer %v, want empty over the result schema", hole, name, mode, got)
+				}
+				if name != "fullreducer" && !got.Equal(want) {
+					t.Errorf("hole %d %s %s: answer differs from the naive plan's", hole, name, mode)
+				}
+				if len(st.Detail) != len(p.Stmts) || len(st.PerStmt) != len(p.Stmts) ||
+					st.Joins+st.Projects+st.Semijoins != len(p.Stmts) {
+					t.Fatalf("hole %d %s %s: stats cover %d/%d of %d statements", hole, name, mode,
+						len(st.Detail), len(st.PerStmt), len(p.Stmts))
+				}
+				// Everything after the first empty statement was skipped.
+				first := 0
+				for first < len(st.Detail) && st.Detail[first].Out != 0 {
+					first++
+				}
+				for i := first + 1; i < len(st.Detail); i++ {
+					if sd := st.Detail[i]; sd.Kind != p.Stmts[i].Kind || sd.InLeft != 0 || sd.Out != 0 || sd.Elapsed != 0 {
+						t.Errorf("hole %d %s %s: stmt %d ran after the answer was known empty: %+v", hole, name, mode, i, sd)
+					}
+				}
+				if name == "yannakakis" && st.TuplesProduced >= fullSt.TuplesProduced {
+					t.Errorf("hole %d %s: produced %d tuples, no fewer than the full run's %d", hole, mode, st.TuplesProduced, fullSt.TuplesProduced)
+				}
+				if _, err := p.SpanTree(st); err != nil {
+					t.Errorf("hole %d %s %s: span tree: %v", hole, name, mode, err)
+				}
+			}
+		}
+	}
+
+	// An empty statement the answer does not depend on ends nothing.
+	side := NewProgram(d)
+	side.Stmts = []Stmt{
+		{Kind: Semijoin, Left: 2, Right: 3}, // cd ⋉ ∅, unused below
+		{Kind: Join, Left: 0, Right: 1},
+	}
+	db := full.WithRelation(3, relation.New(u, d.Rels[3]))
+	wantJoin := full.Rels[0].Join(full.Rels[1])
+	for mode, eval := range modes(side) {
+		got, st, err := eval(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PerStmt[0] != 0 || !got.Equal(wantJoin) {
+			t.Errorf("%s: unused empty statement changed the answer: %d tuples, want %d", mode, got.Card(), wantJoin.Card())
+		}
+	}
+}

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// Span is one executed statement of a program run: the operation, the
+// Span is one statement of a program run: the operation, the
 // relation schema it produced, tuple counts in and out, the shard
 // count when it ran partition-parallel, wall time, and the operand
 // statements as children. Operand ids (Left/Right) are always
@@ -65,12 +65,13 @@ func (s *Span) ElapsedSum() time.Duration {
 }
 
 // SpanTree builds the span tree of a completed run from its Stats: one
-// span per executed statement, rooted at the statement producing the
+// span per statement — a statement an early-ending run skipped shows
+// zero tuples and zero elapsed — rooted at the statement producing the
 // program's answer. st must come from evaluating exactly this program
 // (Detail aligned with Stmts index-for-index). Statements not reachable
 // from the result via operand edges — possible in hand-built programs
 // — are attached under the root so the tree always covers every
-// executed statement.
+// statement.
 func (p *Program) SpanTree(st *Stats) (*Span, error) {
 	if len(st.Detail) != len(p.Stmts) {
 		return nil, fmt.Errorf("program: stats cover %d statements, program has %d", len(st.Detail), len(p.Stmts))

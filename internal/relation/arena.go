@@ -2,8 +2,9 @@ package relation
 
 // Codec hooks over the chunked arena layout. The durable-storage layer
 // (internal/storage) serializes a relation as its attribute list plus
-// the raw row-major arena, chunk by chunk; the hash index and row
-// hashes are rebuilt on load rather than written to disk. These hooks
+// the raw row-major arena, chunk by chunk; the row hashes are rebuilt
+// on load rather than written to disk, and the hash index is never
+// written at all (a relation need not even have built one). These hooks
 // expose exactly that boundary without leaking mutable internals
 // anywhere else.
 
@@ -107,9 +108,9 @@ func ChunkIDFloor(floor uint64) {
 	}
 }
 
-// grow presizes an empty relation for rows tuples: the owned index
-// table is allocated at its final size (loading never rehashes) and
-// the tail chunk at full chunk capacity.
+// grow presizes an empty relation for inserting rows tuples: the owned
+// index table is allocated at its final size (loading never rehashes)
+// and the chunks at the capacity the rows need.
 func (r *Relation) grow(rows int) {
 	if r.n != 0 || !r.baseOwned || rows <= 0 {
 		return
@@ -117,16 +118,7 @@ func (r *Relation) grow(rows int) {
 	if size := tableSize(rows); size > len(r.base) {
 		r.base = make([]int32, size)
 	}
-	if len(r.chunks) == 0 && r.width > 0 {
-		c := rows
-		if c > ChunkRows {
-			c = ChunkRows
-		}
-		r.chunks = []chunk{{
-			data:   make([]Value, 0, c*r.width),
-			hashes: make([]uint64, 0, c),
-		}}
-	}
+	r.reserved = rows
 }
 
 // FromArena builds a relation over attrs from a row-major arena of
@@ -159,6 +151,21 @@ func FromArena(u *schema.Universe, attrs schema.AttrSet, rows int, data []Value)
 	return r, nil
 }
 
+// adoptPrefix makes the empty relation out hold rows [0, upto) of r
+// (same attribute set): every full chunk of r lying wholly below upto
+// is shared — struct copy, durable id included, exactly as Clone shares
+// it — and only the rows of the chunk upto falls in are copied. A
+// shared chunk is full, so later appends to out start a fresh chunk and
+// never write into r's arena.
+func (out *Relation) adoptPrefix(r *Relation, upto int) {
+	keep := upto >> chunkShift
+	out.chunks = append(out.chunks, r.chunks[:keep]...)
+	out.n = keep << chunkShift
+	for i := out.n; i < upto; i++ {
+		out.appendRow(r.row(i), r.hash(i))
+	}
+}
+
 // Without returns a copy of r with the given tuples removed (tuples in
 // column order; tuples not present — or of the wrong arity — are
 // ignored) and reports how many rows were actually removed. r is
@@ -188,9 +195,7 @@ func (r *Relation) Without(ts []Tuple) (*Relation, int) {
 		return r.Clone(), 0
 	}
 	out := New(r.U, r.attrs)
-	keep := first >> chunkShift // chunks [0, keep) are full and untouched
-	out.chunks = append(out.chunks, r.chunks[:keep]...)
-	out.n = keep << chunkShift
+	out.adoptPrefix(r, first&^chunkMask)
 	// Rebuild the index over the survivors. Rows of r are distinct, so
 	// placement by stored hash needs no duplicate checks.
 	size := tableSize(r.n)

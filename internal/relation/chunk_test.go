@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"gyokit/internal/schema"
@@ -223,6 +224,139 @@ func TestWithoutSharesCleanPrefix(t *testing.T) {
 	}
 }
 
+// TestSemijoinSharesCleanPrefix pins the semijoin's copy-nothing
+// contract: the full chunks before the first dropped row are shared with
+// the input — same backing arrays, same durable ids — everything from
+// that row's chunk on is repacked into private chunks, and appending to
+// the result never writes into the input's arena.
+func TestSemijoinSharesCleanPrefix(t *testing.T) {
+	u := schema.NewUniverse()
+	ab, a := u.Set("a", "b"), u.Set("a")
+	ex := NewExec()
+	for _, tc := range []struct {
+		name   string
+		n      int
+		drop   int // row of r with no partner in s; -1 = every row survives
+		shared int // chunks the result must share with r
+	}{
+		{"first row", 2*ChunkRows + 100, 0, 0},
+		{"mid chunk", 2*ChunkRows + 100, ChunkRows + 50, 1},
+		{"chunk boundary", 2*ChunkRows + 100, ChunkRows, 1},
+		{"tail", 2*ChunkRows + 100, 2*ChunkRows + 50, 2},
+		{"never", 2*ChunkRows + 100, -1, 2},
+		{"never, no tail", 2 * ChunkRows, -1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, s := New(u, ab), New(u, a)
+			ref := refSet{}
+			for i := 0; i < tc.n; i++ {
+				row := Tuple{Value(i), Value(i + 1)}
+				r.Insert(row)
+				if i != tc.drop {
+					s.Insert(Tuple{Value(i)})
+					ref[refKey(row)] = row
+				}
+			}
+			r.Freeze()
+			frozen := capture(r, nil)
+
+			out := ex.Semijoin(r, s)
+			ref.equal(t, out, "semijoin")
+			for k := range out.chunks {
+				aliased := k < len(r.chunks) && len(out.chunks[k].data) > 0 &&
+					&out.chunks[k].data[0] == &r.chunks[k].data[0] &&
+					&out.chunks[k].hashes[0] == &r.chunks[k].hashes[0]
+				switch {
+				case k < tc.shared && (!aliased || out.chunks[k].id != r.chunks[k].id || out.chunks[k].id == 0):
+					t.Errorf("chunk %d: not shared with the input (aliased %v, id %d vs %d)",
+						k, aliased, out.chunks[k].id, r.chunks[k].id)
+				case k >= tc.shared && (aliased || (out.chunks[k].id != 0 && out.chunks[k].id == r.chunks[k].id)):
+					t.Errorf("chunk %d: repacked rows alias the input", k)
+				}
+			}
+
+			// Appends land in a private chunk, whatever the tail was.
+			for i := 0; i < ChunkRows+10; i++ {
+				row := Tuple{Value(-i - 1), Value(i)}
+				out.Insert(row)
+				ref[refKey(row)] = row
+			}
+			ref.equal(t, out, "semijoin + inserts")
+			if r.Card() != frozen.card || !slices.Equal(r.RawData(), frozen.raw) {
+				t.Fatal("appending to the semijoin result changed its input")
+			}
+		})
+	}
+}
+
+// TestFirstMembershipUseIsRaceFree shares one frozen, still index-free
+// operator output among many goroutines, each of which makes what may be
+// the first membership call on it — Has, Equal on either side, Clone,
+// the identity Renamed view — while others run operators over it. The
+// index must be built exactly once with every caller seeing it complete;
+// run under -race in CI.
+func TestFirstMembershipUseIsRaceFree(t *testing.T) {
+	u := schema.NewUniverse()
+	ab, bc := u.Set("a", "b"), u.Set("b", "c")
+	r, s := New(u, ab), New(u, bc)
+	n := 2*ChunkRows + 100
+	for i := 0; i < n; i++ {
+		r.Insert(Tuple{Value(i), Value(i % 97)})
+		if i%97 != 5 {
+			s.Insert(Tuple{Value(i % 97), Value(i % 3)})
+		}
+	}
+	r.Freeze()
+	s.Freeze()
+	for name, mk := range map[string]func() *Relation{
+		"join":     func() *Relation { return NewExec().Join(r, s) },
+		"semijoin": func() *Relation { return NewExec().Semijoin(r, s) },
+		"project":  func() *Relation { return NewExec().Project(r, u.Set("b")) },
+		"merge":    func() *Relation { return Partition(r, u.Set("b"), 3).Merge() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := mk().Clone() // an indexed twin
+			out := mk()
+			out.Freeze()
+			attrs := out.Attrs()
+			id := make([]int, attrs.Card())
+			for k := range id {
+				id[k] = k
+			}
+			probe := out.TupleAt(out.Card() - 1)
+			uses := []func() bool{
+				func() bool { return out.Has(probe) },
+				func() bool { return want.Equal(out) },
+				func() bool { return out.Equal(want) },
+				func() bool {
+					c := out.Clone()
+					c.Insert(probe)
+					return c.Card() == want.Card()
+				},
+				func() bool { return out.Renamed(u, attrs, id).Has(probe) },
+				func() bool { return NewExec().Semijoin(out, out).Card() == want.Card() },
+				func() bool { return NewExec().Join(out, out).Card() == want.Card() },
+				func() bool { return NewExec().Project(out, attrs).Card() == want.Card() },
+				func() bool { return Partition(out, attrs, 2).Merge().Card() == want.Card() },
+			}
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 4*len(uses); g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if !uses[g%len(uses)]() {
+						t.Errorf("use %d saw a wrong answer", g%len(uses))
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+		})
+	}
+}
+
 // TestSiblingClonesDoNotShareTailCapacity: two clones derived from the
 // same frozen snapshot share the non-full tail chunk read-only, but
 // their first appends must reallocate privately — if both wrote into
@@ -351,36 +485,45 @@ func FuzzArenaChunks(f *testing.F) {
 				data[i] = Value(raw[i%len(raw)]) * Value(i%257)
 			}
 		}
-		r, err := FromArena(u, attrs, n, data)
+		loaded, err := FromArena(u, attrs, n, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		round, err := FromArena(u, attrs, r.Card(), r.RawData())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !round.Equal(r) {
-			t.Fatalf("RawData round trip lost tuples: %d vs %d", round.Card(), r.Card())
-		}
-
-		r.Freeze()
-		before := r.RawData()
-		clone := r.Clone()
-		tp := make(Tuple, width)
-		for i := 0; i < 64; i++ {
-			for j := range tp {
-				tp[j] = Value(i*width + j + 1<<20)
+		// The same properties must hold for an operator output, whose set
+		// index does not exist until Equal / Clone ask for it.
+		for _, r := range []*Relation{loaded, indexFree(loaded)} {
+			round, err := FromArena(u, attrs, r.Card(), r.RawData())
+			if err != nil {
+				t.Fatal(err)
 			}
-			clone.Insert(tp)
-		}
-		if clone.Card() != r.Card()+64 {
-			t.Fatalf("clone card %d, want %d", clone.Card(), r.Card()+64)
-		}
-		if !slices.Equal(r.RawData(), before) || r.Card() != n-dupCount(data, width, n) {
-			t.Fatal("mutating the clone changed the frozen original")
+			if !round.Equal(r) {
+				t.Fatalf("RawData round trip lost tuples: %d vs %d", round.Card(), r.Card())
+			}
+
+			r.Freeze()
+			before := r.RawData()
+			clone := r.Clone()
+			tp := make(Tuple, width)
+			for i := 0; i < 64; i++ {
+				for j := range tp {
+					tp[j] = Value(i*width + j + 1<<20)
+				}
+				clone.Insert(tp)
+			}
+			if clone.Card() != r.Card()+64 {
+				t.Fatalf("clone card %d, want %d", clone.Card(), r.Card()+64)
+			}
+			if !slices.Equal(r.RawData(), before) || r.Card() != n-dupCount(data, width, n) {
+				t.Fatal("mutating the clone changed the frozen original")
+			}
 		}
 	})
 }
+
+// indexFree returns r's rows, in order, as an operator output: a
+// relation that has no set index until something asks it for
+// membership.
+func indexFree(r *Relation) *Relation { return NewExec().Project(r, r.Attrs()) }
 
 // dupCount counts duplicate rows in a row-major arena (the rows
 // FromArena's set semantics eliminate).

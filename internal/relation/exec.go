@@ -11,8 +11,13 @@ import (
 // tables, chain links, per-row key hashes, gather buffers, and column
 // position maps — so a program that evaluates many statements (a §6
 // semijoin program, a Yannakakis plan, a full reducer) reuses one set
-// of allocations instead of rebuilding them per statement. The zero
-// value is ready to use; an Exec must not be used concurrently.
+// of allocations instead of rebuilding them per statement. Its tables
+// are the only hash tables a statement touches: Join and Semijoin build
+// their key sets in them, Project deduplicates in them, and every
+// operator emits an index-free output by plain appends (the output's own
+// set index is built only if something later asks it for membership —
+// see the package comment). The zero value is ready to use; an Exec must
+// not be used concurrently.
 type Exec struct {
 	slots []int32 // open addressing: row index + 1; 0 = empty
 	next  []int32 // same-key chain: next row index + 1; 0 = end
@@ -67,12 +72,17 @@ func uint64Scratch(s []uint64, n int) []uint64 {
 }
 
 // Project returns π_x(r). x must be a subset of r's attributes.
+// Projection is the one operator that can create duplicates; they are
+// eliminated in the Exec's slot table — sized for r's cardinality, the
+// output's upper bound, so it never grows — whose slots name output
+// rows.
 func (e *Exec) Project(r *Relation, x schema.AttrSet) *Relation {
 	if !x.SubsetOf(r.attrs) {
 		panic(fmt.Sprintf("relation: projection %s ⊄ %s",
 			r.U.FormatSet(x), r.U.FormatSet(r.attrs)))
 	}
 	out := New(r.U, x)
+	out.reserved = r.n // upper bound
 	pos := intScratch(e.posA, out.width)
 	e.posA = pos
 	for i, c := range out.cols {
@@ -80,12 +90,28 @@ func (e *Exec) Project(r *Relation, x schema.AttrSet) *Relation {
 	}
 	buf := valScratch(e.obuf, out.width)
 	e.obuf = buf
+	nSlots := tableSize(r.n)
+	mask := uint64(nSlots - 1)
+	slots := e.slotScratch(nSlots)
 	for i := 0; i < r.n; i++ {
 		row := r.row(i)
 		for k, p := range pos {
 			buf[k] = row[p]
 		}
-		out.insertHashed(buf, hashValues(buf))
+		h := hashValues(buf)
+		j := h & mask
+		for {
+			s := slots[j]
+			if s == 0 {
+				slots[j] = int32(out.n + 1)
+				out.appendRow(buf, h)
+				break
+			}
+			if o := int(s - 1); out.hash(o) == h && valuesEqual(out.row(o), buf) {
+				break // duplicate
+			}
+			j = (j + 1) & mask
+		}
 	}
 	return out
 }
@@ -106,6 +132,8 @@ func keyEqual(r *Relation, i int, pos []int, key []Value) bool {
 // is built into a bucket-chained open-addressing table keyed by the
 // 64-bit hash of its shared columns; probe-side matches are verified
 // column-by-column, so hash collisions never produce wrong results.
+// Two distinct (r-row, s-row) pairs differ on some column of the result,
+// so output rows are appended without a duplicate check.
 func (e *Exec) Join(r, s *Relation) *Relation {
 	build, probe := r, s
 	if s.n < r.n {
@@ -157,6 +185,9 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 	}
 
 	out := New(r.U, r.attrs.Union(s.attrs))
+	// A guess, not a bound: the joins a reduced Yannakakis plan runs are
+	// key–foreign-key shaped and emit about one row per probe row.
+	out.reserved = probe.n
 	// Output column sources: from probe where present, else from build.
 	// srcs[k] ≥ 0 is a probe column; srcs[k] < 0 is build column ^srcs[k].
 	srcs := int32Scratch(e.srcs, out.width)
@@ -196,7 +227,7 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 						obuf[k] = brow[^sc]
 					}
 				}
-				out.insertHashed(obuf, hashValues(obuf))
+				out.appendRow(obuf, hashValues(obuf))
 			}
 			break
 		}
@@ -207,8 +238,14 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 // Semijoin returns r ⋉ s = π_{attrs(r)}(r ⋈ s): the tuples of r that
 // join with at least one tuple of s. The distinct shared-column keys of
 // s form an open-addressing set (each slot keeps a representative
-// s-row for collision verification); r's rows are re-inserted with
-// their stored hashes, so surviving tuples are never re-hashed.
+// s-row for collision verification). While every row of r so far has
+// survived, nothing is copied: at the first dropped row (or the end) the
+// output adopts that clean prefix, sharing its full chunks with r —
+// ids included, the way Without shares the prefix before a delete — and
+// only the rows from the first drop's chunk onward are repacked, with
+// their stored hashes. A semijoin that filters nothing, the steady
+// state of a full reducer over consistent data, costs a chunk-table
+// copy plus the tail.
 func (e *Exec) Semijoin(r, s *Relation) *Relation {
 	shared := r.attrs.Intersect(s.attrs)
 	sharedCols := shared.Attrs()
@@ -247,6 +284,9 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		}
 	}
 	out := New(r.U, r.attrs)
+	out.reserved = r.n // upper bound
+	// clean: no row dropped yet, so out is still empty.
+	clean := true
 	for i := 0; i < r.n; i++ {
 		row := r.row(i)
 		for k, p := range rPos {
@@ -254,17 +294,28 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		}
 		h := hashValues(kbuf)
 		j := h & mask
+		hit := false
 		for {
 			head := slots[j]
 			if head == 0 {
 				break
 			}
 			if hi := int(head - 1); keyh[hi] == h && keyEqual(s, hi, sPos, kbuf) {
-				out.insertHashed(row, r.hash(i))
+				hit = true
 				break
 			}
 			j = (j + 1) & mask
 		}
+		switch {
+		case hit && !clean:
+			out.appendRow(row, r.hash(i))
+		case !hit && clean:
+			clean = false
+			out.adoptPrefix(r, i)
+		}
+	}
+	if clean {
+		out.adoptPrefix(r, r.n)
 	}
 	return out
 }

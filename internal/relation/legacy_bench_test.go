@@ -251,6 +251,25 @@ func BenchmarkSemijoinColumnar(b *testing.B) {
 	}
 }
 
+// BenchmarkProjectColumnar projects the ≈8n-row join of the benchmark
+// pair back onto bc — the early projection a Yannakakis plan runs after
+// each join — so every output row is found ≈8 times: the scan pays both
+// the append and the duplicate hit.
+func BenchmarkProjectColumnar(b *testing.B) {
+	u := schema.NewUniverse()
+	for _, n := range benchSizes() {
+		r, s, _, _ := benchJoinPair(u, n)
+		ex := NewExec()
+		abc := ex.Join(r, s)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ex.Project(abc, s.Attrs())
+			}
+		})
+	}
+}
+
 func BenchmarkSemijoinStringKey(b *testing.B) {
 	u := schema.NewUniverse()
 	for _, n := range benchSizes() {

@@ -146,6 +146,107 @@ func sameRows(t *testing.T, label string, eng *Relation, ref *naiveRel) {
 	}
 }
 
+// sameSet checks an operator output against the reference through every
+// path that needs set membership. Operator outputs are born without a
+// set index and build it on the first such use, so mk is called afresh
+// for each path: every one of them gets to be the first.
+func sameSet(t *testing.T, label string, mk func() *Relation, ref *naiveRel) {
+	t.Helper()
+	sameRows(t, label, mk(), ref)
+	u := mk().U
+	twin := New(u, ref.attrs) // the reference's rows, inserted (so indexed)
+	keys := make([]string, 0, len(ref.rows))
+	for k, rt := range ref.rows {
+		twin.Insert(rt)
+		keys = append(keys, k)
+	}
+	sort.Strings(keys) // a fixed order, so the halves below are reproducible
+	rows := make([]Tuple, len(keys))
+	for i, k := range keys {
+		rows[i] = ref.rows[k]
+	}
+	absent := make(Tuple, len(ref.cols))
+	for i := range absent {
+		absent[i] = -7 // generators draw from [0, domain)
+	}
+
+	out := mk()
+	for _, rt := range rows {
+		if !out.Has(rt) {
+			t.Fatalf("%s: Has(%v) = false", label, rt)
+		}
+	}
+	if len(absent) > 0 && out.Has(absent) {
+		t.Fatalf("%s: Has(%v) = true", label, absent)
+	}
+	if !twin.Equal(mk()) {
+		t.Fatalf("%s: reference.Equal(output) = false", label)
+	}
+	if !mk().Equal(twin) {
+		t.Fatalf("%s: output.Equal(reference) = false", label)
+	}
+
+	cl := mk().Clone()
+	for _, rt := range rows {
+		cl.Insert(rt)
+	}
+	if cl.Card() != len(rows) {
+		t.Fatalf("%s: clone accepted a duplicate: card %d, want %d", label, cl.Card(), len(rows))
+	}
+	if len(absent) > 0 {
+		cl.Insert(absent)
+		if cl.Card() != len(rows)+1 || !cl.Has(absent) {
+			t.Fatalf("%s: clone rejected a new row", label)
+		}
+	}
+
+	drop := append([]Tuple{}, rows[:len(rows)/2]...)
+	if len(absent) > 0 { // the zero-width tuple is the only one there is
+		drop = append(drop, absent)
+	}
+	kept, removed := mk().Without(drop)
+	if removed != len(rows)/2 {
+		t.Fatalf("%s: Without removed %d, want %d", label, removed, len(rows)/2)
+	}
+	want := newNaive(ref.attrs)
+	for _, rt := range rows[len(rows)/2:] {
+		want.insert(rt)
+	}
+	sameRows(t, label+" without", kept, want)
+	if removed > 0 && (kept.Has(rows[0]) || !kept.Has(rows[len(rows)-1])) {
+		t.Fatalf("%s: Without result answers Has wrongly", label)
+	}
+
+	w := len(ref.cols)
+	id, rev := make([]int, w), make([]int, w)
+	for k := range id {
+		id[k], rev[k] = k, w-1-k
+	}
+	frozen := mk()
+	frozen.Freeze()
+	for name, v := range map[string]*Relation{
+		"identity view": frozen.Renamed(u, ref.attrs, id),
+		"identity copy": mk().Renamed(u, ref.attrs, id),
+	} {
+		if !v.Equal(twin) || !twin.Equal(v) {
+			t.Fatalf("%s: %s differs from the reference", label, name)
+		}
+	}
+	perm := mk().Renamed(u, ref.attrs, rev)
+	if perm.Card() != len(rows) {
+		t.Fatalf("%s: permuted card %d, want %d", label, perm.Card(), len(rows))
+	}
+	for _, rt := range rows {
+		pt := make(Tuple, w)
+		for k := range pt {
+			pt[k] = rt[rev[k]]
+		}
+		if !perm.Has(pt) {
+			t.Fatalf("%s: permuted relation misses %v", label, pt)
+		}
+	}
+}
+
 // randomPair builds the same random tuple set in both engines.
 func randomPair(rng *rand.Rand, u *schema.Universe, attrs schema.AttrSet, n, domain int) (*Relation, *naiveRel) {
 	eng := New(u, attrs)
@@ -179,10 +280,19 @@ func TestDifferentialOperators(t *testing.T) {
 
 		sameRows(t, "insert r", r, nr)
 		sameRows(t, "insert s", s, ns)
-		sameRows(t, "join", ex.Join(r, s), nr.join(ns))
-		sameRows(t, "semijoin", ex.Semijoin(r, s), nr.semijoin(ns))
+		sameSet(t, "join", func() *Relation { return ex.Join(r, s) }, nr.join(ns))
+		sameSet(t, "semijoin", func() *Relation { return ex.Semijoin(r, s) }, nr.semijoin(ns))
 		px := gen.RandomAttrSubset(rng, ra, 0.5)
-		sameRows(t, "project", ex.Project(r, px), nr.project(px))
+		sameSet(t, "project", func() *Relation { return ex.Project(r, px) }, nr.project(px))
+		key := gen.RandomAttrSubset(rng, ra, 0.5)
+		p := 1 + rng.Intn(4)
+		sameSet(t, "partition+merge", func() *Relation { return Partition(r, key, p).Merge() }, nr)
+		pe := NewParExec(p)
+		pe.MinParallel = 0
+		sameSet(t, "parallel partition+merge", func() *Relation { return pe.Partition(r, key).Merge() }, nr)
+		sameSet(t, "repartition+merge", func() *Relation {
+			return pe.Repartition(pe.Partition(r, key), px).Merge()
+		}, nr)
 	}
 }
 
@@ -224,7 +334,7 @@ func TestDifferentialLarge(t *testing.T) {
 	s, ns := randomPair(rng, u, sa, 2500, 30)
 	sameRows(t, "large insert", r, nr)
 	ex := NewExec()
-	sameRows(t, "large semijoin", ex.Semijoin(r, s), nr.semijoin(ns))
-	sameRows(t, "large project", ex.Project(r, u.Set("a")), nr.project(u.Set("a")))
-	sameRows(t, "large join", ex.Join(r, s), nr.join(ns))
+	sameSet(t, "large semijoin", func() *Relation { return ex.Semijoin(r, s) }, nr.semijoin(ns))
+	sameSet(t, "large project", func() *Relation { return ex.Project(r, u.Set("a")) }, nr.project(u.Set("a")))
+	sameSet(t, "large join", func() *Relation { return ex.Join(r, s) }, nr.join(ns))
 }

@@ -65,7 +65,8 @@ func shardOf(h uint64, p int) int {
 // key must be a subset of r's attributes; an empty key sends every row
 // to one shard (the empty gather hashes to a constant). Rows keep
 // their stored full-row hashes, so partitioning never re-hashes a row
-// — only the key columns are hashed.
+// — only the key columns are hashed — and a split of distinct rows is
+// distinct, so shards are appended to, never probed.
 func Partition(r *Relation, key schema.AttrSet, p int) *Partitioning {
 	if p < 1 {
 		panic(fmt.Sprintf("relation: partition into %d shards", p))
@@ -77,6 +78,7 @@ func Partition(r *Relation, key schema.AttrSet, p int) *Partitioning {
 	pt := &Partitioning{Key: key.Clone(), Shards: make([]*Relation, p)}
 	for i := range pt.Shards {
 		pt.Shards[i] = New(r.U, r.attrs)
+		pt.Shards[i].reserved = (r.n + p - 1) / p // an even split; a fuller shard just grows
 	}
 	keyCols := key.Attrs()
 	pos := make([]int, len(keyCols))
@@ -90,21 +92,21 @@ func Partition(r *Relation, key schema.AttrSet, p int) *Partitioning {
 			kbuf[k] = row[p2]
 		}
 		s := shardOf(hashValues(kbuf), p)
-		pt.Shards[s].insertHashed(row, r.hash(i))
+		pt.Shards[s].appendRow(row, r.hash(i))
 	}
 	return pt
 }
 
 // Merge concatenates the shards back into one relation. Shards are
 // disjoint by construction, so the result has exactly Card() tuples;
-// rows are re-inserted with their stored hashes, never re-hashed.
+// rows are appended with their stored hashes, never re-hashed or probed.
 func (pt *Partitioning) Merge() *Relation {
 	first := pt.Shards[0]
 	out := New(first.U, first.attrs)
-	out.grow(pt.Card())
+	out.reserved = pt.Card()
 	for _, sh := range pt.Shards {
 		for i := 0; i < sh.n; i++ {
-			out.insertHashed(sh.row(i), sh.hash(i))
+			out.appendRow(sh.row(i), sh.hash(i))
 		}
 	}
 	return out
@@ -241,10 +243,10 @@ func (pe *ParExec) partitionSpans(u *schema.Universe, attrs, key schema.AttrSet,
 			n += len(buckets[w][s])
 		}
 		sh := New(u, attrs)
-		sh.grow(n)
+		sh.reserved = n
 		for w, sp := range spans {
 			for _, i := range buckets[w][s] {
-				sh.insertHashed(sp.r.row(int(i)), sp.r.hash(int(i)))
+				sh.appendRow(sp.r.row(int(i)), sp.r.hash(int(i)))
 			}
 		}
 		pt.Shards[s] = sh
@@ -282,11 +284,6 @@ func (pe *ParExec) Repartition(pt *Partitioning, key schema.AttrSet) *Partitioni
 	}
 	return pe.partitionSpans(first.U, first.attrs, key, spans)
 }
-
-// MergePar materializes pt into one relation. The gather itself is
-// inherently serial (one output arena), so this simply calls Merge;
-// it exists so callers hold the policy decision in one place.
-func (pe *ParExec) MergePar(pt *Partitioning) *Relation { return pt.Merge() }
 
 // checkAligned panics unless r and s are partitionings with the same
 // shard count and key — the precondition of every shard-local

@@ -254,9 +254,9 @@ func FuzzPartition(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, keyBits, pRaw uint8) {
 		u := schema.NewUniverse()
 		attrs := u.Set("a", "b", "c")
-		r := New(u, attrs)
+		inserted := New(u, attrs)
 		for i := 0; i+3 <= len(data); i += 3 {
-			r.Insert(Tuple{Value(data[i]), Value(data[i+1]), Value(data[i+2])})
+			inserted.Insert(Tuple{Value(data[i]), Value(data[i+1]), Value(data[i+2])})
 		}
 		key := schema.NewAttrSet()
 		for i, a := range attrs.Attrs() {
@@ -265,18 +265,22 @@ func FuzzPartition(f *testing.F) {
 			}
 		}
 		p := int(pRaw)%16 + 1
-		pt := Partition(r, key, p)
-		if pt.Card() != r.Card() {
-			t.Fatalf("partition holds %d tuples, source %d", pt.Card(), r.Card())
-		}
-		if !pt.Merge().Equal(r) {
-			t.Fatal("serial partition/merge changed the relation")
-		}
-		pe := NewParExec(p)
-		ppt := pe.Partition(r, key)
-		for i := range pt.Shards {
-			if !pt.Shards[i].Equal(ppt.Shards[i]) {
-				t.Fatalf("shard %d: parallel partitioner disagrees with serial", i)
+		// Once over the inserted (indexed) relation, once over the same
+		// rows as an index-free operator output.
+		for _, r := range []*Relation{inserted, indexFree(inserted)} {
+			pt := Partition(r, key, p)
+			if pt.Card() != r.Card() {
+				t.Fatalf("partition holds %d tuples, source %d", pt.Card(), r.Card())
+			}
+			if m := pt.Merge(); !m.Equal(r) || !inserted.Equal(m) {
+				t.Fatal("serial partition/merge changed the relation")
+			}
+			pe := NewParExec(p)
+			ppt := pe.Partition(r, key)
+			for i := range pt.Shards {
+				if !pt.Shards[i].Equal(ppt.Shards[i]) {
+					t.Fatalf("shard %d: parallel partitioner disagrees with serial", i)
+				}
 			}
 		}
 	})

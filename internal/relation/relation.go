@@ -10,8 +10,25 @@
 // structurally: Clone of a frozen relation copies only the chunk table
 // (slice headers) and the small index overlay, making the engine's
 // copy-on-write write path O(batch) instead of O(card) per mutation
-// batch. Set semantics are enforced by an open-addressing hash index
-// over 64-bit row hashes with full collision verification — a shared
+// batch.
+//
+// Set semantics hold by construction wherever they can. The join or
+// semijoin of duplicate-free inputs, any partition or merge of a
+// duplicate-free relation, and a column permutation of one are
+// duplicate-free, so Exec.Join, Exec.Semijoin, Partition, Merge, the
+// parallel partitioner and the permuting Renamed only append rows;
+// Exec.Project, the one operator that can create duplicates, eliminates
+// them in the Exec's pooled scratch table. None of them gives its output
+// a set index. The index — an open-addressing hash table over the
+// stored 64-bit row hashes with full collision verification — is
+// maintained eagerly only by the insert paths (Insert, InsertBlock,
+// FromArena, Without), whose rows arrive from outside; for an operator
+// output it is built on demand, once and race-safely, by the first
+// membership use: Has, Equal (of its argument), Insert/InsertBlock,
+// Clone, or the identity Renamed view. A program run therefore never
+// allocates, grows or probes a per-relation table, and a database
+// published from operator outputs (URDatabase) pays for each relation's
+// index on its first write or first bind. An index is a shared
 // immutable base table inherited from the snapshot lineage plus a small
 // private overlay for rows appended since, merged back into an owned
 // base once the overlay outgrows its bound. No string keys are
@@ -27,6 +44,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"gyokit/internal/schema"
@@ -96,6 +114,10 @@ type Relation struct {
 
 	chunks []chunk // row i lives in chunks[i>>chunkShift] at offset (i&chunkMask)*width
 	n      int
+	// reserved is the row count a builder expects to append in total
+	// (0 = unknown): see newChunk. It is a sizing hint only; a low or a
+	// high estimate costs allocation, never correctness.
+	reserved int
 
 	// The set-semantics index. When baseOwned, base is this relation's
 	// private mutable open-addressing table over all n rows (overlay
@@ -104,10 +126,17 @@ type Relation struct {
 	// private overlay covering rows [baseN, n); once the overlay
 	// outgrows overlayBound the two are merged into a fresh owned base.
 	// Slot values are row index + 1; 0 = empty.
+	//
+	// An operator output is born index-free: baseOwned with rows but no
+	// base table. indexOnce builds the table on the first membership use
+	// (see ensureIndex); every read or write of the index fields goes
+	// through it first, which is what makes that first use safe on a
+	// relation many goroutines already share.
 	base      []int32
 	over      []int32
 	baseN     int
 	baseOwned bool
+	indexOnce sync.Once
 
 	frozen atomic.Bool
 }
@@ -169,11 +198,13 @@ func (r *Relation) Tuples() []Tuple {
 func (r *Relation) TupleAt(i int) Tuple { return Tuple(r.row(i)) }
 
 // appendRow appends a row (copied) and its hash to the arena tail,
-// starting a fresh chunk when the tail is full. Index maintenance is
-// the caller's job.
+// starting a fresh chunk when the tail is full. It neither checks for
+// duplicates nor touches the index: the producers that call it directly
+// emit rows that are distinct by construction into a relation that has
+// no index yet.
 func (r *Relation) appendRow(vals []Value, h uint64) {
 	if len(r.chunks) == 0 || len(r.chunks[len(r.chunks)-1].hashes) == ChunkRows {
-		r.chunks = append(r.chunks, chunk{})
+		r.chunks = append(r.chunks, r.newChunk())
 	}
 	c := &r.chunks[len(r.chunks)-1]
 	c.data = append(c.data, vals...)
@@ -182,6 +213,24 @@ func (r *Relation) appendRow(vals []Value, h uint64) {
 		c.id = nextChunkID()
 	}
 	r.n++
+}
+
+// newChunk returns an empty tail chunk sized for the rows still
+// expected: the outstanding part of the reservation, at most a full
+// chunk. Past (or without) a reservation, a chunk that follows a full
+// one is allocated full — the relation is evidently large, and growing
+// 4096 rows by append's 1.25× steps allocates about five times the
+// chunk — while the first chunk of a relation of unknown size starts
+// empty and grows, so small relations stay small.
+func (r *Relation) newChunk() chunk {
+	rows := min(r.reserved-r.n, ChunkRows)
+	if rows <= 0 && len(r.chunks) > 0 {
+		rows = ChunkRows
+	}
+	if rows <= 0 {
+		return chunk{}
+	}
+	return chunk{data: make([]Value, 0, rows*r.width), hashes: make([]uint64, 0, rows)}
 }
 
 // growBase (re)builds the owned open-addressing table at double
@@ -240,6 +289,19 @@ func (r *Relation) rebuildOwned() {
 	r.over = nil
 }
 
+// ensureIndex builds the set index of an index-free operator output
+// from its stored row hashes — rows are distinct by construction, so
+// placement needs no compares — and is a no-op on every relation that
+// already maintains one. Safe for concurrent callers: the first builds,
+// the rest wait for it.
+func (r *Relation) ensureIndex() {
+	r.indexOnce.Do(func() {
+		if r.baseOwned && len(r.base) == 0 && r.n > 0 {
+			r.base = rebuildTable(r, tableSize(r.n), 0, r.n)
+		}
+	})
+}
+
 // probe reports whether a row equal to vals (with hash h) is indexed by
 // the given table.
 func (r *Relation) probe(table []int32, vals []Value, h uint64) bool {
@@ -260,7 +322,7 @@ func (r *Relation) probe(table []int32, vals []Value, h uint64) bool {
 
 // insertHashed adds the row (given with its precomputed hash) unless an
 // equal row is present; it reports whether the row was added. vals is
-// copied into the arena.
+// copied into the arena. The index must exist (ensureIndex).
 func (r *Relation) insertHashed(vals []Value, h uint64) bool {
 	if r.baseOwned {
 		if 4*(r.n+1) > 3*len(r.base) {
@@ -312,6 +374,7 @@ func (r *Relation) insertHashed(vals []Value, h uint64) bool {
 
 // contains reports whether a row equal to vals (with hash h) is present.
 func (r *Relation) contains(vals []Value, h uint64) bool {
+	r.ensureIndex()
 	if r.probe(r.base, vals, h) {
 		return true
 	}
@@ -328,6 +391,7 @@ func (r *Relation) Insert(t Tuple) {
 	if len(t) != r.width {
 		panic(fmt.Sprintf("relation: arity %d ≠ %d", len(t), r.width))
 	}
+	r.ensureIndex()
 	r.insertHashed(t, hashValues(t))
 }
 
@@ -345,6 +409,7 @@ func (r *Relation) InsertBlock(data []Value) int {
 	if r.width == 0 || len(data)%r.width != 0 {
 		panic(fmt.Sprintf("relation: block of %d values over width %d", len(data), r.width))
 	}
+	r.ensureIndex()
 	added := 0
 	for o := 0; o < len(data); o += r.width {
 		row := data[o : o+r.width]
@@ -387,8 +452,10 @@ func (r *Relation) Has(t Tuple) bool {
 // frozen or the table was itself inherited frozen — and deep-copied
 // otherwise. Cloning a frozen snapshot relation therefore costs
 // O(chunk-table + overlay), independent of cardinality: the engine's
-// per-batch copy-on-write write path.
+// per-batch copy-on-write write path. Cloning an index-free operator
+// output builds its index first (once), so the copy can share it.
 func (r *Relation) Clone() *Relation {
+	r.ensureIndex()
 	out := New(r.U, r.attrs)
 	out.chunks = append([]chunk(nil), r.chunks...)
 	out.n = r.n

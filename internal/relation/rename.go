@@ -16,9 +16,11 @@ import (
 // When src is the identity permutation and r is frozen, the result is a
 // zero-copy frozen view sharing r's chunks and hash index — O(#chunks),
 // the common case when variable interning order matches the stored
-// column order. Otherwise the rows are permuted and re-hashed into a
-// fresh relation (row hashes depend on column order, so a permuted
-// relation cannot share r's index).
+// column order (an index-free r builds its index here, once, so every
+// later view shares it). Otherwise the rows are permuted and re-hashed
+// into a fresh index-free relation (row hashes depend on column order,
+// so a permuted relation cannot share r's index; a permutation of
+// distinct rows is distinct, so it needs none to build).
 func (r *Relation) Renamed(u *schema.Universe, attrs schema.AttrSet, src []int) *Relation {
 	cols := attrs.Attrs()
 	if len(cols) != r.width || len(src) != r.width {
@@ -35,6 +37,7 @@ func (r *Relation) Renamed(u *schema.Universe, attrs schema.AttrSet, src []int) 
 		}
 	}
 	if identity && r.frozen.Load() {
+		r.ensureIndex()
 		out := &Relation{
 			U:      u,
 			attrs:  attrs.Clone(),
@@ -54,14 +57,15 @@ func (r *Relation) Renamed(u *schema.Universe, attrs schema.AttrSet, src []int) 
 		out.frozen.Store(true)
 		return out
 	}
-	out := NewSized(u, attrs, r.n)
+	out := New(u, attrs)
+	out.reserved = r.n
 	buf := make([]Value, r.width)
 	for i := 0; i < r.n; i++ {
 		row := r.row(i)
 		for k, s := range src {
 			buf[k] = row[s]
 		}
-		out.insertHashed(buf, hashValues(buf))
+		out.appendRow(buf, hashValues(buf))
 	}
 	return out
 }
