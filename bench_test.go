@@ -257,10 +257,10 @@ func parallelProgramSetup(b *testing.B) (*program.Program, *relation.Database) {
 // against BenchmarkSemijoinProgramParallel/p=4).
 func BenchmarkSemijoinProgramSerial(b *testing.B) {
 	plan, db := parallelProgramSetup(b)
-	ex := relation.NewExec()
+	pe := relation.NewParExec(1)
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
-		if _, _, err := plan.EvalExec(db, ex); err != nil {
+		if _, _, err := plan.Run(db, pe, program.Limits{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +277,7 @@ func BenchmarkSemijoinProgramParallel(b *testing.B) {
 		pe.MinParallel = 0
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			for k := 0; k < b.N; k++ {
-				if _, _, err := plan.EvalPar(db, pe); err != nil {
+				if _, _, err := plan.Run(db, pe, program.Limits{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -296,14 +296,19 @@ func BenchmarkEngineSolvePar(b *testing.B) {
 	for _, p := range []int{1, 4} {
 		e := gyokit.NewEngine(gyokit.EngineOptions{Workers: p})
 		e.Swap(relation.URDatabase(d, i))
-		if _, _, err := e.SolvePar(d, x, p); err != nil {
-			b.Fatal(err)
+		solve := func() {
+			pl, err := e.Plan(d, x)
+			if err == nil {
+				_, _, err = e.SolveQuery(pl, p, program.Limits{})
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
+		solve()
 		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
 			for k := 0; k < b.N; k++ {
-				if _, _, err := e.SolvePar(d, x, p); err != nil {
-					b.Fatal(err)
-				}
+				solve()
 			}
 		})
 	}

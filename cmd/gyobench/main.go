@@ -48,6 +48,7 @@ import (
 	"gyokit/internal/engine"
 	"gyokit/internal/exp"
 	"gyokit/internal/obs"
+	"gyokit/internal/program"
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
 )
@@ -142,6 +143,17 @@ func main() {
 	fmt.Println("all experiments passed")
 }
 
+// solve evaluates (d, x) on e's snapshot at the given parallelism,
+// through the plan cache.
+func solve(e *engine.Engine, d *schema.Schema, x schema.AttrSet, shards int) error {
+	pl, err := e.Plan(d, x)
+	if err != nil {
+		return err
+	}
+	_, _, err = e.SolveQuery(pl, shards, program.Limits{})
+	return err
+}
+
 // loadDrive hammers one Engine from n goroutines for the given
 // duration — the serving-path counterpart of the library benchmarks.
 // Workers cycle through every attribute pair of the schema as query
@@ -181,7 +193,7 @@ func loadDrive(n int, d time.Duration, schemaText string, tuples, domain int, wr
 	// Phase 1: warm-up — solve every target once so plans are compiled
 	// and pools primed before anything is measured.
 	for _, x := range targets {
-		if _, _, err := e.SolvePar(sch, x, shards); err != nil {
+		if err := solve(e, sch, x, shards); err != nil {
 			return err
 		}
 	}
@@ -251,7 +263,7 @@ func loadDrive(n int, d time.Duration, schemaText string, tuples, domain int, wr
 			for i := 0; time.Now().Before(deadline); i++ {
 				x := targets[(g+i)%len(targets)]
 				t0 := time.Now()
-				if _, _, err := e.SolvePar(sch, x, shards); err != nil {
+				if err := solve(e, sch, x, shards); err != nil {
 					errMu.Lock()
 					if firstErr == nil {
 						firstErr = err

@@ -16,7 +16,8 @@
 //
 //	POST /v1/classify  {"schema": "ab, bc, cd"}
 //	POST /v1/plan      {"schema": "ab, bc, cd", "x": "ad"}
-//	POST /v1/solve     {"x": "ad", "parallelism"?: 4}   evaluate on the server database
+//	POST /v1/solve     {"x": "ad", "parallelism"?: 4,   evaluate on the server database
+//	                    "timeoutMs"?: 500}
 //	POST /v1/query     {"query": "ans(X,Z) :- ab(X,Y), bc(Y,Z)."}  conjunctive query,
 //	                   free-connex-aware planning; also accepts a text/plain body
 //	POST /v1/insert    {"rel": "ab", "tuples": [[1,2]]} durable insert batch
@@ -38,15 +39,11 @@
 // POST /v1/promote fails the node over; a promoted directory refuses
 // -follow (wipe and re-seed to rejoin a topology).
 //
-// The pre-versioning paths (/solve, /classify, ...) still work as
-// deprecated aliases of their /v1 successors: identical responses plus
-// a "Deprecation: true" header and a Link header naming the successor.
-// /v1/query is new in /v1 and has no legacy alias. Errors on every
-// endpoint share one JSON envelope:
+// Errors on every endpoint share one JSON envelope:
 // {"error": {"code", "message", "requestId"}}.
 //
-// /v1/query runs under two per-request rails: -gas caps the tuples one
-// evaluation may produce across all program statements (exceeding it
+// Every evaluation — /v1/solve and /v1/query alike — runs under two
+// per-request rails: -gas caps the tuples one evaluation may produce across all program statements (exceeding it
 // returns HTTP 429, code resource_exhausted) and -querytimeout bounds
 // its wall-clock time (HTTP 504, code deadline_exceeded). Clients may
 // tighten the deadline per request ("timeoutMs") but never loosen it.
@@ -120,8 +117,8 @@ func run() error {
 	noSync := flag.Bool("nosync", false, "skip fsync on WAL appends (faster, loses crash durability)")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (off by default: exposes stacks and heap contents)")
 	slowQuery := flag.Duration("slowquery", time.Second, "log /v1/solve and /v1/query requests slower than this (0 disables)")
-	gas := flag.Int("gas", 1000000, "per-query gas budget: tuples one /v1/query evaluation may produce (0 disables)")
-	queryTimeout := flag.Duration("querytimeout", 10*time.Second, "per-query deadline for /v1/query (0 disables)")
+	gas := flag.Int("gas", 1000000, "gas budget of every evaluation: tuples one /v1/solve or /v1/query run may produce (0 disables)")
+	queryTimeout := flag.Duration("querytimeout", 10*time.Second, "deadline of every evaluation, /v1/solve and /v1/query (0 disables)")
 	follow := flag.String("follow", "", "run as a read replica of this leader base URL (requires -data)")
 	maxLag := flag.Int64("maxlag", 1<<20, "replica lag in bytes past which /v1/healthz reports unavailable (0 disables)")
 	flag.Parse()

@@ -118,14 +118,14 @@ func TestGyodCrashRecoveryAndGracefulShutdown(t *testing.T) {
 
 	// Boot 1: fresh store, empty database over "ab, bc, cd".
 	p1 := startGyod(t, bin, "-data", dataDir, "-schema", "ab, bc, cd", "-tuples", "0")
-	p1.post(t, "/load", `{"relations": [
+	p1.post(t, "/v1/load", `{"relations": [
 		{"rel": "ab", "tuples": [[1,2],[3,4],[5,6]]},
 		{"rel": "bc", "tuples": [[2,7],[4,8]]},
 		{"rel": "cd", "tuples": [[7,9],[8,10]]}
 	]}`)
-	p1.post(t, "/insert", `{"rel": "ab", "tuples": [[11,12]]}`)
-	p1.post(t, "/delete", `{"rel": "ab", "tuples": [[5,6]]}`)
-	want := p1.post(t, "/solve", `{"x": "ad"}`)
+	p1.post(t, "/v1/insert", `{"rel": "ab", "tuples": [[11,12]]}`)
+	p1.post(t, "/v1/delete", `{"rel": "ab", "tuples": [[5,6]]}`)
+	want := p1.post(t, "/v1/solve", `{"x": "ad"}`)
 	var wantSol map[string]any
 	if err := json.Unmarshal(want, &wantSol); err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestGyodCrashRecoveryAndGracefulShutdown(t *testing.T) {
 	// Boot 2: recover and compare. The solve result must be identical
 	// for every acknowledged mutation.
 	p2 := startGyod(t, bin, "-data", dataDir)
-	got := p2.post(t, "/solve", `{"x": "ad"}`)
+	got := p2.post(t, "/v1/solve", `{"x": "ad"}`)
 	var gotSol map[string]any
 	if err := json.Unmarshal(got, &gotSol); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestGyodCrashRecoveryAndGracefulShutdown(t *testing.T) {
 	}
 
 	// /stats reports the recovered relations and durability counters.
-	resp, err := http.Get(p2.base + "/stats")
+	resp, err := http.Get(p2.base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestGyodCrashRecoveryAndGracefulShutdown(t *testing.T) {
 	// Boot 3: the final checkpoint means a clean boot with an empty WAL
 	// tail, and the state is still intact.
 	p3 := startGyod(t, bin, "-data", dataDir)
-	got3 := p3.post(t, "/solve", `{"x": "ad"}`)
+	got3 := p3.post(t, "/v1/solve", `{"x": "ad"}`)
 	var got3Sol map[string]any
 	if err := json.Unmarshal(got3, &got3Sol); err != nil {
 		t.Fatal(err)
@@ -218,13 +218,13 @@ func TestGyodInMemoryStillWorks(t *testing.T) {
 	}
 	bin := buildGyod(t)
 	p := startGyod(t, bin, "-schema", "ab, bc", "-tuples", "50")
-	out := p.post(t, "/solve", `{"x": "ac"}`)
+	out := p.post(t, "/v1/solve", `{"x": "ac"}`)
 	var sol map[string]any
 	if err := json.Unmarshal(out, &sol); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := sol["card"]; !ok {
-		t.Fatalf("/solve reply missing card: %s", out)
+		t.Fatalf("/v1/solve reply missing card: %s", out)
 	}
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

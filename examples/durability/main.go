@@ -54,14 +54,14 @@ func run() error {
 	}
 	defer g.kill()
 
-	fmt.Println("== ingest: one atomic /load batch + an /insert + a /delete ==")
+	fmt.Println("== ingest: one atomic /v1/load batch + a /v1/insert + a /v1/delete ==")
 	for _, req := range []struct{ path, body string }{
-		{"/load", `{"relations": [
+		{"/v1/load", `{"relations": [
 			{"rel": "ab", "tuples": [[1,2],[3,4],[5,6]]},
 			{"rel": "bc", "tuples": [[2,7],[4,8],[6,9]]},
 			{"rel": "cd", "tuples": [[7,10],[8,11]]}]}`},
-		{"/insert", `{"rel": "cd", "tuples": [[9,12]]}`},
-		{"/delete", `{"rel": "ab", "tuples": [[5,6]]}`},
+		{"/v1/insert", `{"rel": "cd", "tuples": [[9,12]]}`},
+		{"/v1/delete", `{"rel": "ab", "tuples": [[5,6]]}`},
 	} {
 		out, err := g.post(req.path, req.body)
 		if err != nil {
@@ -69,11 +69,11 @@ func run() error {
 		}
 		fmt.Printf("  POST %-8s → %s\n", req.path, firstLine(out))
 	}
-	before, err := g.post("/solve", `{"x": "ad"}`)
+	before, err := g.post("/v1/solve", `{"x": "ad"}`)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  POST /solve   → %s\n", firstLine(before))
+	fmt.Printf("  POST /v1/solve → %s\n", firstLine(before))
 
 	fmt.Println("== kill -9: no flush, no shutdown path ==")
 	g.kill()
@@ -87,11 +87,11 @@ func run() error {
 		return err
 	}
 	defer g2.kill()
-	after, err := g2.post("/solve", `{"x": "ad"}`)
+	after, err := g2.post("/v1/solve", `{"x": "ad"}`)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  POST /solve   → %s\n", firstLine(after))
+	fmt.Printf("  POST /v1/solve → %s\n", firstLine(after))
 	// Compare the result (not the stats, whose elapsedNs differs run to
 	// run): everything before the "stats" key.
 	if !bytes.Equal(resultPrefix(before), resultPrefix(after)) {
@@ -99,11 +99,11 @@ func run() error {
 	}
 	fmt.Println("  identical to the pre-kill answer: every acknowledged mutation survived")
 
-	stats, err := g2.get("/stats")
+	stats, err := g2.get("/v1/stats")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  GET  /stats   → %s\n", firstLine(stats))
+	fmt.Printf("  GET  /v1/stats → %s\n", firstLine(stats))
 
 	fmt.Println("== incremental checkpoints: fill an arena chunk (4096 rows) ==")
 	// A bulk insert past relation.ChunkRows seals at least one immutable
@@ -118,7 +118,7 @@ func run() error {
 		fmt.Fprintf(&big, "[%d,%d]", 1000+i, 100000+i)
 	}
 	big.WriteString("]}")
-	if _, err := g2.post("/insert", big.String()); err != nil {
+	if _, err := g2.post("/v1/insert", big.String()); err != nil {
 		return err
 	}
 	d1, err := g2.durability(1)
@@ -138,7 +138,7 @@ func run() error {
 		fmt.Fprintf(&delta, "[%d,%d]", 9000+i, 200000+i)
 	}
 	delta.WriteString("]}")
-	if _, err := g2.post("/insert", delta.String()); err != nil {
+	if _, err := g2.post("/v1/insert", delta.String()); err != nil {
 		return err
 	}
 	d2, err := g2.durability(int(d1["checkpoints"].(float64)) + 1)
@@ -236,7 +236,7 @@ func (g *gyod) post(path, body string) ([]byte, error) {
 func (g *gyod) durability(min int) (map[string]any, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		raw, err := g.get("/stats")
+		raw, err := g.get("/v1/stats")
 		if err != nil {
 			return nil, err
 		}

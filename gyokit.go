@@ -54,14 +54,14 @@
 // plan cache keyed by order-independent schema/target fingerprints
 // (Schema.Fingerprint) holds the Classification plus the compiled
 // Program, so repeat queries skip GYO reduction, tableau work, and
-// plan construction entirely; a sync.Pool of Exec contexts lets
+// plan construction entirely; a sync.Pool of ParExec contexts lets
 // concurrent evaluations reuse hash tables without locking; and
 // queries run against immutable frozen Database snapshots swapped in
 // atomically by writers (Database.Clone, Database.InsertTuple,
 // Engine.Swap), so readers never block. NewEngineServer exposes an
-// Engine over HTTP (/classify, /plan, /solve, /insert, /delete,
-// /load) — cmd/gyod is the ready-made daemon, and gyobench -parallel N
-// is the load driver.
+// Engine over HTTP (/v1/classify, /v1/plan, /v1/solve, /v1/query,
+// /v1/insert, /v1/delete, /v1/load) — cmd/gyod is the ready-made
+// daemon, and gyobench -parallel N is the load driver.
 //
 // # Durability
 //
@@ -190,7 +190,7 @@ func NewUniverse() *Universe { return schema.NewUniverse() }
 func NewExec() *Exec { return relation.NewExec() }
 
 // NewParExec returns a partition-parallel execution context with p
-// workers; Program.EvalPar runs join/semijoin statements shard-local
+// workers; Program.Run runs join/semijoin statements shard-local
 // across them.
 func NewParExec(p int) *ParExec { return relation.NewParExec(p) }
 
@@ -198,7 +198,7 @@ func NewParExec(p int) *ParExec { return relation.NewParExec(p) }
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 
 // NewEngineServer returns the HTTP server over e; d (parsed into u) is
-// the serving schema backing /solve and may be nil.
+// the serving schema backing /v1/solve and may be nil.
 func NewEngineServer(e *Engine, u *Universe, d *Schema) *EngineServer {
 	return engine.NewServer(e, u, d)
 }

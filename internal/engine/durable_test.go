@@ -495,7 +495,7 @@ func (p *gyodInst) postJSON(t *testing.T, path string, body, out any) {
 
 func (p *gyodInst) stats(t *testing.T) StatsResponse {
 	t.Helper()
-	resp, err := http.Get(p.base + "/stats")
+	resp, err := http.Get(p.base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestGyodSIGKILLDuringIncrementalCheckpoint(t *testing.T) {
 				next++
 			}
 			var mr MutateResponse
-			p.postJSON(t, "/insert", map[string]any{"rel": "ab", "tuples": tuples}, &mr)
+			p.postJSON(t, "/v1/insert", map[string]any{"rel": "ab", "tuples": tuples}, &mr)
 			if mr.Applied != perBatch {
 				t.Fatalf("round %d batch %d: applied %d, want %d", round, b, mr.Applied, perBatch)
 			}

@@ -10,7 +10,8 @@
 //     fingerprint) holding the §3 Classification together with the
 //     compiled §4/§6 Program, so a repeated query skips classification
 //     and planning entirely;
-//   - an Exec pool: a sync.Pool of relation.Exec contexts, so
+//   - an execution-context pool: a sync.Pool of relation.ParExec
+//     contexts (one worker wide until a request asks for more), so
 //     concurrent evaluations reuse join hash tables and scratch
 //     buffers without contending on a lock;
 //   - database snapshots: the engine serves reads from an immutable
@@ -49,7 +50,7 @@ type Options struct {
 	// DefaultPlanCacheSize; negative disables caching (every query is
 	// classified and planned from scratch — the cold baseline).
 	PlanCacheSize int
-	// Workers caps per-request partition parallelism: SolvePar clamps
+	// Workers caps per-request partition parallelism: SolveQuery clamps
 	// the requested shard count to this. Zero means GOMAXPROCS; one
 	// makes every request serial.
 	Workers int
@@ -96,8 +97,12 @@ type Plan struct {
 	// CQ, when non-nil, marks the plan as a prepared conjunctive query
 	// (built by PrepareQuery): D and X are over the query's variable
 	// universe, and evaluation binds the atoms to stored relations by
-	// name at solve time (SolveQuery).
+	// name at solve time.
 	CQ *cq.Compiled
+	// key is the plan-cache key pl was compiled under: a fingerprint of
+	// (D, X), or of a prepared query's canonical text — stable across
+	// requests, so also the slow-query log's aggregation key.
+	key cacheKey
 }
 
 // Stats is a point-in-time snapshot of engine counters.
@@ -106,7 +111,7 @@ type Stats struct {
 	PlanMisses  uint64 // cache misses compiled from scratch
 	Evictions   uint64 // plans pushed out of the LRU by newer entries
 	CachedPlans int    // entries currently resident
-	Evals       uint64 // completed Solve/SolveOn/SolvePar calls
+	Evals       uint64 // completed evaluations (Solve, SolveQuery, the HTTP read endpoints)
 	ParEvals    uint64 // the subset that ran partition-parallel
 }
 
@@ -122,8 +127,7 @@ type Engine struct {
 	m   engineMetrics
 
 	workers int       // max shards per request (≥ 1)
-	execs   sync.Pool // *relation.Exec
-	pexecs  sync.Pool // *relation.ParExec
+	pexecs  sync.Pool // *relation.ParExec, one worker wide until a request resizes it
 
 	wmu sync.Mutex                        // serializes snapshot writers (Swap/Update/Apply)
 	db  atomic.Pointer[relation.Database] // current frozen snapshot
@@ -151,9 +155,8 @@ func New(opts Options) *Engine {
 	}
 	e := &Engine{
 		workers: workers,
-		execs:   sync.Pool{New: func() any { return relation.NewExec() }},
+		pexecs:  sync.Pool{New: func() any { return relation.NewParExec(1) }},
 	}
-	e.pexecs = sync.Pool{New: func() any { return relation.NewParExec(workers) }}
 	size := opts.PlanCacheSize
 	if size == 0 {
 		size = DefaultPlanCacheSize
@@ -289,7 +292,7 @@ func (e *Engine) plan(d *schema.Schema, x schema.AttrSet) (*Plan, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	pl := &Plan{D: d.Clone(), X: x.Clone(), Cls: cls, Prog: prog}
+	pl := &Plan{D: d.Clone(), X: x.Clone(), Cls: cls, Prog: prog, key: key}
 	e.storePlan(key, pl)
 	// Seed the classification-only slot too: a later Classify of the
 	// same schema (in this order) should not redo the GYO work the plan
@@ -514,35 +517,73 @@ func (e *Engine) ReplSnapshot() (*relation.Database, storage.Cursor, error) {
 	return db, e.store.TailCursor(), nil
 }
 
-// Solve evaluates the query (d, x) against the current snapshot.
+// Solve evaluates the query (d, x) serially, without limits, against
+// the current snapshot, using the plan cache.
 func (e *Engine) Solve(d *schema.Schema, x schema.AttrSet) (*relation.Relation, *program.Stats, error) {
-	db := e.db.Load()
-	if db == nil {
-		return nil, nil, fmt.Errorf("engine: no database snapshot installed (call Swap first)")
-	}
-	return e.SolveOn(db, d, x)
-}
-
-// SolveOn evaluates the query (d, x) against an explicit database
-// state, using the plan cache and the Exec pool. db is never mutated.
-func (e *Engine) SolveOn(db *relation.Database, d *schema.Schema, x schema.AttrSet) (*relation.Relation, *program.Stats, error) {
-	t0 := time.Now()
 	pl, hit, err := e.plan(d, x)
 	if err != nil {
 		return nil, nil, err
 	}
-	adb, err := alignDatabase(pl.D, db)
+	return e.run(e.db.Load(), pl, hit, 1, program.Limits{})
+}
+
+// SolveQuery evaluates a plan — from Plan or PrepareQuery — against
+// the current snapshot under lim: join and semijoin statements fan out
+// across up to parallelism hash-partitioned shards (clamped to the
+// engine's Workers cap; ≤ 1 is serial). Parallelism changes how a plan
+// is executed, never which plan is built. A limit violation returns a
+// *program.LimitError matching program.ErrGasExhausted or
+// program.ErrDeadlineExceeded.
+func (e *Engine) SolveQuery(pl *Plan, parallelism int, lim program.Limits) (*relation.Relation, *program.Stats, error) {
+	return e.run(e.db.Load(), pl, true, parallelism, lim)
+}
+
+// run is the engine's one evaluation path. It gives the plan's program
+// the database it expects — a schema plan's relation order is aligned
+// to db; a prepared query's atoms are resolved against db's schema by
+// attribute name (lookup only — client queries never grow the serving
+// universe) and rebound to the query's variable vocabulary — and runs
+// it in a pooled execution context. db is never mutated. cacheHit says
+// how the caller came by pl and only labels the latency observation.
+func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, parallelism int, lim program.Limits) (*relation.Relation, *program.Stats, error) {
+	if pl == nil || pl.Prog == nil {
+		return nil, nil, fmt.Errorf("engine: plan has no program (use Plan or PrepareQuery)")
+	}
+	if db == nil {
+		return nil, nil, fmt.Errorf("engine: no database snapshot installed (call Swap first)")
+	}
+	t0 := time.Now()
+	var err error
+	if pl.CQ != nil {
+		db, err = bindQuery(pl.CQ, db)
+	} else {
+		db, err = alignDatabase(pl.D, db)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	ex := e.execs.Get().(*relation.Exec)
-	defer e.execs.Put(ex)
-	out, st, err := pl.Prog.EvalExec(adb, ex)
-	if err == nil {
-		e.evals.Add(1)
-		e.m.solveHist(hit, false).Observe(time.Since(t0).Seconds())
+	parallelism = e.ClampParallelism(parallelism)
+	pe := e.pexecs.Get().(*relation.ParExec)
+	pe.Resize(parallelism)
+	out, st, err := pl.Prog.Run(db, pe, lim)
+	e.pexecs.Put(pe)
+	if err != nil {
+		switch {
+		case errors.Is(err, program.ErrGasExhausted):
+			e.m.cqLimited["gas"].Inc()
+		case errors.Is(err, program.ErrDeadlineExceeded):
+			e.m.cqLimited["deadline"].Inc()
+		}
+		return nil, nil, err
 	}
-	return out, st, err
+	e.evals.Add(1)
+	if parallelism > 1 {
+		e.parEvals.Add(1)
+		e.m.repartitions.Add(uint64(st.Repartitions))
+		e.m.repartitionBytes.Add(uint64(st.RepartitionBytes))
+	}
+	e.m.solveHist(cacheHit, parallelism > 1).Observe(time.Since(t0).Seconds())
+	return out, st, nil
 }
 
 // Workers returns the engine's per-request parallelism cap.
@@ -559,50 +600,6 @@ func (e *Engine) ClampParallelism(p int) int {
 		return e.workers
 	}
 	return p
-}
-
-// SolvePar evaluates the query (d, x) against the current snapshot
-// with partition parallelism: join and semijoin statements fan out
-// across up to parallelism hash-partitioned shards (clamped to the
-// engine's Workers cap; ≤ 1 is the serial path). The plan cache is
-// shared with the serial path — parallelism changes how a plan is
-// executed, never which plan is built.
-func (e *Engine) SolvePar(d *schema.Schema, x schema.AttrSet, parallelism int) (*relation.Relation, *program.Stats, error) {
-	db := e.db.Load()
-	if db == nil {
-		return nil, nil, fmt.Errorf("engine: no database snapshot installed (call Swap first)")
-	}
-	return e.SolveOnPar(db, d, x, parallelism)
-}
-
-// SolveOnPar is SolvePar against an explicit database state. db is
-// never mutated.
-func (e *Engine) SolveOnPar(db *relation.Database, d *schema.Schema, x schema.AttrSet, parallelism int) (*relation.Relation, *program.Stats, error) {
-	parallelism = e.ClampParallelism(parallelism)
-	if parallelism <= 1 {
-		return e.SolveOn(db, d, x)
-	}
-	t0 := time.Now()
-	pl, hit, err := e.plan(d, x)
-	if err != nil {
-		return nil, nil, err
-	}
-	adb, err := alignDatabase(pl.D, db)
-	if err != nil {
-		return nil, nil, err
-	}
-	pe := e.pexecs.Get().(*relation.ParExec)
-	pe.Resize(parallelism)
-	defer e.pexecs.Put(pe)
-	out, st, err := pl.Prog.EvalPar(adb, pe)
-	if err == nil {
-		e.evals.Add(1)
-		e.parEvals.Add(1)
-		e.m.solveHist(hit, true).Observe(time.Since(t0).Seconds())
-		e.m.repartitions.Add(uint64(st.Repartitions))
-		e.m.repartitionBytes.Add(uint64(st.RepartitionBytes))
-	}
-	return out, st, err
 }
 
 // Stats returns a snapshot of the engine counters.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gyokit/internal/core"
+	"gyokit/internal/program"
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
 )
@@ -15,6 +16,26 @@ func urdb(d *schema.Schema, seed int64, tuples, domain int) *relation.Database {
 	rng := rand.New(rand.NewSource(seed))
 	i, _ := relation.RandomUniversal(d.U, d.Attrs(), tuples, domain, rng)
 	return relation.URDatabase(d, i)
+}
+
+// solveOn evaluates (d, x) serially against an explicit database state,
+// through the plan cache.
+func solveOn(e *Engine, db *relation.Database, d *schema.Schema, x schema.AttrSet) (*relation.Relation, *program.Stats, error) {
+	pl, hit, err := e.plan(d, x)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.run(db, pl, hit, 1, program.Limits{})
+}
+
+// solvePar evaluates (d, x) against the current snapshot at the given
+// parallelism, through the plan cache.
+func solvePar(e *Engine, d *schema.Schema, x schema.AttrSet, parallelism int) (*relation.Relation, *program.Stats, error) {
+	pl, err := e.Plan(d, x)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.SolveQuery(pl, parallelism, program.Limits{})
 }
 
 func TestPlanCacheHit(t *testing.T) {
@@ -199,7 +220,7 @@ func TestSolveAlignsReorderedDatabase(t *testing.T) {
 	for _, i := range perm {
 		db2.Rels = append(db2.Rels, db.Rels[i])
 	}
-	got, _, err := e.SolveOn(db2, d2, x)
+	got, _, err := solveOn(e, db2, d2, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +351,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 				// Pin one snapshot so the answer is checkable even as
 				// the writer races ahead.
 				snap := e.Snapshot()
-				got, _, err := e.SolveOn(snap, d, x)
+				got, _, err := solveOn(e, snap, d, x)
 				if err != nil {
 					t.Errorf("reader %d iter %d: %v", g, i, err)
 					return

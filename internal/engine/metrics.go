@@ -24,11 +24,11 @@ type engineMetrics struct {
 	repartitionBytes *obs.Counter // arena bytes those partitionings moved
 
 	cqPlans   map[string]*obs.Counter // compiled conjunctive queries by plan kind
-	cqLimited map[string]*obs.Counter // query evaluations aborted by a resource rail
+	cqLimited map[string]*obs.Counter // evaluations aborted by a resource rail
 }
 
 func newEngineMetrics(reg *obs.Registry) engineMetrics {
-	const solveHelp = "End-to-end Solve latency (plan lookup, alignment, evaluation)."
+	const solveHelp = "Evaluation latency (alignment or binding, then the run), by the outcome of the plan lookup that preceded it."
 	solve := func(cache, mode string) *obs.Histogram {
 		return reg.Histogram("gyo_solve_seconds", solveHelp, obs.LatencyBuckets(),
 			"cache", cache, "mode", mode)
@@ -42,7 +42,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	for _, kind := range []string{"free-connex", "acyclic", "cyclic"} {
 		cqPlans[kind] = reg.Counter("gyo_cq_plans_total", cqHelp, "kind", kind)
 	}
-	const limHelp = "Query evaluations aborted by a resource rail (gas budget or deadline)."
+	const limHelp = "Evaluations aborted by a resource rail (gas budget or deadline)."
 	cqLimited := make(map[string]*obs.Counter, 2)
 	for _, reason := range []string{"gas", "deadline"} {
 		cqLimited[reason] = reg.Counter("gyo_cq_limited_total", limHelp, "reason", reason)

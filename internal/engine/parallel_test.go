@@ -37,7 +37,7 @@ func TestSolveParMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{-1, 0, 1, 2, 4, 64} {
-		got, st, err := e.SolvePar(d, x, par)
+		got, st, err := solvePar(e, d, x, par)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -72,10 +72,10 @@ func TestSolveParCountsAndPlanCache(t *testing.T) {
 	if _, _, err := e.Solve(d, x); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.SolvePar(d, x, 4); err != nil {
+	if _, _, err := solvePar(e, d, x, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := e.SolvePar(d, x, 1); err != nil {
+	if _, _, err := solvePar(e, d, x, 1); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -101,8 +101,8 @@ func TestServerSolveParallelism(t *testing.T) {
 	ts := newTestHTTPServer(t, srv)
 
 	var serial, par SolveResponse
-	post(t, ts+"/solve", `{"x": "ad"}`, &serial)
-	post(t, ts+"/solve", `{"x": "ad", "parallelism": 64}`, &par)
+	post(t, ts+"/v1/solve", `{"x": "ad"}`, &serial)
+	post(t, ts+"/v1/solve", `{"x": "ad", "parallelism": 64}`, &par)
 	if serial.Stats.Parallelism != 1 {
 		t.Fatalf("serial request reports parallelism %d", serial.Stats.Parallelism)
 	}
@@ -113,7 +113,7 @@ func TestServerSolveParallelism(t *testing.T) {
 		t.Fatalf("parallel solve returned %d tuples, serial %d", par.Card, serial.Card)
 	}
 	var st StatsResponse
-	resp, err := http.Get(ts + "/stats")
+	resp, err := http.Get(ts + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +122,10 @@ func TestServerSolveParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Workers != 4 {
-		t.Fatalf("/stats workers = %d, want 4", st.Workers)
+		t.Fatalf("/v1/stats workers = %d, want 4", st.Workers)
 	}
 	if st.ParEvals == 0 {
-		t.Fatal("/stats parEvals = 0 after a parallel solve")
+		t.Fatal("/v1/stats parEvals = 0 after a parallel solve")
 	}
 }
 
@@ -176,7 +176,7 @@ func TestConcurrentMixedParallelismSolves(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				body := fmt.Sprintf(`{"x": %q, "parallelism": %d}`,
 					targets[(g+i)%len(targets)], parallelisms[(g*7+i)%len(parallelisms)])
-				resp, err := http.Post(ts+"/solve", "application/json", bytes.NewReader([]byte(body)))
+				resp, err := http.Post(ts+"/v1/solve", "application/json", bytes.NewReader([]byte(body)))
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return

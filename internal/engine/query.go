@@ -1,12 +1,9 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"gyokit/internal/cq"
-	"gyokit/internal/program"
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
 )
@@ -22,9 +19,16 @@ import (
 // relations by name at solve time — so cached query plans never go
 // stale when the serving snapshot changes.
 func (e *Engine) PrepareQuery(text string) (*Plan, error) {
+	pl, _, err := e.prepareQuery(text)
+	return pl, err
+}
+
+// prepareQuery is PrepareQuery plus the cache-outcome flag, the
+// counterpart of plan.
+func (e *Engine) prepareQuery(text string) (*Plan, bool, error) {
 	q, err := cq.Parse(text)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	canonical := q.String()
 	a, b := cq.Fingerprint(canonical)
@@ -36,74 +40,21 @@ func (e *Engine) PrepareQuery(text string) (*Plan, error) {
 		if ok && pl.CQ != nil && pl.CQ.Canonical == canonical {
 			e.hits.Add(1)
 			e.m.planHits.Inc()
-			return pl, nil
+			return pl, true, nil
 		}
 	}
 	e.misses.Add(1)
 	e.m.planMisses.Inc()
 	c, err := q.Compile()
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	pl := &Plan{D: c.D, X: c.Head, Cls: c.Cls, Prog: c.Prog, CQ: c}
+	pl := &Plan{D: c.D, X: c.Head, Cls: c.Cls, Prog: c.Prog, CQ: c, key: key}
 	e.storePlan(key, pl)
 	if ctr := e.m.cqPlans[c.Kind.String()]; ctr != nil {
 		ctr.Inc()
 	}
-	return pl, nil
-}
-
-// SolveQuery evaluates a prepared conjunctive query (a PrepareQuery
-// plan) against the current snapshot: each atom is resolved against the
-// serving schema by attribute name (lookup only — client queries never
-// grow the serving universe) and rebound to the query's variable
-// vocabulary, then the compiled program runs under lim with the given
-// parallelism (clamped to the engine's worker cap). A limit violation
-// returns a *program.LimitError matching program.ErrGasExhausted or
-// program.ErrDeadlineExceeded.
-func (e *Engine) SolveQuery(pl *Plan, parallelism int, lim program.Limits) (*relation.Relation, *program.Stats, error) {
-	if pl == nil || pl.CQ == nil {
-		return nil, nil, fmt.Errorf("engine: plan is not a prepared query (use PrepareQuery)")
-	}
-	db := e.db.Load()
-	if db == nil {
-		return nil, nil, fmt.Errorf("engine: no database snapshot installed (call Swap first)")
-	}
-	qdb, err := bindQuery(pl.CQ, db)
-	if err != nil {
-		return nil, nil, err
-	}
-	parallelism = e.ClampParallelism(parallelism)
-	t0 := time.Now()
-	var out *relation.Relation
-	var st *program.Stats
-	if parallelism <= 1 {
-		ex := e.execs.Get().(*relation.Exec)
-		out, st, err = pl.Prog.EvalExecLimits(qdb, ex, lim)
-		e.execs.Put(ex)
-	} else {
-		pe := e.pexecs.Get().(*relation.ParExec)
-		pe.Resize(parallelism)
-		out, st, err = pl.Prog.EvalParLimits(qdb, pe, lim)
-		e.pexecs.Put(pe)
-	}
-	if err != nil {
-		switch {
-		case errors.Is(err, program.ErrGasExhausted):
-			e.m.cqLimited["gas"].Inc()
-		case errors.Is(err, program.ErrDeadlineExceeded):
-			e.m.cqLimited["deadline"].Inc()
-		}
-		return nil, nil, err
-	}
-	e.evals.Add(1)
-	if parallelism > 1 {
-		e.parEvals.Add(1)
-		e.m.repartitions.Add(uint64(st.Repartitions))
-		e.m.repartitionBytes.Add(uint64(st.RepartitionBytes))
-	}
-	e.m.solveHist(true, parallelism > 1).Observe(time.Since(t0).Seconds())
-	return out, st, nil
+	return pl, false, nil
 }
 
 // bindQuery builds the per-query database the compiled program runs

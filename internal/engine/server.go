@@ -11,7 +11,6 @@ import (
 	"strings"
 	"time"
 
-	"gyokit/internal/cq"
 	"gyokit/internal/program"
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
@@ -25,7 +24,7 @@ import (
 //	POST /v1/classify  {"schema": "ab, bc, cd"}           §3 classification
 //	POST /v1/plan      {"schema": "...", "x": "ad"}       compiled §4/§6 program
 //	POST /v1/solve     {"x": "ad", "schema"?, "limit"?,   evaluate on the snapshot
-//	                    "parallelism"?}                    (shards per statement)
+//	                    "parallelism"?, "timeoutMs"?}      (shards per statement)
 //	POST /v1/query     {"query": "ans(X,Z) :- ..."}        conjunctive query with
 //	                    or a text/plain query body          free-connex-aware planning
 //
@@ -46,11 +45,7 @@ import (
 // /v1/replica/status (replication role, cursor, and lag), and POST
 // /v1/promote (turn a follower into a writable leader — see
 // server_repl.go). On a follower every write endpoint answers 409 with
-// code read_only_replica and the leader's URL. The unversioned legacy
-// paths (/solve, /classify, ...) remain mounted as deprecated aliases:
-// they serve identical responses plus a "Deprecation: true" header and
-// a Link header naming the successor /v1 route. /v1/query has no
-// legacy alias — it is new in /v1.
+// code read_only_replica and the leader's URL.
 //
 // Every reply carries a server-generated request id in the
 // X-Request-Id header; error responses echo it in a uniform JSON
@@ -89,16 +84,16 @@ type Server struct {
 	// fingerprint, parallelism, and the top-3 most expensive statements
 	// — through the engine's Logf. Zero disables the slow-query log.
 	SlowQuery time.Duration
-	// Gas caps the tuples a single /v1/query evaluation may produce
-	// across all program statements — the multi-tenant rail against a
-	// query whose intermediates explode. Exceeding it aborts the run
-	// with a typed resource_exhausted error (HTTP 429). Zero disables
-	// the gas rail.
+	// Gas caps the tuples a single /v1/solve or /v1/query evaluation may
+	// produce across all program statements — the multi-tenant rail
+	// against a query whose intermediates explode. Exceeding it aborts
+	// the run with a typed resource_exhausted error (HTTP 429). Zero
+	// disables the gas rail.
 	Gas int
-	// QueryTimeout bounds a single /v1/query evaluation. A client may
-	// lower it per request ("timeoutMs") but never raise it. Hitting
-	// the deadline aborts the run with a typed deadline_exceeded error
-	// (HTTP 504). Zero disables the server-side deadline.
+	// QueryTimeout bounds a single /v1/solve or /v1/query evaluation. A
+	// client may lower it per request ("timeoutMs") but never raise it.
+	// Hitting the deadline aborts the run with a typed deadline_exceeded
+	// error (HTTP 504). Zero disables the server-side deadline.
 	QueryTimeout time.Duration
 	// Replica, when non-nil, marks this server as part of a replication
 	// pair: /v1/replica/status and POST /v1/promote delegate to it,
@@ -132,35 +127,26 @@ func NewServer(e *Engine, u *schema.Universe, d *schema.Schema) *Server {
 }
 
 // Handler returns the HTTP handler serving the gyod API: every
-// endpoint under /v1, the pre-versioning paths as deprecated aliases,
-// and a request-id middleware wrapping the whole tree so every reply —
-// success or error, any route — carries X-Request-Id.
+// endpoint under /v1, and a request-id middleware wrapping the whole
+// tree so every reply — success or error, any route — carries
+// X-Request-Id.
 func (s *Server) Handler() http.Handler {
-	routes := []struct {
-		name   string
-		h      http.HandlerFunc
-		legacy bool // mount an unversioned deprecated alias
-	}{
-		{"classify", s.handleClassify, true},
-		{"plan", s.handlePlan, true},
-		{"solve", s.handleSolve, true},
-		{"query", s.handleQuery, false}, // new in /v1, no legacy path
-		{"insert", s.handleInsert, true},
-		{"delete", s.handleDelete, true},
-		{"load", s.handleLoad, true},
-		{"stats", s.handleStats, true},
-		{"metrics", s.handleMetrics, true},
-		{"healthz", s.handleHealthz, true},
-		{"replica/status", s.handleReplicaStatus, false}, // new in /v1
-		{"promote", s.handlePromote, false},              // new in /v1
-	}
 	mux := http.NewServeMux()
-	for _, rt := range routes {
-		v1 := "/v1/" + rt.name
-		mux.Handle(v1, rt.h)
-		if rt.legacy {
-			mux.Handle("/"+rt.name, deprecatedAlias(v1, rt.h))
-		}
+	for name, h := range map[string]http.HandlerFunc{
+		"classify":       s.handleClassify,
+		"plan":           s.handlePlan,
+		"solve":          s.handleSolve,
+		"query":          s.handleQuery,
+		"insert":         s.handleInsert,
+		"delete":         s.handleDelete,
+		"load":           s.handleLoad,
+		"stats":          s.handleStats,
+		"metrics":        s.handleMetrics,
+		"healthz":        s.handleHealthz,
+		"replica/status": s.handleReplicaStatus,
+		"promote":        s.handlePromote,
+	} {
+		mux.Handle("/v1/"+name, h)
 	}
 	return withRequestID(mux)
 }
@@ -179,18 +165,6 @@ func withRequestID(h http.Handler) http.Handler {
 // requestID reads back the id stamped by withRequestID.
 func requestID(w http.ResponseWriter) string {
 	return w.Header().Get("X-Request-Id")
-}
-
-// deprecatedAlias serves h unchanged while marking the route
-// deprecated: a "Deprecation: true" header (draft-ietf-httpapi
-// convention) plus a Link header naming the successor /v1 route.
-func deprecatedAlias(successor string, h http.Handler) http.Handler {
-	link := fmt.Sprintf("<%s>; rel=\"successor-version\"", successor)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", link)
-		h.ServeHTTP(w, r)
-	})
 }
 
 type classifyRequest struct {
@@ -302,9 +276,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-type solveRequest struct {
-	X      string `json:"x"`
-	Schema string `json:"schema,omitempty"` // defaults to the serving schema
+// readOptions are the request fields /v1/solve and /v1/query share.
+type readOptions struct {
 	// Limit caps the tuples echoed for this request. A pointer so that
 	// an explicit 0 ("card only, no tuples") is distinguishable from an
 	// omitted field (server default); negative limits are rejected.
@@ -319,6 +292,15 @@ type solveRequest struct {
 	// the feature — spans are built from the run's statistics only when
 	// requested.
 	Trace bool `json:"trace,omitempty"`
+	// TimeoutMs lowers the server's QueryTimeout for this request; it
+	// can never raise it. Negative values are rejected.
+	TimeoutMs int `json:"timeoutMs,omitempty"`
+}
+
+type solveRequest struct {
+	X      string `json:"x"`
+	Schema string `json:"schema,omitempty"` // defaults to the serving schema
+	readOptions
 }
 
 // SolveStats is the cost report embedded in a /v1/solve or /v1/query
@@ -353,18 +335,24 @@ func solveStats(st *program.Stats, par int) SolveStats {
 	}
 }
 
-// SolveResponse is the /v1/solve reply. Tuples holds up to the
-// configured cap of result rows in Cols order; Card is always the full
-// count.
-type SolveResponse struct {
-	X         string             `json:"x"`
-	RequestID string             `json:"requestId"` // also in the X-Request-Id header
+// Answer is the evaluated part of a /v1/solve or /v1/query reply.
+// Tuples holds up to the configured cap of result rows in Cols order;
+// Card is always the full count.
+type Answer struct {
 	Cols      []string           `json:"cols"`
 	Card      int                `json:"card"`
 	Tuples    [][]relation.Value `json:"tuples"`
 	Truncated bool               `json:"truncated,omitempty"`
 	Stats     SolveStats         `json:"stats"`
 	Trace     *program.Span      `json:"trace,omitempty"` // present when the request set "trace": true
+}
+
+// SolveResponse is the /v1/solve reply; its columns are in sorted
+// attribute order.
+type SolveResponse struct {
+	X         string `json:"x"`
+	RequestID string `json:"requestId"` // also in the X-Request-Id header
+	Answer
 }
 
 // echoLimit resolves the per-request tuple echo cap: the client may
@@ -411,55 +399,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request", err)
 		return
 	}
-	limit, ok := s.echoLimit(w, req.Limit)
-	if !ok {
-		return
-	}
-	par := s.E.ClampParallelism(req.Parallelism)
-	reqID := requestID(w)
-	t0 := time.Now()
-	out, st, err := s.E.SolvePar(d, x, par)
-	elapsed := time.Since(t0)
+	pl, hit, err := s.E.plan(d, x)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_request", err)
 		return
 	}
-	if s.SlowQuery > 0 && elapsed >= s.SlowQuery {
-		fp, xfp := d.QueryFingerprint(x)
-		s.logSlowQuery(reqID, fp, xfp, s.U.FormatSet(x), par, elapsed, st)
-	}
-	cols := out.Cols()
-	resp := SolveResponse{
-		X:         s.U.FormatSet(x),
-		RequestID: reqID,
-		Cols:      make([]string, len(cols)),
-		Card:      out.Card(),
-		Stats:     solveStats(st, par),
-	}
-	if req.Trace {
-		// A second Plan call is a guaranteed cache hit for the plan the
-		// solve just used, so the traced path re-derives the statement
-		// list without threading the plan through SolvePar's signature.
-		pl, err := s.E.Plan(d, x)
-		if err == nil {
-			if span, serr := pl.Prog.SpanTree(st); serr == nil {
-				resp.Trace = span
-			}
-		}
-	}
+	cols := x.Attrs()
+	names := make([]string, len(cols))
 	for i, c := range cols {
-		resp.Cols[i] = s.U.Name(c)
+		names[i] = s.U.Name(c)
 	}
-	echo := out.Card()
-	if echo > limit {
-		echo = limit
-		resp.Truncated = true
+	text := s.U.FormatSet(x)
+	if ans, ok := s.answer(w, req.readOptions, pl, hit, text, cols, names, "invalid_request"); ok {
+		writeJSON(w, SolveResponse{X: text, RequestID: requestID(w), Answer: ans})
 	}
-	resp.Tuples = make([][]relation.Value, echo)
-	for i := 0; i < echo; i++ {
-		resp.Tuples[i] = append([]relation.Value(nil), out.TupleAt(i)...)
-	}
-	writeJSON(w, resp)
 }
 
 // queryRequest is the /v1/query JSON body. The endpoint equally
@@ -470,31 +423,17 @@ type queryRequest struct {
 	// "ans(X, Z) :- ab(X, Y), bc(Y, Z)." — predicates name serving
 	// relations by their attribute sets.
 	Query string `json:"query"`
-	// Limit caps the tuples echoed, with /v1/solve semantics.
-	Limit *int `json:"limit,omitempty"`
-	// Parallelism requests partition-parallel execution, clamped to the
-	// engine's worker cap.
-	Parallelism int `json:"parallelism,omitempty"`
-	// Trace adds the per-statement span tree to the reply.
-	Trace bool `json:"trace,omitempty"`
-	// TimeoutMs lowers the server's QueryTimeout for this request; it
-	// can never raise it. Negative values are rejected.
-	TimeoutMs int `json:"timeoutMs,omitempty"`
+	readOptions
 }
 
 // QueryResponse is the /v1/query reply. Cols and Tuples are in the
 // head's written order (the order the query's answer atom lists its
 // variables), not the engine's internal column order.
 type QueryResponse struct {
-	Query     string             `json:"query"`     // canonical form of the executed query
-	RequestID string             `json:"requestId"` // also in the X-Request-Id header
-	Kind      string             `json:"kind"`      // free-connex | acyclic | cyclic
-	Cols      []string           `json:"cols"`      // head variables, written order
-	Card      int                `json:"card"`
-	Tuples    [][]relation.Value `json:"tuples"`
-	Truncated bool               `json:"truncated,omitempty"`
-	Stats     SolveStats         `json:"stats"`
-	Trace     *program.Span      `json:"trace,omitempty"`
+	Query     string `json:"query"`     // canonical form of the executed query
+	RequestID string `json:"requestId"` // also in the X-Request-Id header
+	Kind      string `json:"kind"`      // free-connex | acyclic | cyclic
+	Answer
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -521,35 +460,48 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request", fmt.Errorf("missing \"query\""))
 		return
 	}
-	pl, err := s.E.PrepareQuery(req.Query)
+	pl, hit, err := s.E.prepareQuery(req.Query)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_query", err)
 		return
 	}
-	limit, ok := s.echoLimit(w, req.Limit)
-	if !ok {
-		return
+	c := pl.CQ
+	if ans, ok := s.answer(w, req.readOptions, pl, hit, c.Canonical, c.HeadIDs, c.HeadVars, "invalid_query"); ok {
+		writeJSON(w, QueryResponse{Query: c.Canonical, RequestID: requestID(w), Kind: c.Kind.String(), Answer: ans})
 	}
-	if req.TimeoutMs < 0 {
-		writeError(w, http.StatusBadRequest, "invalid_request", fmt.Errorf("negative timeoutMs %d", req.TimeoutMs))
-		return
+}
+
+// answer is the core of both read endpoints: it evaluates pl — which
+// the endpoint obtained with cache outcome hit — under the request's
+// options and the server's rails, and builds the reply's Answer with
+// the result's columns cols echoed, in that order, under names. text
+// identifies the request in the slow-query log; errCode is the
+// endpoint's code for an evaluation that fails for any reason but a
+// rail. On failure the error response has been written and ok is false.
+func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bool, text string, cols []schema.Attr, names []string, errCode string) (ans Answer, ok bool) {
+	limit, ok := s.echoLimit(w, opt.Limit)
+	if !ok {
+		return ans, false
+	}
+	if opt.TimeoutMs < 0 {
+		writeError(w, http.StatusBadRequest, "invalid_request", fmt.Errorf("negative timeoutMs %d", opt.TimeoutMs))
+		return ans, false
 	}
 	// The evaluation rails: the server's gas budget, and the tighter of
 	// the server's and the client's deadline.
 	lim := program.Limits{MaxTuples: s.Gas}
 	timeout := s.QueryTimeout
-	if req.TimeoutMs > 0 {
-		if ct := time.Duration(req.TimeoutMs) * time.Millisecond; timeout <= 0 || ct < timeout {
+	if opt.TimeoutMs > 0 {
+		if ct := time.Duration(opt.TimeoutMs) * time.Millisecond; timeout <= 0 || ct < timeout {
 			timeout = ct
 		}
 	}
 	if timeout > 0 {
 		lim.Deadline = time.Now().Add(timeout)
 	}
-	par := s.E.ClampParallelism(req.Parallelism)
-	reqID := requestID(w)
+	par := s.E.ClampParallelism(opt.Parallelism)
 	t0 := time.Now()
-	out, st, err := s.E.SolveQuery(pl, par, lim)
+	out, st, err := s.E.run(s.E.Snapshot(), pl, hit, par, lim)
 	elapsed := time.Since(t0)
 	if err != nil {
 		switch {
@@ -558,50 +510,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, program.ErrDeadlineExceeded):
 			writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", err)
 		default:
-			writeError(w, http.StatusBadRequest, "invalid_query", err)
+			writeError(w, http.StatusBadRequest, errCode, err)
 		}
-		return
+		return ans, false
 	}
-	c := pl.CQ
 	if s.SlowQuery > 0 && elapsed >= s.SlowQuery {
-		a, b := cq.Fingerprint(c.Canonical)
-		s.logSlowQuery(reqID, a, b, c.Canonical, par, elapsed, st)
+		s.logSlowQuery(requestID(w), pl.key, text, par, elapsed, st)
 	}
-	resp := QueryResponse{
-		Query:     c.Canonical,
-		RequestID: reqID,
-		Kind:      c.Kind.String(),
-		Cols:      append([]string(nil), c.HeadVars...),
-		Card:      out.Card(),
-		Stats:     solveStats(st, par),
+	ans = Answer{
+		Cols:  names,
+		Card:  out.Card(),
+		Stats: solveStats(st, par),
 	}
-	if req.Trace {
+	if opt.Trace {
 		if span, serr := pl.Prog.SpanTree(st); serr == nil {
-			resp.Trace = span
+			ans.Trace = span
 		}
 	}
 	// The result relation's columns are in sorted attribute order;
-	// permute each echoed tuple into the head's written order.
-	cols := out.Cols()
-	perm := make([]int, len(c.HeadIDs))
-	for j, id := range c.HeadIDs {
-		perm[j] = indexOfAttr(cols, id)
+	// permute each echoed tuple into the requested order.
+	stored := out.Cols()
+	perm := make([]int, len(cols))
+	for j, id := range cols {
+		perm[j] = indexOfAttr(stored, id)
 	}
 	echo := out.Card()
 	if echo > limit {
 		echo = limit
-		resp.Truncated = true
+		ans.Truncated = true
 	}
-	resp.Tuples = make([][]relation.Value, echo)
-	for i := 0; i < echo; i++ {
+	ans.Tuples = make([][]relation.Value, echo)
+	for i := range ans.Tuples {
 		row := out.TupleAt(i)
 		t := make([]relation.Value, len(perm))
 		for j, p := range perm {
 			t[j] = row[p]
 		}
-		resp.Tuples[i] = t
+		ans.Tuples[i] = t
 	}
-	writeJSON(w, resp)
+	return ans, true
 }
 
 // mutateRequest is the /v1/insert and /v1/delete body, and one element

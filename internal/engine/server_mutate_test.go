@@ -37,28 +37,28 @@ func TestServerInsertDelete(t *testing.T) {
 	ts, srv := durableServer(t, t.TempDir())
 
 	var ins MutateResponse
-	post(t, ts.URL+"/insert", `{"rel": "ab", "tuples": [[1,2],[3,4],[1,2]]}`, &ins)
+	post(t, ts.URL+"/v1/insert", `{"rel": "ab", "tuples": [[1,2],[3,4],[1,2]]}`, &ins)
 	if ins.Requested != 3 || ins.Applied != 2 || ins.Card != 2 || !ins.Durable {
-		t.Fatalf("/insert = %+v", ins)
+		t.Fatalf("/v1/insert = %+v", ins)
 	}
 	if !srv.E.Snapshot().Rels[0].Has([]int32{1, 2}) {
 		t.Fatal("insert not visible in snapshot")
 	}
 
 	var del MutateResponse
-	post(t, ts.URL+"/delete", `{"rel": "ab", "tuples": [[3,4],[9,9]]}`, &del)
+	post(t, ts.URL+"/v1/delete", `{"rel": "ab", "tuples": [[3,4],[9,9]]}`, &del)
 	if del.Applied != 1 || del.Card != 1 {
-		t.Fatalf("/delete = %+v", del)
+		t.Fatalf("/v1/delete = %+v", del)
 	}
 
 	// Explicit index targeting: valid index works, mismatched or
 	// out-of-range index is rejected.
 	var byIdx MutateResponse
-	post(t, ts.URL+"/insert", `{"rel": "ab", "index": 0, "tuples": [[40,41]]}`, &byIdx)
+	post(t, ts.URL+"/v1/insert", `{"rel": "ab", "index": 0, "tuples": [[40,41]]}`, &byIdx)
 	if byIdx.Applied != 1 {
-		t.Fatalf("/insert with index = %+v", byIdx)
+		t.Fatalf("/v1/insert with index = %+v", byIdx)
 	}
-	post(t, ts.URL+"/delete", `{"rel": "ab", "tuples": [[40,41]]}`, nil)
+	post(t, ts.URL+"/v1/delete", `{"rel": "ab", "tuples": [[40,41]]}`, nil)
 
 	// Bad requests: unknown relation, unknown attribute, wrong arity,
 	// empty batch, index/schema mismatch, index out of range — all
@@ -72,7 +72,7 @@ func TestServerInsertDelete(t *testing.T) {
 		`{"rel": "ab", "index": 1, "tuples": [[1,2]]}`,
 		`{"rel": "ab", "index": 7, "tuples": [[1,2]]}`,
 	} {
-		resp := post(t, ts.URL+"/insert", body, nil)
+		resp := post(t, ts.URL+"/v1/insert", body, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("insert %s → %d, want 400", body, resp.StatusCode)
 		}
@@ -86,30 +86,30 @@ func TestServerLoadAtomic(t *testing.T) {
 	ts, srv := durableServer(t, t.TempDir())
 
 	var load LoadResponse
-	post(t, ts.URL+"/load", `{"relations": [
+	post(t, ts.URL+"/v1/load", `{"relations": [
 		{"rel": "ab", "tuples": [[1,2],[3,4]]},
 		{"rel": "bc", "tuples": [[2,5]]}
 	]}`, &load)
 	if len(load.Relations) != 2 || !load.Durable {
-		t.Fatalf("/load = %+v", load)
+		t.Fatalf("/v1/load = %+v", load)
 	}
 	if load.Relations[0].Applied != 2 || load.Relations[1].Applied != 1 {
-		t.Fatalf("/load applied = %+v", load.Relations)
+		t.Fatalf("/v1/load applied = %+v", load.Relations)
 	}
 
 	// One bad element rejects the whole batch: atomicity.
 	before := srv.E.Snapshot()
-	resp := post(t, ts.URL+"/load", `{"relations": [
+	resp := post(t, ts.URL+"/v1/load", `{"relations": [
 		{"rel": "ab", "tuples": [[7,8]]},
 		{"rel": "nope", "tuples": [[1,2]]}
 	]}`, nil)
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("/load with bad element → %d, want 400", resp.StatusCode)
+		t.Fatalf("/v1/load with bad element → %d, want 400", resp.StatusCode)
 	}
 	if srv.E.Snapshot() != before {
 		t.Error("rejected /load changed the snapshot")
 	}
-	resp = post(t, ts.URL+"/load", `{"relations": []}`, nil)
+	resp = post(t, ts.URL+"/v1/load", `{"relations": []}`, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty /load → %d, want 400", resp.StatusCode)
 	}
@@ -118,8 +118,8 @@ func TestServerLoadAtomic(t *testing.T) {
 func TestServerMutateSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	ts, srv := durableServer(t, dir)
-	post(t, ts.URL+"/insert", `{"rel": "ab", "tuples": [[10,20],[30,40]]}`, nil)
-	post(t, ts.URL+"/delete", `{"rel": "ab", "tuples": [[30,40]]}`, nil)
+	post(t, ts.URL+"/v1/insert", `{"rel": "ab", "tuples": [[10,20],[30,40]]}`, nil)
+	post(t, ts.URL+"/v1/delete", `{"rel": "ab", "tuples": [[30,40]]}`, nil)
 	want := srv.E.Snapshot()
 	srv.E.Store().Close()
 	ts.Close()
@@ -133,9 +133,9 @@ func TestServerMutateSurvivesReopen(t *testing.T) {
 
 func TestServerStatsDurability(t *testing.T) {
 	ts, _ := durableServer(t, t.TempDir())
-	post(t, ts.URL+"/insert", `{"rel": "ab", "tuples": [[1,2]]}`, nil)
+	post(t, ts.URL+"/v1/insert", `{"rel": "ab", "tuples": [[1,2]]}`, nil)
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestServerStatsDurability(t *testing.T) {
 // storage, and the durability section is absent.
 func TestServerStatsInMemory(t *testing.T) {
 	ts, _, _ := testServer(t)
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

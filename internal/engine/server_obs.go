@@ -73,15 +73,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// logSlowQuery emits one line for a /solve that exceeded the server's
+// logSlowQuery emits one line for a read that exceeded the server's
 // SlowQuery threshold: the request id (echoed to the client in
 // X-Request-Id, so client and server logs correlate), the query
 // fingerprint (stable across requests — the aggregation key), the
 // parallelism used, and the top-3 most expensive statements.
-func (s *Server) logSlowQuery(reqID string, fp, xfp uint64, x string, par int, elapsed time.Duration, st *program.Stats) {
+func (s *Server) logSlowQuery(reqID string, fp cacheKey, x string, par int, elapsed time.Duration, st *program.Stats) {
 	top := topStatements(st, 3)
 	s.E.Logf("gyod: slow query id=%s fp=%016x:%016x x=%s parallelism=%d elapsed=%s top=[%s]",
-		reqID, fp, xfp, x, par, elapsed.Round(time.Microsecond), top)
+		reqID, fp.schemaFP, fp.targetFP, x, par, elapsed.Round(time.Microsecond), top)
 }
 
 // topStatements formats the n most expensive statements of a run,

@@ -50,16 +50,16 @@ func obsServer(t testing.TB, dir string) (*httptest.Server, *Server, *obs.Regist
 
 func scrape(t testing.TB, url string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
+	resp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status = %d", resp.StatusCode)
+		t.Fatalf("/v1/metrics status = %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("/metrics content type = %q", ct)
+		t.Fatalf("/v1/metrics content type = %q", ct)
 	}
 	series, err := obs.ParseText(resp.Body)
 	if err != nil {
@@ -74,11 +74,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Cold solve, cached solve, parallel solve, and a durable write, so
 	// every major family has observations.
 	var sol SolveResponse
-	post(t, ts.URL+"/solve", `{"x": "ad"}`, &sol)
-	post(t, ts.URL+"/solve", `{"x": "ad"}`, &sol)
-	post(t, ts.URL+"/solve", `{"x": "ad", "parallelism": 2}`, &sol)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, &sol)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, &sol)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad", "parallelism": 2}`, &sol)
 	var ins MutateResponse
-	post(t, ts.URL+"/insert", `{"rel": "ab", "tuples": [[9,2]]}`, &ins)
+	post(t, ts.URL+"/v1/insert", `{"rel": "ab", "tuples": [[9,2]]}`, &ins)
 	if err := srv.E.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,9 +127,44 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestPlanCacheMetricsHonest: on either read endpoint, traced or not, a
+// cold request is one plan-cache miss and one cache="miss" latency
+// observation, a warm one is one hit and one cache="hit" observation —
+// nothing else moves (a traced solve used to re-plan, adding a phantom
+// hit; a query was always observed as a hit).
+func TestPlanCacheMetricsHonest(t *testing.T) {
+	keys := []string{
+		`gyo_plan_cache_total{event="miss"}`,
+		`gyo_plan_cache_total{event="hit"}`,
+		`gyo_solve_seconds_count{cache="miss",mode="serial"}`,
+		`gyo_solve_seconds_count{cache="hit",mode="serial"}`,
+	}
+	for _, c := range []struct{ name, path, body string }{
+		{"solve", "/v1/solve", `{"x": "ad"}`},
+		{"solve traced", "/v1/solve", `{"x": "ad", "trace": true}`},
+		{"query", "/v1/query", `{"query": "ans(A, D) :- ab(A, B), bc(B, C), cd(C, D)."}`},
+		{"query traced", "/v1/query", `{"query": "ans(A, D) :- ab(A, B), bc(B, C), cd(C, D).", "trace": true}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts, _, _ := obsServer(t, t.TempDir())
+			prev := scrape(t, ts.URL)
+			for _, want := range [][4]float64{{1, 0, 1, 0}, {0, 1, 0, 1}} { // cold, then warm
+				post(t, ts.URL+c.path, c.body, nil)
+				cur := scrape(t, ts.URL)
+				for i, k := range keys {
+					if got := cur[k] - prev[k]; got != want[i] {
+						t.Errorf("%s moved by %v, want %v", k, got, want[i])
+					}
+				}
+				prev = cur
+			}
+		})
+	}
+}
+
 func TestMetricsGetOnly(t *testing.T) {
 	ts, _, _ := obsServer(t, t.TempDir())
-	resp, err := http.Post(ts.URL+"/metrics", "text/plain", nil)
+	resp, err := http.Post(ts.URL+"/v1/metrics", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +182,13 @@ func TestSolveTraceGolden(t *testing.T) {
 	ts, _, _ := testServer(t)
 
 	var plan PlanResponse
-	post(t, ts.URL+"/plan", `{"schema": "ab, bc, cd", "x": "ad"}`, &plan)
+	post(t, ts.URL+"/v1/plan", `{"schema": "ab, bc, cd", "x": "ad"}`, &plan)
 	if len(plan.Stmts) == 0 {
 		t.Fatalf("plan = %+v", plan)
 	}
 
 	var sol SolveResponse
-	resp := post(t, ts.URL+"/solve", `{"x": "ad", "trace": true}`, &sol)
+	resp := post(t, ts.URL+"/v1/solve", `{"x": "ad", "trace": true}`, &sol)
 	if sol.Trace == nil {
 		t.Fatal("trace requested but reply has no span tree")
 	}
@@ -198,7 +233,7 @@ func TestSolveTraceGolden(t *testing.T) {
 
 	// The untraced path stays untraced.
 	var plain SolveResponse
-	post(t, ts.URL+"/solve", `{"x": "ad"}`, &plain)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, &plain)
 	if plain.Trace != nil {
 		t.Error("untraced reply carries a span tree")
 	}
@@ -219,12 +254,12 @@ func TestSolveTraceParallel(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	var par SolveResponse
-	post(t, ts.URL+"/solve", `{"x": "ad", "parallelism": 4, "trace": true, "limit": 0}`, &par)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad", "parallelism": 4, "trace": true, "limit": 0}`, &par)
 	if par.Trace == nil {
 		t.Fatal("no trace from parallel solve")
 	}
 	var serial SolveResponse
-	post(t, ts.URL+"/solve", `{"x": "ad", "trace": true, "limit": 0}`, &serial)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad", "trace": true, "limit": 0}`, &serial)
 	if par.Card != serial.Card {
 		t.Fatalf("parallel card %d ≠ serial card %d", par.Card, serial.Card)
 	}
@@ -254,7 +289,7 @@ func TestSlowQueryLog(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	var sol SolveResponse
-	post(t, ts.URL+"/solve", `{"x": "ad"}`, &sol)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, &sol)
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -270,7 +305,7 @@ func TestSlowQueryLog(t *testing.T) {
 
 	// Below threshold: silent.
 	srv.SlowQuery = time.Hour
-	post(t, ts.URL+"/solve", `{"x": "ad"}`, &sol)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, &sol)
 	if len(lines) != 1 {
 		t.Errorf("fast query logged: %q", lines)
 	}
@@ -299,7 +334,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 			defer wg.Done()
 			last := map[string]float64{}
 			for i := 0; i < iters; i++ {
-				resp, err := http.Get(ts.URL + "/metrics")
+				resp, err := http.Get(ts.URL + "/v1/metrics")
 				if err != nil {
 					errc <- err
 					return
@@ -326,7 +361,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				var sol SolveResponse
-				post(t, ts.URL+"/solve", `{"x": "ad", "limit": 0}`, &sol)
+				post(t, ts.URL+"/v1/solve", `{"x": "ad", "limit": 0}`, &sol)
 			}
 		}()
 	}
@@ -391,7 +426,7 @@ func BenchmarkSolveTracedVsUntraced(b *testing.B) {
 func TestStatsProcessBlock(t *testing.T) {
 	ts, _, _ := testServer(t)
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,13 +44,13 @@ func TestServerClassify(t *testing.T) {
 	ts, _, _ := testServer(t)
 
 	var tree ClassifyResponse
-	post(t, ts.URL+"/classify", `{"schema": "ab, bc, cd"}`, &tree)
+	post(t, ts.URL+"/v1/classify", `{"schema": "ab, bc, cd"}`, &tree)
 	if !tree.Tree || !tree.GammaAcyclic || len(tree.QualTree) != 2 {
 		t.Errorf("chain classification = %+v", tree)
 	}
 
 	var ring ClassifyResponse
-	post(t, ts.URL+"/classify", `{"schema": "ab, bc, ca"}`, &ring)
+	post(t, ts.URL+"/v1/classify", `{"schema": "ab, bc, ca"}`, &ring)
 	if ring.Tree || ring.TreefyWith != "abc" {
 		t.Errorf("Aring(3) classification = %+v", ring)
 	}
@@ -60,7 +60,7 @@ func TestServerPlan(t *testing.T) {
 	ts, _, srv := testServer(t)
 
 	var plan PlanResponse
-	post(t, ts.URL+"/plan", `{"schema": "ab, bc, cd", "x": "ad"}`, &plan)
+	post(t, ts.URL+"/v1/plan", `{"schema": "ab, bc, cd", "x": "ad"}`, &plan)
 	if !plan.Tree || len(plan.Stmts) == 0 {
 		t.Fatalf("plan = %+v", plan)
 	}
@@ -79,7 +79,7 @@ func TestServerPlan(t *testing.T) {
 
 	// Repeat request hits the plan cache.
 	before := srv.E.Stats().PlanHits
-	post(t, ts.URL+"/plan", `{"schema": "ab, bc, cd", "x": "ad"}`, &plan)
+	post(t, ts.URL+"/v1/plan", `{"schema": "ab, bc, cd", "x": "ad"}`, &plan)
 	if srv.E.Stats().PlanHits != before+1 {
 		t.Error("repeated /plan did not hit the cache")
 	}
@@ -89,24 +89,24 @@ func TestServerSolve(t *testing.T) {
 	ts, u, srv := testServer(t)
 
 	var sol SolveResponse
-	post(t, ts.URL+"/solve", `{"x": "ad"}`, &sol)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, &sol)
 	want := srv.E.Snapshot().Eval(u.Set("a", "d"))
 	if sol.Card != want.Card() {
-		t.Errorf("/solve card = %d, want %d", sol.Card, want.Card())
+		t.Errorf("/v1/solve card = %d, want %d", sol.Card, want.Card())
 	}
 	if len(sol.Cols) != 2 || sol.Cols[0] != "a" || sol.Cols[1] != "d" {
-		t.Errorf("/solve cols = %v", sol.Cols)
+		t.Errorf("/v1/solve cols = %v", sol.Cols)
 	}
 	if len(sol.Tuples) != sol.Card || sol.Truncated {
-		t.Errorf("/solve echoed %d/%d tuples (truncated=%v)", len(sol.Tuples), sol.Card, sol.Truncated)
+		t.Errorf("/v1/solve echoed %d/%d tuples (truncated=%v)", len(sol.Tuples), sol.Card, sol.Truncated)
 	}
 	if sol.Stats.Statements == 0 || sol.Stats.Semijoins == 0 {
-		t.Errorf("/solve stats = %+v", sol.Stats)
+		t.Errorf("/v1/solve stats = %+v", sol.Stats)
 	}
 
 	// Tuple cap.
 	var capped SolveResponse
-	post(t, ts.URL+"/solve", `{"x": "ad", "limit": 1}`, &capped)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad", "limit": 1}`, &capped)
 	if capped.Card != sol.Card || len(capped.Tuples) > 1 || (capped.Card > 1 && !capped.Truncated) {
 		t.Errorf("capped /solve = card %d, %d tuples, truncated=%v", capped.Card, len(capped.Tuples), capped.Truncated)
 	}
@@ -114,7 +114,7 @@ func TestServerSolve(t *testing.T) {
 	// A client limit can lower but never exceed the server's cap.
 	srv.MaxTuples = 2
 	var greedy SolveResponse
-	post(t, ts.URL+"/solve", `{"x": "ad", "limit": 2000000000}`, &greedy)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad", "limit": 2000000000}`, &greedy)
 	if len(greedy.Tuples) > 2 {
 		t.Errorf("client limit overrode server cap: %d tuples echoed", len(greedy.Tuples))
 	}
@@ -128,7 +128,7 @@ func TestServerSolveLimitSemantics(t *testing.T) {
 	ts, _, _ := testServer(t)
 
 	var zero SolveResponse
-	post(t, ts.URL+"/solve", `{"x": "ad", "limit": 0}`, &zero)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad", "limit": 0}`, &zero)
 	if zero.Card == 0 {
 		t.Fatal("test query is empty; limit semantics unobservable")
 	}
@@ -136,13 +136,13 @@ func TestServerSolveLimitSemantics(t *testing.T) {
 		t.Errorf("limit 0: %d tuples, truncated=%v; want 0 tuples, truncated", len(zero.Tuples), zero.Truncated)
 	}
 
-	if resp := post(t, ts.URL+"/solve", `{"x": "ad", "limit": -1}`, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/solve", `{"x": "ad", "limit": -1}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("negative limit: status %d, want 400", resp.StatusCode)
 	}
 
 	// Omitting the limit still echoes up to the server default.
 	var full SolveResponse
-	post(t, ts.URL+"/solve", `{"x": "ad"}`, &full)
+	post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, &full)
 	if len(full.Tuples) != full.Card || full.Truncated {
 		t.Errorf("omitted limit: %d/%d tuples, truncated=%v", len(full.Tuples), full.Card, full.Truncated)
 	}
@@ -151,16 +151,16 @@ func TestServerSolveLimitSemantics(t *testing.T) {
 func TestServerErrorsAndStats(t *testing.T) {
 	ts, _, _ := testServer(t)
 
-	if resp := post(t, ts.URL+"/solve", `{"x": ""}`, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/solve", `{"x": ""}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing x: status %d", resp.StatusCode)
 	}
-	if resp := post(t, ts.URL+"/classify", `{"schema": "a-b"}`, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/classify", `{"schema": "a-b"}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad schema: status %d", resp.StatusCode)
 	}
-	if resp := post(t, ts.URL+"/classify", `not json`, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/classify", `not json`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad body: status %d", resp.StatusCode)
 	}
-	resp, err := http.Get(ts.URL + "/classify")
+	resp, err := http.Get(ts.URL + "/v1/classify")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,12 +169,12 @@ func TestServerErrorsAndStats(t *testing.T) {
 		t.Errorf("GET /classify: status %d", resp.StatusCode)
 	}
 	// Solving a schema that does not match the snapshot is a 400, not a 500.
-	if resp := post(t, ts.URL+"/solve", `{"schema": "xy, yz", "x": "xz"}`, nil); resp.StatusCode != http.StatusBadRequest {
+	if resp := post(t, ts.URL+"/v1/solve", `{"schema": "xy, yz", "x": "xz"}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("mismatched solve schema: status %d", resp.StatusCode)
 	}
 
 	var st StatsResponse
-	resp2, err := http.Get(ts.URL + "/stats")
+	resp2, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestServerErrorsAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(st.Relations) != 3 || st.Schema == "" {
-		t.Errorf("/stats = %+v", st)
+		t.Errorf("/v1/stats = %+v", st)
 	}
 }
 
@@ -215,7 +215,7 @@ func TestServerDurabilityStats(t *testing.T) {
 	defer ts.Close()
 	getStats := func() StatsResponse {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/stats")
+		resp, err := http.Get(ts.URL + "/v1/stats")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestServerDurabilityStats(t *testing.T) {
 
 	s1 := getStats()
 	if s1.Durability == nil {
-		t.Fatal("/stats missing durability section for store-backed engine")
+		t.Fatal("/v1/stats missing durability section for store-backed engine")
 	}
 	d1 := s1.Durability
 	if d1.Checkpoints < 1 || d1.ChunksWritten < 1 || d1.CheckpointBytes <= 0 || d1.ChunkStoreBytes <= 0 {
@@ -266,13 +266,13 @@ func TestServerUniverseDoesNotGrow(t *testing.T) {
 	ts, u, _ := testServer(t)
 	before := u.Size()
 
-	post(t, ts.URL+"/classify", `{"schema": "pq, qr, rs"}`, nil)
-	post(t, ts.URL+"/plan", `{"schema": "mn, no", "x": "mo"}`, nil)
-	if resp := post(t, ts.URL+"/solve", `{"x": "az"}`, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("/solve with unknown attribute: status %d, want 400", resp.StatusCode)
+	post(t, ts.URL+"/v1/classify", `{"schema": "pq, qr, rs"}`, nil)
+	post(t, ts.URL+"/v1/plan", `{"schema": "mn, no", "x": "mo"}`, nil)
+	if resp := post(t, ts.URL+"/v1/solve", `{"x": "az"}`, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/v1/solve with unknown attribute: status %d, want 400", resp.StatusCode)
 	}
-	if resp := post(t, ts.URL+"/solve", `{"schema": "ab, zz", "x": "ab"}`, nil); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("/solve with unknown schema attribute: status %d, want 400", resp.StatusCode)
+	if resp := post(t, ts.URL+"/v1/solve", `{"schema": "ab, zz", "x": "ab"}`, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/v1/solve with unknown schema attribute: status %d, want 400", resp.StatusCode)
 	}
 
 	if after := u.Size(); after != before {
@@ -281,7 +281,7 @@ func TestServerUniverseDoesNotGrow(t *testing.T) {
 
 	// Known names keep working through the lookup-only path.
 	var sol SolveResponse
-	post(t, ts.URL+"/solve", `{"schema": "ab, bc, cd", "x": "ad"}`, &sol)
+	post(t, ts.URL+"/v1/solve", `{"schema": "ab, bc, cd", "x": "ad"}`, &sol)
 	if sol.Card == 0 {
 		t.Error("lookup-only /solve with explicit schema failed")
 	}
@@ -305,7 +305,7 @@ func TestServerConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				body := schemas[(g+i)%len(schemas)]
-				resp, err := http.Post(ts.URL+"/plan", "application/json", bytes.NewReader([]byte(body)))
+				resp, err := http.Post(ts.URL+"/v1/plan", "application/json", bytes.NewReader([]byte(body)))
 				if err != nil {
 					t.Errorf("reader %d: %v", g, err)
 					return
@@ -315,7 +315,7 @@ func TestServerConcurrentRequests(t *testing.T) {
 					t.Errorf("reader %d: /plan status %d for %s", g, resp.StatusCode, body)
 					return
 				}
-				resp, err = http.Post(ts.URL+"/solve", "application/json", bytes.NewReader([]byte(`{"x": "ad"}`)))
+				resp, err = http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader([]byte(`{"x": "ad"}`)))
 				if err != nil {
 					t.Errorf("reader %d: %v", g, err)
 					return

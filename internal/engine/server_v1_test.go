@@ -3,12 +3,15 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"gyokit/internal/schema"
 )
 
 // v1Server serves the hand-set query fixture from query_test.go.
@@ -132,7 +135,7 @@ func TestQueryTextPlainBody(t *testing.T) {
 }
 
 func TestQueryErrors(t *testing.T) {
-	ts, srv := v1Server(t)
+	ts, _ := v1Server(t)
 
 	// Parse error: invalid_query with a position in the message.
 	r := postRaw(t, ts.URL+"/v1/query", `{"query": "ans(X) :- r(x)."}`)
@@ -153,40 +156,88 @@ func TestQueryErrors(t *testing.T) {
 		t.Errorf("unknown predicate: status %d, envelope %+v", r.StatusCode, eb)
 	}
 
-	// Gas exhausted: typed resource_exhausted, HTTP 429.
-	srv.Gas = 1
-	r = postRaw(t, ts.URL+"/v1/query", `{"query": "ans(A, D) :- ab(A, B), bc(B, C), cd(C, D)."}`)
-	if r.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("gas status = %d, want 429", r.StatusCode)
-	}
-	if eb := decodeErrorBody(t, r); eb.Error.Code != "resource_exhausted" {
-		t.Errorf("gas envelope = %+v, want resource_exhausted", eb)
-	}
-	srv.Gas = 0
-
-	// Deadline: typed deadline_exceeded, HTTP 504. A nanosecond server
-	// deadline has always expired by the pre-evaluation check, so this
-	// is deterministic.
-	srv.QueryTimeout = time.Nanosecond
-	r = postRaw(t, ts.URL+"/v1/query", `{"query": "ans(A, D) :- ab(A, B), bc(B, C), cd(C, D)."}`)
-	if r.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("deadline status = %d, want 504", r.StatusCode)
-	}
-	if eb := decodeErrorBody(t, r); eb.Error.Code != "deadline_exceeded" {
-		t.Errorf("deadline envelope = %+v, want deadline_exceeded", eb)
-	}
-	srv.QueryTimeout = 0
-
-	// Negative client timeout is a request error.
-	r = postRaw(t, ts.URL+"/v1/query", `{"query": "ans(A, B) :- ab(A, B).", "timeoutMs": -1}`)
-	if eb := decodeErrorBody(t, r); r.StatusCode != http.StatusBadRequest || eb.Error.Code != "invalid_request" {
-		t.Errorf("negative timeout: status %d, envelope %+v", r.StatusCode, eb)
-	}
-
 	// Missing query text.
 	r = postRaw(t, ts.URL+"/v1/query", `{"query": "  "}`)
 	if eb := decodeErrorBody(t, r); r.StatusCode != http.StatusBadRequest || eb.Error.Code != "invalid_request" {
 		t.Errorf("empty query: status %d, envelope %+v", r.StatusCode, eb)
+	}
+}
+
+// TestReadRails drives the evaluation rails through both read endpoints,
+// serially and at parallelism 2: gas → 429 resource_exhausted, deadline
+// → 504 deadline_exceeded, a negative timeoutMs → 400, timeoutMs lowers
+// but never raises the server's QueryTimeout, and after every abort the
+// next request on the same server — the same pooled execution contexts
+// — answers in full.
+func TestReadRails(t *testing.T) {
+	u := schema.NewUniverse()
+	d := schema.MustParse(u, "ab, bc, cd")
+	e := New(Options{Workers: 2})
+	e.Swap(urdb(d, 5, 8000, 2000))
+	srv := NewServer(e, u, d)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	for _, ep := range []struct{ name, path, body string }{
+		{"solve", "/v1/solve", `{"x": "ad", "limit": 0%s}`},
+		{"query", "/v1/query", `{"query": "ans(A, D) :- ab(A, B), bc(B, C), cd(C, D).", "limit": 0%s}`},
+	} {
+		for _, par := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/p=%d", ep.name, par), func(t *testing.T) {
+				url := ts.URL + ep.path
+				body := func(extra string) string {
+					return fmt.Sprintf(ep.body, fmt.Sprintf(`, "parallelism": %d%s`, par, extra))
+				}
+				var full struct {
+					Card  int        `json:"card"`
+					Stats SolveStats `json:"stats"`
+				}
+				post(t, url, body(""), &full)
+				if full.Card == 0 || full.Stats.Parallelism != par {
+					t.Fatalf("unlimited answer: card %d at parallelism %d, want a non-empty answer at %d",
+						full.Card, full.Stats.Parallelism, par)
+				}
+				aborted := func(what, extra string, status int, code string) {
+					t.Helper()
+					r := postRaw(t, url, body(extra))
+					if eb := decodeErrorBody(t, r); r.StatusCode != status || eb.Error.Code != code {
+						t.Errorf("%s: status %d, envelope %+v; want %d %s", what, r.StatusCode, eb, status, code)
+					}
+					srv.Gas, srv.QueryTimeout = 0, 0
+					var again struct {
+						Card int `json:"card"`
+					}
+					post(t, url, body(""), &again)
+					if again.Card != full.Card {
+						t.Errorf("request after %s: card %d, want %d", what, again.Card, full.Card)
+					}
+				}
+
+				srv.Gas = 1
+				aborted("gas", "", http.StatusTooManyRequests, "resource_exhausted")
+
+				// A nanosecond server deadline has always expired by the
+				// pre-evaluation check, so this is deterministic — and a
+				// client asking for a minute cannot raise it.
+				srv.QueryTimeout = time.Nanosecond
+				aborted("deadline", "", http.StatusGatewayTimeout, "deadline_exceeded")
+				srv.QueryTimeout = time.Nanosecond
+				aborted("raised deadline", `, "timeoutMs": 60000`, http.StatusGatewayTimeout, "deadline_exceeded")
+
+				// The client can lower a generous server deadline. One
+				// millisecond expires at a statement boundary only if the
+				// run outlasts it, so assert it only on a run that does
+				// by a wide margin.
+				if full.Stats.ElapsedNs > int64(5*time.Millisecond) {
+					srv.QueryTimeout = time.Minute
+					aborted("lowered deadline", `, "timeoutMs": 1`, http.StatusGatewayTimeout, "deadline_exceeded")
+				} else {
+					t.Logf("unlimited run took %dns; lowered-deadline case not asserted", full.Stats.ElapsedNs)
+				}
+
+				aborted("negative timeoutMs", `, "timeoutMs": -1`, http.StatusBadRequest, "invalid_request")
+			})
+		}
 	}
 }
 
@@ -218,8 +269,6 @@ func TestMethodAndContentTypeMatrix(t *testing.T) {
 		{"plain on solve", "POST", "/v1/solve", "text/plain", `{"x": "ad"}`, 415, "", "unsupported_media_type"},
 		{"csv on query", "POST", "/v1/query", "text/csv", `ans(X) :- ab(X, Y).`, 415, "", "unsupported_media_type"},
 		{"garbage ct on insert", "POST", "/v1/insert", "multipart/;bad", `{}`, 415, "", "unsupported_media_type"},
-		{"legacy get on solve", "GET", "/solve", "", "", 405, "POST", "method_not_allowed"},
-		{"legacy csv on insert", "POST", "/insert", "text/csv", `{}`, 415, "", "unsupported_media_type"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -265,39 +314,23 @@ func TestMethodAndContentTypeMatrix(t *testing.T) {
 	}
 }
 
-func TestDeprecatedAliases(t *testing.T) {
+// TestNoUnversionedAliases: the pre-/v1 paths are gone, not deprecated.
+func TestNoUnversionedAliases(t *testing.T) {
 	ts, _ := v1Server(t)
-
-	// Legacy path answers identically but wears the deprecation headers.
-	var legacy, v1 ClassifyResponse
-	rl := post(t, ts.URL+"/classify", `{"schema": "ab, bc, cd"}`, &legacy)
-	rv := post(t, ts.URL+"/v1/classify", `{"schema": "ab, bc, cd"}`, &v1)
-	if legacy.Schema != v1.Schema || legacy.Tree != v1.Tree || legacy.GR != v1.GR {
-		t.Errorf("legacy and /v1 responses differ: %+v vs %+v", legacy, v1)
+	if r := post(t, ts.URL+"/solve", `{"x": "ad"}`, nil); r.StatusCode != http.StatusNotFound {
+		t.Errorf("/solve status = %d, want 404", r.StatusCode)
 	}
-	if rl.Header.Get("Deprecation") != "true" {
-		t.Error("legacy path missing Deprecation header")
-	}
-	if link := rl.Header.Get("Link"); !strings.Contains(link, "/v1/classify") || !strings.Contains(link, "successor-version") {
-		t.Errorf("legacy Link = %q, want successor-version pointing at /v1/classify", link)
-	}
-	if rv.Header.Get("Deprecation") != "" {
-		t.Error("/v1 path wears a Deprecation header")
-	}
-
-	// /v1/query has no legacy alias.
-	r := post(t, ts.URL+"/query", `{"query": "ans(A, B) :- ab(A, B)."}`, nil)
-	if r.StatusCode != http.StatusNotFound {
-		t.Errorf("legacy /query status = %d, want 404", r.StatusCode)
+	r := post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, nil)
+	if r.StatusCode != http.StatusOK || r.Header.Get("Deprecation") != "" {
+		t.Errorf("/v1/solve: status %d, Deprecation %q; want 200 and no header", r.StatusCode, r.Header.Get("Deprecation"))
 	}
 }
 
 func TestErrorEnvelopeEverywhere(t *testing.T) {
 	ts, _ := v1Server(t)
 
-	// Malformed JSON on a /v1 path and on a legacy path both use the
-	// envelope.
-	for _, path := range []string{"/v1/solve", "/solve", "/v1/insert", "/load"} {
+	// Malformed JSON uses the envelope on every endpoint.
+	for _, path := range []string{"/v1/solve", "/v1/insert", "/v1/load"} {
 		r := postRaw(t, ts.URL+path, `{not json`)
 		if r.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", path, r.StatusCode)

@@ -46,7 +46,6 @@ func CyclicPlan(d *schema.Schema, x schema.AttrSet) (*Program, error) {
 	// res.GR.Rels[k] ⊆ d.Rels[i]; project the original relation down
 	// first so the join runs on the cyclic core only.
 	p := NewProgram(d)
-	n := len(d.Rels)
 	newRel := res.GR.Attrs()
 	var ids []int
 	for k, i := range res.Alive {
@@ -58,94 +57,28 @@ func CyclicPlan(d *schema.Schema, x schema.AttrSet) (*Program, error) {
 			ids = append(ids, i)
 			continue
 		}
-		p.Stmts = append(p.Stmts, Stmt{Kind: Project, Left: i, Proj: content})
-		ids = append(ids, n+len(p.Stmts)-1)
+		ids = append(ids, p.emit(Stmt{Kind: Project, Left: i, Proj: content}))
 	}
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("program: internal: cyclic schema with empty GR core")
 	}
 	acc := ids[0]
 	for _, id := range ids[1:] {
-		p.Stmts = append(p.Stmts, Stmt{Kind: Join, Left: acc, Right: id})
-		acc = n + len(p.Stmts) - 1
+		acc = p.emit(Stmt{Kind: Join, Left: acc, Right: id})
 	}
 	if !p.SchemaOf(acc).Equal(newRel) {
-		p.Stmts = append(p.Stmts, Stmt{Kind: Project, Left: acc, Proj: newRel})
-		acc = n + len(p.Stmts) - 1
+		acc = p.emit(Stmt{Kind: Project, Left: acc, Proj: newRel})
 	}
-	newID := acc
 
 	// Step 3: Yannakakis over the extended tree schema D ∪ (R_new)
-	// (a tree schema by Theorem 3.2(ii)). We cannot call Yannakakis
-	// directly — its program would expect a database with the extra
-	// relation — so we build the same statement sequence inline,
-	// treating newID as the state of R_new.
+	// (a tree schema by Theorem 3.2(ii)), with acc as the state of
+	// R_new — the program still expects databases for D alone.
 	ext := d.WithRel(newRel)
 	t, ok := qualgraph.QualTree(ext)
 	if !ok {
 		return nil, fmt.Errorf("program: internal: D ∪ (∪GR(D)) not a tree schema — Theorem 3.2(ii) violated")
 	}
-	// Map extended-schema relation index → current program id.
-	cur := make([]int, len(ext.Rels))
-	for i := 0; i < n; i++ {
-		cur[i] = i
-	}
-	cur[n] = newID
-
-	emit := func(s Stmt) int {
-		p.Stmts = append(p.Stmts, s)
-		return len(d.Rels) + len(p.Stmts) - 1
-	}
-	root := 0
-	order, parent := postorder(t, root)
-	// Full reduction on the extended tree.
-	for _, v := range order {
-		if v == root {
-			continue
-		}
-		cur[parent[v]] = emit(Stmt{Kind: Semijoin, Left: cur[parent[v]], Right: cur[v]})
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if v == root {
-			continue
-		}
-		cur[v] = emit(Stmt{Kind: Semijoin, Left: cur[v], Right: cur[parent[v]]})
-	}
-	// Bottom-up join with early projection (same shape as Yannakakis).
-	subAttrs := make([]schema.AttrSet, len(ext.Rels))
-	for _, v := range order {
-		s := ext.Rels[v].Clone()
-		for _, w := range t.Neighbors(v) {
-			if parent[w] == v {
-				s = s.Union(subAttrs[w])
-			}
-		}
-		subAttrs[v] = s
-	}
-	agg := make([]int, len(ext.Rels))
-	for _, v := range order {
-		id := cur[v]
-		for _, w := range t.Neighbors(v) {
-			if parent[w] == v {
-				id = emit(Stmt{Kind: Join, Left: id, Right: agg[w]})
-			}
-		}
-		var keep schema.AttrSet
-		if v == root {
-			keep = x.Clone()
-		} else {
-			link := ext.Rels[v].Intersect(ext.Rels[parent[v]])
-			keep = x.Intersect(subAttrs[v]).Union(link)
-		}
-		curSchema := p.SchemaOf(id)
-		keep = keep.Intersect(curSchema)
-		if !keep.Equal(curSchema) || v == root {
-			id = emit(Stmt{Kind: Project, Left: id, Proj: keep})
-		}
-		agg[v] = id
-	}
-	if err := p.Validate(); err != nil {
+	if err := emitYannakakis(p, ext.Rels, append(inputIDs(len(d.Rels)), acc), t, 0, x); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -27,7 +27,7 @@ func TestCyclicPlanOnRings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(db.Eval(x)) {
+			if !got.Equal(db.Eval(x)) || !got.Equal(refEval(p, db)) {
 				t.Fatalf("cyclic plan wrong on Aring(%d) seed %d", n, seed)
 			}
 		}
@@ -50,7 +50,7 @@ func TestCyclicPlanSection6(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(db.Eval(x)) {
+		if !got.Equal(db.Eval(x)) || !got.Equal(refEval(p, db)) {
 			t.Fatalf("cyclic plan wrong on seed %d", seed)
 		}
 	}
@@ -77,7 +77,7 @@ func TestCyclicPlanNonUR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(db.Eval(x)) {
+	if !got.Equal(db.Eval(x)) || !got.Equal(refEval(p, db)) {
 		t.Error("cyclic plan wrong on non-UR database")
 	}
 }
@@ -101,7 +101,7 @@ func TestCyclicPlanDegradesToYannakakis(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(db.Eval(x)) {
+		if !got.Equal(db.Eval(x)) || !got.Equal(refEval(p, db)) {
 			t.Fatalf("degraded plan wrong on %s", d)
 		}
 	}
@@ -131,7 +131,7 @@ func TestCyclicPlanRandomCyclicSchemas(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(db.Eval(x)) {
+		if !got.Equal(db.Eval(x)) || !got.Equal(refEval(p, db)) {
 			t.Fatalf("cyclic plan wrong on %s X=%s", d, d.U.FormatSet(x))
 		}
 	}
@@ -185,7 +185,7 @@ func TestJoinProjectOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(db.Eval(x)) {
+	if !got.Equal(db.Eval(x)) || !got.Equal(refEval(p, db)) {
 		t.Error("ordered plan wrong")
 	}
 	if _, err := JoinProjectOrdered(d, x, inputs, []int{0, 1}); err == nil {

@@ -68,7 +68,7 @@ func TestEvalDoesNotMutateDatabase(t *testing.T) {
 	}
 }
 
-// TestEvalExecReuse runs many evaluations through one Exec and checks
+// TestEvalExecReuse runs many evaluations through one context and checks
 // they all agree with a fresh-context run — scratch-state leakage
 // between runs would surface as a wrong result.
 func TestEvalExecReuse(t *testing.T) {
@@ -83,19 +83,19 @@ func TestEvalExecReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := relation.NewExec()
+	pe := relation.NewParExec(1)
 	for seed := int64(0); seed < 5; seed++ {
 		db := urdb(d, seed, 40, 4)
 		want, _, err := plan.Eval(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := plan.EvalExec(db, ex)
+		got, _, err := plan.Run(db, pe, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
-			t.Errorf("seed %d: pooled-Exec run disagrees with fresh run", seed)
+			t.Errorf("seed %d: pooled-context run disagrees with fresh run", seed)
 		}
 	}
 }

@@ -1,0 +1,95 @@
+package program
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"gyokit/internal/gen"
+	"gyokit/internal/qualgraph"
+	"gyokit/internal/schema"
+)
+
+// planText renders every field of every statement (Kind, Left, Right,
+// Proj), one statement per line, so a golden comparison is exact.
+func planText(p *Program) string {
+	var b strings.Builder
+	for _, s := range p.Stmts {
+		fmt.Fprintf(&b, "%s %d %d %s\n", s.Kind, s.Left, s.Right, p.D.U.FormatSet(s.Proj))
+	}
+	return b.String()
+}
+
+// TestPlanShapeGolden pins the statement lists CyclicPlan, Yannakakis
+// and YannakakisRooted emit. The golden text was printed by the
+// separate full-reducer / Yannakakis / inline-cyclic emitters that
+// preceded the shared one, which must keep reproducing it exactly.
+func TestPlanShapeGolden(t *testing.T) {
+	var got strings.Builder
+	add := func(name string, p *Program) {
+		fmt.Fprintf(&got, "== %s\n%s", name, planText(p))
+	}
+	for n := 3; n <= 6; n++ {
+		d := gen.Ring(n)
+		attrs := d.Attrs().Attrs()
+		p, err := CyclicPlan(d, schema.NewAttrSet(attrs[0], attrs[n/2]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		add(fmt.Sprintf("cyclic ring%d", n), p)
+	}
+	u := schema.NewUniverse()
+	d := parse(t, u, "ab, bc, cd, de, ac")
+	p, err := CyclicPlan(d, u.Set("a", "b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("cyclic ab,bc,cd,de,ac x=ab", p)
+
+	chain := gen.Chain(5)
+	tr, ok := qualgraph.QualTree(chain)
+	if !ok {
+		t.Fatal("chain rejected")
+	}
+	attrs := chain.Attrs().Attrs()
+	x := schema.NewAttrSet(attrs[0], attrs[len(attrs)-1])
+	if p, err = Yannakakis(chain, x, tr); err != nil {
+		t.Fatal(err)
+	}
+	add("yannakakis chain5", p)
+	for root := range chain.Rels {
+		if p, err = YannakakisRooted(chain, x, tr, root); err != nil {
+			t.Fatal(err)
+		}
+		add(fmt.Sprintf("yannakakis chain5 root%d", root), p)
+	}
+	// A single relation: the reducer has nothing to semijoin and copies
+	// the root through a trivial projection.
+	one := gen.Chain(1)
+	tr1, _ := qualgraph.QualTree(one)
+	if p, err = Yannakakis(one, one.Rels[0], tr1); err != nil {
+		t.Fatal(err)
+	}
+	add("yannakakis chain1", p)
+	fr, cur, err := FullReducer(chain, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("fullreducer chain5", fr)
+	fmt.Fprintln(&got, "reduced", cur)
+
+	want, err := os.ReadFile("testdata/plan_shapes.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			t.Fatalf("line %d: got %q, testdata/plan_shapes.golden differs", i+1, gl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("%d lines emitted, golden has %d", len(gl), len(wl))
+	}
+}

@@ -7,9 +7,7 @@ import (
 )
 
 // Limits bounds one program evaluation — the serving layer's
-// multi-tenant safety rails. The zero value means unlimited, and
-// EvalExec/EvalPar are exactly EvalExecLimits/EvalParLimits with zero
-// Limits.
+// multi-tenant safety rails. The zero value means unlimited.
 //
 // Both rails are checked at statement boundaries inside the evaluation
 // loop: statements themselves are never interrupted, so the overshoot

@@ -44,7 +44,7 @@ func TestGasExhausted(t *testing.T) {
 	want := out
 
 	lim := Limits{MaxTuples: st.TuplesProduced - 1}
-	out, st2, err := p.EvalExecLimits(db, relation.NewExec(), lim)
+	out, st2, err := p.Run(db, relation.NewParExec(1), lim)
 	if err == nil {
 		t.Fatal("evaluation under an insufficient gas budget succeeded")
 	}
@@ -64,7 +64,7 @@ func TestGasExhausted(t *testing.T) {
 
 	// An exactly-sufficient budget succeeds with the same answer: the
 	// rail is > budget, not ≥.
-	out, _, err = p.EvalExecLimits(db, relation.NewExec(), Limits{MaxTuples: st.TuplesProduced})
+	out, _, err = p.Run(db, relation.NewParExec(1), Limits{MaxTuples: st.TuplesProduced})
 	if err != nil {
 		t.Fatalf("evaluation under an exact budget: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	p, db := limitsFixture(t)
 
 	lim := Limits{Deadline: time.Now().Add(-time.Millisecond)}
-	out, st, err := p.EvalExecLimits(db, relation.NewExec(), lim)
+	out, st, err := p.Run(db, relation.NewParExec(1), lim)
 	if err == nil {
 		t.Fatal("evaluation past its deadline succeeded")
 	}
@@ -89,7 +89,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 
 	// A generous deadline does not perturb the run.
-	if _, _, err := p.EvalExecLimits(db, relation.NewExec(), Limits{Deadline: time.Now().Add(time.Minute)}); err != nil {
+	if _, _, err := p.Run(db, relation.NewParExec(1), Limits{Deadline: time.Now().Add(time.Minute)}); err != nil {
 		t.Fatalf("evaluation under a generous deadline: %v", err)
 	}
 }
@@ -101,12 +101,12 @@ func TestEvalParLimits(t *testing.T) {
 	pe := relation.NewParExec(4)
 	pe.MinParallel = 0 // force every eligible statement parallel
 
-	_, st, err := p.EvalParLimits(db, pe, Limits{})
+	_, st, err := p.Run(db, pe, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	out, st2, err := p.EvalParLimits(db, pe, Limits{MaxTuples: st.TuplesProduced - 1})
+	out, st2, err := p.Run(db, pe, Limits{MaxTuples: st.TuplesProduced - 1})
 	if !errors.Is(err, ErrGasExhausted) {
 		t.Errorf("parallel gas err = %v, want ErrGasExhausted", err)
 	}
@@ -114,7 +114,7 @@ func TestEvalParLimits(t *testing.T) {
 		t.Error("aborted parallel evaluation returned partial state")
 	}
 
-	out, _, err = p.EvalParLimits(db, pe, Limits{Deadline: time.Now().Add(-time.Millisecond)})
+	out, _, err = p.Run(db, pe, Limits{Deadline: time.Now().Add(-time.Millisecond)})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Errorf("parallel deadline err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -122,9 +122,9 @@ func TestEvalParLimits(t *testing.T) {
 		t.Error("aborted parallel evaluation returned a relation")
 	}
 
-	// The serial-downgrade path (P ≤ 1) enforces limits too.
+	// A one-worker context enforces limits too.
 	pe1 := relation.NewParExec(1)
-	if _, _, err := p.EvalParLimits(db, pe1, Limits{MaxTuples: 1}); !errors.Is(err, ErrGasExhausted) {
-		t.Errorf("serial-downgrade gas err = %v, want ErrGasExhausted", err)
+	if _, _, err := p.Run(db, pe1, Limits{MaxTuples: 1}); !errors.Is(err, ErrGasExhausted) {
+		t.Errorf("one-worker gas err = %v, want ErrGasExhausted", err)
 	}
 }

@@ -11,15 +11,38 @@ import (
 	"gyokit/internal/schema"
 )
 
-// evalBoth runs the program serially and partition-parallel on db and
-// asserts identical results and consistent statistics.
+// refEval is the independent reference for Run: it walks the
+// statements with the Relation operators directly — no Exec, no limits,
+// no early exit, no stats — so it shares nothing with the evaluation
+// loop but the statement list.
+func refEval(p *Program, db *relation.Database) *relation.Relation {
+	vals := append([]*relation.Relation(nil), db.Rels...)
+	for _, s := range p.Stmts {
+		switch s.Kind {
+		case Join:
+			vals = append(vals, vals[s.Left].Join(vals[s.Right]))
+		case Semijoin:
+			vals = append(vals, vals[s.Left].Semijoin(vals[s.Right]))
+		case Project:
+			vals = append(vals, vals[s.Left].Project(s.Proj))
+		}
+	}
+	return vals[len(vals)-1]
+}
+
+// evalBoth runs the program serially and in pe's context on db and
+// asserts identical results and consistent statistics, and that both
+// equal the reference evaluation.
 func evalBoth(t *testing.T, label string, p *Program, db *relation.Database, pe *relation.ParExec) {
 	t.Helper()
 	want, wantSt, err := p.Eval(db)
 	if err != nil {
 		t.Fatalf("%s: serial eval: %v", label, err)
 	}
-	got, gotSt, err := p.EvalPar(db, pe)
+	if ref := refEval(p, db); !want.Equal(ref) {
+		t.Fatalf("%s: serial result (%d tuples) ≠ reference result (%d tuples)", label, want.Card(), ref.Card())
+	}
+	got, gotSt, err := p.Run(db, pe, Limits{})
 	if err != nil {
 		t.Fatalf("%s: parallel eval: %v", label, err)
 	}
@@ -136,7 +159,7 @@ func TestEvalParStats(t *testing.T) {
 
 	pe := relation.NewParExec(4)
 	pe.MinParallel = 0
-	_, st, err := plan.EvalPar(db, pe)
+	_, st, err := plan.Run(db, pe, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +185,7 @@ func TestEvalParStats(t *testing.T) {
 	// A sky-high threshold must keep everything serial.
 	pe2 := relation.NewParExec(4)
 	pe2.MinParallel = 1 << 30
-	_, st2, err := plan.EvalPar(db, pe2)
+	_, st2, err := plan.Run(db, pe2, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +194,8 @@ func TestEvalParStats(t *testing.T) {
 	}
 }
 
-// TestEvalParSingleWorker: P=1 must be exactly the serial path.
+// TestEvalParSingleWorker: P=1 must be exactly the serial path, with
+// no partition bookkeeping.
 func TestEvalParSingleWorker(t *testing.T) {
 	d := gen.Chain(4)
 	tr, _ := qualgraph.QualTree(d)
@@ -185,6 +209,13 @@ func TestEvalParSingleWorker(t *testing.T) {
 	db := relation.URDatabase(d, i)
 	pe := relation.NewParExec(1)
 	evalBoth(t, "p=1", plan, db, pe)
+	_, st, err := plan.Run(db, pe, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ParallelStmts != 0 || st.Repartitions != 0 {
+		t.Fatalf("one-worker run fanned out: %d parallel statements, %d repartitions", st.ParallelStmts, st.Repartitions)
+	}
 }
 
 // TestEvalParDoesNotMutateDatabase mirrors the Eval purity guarantee
@@ -207,12 +238,12 @@ func TestEvalParDoesNotMutateDatabase(t *testing.T) {
 	}
 	pe := relation.NewParExec(4)
 	pe.MinParallel = 0
-	if _, _, err := plan.EvalPar(db, pe); err != nil {
+	if _, _, err := plan.Run(db, pe, Limits{}); err != nil {
 		t.Fatal(err)
 	}
 	for k, r := range db.Rels {
 		if !r.Equal(before[k]) {
-			t.Fatalf("relation %d mutated by EvalPar", k)
+			t.Fatalf("relation %d mutated by a parallel Run", k)
 		}
 	}
 }

@@ -134,7 +134,7 @@ func (p *Program) Validate() error {
 // StmtStat is the observed cost of one statement: input and output
 // cardinalities plus wall time. InRight is −1 for projections, which
 // have a single operand. Shards is 0 when the statement ran serially
-// and the shard count when it ran partition-parallel (EvalPar).
+// and the shard count when it ran partition-parallel.
 type StmtStat struct {
 	Kind    StmtKind
 	InLeft  int
@@ -148,7 +148,7 @@ type StmtStat struct {
 // statement with tuples-in/tuples-out and wall time, making the §6
 // cost analyses (semijoin programs are cheap; intermediate joins
 // dominate) directly observable on real runs. A run that ends early
-// because the answer is already known to be empty (see EvalExecLimits)
+// because the answer is already known to be empty (see Run)
 // still has one entry per statement: the statements it skipped are
 // recorded with zero cardinalities and zero elapsed, and count toward
 // Joins/Projects/Semijoins like the rest.
@@ -205,40 +205,54 @@ func (st *Stats) Table() string {
 	return b.String()
 }
 
-// Eval runs the program over a database state for D and returns the
-// final relation (the last statement's value) plus cost statistics.
-// It is EvalExec with a throwaway execution context.
+// Eval runs the program serially, without limits, over a database
+// state for D and returns the final relation (the last statement's
+// value) plus cost statistics: Run with a throwaway one-worker context.
 func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error) {
-	return p.EvalExec(db, relation.NewExec())
+	return p.Run(db, relation.NewParExec(1), Limits{})
 }
 
-// EvalExec is Eval with a caller-supplied execution context: the whole
-// statement sequence shares ex, so hash tables and scratch buffers are
-// allocated once per run — and a server pooling Exec values across
-// requests amortizes them across runs too.
+// Run evaluates the program over db in the execution context pe, under
+// lim. The whole statement sequence shares pe, so hash tables and
+// scratch buffers are allocated once per run — and a server pooling
+// contexts across requests amortizes them across runs too.
 //
-// EvalExec never mutates db: input relations are read-only operands
-// (every statement materializes a fresh output relation), the Rels
-// slice is copied before any statement runs, and db may be a frozen
-// snapshot shared by any number of concurrent evaluations. ex, in
-// contrast, is exclusive to one run at a time.
-func (p *Program) EvalExec(db *relation.Database, ex *relation.Exec) (*relation.Relation, *Stats, error) {
-	return p.EvalExecLimits(db, ex, Limits{})
-}
-
-// EvalExecLimits is EvalExec bounded by lim: the gas budget and
-// deadline are checked at every statement boundary, and a violation
-// aborts the run with a *LimitError (errors.Is-matching
-// ErrGasExhausted or ErrDeadlineExceeded) and a nil relation.
-// Evaluation never mutates db, so an aborted run leaves no partial
-// state.
+// pe's width decides how statements execute. At P() == 1 every
+// statement runs on pe's one Exec and no partitioning is ever built.
+// At P() > 1, join and semijoin statements whose operands are large
+// enough (pe.MinParallel) run shard-local across pe's workers, with
+// relations hash-partitioned on the statement's shared attributes. The
+// partitioning discipline mirrors the way a distributed full reducer
+// would shard (Kolaitis's semijoin passes, Greco–Scarcello's
+// local-consistency unit): each relation id carries at most one live
+// partitioning; a statement whose join key equals that key runs with
+// zero repartitioning, otherwise the operand is repartitioned on
+// demand (directly shard-to-shard, never through a merged
+// intermediate). Results of parallel statements stay partitioned —
+// they are merged into a plain relation only when a serial statement,
+// an incompatible projection, or the final answer needs one. The
+// relation returned and the Stats totals do not depend on the width
+// (relations are sets; differential tests assert Equal across widths
+// and against an operator-by-operator reference); per-statement Shards
+// and the run's ParallelStmts/Repartitions counters record what
+// actually fanned out.
+//
+// Run never mutates db: input relations are read-only operands (every
+// statement materializes a fresh output relation), the Rels slice is
+// copied before any statement runs, and db may be a frozen snapshot
+// shared by any number of concurrent evaluations. pe, in contrast, is
+// exclusive to one run at a time.
+//
+// lim is enforced as Limits describes, parallel statements included;
+// a violation returns a *LimitError and a nil relation, and leaves pe
+// reusable.
 //
 // Join, semijoin and projection all map an empty operand to an empty
 // result, so once a statement the answer transitively depends on comes
 // out empty the answer is empty too: the run stops there, records the
 // remaining statements as skipped (see Stats) and returns the empty
 // relation over the result schema.
-func (p *Program) EvalExecLimits(db *relation.Database, ex *relation.Exec, lim Limits) (*relation.Relation, *Stats, error) {
+func (p *Program) Run(db *relation.Database, pe *relation.ParExec, lim Limits) (*relation.Relation, *Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -254,40 +268,124 @@ func (p *Program) EvalExecLimits(db *relation.Database, ex *relation.Exec, lim L
 			return nil, nil, err
 		}
 	}
-	vals := make([]*relation.Relation, len(db.Rels), p.NumIDs())
+
+	n := len(db.Rels)
+	ids := p.NumIDs()
+	ex := pe.Serial()
+	// Each id holds its value in exactly one live form at a time:
+	// vals[id] (plain relation) or parts[id] (partitioned). A one-worker
+	// run only ever has the plain form, so parts stays nil and is never
+	// indexed.
+	vals := make([]*relation.Relation, ids)
 	copy(vals, db.Rels)
+	serial := pe.P() <= 1
+	var parts []*relation.Partitioning
+	if !serial {
+		parts = make([]*relation.Partitioning, ids)
+	}
+
 	needed := p.answerDeps()
 	st := &Stats{}
+	cardOf := func(id int) int {
+		if vals[id] != nil {
+			return vals[id].Card()
+		}
+		return parts[id].Card()
+	}
+	attrsOf := func(id int) schema.AttrSet {
+		if vals[id] != nil {
+			return vals[id].Attrs()
+		}
+		return parts[id].Shards[0].Attrs()
+	}
+	materialize := func(id int) *relation.Relation {
+		if vals[id] == nil {
+			vals[id] = parts[id].Merge()
+		}
+		return vals[id]
+	}
+	// ensurePart returns id's value partitioned on key, reusing the
+	// live partitioning when its key already matches (the zero-traffic
+	// case) and repartitioning on demand otherwise.
+	ensurePart := func(id int, key schema.AttrSet) *relation.Partitioning {
+		if pt := parts[id]; pt != nil && pt.Key.Equal(key) {
+			return pt
+		}
+		var pt *relation.Partitioning
+		if vals[id] != nil {
+			pt = pe.Partition(vals[id], key)
+		} else {
+			pt = pe.Repartition(parts[id], key)
+		}
+		parts[id] = pt
+		st.Repartitions++
+		st.RepartitionBytes += pt.Bytes()
+		return pt
+	}
+	setPart := func(id int, pt *relation.Partitioning) {
+		parts[id] = pt
+		vals[id] = nil
+	}
+
 	start := time.Now()
 	for si, s := range p.Stmts {
-		var out *relation.Relation
-		d := StmtStat{Kind: s.Kind, InLeft: vals[s.Left].Card(), InRight: -1}
+		id := n + si
+		d := StmtStat{Kind: s.Kind, InLeft: cardOf(s.Left), InRight: -1}
 		t0 := time.Now()
 		switch s.Kind {
-		case Join:
-			d.InRight = vals[s.Right].Card()
-			out = ex.Join(vals[s.Left], vals[s.Right])
+		case Join, Semijoin:
+			d.InRight = cardOf(s.Right)
+			var key schema.AttrSet
+			if !serial {
+				key = attrsOf(s.Left).Intersect(attrsOf(s.Right))
+			}
+			if serial || key.IsEmpty() || d.InLeft+d.InRight < pe.MinParallel {
+				// Cross products cannot be sharded without replication;
+				// small statements are not worth the fan-out.
+				l, r := materialize(s.Left), materialize(s.Right)
+				if s.Kind == Join {
+					vals[id] = ex.Join(l, r)
+				} else {
+					vals[id] = ex.Semijoin(l, r)
+				}
+			} else {
+				pl := ensurePart(s.Left, key)
+				pr := ensurePart(s.Right, key)
+				if s.Kind == Join {
+					setPart(id, pe.JoinPar(pl, pr))
+				} else {
+					setPart(id, pe.SemijoinPar(pl, pr))
+				}
+				d.Shards = pe.P()
+				st.ParallelStmts++
+			}
 		case Project:
-			out = ex.Project(vals[s.Left], s.Proj)
-		case Semijoin:
-			d.InRight = vals[s.Right].Card()
-			out = ex.Semijoin(vals[s.Left], vals[s.Right])
+			// Shard-local only when the operand is already partitioned
+			// and the key survives the projection; repartitioning just
+			// to project would cost as much as the projection itself.
+			if vals[s.Left] == nil && !parts[s.Left].Key.IsEmpty() && parts[s.Left].Key.SubsetOf(s.Proj) {
+				setPart(id, pe.ProjectPar(parts[s.Left], s.Proj))
+				d.Shards = pe.P()
+				st.ParallelStmts++
+			} else {
+				vals[id] = ex.Project(materialize(s.Left), s.Proj)
+			}
 		}
 		d.Elapsed = time.Since(t0)
-		d.Out = out.Card()
-		vals = append(vals, out)
+		d.Out = cardOf(id)
 		st.record(d)
 		if enforce {
 			if err := lim.check(si, st.TuplesProduced); err != nil {
 				return nil, nil, err
 			}
 		}
-		if d.Out == 0 && needed[len(db.Rels)+si] {
+		if d.Out == 0 && needed[id] {
 			return p.skipRest(st, si+1, start), st, nil
 		}
 	}
+	out := materialize(ids - 1)
 	st.Elapsed = time.Since(start)
-	return vals[len(vals)-1], st, nil
+	return out, st, nil
 }
 
 // answerDeps reports, for every relation id, whether the program's
@@ -360,15 +458,13 @@ func JoinProject(d *schema.Schema, x schema.AttrSet, inputs []InputRef) (*Progra
 			return nil, fmt.Errorf("program: pre-projection %s ⊄ R%d = %s",
 				d.U.FormatSet(in.Proj), in.Rel, d.U.FormatSet(d.Rels[in.Rel]))
 		}
-		p.Stmts = append(p.Stmts, Stmt{Kind: Project, Left: in.Rel, Proj: in.Proj})
-		ids = append(ids, n+len(p.Stmts)-1)
+		ids = append(ids, p.emit(Stmt{Kind: Project, Left: in.Rel, Proj: in.Proj}))
 	}
 	acc := ids[0]
 	for _, id := range ids[1:] {
-		p.Stmts = append(p.Stmts, Stmt{Kind: Join, Left: acc, Right: id})
-		acc = n + len(p.Stmts) - 1
+		acc = p.emit(Stmt{Kind: Join, Left: acc, Right: id})
 	}
-	p.Stmts = append(p.Stmts, Stmt{Kind: Project, Left: acc, Proj: x.Clone()})
+	p.emit(Stmt{Kind: Project, Left: acc, Proj: x.Clone()})
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -408,15 +504,31 @@ func CCPlan(d *schema.Schema, x schema.AttrSet, cc *schema.Schema) (*Program, er
 // After running it, each reduced relation equals π_{Rᵢ}(⋈ⱼ Rⱼ): the
 // database is globally consistent.
 func FullReducer(d *schema.Schema, t *graph.Undirected) (*Program, []int, error) {
-	return fullReducerRooted(d, t, 0)
+	p := NewProgram(d)
+	cur := inputIDs(len(d.Rels))
+	if _, _, err := emitReducer(p, cur, t, 0); err != nil {
+		return nil, nil, err
+	}
+	return p, cur, nil
 }
 
-// fullReducerRooted is FullReducer with an explicit root for the two
-// passes. Full reduction is root-independent (any root yields global
-// consistency); the parameter exists so Yannakakis variants run both
-// phases over one coherent traversal.
-func fullReducerRooted(d *schema.Schema, t *graph.Undirected, root int) (*Program, []int, error) {
-	n := len(d.Rels)
+// inputIDs returns the ids of a program's n input relations.
+func inputIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+// emitReducer appends to p the two semijoin passes over tree t from
+// root. On entry cur[v] is the id holding the state of tree node v; on
+// return it is the id of v's fully reduced state. Full reduction is
+// root-independent (any root yields global consistency); the parameter
+// exists so the Yannakakis emitter runs both phases over one coherent
+// traversal, which is returned.
+func emitReducer(p *Program, cur []int, t *graph.Undirected, root int) (order, parent []int, err error) {
+	n := len(cur)
 	if t.N() != n {
 		return nil, nil, fmt.Errorf("program: tree has %d nodes, schema has %d relations", t.N(), n)
 	}
@@ -426,42 +538,35 @@ func fullReducerRooted(d *schema.Schema, t *graph.Undirected, root int) (*Progra
 	if !t.IsTree() {
 		return nil, nil, fmt.Errorf("program: graph is not a tree")
 	}
-	p := NewProgram(d)
-	cur := make([]int, n)
-	for i := range cur {
-		cur[i] = i
-	}
 	if root < 0 || root >= n {
 		return nil, nil, fmt.Errorf("program: root %d out of range [0, %d)", root, n)
 	}
-	emit := func(left, right int) int {
-		p.Stmts = append(p.Stmts, Stmt{Kind: Semijoin, Left: left, Right: right})
-		return n + len(p.Stmts) - 1
-	}
-	order, parent := postorder(t, root)
+	order, parent = postorder(t, root)
 	// Leaf → root: parent absorbs child restrictions.
 	for _, v := range order {
-		if v == root {
-			continue
+		if v != root {
+			cur[parent[v]] = p.emit(Stmt{Kind: Semijoin, Left: cur[parent[v]], Right: cur[v]})
 		}
-		cur[parent[v]] = emit(cur[parent[v]], cur[v])
 	}
 	// Root → leaf: children absorb the now-consistent parents.
 	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if v == root {
-			continue
+		if v := order[i]; v != root {
+			cur[v] = p.emit(Stmt{Kind: Semijoin, Left: cur[v], Right: cur[parent[v]]})
 		}
-		cur[v] = emit(cur[v], cur[parent[v]])
 	}
-	// Make the program's result meaningful: its last statement is the
-	// last child reduction; if the tree is a single node there are no
-	// statements, so copy the root via a trivial projection.
-	if len(p.Stmts) == 0 {
-		p.Stmts = append(p.Stmts, Stmt{Kind: Project, Left: root, Proj: d.Rels[root].Clone()})
-		cur[root] = n
+	// Make the reducer's result meaningful: its last statement is the
+	// last child reduction; a single-node tree has no semijoins, so copy
+	// the root via a trivial projection.
+	if n == 1 {
+		cur[root] = p.emit(Stmt{Kind: Project, Left: cur[root], Proj: p.SchemaOf(cur[root])})
 	}
-	return p, cur, nil
+	return order, parent, nil
+}
+
+// emit appends s and returns the id of the relation it creates.
+func (p *Program) emit(s Stmt) int {
+	p.Stmts = append(p.Stmts, s)
+	return p.NumIDs() - 1
 }
 
 // postorder returns the vertices of tree t in post-order from root,
@@ -509,16 +614,27 @@ func YannakakisRooted(d *schema.Schema, x schema.AttrSet, t *graph.Undirected, r
 	if !x.SubsetOf(d.Attrs()) {
 		return nil, fmt.Errorf("program: target %s ⊄ U(D)", d.U.FormatSet(x))
 	}
-	p, cur, err := fullReducerRooted(d, t, root)
-	if err != nil {
+	p := NewProgram(d)
+	if err := emitYannakakis(p, d.Rels, inputIDs(len(d.Rels)), t, root, x); err != nil {
 		return nil, err
 	}
-	n := len(d.Rels)
-	order, parent := postorder(t, root)
+	return p, nil
+}
+
+// emitYannakakis appends to p the full reducer and the bottom-up join
+// with early projection over tree t rooted at root, answering x. Tree
+// node v has relation schema rels[v] and its state is held by id
+// cur[v] — an input relation of p, or a relation p has already built,
+// which is how the §4 cyclic strategy hands in the materialized ∪GR(D).
+func emitYannakakis(p *Program, rels []schema.AttrSet, cur []int, t *graph.Undirected, root int, x schema.AttrSet) error {
+	order, parent, err := emitReducer(p, cur, t, root)
+	if err != nil {
+		return err
+	}
 	// Subtree attribute sets.
-	subAttrs := make([]schema.AttrSet, n)
+	subAttrs := make([]schema.AttrSet, len(rels))
 	for _, v := range order { // post-order: children first
-		s := d.Rels[v].Clone()
+		s := rels[v].Clone()
 		for _, w := range t.Neighbors(v) {
 			if parent[w] == v {
 				s = s.Union(subAttrs[w])
@@ -528,16 +644,12 @@ func YannakakisRooted(d *schema.Schema, x schema.AttrSet, t *graph.Undirected, r
 	}
 	// Bottom-up join with early projection; agg[v] = id of the joined
 	// subtree result at v.
-	agg := make([]int, n)
-	emit := func(s Stmt) int {
-		p.Stmts = append(p.Stmts, s)
-		return n + len(p.Stmts) - 1
-	}
+	agg := make([]int, len(rels))
 	for _, v := range order {
 		id := cur[v]
 		for _, w := range t.Neighbors(v) {
 			if parent[w] == v {
-				id = emit(Stmt{Kind: Join, Left: id, Right: agg[w]})
+				id = p.emit(Stmt{Kind: Join, Left: id, Right: agg[w]})
 			}
 		}
 		// Keep only what is needed above v.
@@ -545,20 +657,17 @@ func YannakakisRooted(d *schema.Schema, x schema.AttrSet, t *graph.Undirected, r
 		if v == root {
 			keep = x.Clone()
 		} else {
-			link := d.Rels[v].Intersect(d.Rels[parent[v]])
+			link := rels[v].Intersect(rels[parent[v]])
 			keep = x.Intersect(subAttrs[v]).Union(link)
 		}
 		curSchema := p.SchemaOf(id)
 		keep = keep.Intersect(curSchema)
 		if !keep.Equal(curSchema) || v == root {
-			id = emit(Stmt{Kind: Project, Left: id, Proj: keep})
+			id = p.emit(Stmt{Kind: Project, Left: id, Proj: keep})
 		}
 		agg[v] = id
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return p.Validate()
 }
 
 // NaivePlan joins all relations of d in index order and projects onto

@@ -403,7 +403,7 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 	modes := func(p *Program) map[string]evalFn {
 		return map[string]evalFn{
 			"serial": p.Eval,
-			"p=2":    func(db *relation.Database) (*relation.Relation, *Stats, error) { return p.EvalPar(db, pe) },
+			"p=2":    func(db *relation.Database) (*relation.Relation, *Stats, error) { return p.Run(db, pe, Limits{}) },
 		}
 	}
 	for hole := range d.Rels {
@@ -426,6 +426,9 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 				}
 				if name != "fullreducer" && !got.Equal(want) {
 					t.Errorf("hole %d %s %s: answer differs from the naive plan's", hole, name, mode)
+				}
+				if !got.Equal(refEval(p, db)) {
+					t.Errorf("hole %d %s %s: answer differs from the reference evaluation", hole, name, mode)
 				}
 				if len(st.Detail) != len(p.Stmts) || len(st.PerStmt) != len(p.Stmts) ||
 					st.Joins+st.Projects+st.Semijoins != len(p.Stmts) {
@@ -465,7 +468,7 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.PerStmt[0] != 0 || !got.Equal(wantJoin) {
+		if st.PerStmt[0] != 0 || !got.Equal(wantJoin) || !got.Equal(refEval(side, db)) {
 			t.Errorf("%s: unused empty statement changed the answer: %d tuples, want %d", mode, got.Card(), wantJoin.Card())
 		}
 	}

@@ -99,8 +99,12 @@ func QualTreeMST(d *schema.Schema) (t *graph.Undirected, ok bool) {
 	for _, e := range sub.Edges() {
 		t.MustAddEdge(kept[e[0]], kept[e[1]])
 	}
+	// Ascending child order: edge order fixes Neighbors order, which fixes
+	// the statement order of every plan built over this tree.
 	for child, parent := range parentOf {
-		t.MustAddEdge(child, parent)
+		if parent >= 0 {
+			t.MustAddEdge(child, parent)
+		}
 	}
 	if !IsQualGraph(d, t) {
 		// Should be impossible; fail loudly rather than return a bogus tree.
@@ -111,10 +115,10 @@ func QualTreeMST(d *schema.Schema) (t *graph.Undirected, ok bool) {
 
 // reduceWithParents partitions relation indexes into kept (maximal,
 // first occurrence) and eliminated ones, mapping each eliminated index
-// to a kept superset.
-func reduceWithParents(d *schema.Schema) (kept []int, parentOf map[int]int) {
+// to a kept superset (parentOf is -1 at kept indexes).
+func reduceWithParents(d *schema.Schema) (kept []int, parentOf []int) {
 	n := len(d.Rels)
-	parentOf = make(map[int]int)
+	parentOf = make([]int, n)
 	eliminated := make([]bool, n)
 	for i := 0; i < n; i++ {
 		if eliminated[i] {
@@ -136,6 +140,7 @@ func reduceWithParents(d *schema.Schema) (kept []int, parentOf map[int]int) {
 		}
 	}
 	for i := 0; i < n; i++ {
+		parentOf[i] = -1
 		if !eliminated[i] {
 			continue
 		}

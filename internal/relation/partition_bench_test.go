@@ -21,7 +21,7 @@ func parallelPs() []int { return []int{2, 4, 8} }
 
 func BenchmarkPartition(b *testing.B) {
 	u := schema.NewUniverse()
-	r, _, _, _ := benchJoinPair(u, 10000)
+	r, _ := benchJoinPair(u, 10000)
 	key := u.Set("b")
 	for _, p := range parallelPs() {
 		pe := NewParExec(p)
@@ -36,7 +36,7 @@ func BenchmarkPartition(b *testing.B) {
 
 func BenchmarkJoinParallel(b *testing.B) {
 	u := schema.NewUniverse()
-	r, s, _, _ := benchJoinPair(u, 10000)
+	r, s := benchJoinPair(u, 10000)
 	key := r.Attrs().Intersect(s.Attrs())
 	for _, p := range parallelPs() {
 		pe := NewParExec(p)
@@ -53,7 +53,7 @@ func BenchmarkJoinParallel(b *testing.B) {
 
 func BenchmarkJoinParallelCold(b *testing.B) {
 	u := schema.NewUniverse()
-	r, s, _, _ := benchJoinPair(u, 10000)
+	r, s := benchJoinPair(u, 10000)
 	key := r.Attrs().Intersect(s.Attrs())
 	for _, p := range parallelPs() {
 		pe := NewParExec(p)
@@ -68,7 +68,7 @@ func BenchmarkJoinParallelCold(b *testing.B) {
 
 func BenchmarkSemijoinParallel(b *testing.B) {
 	u := schema.NewUniverse()
-	r, s, _, _ := benchJoinPair(u, 10000)
+	r, s := benchJoinPair(u, 10000)
 	key := r.Attrs().Intersect(s.Attrs())
 	for _, p := range parallelPs() {
 		pe := NewParExec(p)
@@ -85,7 +85,7 @@ func BenchmarkSemijoinParallel(b *testing.B) {
 
 func BenchmarkSemijoinParallelCold(b *testing.B) {
 	u := schema.NewUniverse()
-	r, s, _, _ := benchJoinPair(u, 10000)
+	r, s := benchJoinPair(u, 10000)
 	key := r.Attrs().Intersect(s.Attrs())
 	for _, p := range parallelPs() {
 		pe := NewParExec(p)
