@@ -71,6 +71,8 @@ func sameSolve(t *testing.T, a, b []byte) bool {
 type replicaStatus struct {
 	Role       string  `json:"role"`
 	LeaderURL  string  `json:"leaderUrl"`
+	CursorSeg  uint64  `json:"cursorSeg"`
+	CursorOff  int64   `json:"cursorOff"`
 	LagBytes   int64   `json:"lagBytes"`
 	LagRecords int64   `json:"lagRecords"`
 	LagSeconds float64 `json:"lagSeconds"`
@@ -79,9 +81,14 @@ type replicaStatus struct {
 	LastError  string  `json:"lastError"`
 }
 
-// waitCaughtUp polls the follower until it reports zero lag.
-func waitCaughtUp(t *testing.T, follower *gyodProc) replicaStatus {
+// waitCaughtUp polls the follower until it reports zero lag at the
+// leader's current WAL tail. (Zero lag alone is the follower's view as
+// of its last completed poll: while it fetches and applies a batch the
+// leader has just acknowledged, it still says "caught up".)
+func waitCaughtUp(t *testing.T, follower, leader *gyodProc) replicaStatus {
 	t.Helper()
+	var tail replicaStatus
+	getJSON(t, leader.base+"/v1/replica/status", &tail)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		var st replicaStatus
@@ -89,7 +96,8 @@ func waitCaughtUp(t *testing.T, follower *gyodProc) replicaStatus {
 		if st.Diverged {
 			t.Fatalf("replica diverged: %s", st.LastError)
 		}
-		if st.Connected && st.LagBytes == 0 && st.LagRecords == 0 && st.LagSeconds == 0 {
+		if st.Connected && st.LagBytes == 0 && st.LagRecords == 0 && st.LagSeconds == 0 &&
+			st.CursorSeg == tail.CursorSeg && st.CursorOff == tail.CursorOff {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -115,7 +123,7 @@ func TestGyodReplicationPromote(t *testing.T) {
 	]}`)
 
 	follower := startGyod(t, bin, "-data", replicaDir, "-follow", leader.base)
-	waitCaughtUp(t, follower)
+	waitCaughtUp(t, follower, leader)
 
 	// The follower serves reads locally, identically to the leader.
 	if l, f := leader.post(t, "/v1/solve", `{"x": "ad"}`), follower.post(t, "/v1/solve", `{"x": "ad"}`); !sameSolve(t, l, f) {
@@ -160,7 +168,7 @@ func TestGyodReplicationPromote(t *testing.T) {
 	leader.post(t, "/v1/insert", `{"rel": "ab", "tuples": [[11,12],[13,14]]}`)
 	leader.post(t, "/v1/delete", `{"rel": "ab", "tuples": [[3,4]]}`)
 	want := leader.post(t, "/v1/solve", `{"x": "ad"}`)
-	waitCaughtUp(t, follower)
+	waitCaughtUp(t, follower, leader)
 
 	// The leader dies without any shutdown path.
 	if err := leader.cmd.Process.Kill(); err != nil {

@@ -20,7 +20,7 @@ import (
 //     `r := db.Rels[i].Clone(); r.Insert(t)` stays legal),
 //
 // and any frozen value receiving Insert / InsertBlock / InsertMap /
-// SetChunkID is a finding. Guarded methods are matched by the defining
+// DeleteBlock / AppendStored / SetChunkID is a finding. Guarded methods are matched by the defining
 // package's name (relation, engine), so the analyzer works unchanged
 // on the analysistest fixtures.
 var FrozenMut = &Analyzer{
@@ -38,12 +38,15 @@ var frozenProducers = map[string]map[string]bool{
 
 // frozenMutators are the in-place mutators of the relation package.
 // The copy-on-write Database mutators (WithRelation, InsertTuple) are
-// deliberately absent: they derive new snapshots.
+// and Relation.Without are deliberately absent: they derive new
+// snapshots.
 var frozenMutators = map[string]bool{
-	"Insert":      true,
-	"InsertBlock": true,
-	"InsertMap":   true,
-	"SetChunkID":  true,
+	"Insert":       true,
+	"InsertBlock":  true,
+	"InsertMap":    true,
+	"DeleteBlock":  true,
+	"AppendStored": true,
+	"SetChunkID":   true,
 }
 
 func runFrozenMut(pass *Pass) error {

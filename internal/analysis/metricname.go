@@ -11,7 +11,7 @@ import (
 // obs registry panics at runtime on a duplicate series, and Prometheus
 // scrapes silently mangle names outside the exposition charset. The
 // analyzer checks every registration call on an obs.Registry (Counter,
-// Gauge, GaugeFunc, Histogram) and obs.WriteSeries:
+// CounterFunc, Gauge, GaugeFunc, Histogram) and obs.WriteSeries:
 //
 //   - the metric name must be a compile-time constant string matching
 //     ^gyo_[a-z0-9_]+$, and
@@ -34,6 +34,7 @@ var metricNameRE = regexp.MustCompile(`^gyo_[a-z0-9_]+$`)
 // arguments start.
 var metricRegistrars = map[string]struct{ nameArg, labelStart int }{
 	"Counter":     {0, 2},
+	"CounterFunc": {0, 3},
 	"Gauge":       {0, 2},
 	"GaugeFunc":   {0, 3},
 	"Histogram":   {0, 3},

@@ -16,6 +16,12 @@ func mutateAfterFreeze() {
 	r.SetChunkID(0, 7)                  // want `SetChunkID called on a frozen snapshot value`
 }
 
+func deleteFromSnapshot(e *engine.Engine) {
+	db := e.Snapshot()
+	db.Rels[0].DeleteBlock([]int{1, 2})        // want `DeleteBlock called on a frozen snapshot value`
+	_ = db.Rels[0].AppendStored([]int{1}, nil) // want `AppendStored called on a frozen snapshot value`
+}
+
 func mutateSnapshot(e *engine.Engine) {
 	db := e.Snapshot()
 	db.Rels[0].Insert(relation.Tuple{1}) // want `Insert called on a frozen snapshot value`

@@ -23,6 +23,22 @@ func copyOnWriteMutators(e *engine.Engine) {
 	_ = db.Rels[0].Card() // reads on frozen values are fine
 }
 
+func deleteCopyOnWrite(e *engine.Engine) {
+	db := e.Snapshot()
+	r := db.Rels[0].Clone()
+	r.DeleteBlock([]int{1, 2}) // the clone is private
+	less, _ := db.Rels[0].Without([]relation.Tuple{{1}})
+	less.DeleteBlock([]int{3}) // Without derives a fresh relation, like Clone
+	_ = db.WithRelation(0, r)
+}
+
+func replayInPlace() {
+	r := relation.New()
+	r.InsertBlock([]int{1, 2})
+	r.DeleteBlock([]int{1}) // recovery's private database: never frozen
+	_ = r.AppendStored([]int{3}, nil)
+}
+
 func freshRelations() {
 	r := relation.New()
 	r.Insert(relation.Tuple{1})

@@ -19,6 +19,9 @@ type Registry struct{}
 // Counter registers a counter series.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter { return &Counter{} }
 
+// CounterFunc registers a counter backed by fn.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {}
+
 // Gauge registers a gauge series.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge { return &Gauge{} }
 

@@ -27,6 +27,15 @@ func (r *Relation) InsertBlock(data []int) int { return 0 }
 // InsertMap adds one named-column tuple in place.
 func (r *Relation) InsertMap(m map[string]int) {}
 
+// DeleteBlock bulk-removes rows in place.
+func (r *Relation) DeleteBlock(data []int) int { return 0 }
+
+// AppendStored appends checkpointed rows in place.
+func (r *Relation) AppendStored(block []int, dead []int32) error { return nil }
+
+// Without derives a copy with the tuples removed.
+func (r *Relation) Without(ts []Tuple) (*Relation, int) { return &Relation{}, 0 }
+
 // SetChunkID restamps a chunk id in place.
 func (r *Relation) SetChunkID(i int, id uint64) {}
 

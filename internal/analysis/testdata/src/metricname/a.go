@@ -15,6 +15,8 @@ func register(reg *obs.Registry, dynamic string) {
 	reg.Counter("gyo_queries_total", "again", "kind") // want `duplicate registration of metric series`
 	reg.Histogram("gyo_solve_seconds", "latency", nil)
 	reg.GaugeFunc("gyo_heap_bytes", "heap", func() float64 { return 0 })
+	reg.CounterFunc("gyo_gc_total", "collections", func() float64 { return 0 })
+	reg.CounterFunc("gc_total", "collections", func() float64 { return 0 }) // want `metric name "gc_total" must match`
 }
 
 func sameNameDifferentLabels(reg *obs.Registry) {

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"gyokit/internal/program"
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
 	"gyokit/internal/storage"
@@ -277,8 +278,21 @@ func TestEngineDurableConcurrentReadWrite(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				if i%2 == 1 { // every other row of relation 0 goes again
+					if _, counts, err := e.Apply(storage.Delete(0, 2, []relation.Tuple{{v - 1, v}})); err != nil || counts[0] != 1 {
+						t.Errorf("delete removed %v: %v", counts, err)
+						return
+					}
+				}
 			}
 		}(w)
+	}
+	// Readers alternate the schema path with a conjunctive query, whose
+	// bind takes identity views of the stored relations — sharing their
+	// overlays and dead-row bitmaps — while the writers derive successors.
+	pl, err := e.PrepareQuery("ans(A, C) :- ab(A, B), bc(B, C).")
+	if err != nil {
+		t.Fatal(err)
 	}
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
@@ -289,14 +303,18 @@ func TestEngineDurableConcurrentReadWrite(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				if _, _, err := e.SolveQuery(pl, 1, program.Limits{}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	e.ckptWG.Wait()
 
-	if got := e.Snapshot().Rels[0].Card(); got != 200 {
-		t.Errorf("relation 0 card = %d, want 200", got)
+	if got := e.Snapshot().Rels[0].Card(); got != 100 {
+		t.Errorf("relation 0 card = %d, want 100", got)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -520,8 +538,13 @@ func TestGyodSIGKILLDuringIncrementalCheckpoint(t *testing.T) {
 	args := []string{"-data", dataDir, "-schema", "ab", "-tuples", "0",
 		"-nosync", "-ckptbytes", "200", "-segbytes", "4096"}
 
+	// Every third batch is followed by a delete of half of the batch
+	// before it, so the checkpoints being torn carry dead-row lists, the
+	// WAL tails being replayed carry delete records, and a tuple a kill
+	// resurrected or a delete a kill lost shows in the card.
 	const rounds, batches, perBatch = 4, 24, 200
 	acked, next := 0, 0
+	var prev [][2]int
 	for round := 0; round < rounds; round++ {
 		p := startGyodInst(t, bin, args...)
 		st := p.stats(t)
@@ -540,6 +563,15 @@ func TestGyodSIGKILLDuringIncrementalCheckpoint(t *testing.T) {
 				t.Fatalf("round %d batch %d: applied %d, want %d", round, b, mr.Applied, perBatch)
 			}
 			acked += perBatch
+			if b%3 == 2 {
+				p.postJSON(t, "/v1/delete", map[string]any{"rel": "ab", "tuples": prev[:perBatch/2]}, &mr)
+				if mr.Applied != perBatch/2 || mr.Card != acked-perBatch/2 {
+					t.Fatalf("round %d batch %d: delete applied %d leaving %d, want %d leaving %d",
+						round, b, mr.Applied, mr.Card, perBatch/2, acked-perBatch/2)
+				}
+				acked -= perBatch / 2
+			}
+			prev = tuples
 		}
 		p.kill(t)
 	}
@@ -553,6 +585,9 @@ func TestGyodSIGKILLDuringIncrementalCheckpoint(t *testing.T) {
 	}
 	if st.Durability == nil {
 		t.Fatal("final boot: /stats missing durability section")
+	}
+	if st.Relations[0].DeadRows == 0 {
+		t.Error("final boot: no dead row recovered — the deletes never reached a checkpoint or the WAL tail")
 	}
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"gyokit/internal/obs"
+	"gyokit/internal/relation"
 )
 
 // engineMetrics holds the engine's observability instruments. Handles
@@ -94,21 +95,33 @@ func (e *Engine) registerGauges(reg *obs.Registry) {
 			defer e.mu.Unlock()
 			return float64(e.cache.len())
 		})
-	reg.GaugeFunc("gyo_snapshot_arena_bytes",
-		"Tuple-arena bytes of the live database snapshot (universe included).", func() float64 {
+	// sum adds up one per-relation figure over the live snapshot
+	// (universe included).
+	sum := func(of func(*relation.Relation) float64) func() float64 {
+		return func() float64 {
 			db := e.db.Load()
 			if db == nil {
 				return 0
 			}
-			var total int64
+			var total float64
 			for _, r := range db.Rels {
-				total += int64(r.ArenaBytes())
+				total += of(r)
 			}
 			if db.Univ != nil {
-				total += int64(db.Univ.ArenaBytes())
+				total += of(db.Univ)
 			}
-			return float64(total)
-		})
+			return total
+		}
+	}
+	reg.GaugeFunc("gyo_snapshot_arena_bytes",
+		"Bytes of the live tuples in the live database snapshot's arenas (universe included).",
+		sum(func(r *relation.Relation) float64 { return float64(r.ArenaBytes()) }))
+	reg.GaugeFunc("gyo_snapshot_dead_rows",
+		"Deleted rows still holding arena positions in the live database snapshot, until a compaction reclaims them.",
+		sum(func(r *relation.Relation) float64 { return float64(r.DeadRows()) }))
+	reg.CounterFunc("gyo_relation_compactions_total",
+		"Compactions (repack + index rebuild, triggered by deletes) in the history of the live snapshot's relations; dropping a relation takes its count with it.",
+		sum(func(r *relation.Relation) float64 { return float64(r.Compactions()) }))
 	reg.GaugeFunc("gyo_snapshot_relations",
 		"Relations in the live database snapshot.", func() float64 {
 			db := e.db.Load()

@@ -749,8 +749,9 @@ func (s *Server) buildMutation(db *relation.Database, kind storage.Kind, req mut
 // RelationStats describes one relation of the live snapshot.
 type RelationStats struct {
 	Rel        string `json:"rel"`
-	Card       int    `json:"card"`
-	ArenaBytes int    `json:"arenaBytes"`
+	Card       int    `json:"card"`       // live tuples
+	ArenaBytes int    `json:"arenaBytes"` // bytes of the live tuples
+	DeadRows   int    `json:"deadRows"`   // deleted rows the next compaction reclaims
 }
 
 // DurabilityStats is the /v1/stats durability section, present when
@@ -816,6 +817,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				Rel:        db.D.U.FormatSet(db.D.Rels[i]),
 				Card:       rel.Card(),
 				ArenaBytes: rel.ArenaBytes(),
+				DeadRows:   rel.DeadRows(),
 			}
 			resp.ArenaBytes += int64(rel.ArenaBytes())
 		}

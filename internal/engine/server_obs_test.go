@@ -115,6 +115,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`gyo_checkpoint_chunks_total{result="reused"}`,
 		`gyo_checkpoint_failures_total`,
 		`gyo_repartition_bytes_total`,
+		`gyo_snapshot_dead_rows`,
+		`gyo_relation_compactions_total`,
 	}
 	for _, key := range wantPresent {
 		if _, ok := series[key]; !ok {
@@ -125,6 +127,57 @@ func TestMetricsEndpoint(t *testing.T) {
 		series[`gyo_solve_seconds_count{cache="hit",mode="serial"}`] < 2 {
 		t.Error("parallel solve observed in neither parallel nor serial family")
 	}
+}
+
+// TestDeadRowObservability: a delete below the compaction bound shows as
+// dead rows in /v1/stats and /v1/metrics while card and arenaBytes keep
+// counting live tuples only; the delete that crosses the bound empties
+// the dead-row gauge and ticks the compaction counter once.
+func TestDeadRowObservability(t *testing.T) {
+	ts, _, _ := obsServer(t, t.TempDir())
+	rows := make([][2]int, 40)
+	for i := range rows {
+		rows[i] = [2]int{100 + i, i}
+	}
+	body := func(tuples [][2]int) string {
+		b, err := json.Marshal(map[string]any{"rel": "ab", "tuples": tuples})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var mr MutateResponse
+	post(t, ts.URL+"/v1/insert", body(rows), &mr) // 42 tuples with the seed's two
+	check := func(when string, card, dead int, compactions float64) {
+		t.Helper()
+		var st StatsResponse
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if ab := st.Relations[0]; ab.Card != card || ab.DeadRows != dead || ab.ArenaBytes != card*8 {
+			t.Errorf("%s: /v1/stats ab = %+v, want card %d, deadRows %d, arenaBytes %d", when, ab, card, dead, card*8)
+		}
+		series := scrape(t, ts.URL)
+		if got := series[`gyo_snapshot_dead_rows`]; got != float64(dead) {
+			t.Errorf("%s: gyo_snapshot_dead_rows = %v, want %d", when, got, dead)
+		}
+		if got := series[`gyo_relation_compactions_total`]; got != compactions {
+			t.Errorf("%s: gyo_relation_compactions_total = %v, want %v", when, got, compactions)
+		}
+	}
+	check("before any delete", 42, 0, 0)
+	post(t, ts.URL+"/v1/delete", body(rows[:8]), &mr) // 8 dead beside 34 live: under a quarter
+	if mr.Applied != 8 || mr.Card != 34 {
+		t.Fatalf("first delete: %+v", mr)
+	}
+	check("under the bound", 34, 8, 0)
+	post(t, ts.URL+"/v1/delete", body(rows[8:10]), &mr) // 10 beside 32: over
+	check("past the bound", 32, 0, 1)
 }
 
 // TestPlanCacheMetricsHonest: on either read endpoint, traced or not, a

@@ -213,7 +213,7 @@ type series struct {
 	labels string // pre-encoded {k="v",…} or ""
 	ctr    *Counter
 	gauge  *Gauge
-	gfn    func() float64
+	gfn    func() float64 // GaugeFunc / CounterFunc
 	hist   *Histogram
 }
 
@@ -293,6 +293,16 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 		return
 	}
 	r.register(name, help, typeGauge, &series{gfn: fn}, labels)
+}
+
+// CounterFunc registers a counter whose value is computed at scrape
+// time, for a total some other structure already keeps. fn must be safe
+// to call concurrently. No-op on a nil receiver.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
+	if r == nil {
+		return
+	}
+	r.register(name, help, typeCounter, &series{gfn: fn}, labels)
 }
 
 // Histogram registers and returns a histogram series with the given

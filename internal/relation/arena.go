@@ -10,6 +10,7 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gyokit/internal/schema"
 )
@@ -17,57 +18,101 @@ import (
 // ValueBytes is the on-disk size of one Value.
 const ValueBytes = 4
 
-// RawData returns the arena flattened into one fresh row-major slice:
-// row i occupies RawData()[i*width : (i+1)*width] with columns in
-// Cols() order. The slice is a copy and the caller's to keep; the
+// RawData returns the live rows flattened into one fresh row-major
+// slice: tuple i occupies RawData()[i*width : (i+1)*width] with columns
+// in Cols() order. The slice is a copy and the caller's to keep; the
 // chunked arena itself is never exposed mutable.
 func (r *Relation) RawData() []Value {
-	out := make([]Value, 0, r.n*r.width)
-	for i := range r.chunks {
-		out = append(out, r.chunks[i].data...)
-	}
+	out := make([]Value, 0, r.Card()*r.width)
+	r.ForEachChunk(func(block []Value) bool {
+		out = append(out, block...)
+		return true
+	})
 	return out
 }
 
-// ForEachChunk calls fn with each arena chunk's row-major data block,
-// in row order, until fn returns false. Concatenated in order the
-// blocks equal RawData(), so a serializer can stream the arena
-// chunk-by-chunk without ever materializing a flat copy — and a
-// chunk-granular writer can skip blocks it already holds. Blocks are
-// views into the arena; callers must not modify or retain them.
+// ForEachChunk calls fn with the live rows of each arena chunk as one
+// row-major block, in row order, until fn returns false. Concatenated in
+// order the blocks equal RawData(), so a serializer can stream a
+// relation by value chunk-by-chunk without ever materializing a flat
+// copy. A block is a view into the arena unless its chunk holds dead
+// rows (then it is a packed copy); callers must not modify or retain
+// it.
 func (r *Relation) ForEachChunk(fn func(block []Value) bool) {
-	for i := range r.chunks {
-		if !fn(r.chunks[i].data) {
+	for c := range r.chunks {
+		if !fn(r.liveBlock(c)) {
 			return
 		}
 	}
 }
 
-// ArenaBytes returns the size of the tuple arena in bytes (the
+// liveBlock returns the live rows of chunk c, row-major: the chunk's
+// own data when it holds no dead row, a packed copy otherwise.
+func (r *Relation) liveBlock(c int) []Value {
+	ch := &r.chunks[c]
+	if ch.dead == nil {
+		return ch.data
+	}
+	out := make([]Value, 0, len(ch.data))
+	for k := range ch.hashes {
+		if !ch.dead.has(k) {
+			out = append(out, ch.data[k*r.width:(k+1)*r.width]...)
+		}
+	}
+	return out
+}
+
+// ArenaBytes returns the bytes of the live tuples in the arena (the
 // dominant share of a relation's memory; index and hash overhead are
-// proportional).
-func (r *Relation) ArenaBytes() int { return r.n * r.width * ValueBytes }
+// proportional, and dead rows hold at most 1/compactDiv as much again).
+func (r *Relation) ArenaBytes() int { return r.Card() * r.width * ValueBytes }
+
+// DeadRows returns the number of deleted rows still occupying arena
+// positions — what the next compaction reclaims.
+func (r *Relation) DeadRows() int { return r.dead }
+
+// Compactions returns how many times deletes have repacked this
+// relation or the snapshots it was cloned from.
+func (r *Relation) Compactions() uint64 { return r.compactions }
 
 // FullChunks returns the number of full (immutable, id-bearing) chunks.
-// Rows [0, FullChunks()*ChunkRows) live in full chunks; any remainder
-// lives in the mutable tail.
+// Row positions [0, FullChunks()*ChunkRows) lie in full chunks; any
+// remainder lies in the mutable tail.
 func (r *Relation) FullChunks() int { return r.n >> chunkShift }
 
-// Tail returns the row-major data block of the mutable tail chunk, or
-// nil when the relation ends exactly on a chunk boundary (or is empty).
-// The block is a view into the arena; callers must not modify or retain
-// it across mutations.
+// Tail returns the live rows of the mutable tail chunk as a row-major
+// block, or nil when the relation ends exactly on a chunk boundary (or
+// is empty). Like a ForEachChunk block, it must not be modified or
+// retained across mutations.
 func (r *Relation) Tail() []Value {
 	if r.n&chunkMask == 0 {
 		return nil
 	}
-	return r.chunks[len(r.chunks)-1].data
+	return r.liveBlock(len(r.chunks) - 1)
+}
+
+// ChunkDead returns the offsets within full chunk i, ascending, of its
+// dead rows (nil when it has none) — what a checkpoint records beside
+// the chunk's id, since the chunk's payload never changes.
+func (r *Relation) ChunkDead(i int) []int32 {
+	d := r.chunks[i].dead
+	if d == nil {
+		return nil
+	}
+	out := make([]int32, 0, d.count())
+	for w, word := range d {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return out
 }
 
 // ForEachFullChunk calls fn with each full chunk's durable id and
-// row-major data block, in row order, until fn returns false. Unlike
-// ForEachChunk it skips the mutable tail, so the blocks always hold
-// exactly ChunkRows rows and the ids are nonzero and stable for the
+// row-major data block — every row position, dead ones included: the
+// immutable payload the id names — in row order, until fn returns false.
+// Unlike ForEachChunk it skips the mutable tail, so the blocks always
+// hold exactly ChunkRows rows and the ids are nonzero and stable for the
 // relation's lifetime. Blocks are views into the arena; callers must
 // not modify or retain them.
 func (r *Relation) ForEachFullChunk(fn func(id uint64, block []Value) bool) {
@@ -151,6 +196,44 @@ func FromArena(u *schema.Universe, attrs schema.AttrSet, rows int, data []Value)
 	return r, nil
 }
 
+// AppendStored appends block — whole rows, row-major — at the next row
+// positions exactly as a checkpoint stored them: the rows at the block
+// offsets listed in dead (ascending) are appended dead, every other row
+// live. Recovery rebuilds a relation with it chunk by chunk, which keeps
+// every row at its recorded position, so SetChunkID can restore the
+// chunk ids afterwards. It fails, leaving r unfit for use, if a live row
+// duplicates one already live in r or dead does not name distinct rows
+// of the block in order.
+func (r *Relation) AppendStored(block []Value, dead []int32) error {
+	if r.frozen.Load() {
+		panic("relation: append to frozen relation (clone the snapshot first)")
+	}
+	if r.width == 0 || len(block)%r.width != 0 {
+		return fmt.Errorf("relation: block of %d values over width %d", len(block), r.width)
+	}
+	r.ensureIndex()
+	start, next := r.n, 0
+	for o, k := 0, 0; o < len(block); o, k = o+r.width, k+1 {
+		row := block[o : o+r.width]
+		h := hashValues(row)
+		if next < len(dead) && int(dead[next]) == k {
+			r.appendRow(row, h)
+			next++
+		} else if !r.insertHashed(row, h) {
+			return fmt.Errorf("relation: stored row %d duplicates a live row", start+k)
+		}
+	}
+	if next != len(dead) {
+		return fmt.Errorf("relation: dead-row list of %d entries does not fit a block of %d rows", len(dead), len(block)/r.width)
+	}
+	pos := make([]int32, len(dead))
+	for i, k := range dead {
+		pos[i] = int32(start) + k
+	}
+	r.markDead(pos)
+	return nil
+}
+
 // adoptPrefix makes the empty relation out hold rows [0, upto) of r
 // (same attribute set): every full chunk of r lying wholly below upto
 // is shared — struct copy, durable id included, exactly as Clone shares
@@ -164,62 +247,4 @@ func (out *Relation) adoptPrefix(r *Relation, upto int) {
 	for i := out.n; i < upto; i++ {
 		out.appendRow(r.row(i), r.hash(i))
 	}
-}
-
-// Without returns a copy of r with the given tuples removed (tuples in
-// column order; tuples not present — or of the wrong arity — are
-// ignored) and reports how many rows were actually removed. r is
-// unchanged, so Without is the copy-on-write delete mirroring Clone +
-// Insert on the write path. Every full chunk before the first removed
-// row is shared with r, not rewritten — deleting recent rows touches
-// only the arena tail — while the rows from the first removal onward
-// are repacked into fresh chunks (the arena keeps all chunks but the
-// tail exactly full, so holes cannot be left in place).
-func (r *Relation) Without(ts []Tuple) (*Relation, int) {
-	del := New(r.U, r.attrs)
-	for _, t := range ts {
-		if len(t) == r.width {
-			del.Insert(t)
-		}
-	}
-	first := -1
-	if del.n > 0 {
-		for i := 0; i < r.n; i++ {
-			if del.contains(r.row(i), r.hash(i)) {
-				first = i
-				break
-			}
-		}
-	}
-	if first < 0 {
-		return r.Clone(), 0
-	}
-	out := New(r.U, r.attrs)
-	out.adoptPrefix(r, first&^chunkMask)
-	// Rebuild the index over the survivors. Rows of r are distinct, so
-	// placement by stored hash needs no duplicate checks.
-	size := tableSize(r.n)
-	out.base = make([]int32, size)
-	mask := uint64(size - 1)
-	place := func(i int, h uint64) {
-		j := h & mask
-		for out.base[j] != 0 {
-			j = (j + 1) & mask
-		}
-		out.base[j] = int32(i + 1)
-	}
-	for i := 0; i < out.n; i++ {
-		place(i, r.hash(i))
-	}
-	removed := 0
-	for i := out.n; i < r.n; i++ {
-		row, h := r.row(i), r.hash(i)
-		if del.contains(row, h) {
-			removed++
-			continue
-		}
-		place(out.n, h)
-		out.appendRow(row, h)
-	}
-	return out, removed
 }

@@ -51,10 +51,11 @@ type frozenState struct {
 	ref  refSet
 	raw  []Value
 	card int
+	lay  layout // chunks, hashes, ids and dead bitmaps, by address and content
 }
 
 func capture(r *Relation, ref refSet) frozenState {
-	return frozenState{rel: r, ref: ref, raw: r.RawData(), card: r.Card()}
+	return frozenState{rel: r, ref: ref, raw: r.RawData(), card: r.Card(), lay: captureLayout(r)}
 }
 
 func (f frozenState) check(t *testing.T, label string) {
@@ -65,6 +66,7 @@ func (f frozenState) check(t *testing.T, label string) {
 	if !slices.Equal(f.rel.RawData(), f.raw) {
 		t.Fatalf("%s: frozen snapshot arena changed", label)
 	}
+	f.lay.check(t, f.rel, label)
 	f.ref.equal(t, f.rel, label)
 }
 
@@ -157,18 +159,39 @@ func TestChunkedSnapshotLineage(t *testing.T) {
 	for batch := 0; batch < 64; batch++ {
 		work := cur.Clone()
 		ref = ref.clone()
-		if batch%10 == 9 {
-			// Delete a mix of old (prefix-rewriting) and recent rows.
+		if batch%3 == 2 {
+			// Delete a mix of old and recent rows — every published
+			// snapshot from here on carries dead rows its successors
+			// share — through Without and through DeleteBlock in turn,
+			// and now and then enough of them to force a compaction.
 			var dels []Tuple
-			for _, v := range []Value{Value(batch), Value(next - 3)} {
-				for k, tp := range ref {
-					if tp[0] == v {
-						dels = append(dels, tp)
-						delete(ref, k)
-					}
+			lo, hi := Value(0), Value(0)
+			if batch%30 == 29 {
+				lo, hi = Value(100*batch), Value(100*batch+4000)
+			}
+			for k, tp := range ref {
+				if v := tp[0]; v == Value(batch) || v == Value(next-3) || (lo <= v && v < hi) {
+					dels = append(dels, tp)
+					delete(ref, k)
 				}
 			}
-			work, _ = work.Without(dels)
+			if batch%2 == 0 {
+				var removed int
+				if work, removed = work.Without(dels); removed != len(dels) {
+					t.Fatalf("batch %d: Without removed %d of %d", batch, removed, len(dels))
+				}
+			} else {
+				var block []Value
+				for _, tp := range dels {
+					block = append(block, tp...)
+				}
+				if removed := work.DeleteBlock(block); removed != len(dels) {
+					t.Fatalf("batch %d: DeleteBlock removed %d of %d", batch, removed, len(dels))
+				}
+			}
+			// A deleted tuple inserted again is a fresh row.
+			work.Insert(dels[0])
+			ref[refKey(dels[0])] = dels[0]
 		}
 		for i := 0; i < 97; i++ {
 			tp := Tuple{Value(next), Value(rng.Intn(1 << 16))}
@@ -186,41 +209,6 @@ func TestChunkedSnapshotLineage(t *testing.T) {
 	}
 	if got := len(history); got != 65 {
 		t.Fatalf("history length %d", got)
-	}
-}
-
-// TestWithoutSharesCleanPrefix pins the structural-sharing contract of
-// the chunked delete: removing rows that live in the arena tail leaves
-// every full chunk before them shared with the original.
-func TestWithoutSharesCleanPrefix(t *testing.T) {
-	u := schema.NewUniverse()
-	attrs := u.Set("a", "b")
-	r := New(u, attrs)
-	n := 2*ChunkRows + 100
-	for i := 0; i < n; i++ {
-		r.Insert(Tuple{Value(i), Value(i + 1)})
-	}
-	r.Freeze()
-
-	last := Value(n - 1)
-	out, removed := r.Without([]Tuple{{last, last + 1}})
-	if removed != 1 || out.Card() != n-1 {
-		t.Fatalf("removed %d, card %d", removed, out.Card())
-	}
-	for k := 0; k < 2; k++ {
-		if &out.chunks[k].data[0] != &r.chunks[k].data[0] {
-			t.Errorf("full chunk %d was rewritten, not shared", k)
-		}
-	}
-	if r.Card() != n || !r.Has(Tuple{last, last + 1}) {
-		t.Error("Without mutated the original")
-	}
-
-	// Deleting an early row rewrites from its chunk onward but still
-	// yields the right set.
-	out2, removed := r.Without([]Tuple{{0, 1}})
-	if removed != 1 || out2.Card() != n-1 || out2.Has(Tuple{0, 1}) || !out2.Has(Tuple{last, last + 1}) {
-		t.Fatalf("early delete: removed %d, card %d", removed, out2.Card())
 	}
 }
 
@@ -466,12 +454,15 @@ func TestInsertBlockDedups(t *testing.T) {
 
 // FuzzArenaChunks round-trips random arenas through the chunked layout:
 // build → RawData → FromArena must be an identity on the tuple set, and
-// mutating a clone must never disturb the frozen original. Runs in the
-// CI fuzz-smoke lane.
+// mutating a clone — inserts, deletes, deletes of what was just
+// inserted, re-inserts of what was just deleted, as the bytes of raw
+// dictate — must track a map oracle and never disturb the frozen
+// original. Runs in the CI fuzz-smoke lane.
 func FuzzArenaChunks(f *testing.F) {
 	f.Add(uint8(2), uint16(5), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Add(uint8(1), uint16(3000), []byte{0xff, 0x01})
 	f.Add(uint8(3), uint16(0), []byte{})
+	f.Add(uint8(2), uint16(5000), []byte{1, 5, 9, 13, 2, 2, 6, 3, 1, 1, 1, 7, 250, 251})
 	f.Fuzz(func(t *testing.T, w uint8, rows uint16, raw []byte) {
 		width := int(w)%4 + 1
 		n := int(rows) % 6000
@@ -501,19 +492,59 @@ func FuzzArenaChunks(f *testing.F) {
 			}
 
 			r.Freeze()
-			before := r.RawData()
+			before := captureLayout(r)
 			clone := r.Clone()
-			tp := make(Tuple, width)
-			for i := 0; i < 64; i++ {
-				for j := range tp {
-					tp[j] = Value(i*width + j + 1<<20)
+			ref := refSet{}
+			for _, tp := range r.Tuples() {
+				ref[refKey(tp)] = tp
+			}
+			var last Tuple // the tuple the previous opcode inserted or deleted
+			for i, op := range raw[:min(len(raw), 512)] {
+				switch {
+				case op%4 == 0: // insert a tuple no arena holds
+					last = make(Tuple, width)
+					for j := range last {
+						last[j] = Value(i*width + j + 1<<20)
+					}
+				case op%4 == 1 && clone.Card() > 0: // delete the tuple at a live index
+					last = slices.Clone(clone.TupleAt(int(op) * 131 % clone.Card()))
+				case op%4 == 2 && clone.Card() > 0: // delete a run of live tuples in one block
+					lo := int(op) * 61 % clone.Card()
+					var block []Value
+					for k := lo; k < min(lo+int(op), clone.Card()); k++ {
+						tp := clone.TupleAt(k)
+						block = append(block, tp...)
+						delete(ref, refKey(tp))
+					}
+					if got := clone.DeleteBlock(block); got != len(block)/width {
+						t.Fatalf("op %d: DeleteBlock removed %d of %d", i, got, len(block)/width)
+					}
+					continue
 				}
-				clone.Insert(tp)
+				if last == nil {
+					continue
+				}
+				// Opcodes 0, 1 and 3 toggle last: 3 undoes whatever came before it.
+				if _, present := ref[refKey(last)]; present {
+					if got := clone.DeleteBlock(last); got != 1 {
+						t.Fatalf("op %d: DeleteBlock(%v) removed %d", i, last, got)
+					}
+					delete(ref, refKey(last))
+				} else {
+					clone.Insert(last)
+					ref[refKey(last)] = last
+				}
 			}
-			if clone.Card() != r.Card()+64 {
-				t.Fatalf("clone card %d, want %d", clone.Card(), r.Card()+64)
+			ref.equal(t, clone, "mutated clone")
+			if clone.dead > clone.Card()/compactDiv {
+				t.Fatalf("%d dead rows beside %d live ones", clone.dead, clone.Card())
 			}
-			if !slices.Equal(r.RawData(), before) || r.Card() != n-dupCount(data, width, n) {
+			again, err := FromArena(u, attrs, clone.Card(), clone.RawData())
+			if err != nil || !again.Equal(clone) || !clone.Equal(again) {
+				t.Fatalf("RawData round trip of the mutated clone: %v", err)
+			}
+			before.check(t, r, "mutating the clone")
+			if r.Card() != n-dupCount(data, width, n) {
 				t.Fatal("mutating the clone changed the frozen original")
 			}
 		}

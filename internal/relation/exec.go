@@ -82,7 +82,7 @@ func (e *Exec) Project(r *Relation, x schema.AttrSet) *Relation {
 			r.U.FormatSet(x), r.U.FormatSet(r.attrs)))
 	}
 	out := New(r.U, x)
-	out.reserved = r.n // upper bound
+	out.reserved = r.Card() // upper bound
 	pos := intScratch(e.posA, out.width)
 	e.posA = pos
 	for i, c := range out.cols {
@@ -90,10 +90,10 @@ func (e *Exec) Project(r *Relation, x schema.AttrSet) *Relation {
 	}
 	buf := valScratch(e.obuf, out.width)
 	e.obuf = buf
-	nSlots := tableSize(r.n)
+	nSlots := tableSize(r.Card())
 	mask := uint64(nSlots - 1)
 	slots := e.slotScratch(nSlots)
-	for i := 0; i < r.n; i++ {
+	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
 		row := r.row(i)
 		for k, p := range pos {
 			buf[k] = row[p]
@@ -136,7 +136,7 @@ func keyEqual(r *Relation, i int, pos []int, key []Value) bool {
 // so output rows are appended without a duplicate check.
 func (e *Exec) Join(r, s *Relation) *Relation {
 	build, probe := r, s
-	if s.n < r.n {
+	if s.Card() < r.Card() {
 		build, probe = s, r
 	}
 	shared := r.attrs.Intersect(s.attrs)
@@ -150,8 +150,9 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 	}
 
 	// Build: distinct keys claim slots; rows sharing a key are chained
-	// through next (newest first).
-	nSlots := tableSize(build.n)
+	// through next (newest first). next and keyh are indexed by row
+	// position, the table holds live rows only.
+	nSlots := tableSize(build.Card())
 	mask := uint64(nSlots - 1)
 	slots := e.slotScratch(nSlots)
 	next := int32Scratch(e.next, build.n)
@@ -160,7 +161,7 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 	e.keyh = keyh
 	kbuf := valScratch(e.kbuf, len(sharedCols))
 	e.kbuf = kbuf
-	for i := 0; i < build.n; i++ {
+	for i := build.nextLive(0); i < build.n; i = build.nextLive(i + 1) {
 		row := build.row(i)
 		for k, p := range bPos {
 			kbuf[k] = row[p]
@@ -187,7 +188,7 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 	out := New(r.U, r.attrs.Union(s.attrs))
 	// A guess, not a bound: the joins a reduced Yannakakis plan runs are
 	// key–foreign-key shaped and emit about one row per probe row.
-	out.reserved = probe.n
+	out.reserved = probe.Card()
 	// Output column sources: from probe where present, else from build.
 	// srcs[k] ≥ 0 is a probe column; srcs[k] < 0 is build column ^srcs[k].
 	srcs := int32Scratch(e.srcs, out.width)
@@ -201,7 +202,7 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 	}
 	obuf := valScratch(e.obuf, out.width)
 	e.obuf = obuf
-	for pi := 0; pi < probe.n; pi++ {
+	for pi := probe.nextLive(0); pi < probe.n; pi = probe.nextLive(pi + 1) {
 		prow := probe.row(pi)
 		for k, p := range pPos {
 			kbuf[k] = prow[p]
@@ -241,9 +242,10 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 // s-row for collision verification). While every row of r so far has
 // survived, nothing is copied: at the first dropped row (or the end) the
 // output adopts that clean prefix, sharing its full chunks with r —
-// ids included, the way Without shares the prefix before a delete — and
+// ids included, the way compact shares the chunks before a delete — and
 // only the rows from the first drop's chunk onward are repacked, with
-// their stored hashes. A semijoin that filters nothing, the steady
+// their stored hashes. A dead row of r is a dropped row, so the output
+// is dense whatever r carries. A semijoin that filters nothing, the steady
 // state of a full reducer over consistent data, costs a chunk-table
 // copy plus the tail.
 func (e *Exec) Semijoin(r, s *Relation) *Relation {
@@ -256,14 +258,14 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		sPos[i] = s.colPos(c)
 		rPos[i] = r.colPos(c)
 	}
-	nSlots := tableSize(s.n)
+	nSlots := tableSize(s.Card())
 	mask := uint64(nSlots - 1)
 	slots := e.slotScratch(nSlots)
 	keyh := uint64Scratch(e.keyh, s.n)
 	e.keyh = keyh
 	kbuf := valScratch(e.kbuf, len(sharedCols))
 	e.kbuf = kbuf
-	for i := 0; i < s.n; i++ {
+	for i := s.nextLive(0); i < s.n; i = s.nextLive(i + 1) {
 		row := s.row(i)
 		for k, p := range sPos {
 			kbuf[k] = row[p]
@@ -284,27 +286,29 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		}
 	}
 	out := New(r.U, r.attrs)
-	out.reserved = r.n // upper bound
+	out.reserved = r.Card() // upper bound
 	// clean: no row dropped yet, so out is still empty.
 	clean := true
 	for i := 0; i < r.n; i++ {
 		row := r.row(i)
-		for k, p := range rPos {
-			kbuf[k] = row[p]
-		}
-		h := hashValues(kbuf)
-		j := h & mask
 		hit := false
-		for {
-			head := slots[j]
-			if head == 0 {
-				break
+		if r.dead == 0 || !r.isDead(i) {
+			for k, p := range rPos {
+				kbuf[k] = row[p]
 			}
-			if hi := int(head - 1); keyh[hi] == h && keyEqual(s, hi, sPos, kbuf) {
-				hit = true
-				break
+			h := hashValues(kbuf)
+			j := h & mask
+			for {
+				head := slots[j]
+				if head == 0 {
+					break
+				}
+				if hi := int(head - 1); keyh[hi] == h && keyEqual(s, hi, sPos, kbuf) {
+					hit = true
+					break
+				}
+				j = (j + 1) & mask
 			}
-			j = (j + 1) & mask
 		}
 		switch {
 		case hit && !clean:
@@ -334,7 +338,7 @@ func (e *Exec) JoinAll(rels []*Relation) *Relation {
 	rest := append([]*Relation(nil), rels...)
 	start := 0
 	for i, r := range rest {
-		if r.n < rest[start].n {
+		if r.Card() < rest[start].Card() {
 			start = i
 		}
 	}
@@ -344,14 +348,14 @@ func (e *Exec) JoinAll(rels []*Relation) *Relation {
 	for len(rest) > 0 {
 		pick := -1
 		for i, r := range rest {
-			if attrs.Intersects(r.attrs) && (pick < 0 || r.n < rest[pick].n) {
+			if attrs.Intersects(r.attrs) && (pick < 0 || r.Card() < rest[pick].Card()) {
 				pick = i
 			}
 		}
 		if pick < 0 { // disconnected: cross product with the smallest
 			pick = 0
 			for i, r := range rest {
-				if r.n < rest[pick].n {
+				if r.Card() < rest[pick].Card() {
 					pick = i
 				}
 			}

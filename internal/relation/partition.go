@@ -33,7 +33,7 @@ func (pt *Partitioning) P() int { return len(pt.Shards) }
 func (pt *Partitioning) Card() int {
 	n := 0
 	for _, sh := range pt.Shards {
-		n += sh.n
+		n += sh.Card()
 	}
 	return n
 }
@@ -78,7 +78,7 @@ func Partition(r *Relation, key schema.AttrSet, p int) *Partitioning {
 	pt := &Partitioning{Key: key.Clone(), Shards: make([]*Relation, p)}
 	for i := range pt.Shards {
 		pt.Shards[i] = New(r.U, r.attrs)
-		pt.Shards[i].reserved = (r.n + p - 1) / p // an even split; a fuller shard just grows
+		pt.Shards[i].reserved = (r.Card() + p - 1) / p // an even split; a fuller shard just grows
 	}
 	keyCols := key.Attrs()
 	pos := make([]int, len(keyCols))
@@ -86,7 +86,7 @@ func Partition(r *Relation, key schema.AttrSet, p int) *Partitioning {
 		pos[i] = r.colPos(c)
 	}
 	kbuf := make([]Value, len(pos))
-	for i := 0; i < r.n; i++ {
+	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
 		row := r.row(i)
 		for k, p2 := range pos {
 			kbuf[k] = row[p2]
@@ -105,7 +105,7 @@ func (pt *Partitioning) Merge() *Relation {
 	out := New(first.U, first.attrs)
 	out.reserved = pt.Card()
 	for _, sh := range pt.Shards {
-		for i := 0; i < sh.n; i++ {
+		for i := sh.nextLive(0); i < sh.n; i = sh.nextLive(i + 1) {
 			out.appendRow(sh.row(i), sh.hash(i))
 		}
 	}
@@ -191,8 +191,8 @@ func (pe *ParExec) forEach(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// span is a contiguous row range of one relation — the unit of
-// phase-one partitioning work.
+// span is a contiguous range of row positions of one relation — the
+// unit of phase-one partitioning work.
 type span struct {
 	r      *Relation
 	lo, hi int
@@ -224,7 +224,7 @@ func (pe *ParExec) partitionSpans(u *schema.Universe, attrs, key schema.AttrSet,
 			pos[i] = sp.r.colPos(c)
 		}
 		kbuf := make([]Value, len(pos))
-		for i := sp.lo; i < sp.hi; i++ {
+		for i := sp.r.nextLive(sp.lo); i < sp.hi; i = sp.r.nextLive(i + 1) {
 			row := sp.r.row(i)
 			for k, p2 := range pos {
 				kbuf[k] = row[p2]

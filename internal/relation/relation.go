@@ -12,6 +12,22 @@
 // copy-on-write write path O(batch) instead of O(card) per mutation
 // batch.
 //
+// Row positions never move. A delete does not repack: each chunk may
+// carry a dead-row bitmap (nil for a chunk that never lost a row — every
+// operator output and every never-deleted relation), and DeleteBlock /
+// Without look each victim up in the relation's own index, copy the
+// bitmaps of the chunks they touch, set bits and share everything else —
+// chunks, durable chunk ids, the base index table and the overlay — so a
+// delete, like an insert, costs O(batch). Card is the live count, index
+// probes treat a matching dead row as absent and keep probing (a
+// re-inserted tuple is appended as a fresh row), every row loop skips
+// dead rows of a stored input, and operator outputs are always dense.
+// The one O(card) routine left is compact — repack the chunks past the
+// leading ones that hold few or no dead rows, and rebuild the index —
+// which a delete runs itself once dead rows exceed 1/compactDiv of the
+// live rows: amortised O(1) per deleted row, and never more than that
+// fraction of wasted space.
+//
 // Set semantics hold by construction wherever they can. The join or
 // semijoin of duplicate-free inputs, any partition or merge of a
 // duplicate-free relation, and a column permutation of one are
@@ -22,9 +38,9 @@
 // a set index. The index — an open-addressing hash table over the
 // stored 64-bit row hashes with full collision verification — is
 // maintained eagerly only by the insert paths (Insert, InsertBlock,
-// FromArena, Without), whose rows arrive from outside; for an operator
-// output it is built on demand, once and race-safely, by the first
-// membership use: Has, Equal (of its argument), Insert/InsertBlock,
+// FromArena), whose rows arrive from outside; for an operator output it
+// is built on demand, once and race-safely, by the first membership use:
+// Has, Equal (of its argument), Insert/InsertBlock, DeleteBlock/Without,
 // Clone, or the identity Renamed view. A program run therefore never
 // allocates, grows or probes a per-relation table, and a database
 // published from operator outputs (URDatabase) pays for each relation's
@@ -41,7 +57,9 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -88,7 +106,35 @@ type chunk struct {
 	// relation has no stable identity across Drop, which renumbers the
 	// survivors. The mutable tail chunk never carries an id.
 	id uint64
+	// dead marks the chunk's deleted rows; nil (the common case) means
+	// every row is live. A bitmap is immutable once the call that built it
+	// returns — a later delete copies it before setting more bits — so
+	// snapshots share it like the chunk itself.
+	dead *deadBits
 }
+
+// deadBits is one chunk's dead-row bitmap: bit i set = row i deleted.
+type deadBits [ChunkRows / 64]uint64
+
+func (d *deadBits) has(i int) bool { return d[i>>6]&(1<<(i&63)) != 0 }
+
+// count returns the number of dead rows; a nil bitmap has none.
+func (d *deadBits) count() int {
+	n := 0
+	if d != nil {
+		for _, w := range d {
+			n += bits.OnesCount64(w)
+		}
+	}
+	return n
+}
+
+// compactDiv sets the compaction trigger: a delete that leaves more
+// dead rows than 1/compactDiv of the live rows repacks the relation
+// (see compact). It bounds the space dead rows hold and the extra rows a
+// scan steps over to that fraction, and makes compaction — O(card) —
+// amortised O(1) per deleted row.
+const compactDiv = 4
 
 // chunkIDs is the process-wide chunk-id counter. SetChunkID raises it
 // past every id restored from a checkpoint manifest, so freshly filled
@@ -113,7 +159,12 @@ type Relation struct {
 	width int
 
 	chunks []chunk // row i lives in chunks[i>>chunkShift] at offset (i&chunkMask)*width
-	n      int
+	n      int     // row positions in use, live or dead
+	dead   int     // dead rows among them; Card is n - dead
+	// compactions counts the compact runs in this relation's lineage
+	// (Clone carries it over): an observability counter, nothing reads it
+	// to decide anything.
+	compactions uint64
 	// reserved is the row count a builder expects to append in total
 	// (0 = unknown): see newChunk. It is a sizing hint only; a low or a
 	// high estimate costs allocation, never correctness.
@@ -132,11 +183,18 @@ type Relation struct {
 	// (see ensureIndex); every read or write of the index fields goes
 	// through it first, which is what makes that first use safe on a
 	// relation many goroutines already share.
+	//
+	// Tables name row positions and outlive deletes: a slot may name a row
+	// this relation (but not the ancestor that built the table) holds
+	// dead, so probes check liveness on a match.
 	base      []int32
 	over      []int32
 	baseN     int
 	baseOwned bool
-	indexOnce sync.Once
+	// overShared: over belongs to a frozen relation this one was derived
+	// from and is copied before its first write.
+	overShared bool
+	indexOnce  sync.Once
 
 	frozen atomic.Bool
 }
@@ -169,7 +227,7 @@ func (r *Relation) Attrs() schema.AttrSet { return r.attrs.Clone() }
 func (r *Relation) Cols() []schema.Attr { return append([]schema.Attr(nil), r.cols...) }
 
 // Card returns the number of tuples.
-func (r *Relation) Card() int { return r.n }
+func (r *Relation) Card() int { return r.n - r.dead }
 
 // row returns the i-th row as a view into its arena chunk.
 func (r *Relation) row(i int) []Value {
@@ -182,20 +240,89 @@ func (r *Relation) hash(i int) uint64 {
 	return r.chunks[i>>chunkShift].hashes[i&chunkMask]
 }
 
+// isDead reports whether the row at position i has been deleted.
+func (r *Relation) isDead(i int) bool {
+	d := r.chunks[i>>chunkShift].dead
+	return d != nil && d.has(i&chunkMask)
+}
+
+// nextLive returns the first live row position ≥ i, or a value ≥ r.n
+// when there is none. Every row loop over a relation that may be a
+// stored one runs
+//
+//	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1)
+//
+// which on a relation without dead rows is the plain counting loop.
+func (r *Relation) nextLive(i int) int {
+	if r.dead == 0 {
+		return i
+	}
+	return r.skipDead(i)
+}
+
+func (r *Relation) skipDead(i int) int {
+	for i < r.n {
+		d := r.chunks[i>>chunkShift].dead
+		if d == nil {
+			return i
+		}
+		// Live rows of this bitmap word at or after i. Bits past the
+		// chunk's last row are clear, so a hit may lie beyond r.n — in the
+		// tail chunk only, where the caller's bound ends the loop.
+		o := i & chunkMask
+		if w := ^d[o>>6] >> (o & 63); w != 0 {
+			return i + bits.TrailingZeros64(w)
+		}
+		i = (i | 63) + 1
+	}
+	return i
+}
+
 // Tuples returns the rows as views into the arena (shared; callers
 // must not modify).
 func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, r.n)
-	for i := range out {
-		out[i] = Tuple(r.row(i))
+	out := make([]Tuple, 0, r.Card())
+	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
+		out = append(out, Tuple(r.row(i)))
 	}
 	return out
 }
 
-// TupleAt returns row i as a view into the arena (shared; callers must
-// not modify). For bounded iteration it avoids Tuples' O(Card) slice
-// of row headers.
-func (r *Relation) TupleAt(i int) Tuple { return Tuple(r.row(i)) }
+// TupleAt returns the i-th live row, in position order, as a view into
+// the arena (shared; callers must not modify). For bounded iteration it
+// avoids Tuples' O(Card) slice of row headers; on a relation carrying
+// dead rows each call counts its way there through the chunk bitmaps.
+func (r *Relation) TupleAt(i int) Tuple {
+	if r.dead == 0 {
+		return Tuple(r.row(i))
+	}
+	for c := range r.chunks {
+		ch := &r.chunks[c]
+		rows := len(ch.hashes)
+		if ch.dead == nil {
+			if i < rows {
+				return Tuple(r.row(c<<chunkShift + i))
+			}
+			i -= rows
+			continue
+		}
+		for w := 0; w<<6 < rows; w++ {
+			live := ^ch.dead[w]
+			if rest := rows - w<<6; rest < 64 {
+				live &= 1<<rest - 1
+			}
+			if n := bits.OnesCount64(live); i >= n {
+				i -= n
+				continue
+			}
+			for ; i > 0; i-- {
+				live &= live - 1
+			}
+			return Tuple(r.row(c<<chunkShift + w<<6 + bits.TrailingZeros64(live)))
+		}
+	}
+	panic(fmt.Sprintf("relation: TupleAt past the last of %d tuples", r.Card()))
+}
 
 // appendRow appends a row (copied) and its hash to the arena tail,
 // starting a fresh chunk when the tail is full. It neither checks for
@@ -250,15 +377,17 @@ func (r *Relation) growOverlay() {
 		size = 2 * len(r.over)
 	}
 	r.over = rebuildTable(r, size, r.baseN, r.n)
+	r.overShared = false
 }
 
 // rebuildTable builds a table of the given power-of-two size holding
-// rows [lo, hi) of r, placed by their stored hashes. Rows of a relation
-// are distinct by construction, so placement needs no compares.
+// the live rows among [lo, hi) of r, placed by their stored hashes. Live
+// rows of a relation are distinct by construction, so placement needs no
+// compares.
 func rebuildTable(r *Relation, size, lo, hi int) []int32 {
 	t := make([]int32, size)
 	mask := uint64(size - 1)
-	for i := lo; i < hi; i++ {
+	for i := r.nextLive(lo); i < hi; i = r.nextLive(i + 1) {
 		j := r.hash(i) & mask
 		for t[j] != 0 {
 			j = (j + 1) & mask
@@ -286,7 +415,7 @@ func (r *Relation) rebuildOwned() {
 	r.base = rebuildTable(r, tableSize(r.n), 0, r.n)
 	r.baseOwned = true
 	r.baseN = r.n
-	r.over = nil
+	r.over, r.overShared = nil, false
 }
 
 // ensureIndex builds the set index of an index-free operator output
@@ -302,20 +431,22 @@ func (r *Relation) ensureIndex() {
 	})
 }
 
-// probe reports whether a row equal to vals (with hash h) is indexed by
-// the given table.
-func (r *Relation) probe(table []int32, vals []Value, h uint64) bool {
+// probe returns the position of the live row equal to vals (with hash
+// h) that the given table indexes, or -1. A matching dead row is not an
+// answer and does not end the search: the tuple may have been inserted
+// again since, further along the probe sequence.
+func (r *Relation) probe(table []int32, vals []Value, h uint64) int {
 	if len(table) == 0 {
-		return false
+		return -1
 	}
 	mask := uint64(len(table) - 1)
 	for j := h & mask; ; j = (j + 1) & mask {
 		s := table[j]
 		if s == 0 {
-			return false
+			return -1
 		}
-		if i := int(s - 1); r.hash(i) == h && valuesEqual(r.row(i), vals) {
-			return true
+		if i := int(s - 1); r.hash(i) == h && valuesEqual(r.row(i), vals) && !r.isDead(i) {
+			return i
 		}
 	}
 }
@@ -337,7 +468,7 @@ func (r *Relation) insertHashed(vals []Value, h uint64) bool {
 				r.appendRow(vals, h)
 				return true
 			}
-			if i := int(s - 1); r.hash(i) == h && valuesEqual(r.row(i), vals) {
+			if i := int(s - 1); r.hash(i) == h && valuesEqual(r.row(i), vals) && !r.isDead(i) {
 				return false
 			}
 			j = (j + 1) & mask
@@ -346,11 +477,13 @@ func (r *Relation) insertHashed(vals []Value, h uint64) bool {
 	// Shared base: duplicate-check it read-only, then claim an overlay
 	// slot. The shared table is never written — ancestors and siblings
 	// keep probing it concurrently.
-	if r.probe(r.base, vals, h) {
+	if r.probe(r.base, vals, h) >= 0 {
 		return false
 	}
 	if 4*(r.n-r.baseN+1) > 3*len(r.over) {
 		r.growOverlay()
+	} else if r.overShared {
+		r.over, r.overShared = slices.Clone(r.over), false
 	}
 	mask := uint64(len(r.over) - 1)
 	j := h & mask
@@ -361,7 +494,7 @@ func (r *Relation) insertHashed(vals []Value, h uint64) bool {
 			r.appendRow(vals, h)
 			break
 		}
-		if i := int(s - 1); r.hash(i) == h && valuesEqual(r.row(i), vals) {
+		if i := int(s - 1); r.hash(i) == h && valuesEqual(r.row(i), vals) && !r.isDead(i) {
 			return false
 		}
 		j = (j + 1) & mask
@@ -372,14 +505,18 @@ func (r *Relation) insertHashed(vals []Value, h uint64) bool {
 	return true
 }
 
-// contains reports whether a row equal to vals (with hash h) is present.
-func (r *Relation) contains(vals []Value, h uint64) bool {
+// find returns the position of the live row equal to vals (with hash
+// h), or -1.
+func (r *Relation) find(vals []Value, h uint64) int {
 	r.ensureIndex()
-	if r.probe(r.base, vals, h) {
-		return true
+	if i := r.probe(r.base, vals, h); i >= 0 {
+		return i
 	}
-	return len(r.over) > 0 && r.probe(r.over, vals, h)
+	return r.probe(r.over, vals, h)
 }
+
+// contains reports whether a row equal to vals (with hash h) is present.
+func (r *Relation) contains(vals []Value, h uint64) bool { return r.find(vals, h) >= 0 }
 
 // Insert adds a tuple given in column order. Duplicates are ignored.
 // It panics if the arity is wrong or the relation is frozen
@@ -442,23 +579,132 @@ func (r *Relation) Has(t Tuple) bool {
 	return r.contains(t, hashValues(t))
 }
 
+// DeleteBlock removes a row-major block of tuples given in column order
+// (len(data) must be a multiple of the width, which must be positive)
+// and reports how many rows were actually removed — tuples not present,
+// or repeated inside the block, are ignored. It is the bulk, in-place
+// mirror of InsertBlock: the batch-apply path runs it on a Clone of the
+// published relation, WAL replay on its private database. Each victim
+// costs one probe of r's own index; nothing else is read.
+func (r *Relation) DeleteBlock(data []Value) int {
+	if r.frozen.Load() {
+		panic("relation: delete from frozen relation (clone the snapshot first)")
+	}
+	if r.width == 0 || len(data)%r.width != 0 {
+		panic(fmt.Sprintf("relation: block of %d values over width %d", len(data), r.width))
+	}
+	pos := make([]int32, 0, len(data)/r.width)
+	for o := 0; o < len(data); o += r.width {
+		row := data[o : o+r.width]
+		if i := r.find(row, hashValues(row)); i >= 0 {
+			pos = append(pos, int32(i))
+		}
+	}
+	return r.kill(pos)
+}
+
+// Without returns a copy of r with the given tuples removed (tuples in
+// column order; tuples not present — or of the wrong arity — are
+// ignored) and reports how many rows were actually removed. r is
+// unchanged, so Without is the copy-on-write delete mirroring Clone +
+// Insert on the write path, and costs what they cost: the copy shares
+// every chunk, the base index table and the overlay with r, and owns
+// only its chunk table and the bitmaps of the chunks it deleted from.
+func (r *Relation) Without(ts []Tuple) (*Relation, int) {
+	out := r.Clone()
+	pos := make([]int32, 0, len(ts))
+	for _, t := range ts {
+		if len(t) != r.width {
+			continue
+		}
+		if i := out.find(t, hashValues(t)); i >= 0 {
+			pos = append(pos, int32(i))
+		}
+	}
+	return out, out.kill(pos)
+}
+
+// kill marks the live rows at the given positions dead (positions may
+// repeat) and returns how many there were. Past the compaction bound it
+// repacks r.
+func (r *Relation) kill(pos []int32) int {
+	slices.Sort(pos)
+	pos = slices.Compact(pos)
+	r.markDead(pos)
+	if r.dead > r.Card()/compactDiv {
+		r.compact()
+	}
+	return len(pos)
+}
+
+// markDead sets the dead bit of each position (ascending, distinct, all
+// live). The bitmap of each chunk it touches is copied first, once, so a
+// bitmap shared with other snapshots is never written.
+func (r *Relation) markDead(pos []int32) {
+	last := -1
+	var d *deadBits
+	for _, p := range pos {
+		if c := int(p) >> chunkShift; c != last {
+			last, d = c, new(deadBits)
+			if old := r.chunks[c].dead; old != nil {
+				*d = *old
+			}
+			r.chunks[c].dead = d
+		}
+		o := int(p) & chunkMask
+		d[o>>6] |= 1 << (o & 63)
+	}
+	r.dead += len(pos)
+}
+
+// compact repacks r, in place: the leading full chunks stay as they
+// are — shared, ids included, so a checkpoint does not rewrite them —
+// for as long as the dead rows they hold between them stay under a
+// quarter of the compaction bound (none, for the chunks no delete ever
+// reached); the live rows of every later chunk are copied into fresh
+// chunks, and the index is rebuilt as one owned table. The next
+// compaction is therefore at least three quarters of a bound of deletes
+// away. It is the only routine of the write path whose cost grows with
+// the relation.
+func (r *Relation) compact() {
+	keep, kept := 0, 0
+	for budget := r.Card() / (4 * compactDiv); keep < len(r.chunks) && r.chunks[keep].id != 0; keep++ {
+		d := r.chunks[keep].dead.count()
+		if d > budget {
+			break
+		}
+		budget, kept = budget-d, kept+d
+	}
+	out := New(r.U, r.attrs)
+	out.reserved = r.Card() + kept
+	out.adoptPrefix(r, keep<<chunkShift)
+	for i := r.nextLive(out.n); i < r.n; i = r.nextLive(i + 1) {
+		out.appendRow(r.row(i), r.hash(i))
+	}
+	r.chunks, r.n, r.dead, r.reserved = out.chunks, out.n, kept, 0
+	r.rebuildOwned()
+	r.compactions++
+}
+
 // Clone returns an independent copy sharing structure with r wherever
 // that is safe. The copy is never frozen, so cloning is the
 // copy-on-write escape hatch for modifying a snapshot relation.
 //
-// Full chunks are immutable from birth and always shared. The tail
-// chunk and the index are shared when they can never change under the
-// copy's feet — the tail when r is frozen, the base table when r is
-// frozen or the table was itself inherited frozen — and deep-copied
-// otherwise. Cloning a frozen snapshot relation therefore costs
-// O(chunk-table + overlay), independent of cardinality: the engine's
-// per-batch copy-on-write write path. Cloning an index-free operator
-// output builds its index first (once), so the copy can share it.
+// Full chunks and dead-row bitmaps are immutable from birth and always
+// shared. The tail chunk and the index are shared when they can never
+// change under the copy's feet — the tail and the overlay when r is
+// frozen (each is copied by the first insert that would write to it),
+// the base table when r is frozen or the table was itself inherited
+// frozen — and deep-copied otherwise. Cloning a frozen snapshot
+// relation therefore costs O(chunk-table), independent of cardinality:
+// the engine's per-batch copy-on-write write path. Cloning an index-free
+// operator output builds its index first (once), so the copy can share
+// it.
 func (r *Relation) Clone() *Relation {
 	r.ensureIndex()
 	out := New(r.U, r.attrs)
 	out.chunks = append([]chunk(nil), r.chunks...)
-	out.n = r.n
+	out.n, out.dead, out.compactions = r.n, r.dead, r.compactions
 	frozen := r.frozen.Load()
 	if len(out.chunks) > 0 {
 		if t := &out.chunks[len(out.chunks)-1]; len(t.hashes) < ChunkRows {
@@ -482,7 +728,11 @@ func (r *Relation) Clone() *Relation {
 		if r.baseOwned {
 			out.baseN = r.n
 		}
-		out.over = append([]int32(nil), r.over...)
+		if frozen {
+			out.over, out.overShared = r.over, len(r.over) > 0
+		} else {
+			out.over = slices.Clone(r.over)
+		}
 	} else {
 		out.base = append([]int32(nil), r.base...)
 		out.baseN = r.n
@@ -500,10 +750,10 @@ func (r *Relation) Frozen() bool { return r.frozen.Load() }
 // Equal reports whether r and s have the same attribute set and the
 // same tuple set.
 func (r *Relation) Equal(s *Relation) bool {
-	if !r.attrs.Equal(s.attrs) || r.n != s.n {
+	if !r.attrs.Equal(s.attrs) || r.Card() != s.Card() {
 		return false
 	}
-	for i := 0; i < r.n; i++ {
+	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
 		if !s.contains(r.row(i), r.hash(i)) {
 			return false
 		}
@@ -551,15 +801,15 @@ func (r *Relation) String() string {
 	for i, c := range r.cols {
 		names[i] = r.U.Name(c)
 	}
-	fmt.Fprintf(&b, "%s[%d]{", strings.Join(names, ","), r.n)
-	rows := make([]string, r.n)
-	for i := 0; i < r.n; i++ {
+	fmt.Fprintf(&b, "%s[%d]{", strings.Join(names, ","), r.Card())
+	rows := make([]string, 0, r.Card())
+	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
 		t := r.row(i)
 		parts := make([]string, len(t))
 		for j, v := range t {
 			parts[j] = fmt.Sprint(v)
 		}
-		rows[i] = "(" + strings.Join(parts, ",") + ")"
+		rows = append(rows, "("+strings.Join(parts, ",")+")")
 	}
 	sort.Strings(rows)
 	b.WriteString(strings.Join(rows, " "))

@@ -14,10 +14,12 @@ import (
 // on tuples, so the result always has r's cardinality.
 //
 // When src is the identity permutation and r is frozen, the result is a
-// zero-copy frozen view sharing r's chunks and hash index — O(#chunks),
-// the common case when variable interning order matches the stored
-// column order (an index-free r builds its index here, once, so every
-// later view shares it). Otherwise the rows are permuted and re-hashed
+// zero-copy frozen view sharing r's chunk table (dead-row bitmaps
+// included) and hash index, overlay too — O(1), the common case when
+// variable interning order matches the stored column order (an
+// index-free r builds its index here, once, so every later view shares
+// it; a Clone of the view copies what it will write, as a Clone of r
+// does). Otherwise the rows are permuted and re-hashed
 // into a fresh index-free relation (row hashes depend on column order,
 // so a permuted relation cannot share r's index; a permutation of
 // distinct rows is distinct, so it needs none to build).
@@ -43,10 +45,11 @@ func (r *Relation) Renamed(u *schema.Universe, attrs schema.AttrSet, src []int) 
 			attrs:  attrs.Clone(),
 			cols:   cols,
 			width:  r.width,
-			chunks: append([]chunk(nil), r.chunks...),
+			chunks: r.chunks,
 			n:      r.n,
+			dead:   r.dead,
 			base:   r.base,
-			over:   append([]int32(nil), r.over...),
+			over:   r.over,
 			baseN:  r.baseN,
 		}
 		if r.baseOwned {
@@ -58,9 +61,9 @@ func (r *Relation) Renamed(u *schema.Universe, attrs schema.AttrSet, src []int) 
 		return out
 	}
 	out := New(u, attrs)
-	out.reserved = r.n
+	out.reserved = r.Card()
 	buf := make([]Value, r.width)
-	for i := 0; i < r.n; i++ {
+	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
 		row := r.row(i)
 		for k, s := range src {
 			buf[k] = row[s]

@@ -54,6 +54,30 @@ func (l *leaderNode) insert(t *testing.T, rel int, tuples ...relation.Tuple) {
 	}
 }
 
+func (l *leaderNode) delete(t *testing.T, rel int, tuples ...relation.Tuple) {
+	t.Helper()
+	if _, counts, err := l.e.Apply(storage.Delete(rel, 2, tuples)); err != nil || counts[0] != len(tuples) {
+		t.Fatalf("delete removed %v of %d tuples: %v", counts, len(tuples), err)
+	}
+}
+
+// seedBig gives relation 0 more than a chunk of rows, then deletes some
+// from the full chunk and from the tail, so an initial sync taken now
+// ships a manifest with a dead-row list. It returns the rows left.
+func (l *leaderNode) seedBig(t *testing.T) []relation.Tuple {
+	t.Helper()
+	rows := make([]relation.Tuple, relation.ChunkRows+64)
+	for i := range rows {
+		rows[i] = relation.Tuple{relation.Value(1000 + i), relation.Value(i)}
+	}
+	l.insert(t, 0, rows...)
+	l.delete(t, 0, append(append([]relation.Tuple(nil), rows[10:30]...), rows[relation.ChunkRows+5:relation.ChunkRows+9]...)...)
+	if got := l.e.Snapshot().Rels[0].DeadRows(); got != 24 {
+		t.Fatalf("leader carries %d dead rows, want 24", got)
+	}
+	return append(append(rows[:10:10], rows[30:relation.ChunkRows+5]...), rows[relation.ChunkRows+9:]...)
+}
+
 // followerNode is a bootstrapped replica over its own store.
 type followerNode struct {
 	dir    string
@@ -157,6 +181,10 @@ func TestReplicationEndToEnd(t *testing.T) {
 	// in the second relation, arrive without re-bootstrapping.
 	for i := 0; i < 20; i++ {
 		l.insert(t, 0, relation.Tuple{relation.Value(10 + i), relation.Value(20 + i)})
+		if i%5 == 4 { // deletes stream too: an old row, a recent one
+			l.delete(t, 0, relation.Tuple{relation.Value(10 + i - 4), relation.Value(20 + i - 4)},
+				relation.Tuple{relation.Value(10 + i), relation.Value(20 + i)})
+		}
 	}
 	l.insert(t, 1, relation.Tuple{5, 6})
 	waitFor(t, "streaming catch-up", func() bool { return caughtUp(f, l) })
@@ -206,15 +234,26 @@ func TestReplicationSurvivesLeaderRotationAndCheckpoint(t *testing.T) {
 func TestFollowerResumesAfterRestart(t *testing.T) {
 	l := newLeader(t, storage.Options{})
 	l.seed(t)
+	left := l.seedBig(t) // the snapshot the replica boots from carries dead rows
 	f := newFollower(t, l.ts.URL, Config{})
 	waitFor(t, "first catch-up", func() bool { return caughtUp(f, l) })
+	if !dbEqual(l.e.Snapshot(), f.e.Snapshot()) {
+		t.Fatal("replica state differs from the leader after the initial sync")
+	}
+	if got := f.e.Snapshot().Rels[0].DeadRows(); got != 20 { // the full chunk's; a tail ships live rows only
+		t.Errorf("replica installed %d dead rows, want 20", got)
+	}
 
-	// Stop the replica, write more on the leader, restart the replica.
+	// Stop the replica, write more on the leader — inserts, deletes of
+	// rows the replica holds in its chunk and tail, a deleted tuple put
+	// back — and restart the replica.
 	f.tailer.Stop()
 	f.st.Close()
 	for i := 0; i < 10; i++ {
 		l.insert(t, 1, relation.Tuple{relation.Value(i), relation.Value(i + 1)})
+		l.delete(t, 0, left[i], left[len(left)-1-i])
 	}
+	l.insert(t, 0, left[3])
 	f.open(t, l.ts.URL, Config{})
 	waitFor(t, "catch-up after restart", func() bool { return caughtUp(f, l) })
 	// Creates are not idempotent: if the restart replayed any batch

@@ -4,9 +4,10 @@ package storage
 // mutation records. The encoding serializes only what cannot be
 // recomputed: the universe's attribute names (in interning order, so
 // attribute ids — and therefore arena column order — survive a round
-// trip), each relation's attribute-id list, and the raw row-major
-// arena, streamed chunk by chunk on both sides (the byte format is a
-// flat arena; the persistent chunks just concatenate into it). Row
+// trip), each relation's attribute-id list, and its live rows as a raw
+// row-major arena, streamed chunk by chunk on both sides (the byte
+// format is a flat arena; the persistent chunks, less their deleted
+// rows, just concatenate into it). Row
 // hashes and the set-semantics indexes are rebuilt on load. All
 // integers are unsigned varints except tuple values, which are fixed
 // 4-byte little-endian for bulk speed.
@@ -143,11 +144,10 @@ func appendRelation(dst []byte, r *relation.Relation) []byte {
 		dst = appendUvarint(dst, uint64(a))
 	}
 	dst = appendUvarint(dst, uint64(r.Card()))
-	// Serialize the arena chunk by chunk: the byte stream is identical
-	// to a flat row-major arena (chunks concatenate in row order), so
-	// the on-disk format is unchanged, but the encoder streams straight
-	// out of the persistent chunks without materializing a flat copy —
-	// the hook a chunk-granular incremental checkpoint writer needs.
+	// Serialize the live rows chunk by chunk: the byte stream is
+	// identical to a flat row-major arena (chunks concatenate in row
+	// order), but the encoder streams straight out of the persistent
+	// chunks without materializing a flat copy.
 	r.ForEachChunk(func(block []relation.Value) bool {
 		dst = appendValues(dst, block)
 		return true

@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gyokit/internal/relation"
@@ -146,7 +148,34 @@ func FuzzCodec(f *testing.F) {
 	f.Add(appendDatabase(nil, empty))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
+	// The same bytes are also read as a manifest body against a real
+	// chunk store: seed a GYOMAN02 body whose chunk carries a dead-row
+	// list, and the GYOMAN01 body of the committed fixture.
+	manDir, man2 := manifestWithDeadRows(f)
+	f.Add(man2)
+	v1Dir := writeDir(f, dirFiles(f, filepath.Join("testdata", "man01")))
+	man1 := dirFiles(f, v1Dir)[manName(2)][20:]
+	f.Add(man1)
+	for dir, body := range map[string][]byte{manDir: man2, v1Dir: man1} {
+		st, err := decodeManifest(dir, body, dir == v1Dir)
+		if err != nil {
+			f.Fatalf("seed manifest does not decode: %v", err)
+		}
+		_ = st.f.Close()
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, dir := range []string{manDir, v1Dir} {
+			st, err := decodeManifest(dir, data, dir == v1Dir)
+			if err != nil {
+				continue
+			}
+			// Whatever decodes is a well-formed database: it encodes by
+			// value and decodes back to itself.
+			_ = st.f.Close()
+			if db2, err := decodeDatabase(appendDatabase(nil, st.db)); err != nil || !dbEqual(st.db, db2) {
+				t.Fatalf("manifest decoded to a database the codec cannot round-trip: %v", err)
+			}
+		}
 		db, err := decodeDatabase(data)
 		if err != nil {
 			return
@@ -160,6 +189,34 @@ func FuzzCodec(f *testing.F) {
 			t.Fatal("decode→encode is not a fixed point")
 		}
 	})
+}
+
+// manifestWithDeadRows checkpoints a two-chunk relation after deletes
+// from both chunks and the tail, and returns the store directory (closed)
+// with the body of its manifest.
+func manifestWithDeadRows(t testing.TB) (dir string, body []byte) {
+	dir = t.TempDir()
+	s, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := s.State()
+	step := stepper(t, s, &db)
+	step(Create("a"))
+	step(insertN1(0, 0, 2*relation.ChunkRows+9)...)
+	step(Mutation{Kind: KindDelete, Rel: 0, Width: 1, Values: []relation.Value{0, 5, 6, relation.ChunkRows + 1, 2*relation.ChunkRows + 3}})
+	if err := s.Checkpoint(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, snaps, _ := listStoreFiles(t, dir)
+	man, err := os.ReadFile(filepath.Join(dir, snaps[0]))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("manifests %v: %v", snaps, err)
+	}
+	return dir, man[20:]
 }
 
 func BenchmarkCodecDatabase(b *testing.B) {

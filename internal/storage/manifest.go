@@ -18,11 +18,29 @@ package storage
 // checkpoint — magic (8) | u32 crc32c(rest) | u64 seq | payload — but
 // with its own magic, and its payload describes the database by
 // reference instead of by value: the chunk-store generation, the
-// universe name table, and per relation the attribute-id list, the
-// cardinality, one (id, offset, length) triple per full chunk, and the
-// raw tail rows inline. A checkpoint therefore writes O(dirty chunks +
-// tails) bytes: chunks already in the store are referenced, not
-// rewritten.
+// universe name table, and per relation
+//
+//	uvarint width, width × uvarint attribute id
+//	uvarint card                      live rows
+//	uvarint rows                      row positions the entry describes
+//	rows/ChunkRows × full chunk:
+//	    uvarint id, offset, length    the chunk record in the store
+//	    uvarint dead                  deleted rows of the chunk, then
+//	    dead × uvarint                their offsets, ascending, each as
+//	                                  the count of rows between it and
+//	                                  the previous dead row (or the
+//	                                  chunk's start)
+//	rows%ChunkRows × width × u32      the live tail rows, inline
+//
+// with card = rows − Σ dead. A delete therefore never touches the chunk
+// store: the chunk payload a delete punched holes in keeps its id and
+// its bytes, and only the manifest's dead list grows. A checkpoint
+// writes O(dirty chunks + tails + dead rows) bytes: chunks already in
+// the store are referenced, not rewritten.
+//
+// GYOMAN01 manifests, written before deletes left rows in place, are
+// the same layout without the rows field and the dead lists (rows =
+// card); they load unchanged.
 //
 // Recovery reads the newest valid manifest, then reads every referenced
 // chunk record back out of the chunk store (validating id, length, and
@@ -35,27 +53,30 @@ package storage
 // moment a manifest of a newer generation is durable.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
 )
 
 var (
-	manMagic   = []byte("GYOMAN01")
+	manMagic   = []byte("GYOMAN02")
+	manMagicV1 = []byte("GYOMAN01")
 	chunkMagic = []byte("GYOCHNK1")
 )
 
 const (
 	chunkStoreHeaderLen = 8
 	chunkRecHeaderLen   = 16 // u64 id + u32 len + u32 crc
-	// maxManifestCard caps a decoded relation cardinality before any
+	// maxManifestRows caps a decoded relation's row count before any
 	// chunk reads are attempted (the per-chunk and tail reads then bound
 	// actual allocation).
-	maxManifestCard = 1 << 40
+	maxManifestRows = 1 << 40
 )
 
 func manName(seq uint64) string        { return fmt.Sprintf("manifest-%016d.mf", seq) }
@@ -165,7 +186,14 @@ func appendManifestRelation(dst []byte, r *relation.Relation, refs func(id uint6
 		dst = appendUvarint(dst, uint64(a))
 	}
 	dst = appendUvarint(dst, uint64(r.Card()))
+	tail := r.Tail()
+	rows := r.Card() // all there is to a zero-width relation
+	if len(cols) > 0 {
+		rows = r.FullChunks()*relation.ChunkRows + len(tail)/len(cols)
+	}
+	dst = appendUvarint(dst, uint64(rows))
 	var err error
+	i := 0
 	r.ForEachFullChunk(func(id uint64, block []relation.Value) bool {
 		ref, ok := refs(id)
 		if !ok {
@@ -175,12 +203,20 @@ func appendManifestRelation(dst []byte, r *relation.Relation, refs func(id uint6
 		dst = appendUvarint(dst, id)
 		dst = appendUvarint(dst, uint64(ref.off))
 		dst = appendUvarint(dst, uint64(ref.ln))
+		dead := r.ChunkDead(i)
+		dst = appendUvarint(dst, uint64(len(dead)))
+		next := int32(0)
+		for _, o := range dead {
+			dst = appendUvarint(dst, uint64(o-next))
+			next = o + 1
+		}
+		i++
 		return true
 	})
 	if err != nil {
 		return nil, err
 	}
-	return appendValues(dst, r.Tail()), nil
+	return appendValues(dst, tail), nil
 }
 
 // --- manifest decoding / recovery ---
@@ -203,11 +239,18 @@ type manifestState struct {
 // On success the chunk-store file handle is returned open (the caller
 // owns it); on any error nothing is kept open and the caller should
 // fall back to an older candidate.
-func loadManifest(dir string, seq uint64) (st manifestState, err error) {
-	payload, err := readSnapshotFile(filepath.Join(dir, manName(seq)), manMagic, seq)
+func loadManifest(dir string, seq uint64) (manifestState, error) {
+	payload, magic, err := readSnapshotFile(filepath.Join(dir, manName(seq)), seq, manMagic, manMagicV1)
 	if err != nil {
 		return manifestState{}, err
 	}
+	return decodeManifest(dir, payload, bytes.Equal(magic, manMagicV1))
+}
+
+// decodeManifest is loadManifest past the file frame: payload is a
+// manifest body (v1: in the GYOMAN01 layout) whose chunk store lives in
+// dir.
+func decodeManifest(dir string, payload []byte, v1 bool) (st manifestState, err error) {
 	r := &reader{buf: payload}
 	gen, err := r.uvarint("chunk-store generation")
 	if err != nil {
@@ -243,7 +286,7 @@ func loadManifest(dir string, seq uint64) (st manifestState, err error) {
 		return manifestState{}, err
 	}
 	for i := 0; i < nRels; i++ {
-		rel, err := decodeManifestRelation(r, u, nNames, cs, &st)
+		rel, err := decodeManifestRelation(r, v1, u, nNames, cs, &st)
 		if err != nil {
 			return manifestState{}, fmt.Errorf("relation %d: %w", i, err)
 		}
@@ -257,7 +300,7 @@ func loadManifest(dir string, seq uint64) (st manifestState, err error) {
 	switch hasUniv[0] {
 	case 0:
 	case 1:
-		univ, err := decodeManifestRelation(r, u, nNames, cs, &st)
+		univ, err := decodeManifestRelation(r, v1, u, nNames, cs, &st)
 		if err != nil {
 			return manifestState{}, fmt.Errorf("universal relation: %w", err)
 		}
@@ -275,10 +318,12 @@ func loadManifest(dir string, seq uint64) (st manifestState, err error) {
 	return st, nil
 }
 
-// decodeManifestRelation rebuilds one relation from its manifest entry,
-// reading each referenced chunk out of the chunk store and restoring
-// its persisted id, then appending the inline tail rows.
-func decodeManifestRelation(r *reader, u *schema.Universe, nNames int, cs *chunkReader, st *manifestState) (*relation.Relation, error) {
+// decodeManifestRelation rebuilds one relation from its manifest entry
+// (v1: the GYOMAN01 layout, no rows field and no dead lists), reading
+// each referenced chunk out of the chunk store at its recorded row
+// positions, dead rows included, and restoring its persisted id, then
+// appending the inline tail rows.
+func decodeManifestRelation(r *reader, v1 bool, u *schema.Universe, nNames int, cs *chunkReader, st *manifestState) (*relation.Relation, error) {
 	ids, err := decodeAttrs(r, nNames)
 	if err != nil {
 		return nil, err
@@ -288,19 +333,27 @@ func decodeManifestRelation(r *reader, u *schema.Universe, nNames int, cs *chunk
 	if err != nil {
 		return nil, err
 	}
-	if card > maxManifestCard || (width == 0 && card > 1) {
-		return nil, corruptf("cardinality %d (width %d)", card, width)
+	rows := card
+	if !v1 {
+		if rows, err = r.uvarint("row count"); err != nil {
+			return nil, err
+		}
 	}
-	full := int(card) / relation.ChunkRows
+	if rows > maxManifestRows || card > rows || (width == 0 && rows > 1) {
+		return nil, corruptf("cardinality %d of %d rows (width %d)", card, rows, width)
+	}
+	full := int(rows) / relation.ChunkRows
 	if full > r.remaining()/3 { // each ref is ≥ 3 bytes; cheap pre-allocation bound
 		return nil, corruptf("%d chunk refs exceed remaining %d bytes", full, r.remaining())
 	}
 	wantLn := int64(relation.ChunkRows * width * relation.ValueBytes)
 	type idRef struct {
-		id  uint64
-		ref chunkRef
+		id   uint64
+		ref  chunkRef
+		dead []int32
 	}
 	refs := make([]idRef, full)
+	live := rows
 	for i := range refs {
 		id, err := r.uvarint("chunk id")
 		if err != nil {
@@ -318,8 +371,35 @@ func decodeManifestRelation(r *reader, u *schema.Universe, nNames int, cs *chunk
 			return nil, corruptf("chunk ref id=%d len=%d (want len %d)", id, ln, wantLn)
 		}
 		refs[i] = idRef{id: id, ref: chunkRef{off: int64(off), ln: int64(ln)}}
+		if v1 {
+			continue
+		}
+		// A chunk has ChunkRows rows and every offset costs a byte, so
+		// both bound the list before it is allocated.
+		nDead, err := r.count("dead rows", min(relation.ChunkRows, r.remaining()))
+		if err != nil {
+			return nil, err
+		}
+		dead := make([]int32, nDead)
+		next := 0
+		for k := range dead {
+			gap, err := r.count("dead row gap", relation.ChunkRows)
+			if err != nil {
+				return nil, err
+			}
+			if next+gap >= relation.ChunkRows {
+				return nil, corruptf("dead row %d past the chunk's end", next+gap)
+			}
+			dead[k] = int32(next + gap)
+			next += gap + 1
+		}
+		refs[i].dead = dead
+		live -= uint64(nDead)
 	}
-	tailRows := int(card) - full*relation.ChunkRows
+	if live != card {
+		return nil, corruptf("%d rows less the listed dead rows leave %d live, manifest says %d", rows, live, card)
+	}
+	tailRows := int(rows) - full*relation.ChunkRows
 	tail, err := r.values(tailRows*width, "tail rows")
 	if err != nil {
 		return nil, err
@@ -331,23 +411,22 @@ func decodeManifestRelation(r *reader, u *schema.Universe, nNames int, cs *chunk
 		}
 		return rel, nil
 	}
-	rel := relation.NewSized(u, schema.NewAttrSet(ids...), int(card))
+	// Set semantics allow no two equal live rows, so a duplicate here
+	// means the manifest or a chunk is lying about its contents — and
+	// without one every row sits exactly where the manifest said, making
+	// the id restoration below well-defined.
+	rel := relation.NewSized(u, schema.NewAttrSet(ids...), int(rows))
 	for _, ir := range refs {
 		block, err := cs.read(ir.id, ir.ref)
 		if err != nil {
 			return nil, err
 		}
-		rel.InsertBlock(block)
+		if err := rel.AppendStored(block, ir.dead); err != nil {
+			return nil, corruptf("chunk %d: %v", ir.id, err)
+		}
 	}
-	if tailRows > 0 {
-		rel.InsertBlock(tail)
-	}
-	// Set semantics silently drop duplicate rows, so a short count here
-	// means the manifest or a chunk is lying about its contents — and a
-	// full count proves every chunk boundary landed exactly where the
-	// manifest said, making the id restoration below well-defined.
-	if rel.Card() != int(card) {
-		return nil, corruptf("rebuilt %d rows, manifest says %d (duplicate rows across chunks)", rel.Card(), card)
+	if err := rel.AppendStored(tail, nil); err != nil {
+		return nil, corruptf("tail: %v", err)
 	}
 	for i, ir := range refs {
 		rel.SetChunkID(i, ir.id)
@@ -391,21 +470,23 @@ func writeSnapshotFile(path string, magic []byte, seq uint64, payload []byte, sy
 	return f.Close()
 }
 
-func readSnapshotFile(path string, magic []byte, wantSeq uint64) ([]byte, error) {
+// readSnapshotFile returns the payload of the framed file at path and
+// which of the accepted 8-byte magics it opens with.
+func readSnapshotFile(path string, wantSeq uint64, magics ...[]byte) (payload, magic []byte, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(data) < len(magic)+4+8 || string(data[:len(magic)]) != string(magic) {
-		return nil, corruptf("snapshot header")
+	if len(data) < 8+4+8 || !slices.ContainsFunc(magics, func(m []byte) bool { return bytes.Equal(data[:8], m) }) {
+		return nil, nil, corruptf("snapshot header")
 	}
-	crc := readU32(data[len(magic):])
-	rest := data[len(magic)+4:]
+	crc := readU32(data[8:])
+	rest := data[8+4:]
 	if crcOf(rest) != crc {
-		return nil, corruptf("snapshot CRC mismatch")
+		return nil, nil, corruptf("snapshot CRC mismatch")
 	}
 	if seq := readU64(rest); seq != wantSeq {
-		return nil, corruptf("snapshot sequence %d ≠ filename %d", seq, wantSeq)
+		return nil, nil, corruptf("snapshot sequence %d ≠ filename %d", seq, wantSeq)
 	}
-	return rest[8:], nil
+	return rest[8:], data[:8], nil
 }

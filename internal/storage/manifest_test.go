@@ -8,6 +8,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -359,9 +360,16 @@ func TestTornManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	step(insertN(0, relation.ChunkRows+8, 16)...) // tail-only delta, one WAL batch
-	preFiles := dirFiles(t, dir)                  // crash-state parts: manifest-2, wal-2, chunks-1
-	if err := s.Checkpoint(db); err != nil {      // C2: manifest-3, no new chunks
+	// The delta, one WAL batch: tail inserts, and deletes from the full
+	// chunk and from the tail — so manifest-3 carries a dead-row list and
+	// the sweep cuts through it.
+	delta := append(insertN(0, relation.ChunkRows+8, 16), deleteN(0, 5, 10)...)
+	step(append(delta, deleteN(0, relation.ChunkRows+2, 3)...)...)
+	if got := db.Rels[0].DeadRows(); got != 13 {
+		t.Fatalf("delta left %d dead rows, want 13 (no compaction)", got)
+	}
+	preFiles := dirFiles(t, dir)             // crash-state parts: manifest-2, wal-2, chunks-1
+	if err := s.Checkpoint(db); err != nil { // C2: manifest-3, no new chunks
 		t.Fatal(err)
 	}
 	postChunk, err := os.Stat(chunkPath)
@@ -369,7 +377,7 @@ func TestTornManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	if postChunk.Size() != preChunk.Size() {
-		t.Fatalf("tail-only checkpoint grew the chunk store %d → %d bytes", preChunk.Size(), postChunk.Size())
+		t.Fatalf("a checkpoint of tail inserts and deletes grew the chunk store %d → %d bytes", preChunk.Size(), postChunk.Size())
 	}
 	man3Name := manName(3)
 	man3, err := os.ReadFile(filepath.Join(dir, man3Name))
@@ -378,6 +386,9 @@ func TestTornManifest(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(man3, []byte("GYOMAN02")) {
+		t.Fatalf("manifest opens with %q", man3[:8])
 	}
 
 	for m := 0; m <= len(man3); m++ {
@@ -603,6 +614,210 @@ func TestLegacyCheckpointFixture(t *testing.T) {
 	defer s2.Close()
 	if !dbEqual(db, s2.State()) {
 		t.Error("state differs after legacy → manifest upgrade")
+	}
+}
+
+// TestManifestV1Fixture: a store directory written by the commit before
+// deletes left rows in place — a GYOMAN01 manifest, its chunk store and
+// a WAL segment holding an insert and a delete batch (committed under
+// testdata/man01) — still opens to the exact relation, and its next
+// checkpoint upgrades it to GYOMAN02 reusing the chunk already on disk.
+func TestManifestV1Fixture(t *testing.T) {
+	files := dirFiles(t, filepath.Join("testdata", "man01"))
+	if !bytes.HasPrefix(files[manName(2)], []byte("GYOMAN01")) {
+		t.Fatalf("fixture manifest opens with %q", files[manName(2)][:8])
+	}
+	dir := writeDir(t, files)
+	s, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("opening a GYOMAN01 store: %v", err)
+	}
+	if got := s.Stats().Replayed; got != 2 {
+		t.Errorf("replayed %d batches, want 2", got)
+	}
+	// What the fixture's writer applied: a, [0, ChunkRows+8) then
+	// [5000, 5004), less {3, 4, 5, ChunkRows+2, 5001}.
+	want := map[relation.Value]bool{}
+	for v := relation.Value(0); v < relation.ChunkRows+8; v++ {
+		want[v] = true
+	}
+	for v := relation.Value(5000); v < 5004; v++ {
+		want[v] = true
+	}
+	for _, v := range []relation.Value{3, 4, 5, relation.ChunkRows + 2, 5001} {
+		delete(want, v)
+	}
+	db := s.State()
+	if len(db.Rels) != 1 || db.D.U.FormatSet(db.Rels[0].Attrs()) != "a" || db.Rels[0].Card() != len(want) {
+		t.Fatalf("recovered %d relations, first with %d tuples; want 1 with %d", len(db.Rels), db.Rels[0].Card(), len(want))
+	}
+	for v := range want {
+		if !db.Rels[0].Has(relation.Tuple{v}) {
+			t.Fatalf("recovered relation lacks %d", v)
+		}
+	}
+
+	if err := s.Checkpoint(db); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.ChunksWritten != 0 || st.ChunksReused != 1 {
+		t.Errorf("upgrade checkpoint wrote %d / reused %d chunks, want 0 / 1", st.ChunksWritten, st.ChunksReused)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, snaps, _ := listStoreFiles(t, dir)
+	if len(snaps) != 1 {
+		t.Fatalf("snapshot files after the upgrade: %v", snaps)
+	}
+	if man, err := os.ReadFile(filepath.Join(dir, snaps[0])); err != nil || !bytes.HasPrefix(man, []byte("GYOMAN02")) {
+		t.Fatalf("upgraded manifest: %v, opens with %q", err, man[:min(8, len(man))])
+	}
+	s2, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if !dbEqual(db, s2.State()) || s2.Stats().Replayed != 0 {
+		t.Error("state differs after the GYOMAN01 → GYOMAN02 upgrade")
+	}
+}
+
+// TestDeleteOnlyCheckpoint: deletes leave chunk payloads alone, so a
+// checkpoint taken after an interval of nothing but deletes appends no
+// chunk record — the dead rows travel in the manifest — and recovery
+// rebuilds the acknowledged state with every row at its old position:
+// the chunk ids still match, so the checkpoint after the restart
+// writes no chunk either.
+func TestDeleteOnlyCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := s.State()
+	step := stepper(t, s, &db)
+	step(Create("a", "b"))
+	step(insertN(0, 0, 3*relation.ChunkRows+100)...)
+	if err := s.Checkpoint(db); err != nil {
+		t.Fatal(err)
+	}
+	seeded := s.Stats()
+	if seeded.ChunksWritten != 3 {
+		t.Fatalf("seed checkpoint wrote %d chunks, want 3", seeded.ChunksWritten)
+	}
+
+	// Rows of every chunk and of the tail; a tuple deleted and put back
+	// (dead in chunk 0, live again in the tail); well under the
+	// compaction bound.
+	step(deleteN(0, 10, 200)...)
+	step(deleteN(0, relation.ChunkRows+10, 200)...)
+	step(deleteN(0, 3*relation.ChunkRows-50, 100)...) // across the chunk 2 / tail boundary
+	step(insertN(0, 10, 1)...)
+	if got := db.Rels[0].DeadRows(); got != 500 {
+		t.Fatalf("%d dead rows, want 500 (no compaction)", got)
+	}
+	if err := s.Checkpoint(db); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.ChunksWritten != seeded.ChunksWritten || st.ChunksReused != seeded.ChunksReused+3 || st.ChunkStoreBytes != seeded.ChunkStoreBytes {
+		t.Errorf("delete-only checkpoint: chunks written %d → %d, reused %d → %d, store %d → %d bytes",
+			seeded.ChunksWritten, st.ChunksWritten, seeded.ChunksReused, st.ChunksReused, seeded.ChunkStoreBytes, st.ChunkStoreBytes)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	db2 := s2.State()
+	if s2.Stats().Replayed != 0 || !dbEqual(db, db2) {
+		t.Fatal("recovered state differs from the acknowledged one")
+	}
+	if got, want := db2.Rels[0].DeadRows(), 450; got != want { // the 50 dead tail rows are not stored
+		t.Errorf("recovered relation carries %d dead rows, want %d", got, want)
+	}
+	if db2.Rels[0].Has(relation.Tuple{11, 11 + 1<<24}) || !db2.Rels[0].Has(relation.Tuple{10, 10 + 1<<24}) {
+		t.Error("recovered relation resurrected a deleted tuple or lost a re-inserted one")
+	}
+	step2 := stepper(t, s2, &db2)
+	step2(deleteN(0, 2*relation.ChunkRows+10, 5)...)
+	if err := s2.Checkpoint(db2); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.ChunksWritten != 0 || st.ChunksReused != 3 {
+		t.Errorf("post-restart checkpoint wrote %d / reused %d chunks, want 0 / 3", st.ChunksWritten, st.ChunksReused)
+	}
+}
+
+// TestManifestRejectsBadDeadLists: the dead-row lists are decoded from
+// untrusted bytes. A list that resurrects a duplicate, names a row
+// twice or out of range, miscounts against the declared cardinality or
+// claims more entries than bytes remain is corruption — never a panic,
+// an oversized allocation or a silently different relation — and
+// recovery falls back to the previous manifest plus the WAL.
+func TestManifestRejectsBadDeadLists(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := s.State()
+	step := stepper(t, s, &db)
+	step(Create("a"))
+	step(insertN1(0, 0, relation.ChunkRows+4)...)
+	if err := s.Checkpoint(db); err != nil { // manifest-2
+		t.Fatal(err)
+	}
+	// Delete 7 and insert it again: chunk 0 holds it dead, the tail live.
+	step(Mutation{Kind: KindDelete, Rel: 0, Width: 1, Values: []relation.Value{7, 9}},
+		Mutation{Kind: KindInsert, Rel: 0, Width: 1, Values: []relation.Value{7}})
+	preFiles := dirFiles(t, dir)
+	if err := s.Checkpoint(db); err != nil { // manifest-3: dead list {7, 9}
+		t.Fatal(err)
+	}
+	man3, err := os.ReadFile(filepath.Join(dir, manName(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The list is "2, 7, 1" (count, then the live rows skipped before
+	// each dead one); find it behind the chunk ref.
+	payload := man3[20:]
+	at := bytes.Index(payload, []byte{2, 7, 1})
+	if at < 0 || bytes.Count(payload, []byte{2, 7, 1}) != 1 {
+		t.Fatalf("dead list not found in manifest payload % x", payload)
+	}
+	for name, patch := range map[string][]byte{
+		"resurrects a duplicate of a live row": {2, 8, 0},          // 8 and 9 dead: 7 live in the chunk and in the tail
+		"row past the chunk":                   {2, 7, 0xff, 0x3f}, // 7, then 7+1+8191
+		"more entries than bytes":              {0xff, 0x1f, 1},    // 4095 entries, 1 byte left of them
+		"miscounts the cardinality":            {3, 7, 1, 0},       // three dead rows, card says two
+	} {
+		bad := append(append(append([]byte(nil), payload[:at]...), patch...), payload[at+3:]...)
+		frame := append([]byte(nil), man3[:20]...)
+		putU32(frame[8:], crc32Update(crc32Update(0, frame[12:]), bad))
+		files := cloneFiles(preFiles)
+		files[manName(3)] = append(frame, bad...)
+		if _, err := loadManifest(writeDir(t, files), 3); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: loadManifest error %v, want ErrCorrupt", name, err)
+		}
+		rec, err := Open(writeDir(t, files), Options{NoSync: true})
+		if err != nil {
+			t.Fatalf("%s: recovery failed: %v", name, err)
+		}
+		if rec.Stats().Replayed != 1 || !dbEqual(db, rec.State()) {
+			t.Errorf("%s: recovery did not fall back to manifest-2 + WAL", name)
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -224,40 +224,35 @@ func (m Mutation) Apply(db *relation.Database) (out *relation.Database, n int, e
 
 // apply is Apply with an in-place mode for recovery replay, where db is
 // private and unfrozen and per-record copy-on-write would make replay
-// quadratic.
+// cost a relation copy per record.
 func (m Mutation) apply(db *relation.Database, inPlace bool) (*relation.Database, int, error) {
 	if err := m.validate(db); err != nil {
 		return nil, 0, err
 	}
 	switch m.Kind {
-	case KindInsert:
+	case KindInsert, KindDelete:
 		r := db.Rels[m.Rel]
 		if !inPlace {
 			r = r.Clone()
 		}
 		n := 0
-		if m.Width == 0 {
+		switch {
+		case m.Width > 0 && m.Kind == KindInsert:
+			// Bulk paths: the batch is already row-major, so it feeds the
+			// arena (or, for a delete, probes the relation's own index)
+			// without materializing per-row Tuple headers.
+			n = r.InsertBlock(m.Values)
+		case m.Width > 0:
+			n = r.DeleteBlock(m.Values)
+		case m.Kind == KindInsert:
 			before := r.Card()
 			r.Insert(relation.Tuple{})
 			n = r.Card() - before
-		} else {
-			// Bulk path: the batch is already row-major, so it feeds the
-			// arena without materializing per-row Tuple headers.
-			n = r.InsertBlock(m.Values)
+		default:
+			// Removing the empty tuple leaves the empty relation.
+			n = r.Card()
+			r = relation.New(r.U, r.Attrs())
 		}
-		if inPlace {
-			return db, n, nil
-		}
-		return db.WithRelation(m.Rel, r), n, nil
-	case KindDelete:
-		tuples := make([]relation.Tuple, 0, m.Rows())
-		if m.Width == 0 {
-			tuples = append(tuples, relation.Tuple{})
-		}
-		for o := 0; m.Width > 0 && o < len(m.Values); o += m.Width {
-			tuples = append(tuples, relation.Tuple(m.Values[o:o+m.Width]))
-		}
-		r, n := db.Rels[m.Rel].Without(tuples)
 		if inPlace {
 			db.Rels[m.Rel] = r
 			return db, n, nil

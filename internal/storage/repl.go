@@ -408,7 +408,11 @@ func DirHasStore(dir string) (bool, error) {
 // order, in the exact chunks-<gen>.gyo record format. The manifest is
 // encoded against generation 1 with offsets precomputed for the file
 // the follower will write, so installing the stream yields a directory
-// indistinguishable from one that checkpointed locally.
+// indistinguishable from one that checkpointed locally: chunk payloads
+// travel whole under their ids, a chunk's deleted rows as the manifest's
+// dead-row list, tails as live rows only. The manifest payload is in the
+// sender's current layout (GYOMAN02), which is also what the installer
+// frames it as — leader and follower run the same build.
 
 // WriteReplSnapshot streams db as an initial-sync package: manifest
 // first, then every referenced chunk record. db must be frozen (it is

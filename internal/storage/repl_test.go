@@ -353,7 +353,8 @@ func TestDirHasStore(t *testing.T) {
 
 // bigStoreState builds a store whose database spans several full arena
 // chunks (so the snapshot stream carries real chunk records) plus a
-// mutable tail and a second small relation.
+// mutable tail and a second small relation, with rows deleted from a
+// full chunk and from the tail (so it carries dead-row lists too).
 func bigStoreState(t *testing.T, dir string) *Store {
 	t.Helper()
 	s, err := Open(dir, Options{NoSync: true})
@@ -372,6 +373,10 @@ func bigStoreState(t *testing.T, dir string) *Store {
 		t.Fatal(err)
 	}
 	if err := s.Append([]Mutation{Insert(1, 1, []relation.Tuple{{11}, {22}})}); err != nil {
+		t.Fatal(err)
+	}
+	last := relation.Value(rows - 1)
+	if err := s.Append([]Mutation{Delete(0, 2, []relation.Tuple{{5, 35}, {6, 42}, {relation.ChunkRows, relation.ChunkRows * 7}, {last, last * 7}})}); err != nil {
 		t.Fatal(err)
 	}
 	// Append only logs; reopen so replay materializes State().
@@ -408,6 +413,9 @@ func TestReplSnapshotRoundTrip(t *testing.T) {
 	defer got.Close()
 	if !dbEqual(db, got.State()) {
 		t.Error("installed snapshot state differs from source")
+	}
+	if sent, installed := db.Rels[0].DeadRows(), got.State().Rels[0].DeadRows(); sent != 4 || installed != 3 {
+		t.Errorf("dead rows: source %d, installed %d; want 4 and 3 (the tail ships live rows only)", sent, installed)
 	}
 	// The follower's WAL starts at segment 1 — its first appends land
 	// where a manifest at sequence 1 expects them.

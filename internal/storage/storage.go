@@ -1070,7 +1070,7 @@ func writeCheckpointFile(path string, seq uint64, payload []byte, sync bool) err
 }
 
 func readCheckpoint(path string, wantSeq uint64) (*relation.Database, error) {
-	payload, err := readSnapshotFile(path, ckptMagic, wantSeq)
+	payload, _, err := readSnapshotFile(path, wantSeq, ckptMagic)
 	if err != nil {
 		return nil, err
 	}

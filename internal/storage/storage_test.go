@@ -12,7 +12,7 @@ import (
 // listStoreFiles partitions the directory's contents: WAL segments,
 // snapshot files (incremental manifests and legacy .ckpt checkpoints),
 // and chunk-store generations.
-func listStoreFiles(t *testing.T, dir string) (segs, snaps, chunks []string) {
+func listStoreFiles(t testing.TB, dir string) (segs, snaps, chunks []string) {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
