@@ -50,18 +50,18 @@
 // # Serving engine
 //
 // For concurrent workloads, Engine (internal/engine) separates
-// planning from execution and amortizes both across requests: an LRU
-// plan cache keyed by order-independent schema/target fingerprints
-// (Schema.Fingerprint) holds the Classification plus the compiled
-// Program, so repeat queries skip GYO reduction, tableau work, and
-// plan construction entirely; a sync.Pool of ParExec contexts lets
+// planning from execution and amortizes both across requests: one LRU
+// plan cache keyed by canonical query text — a (schema, X) solve is
+// lowered to the conjunctive query it already is — holds the
+// Classification plus the compiled Program, so repeat queries skip
+// GYO reduction and planning entirely; a sync.Pool of ParExec contexts lets
 // concurrent evaluations reuse hash tables without locking; and
 // queries run against immutable frozen Database snapshots swapped in
 // atomically by writers (Database.Clone, Database.InsertTuple,
 // Engine.Swap), so readers never block. NewEngineServer exposes an
 // Engine over HTTP (/v1/classify, /v1/plan, /v1/solve, /v1/query,
 // /v1/insert, /v1/delete, /v1/load) — cmd/gyod is the ready-made
-// daemon, and gyobench -parallel N is the load driver.
+// daemon, and go run ./bench is the load driver.
 //
 // # Durability
 //

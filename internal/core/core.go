@@ -212,44 +212,105 @@ func AnalyzeProgram(p *program.Program, x schema.AttrSet) (*ProgramAnalysis, err
 	}, nil
 }
 
-// TreePlan builds the tree-schema query plan for (D, X): a full
-// reducer followed by Yannakakis-style joins. It errors when D is
-// cyclic (the §4 strategy then calls for treefication first — see
-// Classify.TreefyingRelation and package treefy).
-func TreePlan(d *schema.Schema, x schema.AttrSet) (*program.Program, error) {
-	t, ok := qualgraph.QualTree(d)
-	if !ok {
-		return nil, fmt.Errorf("core: %s is a cyclic schema; treefy first (Corollary 3.2 suggests adding %s)",
-			d, d.U.FormatSet(gyo.TreefyingRelation(d)))
+// Kind is the shape of a query plan, decided by the planner.
+type Kind int
+
+const (
+	// KindFreeConnex: D is a tree schema AND stays one with X added as a
+	// relation schema. Yannakakis rooted at the relation covering most of
+	// X: every projection pushes below the semijoin program and no
+	// intermediate materializes the full join.
+	KindFreeConnex Kind = iota
+	// KindAcyclic: a tree schema, but adding X breaks the tree (the
+	// classic π_{a,c}(ab ⋈ bc)). Yannakakis from root 0: still
+	// semijoin-reduced, but the root's joins may exceed X.
+	KindAcyclic
+	// KindCyclic: D is cyclic; the §4 strategy (program.CyclicPlan).
+	KindCyclic
+)
+
+func (k Kind) String() string {
+	switch k {
+	case KindFreeConnex:
+		return "free-connex"
+	case KindAcyclic:
+		return "acyclic"
+	case KindCyclic:
+		return "cyclic"
+	default:
+		return "invalid"
 	}
-	return program.Yannakakis(d, x, t)
 }
 
-// Prepare classifies d and compiles the plan for (d, x) in one pass —
-// the unit of work the serving layer caches per (schema, target). On
-// tree schemas the Yannakakis build reuses the classification's qual
-// tree instead of re-deriving it; cyclic schemas take the §4 strategy.
-func Prepare(d *schema.Schema, x schema.AttrSet) (*Classification, *program.Program, error) {
+// QueryPlan is the planner's decision for a query (D, X).
+type QueryPlan struct {
+	Cls  *Classification
+	Kind Kind
+	// Root is the index in D of the Yannakakis reduction root; -1 for a
+	// cyclic plan, whose tree is not over D.
+	Root int
+	// Prog solves (D, X) on arbitrary databases for D.
+	Prog *program.Program
+}
+
+// PlanQuery is the library's one planner: it classifies d and decides
+// the plan shape for (d, x) from the classification. Every other entry
+// point (Prepare, Plan, TreePlan, the conjunctive-query compiler) calls
+// it, so a schema solve and the conjunctive query it denotes get the
+// same program. The tree cases reuse the classification's qual tree.
+func PlanQuery(d *schema.Schema, x schema.AttrSet) (*QueryPlan, error) {
 	// Reject bad targets before the expensive classification, so
 	// repeated invalid queries (which the serving layer cannot cache)
 	// stay cheap.
 	if !x.SubsetOf(d.Attrs()) {
-		return nil, nil, fmt.Errorf("core: target %s ⊄ U(D)", d.U.FormatSet(x))
+		return nil, fmt.Errorf("core: target %s ⊄ U(D)", d.U.FormatSet(x))
 	}
 	cls, err := Classify(d)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var p *program.Program
-	if cls.Tree {
-		p, err = program.Yannakakis(d, x, cls.QualTree)
-	} else {
-		p, err = program.CyclicPlan(d, x)
+	qp := &QueryPlan{Cls: cls}
+	switch {
+	case !cls.Tree:
+		qp.Kind, qp.Root = KindCyclic, -1
+		qp.Prog, err = program.CyclicPlan(d, x)
+	case gyo.IsTree(d.WithRel(x)):
+		qp.Kind, qp.Root = KindFreeConnex, program.CoverRoot(d.Rels, x)
+		qp.Prog, err = program.YannakakisRooted(d, x, cls.QualTree, qp.Root)
+	default:
+		qp.Kind = KindAcyclic
+		qp.Prog, err = program.YannakakisRooted(d, x, cls.QualTree, 0)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return qp, nil
+}
+
+// TreePlan builds the tree-schema query plan for (D, X): a full
+// reducer followed by Yannakakis-style joins. It errors when D is
+// cyclic (the §4 strategy then calls for treefication first — see
+// Classify.TreefyingRelation and package treefy; Plan does it).
+func TreePlan(d *schema.Schema, x schema.AttrSet) (*program.Program, error) {
+	qp, err := PlanQuery(d, x)
+	if err != nil {
+		return nil, err
+	}
+	if qp.Kind == KindCyclic {
+		return nil, fmt.Errorf("core: %s is a cyclic schema; treefy first (Corollary 3.2 suggests adding %s)",
+			d, d.U.FormatSet(qp.Cls.TreefyingRelation))
+	}
+	return qp.Prog, nil
+}
+
+// Prepare is PlanQuery for callers that want the classification and the
+// program and nothing else.
+func Prepare(d *schema.Schema, x schema.AttrSet) (*Classification, *program.Program, error) {
+	qp, err := PlanQuery(d, x)
 	if err != nil {
 		return nil, nil, err
 	}
-	return cls, p, nil
+	return qp.Cls, qp.Prog, nil
 }
 
 // Plan builds a query plan for (D, X) on any schema, following §4:
@@ -258,8 +319,6 @@ func Prepare(d *schema.Schema, x schema.AttrSet) (*Classification, *program.Prog
 // and then solved as trees. The returned program runs against
 // databases for the original D.
 func Plan(d *schema.Schema, x schema.AttrSet) (*program.Program, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return program.CyclicPlan(d, x)
+	_, p, err := Prepare(d, x)
+	return p, err
 }

@@ -1,75 +1,58 @@
 package cq
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"gyokit/internal/core"
-	"gyokit/internal/gyo"
-	"gyokit/internal/program"
 	"gyokit/internal/schema"
 )
 
-// Kind classifies a compiled query's plan shape.
-type Kind int
+// Kind is the planner's plan-shape classification (core.Kind): the query
+// hypergraph is free-connex, acyclic but not free-connex, or cyclic.
+type Kind = core.Kind
 
 const (
-	// KindFreeConnex: the query hypergraph is a tree schema AND stays
-	// one with the head variables added as an extra hyperedge. The plan
-	// is Yannakakis rooted at the atom covering the most head variables,
-	// so every projection pushes below the semijoin program and no
-	// intermediate materializes the full join.
-	KindFreeConnex Kind = iota
-	// KindAcyclic: a tree schema, but projecting onto the head breaks
-	// the tree (the classic π_{x,z}(R(x,y) ⋈ S(y,z))). Plain Yannakakis:
-	// still semijoin-reduced, but the root's joins may exceed the head.
-	KindAcyclic
-	// KindCyclic: the hypergraph is cyclic; the plan reduces each atom
-	// to its live variables, joins in greedy shared-attribute order, and
-	// projects onto the head.
-	KindCyclic
+	KindFreeConnex = core.KindFreeConnex
+	KindAcyclic    = core.KindAcyclic
+	KindCyclic     = core.KindCyclic
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindFreeConnex:
-		return "free-connex"
-	case KindAcyclic:
-		return "acyclic"
-	case KindCyclic:
-		return "cyclic"
-	default:
-		return "invalid"
-	}
-}
-
 // AtomBinding records how one body atom addresses storage: the
-// predicate as written, the stored attribute names it denotes (in
-// written order), and the variable bound at each position. The engine
-// resolves Attrs against its serving universe at evaluation time — the
-// compiled query itself is schema-independent, so the plan cache never
-// needs invalidating on schema change.
+// predicate as written (empty for a lowered atom, which never was), the
+// stored attribute names it denotes (in written order), and the variable
+// bound at each position. The engine resolves Attrs against its serving
+// universe at evaluation time — the compiled query itself is
+// schema-independent, so the plan cache never needs invalidating on
+// schema change.
 type AtomBinding struct {
 	Pred  string
 	Attrs []string      // stored attribute names, in the predicate's written order
 	Vars  []schema.Attr // query-universe variable ids, positionally aligned with Attrs
+	// Dup picks among stored relations over the same attribute set: the
+	// atom reads the (Dup+1)-th in serving-schema order. A written atom
+	// has 0 — a self-join reads the first stored ab twice — while Lower
+	// numbers the repeats of a duplicated relation schema.
+	Dup int
 }
 
 // Compiled is a fully planned conjunctive query. It is immutable once
 // built and safe to share across concurrent evaluations.
 type Compiled struct {
-	Query     *Query
 	Canonical string           // canonical text; the cache identity
-	U         *schema.Universe // per-query variable universe
+	U         *schema.Universe // variable universe: per query, or the schema's own when lowered
 	D         *schema.Schema   // query hypergraph: one variable set per body atom
 	Head      schema.AttrSet   // output variables as a set
 	HeadVars  []string         // head variables in written order (the response column order)
 	HeadIDs   []schema.Attr    // ids of HeadVars, positionally aligned
-	Kind      Kind
-	Root      int // Yannakakis reduction root (-1 for cyclic plans)
-	Cls       *core.Classification
-	Prog      *program.Program // solves (D, Head) over per-atom states
 	Atoms     []AtomBinding    // one per body atom, aligned with D.Rels
+	// The planner's decision for (D, Head): Cls, Kind, Root (the
+	// Yannakakis reduction root, -1 for cyclic plans) and Prog, which
+	// solves the query over per-atom states.
+	*core.QueryPlan
 }
 
 // Compile parses and compiles one query text.
@@ -81,16 +64,17 @@ func Compile(text string) (*Compiled, error) {
 	return q.Compile()
 }
 
-// Compile builds the query's hypergraph over a fresh variable universe,
-// classifies it through the GYO machinery, and plans it:
+// Compile builds the query's hypergraph over a fresh variable universe
+// and hands it to the planner (core.PlanQuery), which classifies it
+// through the GYO machinery and picks the plan:
 //
 //   - free-connex (the hypergraph plus the head-variable hyperedge is
 //     still a tree schema): Yannakakis rooted at the atom covering the
 //     most head variables, so projections push below the semijoin
 //     program;
 //   - acyclic but not free-connex: plain Yannakakis;
-//   - cyclic: reduce each atom to its live variables, join greedily,
-//     project onto the head.
+//   - cyclic: the paper's §4 strategy — materialize ∪GR of the
+//     hypergraph, then Yannakakis over the tree that leaves.
 func (q *Query) Compile() (*Compiled, error) {
 	u := schema.NewUniverse()
 	d := schema.New(u)
@@ -117,7 +101,6 @@ func (q *Query) Compile() (*Compiled, error) {
 	}
 	headIDs := make([]schema.Attr, len(q.Head.Args))
 	headVars := make([]string, len(q.Head.Args))
-	var head schema.AttrSet
 	for p, v := range q.Head.Args {
 		id, ok := u.Lookup(v.Name)
 		if !ok {
@@ -126,22 +109,8 @@ func (q *Query) Compile() (*Compiled, error) {
 		}
 		headIDs[p] = id
 		headVars[p] = v.Name
-		head = head.Add(id)
 	}
-	c := &Compiled{
-		Query:     q,
-		Canonical: q.String(),
-		U:         u,
-		D:         d,
-		Head:      head,
-		HeadVars:  headVars,
-		HeadIDs:   headIDs,
-		Atoms:     atoms,
-	}
-	if err := c.plan(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return plan(&Compiled{Canonical: q.String(), U: u, D: d, HeadVars: headVars, HeadIDs: headIDs, Atoms: atoms})
 }
 
 // predAttrs maps a predicate name to the attribute names of the stored
@@ -173,110 +142,104 @@ func predAttrs(a *Atom) ([]string, error) {
 	return names, nil
 }
 
-// plan classifies the hypergraph and builds the program.
-func (c *Compiled) plan() error {
-	cls, err := core.Classify(c.D)
-	if err != nil {
-		return err
+// plan fills in c's head set and asks the planner for the program
+// solving (D, Head).
+func plan(c *Compiled) (*Compiled, error) {
+	c.Head = schema.NewAttrSet(c.HeadIDs...)
+	var err error
+	if c.QueryPlan, err = core.PlanQuery(c.D, c.Head); err != nil {
+		return nil, err
 	}
-	c.Cls = cls
-	switch {
-	case cls.Tree && gyo.IsTree(c.D.WithRel(c.Head)):
-		c.Kind = KindFreeConnex
-		c.Root = freeConnexRoot(c.D, c.Head)
-		c.Prog, err = program.YannakakisRooted(c.D, c.Head, cls.QualTree, c.Root)
-	case cls.Tree:
-		c.Kind = KindAcyclic
-		c.Root = 0
-		c.Prog, err = program.Yannakakis(c.D, c.Head, cls.QualTree)
-	default:
-		c.Kind = KindCyclic
-		c.Root = -1
-		c.Prog, err = cyclicFallback(c.D, c.Head)
-	}
-	return err
+	return c, nil
 }
 
-// freeConnexRoot picks the Yannakakis reduction root for a free-connex
-// query: the atom covering the most head variables (lowest index on
-// ties). Rooting there is what makes free-connex pay off — every
-// non-root node projects down to its subtree's head variables plus the
-// parent link before its parent joins it, so the join widths are
-// bounded by atom ∪ head widths instead of growing toward the full
-// join.
-func freeConnexRoot(d *schema.Schema, head schema.AttrSet) int {
-	best, bestCover := 0, -1
+// Lower compiles the schema solve (d, x) as the conjunctive query it
+// already is: one atom per relation of d, one variable per attribute,
+// head x. It is built directly rather than through query text, which
+// cannot spell a one-attribute relation named "user", an empty relation
+// schema, or more than MaxBodyAtoms relations.
+//
+// The variables are d's attributes themselves — same universe, same ids,
+// relations in d's order — so the answer's columns are x's, and binding
+// to a snapshot whose universe interned those names in that order (the
+// serving case) renames nothing. canonical is LoweredText(d, x), which a
+// caller that looked the plan up first has already built.
+func Lower(canonical string, d *schema.Schema, x schema.AttrSet) (*Compiled, error) {
+	names := func(ids []schema.Attr) []string {
+		out := make([]string, len(ids))
+		for i, a := range ids {
+			out[i] = d.U.Name(a)
+		}
+		return out
+	}
+	atoms := make([]AtomBinding, len(d.Rels))
 	for i, r := range d.Rels {
-		if cov := r.IntersectCard(head); cov > bestCover {
-			best, bestCover = i, cov
+		vars := r.Attrs()
+		atoms[i] = AtomBinding{Attrs: names(vars), Vars: vars}
+		for _, prev := range d.Rels[:i] {
+			if prev.Equal(r) {
+				atoms[i].Dup++
+			}
 		}
 	}
-	return best
+	headIDs := x.Attrs()
+	return plan(&Compiled{Canonical: canonical, U: d.U, D: d.Clone(), HeadVars: names(headIDs), HeadIDs: headIDs, Atoms: atoms})
 }
 
-// cyclicFallback is the reduce-then-join-then-project plan for cyclic
-// hypergraphs: each atom is pre-projected onto its live variables (head
-// variables plus variables shared with another atom — a variable seen
-// by exactly one atom and absent from the head cannot influence the
-// answer beyond existence, which the join preserves), the projections
-// are joined in greedy shared-attribute order, and the result is
-// projected onto the head.
-func cyclicFallback(d *schema.Schema, head schema.AttrSet) (*program.Program, error) {
-	occ := d.AttrOccurrences()
-	live := head.Clone()
-	for a, n := range occ {
-		if n > 1 {
-			live = live.Add(schema.Attr(a))
-		}
-	}
-	inputs := make([]program.InputRef, len(d.Rels))
-	pd := schema.New(d.U)
-	idx := make([]int, len(d.Rels))
+// LoweredText is the canonical text of the schema solve (d, x), the key
+// its plan is cached under. It spells what the plan's attribute sets
+// depend on — the id and the name of every attribute of x and of each
+// relation schema — so two universes share a plan only when they agree
+// on both ("ab, cd" interned a, b, c, d and "cd, ab" interned c, d, a, b
+// have equal bitsets and do not). Relations are listed in sorted order,
+// so permutations of one schema share a plan. No written query's
+// canonical text starts with "@".
+func LoweredText(d *schema.Schema, x schema.AttrSet) string {
+	b := append(make([]byte, 0, 32+24*len(d.Rels)), "@solve "...)
+	return string(appendSchemaText(appendAttrs(b, d.U, x), d, true))
+}
+
+// ClassifyText is the cache key of d's classification: like LoweredText
+// without a target, but with the relations in d's own order — a
+// Classification is positional (QualTree edges index relations), so
+// permutations of one schema must not share one.
+func ClassifyText(d *schema.Schema) string {
+	b := append(make([]byte, 0, 32+24*len(d.Rels)), "@classify"...)
+	return string(appendSchemaText(b, d, false))
+}
+
+// appendAttrs appends the attributes of s in ascending id order, each as
+// id=len:name followed by a comma. Names are length-prefixed, so the
+// text is injective whatever bytes a name holds.
+func appendAttrs(b []byte, u *schema.Universe, s schema.AttrSet) []byte {
+	s.ForEach(func(a schema.Attr) bool {
+		name := u.Name(a)
+		b = append(strconv.AppendUint(b, uint64(a), 10), '=')
+		b = append(strconv.AppendUint(b, uint64(len(name)), 10), ':')
+		b = append(append(b, name...), ',')
+		return true
+	})
+	return b
+}
+
+// appendSchemaText appends "|" and then each relation schema of d as
+// " " + its attributes, in d's order or sorted by that text.
+func appendSchemaText(b []byte, d *schema.Schema, sorted bool) []byte {
+	text := make([]byte, 0, 16*len(d.Rels))
+	segs := make([][]byte, len(d.Rels))
 	for i, r := range d.Rels {
-		idx[i] = i
-		keep := r.Intersect(live)
-		if keep.IsEmpty() || keep.Equal(r) {
-			// All-dead atoms stay whole: they are pure existence filters,
-			// and a zero-width intermediate buys nothing.
-			inputs[i] = program.InputRef{Rel: i}
-			pd.Add(r)
-			continue
-		}
-		inputs[i] = program.InputRef{Rel: i, Proj: keep}
-		pd.Add(keep)
+		start := len(text)
+		text = appendAttrs(text, d.U, r)
+		segs[i] = text[start:len(text):len(text)]
 	}
-	order := program.GreedyJoinOrder(pd, idx)
-	return program.JoinProjectOrdered(d, head, inputs, order)
-}
-
-// Fingerprint hashes a canonical query text into the 128-bit key the
-// engine's plan cache uses: two independent 64-bit FNV-1a streams over
-// the text, each passed through a splitmix-style finalizer. The key is
-// probabilistic — cache hits are verified by comparing canonical texts,
-// so a collision degrades to a miss, never to a wrong plan.
-func Fingerprint(canonical string) (a, b uint64) {
-	const (
-		offset64 = 0xcbf29ce484222325
-		prime64  = 0x100000001b3
-	)
-	a, b = offset64, offset64^0x9e3779b97f4a7c15
-	for i := 0; i < len(canonical); i++ {
-		c := uint64(canonical[i])
-		a = (a ^ c) * prime64
-		b = (b ^ c) * prime64
+	if sorted {
+		slices.SortFunc(segs, bytes.Compare)
 	}
-	return fpFinal(a), fpFinal(b)
-}
-
-// fpFinal is the splitmix64 finalizer: full-avalanche mixing so related
-// texts land in unrelated cache slots.
-func fpFinal(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+	b = append(b, '|')
+	for _, seg := range segs {
+		b = append(append(b, ' '), seg...)
+	}
+	return b
 }
 
 // MustCompile is Compile that panics on error; for tests and examples.

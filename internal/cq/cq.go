@@ -15,8 +15,14 @@
 // repeated variables within an atom, no rules — exactly the
 // select-project-join fragment the paper's GYO classification and
 // tree-query machinery decides. Compilation builds the query's
-// hypergraph over a per-query variable universe, classifies it, and
-// plans it with free-connex-aware root selection (see Compile).
+// hypergraph over a per-query variable universe and hands it to the
+// library's one planner, core.PlanQuery (see Compile).
+//
+// A Compiled query is also the serving layer's one plan form: a
+// (schema, X) solve is the conjunctive query with one atom per relation
+// and head X, and Lower builds that Compiled directly, so both front
+// ends share one plan cache — keyed by canonical text, Query.String or
+// LoweredText — one binder and one run path.
 package cq
 
 import (
@@ -80,7 +86,7 @@ type Query struct {
 // String renders the query in canonical form — single spaces, ", "
 // separators, a trailing "." — such that Parse(q.String()) yields a
 // structurally identical query. The canonical text is the query's
-// cache identity (see Fingerprint).
+// cache identity: the engine's plan cache is keyed by it.
 func (q *Query) String() string {
 	var b strings.Builder
 	writeAtom(&b, &q.Head)

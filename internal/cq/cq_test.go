@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"gyokit/internal/schema"
 )
 
 func TestParseCanonical(t *testing.T) {
@@ -138,14 +140,44 @@ func TestCompileArityAndPredicates(t *testing.T) {
 	}
 }
 
-func TestFingerprint(t *testing.T) {
-	a1, b1 := Fingerprint("ans(X) :- ab(X, Y).")
-	a2, b2 := Fingerprint("ans(X) :- ab(X, Z).")
-	if a1 == a2 && b1 == b2 {
-		t.Error("distinct canonical texts share a fingerprint")
+// TestLoweredText pins what the lowered cache key must and must not
+// identify: permutations of one schema share a text, a different target,
+// a different id→name assignment over equal bitsets, or a duplicated
+// relation do not, a classification text is order-sensitive, and none of
+// them can be mistaken for a written query's canonical text.
+func TestLoweredText(t *testing.T) {
+	u := schema.NewUniverse()
+	d := schema.MustParse(u, "ab, bc, cd")
+	x := u.Set("a", "d")
+	text := LoweredText(d, x)
+	if got := LoweredText(schema.MustParse(u, "cd, ab, bc"), x); got != text {
+		t.Errorf("permuted schema changed the text:\n%s\n%s", text, got)
 	}
-	a3, b3 := Fingerprint("ans(X) :- ab(X, Y).")
-	if a1 != a3 || b1 != b3 {
-		t.Error("fingerprint is not deterministic")
+	u2 := schema.NewUniverse()
+	if got := LoweredText(schema.MustParse(u2, "ab, bc, cd"), u2.Set("a", "d")); got != text {
+		t.Errorf("same names and ids in another universe changed the text:\n%s\n%s", text, got)
+	}
+	distinct := map[string]string{"base": text}
+	add := func(name, txt string) {
+		for prev, p := range distinct {
+			if p == txt {
+				t.Errorf("%s and %s share the text %s", name, prev, txt)
+			}
+		}
+		distinct[name] = txt
+	}
+	add("other target", LoweredText(d, u.Set("a", "c")))
+	add("duplicated relation", LoweredText(schema.MustParse(u, "ab, ab, bc, cd"), x))
+	// Equal bitset multisets, different names per id.
+	ua, ub := schema.NewUniverse(), schema.NewUniverse()
+	da, db := schema.MustParse(ua, "ab, cd"), schema.MustParse(ub, "cd, ab")
+	add("ab,cd", LoweredText(da, da.Rels[0]))
+	add("cd,ab", LoweredText(db, db.Rels[0]))
+	add("classify", ClassifyText(d))
+	add("classify permuted", ClassifyText(schema.MustParse(u, "cd, ab, bc")))
+	for name, txt := range distinct {
+		if _, err := Parse(txt); err == nil {
+			t.Errorf("%s text %q parses as a query", name, txt)
+		}
 	}
 }

@@ -6,10 +6,12 @@
 //
 // Three mechanisms carry the load:
 //
-//   - a plan cache: an LRU keyed by (schema fingerprint, target-set
-//     fingerprint) holding the §3 Classification together with the
-//     compiled §4/§6 Program, so a repeated query skips classification
-//     and planning entirely;
+//   - a plan cache: one LRU keyed by canonical query text, holding the
+//     §3 Classification together with the compiled §4/§6 Program. A
+//     (schema, X) solve is lowered to the conjunctive query it already
+//     is (cq.Lower), so both front ends share the cache and the one
+//     prepare → bind → run path, and a repeated query skips
+//     classification and planning entirely;
 //   - an execution-context pool: a sync.Pool of relation.ParExec
 //     contexts (one worker wide until a request asks for more), so
 //     concurrent evaluations reuse join hash tables and scratch
@@ -80,29 +82,24 @@ type Options struct {
 }
 
 // Plan is a cache-resident compiled query: the classification of the
-// schema plus the program solving (D, X). Plans are immutable once
-// built and may be shared by concurrent evaluations.
+// query's schema plus the program solving (D, X). Plans are immutable
+// once built and may be shared by concurrent evaluations.
 type Plan struct {
 	// D is the schema the program's relation ids — and the positional
-	// parts of Cls, such as QualTree edges — refer to; evaluation
-	// aligns the database to this relation order.
+	// parts of Cls, such as QualTree edges — refer to: the query's
+	// hypergraph, in the relation order of the request that compiled it.
 	D *schema.Schema
 	// X is the query target.
 	X schema.AttrSet
 	// Cls is the §3 classification of D.
 	Cls *core.Classification
 	// Prog solves (D, X): Yannakakis on tree schemas, the §4 cyclic
-	// strategy otherwise.
+	// strategy otherwise. Nil on Classify's classification-only entries.
 	Prog *program.Program
-	// CQ, when non-nil, marks the plan as a prepared conjunctive query
-	// (built by PrepareQuery): D and X are over the query's variable
-	// universe, and evaluation binds the atoms to stored relations by
-	// name at solve time.
+	// CQ is the compiled conjunctive query behind Prog — written
+	// (PrepareQuery) or lowered from a schema solve (Plan) — whose atoms
+	// evaluation binds to stored relations, by name, at solve time.
 	CQ *cq.Compiled
-	// key is the plan-cache key pl was compiled under: a fingerprint of
-	// (D, X), or of a prepared query's canonical text — stable across
-	// requests, so also the slow-query log's aggregation key.
-	key cacheKey
 }
 
 // Stats is a point-in-time snapshot of engine counters.
@@ -185,120 +182,78 @@ func New(opts Options) *Engine {
 	return e
 }
 
-// classifyFP is the target-fingerprint slot used for classification-only
-// cache entries (a real target hashes through fpMix and collides with
-// this reserved value only with probability 2⁻⁶⁴ — and a collision is
-// caught by the entry verification, not served).
-const classifyFP = ^uint64(0)
-
-// lookup returns the cached plan for key if present and verified
-// against (d, x). Verification compares the actual schema (and target)
-// rather than trusting the 128-bit key, so fingerprint collisions —
-// including schemas with the same attribute names interned in different
-// orders — degrade to cache misses, never to wrong answers.
-func (e *Engine) lookup(key cacheKey, d *schema.Schema, x schema.AttrSet, wantProg bool) *Plan {
-	if e.cache == nil {
-		return nil
-	}
-	e.mu.Lock()
-	pl, ok := e.cache.get(key)
-	e.mu.Unlock()
-	if !ok || !pl.D.MultisetEqual(d) {
-		return nil
-	}
-	if wantProg && !pl.X.Equal(x) {
-		return nil
-	}
-	// Across distinct universes, equal bitsets can still assign ids to
-	// names differently (e.g. "ab, cd" interned a,b,c,d vs "cd, ab"
-	// interned c,d,a,b produce the same bitset multiset); such a hit
-	// would format and report the cached plan under the wrong names, so
-	// require the id→name maps to agree over U(D).
-	if pl.D.U != d.U {
-		same := true
-		pl.D.Attrs().ForEach(func(a schema.Attr) bool {
-			if pl.D.U.Name(a) != d.U.Name(a) {
-				same = false
-			}
-			return same
-		})
-		if !same {
-			return nil
+// prepare is the one reader (and writer) of the plan cache: it returns
+// the plan cached under key — the query's canonical text, so a hit is
+// exact — or compiles, stores and returns it. hit reports which, so
+// solve paths can label their latency observations.
+func (e *Engine) prepare(key string, compile func() (*Plan, error)) (pl *Plan, hit bool, err error) {
+	if e.cache != nil {
+		e.mu.Lock()
+		pl, hit = e.cache.get(key)
+		e.mu.Unlock()
+		if hit {
+			e.hits.Add(1)
+			e.m.planHits.Inc()
+			return pl, true, nil
 		}
-	}
-	return pl
-}
-
-func (e *Engine) storePlan(key cacheKey, pl *Plan) {
-	if e.cache == nil {
-		return
-	}
-	e.mu.Lock()
-	evicted := e.cache.put(key, pl)
-	e.mu.Unlock()
-	if evicted > 0 {
-		e.evictions.Add(uint64(evicted))
-		e.m.planEvictions.Add(uint64(evicted))
-	}
-}
-
-// Classify returns the §3 classification of d, from cache when the
-// schema has been seen before in the same relation order. Unlike Plan
-// — whose evaluation realigns databases to the cached relation order —
-// Classify hands the Classification straight back to the caller, and
-// its QualTree edges are positional (relation indexes), so a hit is
-// only valid when the cached order matches d's exactly; permutations
-// of a cached schema reclassify.
-func (e *Engine) Classify(d *schema.Schema) (*core.Classification, error) {
-	// Order-sensitive fingerprint: each relation ordering gets its own
-	// classification entry instead of thrashing one shared slot.
-	key := cacheKey{schemaFP: d.OrderedFingerprint(), targetFP: classifyFP}
-	if pl := e.lookup(key, d, schema.AttrSet{}, false); pl != nil && sameOrder(pl.D, d) {
-		e.hits.Add(1)
-		e.m.planHits.Inc()
-		return pl.Cls, nil
 	}
 	e.misses.Add(1)
 	e.m.planMisses.Inc()
-	cls, err := core.Classify(d)
+	if pl, err = compile(); err != nil {
+		return nil, false, err
+	}
+	if e.cache != nil {
+		e.mu.Lock()
+		evicted := uint64(e.cache.put(key, pl))
+		e.mu.Unlock()
+		e.evictions.Add(evicted)
+		e.m.planEvictions.Add(evicted)
+	}
+	return pl, false, nil
+}
+
+// compiled wraps a freshly compiled query as a cacheable plan.
+func (e *Engine) compiled(c *cq.Compiled, err error) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.storePlan(key, &Plan{D: d.Clone(), Cls: cls})
-	return cls, nil
+	e.m.cqPlans[c.Kind.String()].Inc()
+	return &Plan{D: c.D, X: c.Head, Cls: c.Cls, Prog: c.Prog, CQ: c}, nil
+}
+
+// Classify returns the §3 classification of d, from cache when the
+// schema has been seen before in the same relation order. Classify
+// hands the Classification straight back to the caller, and its
+// QualTree edges are positional (relation indexes), so its cache key
+// (cq.ClassifyText) is order-sensitive; permutations of a cached schema
+// reclassify.
+func (e *Engine) Classify(d *schema.Schema) (*core.Classification, error) {
+	pl, _, err := e.prepare(cq.ClassifyText(d), func() (*Plan, error) {
+		cls, err := core.Classify(d)
+		return &Plan{Cls: cls}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return pl.Cls, nil
 }
 
 // Plan returns the compiled plan for the query (d, x), from cache when
-// the same (schema, target) pair — compared by fingerprint, verified
-// structurally — has been planned before.
+// the same schema — any relation order, any universe that gives the
+// same ids the same names — and target have been planned before.
 func (e *Engine) Plan(d *schema.Schema, x schema.AttrSet) (*Plan, error) {
 	pl, _, err := e.plan(d, x)
 	return pl, err
 }
 
-// plan is Plan plus a cache-outcome flag, so solve paths can label
-// their latency observations hit vs miss.
+// plan is Plan plus the cache-outcome flag. (d, x) is lowered to the
+// conjunctive query it already is and from there shares PrepareQuery's
+// path. A permuted hit returns a plan compiled in another relation
+// order, whose classification is positional in that order — which is
+// why Classify keeps entries of its own rather than reading a plan's.
 func (e *Engine) plan(d *schema.Schema, x schema.AttrSet) (*Plan, bool, error) {
-	fp, xfp := d.QueryFingerprint(x)
-	key := cacheKey{schemaFP: fp, targetFP: xfp}
-	if pl := e.lookup(key, d, x, true); pl != nil {
-		e.hits.Add(1)
-		e.m.planHits.Inc()
-		return pl, true, nil
-	}
-	e.misses.Add(1)
-	e.m.planMisses.Inc()
-	cls, prog, err := core.Prepare(d, x)
-	if err != nil {
-		return nil, false, err
-	}
-	pl := &Plan{D: d.Clone(), X: x.Clone(), Cls: cls, Prog: prog, key: key}
-	e.storePlan(key, pl)
-	// Seed the classification-only slot too: a later Classify of the
-	// same schema (in this order) should not redo the GYO work the plan
-	// already paid for.
-	e.storePlan(cacheKey{schemaFP: d.OrderedFingerprint(), targetFP: classifyFP}, pl)
-	return pl, false, nil
+	key := cq.LoweredText(d, x)
+	return e.prepare(key, func() (*Plan, error) { return e.compiled(cq.Lower(key, d, x)) })
 }
 
 // Swap freezes db and atomically publishes it as the engine's current
@@ -538,27 +493,19 @@ func (e *Engine) SolveQuery(pl *Plan, parallelism int, lim program.Limits) (*rel
 	return e.run(e.db.Load(), pl, true, parallelism, lim)
 }
 
-// run is the engine's one evaluation path. It gives the plan's program
-// the database it expects — a schema plan's relation order is aligned
-// to db; a prepared query's atoms are resolved against db's schema by
-// attribute name (lookup only — client queries never grow the serving
-// universe) and rebound to the query's variable vocabulary — and runs
-// it in a pooled execution context. db is never mutated. cacheHit says
-// how the caller came by pl and only labels the latency observation.
+// run is the engine's one evaluation path. It binds the plan's atoms to
+// db's relations (bind) and runs the program over them in a pooled
+// execution context. db is never mutated. cacheHit says how the caller
+// came by pl and only labels the latency observation.
 func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, parallelism int, lim program.Limits) (*relation.Relation, *program.Stats, error) {
-	if pl == nil || pl.Prog == nil {
+	if pl == nil || pl.CQ == nil {
 		return nil, nil, fmt.Errorf("engine: plan has no program (use Plan or PrepareQuery)")
 	}
 	if db == nil {
 		return nil, nil, fmt.Errorf("engine: no database snapshot installed (call Swap first)")
 	}
 	t0 := time.Now()
-	var err error
-	if pl.CQ != nil {
-		db, err = bindQuery(pl.CQ, db)
-	} else {
-		db, err = alignDatabase(pl.D, db)
-	}
+	db, err := bind(pl.CQ, db)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -617,53 +564,4 @@ func (e *Engine) Stats() Stats {
 		e.mu.Unlock()
 	}
 	return s
-}
-
-// sameOrder reports whether d and e list identical relation schemas at
-// identical positions.
-func sameOrder(d, e *schema.Schema) bool {
-	if len(d.Rels) != len(e.Rels) {
-		return false
-	}
-	for i := range d.Rels {
-		if !d.Rels[i].Equal(e.Rels[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// alignDatabase returns a view of db whose relation order matches d (a
-// multiset-equal schema, possibly with its relations permuted — the
-// plan cache hits across orderings, but program statement ids are
-// positional). Equal relation schemas keep their relative order, so
-// duplicate-schema relations map to the states at the matching
-// positions. When db is already aligned it is returned as-is.
-func alignDatabase(d *schema.Schema, db *relation.Database) (*relation.Database, error) {
-	if db.D == d {
-		return db, nil
-	}
-	if len(db.D.Rels) != len(d.Rels) {
-		return nil, fmt.Errorf("engine: database schema %s ≠ plan schema %s", db.D, d)
-	}
-	if sameOrder(d, db.D) {
-		return db, nil
-	}
-	out := &relation.Database{D: d, Rels: make([]*relation.Relation, len(d.Rels)), Univ: db.Univ}
-	used := make([]bool, len(db.Rels))
-	for i, r := range d.Rels {
-		found := -1
-		for j := range db.Rels {
-			if !used[j] && db.D.Rels[j].Equal(r) {
-				found = j
-				break
-			}
-		}
-		if found < 0 {
-			return nil, fmt.Errorf("engine: database schema %s ≠ plan schema %s", db.D, d)
-		}
-		used[found] = true
-		out.Rels[i] = db.Rels[found]
-	}
-	return out, nil
 }

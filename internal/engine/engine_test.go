@@ -80,27 +80,6 @@ func TestPlanCacheHit(t *testing.T) {
 	}
 }
 
-func TestClassifyCacheAndPlanSeeding(t *testing.T) {
-	e := New(Options{})
-	u := schema.NewUniverse()
-	d := schema.MustParse(u, "abg, bcg, acf, ad, de, ea")
-
-	if _, err := e.Plan(d, u.Set("a", "b", "c")); err != nil {
-		t.Fatal(err)
-	}
-	misses := e.Stats().PlanMisses
-	cls, err := e.Classify(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats().PlanMisses != misses {
-		t.Error("Classify after Plan re-classified instead of hitting the seeded entry")
-	}
-	if cls.Tree {
-		t.Error("§6 schema misclassified as tree")
-	}
-}
-
 // TestClassifyPermutedSchema pins the fix for a positional-data cache
 // bug: Classification.QualTree edges are relation indexes, so a
 // permuted schema must NOT be served the cached classification of

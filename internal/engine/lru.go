@@ -2,39 +2,33 @@ package engine
 
 import "container/list"
 
-// cacheKey identifies a cached plan: the order-independent schema
-// fingerprint plus the target-set fingerprint (classifyFP for
-// classification-only entries). Keys are probabilistic — hits are
-// verified against the actual schema before being served.
-type cacheKey struct {
-	schemaFP uint64
-	targetFP uint64
-}
-
-// lruCache is a fixed-capacity LRU over compiled plans. It is not
-// itself synchronized; the Engine guards it with a mutex (operations
-// are O(1) map/list work, orders of magnitude cheaper than the
-// planning they replace, so one lock does not become the bottleneck).
+// lruCache is a fixed-capacity LRU over compiled plans, keyed by the
+// plan's canonical text (cq.Query.String, cq.LoweredText or
+// cq.ClassifyText) — the text itself, not a hash of it, so a hit needs
+// no verification. It is not itself synchronized; the Engine guards it
+// with a mutex (operations are O(1) map/list work, orders of magnitude
+// cheaper than the planning they replace, so one lock does not become
+// the bottleneck).
 type lruCache struct {
 	cap   int
-	items map[cacheKey]*list.Element
+	items map[string]*list.Element
 	order *list.List // front = most recently used
 }
 
 type lruEntry struct {
-	key  cacheKey
+	key  string
 	plan *Plan
 }
 
 func newLRUCache(capacity int) *lruCache {
 	return &lruCache{
 		cap:   capacity,
-		items: make(map[cacheKey]*list.Element, capacity),
+		items: make(map[string]*list.Element, capacity),
 		order: list.New(),
 	}
 }
 
-func (c *lruCache) get(key cacheKey) (*Plan, bool) {
+func (c *lruCache) get(key string) (*Plan, bool) {
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
@@ -45,7 +39,7 @@ func (c *lruCache) get(key cacheKey) (*Plan, bool) {
 
 // put inserts or refreshes key and returns how many entries were
 // evicted to stay within capacity (0 or 1 in practice).
-func (c *lruCache) put(key cacheKey, pl *Plan) int {
+func (c *lruCache) put(key string, pl *Plan) int {
 	if el, ok := c.items[key]; ok {
 		el.Value.(*lruEntry).plan = pl
 		c.order.MoveToFront(el)

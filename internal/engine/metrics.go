@@ -24,12 +24,12 @@ type engineMetrics struct {
 	repartitions     *obs.Counter // partitionings built by parallel runs
 	repartitionBytes *obs.Counter // arena bytes those partitionings moved
 
-	cqPlans   map[string]*obs.Counter // compiled conjunctive queries by plan kind
+	cqPlans   map[string]*obs.Counter // compiled plans (written or lowered) by plan kind
 	cqLimited map[string]*obs.Counter // evaluations aborted by a resource rail
 }
 
 func newEngineMetrics(reg *obs.Registry) engineMetrics {
-	const solveHelp = "Evaluation latency (alignment or binding, then the run), by the outcome of the plan lookup that preceded it."
+	const solveHelp = "Evaluation latency (binding, then the run), by the outcome of the plan lookup that preceded it."
 	solve := func(cache, mode string) *obs.Histogram {
 		return reg.Histogram("gyo_solve_seconds", solveHelp, obs.LatencyBuckets(),
 			"cache", cache, "mode", mode)
@@ -38,7 +38,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	plan := func(event string) *obs.Counter {
 		return reg.Counter("gyo_plan_cache_total", planHelp, "event", event)
 	}
-	const cqHelp = "Conjunctive queries compiled, by plan kind."
+	const cqHelp = "Plans compiled, by kind: written conjunctive queries and lowered (schema, X) solves alike."
 	cqPlans := make(map[string]*obs.Counter, 3)
 	for _, kind := range []string{"free-connex", "acyclic", "cyclic"} {
 		cqPlans[kind] = reg.Counter("gyo_cq_plans_total", cqHelp, "kind", kind)

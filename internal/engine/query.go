@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"gyokit/internal/cq"
 	"gyokit/internal/relation"
@@ -10,10 +11,8 @@ import (
 
 // PrepareQuery parses, classifies, and plans a conjunctive query (see
 // internal/cq for the grammar), caching the compiled plan in the same
-// LRU the schema-set path uses. The cache key is a fingerprint of the
-// query's canonical text, so whitespace variants of one query share an
-// entry; hits are verified by comparing canonical texts, so a
-// fingerprint collision degrades to a miss, never to a wrong plan.
+// LRU the schema-set path uses. The cache key is the query's canonical
+// text, so whitespace variants of one query share an entry.
 //
 // The compiled plan is schema-independent — atoms bind to stored
 // relations by name at solve time — so cached query plans never go
@@ -30,61 +29,41 @@ func (e *Engine) prepareQuery(text string) (*Plan, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	canonical := q.String()
-	a, b := cq.Fingerprint(canonical)
-	key := cacheKey{schemaFP: a, targetFP: b}
-	if e.cache != nil {
-		e.mu.Lock()
-		pl, ok := e.cache.get(key)
-		e.mu.Unlock()
-		if ok && pl.CQ != nil && pl.CQ.Canonical == canonical {
-			e.hits.Add(1)
-			e.m.planHits.Inc()
-			return pl, true, nil
-		}
-	}
-	e.misses.Add(1)
-	e.m.planMisses.Inc()
-	c, err := q.Compile()
-	if err != nil {
-		return nil, false, err
-	}
-	pl := &Plan{D: c.D, X: c.Head, Cls: c.Cls, Prog: c.Prog, CQ: c, key: key}
-	e.storePlan(key, pl)
-	if ctr := e.m.cqPlans[c.Kind.String()]; ctr != nil {
-		ctr.Inc()
-	}
-	return pl, false, nil
+	return e.prepare(q.String(), func() (*Plan, error) { return e.compiled(q.Compile()) })
 }
 
-// bindQuery builds the per-query database the compiled program runs
-// over: for each body atom, the stored relation its predicate denotes,
-// renamed onto the query's variable universe. Resolution is by name
-// against the snapshot's universe, lookup only.
-func bindQuery(c *cq.Compiled, db *relation.Database) (*relation.Database, error) {
+// bind builds the database the compiled program runs over: for each
+// body atom, the stored relation its predicate denotes, renamed onto
+// the query's variable universe. Resolution is by name against the
+// snapshot's universe, lookup only — client queries never grow the
+// serving universe — so db may list its relations in any order and hold
+// more of them than the query reads.
+func bind(c *cq.Compiled, db *relation.Database) (*relation.Database, error) {
 	su := db.D.U
 	rels := make([]*relation.Relation, len(c.Atoms))
 	for i := range c.Atoms {
 		at := &c.Atoms[i]
 		ids := make([]schema.Attr, len(at.Attrs))
-		var set schema.AttrSet
 		for p, name := range at.Attrs {
-			id, ok := su.Lookup(name)
-			if !ok {
-				return nil, fmt.Errorf("engine: atom %s: attribute %q not in serving schema", at.Pred, name)
+			var ok bool
+			if ids[p], ok = su.Lookup(name); !ok {
+				return nil, fmt.Errorf("engine: attribute %q of relation %q not in serving schema", name, strings.Join(at.Attrs, " "))
 			}
-			ids[p] = id
-			set = set.Add(id)
 		}
-		idx := -1
+		set := schema.NewAttrSet(ids...)
+		// The atom reads the (Dup+1)-th stored relation over set.
+		idx, skip := -1, at.Dup
 		for j, r := range db.D.Rels {
 			if r.Equal(set) {
-				idx = j
-				break
+				if skip == 0 {
+					idx = j
+					break
+				}
+				skip--
 			}
 		}
 		if idx < 0 {
-			return nil, fmt.Errorf("engine: relation %q not in serving schema %s", at.Pred, db.D)
+			return nil, fmt.Errorf("engine: relation %q (occurrence %d) not in serving schema %s", su.FormatSet(set), at.Dup+1, db.D)
 		}
 		stored := db.Rels[idx]
 		// src[k] is the stored column feeding query column k. Query

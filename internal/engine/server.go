@@ -56,8 +56,9 @@ import (
 //
 // Client input never grows the serving Universe: /v1/classify and
 // /v1/plan parse into a throwaway per-request universe (the plan cache
-// still hits for repeated request texts, since its fingerprints are
-// name-based), /v1/query compiles over its own variable universe, and
+// still hits for repeated request texts: its keys spell names and ids,
+// and a fresh universe gives the same text the same ids), /v1/query
+// compiles over its own variable universe, and
 // /v1/solve and the mutation endpoints resolve names against the
 // serving universe by lookup only, rejecting unknown attributes. A
 // client streaming fresh attribute names therefore cannot leak memory
@@ -231,6 +232,7 @@ type PlanResponse struct {
 	Schema string     `json:"schema"`
 	X      string     `json:"x"`
 	Tree   bool       `json:"tree"`
+	Kind   string     `json:"kind"` // free-connex | acyclic | cyclic
 	Stmts  []PlanStmt `json:"stmts"`
 }
 
@@ -262,6 +264,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Schema: pl.D.String(),
 		X:      pl.D.U.FormatSet(pl.X),
 		Tree:   pl.Cls.Tree,
+		Kind:   pl.CQ.Kind.String(),
 		Stmts:  make([]PlanStmt, len(pl.Prog.Stmts)),
 	}
 	n := len(pl.D.Rels)
@@ -352,6 +355,7 @@ type Answer struct {
 type SolveResponse struct {
 	X         string `json:"x"`
 	RequestID string `json:"requestId"` // also in the X-Request-Id header
+	Kind      string `json:"kind"`      // free-connex | acyclic | cyclic
 	Answer
 }
 
@@ -404,14 +408,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request", err)
 		return
 	}
-	cols := x.Attrs()
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = s.U.Name(c)
-	}
 	text := s.U.FormatSet(x)
-	if ans, ok := s.answer(w, req.readOptions, pl, hit, text, cols, names, "invalid_request"); ok {
-		writeJSON(w, SolveResponse{X: text, RequestID: requestID(w), Answer: ans})
+	if ans, ok := s.answer(w, req.readOptions, pl, hit, text, "invalid_request"); ok {
+		writeJSON(w, SolveResponse{X: text, RequestID: requestID(w), Kind: pl.CQ.Kind.String(), Answer: ans})
 	}
 }
 
@@ -466,7 +465,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c := pl.CQ
-	if ans, ok := s.answer(w, req.readOptions, pl, hit, c.Canonical, c.HeadIDs, c.HeadVars, "invalid_query"); ok {
+	if ans, ok := s.answer(w, req.readOptions, pl, hit, c.Canonical, "invalid_query"); ok {
 		writeJSON(w, QueryResponse{Query: c.Canonical, RequestID: requestID(w), Kind: c.Kind.String(), Answer: ans})
 	}
 }
@@ -474,11 +473,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // answer is the core of both read endpoints: it evaluates pl — which
 // the endpoint obtained with cache outcome hit — under the request's
 // options and the server's rails, and builds the reply's Answer with
-// the result's columns cols echoed, in that order, under names. text
-// identifies the request in the slow-query log; errCode is the
+// the result's columns echoed in the plan's head order (a written
+// query's head as written; a schema solve's target in attribute order).
+// text identifies the request in the slow-query log; errCode is the
 // endpoint's code for an evaluation that fails for any reason but a
 // rail. On failure the error response has been written and ok is false.
-func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bool, text string, cols []schema.Attr, names []string, errCode string) (ans Answer, ok bool) {
+func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bool, text string, errCode string) (ans Answer, ok bool) {
 	limit, ok := s.echoLimit(w, opt.Limit)
 	if !ok {
 		return ans, false
@@ -515,10 +515,10 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 		return ans, false
 	}
 	if s.SlowQuery > 0 && elapsed >= s.SlowQuery {
-		s.logSlowQuery(requestID(w), pl.key, text, par, elapsed, st)
+		s.logSlowQuery(requestID(w), pl.CQ.Canonical, text, par, elapsed, st)
 	}
 	ans = Answer{
-		Cols:  names,
+		Cols:  pl.CQ.HeadVars,
 		Card:  out.Card(),
 		Stats: solveStats(st, par),
 	}
@@ -528,10 +528,10 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 		}
 	}
 	// The result relation's columns are in sorted attribute order;
-	// permute each echoed tuple into the requested order.
+	// permute each echoed tuple into the head's order.
 	stored := out.Cols()
-	perm := make([]int, len(cols))
-	for j, id := range cols {
+	perm := make([]int, len(pl.CQ.HeadIDs))
+	for j, id := range pl.CQ.HeadIDs {
 		perm[j] = indexOfAttr(stored, id)
 	}
 	echo := out.Card()
@@ -867,10 +867,11 @@ func parseTarget(u *schema.Universe, s string) (schema.AttrSet, error) {
 }
 
 // lookupSchema parses text into a throwaway universe and translates it
-// into the serving universe by lookup only: /v1/solve must produce
-// AttrSets over s.U (to align with the snapshot), but client requests
-// must not grow s.U, so names the serving schema does not know are a
-// request error rather than a fresh interning.
+// into the serving universe by lookup only: /v1/solve produces AttrSets
+// over s.U (so the lowered plan's variables are the serving attributes
+// and binding it renames nothing), but client requests must not grow
+// s.U, so names the serving schema does not know are a request error
+// rather than a fresh interning.
 func (s *Server) lookupSchema(text string) (*schema.Schema, error) {
 	tmp := schema.NewUniverse()
 	d, err := schema.Parse(tmp, text)

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -75,13 +76,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // logSlowQuery emits one line for a read that exceeded the server's
 // SlowQuery threshold: the request id (echoed to the client in
-// X-Request-Id, so client and server logs correlate), the query
-// fingerprint (stable across requests — the aggregation key), the
-// parallelism used, and the top-3 most expensive statements.
-func (s *Server) logSlowQuery(reqID string, fp cacheKey, x string, par int, elapsed time.Duration, st *program.Stats) {
-	top := topStatements(st, 3)
-	s.E.Logf("gyod: slow query id=%s fp=%016x:%016x x=%s parallelism=%d elapsed=%s top=[%s]",
-		reqID, fp.schemaFP, fp.targetFP, x, par, elapsed.Round(time.Microsecond), top)
+// X-Request-Id, so client and server logs correlate), a fingerprint of
+// the plan's canonical text (FNV-1a, so stable across requests and
+// restarts — the aggregation key), the parallelism used, and the top-3
+// most expensive statements.
+func (s *Server) logSlowQuery(reqID, canonical, x string, par int, elapsed time.Duration, st *program.Stats) {
+	fp := fnv.New64a()
+	_, _ = fp.Write([]byte(canonical))
+	s.E.Logf("gyod: slow query id=%s fp=%016x x=%s parallelism=%d elapsed=%s top=[%s]",
+		reqID, fp.Sum64(), x, par, elapsed.Round(time.Microsecond), topStatements(st, 3))
 }
 
 // topStatements formats the n most expensive statements of a run,

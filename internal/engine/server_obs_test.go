@@ -89,6 +89,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`gyo_solve_seconds_count{cache="hit",mode="serial"}`,
 		`gyo_plan_cache_total{event="miss"}`,
 		`gyo_plan_cache_total{event="hit"}`,
+		`gyo_cq_plans_total{kind="acyclic"}`, // a lowered solve counts like a written query
 		`gyo_apply_seconds_count`,
 		`gyo_apply_batch_tuples_count`,
 		`gyo_wal_append_seconds_count`,

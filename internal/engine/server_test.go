@@ -61,7 +61,7 @@ func TestServerPlan(t *testing.T) {
 
 	var plan PlanResponse
 	post(t, ts.URL+"/v1/plan", `{"schema": "ab, bc, cd", "x": "ad"}`, &plan)
-	if !plan.Tree || len(plan.Stmts) == 0 {
+	if !plan.Tree || plan.Kind != "acyclic" || len(plan.Stmts) == 0 {
 		t.Fatalf("plan = %+v", plan)
 	}
 	semijoins := 0
@@ -102,6 +102,13 @@ func TestServerSolve(t *testing.T) {
 	}
 	if sol.Stats.Statements == 0 || sol.Stats.Semijoins == 0 {
 		t.Errorf("/v1/solve stats = %+v", sol.Stats)
+	}
+	// The reply says which plan ran: endpoints of a chain close a cycle
+	// with the head, its first relation does not.
+	var fc SolveResponse
+	post(t, ts.URL+"/v1/solve", `{"x": "ab"}`, &fc)
+	if sol.Kind != "acyclic" || fc.Kind != "free-connex" {
+		t.Errorf("/v1/solve kinds = %q, %q, want acyclic, free-connex", sol.Kind, fc.Kind)
 	}
 
 	// Tuple cap.

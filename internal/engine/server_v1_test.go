@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gyokit/internal/relation"
 	"gyokit/internal/schema"
 )
 
@@ -340,5 +341,101 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 		if eb.Error.Code != "invalid_request" || eb.Error.Message == "" || eb.Error.RequestID == "" {
 			t.Errorf("%s: envelope = %+v", path, eb)
 		}
+	}
+}
+
+// TestSolveIsTheQueryItDenotes: /v1/solve with a "schema" is answered as
+// the conjunctive query over those relations — a part of the serving
+// schema included — and fails the way that query fails: a relation the
+// server does not store is a 400 naming it, on both endpoints, and a
+// schema listing a relation more often than it is stored is a 400, not
+// a silent re-use of the one state.
+func TestSolveIsTheQueryItDenotes(t *testing.T) {
+	u := schema.NewUniverse()
+	d := schema.MustParse(u, "ab, bc, cd, de, ac")
+	e := New(Options{})
+	e.Swap(urdb(d, 5, 60, 4))
+	ts := httptest.NewServer(NewServer(e, u, d).Handler())
+	t.Cleanup(ts.Close)
+
+	for _, c := range []struct {
+		name, solve, query string
+		status             int
+		frag               string // in the error message when status is 400
+	}{
+		{"part of the serving schema",
+			`{"schema": "ab, bc", "x": "ac"}`, `{"query": "ans(A, C) :- ab(A, B), bc(B, C)."}`, 200, ""},
+		{"one relation",
+			`{"schema": "de", "x": "e"}`, `{"query": "ans(E) :- de(D, E)."}`, 200, ""},
+		{"the whole serving schema, permuted",
+			`{"schema": "ac, de, cd, bc, ab", "x": "ab"}`,
+			`{"query": "ans(A, B) :- ac(A, C), de(D, E), cd(C, D), bc(B, C), ab(A, B)."}`, 200, ""},
+		{"a relation the server does not store",
+			`{"schema": "ab, bd", "x": "ad"}`, `{"query": "ans(A, D) :- ab(A, B), bd(B, D)."}`, 400, `"bd"`},
+		{"an attribute the server does not know",
+			`{"schema": "ab, bz", "x": "a"}`, `{"query": "ans(A) :- ab(A, B), bz(B, Z)."}`, 400, `"z"`},
+		{"a relation listed more often than stored",
+			`{"schema": "ab, ab, bc", "x": "ac"}`, "", 400, `"ab" (occurrence 2)`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var cards []int
+			for path, body := range map[string]string{"/v1/solve": c.solve, "/v1/query": c.query} {
+				if body == "" {
+					continue
+				}
+				resp := postRaw(t, ts.URL+path, body)
+				if resp.StatusCode != c.status {
+					t.Fatalf("%s: status %d, want %d", path, resp.StatusCode, c.status)
+				}
+				if c.status != http.StatusOK {
+					if msg := decodeErrorBody(t, resp).Error.Message; !strings.Contains(msg, c.frag) || strings.Contains(msg, "plan schema") {
+						t.Errorf("%s: error message %q, want it to name %s", path, msg, c.frag)
+					}
+					continue
+				}
+				var ans struct{ Card int }
+				if err := json.NewDecoder(resp.Body).Decode(&ans); err != nil {
+					t.Fatal(err)
+				}
+				cards = append(cards, ans.Card)
+			}
+			if len(cards) == 2 && cards[0] != cards[1] {
+				t.Errorf("solve and query disagree: cards %v", cards)
+			}
+		})
+	}
+
+	// A serving schema that stores ab twice, the states told apart through
+	// "index" on the write side: solving it joins all three relations,
+	// where a written query's ab atoms can only ever read the first.
+	u2 := schema.NewUniverse()
+	dup := schema.MustParse(u2, "ab, ab, bc")
+	db := &relation.Database{D: dup}
+	for _, r := range dup.Rels {
+		db.Rels = append(db.Rels, relation.New(u2, r))
+	}
+	e2 := New(Options{})
+	e2.Swap(db)
+	ts2 := httptest.NewServer(NewServer(e2, u2, dup).Handler())
+	t.Cleanup(ts2.Close)
+	for _, body := range []string{
+		`{"rel": "ab", "index": 0, "tuples": [[1,2],[3,4],[5,6]]}`,
+		`{"rel": "ab", "index": 1, "tuples": [[3,4],[5,6],[7,8]]}`,
+		`{"rel": "bc", "tuples": [[2,9],[4,9],[8,9]]}`,
+	} {
+		if resp := post(t, ts2.URL+"/v1/insert", body, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("insert %s: status %d", body, resp.StatusCode)
+		}
+	}
+	var sol SolveResponse
+	post(t, ts2.URL+"/v1/solve", `{"x": "abc"}`, &sol)
+	want := e2.Snapshot().Eval(u2.Set("a", "b", "c"))
+	if sol.Card != want.Card() || sol.Card != 1 || fmt.Sprint(sol.Tuples) != "[[3 4 9]]" {
+		t.Errorf("solve over (ab, ab, bc) = card %d %v, want the three-way join %v", sol.Card, sol.Tuples, want)
+	}
+	var q QueryResponse
+	post(t, ts2.URL+"/v1/query", `{"query": "ans(A, B, C) :- ab(A, B), bc(B, C)."}`, &q)
+	if q.Card != 2 {
+		t.Errorf("written query card = %d, want 2 (first ab ⋈ bc)", q.Card)
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -518,15 +517,4 @@ func ParseText(r io.Reader) (map[string]float64, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// SortedKeys returns the series names of a ParseText result in sorted
-// order — convenience for stable test output and delta reports.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -14,32 +14,30 @@ import (
 //
 //  1. transform D into a tree schema by adding the single relation
 //     schema ∪GR(D) — the optimal choice by Corollary 3.2;
-//  2. build a state for the added schema with joins and projects
-//     (joining the projections of the relations that survive in GR(D)
-//     and projecting onto ∪GR(D)), which reduces the problem to the
-//     tree case;
+//  2. build a state R_new for it with joins and projects: join, in
+//     GreedyJoinOrder, the projections of the relations that survive in
+//     GR(D), and project onto ∪GR(D);
 //  3. solve the resulting tree schema with the full-reducer +
-//     Yannakakis program.
+//     Yannakakis program, rooted by CoverRoot.
+//
+// Step 3 runs over R_new plus only the relations that did not go into
+// it whole. A survivor whose content is its whole schema Rᵢ satisfies
+// R_new[Rᵢ] ⊆ rᵢ on every database, so joining it back is a no-op, and
+// dropping a relation contained in another keeps the schema a tree
+// (GYO's subset rule applied to Theorem 3.2(ii)). A survivor that lost
+// attributes, and a relation GYO eliminated as a subset of another (a
+// in "ab, bc, ac, a"), are real filters and stay.
 //
 // The returned program runs against databases for the ORIGINAL schema
-// D and is correct on arbitrary databases (not just UR ones): the
-// materialized relation contains the corresponding projection of the
-// full join, so joining it back changes nothing.
-//
-// For tree schemas it degrades gracefully to the plain Yannakakis
-// program.
+// D and is correct on arbitrary databases (not just UR ones): R_new
+// contains the corresponding projection of the full join. On a tree
+// schema GR(D) is empty, nothing is materialized, and the program is
+// Yannakakis over D itself.
 func CyclicPlan(d *schema.Schema, x schema.AttrSet) (*Program, error) {
 	if !x.SubsetOf(d.Attrs()) {
 		return nil, fmt.Errorf("program: target %s ⊄ U(D)", d.U.FormatSet(x))
 	}
 	res := gyo.ReduceFull(d)
-	if res.Empty() {
-		t, ok := qualgraph.QualTree(d)
-		if !ok {
-			return nil, fmt.Errorf("program: internal: GYO says tree, qualgraph disagrees on %s", d)
-		}
-		return Yannakakis(d, x, t)
-	}
 
 	// Step 1–2: materialize R_new = π_{∪GR}(⋈ of the GR survivors'
 	// projections). Each survivor i currently holds attributes
@@ -47,49 +45,76 @@ func CyclicPlan(d *schema.Schema, x schema.AttrSet) (*Program, error) {
 	// first so the join runs on the cyclic core only.
 	p := NewProgram(d)
 	newRel := res.GR.Attrs()
-	var ids []int
-	for k, i := range res.Alive {
-		content := res.GR.Rels[k]
-		if content.IsEmpty() {
-			continue
+	whole := make([]bool, len(d.Rels)) // went into R_new unprojected
+	var core []int                     // the survivors to join: all of them, or none when GR(D) = ∅
+	if !res.Empty() {
+		core = inputIDs(len(res.GR.Rels))
+	}
+	acc := -1
+	for _, k := range GreedyJoinOrder(res.GR, core) {
+		id := res.Alive[k]
+		if content := res.GR.Rels[k]; content.Equal(d.Rels[id]) {
+			whole[id] = true
+		} else {
+			id = p.emit(Stmt{Kind: Project, Left: id, Proj: content})
 		}
-		if content.Equal(d.Rels[i]) {
-			ids = append(ids, i)
-			continue
+		if acc < 0 {
+			acc = id
+		} else {
+			acc = p.emit(Stmt{Kind: Join, Left: acc, Right: id})
 		}
-		ids = append(ids, p.emit(Stmt{Kind: Project, Left: i, Proj: content}))
 	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("program: internal: cyclic schema with empty GR core")
-	}
-	acc := ids[0]
-	for _, id := range ids[1:] {
-		acc = p.emit(Stmt{Kind: Join, Left: acc, Right: id})
-	}
-	if !p.SchemaOf(acc).Equal(newRel) {
+	if acc >= 0 && !p.SchemaOf(acc).Equal(newRel) {
 		acc = p.emit(Stmt{Kind: Project, Left: acc, Proj: newRel})
 	}
 
-	// Step 3: Yannakakis over the extended tree schema D ∪ (R_new)
-	// (a tree schema by Theorem 3.2(ii)), with acc as the state of
-	// R_new — the program still expects databases for D alone.
-	ext := d.WithRel(newRel)
+	// Step 3: Yannakakis over the tree schema (D minus the relations
+	// R_new subsumes) ∪ (R_new), with acc as the state of R_new — the
+	// program still expects databases for D alone.
+	ext := schema.New(d.U)
+	var cur []int
+	for i, r := range d.Rels {
+		if !whole[i] {
+			ext.Add(r)
+			cur = append(cur, i)
+		}
+	}
+	if acc >= 0 {
+		ext.Add(newRel)
+		cur = append(cur, acc)
+	}
 	t, ok := qualgraph.QualTree(ext)
 	if !ok {
-		return nil, fmt.Errorf("program: internal: D ∪ (∪GR(D)) not a tree schema — Theorem 3.2(ii) violated")
+		return nil, fmt.Errorf("program: internal: %s with ∪GR(D) added is not a tree schema — Theorem 3.2(ii) violated", d)
 	}
-	if err := emitYannakakis(p, ext.Rels, append(inputIDs(len(d.Rels)), acc), t, 0, x); err != nil {
+	if err := emitYannakakis(p, ext.Rels, cur, t, CoverRoot(ext.Rels, x), x); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// CoverRoot is the root rule for a Yannakakis tree the target sits well
+// in: the relation covering the most attributes of x (lowest index on
+// ties). Every other node projects down to its subtree's target
+// attributes plus the parent link before its parent joins it, so join
+// widths stay within relation ∪ target widths instead of growing toward
+// the full join.
+func CoverRoot(rels []schema.AttrSet, x schema.AttrSet) int {
+	best, bestCover := 0, -1
+	for i, r := range rels {
+		if cov := r.IntersectCard(x); cov > bestCover {
+			best, bestCover = i, cov
+		}
+	}
+	return best
 }
 
 // GreedyJoinOrder reorders the inputs of a multiway join by repeatedly
 // picking the relation sharing the most attributes with what has been
 // joined so far (breaking ties toward smaller schemas, then lower
 // index). This is the classic heuristic that keeps natural joins from
-// degenerating into cross products; used as an ablation baseline in
-// the benchmark suite.
+// degenerating into cross products; CyclicPlan joins the cyclic core in
+// this order.
 func GreedyJoinOrder(d *schema.Schema, idx []int) []int {
 	if len(idx) <= 1 {
 		return append([]int(nil), idx...)

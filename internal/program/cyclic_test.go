@@ -82,8 +82,9 @@ func TestCyclicPlanNonUR(t *testing.T) {
 	}
 }
 
-// TestCyclicPlanDegradesToYannakakis: on tree schemas the plan is the
-// plain Yannakakis program (no join materialization).
+// TestCyclicPlanDegradesToYannakakis: on tree schemas GR(D) is empty,
+// so nothing is materialized and the plan is the Yannakakis program
+// over D itself.
 func TestCyclicPlanDegradesToYannakakis(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 10; trial++ {

@@ -22,9 +22,12 @@ func planText(p *Program) string {
 }
 
 // TestPlanShapeGolden pins the statement lists CyclicPlan, Yannakakis
-// and YannakakisRooted emit. The golden text was printed by the
-// separate full-reducer / Yannakakis / inline-cyclic emitters that
-// preceded the shared one, which must keep reproducing it exactly.
+// and YannakakisRooted emit. The tree shapes were printed by the
+// separate full-reducer / Yannakakis emitters that preceded the shared
+// one, which must keep reproducing them exactly; the cyclic shapes are
+// the record of what the §4 strategy materializes and which relations
+// it joins back (every ring and the triangle reduce to the one-node
+// tree {∪GR}; a relation GYO eliminated as a subset stays a filter).
 func TestPlanShapeGolden(t *testing.T) {
 	var got strings.Builder
 	add := func(name string, p *Program) {
@@ -46,6 +49,10 @@ func TestPlanShapeGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	add("cyclic ab,bc,cd,de,ac x=ab", p)
+	if p, err = CyclicPlan(parse(t, u, "ab, bc, ac, a"), u.Set("a", "b")); err != nil {
+		t.Fatal(err)
+	}
+	add("cyclic ab,bc,ac,a x=ab", p)
 
 	chain := gen.Chain(5)
 	tr, ok := qualgraph.QualTree(chain)
@@ -64,8 +71,8 @@ func TestPlanShapeGolden(t *testing.T) {
 		}
 		add(fmt.Sprintf("yannakakis chain5 root%d", root), p)
 	}
-	// A single relation: the reducer has nothing to semijoin and copies
-	// the root through a trivial projection.
+	// A single relation: nothing to semijoin, so the program is the root
+	// projection alone — the input is copied once, not twice.
 	one := gen.Chain(1)
 	tr1, _ := qualgraph.QualTree(one)
 	if p, err = Yannakakis(one, one.Rels[0], tr1); err != nil {

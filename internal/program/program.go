@@ -509,6 +509,12 @@ func FullReducer(d *schema.Schema, t *graph.Undirected) (*Program, []int, error)
 	if _, _, err := emitReducer(p, cur, t, 0); err != nil {
 		return nil, nil, err
 	}
+	// A single-node tree has no semijoins; copy the relation through a
+	// trivial projection so the program has a last statement to answer
+	// with.
+	if len(cur) == 1 {
+		cur[0] = p.emit(Stmt{Kind: Project, Left: 0, Proj: d.Rels[0].Clone()})
+	}
 	return p, cur, nil
 }
 
@@ -553,12 +559,6 @@ func emitReducer(p *Program, cur []int, t *graph.Undirected, root int) (order, p
 		if v := order[i]; v != root {
 			cur[v] = p.emit(Stmt{Kind: Semijoin, Left: cur[v], Right: cur[parent[v]]})
 		}
-	}
-	// Make the reducer's result meaningful: its last statement is the
-	// last child reduction; a single-node tree has no semijoins, so copy
-	// the root via a trivial projection.
-	if n == 1 {
-		cur[root] = p.emit(Stmt{Kind: Project, Left: cur[root], Proj: p.SchemaOf(cur[root])})
 	}
 	return order, parent, nil
 }
@@ -607,9 +607,9 @@ func Yannakakis(d *schema.Schema, x schema.AttrSet, t *graph.Undirected) (*Progr
 // only its subtree's target attributes plus the link to its parent
 // before the parent joins it, but the root's own joins see whatever its
 // children send up. A caller that knows which relation covers the
-// target — the conjunctive-query planner's free-connex case — roots the
+// target — the planner's free-connex case, see CoverRoot — roots the
 // tree there, so projections push below every join and no intermediate
-// materializes attributes outside atom ∪ target widths.
+// materializes attributes outside relation ∪ target widths.
 func YannakakisRooted(d *schema.Schema, x schema.AttrSet, t *graph.Undirected, root int) (*Program, error) {
 	if !x.SubsetOf(d.Attrs()) {
 		return nil, fmt.Errorf("program: target %s ⊄ U(D)", d.U.FormatSet(x))

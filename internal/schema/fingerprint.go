@@ -5,8 +5,7 @@ import "sort"
 // Fingerprints identify schemas and attribute sets across processes and
 // universes: they hash attribute NAMES, not interned ids, so two
 // schemas that denote the same relation-schema multiset fingerprint
-// equally no matter which universe interned them or in which order. The
-// serving layer (internal/engine) keys its plan cache on them.
+// equally no matter which universe interned them or in which order.
 
 const (
 	fpOffset64 = 14695981039346656037 // FNV-1a offset basis
@@ -61,23 +60,4 @@ func (d *Schema) Fingerprint() uint64 {
 		xor ^= fpMix(h)
 	}
 	return fpMix(sum ^ fpMix(xor^uint64(len(d.Rels))*fpPrime64))
-}
-
-// OrderedFingerprint is Fingerprint's order-SENSITIVE sibling: the
-// per-relation fingerprints are chained, so permutations of the same
-// relation schemas fingerprint differently. Callers caching positional
-// results (anything indexed by relation position, like qual-tree
-// edges) key on this instead of Fingerprint.
-func (d *Schema) OrderedFingerprint() uint64 {
-	h := uint64(fpOffset64)
-	for _, r := range d.Rels {
-		h = fpMix(h ^ d.U.SetFingerprint(r))
-	}
-	return fpMix(h ^ uint64(len(d.Rels)))
-}
-
-// QueryFingerprint returns the (schema, target) fingerprint pair used
-// as a plan-cache key for the query (d, x).
-func (d *Schema) QueryFingerprint(x AttrSet) (schemaFP, targetFP uint64) {
-	return d.Fingerprint(), d.U.SetFingerprint(x)
 }

@@ -62,19 +62,6 @@ func TestFingerprintSeparatorAmbiguity(t *testing.T) {
 	}
 }
 
-func TestQueryFingerprint(t *testing.T) {
-	u := NewUniverse()
-	d := MustParse(u, "ab, bc, cd")
-	fp1, x1 := d.QueryFingerprint(u.Set("a", "d"))
-	fp2, x2 := d.QueryFingerprint(u.Set("a", "b"))
-	if fp1 != fp2 {
-		t.Errorf("schema fingerprint depends on target")
-	}
-	if x1 == x2 {
-		t.Errorf("distinct targets fingerprint equally")
-	}
-}
-
 // TestUniverseConcurrentInterning exercises the Universe lock under
 // -race: concurrent interning, lookup, and formatting must be safe.
 func TestUniverseConcurrentInterning(t *testing.T) {
@@ -98,17 +85,5 @@ func TestUniverseConcurrentInterning(t *testing.T) {
 	wg.Wait()
 	if got := u.Size(); got != 4+8 {
 		t.Errorf("Size = %d, want 12", got)
-	}
-}
-
-func TestOrderedFingerprint(t *testing.T) {
-	u := NewUniverse()
-	d1 := MustParse(u, "ab, bc, cd")
-	d2 := MustParse(u, "cd, ab, bc")
-	if d1.OrderedFingerprint() == d2.OrderedFingerprint() {
-		t.Error("OrderedFingerprint ignores relation order")
-	}
-	if d1.OrderedFingerprint() != MustParse(u, "ab, bc, cd").OrderedFingerprint() {
-		t.Error("OrderedFingerprint not deterministic")
 	}
 }
