@@ -228,13 +228,11 @@ func BenchmarkEvalYannakakisLarge(b *testing.B) {
 	}
 }
 
-// --- partition-parallel program execution ---------------------------
+// --- semijoin program execution --------------------------------------
 
-// parallelProgramSetup builds the acceptance-criteria workload: a
-// 5-chain semijoin program (Yannakakis: full reducer + bottom-up join)
-// over a 10k-tuple universal relation — the scale where fan-out beats
-// the goroutine overhead.
-func parallelProgramSetup(b *testing.B) (*program.Program, *relation.Database) {
+// semijoinProgramSetup builds a 5-chain semijoin program (Yannakakis:
+// full reducer + bottom-up join) over a 10k-tuple universal relation.
+func semijoinProgramSetup(b *testing.B) (*program.Program, *relation.Database) {
 	b.Helper()
 	d := gen.Chain(5)
 	attrs := d.Attrs().Attrs()
@@ -252,65 +250,16 @@ func parallelProgramSetup(b *testing.B) (*program.Program, *relation.Database) {
 	return plan, db
 }
 
-// BenchmarkSemijoinProgramSerial is the single-threaded baseline the
-// parallel executor must beat at P≥4 (acceptance criteria; compare
-// against BenchmarkSemijoinProgramParallel/p=4).
+// BenchmarkSemijoinProgramSerial runs that program through one reused
+// execution context, as a pooled request does.
 func BenchmarkSemijoinProgramSerial(b *testing.B) {
-	plan, db := parallelProgramSetup(b)
-	pe := relation.NewParExec(1)
+	plan, db := semijoinProgramSetup(b)
+	ex := relation.NewExec()
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
-		if _, _, err := plan.Run(db, pe, program.Limits{}); err != nil {
+		if _, _, err := plan.Run(db, ex, program.Limits{}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSemijoinProgramParallel runs the same program
-// partition-parallel at P shards (forced: MinParallel 0), measuring
-// the full pipeline — repartitions, shard-local semijoins/joins, and
-// the final merge.
-func BenchmarkSemijoinProgramParallel(b *testing.B) {
-	plan, db := parallelProgramSetup(b)
-	for _, p := range []int{2, 4, 8} {
-		pe := relation.NewParExec(p)
-		pe.MinParallel = 0
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			for k := 0; k < b.N; k++ {
-				if _, _, err := plan.Run(db, pe, program.Limits{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkEngineSolvePar measures the serving path end-to-end with
-// per-request parallelism: cached plan, pooled ParExec, one frozen
-// snapshot.
-func BenchmarkEngineSolvePar(b *testing.B) {
-	d := gen.Chain(5)
-	attrs := d.Attrs().Attrs()
-	x := schema.NewAttrSet(attrs[0], attrs[len(attrs)-1])
-	i, _ := relation.RandomUniversal(d.U, d.Attrs(), 10000, 64, gen.RNG(10000))
-	for _, p := range []int{1, 4} {
-		e := gyokit.NewEngine(gyokit.EngineOptions{Workers: p})
-		e.Swap(relation.URDatabase(d, i))
-		solve := func() {
-			pl, err := e.Plan(d, x)
-			if err == nil {
-				_, _, err = e.SolveQuery(pl, p, program.Limits{})
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		solve()
-		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
-			for k := 0; k < b.N; k++ {
-				solve()
-			}
-		})
 	}
 }
 

@@ -9,10 +9,10 @@ func TestBenchFamilies(t *testing.T) {
 	got := benchFamilies([]string{
 		"JoinColumnar/n=50000",
 		"JoinColumnar/n=10000",
-		"SemijoinProgramParallel/p=4/n=10000",
+		"SemijoinProgramSerial/n=10000",
 		"QueryParse",
 	})
-	want := []string{"JoinColumnar", "QueryParse", "SemijoinProgramParallel"}
+	want := []string{"JoinColumnar", "QueryParse", "SemijoinProgramSerial"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("benchFamilies = %v, want %v", got, want)
 	}

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	gyod [-addr :8080] [-schema "ab, bc, cd"] [-tuples 1000] [-domain 32] [-seed 1] [-cache 256]
-//	     [-workers N] [-data DIR] [-segbytes N] [-ckptbytes N] [-compactbytes N] [-nosync]
+//	     [-data DIR] [-segbytes N] [-ckptbytes N] [-compactbytes N] [-nosync]
 //	     [-pprof] [-slowquery 1s] [-gas 1000000] [-querytimeout 10s]
 //	     [-follow URL] [-maxlag BYTES]
 //
@@ -16,8 +16,8 @@
 //
 //	POST /v1/classify  {"schema": "ab, bc, cd"}
 //	POST /v1/plan      {"schema": "ab, bc, cd", "x": "ad"}
-//	POST /v1/solve     {"x": "ad", "parallelism"?: 4,   evaluate on the server database
-//	                    "timeoutMs"?: 500}
+//	POST /v1/solve     {"x": "ad", "timeoutMs"?: 500}   evaluate on the server database
+//	                   ("parallelism" is accepted and ignored; evaluation is serial)
 //	POST /v1/query     {"query": "ans(X,Z) :- ab(X,Y), bc(Y,Z)."}  conjunctive query,
 //	                   free-connex-aware planning; also accepts a text/plain body
 //	POST /v1/insert    {"rel": "ab", "tuples": [[1,2]]} durable insert batch
@@ -109,7 +109,6 @@ func run() error {
 	domain := flag.Int("domain", 32, "per-column value domain of the generated database")
 	seed := flag.Int64("seed", 1, "generator seed")
 	cache := flag.Int("cache", engine.DefaultPlanCacheSize, "plan-cache capacity (negative disables)")
-	workers := flag.Int("workers", 0, "per-request parallelism cap (0 = GOMAXPROCS, 1 = always serial)")
 	dataDir := flag.String("data", "", "durable storage directory (empty = in-memory only)")
 	segBytes := flag.Int64("segbytes", storage.DefaultSegmentBytes, "WAL segment rotation threshold in bytes")
 	ckptBytes := flag.Int64("ckptbytes", storage.DefaultCheckpointBytes, "live-WAL bytes that trigger a background checkpoint (negative disables)")
@@ -130,7 +129,7 @@ func run() error {
 	// One registry spans engine and store, so GET /metrics is the whole
 	// server on one page.
 	reg := obs.NewRegistry()
-	opts := engine.Options{PlanCacheSize: *cache, Workers: *workers, Logf: log.Printf, Metrics: reg}
+	opts := engine.Options{PlanCacheSize: *cache, Logf: log.Printf, Metrics: reg}
 	var store *storage.Store
 	if *dataDir != "" {
 		if *follow != "" {

@@ -83,8 +83,8 @@ type replicaStatus struct {
 
 // waitCaughtUp polls the follower until it reports zero lag at the
 // leader's current WAL tail. (Zero lag alone is the follower's view as
-// of its last completed poll: while it fetches and applies a batch the
-// leader has just acknowledged, it still says "caught up".)
+// of the last feed preamble it read: a batch the leader acknowledged
+// after that is not in it.)
 func waitCaughtUp(t *testing.T, follower, leader *gyodProc) replicaStatus {
 	t.Helper()
 	var tail replicaStatus

@@ -66,7 +66,7 @@ func run() error {
 		return err
 	}
 	defer follower.kill()
-	st, err := follower.waitCaughtUp()
+	st, err := follower.waitCaughtUp(leader)
 	if err != nil {
 		return err
 	}
@@ -108,7 +108,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if _, err := follower.waitCaughtUp(); err != nil {
+	if _, err := follower.waitCaughtUp(leader); err != nil {
 		return err
 	}
 	fmt.Println("  follower caught up (lagRecords=0 lagBytes=0 lagSeconds=0)")
@@ -232,21 +232,35 @@ type status struct {
 	LastError string `json:"lastError"`
 }
 
-func (g *gyod) waitCaughtUp() (status, error) {
+func (g *gyod) status() (status, error) {
+	var st status
+	raw, err := g.get("/v1/replica/status")
+	if err == nil {
+		err = json.Unmarshal(raw, &st)
+	}
+	return st, err
+}
+
+// waitCaughtUp waits until the follower g has applied everything leader
+// has acknowledged so far: zero lag and a cursor equal to the leader's
+// current WAL tail (a leader's status reports its tail as the cursor).
+// Zero lag alone is the follower's view as of its last preamble and
+// cannot cover a batch the leader acknowledged after it.
+func (g *gyod) waitCaughtUp(leader *gyod) (status, error) {
+	tail, err := leader.status()
+	if err != nil {
+		return status{}, err
+	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		raw, err := g.get("/v1/replica/status")
+		st, err := g.status()
 		if err != nil {
-			return status{}, err
-		}
-		var st status
-		if err := json.Unmarshal(raw, &st); err != nil {
 			return status{}, err
 		}
 		if st.Diverged {
 			return st, fmt.Errorf("replica diverged: %s", st.LastError)
 		}
-		if st.Connected && st.LagBytes == 0 {
+		if st.Connected && st.LagBytes == 0 && st.CursorSeg == tail.CursorSeg && st.CursorOff == tail.CursorOff {
 			return st, nil
 		}
 		if time.Now().After(deadline) {

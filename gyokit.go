@@ -54,8 +54,9 @@
 // plan cache keyed by canonical query text — a (schema, X) solve is
 // lowered to the conjunctive query it already is — holds the
 // Classification plus the compiled Program, so repeat queries skip
-// GYO reduction and planning entirely; a sync.Pool of ParExec contexts lets
-// concurrent evaluations reuse hash tables without locking; and
+// GYO reduction and planning entirely; a sync.Pool of Exec contexts, one
+// per in-flight (serial) evaluation, lets concurrent requests reuse hash
+// tables without locking; and
 // queries run against immutable frozen Database snapshots swapped in
 // atomically by writers (Database.Clone, Database.InsertTuple,
 // Engine.Swap), so readers never block. NewEngineServer exposes an
@@ -125,12 +126,6 @@ type (
 	// Exec is a reusable relational execution context: one Exec
 	// amortizes hash tables and scratch buffers across operator calls.
 	Exec = relation.Exec
-	// ParExec is the partition-parallel execution context: one Exec
-	// per worker plus the parallelism policy.
-	ParExec = relation.ParExec
-	// Partitioning is a relation hash-partitioned into shards on a key
-	// attribute subset.
-	Partitioning = relation.Partitioning
 	// Stats is the cost report of a Program.Eval run.
 	Stats = program.Stats
 	// StmtStat is one statement's observed cost within Stats.
@@ -188,11 +183,6 @@ func NewUniverse() *Universe { return schema.NewUniverse() }
 
 // NewExec returns a fresh relational execution context.
 func NewExec() *Exec { return relation.NewExec() }
-
-// NewParExec returns a partition-parallel execution context with p
-// workers; Program.Run runs join/semijoin statements shard-local
-// across them.
-func NewParExec(p int) *ParExec { return relation.NewParExec(p) }
 
 // NewEngine returns a concurrent query-serving engine.
 func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }

@@ -12,10 +12,11 @@
 //     is (cq.Lower), so both front ends share the cache and the one
 //     prepare → bind → run path, and a repeated query skips
 //     classification and planning entirely;
-//   - an execution-context pool: a sync.Pool of relation.ParExec
-//     contexts (one worker wide until a request asks for more), so
-//     concurrent evaluations reuse join hash tables and scratch
-//     buffers without contending on a lock;
+//   - an execution-context pool: a sync.Pool of relation.Exec
+//     contexts, one per in-flight evaluation, so concurrent requests
+//     reuse join hash tables and scratch buffers without contending on
+//     a lock. Each evaluation is serial; concurrency is across
+//     requests;
 //   - database snapshots: the engine serves reads from an immutable
 //     (frozen) relation.Database held in an atomic pointer; writers
 //     derive new snapshots copy-on-write and publish them with Update
@@ -28,7 +29,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,10 +52,6 @@ type Options struct {
 	// DefaultPlanCacheSize; negative disables caching (every query is
 	// classified and planned from scratch — the cold baseline).
 	PlanCacheSize int
-	// Workers caps per-request partition parallelism: SolveQuery clamps
-	// the requested shard count to this. Zero means GOMAXPROCS; one
-	// makes every request serial.
-	Workers int
 	// Store, when non-nil, makes the engine durable: the store's
 	// recovered database is installed as the first snapshot, Apply
 	// appends every mutation batch to the write-ahead log (fsynced)
@@ -109,7 +105,6 @@ type Stats struct {
 	Evictions   uint64 // plans pushed out of the LRU by newer entries
 	CachedPlans int    // entries currently resident
 	Evals       uint64 // completed evaluations (Solve, SolveQuery, the HTTP read endpoints)
-	ParEvals    uint64 // the subset that ran partition-parallel
 }
 
 // Engine is a concurrency-safe query-serving engine.
@@ -117,14 +112,12 @@ type Engine struct {
 	mu    sync.Mutex // guards cache
 	cache *lruCache  // nil when caching is disabled
 
-	hits, misses, evals atomic.Uint64
-	parEvals, evictions atomic.Uint64
+	hits, misses, evals, evictions atomic.Uint64
 
 	reg *obs.Registry // never nil; Options.Metrics or a private one
 	m   engineMetrics
 
-	workers int       // max shards per request (≥ 1)
-	pexecs  sync.Pool // *relation.ParExec, one worker wide until a request resizes it
+	execs sync.Pool // *relation.Exec, one per in-flight evaluation
 
 	wmu sync.Mutex                        // serializes snapshot writers (Swap/Update/Apply)
 	db  atomic.Pointer[relation.Database] // current frozen snapshot
@@ -146,13 +139,8 @@ type Engine struct {
 
 // New returns an Engine with the given options.
 func New(opts Options) *Engine {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	e := &Engine{
-		workers: workers,
-		pexecs:  sync.Pool{New: func() any { return relation.NewParExec(1) }},
+		execs: sync.Pool{New: func() any { return relation.NewExec() }},
 	}
 	size := opts.PlanCacheSize
 	if size == 0 {
@@ -472,32 +460,35 @@ func (e *Engine) ReplSnapshot() (*relation.Database, storage.Cursor, error) {
 	return db, e.store.TailCursor(), nil
 }
 
-// Solve evaluates the query (d, x) serially, without limits, against
-// the current snapshot, using the plan cache.
+// Solve evaluates the query (d, x), without limits, against the
+// current snapshot, using the plan cache.
 func (e *Engine) Solve(d *schema.Schema, x schema.AttrSet) (*relation.Relation, *program.Stats, error) {
 	pl, hit, err := e.plan(d, x)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.run(e.db.Load(), pl, hit, 1, program.Limits{})
+	return e.run(e.db.Load(), pl, hit, program.Limits{})
 }
 
 // SolveQuery evaluates a plan — from Plan or PrepareQuery — against
-// the current snapshot under lim: join and semijoin statements fan out
-// across up to parallelism hash-partitioned shards (clamped to the
-// engine's Workers cap; ≤ 1 is serial). Parallelism changes how a plan
-// is executed, never which plan is built. A limit violation returns a
+// the current snapshot under lim. A limit violation returns a
 // *program.LimitError matching program.ErrGasExhausted or
 // program.ErrDeadlineExceeded.
-func (e *Engine) SolveQuery(pl *Plan, parallelism int, lim program.Limits) (*relation.Relation, *program.Stats, error) {
-	return e.run(e.db.Load(), pl, true, parallelism, lim)
+//
+// The middle argument is accepted and ignored; evaluation is serial. It
+// was the per-request shard count of the deleted partition-parallel
+// executor, and it is still in the signature only because bench/probe.go
+// — which no PR but a benchmark PR may edit — calls SolveQuery(pl, 1, …);
+// the benchmark PR that updates that call drops the argument.
+func (e *Engine) SolveQuery(pl *Plan, _ int, lim program.Limits) (*relation.Relation, *program.Stats, error) {
+	return e.run(e.db.Load(), pl, true, lim)
 }
 
 // run is the engine's one evaluation path. It binds the plan's atoms to
 // db's relations (bind) and runs the program over them in a pooled
 // execution context. db is never mutated. cacheHit says how the caller
 // came by pl and only labels the latency observation.
-func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, parallelism int, lim program.Limits) (*relation.Relation, *program.Stats, error) {
+func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, lim program.Limits) (*relation.Relation, *program.Stats, error) {
 	if pl == nil || pl.CQ == nil {
 		return nil, nil, fmt.Errorf("engine: plan has no program (use Plan or PrepareQuery)")
 	}
@@ -509,11 +500,9 @@ func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, parallelism
 	if err != nil {
 		return nil, nil, err
 	}
-	parallelism = e.ClampParallelism(parallelism)
-	pe := e.pexecs.Get().(*relation.ParExec)
-	pe.Resize(parallelism)
-	out, st, err := pl.Prog.Run(db, pe, lim)
-	e.pexecs.Put(pe)
+	ex := e.execs.Get().(*relation.Exec)
+	out, st, err := pl.Prog.Run(db, ex, lim)
+	e.execs.Put(ex)
 	if err != nil {
 		switch {
 		case errors.Is(err, program.ErrGasExhausted):
@@ -524,29 +513,8 @@ func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, parallelism
 		return nil, nil, err
 	}
 	e.evals.Add(1)
-	if parallelism > 1 {
-		e.parEvals.Add(1)
-		e.m.repartitions.Add(uint64(st.Repartitions))
-		e.m.repartitionBytes.Add(uint64(st.RepartitionBytes))
-	}
-	e.m.solveHist(cacheHit, parallelism > 1).Observe(time.Since(t0).Seconds())
+	e.m.solveHist(cacheHit).Observe(time.Since(t0).Seconds())
 	return out, st, nil
-}
-
-// Workers returns the engine's per-request parallelism cap.
-func (e *Engine) Workers() int { return e.workers }
-
-// ClampParallelism maps a requested per-request shard count into the
-// engine's supported range [1, Workers]: zero and negative requests
-// mean "serial".
-func (e *Engine) ClampParallelism(p int) int {
-	if p < 1 {
-		return 1
-	}
-	if p > e.workers {
-		return e.workers
-	}
-	return p
 }
 
 // Stats returns a snapshot of the engine counters.
@@ -556,7 +524,6 @@ func (e *Engine) Stats() Stats {
 		PlanMisses: e.misses.Load(),
 		Evictions:  e.evictions.Load(),
 		Evals:      e.evals.Load(),
-		ParEvals:   e.parEvals.Load(),
 	}
 	if e.cache != nil {
 		e.mu.Lock()

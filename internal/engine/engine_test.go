@@ -18,24 +18,14 @@ func urdb(d *schema.Schema, seed int64, tuples, domain int) *relation.Database {
 	return relation.URDatabase(d, i)
 }
 
-// solveOn evaluates (d, x) serially against an explicit database state,
-// through the plan cache.
+// solveOn evaluates (d, x) against an explicit database state, through
+// the plan cache.
 func solveOn(e *Engine, db *relation.Database, d *schema.Schema, x schema.AttrSet) (*relation.Relation, *program.Stats, error) {
 	pl, hit, err := e.plan(d, x)
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.run(db, pl, hit, 1, program.Limits{})
-}
-
-// solvePar evaluates (d, x) against the current snapshot at the given
-// parallelism, through the plan cache.
-func solvePar(e *Engine, d *schema.Schema, x schema.AttrSet, parallelism int) (*relation.Relation, *program.Stats, error) {
-	pl, err := e.Plan(d, x)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.SolveQuery(pl, parallelism, program.Limits{})
+	return e.run(db, pl, hit, program.Limits{})
 }
 
 func TestPlanCacheHit(t *testing.T) {

@@ -114,8 +114,8 @@ func targets(attrs []schema.Attr) []schema.AttrSet {
 // replaced. On tree and cyclic schemas, for every target of 1–3
 // attributes and arbitrary (non-UR) databases, Engine.Solve(d, x), the
 // same question hand-written as a conjunctive query through
-// PrepareQuery, and the naive join-then-project plan must agree —
-// serial and at parallelism 2, with and without (generous) limits.
+// PrepareQuery, and the naive join-then-project plan must agree, with
+// and without (generous) limits.
 func TestLoweredSolveDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260928))
 	cyclic := func() *schema.Schema {
@@ -139,7 +139,7 @@ func TestLoweredSolveDifferential(t *testing.T) {
 	checked, written := 0, 0
 	for _, d := range schemas {
 		db := randomDB(d, rng, 14, 3)
-		e := New(Options{Workers: 2})
+		e := New(Options{})
 		e.Swap(db)
 		for _, x := range targets(d.Attrs().Attrs()) {
 			cols := x.Attrs()
@@ -175,15 +175,13 @@ func TestLoweredSolveDifferential(t *testing.T) {
 				written++
 			}
 			for how, pl := range plans {
-				for _, par := range []int{1, 2} {
-					for _, lim := range []program.Limits{{}, generous()} {
-						out, _, err := e.SolveQuery(pl, par, lim)
-						if err != nil {
-							t.Fatalf("%s: %s plan, parallelism %d: %v", name, how, par, err)
-						}
-						if !sameRows(rowsIn(out, pl.CQ.HeadIDs), want) {
-							t.Fatalf("%s: %s plan, parallelism %d ≠ naive plan", name, how, par)
-						}
+				for _, lim := range []program.Limits{{}, generous()} {
+					out, _, err := e.SolveQuery(pl, 1, lim)
+					if err != nil {
+						t.Fatalf("%s: %s plan: %v", name, how, err)
+					}
+					if !sameRows(rowsIn(out, pl.CQ.HeadIDs), want) {
+						t.Fatalf("%s: %s plan ≠ naive plan", name, how)
 					}
 				}
 			}

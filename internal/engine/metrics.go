@@ -10,9 +10,9 @@ import (
 // each — the cached-plan solve overhead is CI-gated at ≤5%); pull-style
 // gauges are registered as scrape-time callbacks in registerGauges.
 type engineMetrics struct {
-	// solve latency split by plan-cache outcome × execution mode:
-	// [0]=cache hit, [1]=cache miss (cold); [_][0]=serial, [_][1]=parallel.
-	solve [2][2]*obs.Histogram
+	// solve latency split by plan-cache outcome: [0]=cache hit,
+	// [1]=cache miss (cold).
+	solve [2]*obs.Histogram
 
 	planHits      *obs.Counter
 	planMisses    *obs.Counter
@@ -21,18 +21,14 @@ type engineMetrics struct {
 	applySec         *obs.Histogram // Apply latency: copy-on-write + WAL append + publish
 	applyBatchTuples *obs.Histogram // tuples per Apply batch
 
-	repartitions     *obs.Counter // partitionings built by parallel runs
-	repartitionBytes *obs.Counter // arena bytes those partitionings moved
-
 	cqPlans   map[string]*obs.Counter // compiled plans (written or lowered) by plan kind
 	cqLimited map[string]*obs.Counter // evaluations aborted by a resource rail
 }
 
 func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	const solveHelp = "Evaluation latency (binding, then the run), by the outcome of the plan lookup that preceded it."
-	solve := func(cache, mode string) *obs.Histogram {
-		return reg.Histogram("gyo_solve_seconds", solveHelp, obs.LatencyBuckets(),
-			"cache", cache, "mode", mode)
+	solve := func(cache string) *obs.Histogram {
+		return reg.Histogram("gyo_solve_seconds", solveHelp, obs.LatencyBuckets(), "cache", cache)
 	}
 	const planHelp = "Plan-cache events: hits served, misses compiled, LRU evictions."
 	plan := func(event string) *obs.Counter {
@@ -49,10 +45,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		cqLimited[reason] = reg.Counter("gyo_cq_limited_total", limHelp, "reason", reason)
 	}
 	return engineMetrics{
-		solve: [2][2]*obs.Histogram{
-			{solve("hit", "serial"), solve("hit", "parallel")},
-			{solve("miss", "serial"), solve("miss", "parallel")},
-		},
+		solve:         [2]*obs.Histogram{solve("hit"), solve("miss")},
 		planHits:      plan("hit"),
 		planMisses:    plan("miss"),
 		planEvictions: plan("eviction"),
@@ -61,25 +54,17 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 			obs.LatencyBuckets()),
 		applyBatchTuples: reg.Histogram("gyo_apply_batch_tuples",
 			"Tuples per Apply mutation batch.", obs.SizeBuckets(1, 4, 12)),
-		repartitions: reg.Counter("gyo_repartitions_total",
-			"Partitionings built during parallel evaluation (initial or key change)."),
-		repartitionBytes: reg.Counter("gyo_repartition_bytes_total",
-			"Arena bytes moved building those partitionings — the would-be network traffic of a distributed run."),
 		cqPlans:   cqPlans,
 		cqLimited: cqLimited,
 	}
 }
 
 // solveHist picks the latency histogram for one solve call.
-func (m *engineMetrics) solveHist(cacheHit bool, parallel bool) *obs.Histogram {
-	ci, mi := 1, 0
+func (m *engineMetrics) solveHist(cacheHit bool) *obs.Histogram {
 	if cacheHit {
-		ci = 0
+		return m.solve[0]
 	}
-	if parallel {
-		mi = 1
-	}
-	return m.solve[ci][mi]
+	return m.solve[1]
 }
 
 // registerGauges adds the engine's pull-style gauges: values that are

@@ -118,7 +118,7 @@ func TestSolveQuery(t *testing.T) {
 		}
 	}
 
-	// The parallel path returns the same answers.
+	// SolveQuery's middle argument (once a shard count) is ignored.
 	pl, err := e.PrepareQuery("ans(A, D) :- ab(A, B), bc(B, C), cd(C, D).")
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestSolveQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Card() != 2 {
-		t.Errorf("parallel SolveQuery card = %d, want 2", out.Card())
+		t.Errorf("SolveQuery(pl, 4, …) card = %d, want 2", out.Card())
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 //	POST /v1/classify  {"schema": "ab, bc, cd"}           §3 classification
 //	POST /v1/plan      {"schema": "...", "x": "ad"}       compiled §4/§6 program
 //	POST /v1/solve     {"x": "ad", "schema"?, "limit"?,   evaluate on the snapshot
-//	                    "parallelism"?, "timeoutMs"?}      (shards per statement)
+//	                    "parallelism"?, "timeoutMs"?}      ("parallelism" is ignored)
 //	POST /v1/query     {"query": "ans(X,Z) :- ..."}        conjunctive query with
 //	                    or a text/plain query body          free-connex-aware planning
 //
@@ -82,7 +82,7 @@ type Server struct {
 	MaxLoadBytes int64
 	// SlowQuery, when positive, makes /v1/solve and /v1/query log any
 	// request whose end-to-end evaluation exceeds it — request id, query
-	// fingerprint, parallelism, and the top-3 most expensive statements
+	// fingerprint, and the top-3 most expensive statements
 	// — through the engine's Logf. Zero disables the slow-query log.
 	SlowQuery time.Duration
 	// Gas caps the tuples a single /v1/solve or /v1/query evaluation may
@@ -285,9 +285,11 @@ type readOptions struct {
 	// an explicit 0 ("card only, no tuples") is distinguishable from an
 	// omitted field (server default); negative limits are rejected.
 	Limit *int `json:"limit,omitempty"`
-	// Parallelism requests partition-parallel execution across that
-	// many shards; it is clamped to the engine's worker cap, and ≤ 1
-	// (or omitting it) keeps the serial path.
+	// Parallelism is accepted and ignored; evaluation is serial. It was
+	// the per-request shard count of the deleted partition-parallel
+	// executor, and stays decodable because the handlers reject unknown
+	// fields and existing clients (bench's q9 shape and trace pass)
+	// still send it.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Trace adds a per-statement span tree to the reply: one span per
 	// executed program statement, nested by data flow, with input/output
@@ -309,32 +311,26 @@ type solveRequest struct {
 // SolveStats is the cost report embedded in a /v1/solve or /v1/query
 // reply.
 type SolveStats struct {
-	Statements       int   `json:"statements"`
-	TuplesProduced   int   `json:"tuplesProduced"`
-	MaxIntermediate  int   `json:"maxIntermediate"`
-	Joins            int   `json:"joins"`
-	Projects         int   `json:"projects"`
-	Semijoins        int   `json:"semijoins"`
-	Parallelism      int   `json:"parallelism"`                // shards actually used (1 = serial)
-	ParallelStmts    int   `json:"parallelStmts,omitempty"`    // statements that fanned out
-	Repartitions     int   `json:"repartitions,omitempty"`     // partitionings built during the run
-	RepartitionBytes int64 `json:"repartitionBytes,omitempty"` // arena bytes those partitionings moved
-	ElapsedNs        int64 `json:"elapsedNs"`
+	Statements      int   `json:"statements"`
+	TuplesProduced  int   `json:"tuplesProduced"`
+	MaxIntermediate int   `json:"maxIntermediate"`
+	Joins           int   `json:"joins"`
+	Projects        int   `json:"projects"`
+	Semijoins       int   `json:"semijoins"`
+	Parallelism     int   `json:"parallelism"` // always 1: every evaluation is serial
+	ElapsedNs       int64 `json:"elapsedNs"`
 }
 
-func solveStats(st *program.Stats, par int) SolveStats {
+func solveStats(st *program.Stats) SolveStats {
 	return SolveStats{
-		Statements:       len(st.PerStmt),
-		TuplesProduced:   st.TuplesProduced,
-		MaxIntermediate:  st.MaxIntermediate,
-		Joins:            st.Joins,
-		Projects:         st.Projects,
-		Semijoins:        st.Semijoins,
-		Parallelism:      par,
-		ParallelStmts:    st.ParallelStmts,
-		Repartitions:     st.Repartitions,
-		RepartitionBytes: st.RepartitionBytes,
-		ElapsedNs:        st.Elapsed.Nanoseconds(),
+		Statements:      len(st.PerStmt),
+		TuplesProduced:  st.TuplesProduced,
+		MaxIntermediate: st.MaxIntermediate,
+		Joins:           st.Joins,
+		Projects:        st.Projects,
+		Semijoins:       st.Semijoins,
+		Parallelism:     1,
+		ElapsedNs:       st.Elapsed.Nanoseconds(),
 	}
 }
 
@@ -499,9 +495,8 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 	if timeout > 0 {
 		lim.Deadline = time.Now().Add(timeout)
 	}
-	par := s.E.ClampParallelism(opt.Parallelism)
 	t0 := time.Now()
-	out, st, err := s.E.run(s.E.Snapshot(), pl, hit, par, lim)
+	out, st, err := s.E.run(s.E.Snapshot(), pl, hit, lim)
 	elapsed := time.Since(t0)
 	if err != nil {
 		switch {
@@ -515,12 +510,12 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 		return ans, false
 	}
 	if s.SlowQuery > 0 && elapsed >= s.SlowQuery {
-		s.logSlowQuery(requestID(w), pl.CQ.Canonical, text, par, elapsed, st)
+		s.logSlowQuery(requestID(w), pl.CQ.Canonical, text, elapsed, st)
 	}
 	ans = Answer{
 		Cols:  pl.CQ.HeadVars,
 		Card:  out.Card(),
-		Stats: solveStats(st, par),
+		Stats: solveStats(st),
 	}
 	if opt.Trace {
 		if span, serr := pl.Prog.SpanTree(st); serr == nil {
@@ -779,8 +774,6 @@ type StatsResponse struct {
 	PlanEvictions uint64           `json:"planEvictions"`
 	CachedPlans   int              `json:"cachedPlans"`
 	Evals         uint64           `json:"evals"`
-	ParEvals      uint64           `json:"parEvals"`
-	Workers       int              `json:"workers"`       // per-request parallelism cap
 	UptimeSeconds float64          `json:"uptimeSeconds"` // since process start
 	Goroutines    int              `json:"goroutines"`
 	BuildInfo     *BuildInfo       `json:"buildInfo,omitempty"` // embedded module/VCS provenance
@@ -801,8 +794,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		PlanEvictions: st.Evictions,
 		CachedPlans:   st.CachedPlans,
 		Evals:         st.Evals,
-		ParEvals:      st.ParEvals,
-		Workers:       s.E.Workers(),
 		UptimeSeconds: time.Since(processStart).Seconds(),
 		Goroutines:    runtime.NumGoroutine(),
 		BuildInfo:     readBuildInfo(),

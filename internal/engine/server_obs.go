@@ -78,13 +78,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // SlowQuery threshold: the request id (echoed to the client in
 // X-Request-Id, so client and server logs correlate), a fingerprint of
 // the plan's canonical text (FNV-1a, so stable across requests and
-// restarts — the aggregation key), the parallelism used, and the top-3
-// most expensive statements.
-func (s *Server) logSlowQuery(reqID, canonical, x string, par int, elapsed time.Duration, st *program.Stats) {
+// restarts — the aggregation key), and the top-3 most expensive
+// statements.
+func (s *Server) logSlowQuery(reqID, canonical, x string, elapsed time.Duration, st *program.Stats) {
 	fp := fnv.New64a()
 	_, _ = fp.Write([]byte(canonical))
-	s.E.Logf("gyod: slow query id=%s fp=%016x x=%s parallelism=%d elapsed=%s top=[%s]",
-		reqID, fp.Sum64(), x, par, elapsed.Round(time.Microsecond), topStatements(st, 3))
+	s.E.Logf("gyod: slow query id=%s fp=%016x x=%s elapsed=%s top=[%s]",
+		reqID, fp.Sum64(), x, elapsed.Round(time.Microsecond), topStatements(st, 3))
 }
 
 // topStatements formats the n most expensive statements of a run,

@@ -71,12 +71,11 @@ func scrape(t testing.TB, url string) map[string]float64 {
 func TestMetricsEndpoint(t *testing.T) {
 	ts, srv, _ := obsServer(t, t.TempDir())
 
-	// Cold solve, cached solve, parallel solve, and a durable write, so
-	// every major family has observations.
+	// Cold solve, cached solve, and a durable write, so every major
+	// family has observations.
 	var sol SolveResponse
 	post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, &sol)
 	post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, &sol)
-	post(t, ts.URL+"/v1/solve", `{"x": "ad", "parallelism": 2}`, &sol)
 	var ins MutateResponse
 	post(t, ts.URL+"/v1/insert", `{"rel": "ab", "tuples": [[9,2]]}`, &ins)
 	if err := srv.E.Checkpoint(); err != nil {
@@ -85,8 +84,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	series := scrape(t, ts.URL)
 	wantPositive := []string{
-		`gyo_solve_seconds_count{cache="miss",mode="serial"}`,
-		`gyo_solve_seconds_count{cache="hit",mode="serial"}`,
+		`gyo_solve_seconds_count{cache="miss"}`,
+		`gyo_solve_seconds_count{cache="hit"}`,
 		`gyo_plan_cache_total{event="miss"}`,
 		`gyo_plan_cache_total{event="hit"}`,
 		`gyo_cq_plans_total{kind="acyclic"}`, // a lowered solve counts like a written query
@@ -115,7 +114,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`gyo_checkpoint_chunks_total{result="written"}`,
 		`gyo_checkpoint_chunks_total{result="reused"}`,
 		`gyo_checkpoint_failures_total`,
-		`gyo_repartition_bytes_total`,
 		`gyo_snapshot_dead_rows`,
 		`gyo_relation_compactions_total`,
 	}
@@ -123,10 +121,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if _, ok := series[key]; !ok {
 			t.Errorf("series %s missing from scrape", key)
 		}
-	}
-	if series[`gyo_solve_seconds_count{cache="hit",mode="parallel"}`] <= 0 &&
-		series[`gyo_solve_seconds_count{cache="hit",mode="serial"}`] < 2 {
-		t.Error("parallel solve observed in neither parallel nor serial family")
 	}
 }
 
@@ -190,8 +184,8 @@ func TestPlanCacheMetricsHonest(t *testing.T) {
 	keys := []string{
 		`gyo_plan_cache_total{event="miss"}`,
 		`gyo_plan_cache_total{event="hit"}`,
-		`gyo_solve_seconds_count{cache="miss",mode="serial"}`,
-		`gyo_solve_seconds_count{cache="hit",mode="serial"}`,
+		`gyo_solve_seconds_count{cache="miss"}`,
+		`gyo_solve_seconds_count{cache="hit"}`,
 	}
 	for _, c := range []struct{ name, path, body string }{
 		{"solve", "/v1/solve", `{"x": "ad"}`},
@@ -296,36 +290,6 @@ func TestSolveTraceGolden(t *testing.T) {
 	}
 }
 
-// TestSolveTraceParallel checks spans survive the partition-parallel
-// path: the same tree shape, with Shards recorded on fanned statements.
-func TestSolveTraceParallel(t *testing.T) {
-	u := schema.NewUniverse()
-	d := schema.MustParse(u, "ab, bc, cd")
-	e := New(Options{Workers: 4})
-	e.Swap(urdb(d, 7, 4000, 12))
-	srv := NewServer(e, u, d)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	var par SolveResponse
-	post(t, ts.URL+"/v1/solve", `{"x": "ad", "parallelism": 4, "trace": true, "limit": 0}`, &par)
-	if par.Trace == nil {
-		t.Fatal("no trace from parallel solve")
-	}
-	var serial SolveResponse
-	post(t, ts.URL+"/v1/solve", `{"x": "ad", "trace": true, "limit": 0}`, &serial)
-	if par.Card != serial.Card {
-		t.Fatalf("parallel card %d ≠ serial card %d", par.Card, serial.Card)
-	}
-	spans := 0
-	par.Trace.Each(func(*program.Span) { spans++ })
-	serialSpans := 0
-	serial.Trace.Each(func(*program.Span) { serialSpans++ })
-	if spans != serialSpans {
-		t.Errorf("parallel trace has %d spans, serial %d — same plan must trace identically", spans, serialSpans)
-	}
-}
-
 func TestSlowQueryLog(t *testing.T) {
 	var mu sync.Mutex
 	var lines []string
@@ -351,7 +315,7 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Fatalf("slow-query log has %d lines, want 1: %q", len(lines), lines)
 	}
 	line := lines[0]
-	for _, frag := range []string{"slow query", "id=" + sol.RequestID, "fp=", "x=ad", "parallelism=1", "top=["} {
+	for _, frag := range []string{"slow query", "id=" + sol.RequestID, "fp=", "x=ad", "top=["} {
 		if !strings.Contains(line, frag) {
 			t.Errorf("slow-query line missing %q: %s", frag, line)
 		}

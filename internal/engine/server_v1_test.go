@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -164,16 +165,16 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
-// TestReadRails drives the evaluation rails through both read endpoints,
-// serially and at parallelism 2: gas → 429 resource_exhausted, deadline
-// → 504 deadline_exceeded, a negative timeoutMs → 400, timeoutMs lowers
+// TestReadRails drives the evaluation rails through both read
+// endpoints: gas → 429 resource_exhausted, deadline → 504
+// deadline_exceeded, a negative timeoutMs → 400, timeoutMs lowers
 // but never raises the server's QueryTimeout, and after every abort the
 // next request on the same server — the same pooled execution contexts
 // — answers in full.
 func TestReadRails(t *testing.T) {
 	u := schema.NewUniverse()
 	d := schema.MustParse(u, "ab, bc, cd")
-	e := New(Options{Workers: 2})
+	e := New(Options{})
 	e.Swap(urdb(d, 5, 8000, 2000))
 	srv := NewServer(e, u, d)
 	ts := httptest.NewServer(srv.Handler())
@@ -183,62 +184,114 @@ func TestReadRails(t *testing.T) {
 		{"solve", "/v1/solve", `{"x": "ad", "limit": 0%s}`},
 		{"query", "/v1/query", `{"query": "ans(A, D) :- ab(A, B), bc(B, C), cd(C, D).", "limit": 0%s}`},
 	} {
-		for _, par := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/p=%d", ep.name, par), func(t *testing.T) {
-				url := ts.URL + ep.path
-				body := func(extra string) string {
-					return fmt.Sprintf(ep.body, fmt.Sprintf(`, "parallelism": %d%s`, par, extra))
+		t.Run(ep.name, func(t *testing.T) {
+			url := ts.URL + ep.path
+			body := func(extra string) string { return fmt.Sprintf(ep.body, extra) }
+			var full struct {
+				Card  int        `json:"card"`
+				Stats SolveStats `json:"stats"`
+			}
+			post(t, url, body(""), &full)
+			if full.Card == 0 {
+				t.Fatal("unlimited answer is empty")
+			}
+			aborted := func(what, extra string, status int, code string) {
+				t.Helper()
+				r := postRaw(t, url, body(extra))
+				if eb := decodeErrorBody(t, r); r.StatusCode != status || eb.Error.Code != code {
+					t.Errorf("%s: status %d, envelope %+v; want %d %s", what, r.StatusCode, eb, status, code)
 				}
-				var full struct {
-					Card  int        `json:"card"`
-					Stats SolveStats `json:"stats"`
+				srv.Gas, srv.QueryTimeout = 0, 0
+				var again struct {
+					Card int `json:"card"`
 				}
-				post(t, url, body(""), &full)
-				if full.Card == 0 || full.Stats.Parallelism != par {
-					t.Fatalf("unlimited answer: card %d at parallelism %d, want a non-empty answer at %d",
-						full.Card, full.Stats.Parallelism, par)
+				post(t, url, body(""), &again)
+				if again.Card != full.Card {
+					t.Errorf("request after %s: card %d, want %d", what, again.Card, full.Card)
 				}
-				aborted := func(what, extra string, status int, code string) {
-					t.Helper()
-					r := postRaw(t, url, body(extra))
-					if eb := decodeErrorBody(t, r); r.StatusCode != status || eb.Error.Code != code {
-						t.Errorf("%s: status %d, envelope %+v; want %d %s", what, r.StatusCode, eb, status, code)
+			}
+
+			srv.Gas = 1
+			aborted("gas", "", http.StatusTooManyRequests, "resource_exhausted")
+
+			// A nanosecond server deadline has always expired by the
+			// pre-evaluation check, so this is deterministic — and a
+			// client asking for a minute cannot raise it.
+			srv.QueryTimeout = time.Nanosecond
+			aborted("deadline", "", http.StatusGatewayTimeout, "deadline_exceeded")
+			srv.QueryTimeout = time.Nanosecond
+			aborted("raised deadline", `, "timeoutMs": 60000`, http.StatusGatewayTimeout, "deadline_exceeded")
+
+			// The client can lower a generous server deadline. One
+			// millisecond expires at a statement boundary only if the
+			// run outlasts it, so assert it only on a run that does
+			// by a wide margin.
+			if full.Stats.ElapsedNs > int64(5*time.Millisecond) {
+				srv.QueryTimeout = time.Minute
+				aborted("lowered deadline", `, "timeoutMs": 1`, http.StatusGatewayTimeout, "deadline_exceeded")
+			} else {
+				t.Logf("unlimited run took %dns; lowered-deadline case not asserted", full.Stats.ElapsedNs)
+			}
+
+			aborted("negative timeoutMs", `, "timeoutMs": -1`, http.StatusBadRequest, "invalid_request")
+		})
+	}
+}
+
+// TestServerSolveParallelism pins the "parallelism" request field as an
+// accepted no-op on both read endpoints: whatever a client sends, the
+// reply is the one it gets for leaving the field out — same columns,
+// cardinality, tuples and cost report, stats.parallelism 1, none of the
+// deleted executor's fields — while a misspelt sibling is still refused.
+func TestServerSolveParallelism(t *testing.T) {
+	u := schema.NewUniverse()
+	d := schema.MustParse(u, "ab, bc, cd")
+	e := New(Options{})
+	e.Swap(urdb(d, 5, 5000, 6))
+	ts := httptest.NewServer(NewServer(e, u, d).Handler())
+	t.Cleanup(ts.Close)
+
+	for _, ep := range []struct{ name, path, body string }{
+		{"solve", "/v1/solve", `{"x": "ad"%s}`},
+		{"query", "/v1/query", `{"query": "ans(A, D) :- ab(A, B), bc(B, C), cd(C, D)."%s}`},
+	} {
+		t.Run(ep.name, func(t *testing.T) {
+			ask := func(extra string) map[string]any {
+				t.Helper()
+				var reply map[string]any
+				if r := post(t, ts.URL+ep.path, fmt.Sprintf(ep.body, extra), &reply); r.StatusCode != http.StatusOK {
+					t.Fatalf("%q: status %d", extra, r.StatusCode)
+				}
+				stats := reply["stats"].(map[string]any)
+				if stats["parallelism"] != float64(1) {
+					t.Errorf("%q: stats.parallelism = %v, want 1", extra, stats["parallelism"])
+				}
+				delete(stats, "elapsedNs")
+				return reply
+			}
+			want := ask("")
+			if want["card"] == float64(0) {
+				t.Fatal("fixture answer is empty")
+			}
+			for _, par := range []int{0, 1, 2, 64, -3} {
+				extra := fmt.Sprintf(`, "parallelism": %d`, par)
+				got := ask(extra)
+				for _, key := range []string{"cols", "card", "tuples", "stats"} {
+					if !reflect.DeepEqual(got[key], want[key]) {
+						t.Errorf("%q: %s = %v, want %v as without the field", extra, key, got[key], want[key])
 					}
-					srv.Gas, srv.QueryTimeout = 0, 0
-					var again struct {
-						Card int `json:"card"`
-					}
-					post(t, url, body(""), &again)
-					if again.Card != full.Card {
-						t.Errorf("request after %s: card %d, want %d", what, again.Card, full.Card)
+				}
+				for _, gone := range []string{"parallelStmts", "repartitions", "repartitionBytes"} {
+					if _, ok := got["stats"].(map[string]any)[gone]; ok {
+						t.Errorf("%q: stats still carries %q", extra, gone)
 					}
 				}
-
-				srv.Gas = 1
-				aborted("gas", "", http.StatusTooManyRequests, "resource_exhausted")
-
-				// A nanosecond server deadline has always expired by the
-				// pre-evaluation check, so this is deterministic — and a
-				// client asking for a minute cannot raise it.
-				srv.QueryTimeout = time.Nanosecond
-				aborted("deadline", "", http.StatusGatewayTimeout, "deadline_exceeded")
-				srv.QueryTimeout = time.Nanosecond
-				aborted("raised deadline", `, "timeoutMs": 60000`, http.StatusGatewayTimeout, "deadline_exceeded")
-
-				// The client can lower a generous server deadline. One
-				// millisecond expires at a statement boundary only if the
-				// run outlasts it, so assert it only on a run that does
-				// by a wide margin.
-				if full.Stats.ElapsedNs > int64(5*time.Millisecond) {
-					srv.QueryTimeout = time.Minute
-					aborted("lowered deadline", `, "timeoutMs": 1`, http.StatusGatewayTimeout, "deadline_exceeded")
-				} else {
-					t.Logf("unlimited run took %dns; lowered-deadline case not asserted", full.Stats.ElapsedNs)
-				}
-
-				aborted("negative timeoutMs", `, "timeoutMs": -1`, http.StatusBadRequest, "invalid_request")
-			})
-		}
+			}
+			r := postRaw(t, ts.URL+ep.path, fmt.Sprintf(ep.body, `, "paralellism": 2`))
+			if eb := decodeErrorBody(t, r); r.StatusCode != http.StatusBadRequest {
+				t.Errorf("misspelt field: status %d, envelope %+v; want 400", r.StatusCode, eb)
+			}
+		})
 	}
 }
 

@@ -83,14 +83,14 @@ func TestEvalExecReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := relation.NewParExec(1)
+	ex := relation.NewExec()
 	for seed := int64(0); seed < 5; seed++ {
 		db := urdb(d, seed, 40, 4)
 		want, _, err := plan.Eval(db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := plan.Run(db, pe, Limits{})
+		got, _, err := plan.Run(db, ex, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func TestGasExhausted(t *testing.T) {
 	want := out
 
 	lim := Limits{MaxTuples: st.TuplesProduced - 1}
-	out, st2, err := p.Run(db, relation.NewParExec(1), lim)
+	out, st2, err := p.Run(db, relation.NewExec(), lim)
 	if err == nil {
 		t.Fatal("evaluation under an insufficient gas budget succeeded")
 	}
@@ -64,7 +64,7 @@ func TestGasExhausted(t *testing.T) {
 
 	// An exactly-sufficient budget succeeds with the same answer: the
 	// rail is > budget, not ≥.
-	out, _, err = p.Run(db, relation.NewParExec(1), Limits{MaxTuples: st.TuplesProduced})
+	out, _, err = p.Run(db, relation.NewExec(), Limits{MaxTuples: st.TuplesProduced})
 	if err != nil {
 		t.Fatalf("evaluation under an exact budget: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	p, db := limitsFixture(t)
 
 	lim := Limits{Deadline: time.Now().Add(-time.Millisecond)}
-	out, st, err := p.Run(db, relation.NewParExec(1), lim)
+	out, st, err := p.Run(db, relation.NewExec(), lim)
 	if err == nil {
 		t.Fatal("evaluation past its deadline succeeded")
 	}
@@ -89,42 +89,55 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 
 	// A generous deadline does not perturb the run.
-	if _, _, err := p.Run(db, relation.NewParExec(1), Limits{Deadline: time.Now().Add(time.Minute)}); err != nil {
+	if _, _, err := p.Run(db, relation.NewExec(), Limits{Deadline: time.Now().Add(time.Minute)}); err != nil {
 		t.Fatalf("evaluation under a generous deadline: %v", err)
 	}
 }
 
-// TestEvalParLimits drives both rails through the parallel path (run
-// under -race in CI: the abort must not leak worker state).
-func TestEvalParLimits(t *testing.T) {
+// TestLimitErrorLeavesExecReusable: a run aborted by either rail returns
+// no partial state, leaves the frozen snapshot untouched, and leaves the
+// execution context it ran in — pooled across requests by the engine —
+// good for the next run.
+func TestLimitErrorLeavesExecReusable(t *testing.T) {
 	p, db := limitsFixture(t)
-	pe := relation.NewParExec(4)
-	pe.MinParallel = 0 // force every eligible statement parallel
-
-	_, st, err := p.Run(db, pe, Limits{})
+	db.Freeze()
+	before := make([]*relation.Relation, len(db.Rels))
+	for i, r := range db.Rels {
+		before[i] = r.Clone()
+	}
+	ex := relation.NewExec()
+	want, st, err := p.Run(db, ex, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	out, st2, err := p.Run(db, pe, Limits{MaxTuples: st.TuplesProduced - 1})
-	if !errors.Is(err, ErrGasExhausted) {
-		t.Errorf("parallel gas err = %v, want ErrGasExhausted", err)
+	for name, tc := range map[string]struct {
+		lim  Limits
+		want error
+	}{
+		"gas":       {Limits{MaxTuples: st.TuplesProduced - 1}, ErrGasExhausted},
+		"one tuple": {Limits{MaxTuples: 1}, ErrGasExhausted},
+		"deadline":  {Limits{Deadline: time.Now().Add(-time.Millisecond)}, ErrDeadlineExceeded},
+	} {
+		out, st2, err := p.Run(db, ex, tc.lim)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
+		if out != nil || st2 != nil {
+			t.Errorf("%s: aborted evaluation returned partial state", name)
+		}
+		got, st3, err := p.Run(db, ex, Limits{})
+		if err != nil {
+			t.Fatalf("%s: run after the abort: %v", name, err)
+		}
+		if !got.Equal(want) || st3.TuplesProduced != st.TuplesProduced {
+			t.Errorf("%s: run after the abort: %d tuples (%d produced), want %d (%d)",
+				name, got.Card(), st3.TuplesProduced, want.Card(), st.TuplesProduced)
+		}
 	}
-	if out != nil || st2 != nil {
-		t.Error("aborted parallel evaluation returned partial state")
-	}
-
-	out, _, err = p.Run(db, pe, Limits{Deadline: time.Now().Add(-time.Millisecond)})
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Errorf("parallel deadline err = %v, want ErrDeadlineExceeded", err)
-	}
-	if out != nil {
-		t.Error("aborted parallel evaluation returned a relation")
-	}
-
-	// A one-worker context enforces limits too.
-	pe1 := relation.NewParExec(1)
-	if _, _, err := p.Run(db, pe1, Limits{MaxTuples: 1}); !errors.Is(err, ErrGasExhausted) {
-		t.Errorf("one-worker gas err = %v, want ErrGasExhausted", err)
+	for i, r := range db.Rels {
+		if !r.Equal(before[i]) {
+			t.Errorf("relation %d changed under aborted runs", i)
+		}
 	}
 }

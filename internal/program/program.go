@@ -133,14 +133,12 @@ func (p *Program) Validate() error {
 
 // StmtStat is the observed cost of one statement: input and output
 // cardinalities plus wall time. InRight is −1 for projections, which
-// have a single operand. Shards is 0 when the statement ran serially
-// and the shard count when it ran partition-parallel.
+// have a single operand.
 type StmtStat struct {
 	Kind    StmtKind
 	InLeft  int
 	InRight int
 	Out     int
-	Shards  int
 	Elapsed time.Duration
 }
 
@@ -153,17 +151,14 @@ type StmtStat struct {
 // recorded with zero cardinalities and zero elapsed, and count toward
 // Joins/Projects/Semijoins like the rest.
 type Stats struct {
-	TuplesProduced   int        // total output tuples over all statements
-	MaxIntermediate  int        // largest single intermediate result
-	PerStmt          []int      // output cardinality of each statement
-	Detail           []StmtStat // per-statement cost breakdown
-	Joins            int
-	Projects         int
-	Semijoins        int
-	ParallelStmts    int           // statements that ran partition-parallel
-	Repartitions     int           // partitionings built (initial or key change)
-	RepartitionBytes int64         // arena bytes moved building those partitionings
-	Elapsed          time.Duration // total wall time of the run
+	TuplesProduced  int        // total output tuples over all statements
+	MaxIntermediate int        // largest single intermediate result
+	PerStmt         []int      // output cardinality of each statement
+	Detail          []StmtStat // per-statement cost breakdown
+	Joins           int
+	Projects        int
+	Semijoins       int
+	Elapsed         time.Duration // total wall time of the run
 }
 
 // record accounts one statement's observed cost.
@@ -194,65 +189,41 @@ func (st *Stats) Table() string {
 		if d.InRight >= 0 {
 			right = strconv.Itoa(d.InRight)
 		}
-		op := d.Kind.String()
-		if d.Shards > 0 {
-			op += "/p" + strconv.Itoa(d.Shards)
-		}
-		fmt.Fprintf(&b, "%-4d %-9s %10d %10s %10d %14v\n", i, op, d.InLeft, right, d.Out, d.Elapsed)
+		fmt.Fprintf(&b, "%-4d %-9s %10d %10s %10d %14v\n", i, d.Kind, d.InLeft, right, d.Out, d.Elapsed)
 	}
 	fmt.Fprintf(&b, "total: %d tuples produced, max intermediate %d, %v\n",
 		st.TuplesProduced, st.MaxIntermediate, st.Elapsed)
 	return b.String()
 }
 
-// Eval runs the program serially, without limits, over a database
-// state for D and returns the final relation (the last statement's
-// value) plus cost statistics: Run with a throwaway one-worker context.
+// Eval runs the program without limits over a database state for D and
+// returns the final relation (the last statement's value) plus cost
+// statistics: Run with a throwaway execution context.
 func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error) {
-	return p.Run(db, relation.NewParExec(1), Limits{})
+	return p.Run(db, relation.NewExec(), Limits{})
 }
 
-// Run evaluates the program over db in the execution context pe, under
-// lim. The whole statement sequence shares pe, so hash tables and
+// Run evaluates the program over db in the execution context ex, under
+// lim: the paper's straight-line program, one statement after another
+// (§4, §6). The whole statement sequence shares ex, so hash tables and
 // scratch buffers are allocated once per run — and a server pooling
 // contexts across requests amortizes them across runs too.
-//
-// pe's width decides how statements execute. At P() == 1 every
-// statement runs on pe's one Exec and no partitioning is ever built.
-// At P() > 1, join and semijoin statements whose operands are large
-// enough (pe.MinParallel) run shard-local across pe's workers, with
-// relations hash-partitioned on the statement's shared attributes. The
-// partitioning discipline mirrors the way a distributed full reducer
-// would shard (Kolaitis's semijoin passes, Greco–Scarcello's
-// local-consistency unit): each relation id carries at most one live
-// partitioning; a statement whose join key equals that key runs with
-// zero repartitioning, otherwise the operand is repartitioned on
-// demand (directly shard-to-shard, never through a merged
-// intermediate). Results of parallel statements stay partitioned —
-// they are merged into a plain relation only when a serial statement,
-// an incompatible projection, or the final answer needs one. The
-// relation returned and the Stats totals do not depend on the width
-// (relations are sets; differential tests assert Equal across widths
-// and against an operator-by-operator reference); per-statement Shards
-// and the run's ParallelStmts/Repartitions counters record what
-// actually fanned out.
 //
 // Run never mutates db: input relations are read-only operands (every
 // statement materializes a fresh output relation), the Rels slice is
 // copied before any statement runs, and db may be a frozen snapshot
-// shared by any number of concurrent evaluations. pe, in contrast, is
+// shared by any number of concurrent evaluations. ex, in contrast, is
 // exclusive to one run at a time.
 //
-// lim is enforced as Limits describes, parallel statements included;
-// a violation returns a *LimitError and a nil relation, and leaves pe
-// reusable.
+// lim is enforced as Limits describes; a violation returns a
+// *LimitError and a nil relation, and leaves ex reusable.
 //
 // Join, semijoin and projection all map an empty operand to an empty
 // result, so once a statement the answer transitively depends on comes
 // out empty the answer is empty too: the run stops there, records the
 // remaining statements as skipped (see Stats) and returns the empty
 // relation over the result schema.
-func (p *Program) Run(db *relation.Database, pe *relation.ParExec, lim Limits) (*relation.Relation, *Stats, error) {
+func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits) (*relation.Relation, *Stats, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -270,109 +241,28 @@ func (p *Program) Run(db *relation.Database, pe *relation.ParExec, lim Limits) (
 	}
 
 	n := len(db.Rels)
-	ids := p.NumIDs()
-	ex := pe.Serial()
-	// Each id holds its value in exactly one live form at a time:
-	// vals[id] (plain relation) or parts[id] (partitioned). A one-worker
-	// run only ever has the plain form, so parts stays nil and is never
-	// indexed.
-	vals := make([]*relation.Relation, ids)
+	vals := make([]*relation.Relation, p.NumIDs())
 	copy(vals, db.Rels)
-	serial := pe.P() <= 1
-	var parts []*relation.Partitioning
-	if !serial {
-		parts = make([]*relation.Partitioning, ids)
-	}
-
 	needed := p.answerDeps()
 	st := &Stats{}
-	cardOf := func(id int) int {
-		if vals[id] != nil {
-			return vals[id].Card()
-		}
-		return parts[id].Card()
-	}
-	attrsOf := func(id int) schema.AttrSet {
-		if vals[id] != nil {
-			return vals[id].Attrs()
-		}
-		return parts[id].Shards[0].Attrs()
-	}
-	materialize := func(id int) *relation.Relation {
-		if vals[id] == nil {
-			vals[id] = parts[id].Merge()
-		}
-		return vals[id]
-	}
-	// ensurePart returns id's value partitioned on key, reusing the
-	// live partitioning when its key already matches (the zero-traffic
-	// case) and repartitioning on demand otherwise.
-	ensurePart := func(id int, key schema.AttrSet) *relation.Partitioning {
-		if pt := parts[id]; pt != nil && pt.Key.Equal(key) {
-			return pt
-		}
-		var pt *relation.Partitioning
-		if vals[id] != nil {
-			pt = pe.Partition(vals[id], key)
-		} else {
-			pt = pe.Repartition(parts[id], key)
-		}
-		parts[id] = pt
-		st.Repartitions++
-		st.RepartitionBytes += pt.Bytes()
-		return pt
-	}
-	setPart := func(id int, pt *relation.Partitioning) {
-		parts[id] = pt
-		vals[id] = nil
-	}
 
 	start := time.Now()
 	for si, s := range p.Stmts {
 		id := n + si
-		d := StmtStat{Kind: s.Kind, InLeft: cardOf(s.Left), InRight: -1}
+		d := StmtStat{Kind: s.Kind, InLeft: vals[s.Left].Card(), InRight: -1}
 		t0 := time.Now()
 		switch s.Kind {
-		case Join, Semijoin:
-			d.InRight = cardOf(s.Right)
-			var key schema.AttrSet
-			if !serial {
-				key = attrsOf(s.Left).Intersect(attrsOf(s.Right))
-			}
-			if serial || key.IsEmpty() || d.InLeft+d.InRight < pe.MinParallel {
-				// Cross products cannot be sharded without replication;
-				// small statements are not worth the fan-out.
-				l, r := materialize(s.Left), materialize(s.Right)
-				if s.Kind == Join {
-					vals[id] = ex.Join(l, r)
-				} else {
-					vals[id] = ex.Semijoin(l, r)
-				}
-			} else {
-				pl := ensurePart(s.Left, key)
-				pr := ensurePart(s.Right, key)
-				if s.Kind == Join {
-					setPart(id, pe.JoinPar(pl, pr))
-				} else {
-					setPart(id, pe.SemijoinPar(pl, pr))
-				}
-				d.Shards = pe.P()
-				st.ParallelStmts++
-			}
+		case Join:
+			d.InRight = vals[s.Right].Card()
+			vals[id] = ex.Join(vals[s.Left], vals[s.Right])
+		case Semijoin:
+			d.InRight = vals[s.Right].Card()
+			vals[id] = ex.Semijoin(vals[s.Left], vals[s.Right])
 		case Project:
-			// Shard-local only when the operand is already partitioned
-			// and the key survives the projection; repartitioning just
-			// to project would cost as much as the projection itself.
-			if vals[s.Left] == nil && !parts[s.Left].Key.IsEmpty() && parts[s.Left].Key.SubsetOf(s.Proj) {
-				setPart(id, pe.ProjectPar(parts[s.Left], s.Proj))
-				d.Shards = pe.P()
-				st.ParallelStmts++
-			} else {
-				vals[id] = ex.Project(materialize(s.Left), s.Proj)
-			}
+			vals[id] = ex.Project(vals[s.Left], s.Proj)
 		}
 		d.Elapsed = time.Since(t0)
-		d.Out = cardOf(id)
+		d.Out = vals[id].Card()
 		st.record(d)
 		if enforce {
 			if err := lim.check(si, st.TuplesProduced); err != nil {
@@ -383,9 +273,8 @@ func (p *Program) Run(db *relation.Database, pe *relation.ParExec, lim Limits) (
 			return p.skipRest(st, si+1, start), st, nil
 		}
 	}
-	out := materialize(ids - 1)
 	st.Elapsed = time.Since(start)
-	return out, st, nil
+	return vals[len(vals)-1], st, nil
 }
 
 // answerDeps reports, for every relation id, whether the program's

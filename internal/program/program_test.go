@@ -1,6 +1,7 @@
 package program
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -25,6 +26,103 @@ func urdb(d *schema.Schema, seed int64, tuples, domain int) *relation.Database {
 	rng := rand.New(rand.NewSource(seed))
 	i, _ := relation.RandomUniversal(d.U, d.Attrs(), tuples, domain, rng)
 	return relation.URDatabase(d, i)
+}
+
+// refEval is the independent reference for Run: it walks the
+// statements with the Relation operators directly — no Exec, no limits,
+// no early exit, no stats — so it shares nothing with the evaluation
+// loop but the statement list.
+func refEval(p *Program, db *relation.Database) *relation.Relation {
+	vals := append([]*relation.Relation(nil), db.Rels...)
+	for _, s := range p.Stmts {
+		switch s.Kind {
+		case Join:
+			vals = append(vals, vals[s.Left].Join(vals[s.Right]))
+		case Semijoin:
+			vals = append(vals, vals[s.Left].Semijoin(vals[s.Right]))
+		case Project:
+			vals = append(vals, vals[s.Left].Project(s.Proj))
+		}
+	}
+	return vals[len(vals)-1]
+}
+
+// TestEvalDifferential checks Run against the reference evaluation on
+// well over 100 randomized (program, database) pairs: random tree
+// schemas — branching ones included — under the full reducer,
+// Yannakakis and the naive join at three database sizes, and the §4
+// strategy on rings with tails.
+func TestEvalDifferential(t *testing.T) {
+	cases := 0
+	check := func(label string, p *Program, db *relation.Database) {
+		t.Helper()
+		got, st, err := p.Eval(db)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if ref := refEval(p, db); !got.Equal(ref) {
+			t.Fatalf("%s: result (%d tuples) ≠ reference result (%d tuples)", label, got.Card(), ref.Card())
+		}
+		if len(st.PerStmt) != len(p.Stmts) || st.PerStmt[len(st.PerStmt)-1] != got.Card() {
+			t.Fatalf("%s: stats cover %d of %d statements, last output %d for a %d-tuple answer",
+				label, len(st.PerStmt), len(p.Stmts), st.PerStmt[len(st.PerStmt)-1], got.Card())
+		}
+		cases++
+	}
+	for seed := int64(0); seed < 18; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := gen.TreeSchema(rng, 3+rng.Intn(5), 2, 2)
+		tr, ok := qualgraph.QualTree(d)
+		if !ok {
+			t.Fatalf("seed %d: tree schema rejected", seed)
+		}
+		attrs := d.Attrs().Attrs()
+		x := schema.NewAttrSet(attrs[0], attrs[len(attrs)-1])
+
+		fullRed, _, err := FullReducer(d, tr)
+		if err != nil {
+			t.Fatalf("seed %d: full reducer: %v", seed, err)
+		}
+		yan, err := Yannakakis(d, x, tr)
+		if err != nil {
+			t.Fatalf("seed %d: yannakakis: %v", seed, err)
+		}
+		naive, err := NaivePlan(d, x)
+		if err != nil {
+			t.Fatalf("seed %d: naive: %v", seed, err)
+		}
+
+		for _, tuples := range []int{1, 40, 300} {
+			i, _ := relation.RandomUniversal(d.U, d.Attrs(), tuples, 4+rng.Intn(8), rng)
+			db := relation.URDatabase(d, i)
+			progs := map[string]*Program{"fullreducer": fullRed, "yannakakis": yan}
+			if tuples <= 40 {
+				// The unpruned all-relations join can explode on dense
+				// random databases; differential it only at small scale.
+				progs["naive"] = naive
+			}
+			for name, prog := range progs {
+				check(fmt.Sprintf("seed=%d n=%d %s", seed, tuples, name), prog, db)
+			}
+		}
+	}
+	// Cyclic schemas exercise the §4 strategy (join-heavy programs).
+	for seed := int64(100); seed < 106; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d := gen.RingWithTails(3, 2)
+		ringEdge := d.Rels[0].Attrs()
+		lastTail := d.Rels[len(d.Rels)-1].Attrs()
+		x := schema.NewAttrSet(ringEdge[0], lastTail[len(lastTail)-1])
+		plan, err := CyclicPlan(d, x)
+		if err != nil {
+			t.Fatalf("seed %d: cyclic plan: %v", seed, err)
+		}
+		i, _ := relation.RandomUniversal(d.U, d.Attrs(), 20+rng.Intn(60), 4+rng.Intn(4), rng)
+		check(fmt.Sprintf("cyclic seed=%d", seed), plan, relation.URDatabase(d, i))
+	}
+	if cases < 100 {
+		t.Fatalf("differential covered only %d randomized pairs, want ≥ 100", cases)
+	}
 }
 
 func TestSchemaOfAndSchemaMap(t *testing.T) {
@@ -370,8 +468,7 @@ func TestBuilderErrors(t *testing.T) {
 // TestEarlyExitOnEmpty: on a chain with one empty relation every plan's
 // answer is empty, and the evaluators must say so as soon as a statement
 // the answer depends on comes out empty — without running the rest, but
-// still accounting one entry per statement. Checked against NaivePlan,
-// serially and partition-parallel.
+// still accounting one entry per statement. Checked against NaivePlan.
 func TestEarlyExitOnEmpty(t *testing.T) {
 	u := schema.NewUniverse()
 	d := parse(t, u, "ab, bc, cd, de")
@@ -397,15 +494,6 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pe := relation.NewParExec(2)
-	pe.MinParallel = 0
-	type evalFn func(*relation.Database) (*relation.Relation, *Stats, error)
-	modes := func(p *Program) map[string]evalFn {
-		return map[string]evalFn{
-			"serial": p.Eval,
-			"p=2":    func(db *relation.Database) (*relation.Relation, *Stats, error) { return p.Run(db, pe, Limits{}) },
-		}
-	}
 	for hole := range d.Rels {
 		db := full.WithRelation(hole, relation.New(u, d.Rels[hole]))
 		want, _, err := naive.Eval(db)
@@ -416,41 +504,39 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 			t.Fatalf("hole %d: naive answer has %d tuples", hole, want.Card())
 		}
 		for name, p := range map[string]*Program{"yannakakis": yan, "fullreducer": fullRed, "naive": naive} {
-			for mode, eval := range modes(p) {
-				got, st, err := eval(db)
-				if err != nil {
-					t.Fatalf("hole %d %s %s: %v", hole, name, mode, err)
+			got, st, err := p.Eval(db)
+			if err != nil {
+				t.Fatalf("hole %d %s: %v", hole, name, err)
+			}
+			if got.Card() != 0 || !got.Attrs().Equal(p.SchemaOf(p.ResultID())) {
+				t.Errorf("hole %d %s: answer %v, want empty over the result schema", hole, name, got)
+			}
+			if name != "fullreducer" && !got.Equal(want) {
+				t.Errorf("hole %d %s: answer differs from the naive plan's", hole, name)
+			}
+			if !got.Equal(refEval(p, db)) {
+				t.Errorf("hole %d %s: answer differs from the reference evaluation", hole, name)
+			}
+			if len(st.Detail) != len(p.Stmts) || len(st.PerStmt) != len(p.Stmts) ||
+				st.Joins+st.Projects+st.Semijoins != len(p.Stmts) {
+				t.Fatalf("hole %d %s: stats cover %d/%d of %d statements", hole, name,
+					len(st.Detail), len(st.PerStmt), len(p.Stmts))
+			}
+			// Everything after the first empty statement was skipped.
+			first := 0
+			for first < len(st.Detail) && st.Detail[first].Out != 0 {
+				first++
+			}
+			for i := first + 1; i < len(st.Detail); i++ {
+				if sd := st.Detail[i]; sd.Kind != p.Stmts[i].Kind || sd.InLeft != 0 || sd.Out != 0 || sd.Elapsed != 0 {
+					t.Errorf("hole %d %s: stmt %d ran after the answer was known empty: %+v", hole, name, i, sd)
 				}
-				if got.Card() != 0 || !got.Attrs().Equal(p.SchemaOf(p.ResultID())) {
-					t.Errorf("hole %d %s %s: answer %v, want empty over the result schema", hole, name, mode, got)
-				}
-				if name != "fullreducer" && !got.Equal(want) {
-					t.Errorf("hole %d %s %s: answer differs from the naive plan's", hole, name, mode)
-				}
-				if !got.Equal(refEval(p, db)) {
-					t.Errorf("hole %d %s %s: answer differs from the reference evaluation", hole, name, mode)
-				}
-				if len(st.Detail) != len(p.Stmts) || len(st.PerStmt) != len(p.Stmts) ||
-					st.Joins+st.Projects+st.Semijoins != len(p.Stmts) {
-					t.Fatalf("hole %d %s %s: stats cover %d/%d of %d statements", hole, name, mode,
-						len(st.Detail), len(st.PerStmt), len(p.Stmts))
-				}
-				// Everything after the first empty statement was skipped.
-				first := 0
-				for first < len(st.Detail) && st.Detail[first].Out != 0 {
-					first++
-				}
-				for i := first + 1; i < len(st.Detail); i++ {
-					if sd := st.Detail[i]; sd.Kind != p.Stmts[i].Kind || sd.InLeft != 0 || sd.Out != 0 || sd.Elapsed != 0 {
-						t.Errorf("hole %d %s %s: stmt %d ran after the answer was known empty: %+v", hole, name, mode, i, sd)
-					}
-				}
-				if name == "yannakakis" && st.TuplesProduced >= fullSt.TuplesProduced {
-					t.Errorf("hole %d %s: produced %d tuples, no fewer than the full run's %d", hole, mode, st.TuplesProduced, fullSt.TuplesProduced)
-				}
-				if _, err := p.SpanTree(st); err != nil {
-					t.Errorf("hole %d %s %s: span tree: %v", hole, name, mode, err)
-				}
+			}
+			if name == "yannakakis" && st.TuplesProduced >= fullSt.TuplesProduced {
+				t.Errorf("hole %d: produced %d tuples, no fewer than the full run's %d", hole, st.TuplesProduced, fullSt.TuplesProduced)
+			}
+			if _, err := p.SpanTree(st); err != nil {
+				t.Errorf("hole %d %s: span tree: %v", hole, name, err)
 			}
 		}
 	}
@@ -463,13 +549,11 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 	}
 	db := full.WithRelation(3, relation.New(u, d.Rels[3]))
 	wantJoin := full.Rels[0].Join(full.Rels[1])
-	for mode, eval := range modes(side) {
-		got, st, err := eval(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.PerStmt[0] != 0 || !got.Equal(wantJoin) || !got.Equal(refEval(side, db)) {
-			t.Errorf("%s: unused empty statement changed the answer: %d tuples, want %d", mode, got.Card(), wantJoin.Card())
-		}
+	got, st, err := side.Eval(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PerStmt[0] != 0 || !got.Equal(wantJoin) || !got.Equal(refEval(side, db)) {
+		t.Errorf("unused empty statement changed the answer: %d tuples, want %d", got.Card(), wantJoin.Card())
 	}
 }

@@ -1,10 +1,10 @@
 package program
 
 // Trace spans: the per-statement Detail a run already records, lifted
-// into a structured tree. A /solve with "trace": true returns this
-// tree, making the §6 cost anatomy of a request (which semijoin
-// filtered, which join dominated, what fanned out across shards)
-// inspectable per request instead of only in aggregate.
+// into a structured tree. A /v1/solve or /v1/query with "trace": true
+// returns this tree, making the §6 cost anatomy of a request (which
+// semijoin filtered, which join dominated) inspectable per request
+// instead of only in aggregate.
 
 import (
 	"fmt"
@@ -12,10 +12,9 @@ import (
 )
 
 // Span is one statement of a program run: the operation, the
-// relation schema it produced, tuple counts in and out, the shard
-// count when it ran partition-parallel, wall time, and the operand
-// statements as children. Operand ids (Left/Right) are always
-// recorded; Children holds each operand statement's span exactly once
+// relation schema it produced, tuple counts in and out, wall time, and
+// the operand statements as children. Operand ids (Left/Right) are
+// always recorded; Children holds each operand statement's span exactly once
 // — a statement consumed twice (e.g. a reduced root absorbed by every
 // child in the full reducer's second pass) appears under its first
 // consumer and is referenced by id elsewhere, so elapsed times sum
@@ -37,8 +36,6 @@ type Span struct {
 	InLeft  int `json:"inLeft"`
 	InRight int `json:"inRight"`
 	Out     int `json:"out"`
-	// Shards is the partition fan-out (0 = ran serially).
-	Shards int `json:"shards,omitempty"`
 	// ElapsedNs is the statement's wall time.
 	ElapsedNs int64 `json:"elapsedNs"`
 	// Children are the operand statements' spans (first-consumer-owned;
@@ -92,7 +89,6 @@ func (p *Program) SpanTree(st *Stats) (*Span, error) {
 			InLeft:    d.InLeft,
 			InRight:   d.InRight,
 			Out:       d.Out,
-			Shards:    d.Shards,
 			ElapsedNs: d.Elapsed.Nanoseconds(),
 		}
 		if s.Kind == Project {

@@ -300,7 +300,6 @@ func TestFirstMembershipUseIsRaceFree(t *testing.T) {
 		"join":     func() *Relation { return NewExec().Join(r, s) },
 		"semijoin": func() *Relation { return NewExec().Semijoin(r, s) },
 		"project":  func() *Relation { return NewExec().Project(r, u.Set("b")) },
-		"merge":    func() *Relation { return Partition(r, u.Set("b"), 3).Merge() },
 	} {
 		t.Run(name, func(t *testing.T) {
 			want := mk().Clone() // an indexed twin
@@ -325,7 +324,6 @@ func TestFirstMembershipUseIsRaceFree(t *testing.T) {
 				func() bool { return NewExec().Semijoin(out, out).Card() == want.Card() },
 				func() bool { return NewExec().Join(out, out).Card() == want.Card() },
 				func() bool { return NewExec().Project(out, attrs).Card() == want.Card() },
-				func() bool { return Partition(out, attrs, 2).Merge().Card() == want.Card() },
 			}
 			start := make(chan struct{})
 			var wg sync.WaitGroup

@@ -137,17 +137,6 @@ func checkOperators(t *testing.T, r, dense, partner *Relation, label string) {
 	same("Join (flipped)", ex.Join(partner, r), ex.Join(partner, dense))
 	same("Semijoin", ex.Semijoin(r, partner), ex.Semijoin(dense, partner))
 	same("Semijoin (as filter)", ex.Semijoin(partner, r), ex.Semijoin(partner, dense))
-	same("Partition→Merge", Partition(r, b, 3).Merge(), dense)
-	for _, p := range []int{2, 4} {
-		pe := NewParExec(p)
-		pe.MinParallel = 0
-		pt := pe.Partition(r, b)
-		same(fmt.Sprintf("ParExec(%d).Partition→Merge", p), pt.Merge(), dense)
-		same(fmt.Sprintf("ParExec(%d).Repartition→Merge", p), pe.Repartition(pt, u.Set("a")).Merge(), dense)
-		ps := pe.Partition(partner, b)
-		same(fmt.Sprintf("ParExec(%d).JoinPar", p), pe.JoinPar(pt, ps).Merge(), ex.Join(dense, partner))
-		same(fmt.Sprintf("ParExec(%d).SemijoinPar", p), pe.SemijoinPar(pt, ps).Merge(), ex.Semijoin(dense, partner))
-	}
 	xy := u.Set("x", "y")
 	same("Renamed (permuted)", r.Renamed(u, xy, []int{1, 0}), dense.Renamed(u, xy, []int{1, 0}))
 	if r.Frozen() {

@@ -284,15 +284,6 @@ func TestDifferentialOperators(t *testing.T) {
 		sameSet(t, "semijoin", func() *Relation { return ex.Semijoin(r, s) }, nr.semijoin(ns))
 		px := gen.RandomAttrSubset(rng, ra, 0.5)
 		sameSet(t, "project", func() *Relation { return ex.Project(r, px) }, nr.project(px))
-		key := gen.RandomAttrSubset(rng, ra, 0.5)
-		p := 1 + rng.Intn(4)
-		sameSet(t, "partition+merge", func() *Relation { return Partition(r, key, p).Merge() }, nr)
-		pe := NewParExec(p)
-		pe.MinParallel = 0
-		sameSet(t, "parallel partition+merge", func() *Relation { return pe.Partition(r, key).Merge() }, nr)
-		sameSet(t, "repartition+merge", func() *Relation {
-			return pe.Repartition(pe.Partition(r, key), px).Merge()
-		}, nr)
 	}
 }
 

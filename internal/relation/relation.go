@@ -29,10 +29,10 @@
 // fraction of wasted space.
 //
 // Set semantics hold by construction wherever they can. The join or
-// semijoin of duplicate-free inputs, any partition or merge of a
-// duplicate-free relation, and a column permutation of one are
-// duplicate-free, so Exec.Join, Exec.Semijoin, Partition, Merge, the
-// parallel partitioner and the permuting Renamed only append rows;
+// semijoin of duplicate-free inputs, any partition of a duplicate-free
+// relation, and a column permutation of one are duplicate-free, so
+// Exec.Join, Exec.Semijoin, Partition and the permuting Renamed only
+// append rows;
 // Exec.Project, the one operator that can create duplicates, eliminates
 // them in the Exec's pooled scratch table. None of them gives its output
 // a set index. The index — an open-addressing hash table over the

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -203,6 +204,59 @@ func TestReplicationEndToEnd(t *testing.T) {
 	// The replica engine is fenced.
 	if _, _, err := f.e.Apply(storage.Insert(0, 2, []relation.Tuple{{9, 9}})); err != engine.ErrReadOnly {
 		t.Errorf("replica Apply = %v, want ErrReadOnly", err)
+	}
+}
+
+// TestStatusSaysBehindWhileApplying reads the replica's status from
+// inside an apply: the follower's writer lock is held, so the tailer
+// sits in applyFrames with a shipped batch it cannot yet publish. For
+// that whole time the status must say the replica is behind — not
+// repeat the zero lag of the last completed poll, on which readiness
+// and promote decisions would act.
+func TestStatusSaysBehindWhileApplying(t *testing.T) {
+	l := newLeader(t, storage.Options{})
+	l.seed(t)
+	f := newFollower(t, l.ts.URL, Config{})
+	waitFor(t, "catch-up", func() bool { return caughtUp(f, l) })
+	idle := f.tailer.ReplicaStatus()
+
+	// Update runs its callback under the engine's writer lock, which
+	// ApplyReplica needs: nothing applies until release closes.
+	held, release := make(chan struct{}), make(chan struct{})
+	updated := make(chan struct{})
+	go func() {
+		defer close(updated)
+		f.e.Update(func(db *relation.Database) *relation.Database {
+			close(held)
+			<-release
+			return db
+		})
+	}()
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }); <-updated }
+	defer unblock()
+	<-held
+
+	l.insert(t, 0, relation.Tuple{5, 6})
+	waitFor(t, "the status to say the replica is behind", func() bool {
+		return f.tailer.ReplicaStatus().LagBytes > 0
+	})
+	st := f.tailer.ReplicaStatus()
+	if st.LagRecords < 1 || st.LagSeconds <= 0 {
+		t.Errorf("mid-apply status reports lag records=%d seconds=%v, want ≥ 1 and > 0", st.LagRecords, st.LagSeconds)
+	}
+	if st.CursorSeg != idle.CursorSeg || st.CursorOff != idle.CursorOff {
+		t.Errorf("cursor moved from %d/%d to %d/%d with the apply still blocked",
+			idle.CursorSeg, idle.CursorOff, st.CursorSeg, st.CursorOff)
+	}
+
+	unblock()
+	waitFor(t, "catch-up after the apply", func() bool { return caughtUp(f, l) })
+	if st := f.tailer.ReplicaStatus(); st.LagRecords != 0 || st.LagSeconds != 0 {
+		t.Errorf("caught-up status reports lag records=%d seconds=%v", st.LagRecords, st.LagSeconds)
+	}
+	if !dbEqual(l.e.Snapshot(), f.e.Snapshot()) {
+		t.Fatal("replica state differs from the leader")
 	}
 }
 

@@ -281,6 +281,22 @@ func (t *Tailer) poll() error {
 		return fmt.Errorf("repl: leader echoed cursor %v for a request at %v", p.Req, cur)
 	}
 
+	if p.FrameBytes > 0 {
+		// The leader holds records this replica has not applied. Say so
+		// before reading and applying them: status, readiness and promote
+		// decisions must not read the previous poll's zero lag for as
+		// long as the apply takes. The block after the apply overwrites
+		// this with what is left.
+		t.mu.Lock()
+		t.caughtUpNow = false
+		t.lagBytes = p.LagBytes + int64(p.FrameBytes)
+		t.lagRecords = -1
+		if lag, ok := t.recordsBehind(p.Appends); ok {
+			t.lagRecords = max(lag, 1)
+		}
+		t.mu.Unlock()
+	}
+
 	frames := make([]byte, p.FrameBytes)
 	n, err := io.ReadFull(resp.Body, frames)
 	frames = frames[:n]
@@ -316,8 +332,7 @@ func (t *Tailer) poll() error {
 			t.anchorApplied = t.applied
 		} else {
 			t.caughtUpNow = false
-			if t.anchored && p.Appends >= t.anchorAppends {
-				lag := int64(p.Appends-t.anchorAppends) - int64(t.applied-t.anchorApplied)
+			if lag, ok := t.recordsBehind(p.Appends); ok {
 				t.lagRecords = max(lag, 0)
 			} else {
 				// The leader's append counter regressed: it restarted.
@@ -347,6 +362,18 @@ func (t *Tailer) poll() error {
 		return fmt.Errorf("repl: feed shipped a torn frame section (%d of %d bytes framed)", consumed, len(frames))
 	}
 	return nil
+}
+
+// recordsBehind is the number of batches the leader has appended and
+// this replica has not applied, counted from the anchor (the last full
+// catch-up). ok is false when there is no anchor to count from: none
+// taken yet, or the leader's append counter regressed below it (the
+// leader restarted). The caller holds t.mu.
+func (t *Tailer) recordsBehind(appends uint64) (lag int64, ok bool) {
+	if !t.anchored || appends < t.anchorAppends {
+		return 0, false
+	}
+	return int64(appends-t.anchorAppends) - int64(t.applied-t.anchorApplied), true
 }
 
 // applyFrames applies every complete frame in buf, advancing from cur.
