@@ -1,7 +1,11 @@
-// Benchmarks backing the E-PERF rows of EXPERIMENTS.md: one benchmark
-// family per synthetic table. Run with
+// Micro-benchmarks of the paper's algorithms and the engine's hot
+// paths, for measuring while you work:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
+//
+// The performance record and the only gate is `go run ./bench`
+// (BENCHMARK.json); a number its per-layer metrics already report has no
+// benchmark here.
 package gyokit_test
 
 import (
@@ -22,7 +26,7 @@ import (
 	"gyokit/internal/treeproj"
 )
 
-// --- E-PERF1: GYO reduction scaling -------------------------------
+// --- GYO reduction scaling -------------------------------
 
 func BenchmarkGYOReduceRing(b *testing.B) {
 	for _, n := range []int{8, 32, 128, 256} {
@@ -63,7 +67,7 @@ func BenchmarkGYOReduceTree(b *testing.B) {
 	}
 }
 
-// --- E-PERF2: CC fast path vs tableau minimization ----------------
+// --- CC fast path vs tableau minimization ----------------
 
 func BenchmarkCCTreeFastPath(b *testing.B) {
 	for _, n := range []int{4, 8, 12} {
@@ -99,7 +103,7 @@ func BenchmarkCCCyclicSection6(b *testing.B) {
 	}
 }
 
-// --- E-PERF3: lossless-join test routes ---------------------------
+// --- lossless-join test routes ---------------------------
 
 func BenchmarkLosslessViaCC(b *testing.B) {
 	for _, n := range []int{4, 8, 12} {
@@ -137,7 +141,7 @@ func BenchmarkLosslessViaTableau(b *testing.B) {
 	}
 }
 
-// --- E-PERF4: query evaluation plans -------------------------------
+// --- query evaluation plans -------------------------------
 
 func evalBenchSetup(tuples int) (*schema.Schema, schema.AttrSet, *relation.Database) {
 	d := gen.Chain(5)
@@ -263,7 +267,7 @@ func BenchmarkSemijoinProgramSerial(b *testing.B) {
 	}
 }
 
-// --- E-PERF5: join-tree construction -------------------------------
+// --- join-tree construction -------------------------------
 
 func BenchmarkJoinTreeMST(b *testing.B) {
 	for _, n := range []int{8, 64, 256} {
@@ -291,7 +295,7 @@ func BenchmarkJoinTreeGYO(b *testing.B) {
 	}
 }
 
-// --- E-PERF6: γ-acyclicity tests -----------------------------------
+// --- γ-acyclicity tests -----------------------------------
 
 func BenchmarkGammaPolynomial(b *testing.B) {
 	for _, n := range []int{4, 8, 12} {
@@ -326,7 +330,7 @@ func BenchmarkGammaCycleSearch(b *testing.B) {
 	}
 }
 
-// --- E-PERF7: fixed treefication / bin packing ----------------------
+// --- fixed treefication / bin packing ----------------------
 
 func BenchmarkTreefyExactDP(b *testing.B) {
 	for _, n := range []int{6, 10, 14} {
@@ -380,17 +384,6 @@ func BenchmarkTreeProjectionSection32(b *testing.B) {
 
 // --- end-to-end facade paths ---------------------------------------
 
-func BenchmarkClassify(b *testing.B) {
-	u := gyokit.NewUniverse()
-	d := gyokit.MustParse(u, "abg, bcg, acf, ad, de, ea")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gyokit.Classify(d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSolveByJoins(b *testing.B) {
 	u := gyokit.NewUniverse()
 	d := gyokit.MustParse(u, "abg, bcg, acf, ad, de, ea")
@@ -417,39 +410,10 @@ func engineBenchQuery() (*schema.Schema, schema.AttrSet, *relation.Database) {
 	return d, x, relation.URDatabase(d, i)
 }
 
-// BenchmarkEngineCold plans with the cache disabled: every iteration
-// classifies and compiles from scratch.
-func BenchmarkEngineCold(b *testing.B) {
-	d, x, _ := engineBenchQuery()
-	e := gyokit.NewEngine(gyokit.EngineOptions{PlanCacheSize: -1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Plan(d, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineCached plans the same query against a warm cache:
-// fingerprint, LRU lookup, verification — no GYO, no tableau, no
-// program construction.
-func BenchmarkEngineCached(b *testing.B) {
-	d, x, _ := engineBenchQuery()
-	e := gyokit.NewEngine(gyokit.EngineOptions{})
-	if _, err := e.Plan(d, x); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Plan(d, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEngineParallel measures end-to-end Solve throughput with
 // GOMAXPROCS goroutines sharing one engine: cached plan, pooled Exec
-// contexts, one frozen snapshot.
+// contexts, one frozen snapshot. BenchmarkSolveInstrumented is its
+// single-goroutine baseline.
 func BenchmarkEngineParallel(b *testing.B) {
 	d, x, db := engineBenchQuery()
 	e := gyokit.NewEngine(gyokit.EngineOptions{})
@@ -469,28 +433,10 @@ func BenchmarkEngineParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineSolveSerial is the single-goroutine baseline for
-// BenchmarkEngineParallel.
-func BenchmarkEngineSolveSerial(b *testing.B) {
-	d, x, db := engineBenchQuery()
-	e := gyokit.NewEngine(gyokit.EngineOptions{})
-	e.Swap(db)
-	if _, _, err := e.Solve(d, x); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Solve(d, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSolveInstrumented is the observability-overhead gate: the
-// cached-plan serial solve path with every instrument live (latency
-// histogram observe, plan-cache counters, snapshot gauges registered).
-// CI gates this benchmark at ≤5% regression against the committed
-// baseline — the budget for the whole metrics layer on the hot path.
+// BenchmarkSolveInstrumented is the cached-plan serial solve path with
+// every instrument live (latency histogram observe, plan-cache
+// counters, snapshot gauges registered): the whole metrics layer's cost
+// on the hot path is in this number.
 func BenchmarkSolveInstrumented(b *testing.B) {
 	d, x, db := engineBenchQuery()
 	e := gyokit.NewEngine(gyokit.EngineOptions{})
@@ -507,7 +453,7 @@ func BenchmarkSolveInstrumented(b *testing.B) {
 	}
 }
 
-// --- E-PERF8: the §4 cyclic strategy --------------------------------
+// --- the §4 cyclic strategy --------------------------------
 
 func BenchmarkEvalCyclicStrategy(b *testing.B) {
 	d := gen.RingWithTails(3, 2)
@@ -549,11 +495,9 @@ func BenchmarkEvalNaiveOnCyclic(b *testing.B) {
 
 // --- ablation: join order ------------------------------------------
 
-// BenchmarkJoinOrderIndexVsGreedy quantifies the DESIGN.md note that
-// plan shape (not just relation choice) matters: index order joins a
-// star schema leaf-by-leaf (cross-product-free but wide), while the
-// greedy order is identical here — and on a deliberately shuffled
-// chain the greedy order avoids the cross products index order hits.
+// The BenchmarkJoinOrderShuffledChain pair quantifies that plan shape
+// (not just relation choice) matters: on a deliberately shuffled chain
+// the greedy order avoids the cross products index order hits.
 func BenchmarkJoinOrderShuffledChainIndex(b *testing.B) {
 	d, x, db, inputs := shuffledChain()
 	plan, err := program.JoinProject(d, x, inputs)
@@ -574,16 +518,11 @@ func BenchmarkJoinOrderShuffledChainGreedy(b *testing.B) {
 	for i := range idx {
 		idx[i] = inputs[i].Rel
 	}
-	order := program.GreedyJoinOrder(d, idx)
-	pos := make([]int, len(order))
-	for i, rel := range order {
-		for j, in := range inputs {
-			if in.Rel == rel {
-				pos[i] = j
-			}
-		}
+	ordered := make([]program.InputRef, 0, len(inputs))
+	for _, rel := range program.GreedyJoinOrder(d, idx) {
+		ordered = append(ordered, program.InputRef{Rel: rel})
 	}
-	plan, err := program.JoinProjectOrdered(d, x, inputs, pos)
+	plan, err := program.JoinProject(d, x, ordered)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,10 +10,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -21,6 +24,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"gyokit/internal/storage"
 )
 
 // buildGyod compiles the binary once per test run.
@@ -231,5 +236,37 @@ func TestGyodInMemoryStillWorks(t *testing.T) {
 	}
 	if err := p.wait(); err != nil {
 		t.Fatalf("in-memory graceful shutdown: %v", err)
+	}
+}
+
+// TestGyodRefusesLegacyCheckpointDir: a -data directory whose snapshot
+// is a pre-manifest full checkpoint (the storage package's committed
+// fixture) makes gyod exit non-zero with the storage error that names
+// the last commit able to read it, instead of serving an empty store.
+func TestGyodRefusesLegacyCheckpointDir(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	const name = "checkpoint-0000000000000001.ckpt"
+	raw, err := os.ReadFile(filepath.Join("..", "..", "internal", "storage", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dataDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dataDir, name), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// Killed after 30 s should it serve instead of refusing.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, buildGyod(t), "-addr", "127.0.0.1:0", "-data", dataDir).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("gyod on a legacy directory: err %v, output:\n%s", err, out)
+	}
+	for _, want := range []string{storage.ErrLegacyFormat.Error(), name, "0152974"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("gyod's message lacks %q:\n%s", want, out)
+		}
 	}
 }

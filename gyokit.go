@@ -12,6 +12,7 @@
 //	d := gyokit.MustParse(u, "ab, bc, cd")       // the paper's notation
 //	cls, _ := gyokit.Classify(d)                 // tree? γ-acyclic? GR(D)?
 //	sol, _ := gyokit.SolveByJoins(d, u.Set("a", "d"))
+//	qp, _ := gyokit.Plan(d, u.Set("a", "d"))     // qp.Prog.Eval(db)
 //
 // The facade re-exports the stable API of the internal packages:
 //
@@ -36,9 +37,10 @@
 // # Execution engine
 //
 // Relation states are backed by a columnar engine (internal/relation):
-// tuples live in one flat []Value arena with width-strided access, and
-// every set-semantics index, join hash table, and semijoin key set is
-// an open-addressing table over 64-bit integer hashes with full
+// tuples live in a chunked row-major []Value arena (4096-row chunks,
+// immutable once full and shared between snapshots) with width-strided
+// access, and every set-semantics index, join hash table, and semijoin
+// key set is an open-addressing table over 64-bit integer hashes with full
 // collision verification — no string keys are materialized on any hot
 // path. A reusable Exec context carries the scratch buffers and hash
 // tables across the statements of a program run, so Program.Eval
@@ -69,10 +71,11 @@
 // internal/storage adds crash recovery underneath the engine: a
 // write-ahead log of logical mutation batches (one CRC-framed, fsynced
 // record per Engine.Apply call) plus checkpointed snapshots of the
-// columnar representation, written atomically in the background off
-// the latest frozen snapshot. Recovery loads the newest valid
-// checkpoint, replays the WAL tail, and tolerates the torn final
-// record of a crash — acknowledged mutations are recovered exactly.
+// columnar representation (a manifest over an append-only chunk store),
+// written atomically in the background off the latest frozen snapshot.
+// Recovery loads the newest valid manifest, replays the WAL tail, and
+// tolerates the torn final record of a crash — acknowledged mutations
+// are recovered exactly.
 // gyod -data DIR serves a durable store across restarts and shuts
 // down gracefully on SIGINT/SIGTERM.
 package gyokit
@@ -166,6 +169,9 @@ type (
 type (
 	// Classification is the §3 status of a schema.
 	Classification = core.Classification
+	// QueryPlan is the planner's decision for a query (D, X): the
+	// classification, the plan Kind, the reduction root and the program.
+	QueryPlan = core.QueryPlan
 	// JoinSolution is the §4 join-plan answer.
 	JoinSolution = core.JoinSolution
 	// LosslessReport is the §5 lossless-join analysis.
@@ -200,7 +206,8 @@ func ParseCQ(text string) (*CQ, error) { return cq.Parse(text) }
 // CompileCQ parses, classifies, and plans a conjunctive query:
 // free-connex queries get a rooted Yannakakis program with projections
 // pushed below the semijoins, acyclic queries the standard Yannakakis
-// program, cyclic queries a reduce-then-join fallback.
+// program, cyclic queries the paper's §4 strategy (program.CyclicPlan:
+// materialize ∪GR(D), then Yannakakis over the resulting tree schema).
 func CompileCQ(text string) (*CompiledCQ, error) { return cq.Compile(text) }
 
 // NewSchema returns a schema over u with the given relation schemas.
@@ -261,14 +268,13 @@ func Implies(d, dprime *Schema) bool { return lossless.Implies(d, dprime) }
 // Theorem 5.3(ii) test.
 func IsGammaAcyclic(d *Schema) bool { return gamma.IsGammaAcyclic(d) }
 
-// TreePlan builds the full-reducer + Yannakakis program for (D, X) on
-// tree schemas.
-func TreePlan(d *Schema, x AttrSet) (*Program, error) { return core.TreePlan(d, x) }
-
-// Plan builds a query plan for (D, X) on any schema: Yannakakis on
-// tree schemas; on cyclic schemas the §4 strategy (materialize ∪GR(D)
-// per Corollary 3.2, then solve the resulting tree schema).
-func Plan(d *Schema, x AttrSet) (*Program, error) { return core.Plan(d, x) }
+// Plan is the planner: it classifies d and builds the program solving
+// (D, X) on any database for D — Yannakakis on tree schemas, rooted at
+// the relation covering most of X when D ∪ (X) is still a tree
+// (qp.Kind free-connex, else acyclic); on cyclic schemas (qp.Kind
+// cyclic) the §4 strategy: materialize ∪GR(D) per Corollary 3.2, then
+// solve the resulting tree schema.
+func Plan(d *Schema, x AttrSet) (*QueryPlan, error) { return core.PlanQuery(d, x) }
 
 // AnalyzeProgram runs the §6 tree-projection analysis of p against
 // (p.D, x) (Theorems 6.1–6.4).

@@ -88,10 +88,14 @@ func TestFacadeEndToEndQuery(t *testing.T) {
 	u := gyokit.NewUniverse()
 	d := gyokit.MustParse(u, "ab, bc, cd, de")
 	x := u.Set("a", "e")
-	plan, err := gyokit.TreePlan(d, x)
+	qp, err := gyokit.Plan(d, x)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if qp.Kind.String() != "acyclic" || !qp.Cls.Tree {
+		t.Errorf("chain planned as %v", qp.Kind)
+	}
+	plan := qp.Prog
 	db := gyokit.RandomURDatabase(d, 30, 4, 7)
 	got, _, err := plan.Eval(db)
 	if err != nil {
@@ -99,7 +103,7 @@ func TestFacadeEndToEndQuery(t *testing.T) {
 	}
 	want := db.Eval(x)
 	if !got.Equal(want) {
-		t.Error("TreePlan disagrees with naive evaluation")
+		t.Error("Plan disagrees with naive evaluation")
 	}
 	an, err := gyokit.AnalyzeProgram(plan, x)
 	if err != nil {

@@ -254,10 +254,10 @@ type QueryPlan struct {
 }
 
 // PlanQuery is the library's one planner: it classifies d and decides
-// the plan shape for (d, x) from the classification. Every other entry
-// point (Prepare, Plan, TreePlan, the conjunctive-query compiler) calls
-// it, so a schema solve and the conjunctive query it denotes get the
-// same program. The tree cases reuse the classification's qual tree.
+// the plan shape for (d, x) from the classification. The facade's Plan
+// and the conjunctive-query compiler both call it, so a schema solve and
+// the conjunctive query it denotes get the same program. The tree cases
+// reuse the classification's qual tree.
 func PlanQuery(d *schema.Schema, x schema.AttrSet) (*QueryPlan, error) {
 	// Reject bad targets before the expensive classification, so
 	// repeated invalid queries (which the serving layer cannot cache)
@@ -287,38 +287,14 @@ func PlanQuery(d *schema.Schema, x schema.AttrSet) (*QueryPlan, error) {
 	return qp, nil
 }
 
-// TreePlan builds the tree-schema query plan for (D, X): a full
-// reducer followed by Yannakakis-style joins. It errors when D is
-// cyclic (the §4 strategy then calls for treefication first — see
-// Classify.TreefyingRelation and package treefy; Plan does it).
-func TreePlan(d *schema.Schema, x schema.AttrSet) (*program.Program, error) {
-	qp, err := PlanQuery(d, x)
-	if err != nil {
-		return nil, err
-	}
-	if qp.Kind == KindCyclic {
-		return nil, fmt.Errorf("core: %s is a cyclic schema; treefy first (Corollary 3.2 suggests adding %s)",
-			d, d.U.FormatSet(qp.Cls.TreefyingRelation))
-	}
-	return qp.Prog, nil
-}
-
-// Prepare is PlanQuery for callers that want the classification and the
-// program and nothing else.
+// Prepare is PlanQuery less the plan's Kind and Root. It is kept only
+// because bench/probe.go — which no PR but a benchmark PR may edit —
+// times it as core.prepare_us; the benchmark PR that points that probe
+// at PlanQuery deletes it.
 func Prepare(d *schema.Schema, x schema.AttrSet) (*Classification, *program.Program, error) {
 	qp, err := PlanQuery(d, x)
 	if err != nil {
 		return nil, nil, err
 	}
 	return qp.Cls, qp.Prog, nil
-}
-
-// Plan builds a query plan for (D, X) on any schema, following §4:
-// tree schemas get the full-reducer + Yannakakis program; cyclic
-// schemas are first treefied by materializing ∪GR(D) (Corollary 3.2)
-// and then solved as trees. The returned program runs against
-// databases for the original D.
-func Plan(d *schema.Schema, x schema.AttrSet) (*program.Program, error) {
-	_, p, err := Prepare(d, x)
-	return p, err
 }

@@ -186,10 +186,11 @@ func TestTheorem62EndToEnd(t *testing.T) {
 		if x.IsEmpty() {
 			x = schema.NewAttrSet(d.Attrs().Min())
 		}
-		plan, err := TreePlan(d, x)
+		qp, err := PlanQuery(d, x)
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan := qp.Prog
 		an, err := AnalyzeProgram(plan, x)
 		if err != nil {
 			t.Fatal(err)
@@ -205,21 +206,26 @@ func TestTheorem62EndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Equal(db.Eval(x)) {
-			t.Fatal("TreePlan wrong")
+			t.Fatal("tree plan wrong")
 		}
 	}
 }
 
-func TestTreePlanCyclicError(t *testing.T) {
+// TestPlanQueryCyclicKind: a cyclic schema is not an error — the plan
+// says so (KindCyclic, no root over D) and carries the Corollary 3.2
+// treefying relation in its classification.
+func TestPlanQueryCyclicKind(t *testing.T) {
 	u := schema.NewUniverse()
 	ring := parse(t, u, "ab, bc, ca")
-	if _, err := TreePlan(ring, u.Set("a")); err == nil {
-		t.Error("cyclic schema accepted by TreePlan")
+	qp, err := PlanQuery(ring, u.Set("a"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Error message should mention the Corollary 3.2 suggestion.
-	_, err := TreePlan(ring, u.Set("a"))
-	if err == nil || len(err.Error()) == 0 {
-		t.Error("unhelpful error")
+	if qp.Kind != KindCyclic || qp.Root != -1 || qp.Prog == nil {
+		t.Errorf("ring planned as %v, root %d", qp.Kind, qp.Root)
+	}
+	if !qp.Cls.TreefyingRelation.Equal(u.Set("a", "b", "c")) {
+		t.Errorf("treefying relation %s", u.FormatSet(qp.Cls.TreefyingRelation))
 	}
 }
 
@@ -251,10 +257,11 @@ func TestPrepareMatchesPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Plan(d, x)
+		qp, err := PlanQuery(d, x)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := qp.Prog
 		rng := rand.New(rand.NewSource(3))
 		i, _ := relation.RandomUniversal(u, d.Attrs(), 50, 5, rng)
 		db := relation.URDatabase(d, i)
@@ -267,7 +274,7 @@ func TestPrepareMatchesPlan(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.Equal(ref) {
-			t.Errorf("%s: Prepare program disagrees with Plan program", tc.schema)
+			t.Errorf("%s: Prepare program disagrees with PlanQuery program", tc.schema)
 		}
 		wantCls, err := Classify(d)
 		if err != nil {

@@ -137,13 +137,3 @@ func TestPlanCorrectness(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkQueryParse(b *testing.B) {
-	const text = "ans(A, D) :- ab(A, B), bc(B, C), cd(C, D)."
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Parse(text); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

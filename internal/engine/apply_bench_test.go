@@ -16,7 +16,7 @@ import (
 // sharing the per-batch cost depends only on the batch, the chunk
 // table, and the (bounded) index overlay. The "store" variant runs the
 // full durable path (WAL append, NoSync); "mem" isolates the
-// copy-on-write snapshot cost. Gated in CI against BENCH_baseline.json.
+// copy-on-write snapshot cost.
 func BenchmarkApplyLargeRelation(b *testing.B) {
 	const batch = 128
 	for _, mode := range []string{"mem", "store"} {

@@ -9,7 +9,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -594,42 +593,5 @@ func TestGyodSIGKILLDuringIncrementalCheckpoint(t *testing.T) {
 	}
 	if err := p.wait(); err != nil {
 		t.Fatalf("graceful shutdown after kill rounds: %v", err)
-	}
-}
-
-// BenchmarkIngestDurable measures the durable write path end to end:
-// Apply → copy-on-write snapshot → WAL append → publish. NoSync keeps
-// it deterministic enough to gate in CI (the fsync cost is measured by
-// BenchmarkWALAppend/fsync in internal/storage). The target relation
-// is dropped and recreated every 1024 batches so the copy-on-write
-// clone measures a bounded steady-state card rather than growing with
-// b.N.
-func BenchmarkIngestDurable(b *testing.B) {
-	for _, batch := range []int{1, 64} {
-		b.Run("batch="+strconv.Itoa(batch), func(b *testing.B) {
-			dir := b.TempDir()
-			e, st := openDurable(b, dir, storage.Options{NoSync: true, CheckpointBytes: -1})
-			defer st.Close()
-			if _, _, err := e.Apply(storage.Create("a", "b")); err != nil {
-				b.Fatal(err)
-			}
-			tuples := make([]relation.Tuple, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%1024 == 1023 {
-					if _, _, err := e.Apply(storage.Drop(0), storage.Create("a", "b")); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for j := range tuples {
-					v := relation.Value(i*batch + j)
-					tuples[j] = relation.Tuple{v, v + 1}
-				}
-				if _, _, err := e.Apply(storage.Insert(0, 2, tuples)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -182,32 +182,3 @@ func TestSolveQueryLimits(t *testing.T) {
 		t.Errorf("err = %v, want ErrGasExhausted", err)
 	}
 }
-
-func BenchmarkQueryCachedVsCold(b *testing.B) {
-	const text = "ans(A, D) :- ab(A, B), bc(B, C), cd(C, D)."
-	// Engine construction and one priming compile happen before the timer
-	// on both sides, so at any -benchtime the loop holds only steady-state
-	// PrepareQuery calls: a full compile each (cold) or a cache hit each
-	// (cached).
-	for _, bc := range []struct {
-		name      string
-		cacheSize int
-	}{
-		{"cold", -1}, // cache disabled: full compile every time
-		{"cached", 0},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			e := New(Options{PlanCacheSize: bc.cacheSize})
-			if _, err := e.PrepareQuery(text); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.PrepareQuery(text); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

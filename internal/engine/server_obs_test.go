@@ -401,46 +401,6 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	}
 }
 
-// BenchmarkSolveTracedVsUntraced isolates the cost of "trace": true:
-// the untraced path builds no spans (b.ReportAllocs shows zero
-// span-tree allocations added), while the traced path pays one
-// SpanTree construction per request.
-func BenchmarkSolveTracedVsUntraced(b *testing.B) {
-	u := schema.NewUniverse()
-	d := schema.MustParse(u, "ab, bc, cd")
-	e := New(Options{})
-	e.Swap(urdb(d, 5, 2000, 16))
-	x := u.Set("a", "d")
-	if _, _, err := e.Solve(d, x); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("untraced", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := e.Solve(d, x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("traced", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, st, err := e.Solve(d, x)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pl, err := e.Plan(d, x)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := pl.Prog.SpanTree(st); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func TestStatsProcessBlock(t *testing.T) {
 	ts, _, _ := testServer(t)
 

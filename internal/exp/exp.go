@@ -1,15 +1,15 @@
-// Package exp contains the executable reproductions of every figure
-// and worked example in the paper (the E-* index of DESIGN.md). Each
-// experiment prints a human-readable report and returns an error if
-// any assertion about the paper's claims fails, so the same code backs
-// both `gyobench` and the test suite.
+// Package exp contains the executable reproductions of the paper's
+// figures, worked examples and theorems (fig1–fig7, §3.2, §4, §5.1, §6,
+// Thm 4.2). Each experiment prints a human-readable report and returns
+// an error if any assertion about the paper's claims fails, so the same
+// code backs both `gyobench` and the test suite. No experiment is a
+// benchmark: performance is measured by `go run ./bench` alone.
 package exp
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
 // Experiment is one reproducible artifact.
@@ -40,28 +40,20 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunOne executes one experiment against w with the standard header,
-// reporting wall time when timed is set.
-func RunOne(e Experiment, w io.Writer, timed bool) error {
+// RunOne executes one experiment against w with the standard header.
+func RunOne(e Experiment, w io.Writer) error {
 	fmt.Fprintf(w, "=== %s — %s ===\n", e.ID, e.Title)
-	start := time.Now()
 	if err := e.Run(w); err != nil {
 		return fmt.Errorf("%s: %w", e.ID, err)
-	}
-	if timed {
-		fmt.Fprintf(w, "[%s took %v]\n", e.ID, time.Since(start))
 	}
 	return nil
 }
 
 // RunAll executes every experiment against w, stopping at the first
 // failure.
-func RunAll(w io.Writer) error { return RunAllTimed(w, false) }
-
-// RunAllTimed is RunAll with optional per-experiment wall time.
-func RunAllTimed(w io.Writer, timed bool) error {
+func RunAll(w io.Writer) error {
 	for _, e := range All() {
-		if err := RunOne(e, w, timed); err != nil {
+		if err := RunOne(e, w); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)

@@ -26,7 +26,7 @@ func TestAllExperimentsPass(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	all := All()
-	want := []string{"fig1", "fig2", "fig45", "fig7", "perf1", "perf2", "perf4", "perf5", "perf8", "perf9", "sec32", "sec51", "sec6", "thm42"}
+	want := []string{"fig1", "fig2", "fig45", "fig7", "perf4", "perf8", "perf9", "sec32", "sec51", "sec6", "thm42"}
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
 	}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"gyokit/internal/gen"
-	"gyokit/internal/gyo"
 	"gyokit/internal/program"
 	"gyokit/internal/qualgraph"
 	"gyokit/internal/relation"
@@ -16,64 +14,9 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "perf1", Title: "GYO reduction scaling (rings, cliques, random trees)", Run: runPerf1})
-	register(Experiment{ID: "perf2", Title: "CC: GYO fast path vs tableau minimization (tree schemas)", Run: runPerf2})
 	register(Experiment{ID: "perf4", Title: "Query evaluation: naive join vs CC-pruned vs Yannakakis", Run: runPerf4})
-	register(Experiment{ID: "perf5", Title: "Join-tree construction: MST vs GYO trace", Run: runPerf5})
 	register(Experiment{ID: "perf8", Title: "Cyclic strategy (§4): naive join vs treefy-then-Yannakakis", Run: runPerf8})
 	register(Experiment{ID: "perf9", Title: "§6 cost accounting: per-statement tuples in/out and wall time", Run: runPerf9})
-}
-
-func timeIt(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
-// runPerf1: GYO reduction wall-clock over growing inputs. The paper's
-// claim is simply polynomial-time feasibility; the table should show
-// smooth low-order growth.
-func runPerf1(w io.Writer) error {
-	fmt.Fprintf(w, "%-8s %12s %12s %12s\n", "n", "ring", "clique", "rand tree")
-	for _, n := range []int{8, 16, 32, 64, 128} {
-		ring := gen.Ring(n)
-		tree := gen.TreeSchema(gen.RNG(1), n, 2, 2)
-		var clique *schema.Schema
-		if n <= 64 {
-			clique = gen.Clique(n)
-		}
-		rt := timeIt(func() { gyo.ReduceFull(ring) })
-		tt := timeIt(func() { gyo.ReduceFull(tree) })
-		ct := time.Duration(0)
-		if clique != nil {
-			ct = timeIt(func() { gyo.ReduceFull(clique) })
-		}
-		// Sanity: classification must be right at every size.
-		if gyo.IsTree(ring) || !gyo.IsTree(tree) {
-			return fmt.Errorf("misclassification at n=%d", n)
-		}
-		fmt.Fprintf(w, "%-8d %12v %12v %12v\n", n, rt, ct, tt)
-	}
-	return nil
-}
-
-// runPerf2: Theorem 3.3(ii) lets CC take the GR route on tree schemas;
-// the generic route minimizes tableaux (NP-hard machinery). Both must
-// agree; the table shows the separation.
-func runPerf2(w io.Writer) error {
-	fmt.Fprintf(w, "%-8s %12s %14s\n", "n", "CC via GR", "CC via tableau")
-	for _, n := range []int{4, 6, 8, 10, 12} {
-		d := gen.TreeSchema(gen.RNG(int64(n)), n, 2, 2)
-		x := gen.RandomAttrSubset(gen.RNG(int64(n)+100), d.Attrs(), 0.4)
-		var fast, slow *schema.Schema
-		ft := timeIt(func() { fast = tableau.CC(d, x) })
-		st := timeIt(func() { slow = tableau.CCGeneric(d, x) })
-		if !fast.SetEqual(slow) {
-			return fmt.Errorf("CC disagreement at n=%d", n)
-		}
-		fmt.Fprintf(w, "%-8d %12v %14v\n", n, ft, st)
-	}
-	return nil
 }
 
 // runPerf4: end-to-end evaluation of (D, X) over UR databases on a
@@ -171,26 +114,6 @@ func runPerf9(w io.Writer) error {
 		fmt.Fprint(w, st.Table())
 	}
 	fmt.Fprintln(w, "(semijoin statements never exceed their inputs: the §6 full-reducer bound)")
-	return nil
-}
-
-// runPerf5: both join-tree constructions, cross-checked, with timing.
-func runPerf5(w io.Writer) error {
-	fmt.Fprintf(w, "%-8s %12s %12s\n", "n", "MST", "GYO trace")
-	for _, n := range []int{8, 32, 128} {
-		d := gen.TreeSchema(gen.RNG(int64(n)*7), n, 2, 2)
-		mt := timeIt(func() {
-			if _, ok := qualgraph.QualTreeMST(d); !ok {
-				panic("tree schema rejected")
-			}
-		})
-		gt := timeIt(func() {
-			if _, ok := qualgraph.QualTreeGYO(d); !ok {
-				panic("tree schema rejected")
-			}
-		})
-		fmt.Fprintf(w, "%-8d %12v %12v\n", n, mt, gt)
-	}
 	return nil
 }
 

@@ -4,7 +4,7 @@
 // bin-packing instances, and random universal relations.
 //
 // All generators are driven by explicit seeds so that every experiment
-// in EXPERIMENTS.md is reproducible.
+// in internal/exp is reproducible.
 package gen
 
 import (

@@ -148,19 +148,3 @@ func GreedyJoinOrder(d *schema.Schema, idx []int) []int {
 	}
 	return order
 }
-
-// JoinProjectOrdered is JoinProject with an explicit join order given
-// as indexes into inputs.
-func JoinProjectOrdered(d *schema.Schema, x schema.AttrSet, inputs []InputRef, order []int) (*Program, error) {
-	if len(order) != len(inputs) {
-		return nil, fmt.Errorf("program: order length %d ≠ inputs %d", len(order), len(inputs))
-	}
-	reordered := make([]InputRef, len(inputs))
-	for i, o := range order {
-		if o < 0 || o >= len(inputs) {
-			return nil, fmt.Errorf("program: order index %d out of range", o)
-		}
-		reordered[i] = inputs[o]
-	}
-	return JoinProject(d, x, reordered)
-}

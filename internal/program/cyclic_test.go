@@ -171,13 +171,17 @@ func TestGreedyJoinOrder(t *testing.T) {
 	}
 }
 
-func TestJoinProjectOrdered(t *testing.T) {
+// TestJoinProjectGreedyOrder: a JoinProject over its inputs permuted
+// into GreedyJoinOrder still solves the query.
+func TestJoinProjectGreedyOrder(t *testing.T) {
 	u := schema.NewUniverse()
 	d := parse(t, u, "ab, bc, cd")
 	x := u.Set("a", "d")
-	inputs := []InputRef{{Rel: 0}, {Rel: 1}, {Rel: 2}}
-	order := GreedyJoinOrder(d, []int{0, 1, 2})
-	p, err := JoinProjectOrdered(d, x, inputs, order)
+	var inputs []InputRef
+	for _, rel := range GreedyJoinOrder(d, []int{0, 1, 2}) {
+		inputs = append(inputs, InputRef{Rel: rel})
+	}
+	p, err := JoinProject(d, x, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +192,5 @@ func TestJoinProjectOrdered(t *testing.T) {
 	}
 	if !got.Equal(db.Eval(x)) || !got.Equal(refEval(p, db)) {
 		t.Error("ordered plan wrong")
-	}
-	if _, err := JoinProjectOrdered(d, x, inputs, []int{0, 1}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := JoinProjectOrdered(d, x, inputs, []int{0, 1, 9}); err == nil {
-		t.Error("out-of-range order accepted")
 	}
 }

@@ -142,8 +142,8 @@ func TestLemma31NoWitnessForTreeSchemas(t *testing.T) {
 
 // TestLemma31Fig2cStyle mirrors Fig. 2c: larger cyclic schemas whose
 // GYO-style attribute deletion exposes an Aring or Aclique core. (The
-// original figure's schemas are reconstructed — see EXPERIMENTS.md
-// E-FIG2 — preserving the stated witnesses: deleting X = abgi yields an
+// original figure's schemas are reconstructed — see experiment fig2 in
+// internal/exp — preserving the stated witnesses: deleting X = abgi yields an
 // Aring of size 4 and deleting X = efgi yields an Aclique of size 4.)
 func TestLemma31Fig2cStyle(t *testing.T) {
 	u := NewUniverse()

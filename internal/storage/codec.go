@@ -1,16 +1,9 @@
 package storage
 
-// Binary codec for the columnar database representation and for WAL
-// mutation records. The encoding serializes only what cannot be
-// recomputed: the universe's attribute names (in interning order, so
-// attribute ids — and therefore arena column order — survive a round
-// trip), each relation's attribute-id list, and its live rows as a raw
-// row-major arena, streamed chunk by chunk on both sides (the byte
-// format is a flat arena; the persistent chunks, less their deleted
-// rows, just concatenate into it). Row
-// hashes and the set-semantics indexes are rebuilt on load. All
-// integers are unsigned varints except tuple values, which are fixed
-// 4-byte little-endian for bulk speed.
+// Binary codec for WAL mutation records, plus the primitives and the
+// universe / attribute-list decoders the manifest codec (manifest.go)
+// shares. All integers are unsigned varints except tuple values, which
+// are fixed 4-byte little-endian for bulk speed.
 
 import (
 	"encoding/binary"
@@ -76,25 +69,15 @@ func (r *reader) bytes(n int, what string) ([]byte, error) {
 }
 
 func (r *reader) values(n int, what string) ([]relation.Value, error) {
-	return r.valuesInto(nil, n, what)
-}
-
-// valuesInto decodes n values, reusing dst's backing array when it is
-// large enough (the chunk-at-a-time relation decoder recycles one
-// chunk-sized scratch buffer).
-func (r *reader) valuesInto(dst []relation.Value, n int, what string) ([]relation.Value, error) {
 	b, err := r.bytes(n*relation.ValueBytes, what)
 	if err != nil {
 		return nil, err
 	}
-	if cap(dst) < n {
-		dst = make([]relation.Value, n)
+	vals := make([]relation.Value, n)
+	for i := range vals {
+		vals[i] = relation.Value(binary.LittleEndian.Uint32(b[i*relation.ValueBytes:]))
 	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = relation.Value(binary.LittleEndian.Uint32(b[i*relation.ValueBytes:]))
-	}
-	return dst, nil
+	return vals, nil
 }
 
 // --- primitive writers ---
@@ -110,55 +93,8 @@ func appendValues(dst []byte, vals []relation.Value) []byte {
 	return dst
 }
 
-// --- database codec (checkpoint payload) ---
-
-// appendDatabase encodes db, including the universe name table of
-// db.D.U, so that decodeDatabase rebuilds an identical database over a
-// fresh universe with identical attribute ids.
-func appendDatabase(dst []byte, db *relation.Database) []byte {
-	u := db.D.U
-	n := u.Size()
-	dst = appendUvarint(dst, uint64(n))
-	for a := 0; a < n; a++ {
-		name := u.Name(schema.Attr(a))
-		dst = appendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-	}
-	dst = appendUvarint(dst, uint64(len(db.Rels)))
-	for _, r := range db.Rels {
-		dst = appendRelation(dst, r)
-	}
-	if db.Univ != nil {
-		dst = append(dst, 1)
-		dst = appendRelation(dst, db.Univ)
-	} else {
-		dst = append(dst, 0)
-	}
-	return dst
-}
-
-func appendRelation(dst []byte, r *relation.Relation) []byte {
-	cols := r.Cols()
-	dst = appendUvarint(dst, uint64(len(cols)))
-	for _, a := range cols {
-		dst = appendUvarint(dst, uint64(a))
-	}
-	dst = appendUvarint(dst, uint64(r.Card()))
-	// Serialize the live rows chunk by chunk: the byte stream is
-	// identical to a flat row-major arena (chunks concatenate in row
-	// order), but the encoder streams straight out of the persistent
-	// chunks without materializing a flat copy.
-	r.ForEachChunk(func(block []relation.Value) bool {
-		dst = appendValues(dst, block)
-		return true
-	})
-	return dst
-}
-
 // decodeUniverse reads the interned attribute-name table into a fresh
-// universe, returning it with its attribute count. Shared by the full
-// database decoder and the incremental-checkpoint manifest decoder —
-// both formats open with the same name table.
+// universe, returning it with its attribute count.
 func decodeUniverse(r *reader) (*schema.Universe, int, error) {
 	nNames, err := r.count("universe names", maxNames)
 	if err != nil {
@@ -210,91 +146,6 @@ func decodeAttrs(r *reader, nNames int) ([]schema.Attr, error) {
 		ids[i] = schema.Attr(a)
 	}
 	return ids, nil
-}
-
-// decodeDatabase decodes an appendDatabase payload into a fresh
-// universe. The whole payload must be consumed.
-func decodeDatabase(buf []byte) (*relation.Database, error) {
-	r := &reader{buf: buf}
-	u, nNames, err := decodeUniverse(r)
-	if err != nil {
-		return nil, err
-	}
-	nRels, err := r.count("relations", maxRelations)
-	if err != nil {
-		return nil, err
-	}
-	db := &relation.Database{D: schema.New(u)}
-	for i := 0; i < nRels; i++ {
-		rel, err := decodeRelation(r, u, nNames)
-		if err != nil {
-			return nil, fmt.Errorf("relation %d: %w", i, err)
-		}
-		db.D.Add(rel.Attrs())
-		db.Rels = append(db.Rels, rel)
-	}
-	hasUniv, err := r.bytes(1, "universal-relation flag")
-	if err != nil {
-		return nil, err
-	}
-	switch hasUniv[0] {
-	case 0:
-	case 1:
-		univ, err := decodeRelation(r, u, nNames)
-		if err != nil {
-			return nil, fmt.Errorf("universal relation: %w", err)
-		}
-		db.Univ = univ
-	default:
-		return nil, corruptf("universal-relation flag %d", hasUniv[0])
-	}
-	if r.remaining() != 0 {
-		return nil, corruptf("%d trailing bytes after database", r.remaining())
-	}
-	return db, nil
-}
-
-func decodeRelation(r *reader, u *schema.Universe, nNames int) (*relation.Relation, error) {
-	ids, err := decodeAttrs(r, nNames)
-	if err != nil {
-		return nil, err
-	}
-	width := len(ids)
-	rows, err := r.uvarint("row count")
-	if err != nil {
-		return nil, err
-	}
-	if width > 0 && rows > uint64(r.remaining()/(width*relation.ValueBytes)) {
-		return nil, corruptf("row count %d exceeds remaining bytes", rows)
-	}
-	if width == 0 && rows > 1 {
-		return nil, corruptf("zero-width relation with %d rows", rows)
-	}
-	if width == 0 {
-		rel, err := relation.FromArena(u, schema.NewAttrSet(ids...), int(rows), nil)
-		if err != nil {
-			return nil, corruptf("%v", err)
-		}
-		return rel, nil
-	}
-	// Decode the arena a chunk at a time into the relation's own
-	// chunked layout: one reused chunk-sized scratch buffer instead of
-	// a second full-size flat arena alongside the relation being built.
-	rel := relation.NewSized(u, schema.NewAttrSet(ids...), int(rows))
-	var buf []relation.Value
-	for left := int(rows); left > 0; {
-		c := left
-		if c > relation.ChunkRows {
-			c = relation.ChunkRows
-		}
-		buf, err = r.valuesInto(buf, c*width, "arena")
-		if err != nil {
-			return nil, err
-		}
-		rel.InsertBlock(buf)
-		left -= c
-	}
-	return rel, nil
 }
 
 // --- mutation codec (WAL record payload) ---

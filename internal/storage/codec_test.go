@@ -56,60 +56,6 @@ func sameTuples(a, b *relation.Relation) bool {
 	return true
 }
 
-func TestCodecDatabaseRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		schema string
-		tuples int
-	}{
-		{"ab, bc, cd", 200},
-		{"abg, bcg, acf, ad, de, ea", 100},
-		{"user id, id name", 50},
-		{"ab", 0},
-	} {
-		db := testDB(t, tc.schema, tc.tuples, 16, 1)
-		enc := appendDatabase(nil, db)
-		got, err := decodeDatabase(enc)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", tc.schema, err)
-		}
-		if !dbEqual(db, got) {
-			t.Errorf("%s: round trip changed the database", tc.schema)
-		}
-		// Ids must survive: re-encoding the decoded database is
-		// byte-identical.
-		if !bytes.Equal(enc, appendDatabase(nil, got)) {
-			t.Errorf("%s: re-encode differs", tc.schema)
-		}
-	}
-}
-
-func TestCodecNoUniv(t *testing.T) {
-	db := testDB(t, "ab, bc", 50, 8, 2)
-	db.Univ = nil
-	got, err := decodeDatabase(appendDatabase(nil, db))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Univ != nil || !dbEqual(db, got) {
-		t.Error("univ-less round trip failed")
-	}
-}
-
-func TestCodecRejectsCorruption(t *testing.T) {
-	db := testDB(t, "ab, bc, cd", 100, 8, 3)
-	enc := appendDatabase(nil, db)
-	// Truncation at any offset must error, never panic.
-	for off := 0; off < len(enc); off++ {
-		if _, err := decodeDatabase(enc[:off]); err == nil {
-			t.Fatalf("truncation at %d accepted", off)
-		}
-	}
-	// Trailing junk must be rejected too.
-	if _, err := decodeDatabase(append(append([]byte(nil), enc...), 0xFF)); err == nil {
-		t.Error("trailing bytes accepted")
-	}
-}
-
 func TestBatchRoundTrip(t *testing.T) {
 	muts := []Mutation{
 		Create("a", "b"),
@@ -137,22 +83,46 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzCodec drives the database decoder with arbitrary bytes. A decode
-// that succeeds must round-trip byte-identically (the encoding is
-// canonical); a decode that fails must fail cleanly, never panic or
-// over-allocate.
+// snapshotRoundTrip writes db as the first checkpoint of a fresh store
+// directory and returns what reopening that directory recovers.
+func snapshotRoundTrip(t testing.TB, db *relation.Database) *relation.Database {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("reopening the snapshot: %v", err)
+	}
+	defer s.Close()
+	return s.State()
+}
+
+// FuzzCodec drives the manifest decoder with arbitrary bytes, read as a
+// manifest body against two real chunk stores. A decode that fails must
+// fail cleanly, never panic or over-allocate; whatever decodes is a
+// well-formed database, so it survives being checkpointed into a fresh
+// directory and recovered.
 func FuzzCodec(f *testing.F) {
-	f.Add(appendDatabase(nil, testDB(f, "ab, bc, cd", 20, 8, 1)))
-	f.Add(appendDatabase(nil, testDB(f, "user id, id name", 5, 4, 2)))
-	empty := &relation.Database{D: schema.New(schema.NewUniverse())}
-	f.Add(appendDatabase(nil, empty))
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0})
-	// The same bytes are also read as a manifest body against a real
-	// chunk store: seed a GYOMAN02 body whose chunk carries a dead-row
-	// list, and the GYOMAN01 body of the committed fixture.
+	// GYOMAN02 bodies: a relation with dead rows in both chunks and the
+	// tail, a universal-relation database, multi-character attribute
+	// names, the empty database; and the GYOMAN01 body of the committed
+	// fixture.
 	manDir, man2 := manifestWithDeadRows(f)
 	f.Add(man2)
+	f.Add(manifestBody(f, testDB(f, "ab, bc, cd", 20, 8, 1)))
+	f.Add(manifestBody(f, testDB(f, "user id, id name", 5, 4, 2)))
+	f.Add(manifestBody(f, &relation.Database{D: schema.New(schema.NewUniverse())}))
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0})
 	v1Dir := writeDir(f, dirFiles(f, filepath.Join("testdata", "man01")))
 	man1 := dirFiles(f, v1Dir)[manName(2)][20:]
 	f.Add(man1)
@@ -169,26 +139,23 @@ func FuzzCodec(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			// Whatever decodes is a well-formed database: it encodes by
-			// value and decodes back to itself.
 			_ = st.f.Close()
-			if db2, err := decodeDatabase(appendDatabase(nil, st.db)); err != nil || !dbEqual(st.db, db2) {
-				t.Fatalf("manifest decoded to a database the codec cannot round-trip: %v", err)
+			if !dbEqual(st.db, snapshotRoundTrip(t, st.db)) {
+				t.Fatal("manifest decoded to a database that does not survive a checkpoint and recovery")
 			}
 		}
-		db, err := decodeDatabase(data)
-		if err != nil {
-			return
-		}
-		enc := appendDatabase(nil, db)
-		db2, err := decodeDatabase(enc)
-		if err != nil {
-			t.Fatalf("re-decode of valid database failed: %v", err)
-		}
-		if !bytes.Equal(enc, appendDatabase(nil, db2)) {
-			t.Fatal("decode→encode is not a fixed point")
-		}
 	})
+}
+
+// manifestBody returns the body of the manifest a fresh store writes
+// for db.
+func manifestBody(t testing.TB, db *relation.Database) []byte {
+	t.Helper()
+	body, err := appendManifest(nil, db, 1, func(uint64) (chunkRef, bool) { return chunkRef{}, false })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // manifestWithDeadRows checkpoints a two-chunk relation after deletes
@@ -217,23 +184,4 @@ func manifestWithDeadRows(t testing.TB) (dir string, body []byte) {
 		t.Fatalf("manifests %v: %v", snaps, err)
 	}
 	return dir, man[20:]
-}
-
-func BenchmarkCodecDatabase(b *testing.B) {
-	db := testDB(b, "ab, bc, cd, de", 10000, 64, 1)
-	enc := appendDatabase(nil, db)
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			appendDatabase(enc[:0], db)
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := decodeDatabase(enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

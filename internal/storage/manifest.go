@@ -14,11 +14,12 @@ package storage
 // internal/relation), so a chunk id written once identifies the same
 // bytes forever and later checkpoints simply reference it again.
 //
-// The manifest (manifest-<seq>.mf) is framed exactly like a legacy full
-// checkpoint — magic (8) | u32 crc32c(rest) | u64 seq | payload — but
-// with its own magic, and its payload describes the database by
-// reference instead of by value: the chunk-store generation, the
-// universe name table, and per relation
+// The manifest (manifest-<seq>.mf) is framed as
+// magic (8) | u32 crc32c(rest) | u64 seq | payload, and its payload
+// describes the database by reference instead of by value: the
+// chunk-store generation, the universe name table (attribute names in
+// interning order, so attribute ids — and therefore arena column order
+// — survive a round trip), and per relation
 //
 //	uvarint width, width × uvarint attribute id
 //	uvarint card                      live rows
@@ -58,7 +59,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
@@ -240,11 +240,11 @@ type manifestState struct {
 // owns it); on any error nothing is kept open and the caller should
 // fall back to an older candidate.
 func loadManifest(dir string, seq uint64) (manifestState, error) {
-	payload, magic, err := readSnapshotFile(filepath.Join(dir, manName(seq)), seq, manMagic, manMagicV1)
+	payload, v1, err := readManifestFile(filepath.Join(dir, manName(seq)), seq)
 	if err != nil {
 		return manifestState{}, err
 	}
-	return decodeManifest(dir, payload, bytes.Equal(magic, manMagicV1))
+	return decodeManifest(dir, payload, v1)
 }
 
 // decodeManifest is loadManifest past the file frame: payload is a
@@ -435,16 +435,18 @@ func decodeManifestRelation(r *reader, v1 bool, u *schema.Universe, nNames int, 
 	return rel, nil
 }
 
-// --- framed snapshot file I/O (shared by legacy checkpoints and manifests) ---
+// --- framed manifest file I/O ---
 //
 // Layout: magic (8) | u32 crc32c(rest) | u64 seq | payload.
 
-func writeSnapshotFile(path string, magic []byte, seq uint64, payload []byte, sync bool) error {
+// writeManifestFile writes payload, a GYOMAN02 manifest body, framed
+// at path.
+func writeManifestFile(path string, seq uint64, payload []byte, sync bool) error {
 	// Header + payload are written separately and the CRC is streamed
 	// over both parts, so a potentially huge payload is never copied
 	// into a second buffer.
 	var hdr [20]byte // magic(8) | crc(4) | seq(8)
-	copy(hdr[:8], magic)
+	copy(hdr[:8], manMagic)
 	putU64(hdr[12:], seq)
 	crc := crc32Update(0, hdr[12:])
 	crc = crc32Update(crc, payload)
@@ -470,23 +472,24 @@ func writeSnapshotFile(path string, magic []byte, seq uint64, payload []byte, sy
 	return f.Close()
 }
 
-// readSnapshotFile returns the payload of the framed file at path and
-// which of the accepted 8-byte magics it opens with.
-func readSnapshotFile(path string, wantSeq uint64, magics ...[]byte) (payload, magic []byte, err error) {
+// readManifestFile returns the payload of the framed manifest at path
+// and whether it is in the GYOMAN01 layout.
+func readManifestFile(path string, wantSeq uint64) (payload []byte, v1 bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
-	if len(data) < 8+4+8 || !slices.ContainsFunc(magics, func(m []byte) bool { return bytes.Equal(data[:8], m) }) {
-		return nil, nil, corruptf("snapshot header")
+	v1 = bytes.HasPrefix(data, manMagicV1)
+	if len(data) < 8+4+8 || !(v1 || bytes.HasPrefix(data, manMagic)) {
+		return nil, false, corruptf("manifest header")
 	}
 	crc := readU32(data[8:])
 	rest := data[8+4:]
 	if crcOf(rest) != crc {
-		return nil, nil, corruptf("snapshot CRC mismatch")
+		return nil, false, corruptf("manifest CRC mismatch")
 	}
 	if seq := readU64(rest); seq != wantSeq {
-		return nil, nil, corruptf("snapshot sequence %d ≠ filename %d", seq, wantSeq)
+		return nil, false, corruptf("manifest sequence %d ≠ filename %d", seq, wantSeq)
 	}
-	return rest[8:], data[:8], nil
+	return rest[8:], v1, nil
 }

@@ -2,18 +2,19 @@ package storage
 
 // Tests for the incremental checkpoint format: chunk dedup across
 // checkpoints and restarts, compaction, crash recovery with torn
-// manifests and torn chunk stores (mirroring TestWALTornTail), legacy
-// full-checkpoint compatibility, checkpoint-error hygiene, and the
-// O(batch)-vs-O(card) I/O bound the format exists for.
+// manifests and torn chunk stores (mirroring TestWALTornTail), the
+// refusal of pre-manifest full checkpoints, GYOMAN01 compatibility,
+// checkpoint-error hygiene, and the O(batch)-vs-O(card) I/O bound the
+// format exists for.
 
 import (
 	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
-	"strings"
 	"testing"
 
 	"gyokit/internal/relation"
@@ -549,72 +550,65 @@ func TestTornChunkStore(t *testing.T) {
 	}
 }
 
-// TestLegacyCheckpointFixture: a pre-manifest store directory (full
-// checkpoint file committed under testdata/) still opens, decodes to
-// the exact database, re-encodes byte-identically, and upgrades to the
-// manifest format on its next checkpoint.
-//
-// Regenerate the fixture with GYOKIT_REWRITE_FIXTURES=1 (only needed
-// if the legacy codec itself legitimately changes, which it should
-// not: it is a compatibility surface).
+// TestLegacyCheckpointFixture: a pre-manifest full checkpoint (the
+// GYOCKPT1 file committed under testdata/) is an encoding Open no
+// longer reads. A directory whose newest snapshot is one is refused
+// with ErrLegacyFormat — also when a genesis WAL segment sits beside
+// it, since replaying that instead would drop the checkpointed state —
+// and the refusal is inert: the directory is left byte-identical and
+// its lock released. Only a legacy file that a loaded manifest
+// supersedes is tidied away, as before.
 func TestLegacyCheckpointFixture(t *testing.T) {
-	fixture := filepath.Join("testdata", ckptName(1))
-	want := testDB(t, "ab, bc, cd", 64, 16, 42)
-	if os.Getenv("GYOKIT_REWRITE_FIXTURES") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := writeCheckpointFile(fixture, 1, appendDatabase(nil, want), true); err != nil {
-			t.Fatal(err)
-		}
-		t.Skip("fixture rewritten")
-	}
-	raw, err := os.ReadFile(fixture)
+	const legacy1 = "checkpoint-0000000000000001.ckpt"
+	raw, err := os.ReadFile(filepath.Join("testdata", legacy1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, ckptName(1)), raw, 0o644); err != nil {
-		t.Fatal(err)
+	manDir, _ := manifestWithDeadRows(t) // holds manifest-…02
+	for name, files := range map[string]map[string][]byte{
+		"checkpoint only":          {legacy1: raw},
+		"beside a genesis segment": {legacy1: raw, segName(1): walMagic},
+		"newer than the manifest":  dirFilesWith(t, manDir, "checkpoint-0000000000000003.ckpt", raw),
+	} {
+		files["LOCK"] = []byte{} // every opened store directory has one
+		dir := writeDir(t, files)
+		// Twice: a refusal that kept the directory lock would make the
+		// second attempt fail with a lock error instead.
+		for attempt := 1; attempt <= 2; attempt++ {
+			s, err := Open(dir, Options{NoSync: true})
+			if !errors.Is(err, ErrLegacyFormat) {
+				if s != nil {
+					s.Close()
+				}
+				t.Fatalf("%s, attempt %d: Open returned %v, want ErrLegacyFormat", name, attempt, err)
+			}
+		}
+		if !reflect.DeepEqual(dirFiles(t, dir), files) {
+			t.Errorf("%s: the refused Open changed the directory", name)
+		}
+		// A follower bootstrap must still see a store here and refuse
+		// to adopt it.
+		if has, err := DirHasStore(dir); err != nil || !has {
+			t.Errorf("%s: DirHasStore = %v, %v", name, has, err)
+		}
 	}
 
+	dir := writeDir(t, dirFilesWith(t, manDir, legacy1, raw))
 	s, err := Open(dir, Options{NoSync: true})
 	if err != nil {
-		t.Fatalf("opening legacy store: %v", err)
+		t.Fatalf("legacy checkpoint older than the manifest: %v", err)
 	}
-	if got := s.Stats().Replayed; got != 0 {
-		t.Errorf("replayed %d batches from a checkpoint-only directory", got)
+	defer s.Close()
+	if _, snaps, _ := listStoreFiles(t, dir); len(snaps) != 1 || snaps[0] != manName(2) {
+		t.Errorf("snapshot files after opening past a superseded legacy checkpoint: %v", snaps)
 	}
-	if !dbEqual(want, s.State()) {
-		t.Fatal("legacy checkpoint decoded to a different database")
-	}
-	if reenc := appendDatabase(nil, s.State()); !bytes.Equal(reenc, raw[20:]) {
-		t.Fatal("legacy checkpoint did not load byte-identically (re-encode differs)")
-	}
+}
 
-	// The next checkpoint upgrades the directory in place: manifest +
-	// chunk store replace the legacy file.
-	db := s.State()
-	step := stepper(t, s, &db)
-	step(Create("x", "y"))
-	if err := s.Checkpoint(db); err != nil {
-		t.Fatal(err)
-	}
-	_, snaps, chunks := listStoreFiles(t, dir)
-	if len(snaps) != 1 || !strings.HasSuffix(snaps[0], ".mf") || len(chunks) != 1 {
-		t.Fatalf("files after upgrade checkpoint: snaps %v, chunks %v", snaps, chunks)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if !dbEqual(db, s2.State()) {
-		t.Error("state differs after legacy → manifest upgrade")
-	}
+// dirFilesWith is dirFiles(dir) plus one more file.
+func dirFilesWith(t testing.TB, dir, name string, data []byte) map[string][]byte {
+	files := dirFiles(t, dir)
+	files[name] = data
+	return files
 }
 
 // TestManifestV1Fixture: a store directory written by the commit before
@@ -908,8 +902,9 @@ func TestCheckpointIORatio(t *testing.T) {
 	if err := s.Checkpoint(db); err != nil {
 		t.Fatal(err)
 	}
+	// The first checkpoint wrote every chunk: it is the full snapshot.
 	st1 := s.Stats()
-	fullBytes := int64(len(appendDatabase(nil, db)) + 20)
+	fullBytes := int64(st1.CheckpointBytes)
 
 	step := stepper(t, s, &db)
 	step(insertN(0, 1<<20, 128)...)
@@ -934,9 +929,7 @@ func TestCheckpointIORatio(t *testing.T) {
 
 // BenchmarkCheckpointIncremental: steady-state incremental checkpoint
 // of a 128-tuple batch landing in a 2^20-row relation. The ckptB/op
-// metric is the actual checkpoint I/O per operation — compare with
-// BenchmarkCheckpointFull, which rewrites the whole snapshot the way
-// checkpoints did before the chunk store existed.
+// metric is the actual checkpoint I/O per operation.
 func BenchmarkCheckpointIncremental(b *testing.B) {
 	dir := b.TempDir()
 	s, err := Open(dir, Options{NoSync: true})
@@ -967,30 +960,4 @@ func BenchmarkCheckpointIncremental(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(s.Stats().CheckpointBytes-base)/float64(b.N), "ckptB/op")
-}
-
-// BenchmarkCheckpointFull is the pre-incremental baseline: serialize
-// and rewrite the entire database per checkpoint, O(card) I/O.
-func BenchmarkCheckpointFull(b *testing.B) {
-	batches := [][]Mutation{{Create("a", "b")}, insertN(0, 0, 1<<20)}
-	db := applyBatches(b, batches)
-	path := filepath.Join(b.TempDir(), ckptName(2))
-	var total int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch := insertN(0, 1<<20+i*128, 128)
-		nd, _, err := ApplyAll(db, batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		db = nd
-		payload := appendDatabase(nil, db)
-		if err := writeCheckpointFile(path, 2, payload, false); err != nil {
-			b.Fatal(err)
-		}
-		total += int64(len(payload)) + 20
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(total)/float64(b.N), "ckptB/op")
 }

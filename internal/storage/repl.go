@@ -562,7 +562,7 @@ func InstallReplSnapshot(dir string, r io.Reader) (err error) {
 	}
 
 	tmp := manPath + ".tmp"
-	if err := writeSnapshotFile(tmp, manMagic, 1, payload, true); err != nil {
+	if err := writeManifestFile(tmp, 1, payload, true); err != nil {
 		os.Remove(tmp)
 		return err
 	}

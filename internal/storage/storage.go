@@ -5,20 +5,20 @@
 //
 // A store directory holds numbered WAL segments (wal-<seq>.log), an
 // append-only chunk store (chunks-<gen>.gyo), and at most one live
-// checkpoint manifest (manifest-<seq>.mf; legacy full checkpoints,
-// checkpoint-<seq>.ckpt, are still read). The manifest with sequence
-// number S describes a database snapshot covering exactly the
-// mutations recorded in segments < S: full arena chunks by reference
+// checkpoint manifest (manifest-<seq>.mf) — the only snapshot encoding:
+// a directory whose newest snapshot is a pre-manifest full checkpoint
+// (checkpoint-<seq>.ckpt) is refused with ErrLegacyFormat. The manifest
+// with sequence number S describes a database snapshot covering exactly
+// the mutations recorded in segments < S: full arena chunks by reference
 // into the chunk store, mutable tails by value (see manifest.go).
 // Writing a checkpoint appends only chunks not yet durable and then
 // renames a fresh manifest into place — O(dirty chunks + tails)
 // instead of O(cardinality) — so recovery is: load the newest valid
-// manifest (or legacy checkpoint), replay every segment ≥ S in order,
-// tolerate a torn final record (the in-flight write of a crash), and
-// resume appending at the recovered tail. Checkpoints are written
-// atomically in the background off a frozen snapshot, then obsolete
-// segments are truncated away — readers and writers never block on
-// checkpointing.
+// manifest, replay every segment ≥ S in order, tolerate a torn final
+// record (the in-flight write of a crash), and resume appending at the
+// recovered tail. Checkpoints are written atomically in the background
+// off a frozen snapshot, then obsolete segments are truncated away —
+// readers and writers never block on checkpointing.
 //
 // The write path is Append: one framed, CRC-checked record per
 // mutation batch, fsynced before it returns (unless Options.NoSync),
@@ -27,10 +27,11 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -219,8 +220,14 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 		})
 }
 
-func segName(seq uint64) string  { return fmt.Sprintf("wal-%016d.log", seq) }
-func ckptName(seq uint64) string { return fmt.Sprintf("checkpoint-%016d.ckpt", seq) }
+// ErrLegacyFormat is wrapped by Open when the directory's newest
+// snapshot is a pre-manifest full checkpoint (checkpoint-<seq>.ckpt),
+// which this build no longer decodes. Commit 0152974 is the last that
+// reads one, and rewrites the directory as manifest + chunk store at
+// its next checkpoint.
+var ErrLegacyFormat = errors.New("storage: pre-manifest checkpoint format")
+
+func segName(seq uint64) string { return fmt.Sprintf("wal-%016d.log", seq) }
 
 func parseSeq(name, prefix, suffix string) (uint64, bool) {
 	if len(name) != len(prefix)+16+len(suffix) ||
@@ -262,33 +269,18 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var segSeqs []uint64
-	// Snapshot candidates: incremental manifests and legacy full
-	// checkpoints, tried newest-first (a manifest outranks a legacy
-	// checkpoint at the same sequence — it is the newer format).
-	type snapCand struct {
-		seq    uint64
-		legacy bool
-	}
-	var cands []snapCand
+	// Snapshot candidates are the manifests, tried newest-first.
+	var segSeqs, manSeqs []uint64
 	for _, e := range entries {
 		if seq, ok := parseSeq(e.Name(), "wal-", ".log"); ok {
 			segSeqs = append(segSeqs, seq)
 		}
-		if seq, ok := parseSeq(e.Name(), "checkpoint-", ".ckpt"); ok {
-			cands = append(cands, snapCand{seq: seq, legacy: true})
-		}
 		if seq, ok := parseSeq(e.Name(), "manifest-", ".mf"); ok {
-			cands = append(cands, snapCand{seq: seq})
+			manSeqs = append(manSeqs, seq)
 		}
 	}
-	sort.Slice(segSeqs, func(i, j int) bool { return segSeqs[i] < segSeqs[j] })
-	sort.Slice(cands, func(i, j int) bool { // newest first
-		if cands[i].seq != cands[j].seq {
-			return cands[i].seq > cands[j].seq
-		}
-		return !cands[i].legacy && cands[j].legacy
-	})
+	slices.Sort(segSeqs)
+	slices.Sort(manSeqs)
 
 	s := &Store{dir: dir, opt: opt, segSizes: map[uint64]int64{}}
 	defer func() {
@@ -297,32 +289,33 @@ func Open(dir string, opt Options) (*Store, error) {
 		}
 	}()
 
-	// 1. Newest valid snapshot (manifest + chunk store, or legacy full
-	// checkpoint).
+	// 1. Newest valid snapshot (manifest + chunk store).
 	var db *relation.Database
 	startSeq := uint64(1)
 	ckptLoaded := false
-	var chosen snapCand
-	for _, c := range cands {
-		if c.legacy {
-			loaded, err := readCheckpoint(filepath.Join(dir, ckptName(c.seq)), c.seq)
-			if err != nil {
-				continue // corrupt or unreadable: try an older one
-			}
-			db = loaded
-		} else {
-			st, err := loadManifest(dir, c.seq)
-			if err != nil {
-				continue
-			}
-			db = st.db
-			s.chunkf, s.chunkGen = st.f, st.gen
-			s.chunkSize, s.chunkLive = st.size, st.live
-			s.chunkBytes = st.size
-			s.chunkTable = st.table
+	for i := len(manSeqs) - 1; i >= 0; i-- {
+		st, err := loadManifest(dir, manSeqs[i])
+		if err != nil {
+			continue // corrupt or unreadable: try an older one
 		}
-		startSeq, ckptLoaded, chosen = c.seq, true, c
+		db = st.db
+		s.chunkf, s.chunkGen = st.f, st.gen
+		s.chunkSize, s.chunkLive = st.size, st.live
+		s.chunkBytes = st.size
+		s.chunkTable = st.table
+		startSeq, ckptLoaded = manSeqs[i], true
 		break
+	}
+	// A legacy full checkpoint that the loaded manifest does not
+	// supersede holds state this build cannot decode, and the WAL was
+	// truncated behind it: skipping it and replaying what is left would
+	// silently lose data. Refuse before anything in the directory is
+	// touched. (One a manifest does supersede is tidied away in step 4.)
+	for _, e := range entries {
+		if seq, ok := parseSeq(e.Name(), "checkpoint-", ".ckpt"); ok && (!ckptLoaded || seq > startSeq) {
+			return nil, fmt.Errorf("%w: %s holds %s, which this build does not read; commit 0152974 is the last that does — open and checkpoint the directory once with that build to upgrade it in place",
+				ErrLegacyFormat, dir, e.Name())
+		}
 	}
 	if !ckptLoaded {
 		// Without a checkpoint the WAL must reach back to genesis:
@@ -333,7 +326,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		if len(segSeqs) > 0 && segSeqs[0] != 1 {
 			return nil, fmt.Errorf("%w: no valid checkpoint and WAL starts at segment %d", ErrCorrupt, segSeqs[0])
 		}
-		if len(segSeqs) == 0 && len(cands) > 0 {
+		if len(segSeqs) == 0 && len(manSeqs) > 0 {
 			return nil, fmt.Errorf("%w: checkpoint files present but none valid and no WAL to replay", ErrCorrupt)
 		}
 		db = &relation.Database{D: schema.New(schema.NewUniverse())}
@@ -443,37 +436,26 @@ func Open(dir string, opt Options) (*Store, error) {
 	}
 
 	// 4. Tidy up: segments older than the checkpoint, snapshot files
-	// other than the chosen one, and chunk-store generations the chosen
-	// manifest does not reference are dead weight (a crash between
-	// checkpointing and cleanup leaves them behind).
+	// other than the loaded manifest, and chunk-store generations it
+	// does not reference are dead weight (a crash between checkpointing
+	// and cleanup leaves them behind).
 	for _, seq := range segSeqs {
 		if seq < startSeq {
 			os.Remove(filepath.Join(dir, segName(seq)))
 		}
 	}
-	for _, c := range cands {
-		if ckptLoaded && c == chosen {
-			continue
-		}
-		if c.legacy {
-			os.Remove(filepath.Join(dir, ckptName(c.seq)))
-		} else {
-			os.Remove(filepath.Join(dir, manName(c.seq)))
+	for _, seq := range manSeqs {
+		if !ckptLoaded || seq != startSeq {
+			os.Remove(filepath.Join(dir, manName(seq)))
 		}
 	}
 	for _, e := range entries {
-		if gen, ok := parseSeq(e.Name(), "chunks-", ".gyo"); ok {
-			if s.chunkf == nil || gen != s.chunkGen {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
-	// Orphaned snapshot temp files (crash between write and rename)
-	// can be snapshot-sized; don't let them accumulate.
-	for _, e := range entries {
-		_, ckptTmp := parseSeq(e.Name(), "checkpoint-", ".ckpt.tmp")
-		_, manTmp := parseSeq(e.Name(), "manifest-", ".mf.tmp")
-		if ckptTmp || manTmp {
+		gen, isChunks := parseSeq(e.Name(), "chunks-", ".gyo")
+		// A legacy checkpoint still here is one the manifest superseded.
+		_, isLegacy := parseSeq(e.Name(), "checkpoint-", ".ckpt")
+		// An orphaned manifest temp file: a crash between write and rename.
+		_, isTmp := parseSeq(e.Name(), "manifest-", ".mf.tmp")
+		if isLegacy || isTmp || (isChunks && (s.chunkf == nil || gen != s.chunkGen)) {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
@@ -887,7 +869,7 @@ func (s *Store) WriteCheckpoint(seq uint64, db *relation.Database) (err error) {
 	}
 	final := filepath.Join(s.dir, manName(seq))
 	tmp := final + ".tmp"
-	if err = writeSnapshotFile(tmp, manMagic, seq, payload, !s.opt.NoSync); err != nil {
+	if err = writeManifestFile(tmp, seq, payload, !s.opt.NoSync); err != nil {
 		os.Remove(tmp)
 		abortChunks(true)
 		return err
@@ -959,9 +941,6 @@ func (s *Store) WriteCheckpoint(seq uint64, db *relation.Database) (err error) {
 	}
 	if ents, derr := os.ReadDir(s.dir); derr == nil {
 		for _, e := range ents {
-			if cseq, ok := parseSeq(e.Name(), "checkpoint-", ".ckpt"); ok && cseq < seq {
-				os.Remove(filepath.Join(s.dir, e.Name()))
-			}
 			if mseq, ok := parseSeq(e.Name(), "manifest-", ".mf"); ok && mseq < seq {
 				os.Remove(filepath.Join(s.dir, e.Name()))
 			}
@@ -1056,25 +1035,6 @@ func (s *Store) Close() error {
 	err := s.seg.Close()
 	s.seg = nil
 	return err
-}
-
-// --- legacy full-checkpoint file I/O ---
-//
-// Same framing as manifests (see manifest.go) under the old magic,
-// with a full appendDatabase payload. Kept for reading pre-manifest
-// store directories (and for generating test fixtures); new
-// checkpoints are always written as manifest + chunk store.
-
-func writeCheckpointFile(path string, seq uint64, payload []byte, sync bool) error {
-	return writeSnapshotFile(path, ckptMagic, seq, payload, sync)
-}
-
-func readCheckpoint(path string, wantSeq uint64) (*relation.Database, error) {
-	payload, _, err := readSnapshotFile(path, wantSeq, ckptMagic)
-	if err != nil {
-		return nil, err
-	}
-	return decodeDatabase(payload)
 }
 
 func syncDir(dir string) error {

@@ -10,8 +10,8 @@ import (
 )
 
 // listStoreFiles partitions the directory's contents: WAL segments,
-// snapshot files (incremental manifests and legacy .ckpt checkpoints),
-// and chunk-store generations.
+// snapshot files (manifests, and legacy .ckpt checkpoints awaiting
+// removal), and chunk-store generations.
 func listStoreFiles(t testing.TB, dir string) (segs, snaps, chunks []string) {
 	t.Helper()
 	ents, err := os.ReadDir(dir)

@@ -23,7 +23,6 @@ import (
 
 var (
 	walMagic  = []byte("GYOWAL01")
-	ckptMagic = []byte("GYOCKPT1")
 	castTable = crc32.MakeTable(crc32.Castagnoli)
 )
 

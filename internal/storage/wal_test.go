@@ -202,38 +202,3 @@ func FuzzWALReplay(f *testing.F) {
 		}
 	})
 }
-
-func BenchmarkWALAppend(b *testing.B) {
-	tuples := make([]relation.Tuple, 64)
-	for i := range tuples {
-		tuples[i] = relation.Tuple{relation.Value(i), relation.Value(i * 2)}
-	}
-	batch := []Mutation{Insert(0, 2, tuples)}
-	b.Run("batch=64/nosync", func(b *testing.B) {
-		s, err := Open(b.TempDir(), Options{NoSync: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.Append(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batch=64/fsync", func(b *testing.B) {
-		s, err := Open(b.TempDir(), Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.Append(batch); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
