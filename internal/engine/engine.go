@@ -77,26 +77,14 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Plan is a cache-resident compiled query: the classification of the
-// query's schema plus the program solving (D, X). Plans are immutable
-// once built and may be shared by concurrent evaluations.
-type Plan struct {
-	// D is the schema the program's relation ids — and the positional
-	// parts of Cls, such as QualTree edges — refer to: the query's
-	// hypergraph, in the relation order of the request that compiled it.
-	D *schema.Schema
-	// X is the query target.
-	X schema.AttrSet
-	// Cls is the §3 classification of D.
-	Cls *core.Classification
-	// Prog solves (D, X): Yannakakis on tree schemas, the §4 cyclic
-	// strategy otherwise. Nil on Classify's classification-only entries.
-	Prog *program.Program
-	// CQ is the compiled conjunctive query behind Prog — written
-	// (PrepareQuery) or lowered from a schema solve (Plan) — whose atoms
-	// evaluation binds to stored relations, by name, at solve time.
-	CQ *cq.Compiled
-}
+// Plan is a cache-resident compiled query — written (PrepareQuery) or
+// lowered from a schema solve (Plan): the query's hypergraph D in the
+// relation order of the request that compiled it, its target Head, the
+// §3 classification Cls of D, the program Prog solving (D, Head), and
+// the atoms evaluation binds to stored relations, by name, at solve
+// time. Plans are immutable once built and may be shared by concurrent
+// evaluations. Classify's classification-only entries hold Cls alone.
+type Plan = cq.Compiled
 
 // Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
@@ -111,8 +99,6 @@ type Stats struct {
 type Engine struct {
 	mu    sync.Mutex // guards cache
 	cache *lruCache  // nil when caching is disabled
-
-	hits, misses, evals, evictions atomic.Uint64
 
 	reg *obs.Registry // never nil; Options.Metrics or a private one
 	m   engineMetrics
@@ -180,33 +166,30 @@ func (e *Engine) prepare(key string, compile func() (*Plan, error)) (pl *Plan, h
 		pl, hit = e.cache.get(key)
 		e.mu.Unlock()
 		if hit {
-			e.hits.Add(1)
 			e.m.planHits.Inc()
 			return pl, true, nil
 		}
 	}
-	e.misses.Add(1)
 	e.m.planMisses.Inc()
 	if pl, err = compile(); err != nil {
 		return nil, false, err
 	}
 	if e.cache != nil {
 		e.mu.Lock()
-		evicted := uint64(e.cache.put(key, pl))
+		evicted := e.cache.put(key, pl)
 		e.mu.Unlock()
-		e.evictions.Add(evicted)
-		e.m.planEvictions.Add(evicted)
+		e.m.planEvictions.Add(uint64(evicted))
 	}
 	return pl, false, nil
 }
 
-// compiled wraps a freshly compiled query as a cacheable plan.
-func (e *Engine) compiled(c *cq.Compiled, err error) (*Plan, error) {
+// compiled counts a freshly compiled query by plan kind.
+func (e *Engine) compiled(pl *Plan, err error) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.m.cqPlans[c.Kind.String()].Inc()
-	return &Plan{D: c.D, X: c.Head, Cls: c.Cls, Prog: c.Prog, CQ: c}, nil
+	e.m.cqPlans[pl.Kind.String()].Inc()
+	return pl, nil
 }
 
 // Classify returns the §3 classification of d, from cache when the
@@ -218,7 +201,7 @@ func (e *Engine) compiled(c *cq.Compiled, err error) (*Plan, error) {
 func (e *Engine) Classify(d *schema.Schema) (*core.Classification, error) {
 	pl, _, err := e.prepare(cq.ClassifyText(d), func() (*Plan, error) {
 		cls, err := core.Classify(d)
-		return &Plan{Cls: cls}, err
+		return &Plan{QueryPlan: &core.QueryPlan{Cls: cls}}, err
 	})
 	if err != nil {
 		return nil, err
@@ -489,14 +472,14 @@ func (e *Engine) SolveQuery(pl *Plan, _ int, lim program.Limits) (*relation.Rela
 // execution context. db is never mutated. cacheHit says how the caller
 // came by pl and only labels the latency observation.
 func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, lim program.Limits) (*relation.Relation, *program.Stats, error) {
-	if pl == nil || pl.CQ == nil {
+	if pl == nil || pl.QueryPlan == nil || pl.Prog == nil {
 		return nil, nil, fmt.Errorf("engine: plan has no program (use Plan or PrepareQuery)")
 	}
 	if db == nil {
 		return nil, nil, fmt.Errorf("engine: no database snapshot installed (call Swap first)")
 	}
 	t0 := time.Now()
-	db, err := bind(pl.CQ, db)
+	db, err := bind(pl, db)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -512,7 +495,6 @@ func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, lim program
 		}
 		return nil, nil, err
 	}
-	e.evals.Add(1)
 	e.m.solveHist(cacheHit).Observe(time.Since(t0).Seconds())
 	return out, st, nil
 }
@@ -520,10 +502,10 @@ func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, lim program
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	s := Stats{
-		PlanHits:   e.hits.Load(),
-		PlanMisses: e.misses.Load(),
-		Evictions:  e.evictions.Load(),
-		Evals:      e.evals.Load(),
+		PlanHits:   e.m.planHits.Value(),
+		PlanMisses: e.m.planMisses.Value(),
+		Evictions:  e.m.planEvictions.Value(),
+		Evals:      e.m.solve[0].Count() + e.m.solve[1].Count(),
 	}
 	if e.cache != nil {
 		e.mu.Lock()

@@ -169,8 +169,8 @@ func TestLoweredSolveDifferential(t *testing.T) {
 				if plans["written"], err = e.PrepareQuery(text); err != nil {
 					t.Fatalf("%s: PrepareQuery(%q): %v", name, text, err)
 				}
-				if plans["written"].CQ.Kind != plans["lowered"].CQ.Kind {
-					t.Errorf("%s: lowered plan is %s, written query %s", name, plans["lowered"].CQ.Kind, plans["written"].CQ.Kind)
+				if plans["written"].Kind != plans["lowered"].Kind {
+					t.Errorf("%s: lowered plan is %s, written query %s", name, plans["lowered"].Kind, plans["written"].Kind)
 				}
 				written++
 			}
@@ -180,7 +180,7 @@ func TestLoweredSolveDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %s plan: %v", name, how, err)
 					}
-					if !sameRows(rowsIn(out, pl.CQ.HeadIDs), want) {
+					if !sameRows(rowsIn(out, pl.HeadIDs), want) {
 						t.Fatalf("%s: %s plan ≠ naive plan", name, how)
 					}
 				}
@@ -217,7 +217,7 @@ func TestPlanCacheForeignUniverse(t *testing.T) {
 	if p1 == p2 {
 		t.Fatal("universes that name their ids differently share a plan")
 	}
-	if got := fmt.Sprint(p2.CQ.HeadVars); got != "[c a]" {
+	if got := fmt.Sprint(p2.HeadVars); got != "[c a]" {
 		t.Errorf("second universe's plan answers in columns %s, want [c a] (its id order)", got)
 	}
 	want := rowsIn(db.Eval(x1), []schema.Attr{u1.Attr("a"), u1.Attr("c")})

@@ -262,9 +262,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// to name its AttrSets correctly.
 	resp := PlanResponse{
 		Schema: pl.D.String(),
-		X:      pl.D.U.FormatSet(pl.X),
+		X:      pl.D.U.FormatSet(pl.Head),
 		Tree:   pl.Cls.Tree,
-		Kind:   pl.CQ.Kind.String(),
+		Kind:   pl.Kind.String(),
 		Stmts:  make([]PlanStmt, len(pl.Prog.Stmts)),
 	}
 	n := len(pl.D.Rels)
@@ -406,7 +406,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	text := s.U.FormatSet(x)
 	if ans, ok := s.answer(w, req.readOptions, pl, hit, text, "invalid_request"); ok {
-		writeJSON(w, SolveResponse{X: text, RequestID: requestID(w), Kind: pl.CQ.Kind.String(), Answer: ans})
+		writeJSON(w, SolveResponse{X: text, RequestID: requestID(w), Kind: pl.Kind.String(), Answer: ans})
 	}
 }
 
@@ -460,9 +460,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_query", err)
 		return
 	}
-	c := pl.CQ
-	if ans, ok := s.answer(w, req.readOptions, pl, hit, c.Canonical, "invalid_query"); ok {
-		writeJSON(w, QueryResponse{Query: c.Canonical, RequestID: requestID(w), Kind: c.Kind.String(), Answer: ans})
+	if ans, ok := s.answer(w, req.readOptions, pl, hit, pl.Canonical, "invalid_query"); ok {
+		writeJSON(w, QueryResponse{Query: pl.Canonical, RequestID: requestID(w), Kind: pl.Kind.String(), Answer: ans})
 	}
 }
 
@@ -510,10 +509,10 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 		return ans, false
 	}
 	if s.SlowQuery > 0 && elapsed >= s.SlowQuery {
-		s.logSlowQuery(requestID(w), pl.CQ.Canonical, text, elapsed, st)
+		s.logSlowQuery(requestID(w), pl.Canonical, text, elapsed, st)
 	}
 	ans = Answer{
-		Cols:  pl.CQ.HeadVars,
+		Cols:  pl.HeadVars,
 		Card:  out.Card(),
 		Stats: solveStats(st),
 	}
@@ -525,8 +524,8 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 	// The result relation's columns are in sorted attribute order;
 	// permute each echoed tuple into the head's order.
 	stored := out.Cols()
-	perm := make([]int, len(pl.CQ.HeadIDs))
-	for j, id := range pl.CQ.HeadIDs {
+	perm := make([]int, len(pl.HeadIDs))
+	for j, id := range pl.HeadIDs {
 		perm[j] = indexOfAttr(stored, id)
 	}
 	echo := out.Card()

@@ -124,6 +124,74 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsAndMetricsAgree: /v1/stats reads the very instruments
+// /v1/metrics exposes, so after a mixed read/write run every counter the
+// two share shows one value.
+func TestStatsAndMetricsAgree(t *testing.T) {
+	ts, srv, _ := obsServer(t, t.TempDir())
+	for i := 0; i < 3; i++ {
+		post(t, ts.URL+"/v1/solve", `{"x": "ad"}`, nil)
+		post(t, ts.URL+"/v1/query", `{"query": "ans(A, C) :- ab(A, B), bc(B, C)."}`, nil)
+		post(t, ts.URL+"/v1/insert", fmt.Sprintf(`{"rel": "ab", "tuples": [[%d,2]]}`, 10+i), nil)
+		post(t, ts.URL+"/v1/classify", `{"schema": "ab, bc, ca"}`, nil)
+	}
+	post(t, ts.URL+"/v1/solve", `{"x": "az"}`, nil) // a miss that compiles nothing
+	post(t, ts.URL+"/v1/delete", `{"rel": "ab", "tuples": [[10,2]]}`, nil)
+	for i := 0; i < 2; i++ {
+		if err := srv.E.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		post(t, ts.URL+"/v1/insert", `{"rel": "cd", "tuples": [[5,9]]}`, nil)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st StatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	series := scrape(t, ts.URL)
+	d := st.Durability
+	if st.PlanHits == 0 || st.PlanMisses == 0 || st.Evals == 0 || d.Appends == 0 || d.Checkpoints != 2 {
+		t.Fatalf("the run did not move the counters: %+v %+v", st, d)
+	}
+	for _, c := range []struct {
+		stat   string
+		value  uint64
+		series []string // summed
+	}{
+		{"planHits", st.PlanHits, []string{`gyo_plan_cache_total{event="hit"}`}},
+		{"planMisses", st.PlanMisses, []string{`gyo_plan_cache_total{event="miss"}`}},
+		{"planEvictions", st.PlanEvictions, []string{`gyo_plan_cache_total{event="eviction"}`}},
+		{"evals", st.Evals, []string{`gyo_solve_seconds_count{cache="hit"}`, `gyo_solve_seconds_count{cache="miss"}`}},
+		{"cachedPlans", uint64(st.CachedPlans), []string{`gyo_plan_cache_resident`}},
+		{"appends", d.Appends, []string{`gyo_wal_append_seconds_count`}},
+		{"checkpoints", d.Checkpoints, []string{`gyo_checkpoint_seconds_count`}},
+		{"chunksWritten", d.ChunksWritten, []string{`gyo_checkpoint_chunks_total{result="written"}`}},
+		{"chunksReused", d.ChunksReused, []string{`gyo_checkpoint_chunks_total{result="reused"}`}},
+		{"checkpointBytes", d.CheckpointBytes, []string{`gyo_checkpoint_bytes_total`}},
+		{"compactions", d.Compactions, []string{`gyo_compactions_total`}},
+		{"walBytes", uint64(d.WALBytes), []string{`gyo_wal_bytes`}},
+		{"walSegments", uint64(d.WALSegments), []string{`gyo_wal_segments`}},
+		{"chunkStoreBytes", uint64(d.ChunkStoreBytes), []string{`gyo_chunk_store_bytes`}},
+	} {
+		var sum float64
+		for _, key := range c.series {
+			v, ok := series[key]
+			if !ok {
+				t.Errorf("series %s missing from scrape", key)
+			}
+			sum += v
+		}
+		if float64(c.value) != sum {
+			t.Errorf("/v1/stats %s = %d, /v1/metrics %v = %v", c.stat, c.value, c.series, sum)
+		}
+	}
+}
+
 // TestDeadRowObservability: a delete below the compaction bound shows as
 // dead rows in /v1/stats and /v1/metrics while card and arenaBytes keep
 // counting live tuples only; the delete that crosses the bound empties

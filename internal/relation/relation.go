@@ -911,16 +911,6 @@ func (db *Database) Eval(x schema.AttrSet) *Relation {
 	return ex.Project(ex.JoinAll(db.Rels), x)
 }
 
-// EvalSubset computes π_X(⋈_{i∈idx} Rᵢ).
-func (db *Database) EvalSubset(x schema.AttrSet, idx []int) *Relation {
-	rels := make([]*Relation, 0, len(idx))
-	for _, i := range idx {
-		rels = append(rels, db.Rels[i])
-	}
-	ex := &Exec{}
-	return ex.Project(ex.JoinAll(rels), x)
-}
-
 // SatisfiesJD reports whether the universal relation i satisfies the
 // join dependency ⋈D: π_{U(D)}(I) = ⋈_{R∈D} π_R(I) (§5.1; an embedded
 // join dependency when U(D) ⊊ attrs(I)).

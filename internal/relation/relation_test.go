@@ -223,10 +223,6 @@ func TestEvalMatchesDefinition(t *testing.T) {
 	if !got.Equal(want) {
 		t.Error("Eval mismatch")
 	}
-	sub := db.EvalSubset(u.Set("a", "b"), []int{0})
-	if !sub.Equal(db.Rels[0]) {
-		t.Error("EvalSubset mismatch")
-	}
 }
 
 func TestRandomUniversalDeterminism(t *testing.T) {

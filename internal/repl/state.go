@@ -75,41 +75,13 @@ func LoadState(dir string) (st State, ok bool, err error) {
 	return st, true, nil
 }
 
-// SaveState writes the sidecar durably: tmp file, fsync, rename, and
-// a directory fsync, so a crash leaves either the old or the new
-// sidecar, never a torn one.
+// SaveState writes the sidecar durably (storage.WriteFileAtomic), so a
+// crash leaves either the old or the new sidecar, never a torn one, and
+// a nil return means the new one survives power loss.
 func SaveState(dir string, st State) error {
 	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	tmp := filepath.Join(dir, stateFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, stateFile)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
+	return storage.WriteFileAtomic(filepath.Join(dir, stateFile), append(data, '\n'))
 }

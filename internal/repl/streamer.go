@@ -38,9 +38,10 @@ type Streamer struct {
 	e    *engine.Engine
 	logf func(format string, args ...any)
 
-	reqs      func(endpoint string) *obs.Counter
-	sentBytes *obs.Counter
-	waiters   *obs.Gauge
+	// Nil — hence no-op — without a registry.
+	walReqs, snapReqs *obs.Counter
+	sentBytes         *obs.Counter
+	waiters           *obs.Gauge
 }
 
 // NewStreamer builds the leader feed handler. reg, when non-nil,
@@ -48,16 +49,10 @@ type Streamer struct {
 func NewStreamer(e *engine.Engine, reg *obs.Registry, logf func(string, ...any)) *Streamer {
 	s := &Streamer{e: e, logf: logf}
 	if reg != nil {
-		wal := reg.Counter("gyo_repl_serve_requests_total",
+		s.walReqs = reg.Counter("gyo_repl_serve_requests_total",
 			"Replication feed requests served, by endpoint.", "endpoint", "wal")
-		snap := reg.Counter("gyo_repl_serve_requests_total",
+		s.snapReqs = reg.Counter("gyo_repl_serve_requests_total",
 			"Replication feed requests served, by endpoint.", "endpoint", "snapshot")
-		s.reqs = func(endpoint string) *obs.Counter {
-			if endpoint == "snapshot" {
-				return snap
-			}
-			return wal
-		}
 		s.sentBytes = reg.Counter("gyo_repl_serve_bytes_total",
 			"Replication payload bytes sent to followers (preambles and headers excluded).")
 		s.waiters = reg.Gauge("gyo_repl_serve_waiters",
@@ -96,9 +91,7 @@ func (s *Streamer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Streamer) serveWAL(w http.ResponseWriter, r *http.Request) {
-	if s.reqs != nil {
-		s.reqs("wal").Inc()
-	}
+	s.walReqs.Inc()
 	store := s.e.Store()
 	if store == nil {
 		writeError(w, http.StatusConflict, "not_replicable", "this node has no durable store to replicate")
@@ -183,7 +176,7 @@ func (s *Streamer) serveWAL(w http.ResponseWriter, r *http.Request) {
 	if _, err := w.Write(hdr); err != nil {
 		return
 	}
-	if n, err := w.Write(win.Frames); err == nil && s.sentBytes != nil {
+	if n, err := w.Write(win.Frames); err == nil {
 		s.sentBytes.Add(uint64(n))
 	}
 }
@@ -191,10 +184,8 @@ func (s *Streamer) serveWAL(w http.ResponseWriter, r *http.Request) {
 // parkForAppend blocks until an append signal, the wait budget, or the
 // client disconnecting; it reports whether serving should continue.
 func (s *Streamer) parkForAppend(r *http.Request, notify <-chan struct{}, wait time.Duration) bool {
-	if s.waiters != nil {
-		s.waiters.Add(1)
-		defer s.waiters.Add(-1)
-	}
+	s.waiters.Add(1)
+	defer s.waiters.Add(-1)
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	select {
@@ -208,9 +199,7 @@ func (s *Streamer) parkForAppend(r *http.Request, notify <-chan struct{}, wait t
 }
 
 func (s *Streamer) serveSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.reqs != nil {
-		s.reqs("snapshot").Inc()
-	}
+	s.snapReqs.Inc()
 	db, cur, err := s.e.ReplSnapshot()
 	if err != nil {
 		writeError(w, http.StatusConflict, "not_replicable", err.Error())
@@ -231,7 +220,7 @@ func (s *Streamer) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if err := bw.Flush(); err == nil && s.sentBytes != nil {
+	if err := bw.Flush(); err == nil {
 		s.sentBytes.Add(uint64(cw.n))
 	}
 }

@@ -79,8 +79,6 @@ type Tailer struct {
 	anchorAppends uint64 // leader's append counter at the anchor
 	anchorApplied uint64 // our applied counter at the anchor
 	applied       uint64 // frames applied since this process started
-	appliedBytes  uint64
-	reconnects    uint64
 
 	mApplied      *obs.Counter
 	mAppliedBytes *obs.Counter
@@ -198,11 +196,8 @@ func (t *Tailer) run() {
 		t.mu.Lock()
 		t.connected = false
 		t.lastErr = err.Error()
-		t.reconnects++
 		t.mu.Unlock()
-		if t.mReconnects != nil {
-			t.mReconnects.Inc()
-		}
+		t.mReconnects.Inc()
 		delay := backoffDelay(failures, rng)
 		failures++
 		if t.logf != nil {
@@ -406,15 +401,10 @@ func (t *Tailer) applyFrames(cur storage.Cursor, buf []byte) (next storage.Curso
 		}
 		next = after
 		applied++
-		if t.mApplied != nil {
-			t.mApplied.Inc()
-		}
-		if t.mAppliedBytes != nil {
-			t.mAppliedBytes.Add(uint64(storage.FrameOverhead + len(pl)))
-		}
+		t.mApplied.Inc()
+		t.mAppliedBytes.Add(uint64(storage.FrameOverhead + len(pl)))
 		t.mu.Lock()
 		t.applied++
-		t.appliedBytes += uint64(storage.FrameOverhead + len(pl))
 		t.cur = next
 		t.mu.Unlock()
 	}

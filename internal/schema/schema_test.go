@@ -2,6 +2,7 @@ package schema
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -238,5 +239,31 @@ func TestSortedString(t *testing.T) {
 	}
 	if !strings.HasPrefix(a.SortedString(), "(") {
 		t.Error("format")
+	}
+}
+
+// TestUniverseConcurrentInterning exercises the Universe lock under
+// -race: concurrent interning, lookup, and formatting must be safe.
+func TestUniverseConcurrentInterning(t *testing.T) {
+	u := NewUniverse()
+	d := MustParse(u, "ab, bc, cd")
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			names := []string{"p", "q", "r", "s", "t", "u", "v", "w"}
+			for i := 0; i < 200; i++ {
+				u.Attr(names[(g+i)%len(names)])
+				u.Lookup("a")
+				_ = u.Size()
+				_ = d.String()
+				_ = u.FormatSet(d.Rels[i%len(d.Rels)])
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := u.Size(); got != 4+8 {
+		t.Errorf("Size = %d, want 12", got)
 	}
 }

@@ -12,7 +12,7 @@ import (
 //
 // A Universe is safe for concurrent use: interning takes a write lock
 // and lookups take a read lock, so a serving layer can parse new
-// schemas while other goroutines format or fingerprint existing ones.
+// schemas while other goroutines format existing ones.
 // Attribute ids are append-only — once interned, an id never changes.
 type Universe struct {
 	mu    sync.RWMutex

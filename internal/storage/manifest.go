@@ -73,14 +73,12 @@ var (
 const (
 	chunkStoreHeaderLen = 8
 	chunkRecHeaderLen   = 16 // u64 id + u32 len + u32 crc
+	manFrameLen         = 20 // magic(8) | crc(4) | seq(8)
 	// maxManifestRows caps a decoded relation's row count before any
 	// chunk reads are attempted (the per-chunk and tail reads then bound
 	// actual allocation).
 	maxManifestRows = 1 << 40
 )
-
-func manName(seq uint64) string        { return fmt.Sprintf("manifest-%016d.mf", seq) }
-func chunkStoreName(gen uint64) string { return fmt.Sprintf("chunks-%016d.gyo", gen) }
 
 // chunkRef locates one chunk record in the live chunk-store generation:
 // the file offset of its 16-byte record header and its payload length.
@@ -99,6 +97,54 @@ func appendChunkRecord(dst []byte, id uint64, block []relation.Value) []byte {
 	dst = appendValues(dst, block)
 	putU32(dst[crcAt:], crcOf(dst[payloadAt:]))
 	return dst
+}
+
+// planned is one full chunk a snapshot holds: its id and a view of its
+// rows in the (frozen, immutable) arena.
+type planned struct {
+	id    uint64
+	block []relation.Value
+}
+
+// recLen is the size of the chunk's record in a chunk store.
+func (p planned) recLen() int64 {
+	return chunkRecHeaderLen + int64(len(p.block))*relation.ValueBytes
+}
+
+// planChunks walks the full chunks of db's relations (the universal
+// relation last) once, in manifest reference order, keeping the first
+// occurrence of each id. Nothing is copied.
+func planChunks(db *relation.Database) []planned {
+	rels := db.Rels
+	if db.Univ != nil {
+		rels = append(append([]*relation.Relation(nil), db.Rels...), db.Univ)
+	}
+	seen := make(map[uint64]bool)
+	var all []planned
+	for _, r := range rels {
+		r.ForEachFullChunk(func(id uint64, block []relation.Value) bool {
+			if !seen[id] {
+				seen[id] = true
+				all = append(all, planned{id, block})
+			}
+			return true
+		})
+	}
+	return all
+}
+
+// chunkRecHeader splits a chunk record's 16-byte header.
+func chunkRecHeader(h []byte) (id uint64, ln int64, crc uint32) {
+	return readU64(h), int64(readU32(h[8:])), readU32(h[12:])
+}
+
+// checkChunkPayload verifies a chunk record's payload against the CRC
+// its header carries.
+func checkChunkPayload(id uint64, crc uint32, payload []byte) error {
+	if crcOf(payload) != crc {
+		return corruptf("chunk %d CRC mismatch", id)
+	}
+	return nil
 }
 
 // chunkReader reads and verifies chunk records from an open chunk-store
@@ -124,15 +170,16 @@ func (c *chunkReader) read(id uint64, ref chunkRef) ([]relation.Value, error) {
 	if _, err := c.f.ReadAt(b, ref.off); err != nil {
 		return nil, fmt.Errorf("chunk %d: %w", id, err)
 	}
-	if got := readU64(b); got != id {
-		return nil, corruptf("chunk record id %d, manifest says %d", got, id)
+	gotID, gotLn, crc := chunkRecHeader(b)
+	if gotID != id {
+		return nil, corruptf("chunk record id %d, manifest says %d", gotID, id)
 	}
-	if got := int64(readU32(b[8:])); got != ref.ln {
-		return nil, corruptf("chunk %d record length %d, manifest says %d", id, got, ref.ln)
+	if gotLn != ref.ln {
+		return nil, corruptf("chunk %d record length %d, manifest says %d", id, gotLn, ref.ln)
 	}
 	payload := b[chunkRecHeaderLen:]
-	if crcOf(payload) != readU32(b[12:]) {
-		return nil, corruptf("chunk %d CRC mismatch", id)
+	if err := checkChunkPayload(id, crc, payload); err != nil {
+		return nil, err
 	}
 	nv := len(payload) / relation.ValueBytes
 	if cap(c.scratch) < nv {
@@ -439,37 +486,19 @@ func decodeManifestRelation(r *reader, v1 bool, u *schema.Universe, nNames int, 
 //
 // Layout: magic (8) | u32 crc32c(rest) | u64 seq | payload.
 
-// writeManifestFile writes payload, a GYOMAN02 manifest body, framed
-// at path.
-func writeManifestFile(path string, seq uint64, payload []byte, sync bool) error {
-	// Header + payload are written separately and the CRC is streamed
-	// over both parts, so a potentially huge payload is never copied
-	// into a second buffer.
-	var hdr [20]byte // magic(8) | crc(4) | seq(8)
+// writeManifestFile atomically publishes payload, a GYOMAN02 manifest
+// body, framed at path (see writeFileAtomic for renamed).
+func (o Options) writeManifestFile(path string, seq uint64, payload []byte) (renamed bool, err error) {
+	// Header and payload stay separate and the CRC is streamed over both
+	// parts, so a potentially huge payload is never copied into a second
+	// buffer.
+	var hdr [manFrameLen]byte
 	copy(hdr[:8], manMagic)
 	putU64(hdr[12:], seq)
 	crc := crc32Update(0, hdr[12:])
 	crc = crc32Update(crc, payload)
 	putU32(hdr[8:], crc)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(hdr[:]); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if _, err := f.Write(payload); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			return err
-		}
-	}
-	return f.Close()
+	return o.writeFileAtomic(path, hdr[:], payload)
 }
 
 // readManifestFile returns the payload of the framed manifest at path
@@ -480,7 +509,7 @@ func readManifestFile(path string, wantSeq uint64) (payload []byte, v1 bool, err
 		return nil, false, err
 	}
 	v1 = bytes.HasPrefix(data, manMagicV1)
-	if len(data) < 8+4+8 || !(v1 || bytes.HasPrefix(data, manMagic)) {
+	if len(data) < manFrameLen || !(v1 || bytes.HasPrefix(data, manMagic)) {
 		return nil, false, corruptf("manifest header")
 	}
 	crc := readU32(data[8:])

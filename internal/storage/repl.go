@@ -198,7 +198,7 @@ func (s *Store) ReadWAL(c Cursor, maxBytes int) (WALWindow, error) {
 
 // readSegmentAt reads n bytes of segment seq starting at off.
 func (s *Store) readSegmentAt(seq uint64, off, n int64) ([]byte, error) {
-	f, err := os.Open(filepath.Join(s.dir, segName(seq)))
+	f, err := os.Open(s.path(classSegment, seq))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("%w: segment %d was truncated by a checkpoint", ErrCursorGone, seq)
@@ -244,22 +244,13 @@ func frameAlign(buf []byte) (valid, firstFrame int) {
 // The payloads alias data. consumed is the byte length of the valid
 // prefix (always a sum of whole frames).
 func SplitFrames(data []byte) (payloads [][]byte, consumed int) {
-	off := 0
 	for {
-		if len(data)-off < frameHedLen {
-			return payloads, off
-		}
-		ln := int(readU32(data[off:]))
-		wantCRC := readU32(data[off+4:])
-		if ln < 0 || ln > maxRecordSize || len(data)-off-frameHedLen < ln {
-			return payloads, off
-		}
-		payload := data[off+frameHedLen : off+frameHedLen+ln]
-		if crcOf(payload) != wantCRC {
-			return payloads, off
+		payload, ok := nextFrame(data[consumed:])
+		if !ok {
+			return payloads, consumed
 		}
 		payloads = append(payloads, payload)
-		off += frameHedLen + ln
+		consumed += frameHedLen + len(payload)
 	}
 }
 
@@ -296,7 +287,7 @@ func (s *Store) ID() uint64 { return s.id }
 
 const storeIDFile = "store-id"
 
-func loadOrCreateStoreID(dir string, sync bool) (uint64, error) {
+func loadOrCreateStoreID(dir string, o Options) (uint64, error) {
 	path := filepath.Join(dir, storeIDFile)
 	if b, err := os.ReadFile(path); err == nil {
 		v, perr := strconv.ParseUint(strings.TrimSpace(string(b)), 16, 64)
@@ -312,18 +303,8 @@ func loadOrCreateStoreID(dir string, sync bool) (uint64, error) {
 		return 0, err
 	}
 	v := binary.LittleEndian.Uint64(b[:]) | 1 // zero is reserved for "unknown"
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("%016x\n", v)), 0o644); err != nil {
+	if _, err := o.writeFileAtomic(path, fmt.Appendf(nil, "%016x\n", v)); err != nil {
 		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if sync {
-		if err := syncDir(dir); err != nil {
-			return 0, err
-		}
 	}
 	return v, nil
 }
@@ -338,20 +319,9 @@ func loadOrCreateStoreID(dir string, sync bool) (uint64, error) {
 // hop is served solely when the successor segment is still live.
 const truncTailFile = "wal-trunc"
 
-func saveTruncTail(dir string, c Cursor, sync bool) error {
-	path := filepath.Join(dir, truncTailFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("%d %d\n", c.Seg, c.Off)), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if sync {
-		return syncDir(dir)
-	}
-	return nil
+func saveTruncTail(dir string, c Cursor, o Options) error {
+	_, err := o.writeFileAtomic(filepath.Join(dir, truncTailFile), fmt.Appendf(nil, "%d %d\n", c.Seg, c.Off))
+	return err
 }
 
 func loadTruncTail(dir string) (Cursor, bool) {
@@ -379,26 +349,11 @@ func (s *Store) ReplayedCursor() (Cursor, bool) {
 // segments or checkpoint state) — used by a replica bootstrap to
 // refuse adopting a directory whose history it knows nothing about.
 func DirHasStore(dir string) (bool, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
+	ls, err := listDir(dir)
+	if err != nil && !os.IsNotExist(err) {
 		return false, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if _, ok := parseSeq(name, "wal-", ".log"); ok {
-			return true, nil
-		}
-		if _, ok := parseSeq(name, "manifest-", ".mf"); ok {
-			return true, nil
-		}
-		if _, ok := parseSeq(name, "checkpoint-", ".ckpt"); ok {
-			return true, nil
-		}
-	}
-	return false, nil
+	return len(ls[classSegment])+len(ls[classManifest])+len(ls[classLegacy]) > 0, nil
 }
 
 // --- initial-sync snapshot stream ---
@@ -418,28 +373,12 @@ func DirHasStore(dir string) (bool, error) {
 // first, then every referenced chunk record. db must be frozen (it is
 // only read, but the stream may take a while to write).
 func WriteReplSnapshot(w io.Writer, db *relation.Database) error {
-	rels := db.Rels
-	if db.Univ != nil {
-		rels = append(append([]*relation.Relation(nil), db.Rels...), db.Univ)
-	}
-	type planned struct {
-		id    uint64
-		block []relation.Value
-	}
-	refs := make(map[uint64]chunkRef)
-	var order []planned
+	order := planChunks(db)
+	refs := make(map[uint64]chunkRef, len(order))
 	off := int64(chunkStoreHeaderLen)
-	for _, r := range rels {
-		r.ForEachFullChunk(func(id uint64, block []relation.Value) bool {
-			if _, ok := refs[id]; ok {
-				return true
-			}
-			ln := int64(len(block)) * relation.ValueBytes
-			refs[id] = chunkRef{off: off, ln: ln}
-			order = append(order, planned{id: id, block: block})
-			off += chunkRecHeaderLen + ln
-			return true
-		})
+	for _, p := range order {
+		refs[p.id] = chunkRef{off: off, ln: p.recLen() - chunkRecHeaderLen}
+		off += p.recLen()
 	}
 	payload, err := appendManifest(nil, db, 1, func(id uint64) (chunkRef, bool) {
 		ref, ok := refs[id]
@@ -481,12 +420,15 @@ func InstallReplSnapshot(dir string, r io.Reader) (err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	// Always synced: there is no Options here, and a follower seed must
+	// survive power loss.
+	var opt Options
 	chunkPath := filepath.Join(dir, chunkStoreName(1))
 	manPath := filepath.Join(dir, manName(1))
 	defer func() {
 		if err != nil {
-			os.Remove(chunkPath)
-			os.Remove(manPath)
+			removeFile(chunkPath)
+			removeFile(manPath)
 		}
 	}()
 	br := bufio.NewReaderSize(r, 1<<16)
@@ -506,42 +448,49 @@ func InstallReplSnapshot(dir string, r io.Reader) (err error) {
 		return corruptf("snapshot manifest CRC mismatch")
 	}
 
-	f, err := os.OpenFile(chunkPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := createFile(chunkPath, chunkMagic)
 	if err != nil {
 		return err
 	}
-	closed := false
-	defer func() {
-		if !closed {
-			_ = f.Close()
-		}
-	}()
-	bw := bufio.NewWriterSize(f, 1<<16)
-	if _, err := bw.Write(chunkMagic); err != nil {
+	if err = copyChunkRecords(f, br); err == nil {
+		err = opt.syncFile(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
+	_, err = opt.writeManifestFile(manPath, 1, payload)
+	return err
+}
+
+// copyChunkRecords copies a stream of chunk records from r to w up to a
+// clean end on a record boundary, verifying each record's CRC in
+// transit.
+func copyChunkRecords(w io.Writer, r io.Reader) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
 	var rh [chunkRecHeaderLen]byte
 	var body []byte
 	for {
-		if _, rerr := io.ReadFull(br, rh[:]); rerr != nil {
-			if rerr == io.EOF {
-				break // clean end on a record boundary
-			}
-			return fmt.Errorf("storage: snapshot chunk header: %w", rerr)
+		if _, err := io.ReadFull(r, rh[:]); err == io.EOF {
+			return bw.Flush()
+		} else if err != nil {
+			return fmt.Errorf("storage: snapshot chunk header: %w", err)
 		}
-		ln := int(readU32(rh[8:]))
-		if ln < 0 || ln > maxRecordSize {
+		id, ln, crc := chunkRecHeader(rh[:])
+		if ln > maxRecordSize {
 			return corruptf("snapshot chunk length %d", ln)
 		}
-		if cap(body) < ln {
+		if int64(cap(body)) < ln {
 			body = make([]byte, ln)
 		}
 		body = body[:ln]
-		if _, rerr := io.ReadFull(br, body); rerr != nil {
-			return fmt.Errorf("storage: snapshot chunk body: %w", rerr)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return fmt.Errorf("storage: snapshot chunk body: %w", err)
 		}
-		if crcOf(body) != readU32(rh[12:]) {
-			return corruptf("snapshot chunk %d CRC mismatch", readU64(rh[:]))
+		if err := checkChunkPayload(id, crc, body); err != nil {
+			return err
 		}
 		if _, err := bw.Write(rh[:]); err != nil {
 			return err
@@ -550,25 +499,4 @@ func InstallReplSnapshot(dir string, r io.Reader) (err error) {
 			return err
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	closed = true
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	tmp := manPath + ".tmp"
-	if err := writeManifestFile(tmp, 1, payload, true); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, manPath); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
 }

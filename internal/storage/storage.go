@@ -4,26 +4,43 @@
 // with an acknowledged-writes-are-durable contract.
 //
 // A store directory holds numbered WAL segments (wal-<seq>.log), an
-// append-only chunk store (chunks-<gen>.gyo), and at most one live
+// append-only chunk store (chunks-<gen>.gyo), at most one live
 // checkpoint manifest (manifest-<seq>.mf) — the only snapshot encoding:
 // a directory whose newest snapshot is a pre-manifest full checkpoint
-// (checkpoint-<seq>.ckpt) is refused with ErrLegacyFormat. The manifest
-// with sequence number S describes a database snapshot covering exactly
-// the mutations recorded in segments < S: full arena chunks by reference
-// into the chunk store, mutable tails by value (see manifest.go).
-// Writing a checkpoint appends only chunks not yet durable and then
-// renames a fresh manifest into place — O(dirty chunks + tails)
-// instead of O(cardinality) — so recovery is: load the newest valid
+// (checkpoint-<seq>.ckpt) is refused with ErrLegacyFormat — and three
+// small files: LOCK, store-id (the store's identity) and wal-trunc
+// (where the last checkpoint cut the WAL). A replica adds its sidecar,
+// repl-state.json. A segment, manifest or chunk generation the live
+// manifest supersedes, and a manifest temp file a crash left behind,
+// are garbage the next Open removes.
+//
+// The manifest with sequence number S describes a database snapshot
+// covering exactly the mutations recorded in segments < S: full arena
+// chunks by reference into the chunk store, mutable tails by value (see
+// manifest.go). A checkpoint appends only chunks not yet in the store
+// and publishes a fresh manifest — O(dirty chunks + tails) instead of
+// O(cardinality) — in the background off a frozen snapshot, so readers
+// and writers never block on it. Recovery is: load the newest valid
 // manifest, replay every segment ≥ S in order, tolerate a torn final
 // record (the in-flight write of a crash), and resume appending at the
-// recovered tail. Checkpoints are written atomically in the background
-// off a frozen snapshot, then obsolete segments are truncated away —
-// readers and writers never block on checkpointing.
+// recovered tail. The write path is Append: one framed, CRC-checked
+// record per mutation batch, so a batch is recovered whole or not at all.
 //
-// The write path is Append: one framed, CRC-checked record per
-// mutation batch, fsynced before it returns (unless Options.NoSync),
-// so a batch acknowledged to a client is on disk, and a batch is
-// recovered either whole or not at all.
+// The durability protocol, implemented once in disk.go: (1) Append
+// returns after its record is written and the segment fsynced, so an
+// acknowledged batch is on disk; a failed write or fsync rolls the
+// segment back to its last good offset, or poisons the store. (2) A new
+// segment is created, fsynced and its directory entry fsynced before
+// the old one is fsynced and retired. (3) A checkpoint fsyncs the chunk
+// store before writing the manifest that references it, publishes the
+// manifest atomically, and only then removes the segments, manifests
+// and chunk generations it supersedes. (4) Every small file (manifest,
+// store-id, wal-trunc, the replica sidecar) is replaced atomically:
+// temp file written and fsynced, renamed over the old name, directory
+// fsynced. Options.NoSync waives the fsyncs — all of them, and nothing
+// else: every write, rename, truncate and remove still happens in the
+// same order, so the store survives a process crash (the page cache
+// holds it) but not power loss.
 package storage
 
 import (
@@ -75,8 +92,8 @@ type Options struct {
 	// duration, chunk and compaction counters, live-size gauges) under
 	// the gyo_wal_* / gyo_checkpoint_* / gyo_chunk_store_* families.
 	// One store per registry: registering two stores on the same
-	// registry panics on the duplicate series. Nil disables
-	// instrumentation at zero cost.
+	// registry panics on the duplicate series. Nil keeps them in a
+	// registry private to the store (Stats still reads them).
 	Metrics *obs.Registry
 }
 
@@ -140,16 +157,10 @@ type Store struct {
 	hasReplCursor bool
 	truncTail     Cursor // end of the newest checkpointed-away segment (wal-trunc file)
 
-	appends       uint64
-	replayed      uint64
-	checkpoints   uint64
-	chunksWritten uint64
-	chunksReused  uint64
-	ckptBytes     uint64
-	chunkBytes    int64 // mirror of chunkSize for Stats (mu, not ckptFileMu)
-	compactions   uint64
-	lastCkpt      time.Time
-	lastCkptErr   string
+	replayed    uint64
+	chunkBytes  int64 // mirror of chunkSize for Stats (mu, not ckptFileMu)
+	lastCkpt    time.Time
+	lastCkptErr string
 
 	// Incremental-checkpoint state, owned by ckptFileMu (not mu):
 	// WriteCheckpoint bodies are serialized on it, and it is always
@@ -164,9 +175,9 @@ type Store struct {
 	db    *relation.Database // recovered state; nil after Detach
 	empty bool               // no checkpoint and no WAL records found
 
-	// Observability instruments (nil — hence no-op — without
-	// Options.Metrics). Unlike the snapshot-style Stats counters these
-	// are event-shaped: histograms observed at append/checkpoint time.
+	// Observability instruments, in Options.Metrics or a private
+	// registry. They are the only count of their events: Stats reads
+	// them back.
 	mAppendSec    *obs.Histogram // WAL append latency (lock to fsynced)
 	mAppendBytes  *obs.Histogram // framed record size per append
 	mCkptSec      *obs.Histogram // checkpoint write duration
@@ -177,12 +188,12 @@ type Store struct {
 	mCompactions  *obs.Counter   // chunk-store GC rewrites
 }
 
-// registerMetrics creates the store's instruments in reg. Gauges pull
-// from live fields under mu at scrape time; histograms and counters
-// are pushed on the write paths.
+// registerMetrics creates the store's instruments in reg (a private
+// registry when nil). Gauges pull from live fields under mu at scrape
+// time; histograms and counters are pushed on the write paths.
 func (s *Store) registerMetrics(reg *obs.Registry) {
 	if reg == nil {
-		return
+		reg = obs.NewRegistry()
 	}
 	s.mAppendSec = reg.Histogram("gyo_wal_append_seconds",
 		"WAL append latency per mutation batch, including fsync.", obs.LatencyBuckets())
@@ -227,21 +238,9 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 // its next checkpoint.
 var ErrLegacyFormat = errors.New("storage: pre-manifest checkpoint format")
 
-func segName(seq uint64) string { return fmt.Sprintf("wal-%016d.log", seq) }
-
-func parseSeq(name, prefix, suffix string) (uint64, bool) {
-	if len(name) != len(prefix)+16+len(suffix) ||
-		name[:len(prefix)] != prefix || name[len(name)-len(suffix):] != suffix {
-		return 0, false
-	}
-	var seq uint64
-	for _, c := range name[len(prefix) : len(prefix)+16] {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		seq = seq*10 + uint64(c-'0')
-	}
-	return seq, true
+// path returns the path of the store file of class c numbered seq.
+func (s *Store) path(c fileClass, seq uint64) string {
+	return filepath.Join(s.dir, c.name(seq))
 }
 
 // Open opens (creating if needed) the store directory and recovers its
@@ -249,7 +248,7 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 // segment, tolerating a torn final record. The recovered database is
 // available via State until Detach; a fresh directory recovers to an
 // empty database over a fresh universe.
-func Open(dir string, opt Options) (*Store, error) {
+func Open(dir string, opt Options) (_ *Store, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -259,64 +258,37 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	opened := false
+	s := &Store{dir: dir, opt: opt, segSizes: map[uint64]int64{}}
 	defer func() {
-		if !opened && lockf != nil {
+		if err == nil {
+			return
+		}
+		if s.chunkf != nil {
+			_ = s.chunkf.Close()
+		}
+		if lockf != nil {
 			_ = lockf.Close()
 		}
 	}()
-	entries, err := os.ReadDir(dir)
+	ls, err := listDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot candidates are the manifests, tried newest-first.
-	var segSeqs, manSeqs []uint64
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), "wal-", ".log"); ok {
-			segSeqs = append(segSeqs, seq)
-		}
-		if seq, ok := parseSeq(e.Name(), "manifest-", ".mf"); ok {
-			manSeqs = append(manSeqs, seq)
-		}
-	}
-	slices.Sort(segSeqs)
-	slices.Sort(manSeqs)
-
-	s := &Store{dir: dir, opt: opt, segSizes: map[uint64]int64{}}
-	defer func() {
-		if !opened && s.chunkf != nil {
-			_ = s.chunkf.Close()
-		}
-	}()
 
 	// 1. Newest valid snapshot (manifest + chunk store).
-	var db *relation.Database
-	startSeq := uint64(1)
-	ckptLoaded := false
-	for i := len(manSeqs) - 1; i >= 0; i-- {
-		st, err := loadManifest(dir, manSeqs[i])
-		if err != nil {
-			continue // corrupt or unreadable: try an older one
-		}
-		db = st.db
-		s.chunkf, s.chunkGen = st.f, st.gen
-		s.chunkSize, s.chunkLive = st.size, st.live
-		s.chunkBytes = st.size
-		s.chunkTable = st.table
-		startSeq, ckptLoaded = manSeqs[i], true
-		break
-	}
+	db, startSeq, ckptLoaded := s.loadSnapshot(ls[classManifest])
 	// A legacy full checkpoint that the loaded manifest does not
 	// supersede holds state this build cannot decode, and the WAL was
 	// truncated behind it: skipping it and replaying what is left would
 	// silently lose data. Refuse before anything in the directory is
 	// touched. (One a manifest does supersede is tidied away in step 4.)
-	for _, e := range entries {
-		if seq, ok := parseSeq(e.Name(), "checkpoint-", ".ckpt"); ok && (!ckptLoaded || seq > startSeq) {
+	for _, seq := range ls[classLegacy] {
+		if !ckptLoaded || seq > startSeq {
 			return nil, fmt.Errorf("%w: %s holds %s, which this build does not read; commit 0152974 is the last that does — open and checkpoint the directory once with that build to upgrade it in place",
-				ErrLegacyFormat, dir, e.Name())
+				ErrLegacyFormat, dir, classLegacy.name(seq))
 		}
 	}
+	segSeqs := ls[classSegment]
 	if !ckptLoaded {
 		// Without a checkpoint the WAL must reach back to genesis:
 		// segment 1 (or no segments at all). A history that starts later
@@ -326,27 +298,103 @@ func Open(dir string, opt Options) (*Store, error) {
 		if len(segSeqs) > 0 && segSeqs[0] != 1 {
 			return nil, fmt.Errorf("%w: no valid checkpoint and WAL starts at segment %d", ErrCorrupt, segSeqs[0])
 		}
-		if len(segSeqs) == 0 && len(manSeqs) > 0 {
+		if len(segSeqs) == 0 && len(ls[classManifest]) > 0 {
 			return nil, fmt.Errorf("%w: checkpoint files present but none valid and no WAL to replay", ErrCorrupt)
 		}
 		db = &relation.Database{D: schema.New(schema.NewUniverse())}
 	}
 
 	// 2. Replay segments ≥ startSeq in order.
-	var replaySeqs []uint64
-	for _, seq := range segSeqs {
-		if seq >= startSeq {
-			replaySeqs = append(replaySeqs, seq)
+	firstLive, _ := slices.BinarySearch(segSeqs, startSeq)
+	replaySeqs := segSeqs[firstLive:]
+	if db, err = s.replay(db, startSeq, replaySeqs); err != nil {
+		return nil, err
+	}
+
+	// 3. Resume the tail segment for appending (discarding any torn
+	// final record), or create the first segment.
+	if len(replaySeqs) > 0 {
+		err = s.resumeTail(replaySeqs[len(replaySeqs)-1])
+	} else {
+		s.segSeq = startSeq - 1 // rotating from no segment creates wal-<startSeq>
+		err = s.rotateLocked()
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.walBytes = 0
+	for _, sz := range s.segSizes {
+		s.walBytes += sz
+	}
+
+	// 4. Tidy up: segments older than the checkpoint, snapshot files
+	// other than the loaded manifest, and chunk-store generations it
+	// does not reference are dead weight (a crash between checkpointing
+	// and cleanup leaves them behind).
+	for _, seq := range segSeqs[:firstLive] {
+		removeFile(s.path(classSegment, seq))
+	}
+	for _, seq := range ls[classManifest] {
+		if !ckptLoaded || seq != startSeq {
+			removeFile(s.path(classManifest, seq))
 		}
 	}
-	for i, seq := range replaySeqs {
+	// A legacy checkpoint still here is one the manifest superseded.
+	for _, seq := range ls[classLegacy] {
+		removeFile(s.path(classLegacy, seq))
+	}
+	for _, gen := range ls[classChunks] {
+		if s.chunkf == nil || gen != s.chunkGen {
+			removeFile(s.path(classChunks, gen))
+		}
+	}
+	for _, seq := range ls[classManifestTmp] {
+		removeFile(s.path(classManifestTmp, seq))
+	}
+
+	if s.id, err = loadOrCreateStoreID(dir, opt); err != nil {
+		return nil, err
+	}
+	if c, ok := loadTruncTail(dir); ok {
+		s.truncTail = c
+	}
+	s.db = db
+	s.empty = !ckptLoaded && s.replayed == 0
+	s.lockf = lockf
+	s.registerMetrics(opt.Metrics)
+	return s, nil
+}
+
+// loadSnapshot loads the newest manifest that verifies, together with
+// its chunk store, trying manSeqs newest-first (a corrupt or unreadable
+// one falls back to an older one). It reports the manifest's sequence —
+// the first segment to replay; 1 when none loaded.
+func (s *Store) loadSnapshot(manSeqs []uint64) (db *relation.Database, startSeq uint64, ok bool) {
+	for i := len(manSeqs) - 1; i >= 0; i-- {
+		st, err := loadManifest(s.dir, manSeqs[i])
+		if err != nil {
+			continue
+		}
+		s.chunkf, s.chunkGen = st.f, st.gen
+		s.chunkSize, s.chunkLive = st.size, st.live
+		s.chunkBytes = st.size
+		s.chunkTable = st.table
+		return st.db, manSeqs[i], true
+	}
+	return nil, 1, false
+}
+
+// replay applies segments seqs — which must run consecutively from
+// startSeq — to db in order, recording each one's valid length in
+// segSizes. Only the final segment may end in a torn record.
+func (s *Store) replay(db *relation.Database, startSeq uint64, seqs []uint64) (*relation.Database, error) {
+	for i, seq := range seqs {
 		if want := startSeq + uint64(i); seq != want {
 			return nil, fmt.Errorf("%w: WAL segment %d missing (found %d)", ErrCorrupt, want, seq)
 		}
 	}
-	lastValidLen := int64(0)
-	for i, seq := range replaySeqs {
-		data, err := os.ReadFile(filepath.Join(dir, segName(seq)))
+	for i, seq := range seqs {
+		data, err := os.ReadFile(s.path(classSegment, seq))
 		if err != nil {
 			return nil, err
 		}
@@ -366,8 +414,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: segment %d: %v", ErrCorrupt, seq, err)
 		}
-		last := i == len(replaySeqs)-1
-		if !clean && !last {
+		if !clean && i < len(seqs)-1 {
 			return nil, fmt.Errorf("%w: segment %d has an invalid record at offset %d but is not the newest segment", ErrCorrupt, seq, validLen)
 		}
 		// A bad magic header (validLen 0) on a segment that has a
@@ -377,101 +424,38 @@ func Open(dir string, opt Options) (*Store, error) {
 		if !clean && validLen == 0 && len(data) > walHeaderLen {
 			return nil, fmt.Errorf("%w: segment %d has a corrupt header but %d bytes of records", ErrCorrupt, seq, len(data)-walHeaderLen)
 		}
-		if last {
-			lastValidLen = int64(validLen)
-		}
+		s.segSizes[seq] = int64(validLen)
 	}
+	return db, nil
+}
 
-	// 3. Resume the tail segment for appending (discarding any torn
-	// final record), or create the first segment.
-	if len(replaySeqs) > 0 {
-		s.segSeq = replaySeqs[len(replaySeqs)-1]
-		path := filepath.Join(dir, segName(s.segSeq))
-		f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		if lastValidLen < walHeaderLen {
-			lastValidLen = 0
-		}
-		if err := f.Truncate(lastValidLen); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		if lastValidLen == 0 {
-			if _, err := f.Write(walMagic); err != nil {
-				_ = f.Close()
-				return nil, err
-			}
-			lastValidLen = walHeaderLen
-		}
-		if _, err := f.Seek(lastValidLen, 0); err != nil {
-			_ = f.Close()
-			return nil, err
-		}
-		if !opt.NoSync {
-			if err := f.Sync(); err != nil { // persist the tail truncation
-				_ = f.Close()
-				return nil, err
-			}
-		}
-		s.seg = f
-		s.segSizes[s.segSeq] = lastValidLen
-		for _, seq := range replaySeqs[:len(replaySeqs)-1] {
-			fi, err := os.Stat(filepath.Join(dir, segName(seq)))
-			if err != nil {
-				return nil, err
-			}
-			s.segSizes[seq] = fi.Size()
-		}
-	} else {
-		s.segSeq = startSeq
-		if err := s.createSegment(); err != nil {
-			return nil, err
-		}
+// resumeTail reopens the replayed segment seq for appending at the end
+// of its last whole record, rewriting the header when even that was
+// torn.
+func (s *Store) resumeTail(seq uint64) error {
+	f, err := os.OpenFile(s.path(classSegment, seq), os.O_RDWR, 0o644)
+	if err != nil {
+		return err
 	}
-	s.walBytes = 0
-	for _, sz := range s.segSizes {
-		s.walBytes += sz
+	validLen := s.segSizes[seq]
+	if validLen < walHeaderLen {
+		validLen = 0
 	}
-
-	// 4. Tidy up: segments older than the checkpoint, snapshot files
-	// other than the loaded manifest, and chunk-store generations it
-	// does not reference are dead weight (a crash between checkpointing
-	// and cleanup leaves them behind).
-	for _, seq := range segSeqs {
-		if seq < startSeq {
-			os.Remove(filepath.Join(dir, segName(seq)))
-		}
+	err = rollbackTail(f, validLen)
+	if err == nil && validLen == 0 {
+		_, err = f.Write(walMagic)
+		validLen = walHeaderLen
 	}
-	for _, seq := range manSeqs {
-		if !ckptLoaded || seq != startSeq {
-			os.Remove(filepath.Join(dir, manName(seq)))
-		}
+	if err == nil {
+		err = s.opt.syncFile(f) // persist the tail truncation
 	}
-	for _, e := range entries {
-		gen, isChunks := parseSeq(e.Name(), "chunks-", ".gyo")
-		// A legacy checkpoint still here is one the manifest superseded.
-		_, isLegacy := parseSeq(e.Name(), "checkpoint-", ".ckpt")
-		// An orphaned manifest temp file: a crash between write and rename.
-		_, isTmp := parseSeq(e.Name(), "manifest-", ".mf.tmp")
-		if isLegacy || isTmp || (isChunks && (s.chunkf == nil || gen != s.chunkGen)) {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
+	if err != nil {
+		_ = f.Close()
+		return err
 	}
-
-	if s.id, err = loadOrCreateStoreID(dir, !opt.NoSync); err != nil {
-		return nil, err
-	}
-	if c, ok := loadTruncTail(dir); ok {
-		s.truncTail = c
-	}
-	s.db = db
-	s.empty = !ckptLoaded && s.replayed == 0
-	s.lockf = lockf
-	s.registerMetrics(opt.Metrics)
-	opened = true
-	return s, nil
+	s.seg, s.segSeq = f, seq
+	s.segSizes[seq] = validLen
+	return nil
 }
 
 // State returns the recovered database (empty schema and universe for
@@ -539,34 +523,25 @@ func (s *Store) Append(muts []Mutation) error {
 		// them acknowledged-but-unrecoverable. If the rollback itself
 		// fails, poison the store: refusing writes is strictly better
 		// than acknowledging writes recovery will drop.
-		good := s.segSizes[s.segSeq]
-		if terr := s.seg.Truncate(good); terr != nil {
-			s.failed = fmt.Errorf("write failed (%v) and rollback truncate failed: %w", err, terr)
-		} else if _, serr := s.seg.Seek(good, 0); serr != nil {
-			s.failed = fmt.Errorf("write failed (%v) and rollback seek failed: %w", err, serr)
+		if rerr := rollbackTail(s.seg, s.segSizes[s.segSeq]); rerr != nil {
+			s.failed = fmt.Errorf("write failed (%v) and rollback failed: %w", err, rerr)
 		}
 		return err
 	}
-	if !s.opt.NoSync {
-		if err := s.seg.Sync(); err != nil {
-			// After a failed fsync the page cache is untrustworthy
-			// (dirty pages may have been dropped), and the unack'd
-			// frame sits at the tail where it would replay — a retried
-			// batch would then apply twice, which is not idempotent for
-			// creates. Roll the tail back and poison the store either
-			// way: refusing writes until a restart re-establishes a
-			// consistent tail is strictly safer than writing on.
-			good := s.segSizes[s.segSeq]
-			if terr := s.seg.Truncate(good); terr == nil {
-				s.seg.Seek(good, 0)
-			}
-			s.failed = fmt.Errorf("fsync failed: %w", err)
-			return err
-		}
+	if err := s.opt.syncFile(s.seg); err != nil {
+		// After a failed fsync the page cache is untrustworthy
+		// (dirty pages may have been dropped), and the unack'd
+		// frame sits at the tail where it would replay — a retried
+		// batch would then apply twice, which is not idempotent for
+		// creates. Roll the tail back and poison the store either
+		// way: refusing writes until a restart re-establishes a
+		// consistent tail is strictly safer than writing on.
+		_ = rollbackTail(s.seg, s.segSizes[s.segSeq])
+		s.failed = fmt.Errorf("fsync failed: %w", err)
+		return err
 	}
 	s.segSizes[s.segSeq] += int64(len(frame))
 	s.walBytes += int64(len(frame))
-	s.appends++
 	s.signalAppendLocked()
 	s.mAppendSec.Observe(time.Since(t0).Seconds())
 	s.mAppendBytes.Observe(float64(len(frame)))
@@ -576,44 +551,24 @@ func (s *Store) Append(muts []Mutation) error {
 // openSegment creates wal-<seq>.log with its header, synced. It does
 // not touch store state, so a failure leaves the store untouched.
 func (s *Store) openSegment(seq uint64) (*os.File, error) {
-	path := filepath.Join(s.dir, segName(seq))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	path := s.path(classSegment, seq)
+	f, err := createFile(path, walMagic)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(walMagic); err != nil {
-		_ = f.Close()
-		os.Remove(path)
-		return nil, err
+	if err = s.opt.syncFile(f); err == nil {
+		err = s.opt.syncDir(s.dir)
 	}
-	if !s.opt.NoSync {
-		if err := f.Sync(); err != nil {
-			_ = f.Close()
-			os.Remove(path)
-			return nil, err
-		}
-		if err := syncDir(s.dir); err != nil {
-			_ = f.Close()
-			os.Remove(path)
-			return nil, err
-		}
+	if err != nil {
+		_ = f.Close()
+		removeFile(path)
+		return nil, err
 	}
 	return f, nil
 }
 
-// createSegment creates wal-<segSeq>.log and makes it the current
-// segment. Caller holds mu (or is Open, single-threaded).
-func (s *Store) createSegment() error {
-	f, err := s.openSegment(s.segSeq)
-	if err != nil {
-		return err
-	}
-	s.seg = f
-	s.segSizes[s.segSeq] = walHeaderLen
-	s.walBytes += walHeaderLen
-	return nil
-}
-
+// rotateLocked makes a fresh segment the tail (the first one when
+// there is none yet). Caller holds mu, or is Open.
 func (s *Store) rotateLocked() error {
 	// Bring up the replacement before tearing down the current tail: a
 	// transient failure (disk briefly full) must leave the store fully
@@ -623,12 +578,10 @@ func (s *Store) rotateLocked() error {
 		return err
 	}
 	if s.seg != nil {
-		if !s.opt.NoSync {
-			if err := s.seg.Sync(); err != nil {
-				_ = f.Close()
-				os.Remove(filepath.Join(s.dir, segName(s.segSeq+1)))
-				return err
-			}
+		if err := s.opt.syncFile(s.seg); err != nil {
+			_ = f.Close()
+			removeFile(s.path(classSegment, s.segSeq+1))
+			return err
 		}
 		_ = s.seg.Close()
 	}
@@ -686,44 +639,32 @@ func (s *Store) BeginCheckpoint() (uint64, error) {
 
 // WriteCheckpoint atomically writes db as the checkpoint covering all
 // segments below seq — appending chunks not yet in the chunk store,
-// then renaming a fresh manifest into place (temp file + rename +
-// directory sync) — and finally truncates the obsolete segments and
-// older snapshot files. db must be the snapshot passed alongside
-// BeginCheckpoint's sequence, descended from this store's recovered
-// state (chunk ids key the deduplication table, and only that lineage
-// guarantees id ⇒ identical bytes); it is only read. Failures are
-// additionally recorded in Stats.
+// then publishing a fresh manifest — and finally truncates the obsolete
+// segments and older snapshot files. db must be the snapshot passed
+// alongside BeginCheckpoint's sequence, descended from this store's
+// recovered state (chunk ids key the deduplication table, and only that
+// lineage guarantees id ⇒ identical bytes); it is only read. Failures
+// are additionally recorded in Stats.
 func (s *Store) WriteCheckpoint(seq uint64, db *relation.Database) (err error) {
 	t0 := time.Now()
-	var written, reused uint64
+	var c *chunkAppend
 	var bytesOut int64
-	compacted := false
 	defer func() {
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		if err != nil {
 			s.lastCkptErr = err.Error()
-		} else {
-			s.lastCkptErr = ""
-			s.checkpoints++
-			s.chunksWritten += written
-			s.chunksReused += reused
-			s.ckptBytes += uint64(bytesOut)
-			s.chunkBytes = s.chunkSize
-			if compacted {
-				s.compactions++
-			}
-			s.lastCkpt = time.Now()
-		}
-		s.mu.Unlock()
-		if err != nil {
 			s.mCkptFail.Inc()
 			return
 		}
+		s.lastCkptErr = ""
+		s.chunkBytes = s.chunkSize
+		s.lastCkpt = time.Now()
 		s.mCkptSec.Observe(time.Since(t0).Seconds())
-		s.mChunksOut.Add(written)
-		s.mChunksReused.Add(reused)
+		s.mChunksOut.Add(uint64(len(c.write)))
+		s.mChunksReused.Add(uint64(len(c.all) - len(c.write)))
 		s.mCkptOutBytes.Add(uint64(bytesOut))
-		if compacted {
+		if c.compacted {
 			s.mCompactions.Inc()
 		}
 	}()
@@ -731,190 +672,177 @@ func (s *Store) WriteCheckpoint(seq uint64, db *relation.Database) (err error) {
 	s.ckptFileMu.Lock()
 	defer s.ckptFileMu.Unlock()
 
-	// Plan: walk the snapshot's full chunks once, deduplicating by id,
-	// splitting them into already-durable references and chunks that
-	// must be appended. Blocks are views into the (frozen, immutable)
-	// arena — nothing is copied here.
-	type planned struct {
-		id    uint64
-		block []relation.Value
-	}
-	rels := db.Rels
-	if db.Univ != nil {
-		rels = append(append([]*relation.Relation(nil), db.Rels...), db.Univ)
-	}
-	seen := make(map[uint64]bool)
-	var all, missing []planned
-	var reusedBytes int64
-	for _, r := range rels {
-		r.ForEachFullChunk(func(id uint64, block []relation.Value) bool {
-			if seen[id] {
-				return true
-			}
-			seen[id] = true
-			all = append(all, planned{id, block})
-			if ref, ok := s.chunkTable[id]; ok {
-				reusedBytes += chunkRecHeaderLen + ref.ln
-			} else {
-				missing = append(missing, planned{id, block})
-			}
-			return true
-		})
-	}
-	recBytes := func(ps []planned) int64 {
-		var n int64
-		for _, p := range ps {
-			n += chunkRecHeaderLen + int64(len(p.block))*relation.ValueBytes
-		}
-		return n
-	}
-	newBytes := recBytes(missing)
-	liveAfter := int64(chunkStoreHeaderLen) + reusedBytes + newBytes
+	// 1. Plan which chunks to append, and to which generation.
+	c = s.planChunkAppend(db)
 
+	// 2. Append them. The chunk file is synced before the manifest
+	// referencing it is written: a manifest must never point at unsynced
+	// data. (Under NoSync all checkpoint fsyncs are skipped — the store
+	// has already waived power-loss durability, and the page cache keeps
+	// process-crash recovery intact.)
+	if err = s.appendChunks(c); err != nil {
+		return err
+	}
+
+	// 3. Encode and atomically publish the manifest.
+	refs := func(id uint64) (chunkRef, bool) {
+		if ref, ok := c.refs[id]; ok || c.fresh {
+			return ref, ok
+		}
+		ref, ok := s.chunkTable[id]
+		return ref, ok
+	}
+	payload, err := appendManifest(nil, db, c.gen, refs)
+	if err != nil {
+		s.abortChunks(c, true)
+		return err
+	}
+	if renamed, err := s.opt.writeManifestFile(s.path(classManifest, seq), seq, payload); err != nil {
+		if !renamed {
+			s.abortChunks(c, true)
+		}
+		return err
+	}
+	bytesOut = c.off - c.base + int64(len(payload)) + manFrameLen
+	if c.fresh {
+		bytesOut += chunkStoreHeaderLen
+	}
+
+	// 4. Commit the chunk-store state. The table tracks exactly the chunks
+	// the live manifest references — ids are never reassigned, so a
+	// chunk dropped from the snapshot can never be referenced again and
+	// pruning it here matches what a reload from this manifest rebuilds.
+	table := make(map[uint64]chunkRef, len(c.all))
+	live := int64(chunkStoreHeaderLen)
+	for _, p := range c.all {
+		ref, _ := refs(p.id)
+		table[p.id] = ref
+		live += chunkRecHeaderLen + ref.ln
+	}
+	if c.fresh && s.chunkf != nil {
+		_ = s.chunkf.Close()
+	}
+	s.chunkf, s.chunkGen, s.chunkTable = c.f, c.gen, table
+	s.chunkSize, s.chunkLive = c.off, live
+
+	// 5. The new manifest supersedes all older segments, snapshot files,
+	// and chunk-store generations.
+	if tail := s.dropSegmentsBelow(seq); tail.Seg != 0 {
+		// Persist the truncated tail so a caught-up follower survives a
+		// leader restart right after this checkpoint (the graceful
+		// shutdown path). Best-effort: failure costs a replica re-seed,
+		// not data.
+		_ = saveTruncTail(s.dir, tail, s.opt)
+	}
+	if ls, derr := listDir(s.dir); derr == nil {
+		for _, cgen := range ls[classChunks] {
+			if cgen < c.gen {
+				removeFile(s.path(classChunks, cgen))
+			}
+		}
+		for _, mseq := range ls[classManifest] {
+			if mseq < seq {
+				removeFile(s.path(classManifest, mseq))
+			}
+		}
+	}
+	return nil
+}
+
+// chunkAppend is one checkpoint's append to the chunk store.
+type chunkAppend struct {
+	all       []planned // every full chunk of the snapshot
+	write     []planned // the ones to append: all when fresh, else those not yet stored
+	fresh     bool      // into a brand-new generation, not the live one
+	compacted bool      // fresh because the live generation was mostly garbage
+	gen       uint64    // the generation written to
+	f         *os.File
+	base, off int64               // f's size before and after
+	refs      map[uint64]chunkRef // where each record of write landed
+}
+
+// planChunkAppend splits db's full chunks into already-durable
+// references and chunks that must be appended. Caller holds ckptFileMu.
+func (s *Store) planChunkAppend(db *relation.Database) *chunkAppend {
+	c := &chunkAppend{all: planChunks(db), gen: s.chunkGen, f: s.chunkf, base: s.chunkSize}
+	var allBytes, newBytes int64
+	for _, p := range c.all {
+		allBytes += p.recLen()
+		if _, ok := s.chunkTable[p.id]; !ok {
+			c.write = append(c.write, p)
+			newBytes += p.recLen()
+		}
+	}
 	// A fresh generation starts from scratch (first checkpoint ever, or
 	// a write error poisoned the current file) or compacts: when the
 	// store has outgrown the floor and would be more than half garbage,
 	// rewriting just the live chunks is cheaper than carrying the dead
 	// ones forever.
-	fresh := s.chunkf == nil
-	if cb := s.opt.compactBytes(); !fresh && cb >= 0 {
-		if projected := s.chunkSize + newBytes; projected > cb && projected > 2*liveAfter {
-			fresh, compacted = true, true
-		}
+	c.fresh = s.chunkf == nil
+	if cb := s.opt.compactBytes(); !c.fresh && cb >= 0 {
+		projected := s.chunkSize + newBytes
+		c.compacted = projected > cb && projected > 2*(chunkStoreHeaderLen+allBytes)
+		c.fresh = c.compacted
 	}
-	writeList := missing
-	if fresh {
-		writeList, reusedBytes = all, 0
-		newBytes = recBytes(all)
-		liveAfter = int64(chunkStoreHeaderLen) + newBytes
+	if c.fresh {
+		c.write, c.gen, c.f, c.base = c.all, s.chunkGen+1, nil, chunkStoreHeaderLen
 	}
-	written, reused = uint64(len(writeList)), uint64(len(all)-len(writeList))
+	return c
+}
 
-	// Append the planned chunk records (to a brand-new generation when
-	// fresh). The chunk file is synced before the manifest referencing
-	// it is written: a manifest must never point at unsynced data.
-	// (Under NoSync all checkpoint fsyncs are skipped — the store has
-	// already waived power-loss durability, and the page cache keeps
-	// process-crash recovery intact.)
-	gen, f, base := s.chunkGen, s.chunkf, s.chunkSize
-	if fresh {
-		gen = s.chunkGen + 1
-		path := filepath.Join(s.dir, chunkStoreName(gen))
-		f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
+// appendChunks writes c's chunk records — to a brand-new generation
+// when c.fresh, else behind the live one — and syncs the file. On error
+// the append is already aborted. Caller holds ckptFileMu.
+func (s *Store) appendChunks(c *chunkAppend) (err error) {
+	if c.fresh {
+		if c.f, err = createFile(s.path(classChunks, c.gen), chunkMagic); err != nil {
 			return err
 		}
-		if _, err = f.Write(chunkMagic); err != nil {
-			_ = f.Close()
-			os.Remove(path)
-			return err
-		}
-		base = chunkStoreHeaderLen
 	}
-	// abortChunks undoes a failed append. On a fresh generation the old
-	// state is untouched — drop the new file. On the live generation,
-	// roll the file back to its pre-checkpoint size; if that (or the
-	// fsync above it) fails the file's tail state is unknown, so poison
-	// it — the next checkpoint starts a fresh generation rather than
-	// appending behind garbage.
-	abortChunks := func(rollback bool) {
-		if fresh {
-			_ = f.Close()
-			os.Remove(filepath.Join(s.dir, chunkStoreName(gen)))
-			return
-		}
-		if rollback {
-			if terr := f.Truncate(base); terr == nil {
-				return
-			}
-		}
-		_ = s.chunkf.Close()
-		s.chunkf, s.chunkTable = nil, nil
-		s.chunkSize, s.chunkLive = 0, 0
-	}
-	newRefs := make(map[uint64]chunkRef, len(writeList))
-	off := base
+	c.off, c.refs = c.base, make(map[uint64]chunkRef, len(c.write))
 	var rec []byte
-	for _, p := range writeList {
+	for _, p := range c.write {
 		rec = appendChunkRecord(rec[:0], p.id, p.block)
-		if _, err = f.WriteAt(rec, off); err != nil {
-			abortChunks(true)
+		if _, err := c.f.WriteAt(rec, c.off); err != nil {
+			s.abortChunks(c, true)
 			return err
 		}
-		newRefs[p.id] = chunkRef{off: off, ln: int64(len(rec) - chunkRecHeaderLen)}
-		off += int64(len(rec))
+		c.refs[p.id] = chunkRef{off: c.off, ln: int64(len(rec) - chunkRecHeaderLen)}
+		c.off += int64(len(rec))
 	}
-	if !s.opt.NoSync {
-		if err = f.Sync(); err != nil {
-			abortChunks(false)
-			return err
-		}
-	}
-
-	// Encode and atomically publish the manifest.
-	refs := func(id uint64) (chunkRef, bool) {
-		if ref, ok := newRefs[id]; ok {
-			return ref, true
-		}
-		if fresh {
-			return chunkRef{}, false
-		}
-		ref, ok := s.chunkTable[id]
-		return ref, ok
-	}
-	payload, err := appendManifest(nil, db, gen, refs)
-	if err != nil {
-		abortChunks(true)
+	if err := s.opt.syncFile(c.f); err != nil {
+		s.abortChunks(c, false)
 		return err
 	}
-	final := filepath.Join(s.dir, manName(seq))
-	tmp := final + ".tmp"
-	if err = writeManifestFile(tmp, seq, payload, !s.opt.NoSync); err != nil {
-		os.Remove(tmp)
-		abortChunks(true)
-		return err
-	}
-	if err = os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		abortChunks(true)
-		return err
-	}
-	if !s.opt.NoSync {
-		if err = syncDir(s.dir); err != nil {
-			return err
-		}
-	}
-	bytesOut = newBytes + int64(len(payload)) + 20
-	if fresh {
-		bytesOut += chunkStoreHeaderLen
-	}
+	return nil
+}
 
-	// Commit the chunk-store state. The table tracks exactly the chunks
-	// the live manifest references — ids are never reassigned, so a
-	// chunk dropped from the snapshot can never be referenced again and
-	// pruning it here matches what a reload from this manifest rebuilds.
-	if fresh {
-		if s.chunkf != nil {
-			_ = s.chunkf.Close()
-		}
-		s.chunkf, s.chunkGen, s.chunkTable = f, gen, newRefs
-	} else {
-		for id := range s.chunkTable {
-			if !seen[id] {
-				delete(s.chunkTable, id)
-			}
-		}
-		for id, ref := range newRefs {
-			s.chunkTable[id] = ref
-		}
+// abortChunks undoes a failed append. On a fresh generation the old
+// state is untouched — drop the new file. On the live generation, roll
+// the file back to its pre-checkpoint size; if that fails (or rollback
+// is false: a failed fsync) the file's tail state is unknown, so poison
+// it — the next checkpoint starts a fresh generation rather than
+// appending behind garbage.
+func (s *Store) abortChunks(c *chunkAppend, rollback bool) {
+	if c.fresh {
+		_ = c.f.Close()
+		removeFile(s.path(classChunks, c.gen))
+		return
 	}
-	s.chunkSize, s.chunkLive = off, liveAfter
+	if rollback && rollbackTail(c.f, c.base) == nil {
+		return
+	}
+	_ = s.chunkf.Close()
+	s.chunkf, s.chunkTable = nil, nil
+	s.chunkSize, s.chunkLive = 0, 0
+}
 
-	// The new manifest supersedes all older segments, snapshot files,
-	// and chunk-store generations.
+// dropSegmentsBelow removes every live segment older than seq and
+// returns the end of the newest one removed (zero if none was).
+func (s *Store) dropSegmentsBelow(seq uint64) (tail Cursor) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	var drop []uint64
-	var tail Cursor
 	for sseq := range s.segSizes {
 		if sseq < seq {
 			drop = append(drop, sseq)
@@ -923,33 +851,16 @@ func (s *Store) WriteCheckpoint(seq uint64, db *relation.Database) (err error) {
 			}
 		}
 	}
+	slices.Sort(drop)
 	for _, sseq := range drop {
-		os.Remove(filepath.Join(s.dir, segName(sseq)))
+		removeFile(s.path(classSegment, sseq))
 		s.walBytes -= s.segSizes[sseq]
 		delete(s.segSizes, sseq)
 	}
 	if tail.Seg != 0 {
 		s.truncTail = tail
 	}
-	s.mu.Unlock()
-	if tail.Seg != 0 {
-		// Persist the truncated tail so a caught-up follower survives a
-		// leader restart right after this checkpoint (the graceful
-		// shutdown path). Best-effort: failure costs a replica re-seed,
-		// not data.
-		_ = saveTruncTail(s.dir, tail, !s.opt.NoSync)
-	}
-	if ents, derr := os.ReadDir(s.dir); derr == nil {
-		for _, e := range ents {
-			if mseq, ok := parseSeq(e.Name(), "manifest-", ".mf"); ok && mseq < seq {
-				os.Remove(filepath.Join(s.dir, e.Name()))
-			}
-			if cgen, ok := parseSeq(e.Name(), "chunks-", ".gyo"); ok && cgen < gen {
-				os.Remove(filepath.Join(s.dir, e.Name()))
-			}
-		}
-	}
-	return nil
+	return tail
 }
 
 // Checkpoint is BeginCheckpoint + WriteCheckpoint in one synchronous
@@ -970,14 +881,14 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		WALBytes:          s.walBytes,
 		Segments:          len(s.segSizes),
-		Appends:           s.appends,
+		Appends:           s.mAppendSec.Count(),
 		Replayed:          s.replayed,
-		Checkpoints:       s.checkpoints,
-		ChunksWritten:     s.chunksWritten,
-		ChunksReused:      s.chunksReused,
-		CheckpointBytes:   s.ckptBytes,
+		Checkpoints:       s.mCkptSec.Count(),
+		ChunksWritten:     s.mChunksOut.Value(),
+		ChunksReused:      s.mChunksReused.Value(),
+		CheckpointBytes:   s.mCkptOutBytes.Value(),
 		ChunkStoreBytes:   s.chunkBytes,
-		Compactions:       s.compactions,
+		Compactions:       s.mCompactions.Value(),
 		LastCheckpoint:    s.lastCkpt,
 		LastCheckpointErr: s.lastCkptErr,
 	}
@@ -1026,25 +937,11 @@ func (s *Store) Close() error {
 	if s.seg == nil {
 		return nil
 	}
-	if !s.opt.NoSync {
-		if err := s.seg.Sync(); err != nil {
-			_ = s.seg.Close()
-			return err
-		}
+	if err := s.opt.syncFile(s.seg); err != nil {
+		_ = s.seg.Close()
+		return err
 	}
 	err := s.seg.Close()
 	s.seg = nil
-	return err
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
 	return err
 }

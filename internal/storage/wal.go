@@ -48,6 +48,23 @@ func appendFrame(dst, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// nextFrame returns the payload of the frame at the head of data; ok is
+// false when the frame is truncated, oversized, or fails its CRC (a
+// torn write, bit rot or a torn overwrite).
+func nextFrame(data []byte) (payload []byte, ok bool) {
+	if len(data) < frameHedLen {
+		return nil, false
+	}
+	// ln < 0 guards 32-bit platforms, where a corrupt u32 length ≥ 2³¹
+	// wraps negative and would slice out of bounds.
+	ln := int(readU32(data))
+	if ln < 0 || ln > maxRecordSize || len(data)-frameHedLen < ln {
+		return nil, false
+	}
+	payload = data[frameHedLen : frameHedLen+ln]
+	return payload, crcOf(payload) == readU32(data[4:])
+}
+
 // replaySegment scans one segment's bytes, invoking fn for every valid
 // record batch in order. It returns the byte offset of the end of the
 // last valid record (the segment's recoverable prefix) and whether the
@@ -59,23 +76,10 @@ func replaySegment(data []byte, fn func(muts []Mutation) error) (validLen int, c
 		return 0, false, nil
 	}
 	off := walHeaderLen
-	for {
-		if len(data)-off == 0 {
-			return off, true, nil
-		}
-		if len(data)-off < frameHedLen {
-			return off, false, nil // torn frame header
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(data[off:]))
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		// payloadLen < 0 guards 32-bit platforms, where a corrupt u32
-		// length ≥ 2³¹ wraps negative and would slice out of bounds.
-		if payloadLen < 0 || payloadLen > maxRecordSize || len(data)-off-frameHedLen < payloadLen {
-			return off, false, nil // oversized or torn payload
-		}
-		payload := data[off+frameHedLen : off+frameHedLen+payloadLen]
-		if crc32.Checksum(payload, castTable) != wantCRC {
-			return off, false, nil // bit rot or torn overwrite
+	for off < len(data) {
+		payload, ok := nextFrame(data[off:])
+		if !ok {
+			return off, false, nil
 		}
 		muts, err := decodeBatch(payload)
 		if err != nil {
@@ -86,6 +90,7 @@ func replaySegment(data []byte, fn func(muts []Mutation) error) (validLen int, c
 		if err := fn(muts); err != nil {
 			return off, false, fmt.Errorf("replaying record at offset %d: %w", off, err)
 		}
-		off += frameHedLen + payloadLen
+		off += frameHedLen + len(payload)
 	}
+	return off, true, nil
 }
