@@ -204,10 +204,11 @@ func NewEngineServer(e *Engine, u *Universe, d *Schema) *EngineServer {
 func ParseCQ(text string) (*CQ, error) { return cq.Parse(text) }
 
 // CompileCQ parses, classifies, and plans a conjunctive query:
-// free-connex queries get a rooted Yannakakis program with projections
-// pushed below the semijoins, acyclic queries the standard Yannakakis
-// program, cyclic queries the paper's §4 strategy (program.CyclicPlan:
-// materialize ∪GR(D), then Yannakakis over the resulting tree schema).
+// free-connex and acyclic queries get the answer-directed Yannakakis
+// program (semijoins up the whole tree; semijoins down, joins and
+// projections only over the subtree the head lives in), cyclic queries
+// the paper's §4 strategy (program.CyclicPlan: materialize ∪GR(D), then
+// the same program over the resulting tree schema).
 func CompileCQ(text string) (*CompiledCQ, error) { return cq.Compile(text) }
 
 // NewSchema returns a schema over u with the given relation schemas.
@@ -269,11 +270,12 @@ func Implies(d, dprime *Schema) bool { return lossless.Implies(d, dprime) }
 func IsGammaAcyclic(d *Schema) bool { return gamma.IsGammaAcyclic(d) }
 
 // Plan is the planner: it classifies d and builds the program solving
-// (D, X) on any database for D — Yannakakis on tree schemas, rooted at
-// the relation covering most of X when D ∪ (X) is still a tree
-// (qp.Kind free-connex, else acyclic); on cyclic schemas (qp.Kind
-// cyclic) the §4 strategy: materialize ∪GR(D) per Corollary 3.2, then
-// solve the resulting tree schema.
+// (D, X) on any database for D — answer-directed Yannakakis on tree
+// schemas, rooted (qp.Root) where the fewest relations must hand tuples
+// rather than a filter up the tree (qp.Kind free-connex when D ∪ (X) is
+// still a tree, else acyclic); on cyclic schemas (qp.Kind cyclic) the §4
+// strategy: materialize ∪GR(D) per Corollary 3.2, then solve the
+// resulting tree schema the same way.
 func Plan(d *Schema, x AttrSet) (*QueryPlan, error) { return core.PlanQuery(d, x) }
 
 // AnalyzeProgram runs the §6 tree-projection analysis of p against

@@ -212,18 +212,23 @@ func AnalyzeProgram(p *program.Program, x schema.AttrSet) (*ProgramAnalysis, err
 	}, nil
 }
 
-// Kind is the shape of a query plan, decided by the planner.
+// Kind is the shape of a query plan, decided by the planner. It labels
+// where the head sits relative to the schema; the program is built the
+// same way for both tree kinds (program.YannakakisRooted at
+// program.AnswerRoot) and the §4 strategy ends in the same emitter.
 type Kind int
 
 const (
 	// KindFreeConnex: D is a tree schema AND stays one with X added as a
-	// relation schema. Yannakakis rooted at the relation covering most of
-	// X: every projection pushes below the semijoin program and no
-	// intermediate materializes the full join.
+	// relation schema. Every projection pushes below the joins and no
+	// intermediate materializes the full join; when X lies inside one
+	// relation the plan is |D|−1 semijoins toward it and at most one
+	// projection — no downward pass, no join.
 	KindFreeConnex Kind = iota
 	// KindAcyclic: a tree schema, but adding X breaks the tree (the
-	// classic π_{a,c}(ab ⋈ bc)). Yannakakis from root 0: still
-	// semijoin-reduced, but the root's joins may exceed X.
+	// classic π_{a,c}(ab ⋈ bc)). Still semijoin-reduced and still
+	// restricted to the subtree the head lives in, but the joins along
+	// the paths between head attributes carry the links as well as X.
 	KindAcyclic
 	// KindCyclic: D is cyclic; the §4 strategy (program.CyclicPlan).
 	KindCyclic
@@ -246,8 +251,9 @@ func (k Kind) String() string {
 type QueryPlan struct {
 	Cls  *Classification
 	Kind Kind
-	// Root is the index in D of the Yannakakis reduction root; -1 for a
-	// cyclic plan, whose tree is not over D.
+	// Root is the index in D of the relation the Yannakakis program was
+	// rooted at (program.AnswerRoot); -1 for a cyclic plan, whose tree is
+	// not over D.
 	Root int
 	// Prog solves (D, X) on arbitrary databases for D.
 	Prog *program.Program
@@ -270,16 +276,16 @@ func PlanQuery(d *schema.Schema, x schema.AttrSet) (*QueryPlan, error) {
 		return nil, err
 	}
 	qp := &QueryPlan{Cls: cls}
-	switch {
-	case !cls.Tree:
+	if !cls.Tree {
 		qp.Kind, qp.Root = KindCyclic, -1
 		qp.Prog, err = program.CyclicPlan(d, x)
-	case gyo.IsTree(d.WithRel(x)):
-		qp.Kind, qp.Root = KindFreeConnex, program.CoverRoot(d.Rels, x)
-		qp.Prog, err = program.YannakakisRooted(d, x, cls.QualTree, qp.Root)
-	default:
+	} else {
 		qp.Kind = KindAcyclic
-		qp.Prog, err = program.YannakakisRooted(d, x, cls.QualTree, 0)
+		if gyo.IsTree(d.WithRel(x)) {
+			qp.Kind = KindFreeConnex
+		}
+		qp.Root = program.AnswerRoot(d.Rels, cls.QualTree, x)
+		qp.Prog, err = program.YannakakisRooted(d, x, cls.QualTree, qp.Root)
 	}
 	if err != nil {
 		return nil, err

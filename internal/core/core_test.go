@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gyokit/internal/gen"
@@ -226,6 +227,58 @@ func TestPlanQueryCyclicKind(t *testing.T) {
 	}
 	if !qp.Cls.TreefyingRelation.Equal(u.Set("a", "b", "c")) {
 		t.Errorf("treefying relation %s", u.FormatSet(qp.Cls.TreefyingRelation))
+	}
+}
+
+// TestPlanQueryRoot pins the root rule (program.AnswerRoot: fewest live
+// nodes, then most head attributes covered, then lowest index), the
+// Kind label beside it, and that Root is the root Prog was emitted from
+// for both tree kinds.
+func TestPlanQueryRoot(t *testing.T) {
+	for _, tc := range []struct {
+		schema, x string
+		kind      Kind
+		root      string // the relation Root names; "" for no root over D
+		stmts     int
+	}{
+		{"ab, bc", "ab", KindFreeConnex, "ab", 1},
+		{"ab, bc", "ac", KindAcyclic, "ab", 4}, // a tie: lowest index
+		// Covering the most of x alone would root at ab and keep all three
+		// nodes live; abc keeps ab dead.
+		{"ab, abc, cd", "abd", KindAcyclic, "abc", 5},
+		// Seven semijoins toward de and one projection; rooted at ab the
+		// same emitter needs 16 statements.
+		{"ab, bc, cd, de, ef, fg, gh, hi", "e", KindFreeConnex, "de", 8},
+		{"ab, bc, cd, de, ac", "ab", KindCyclic, "", 5},
+	} {
+		u := schema.NewUniverse()
+		d := parse(t, u, tc.schema)
+		x := schema.MustSet(u, tc.x)
+		qp, err := PlanQuery(d, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := tc.schema + " x=" + tc.x
+		if qp.Kind != tc.kind || len(qp.Prog.Stmts) != tc.stmts {
+			t.Errorf("%s: %v plan of %d statements, want %v and %d", name, qp.Kind, len(qp.Prog.Stmts), tc.kind, tc.stmts)
+		}
+		if tc.root == "" {
+			if qp.Root != -1 {
+				t.Errorf("%s: root %d, want -1", name, qp.Root)
+			}
+			continue
+		}
+		if qp.Root < 0 || !d.Rels[qp.Root].Equal(schema.MustSet(u, tc.root)) {
+			t.Errorf("%s: root %d, want %s", name, qp.Root, tc.root)
+			continue
+		}
+		p, err := program.YannakakisRooted(d, x, qp.Cls.QualTree, qp.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p.Stmts, qp.Prog.Stmts) {
+			t.Errorf("%s: Prog is not the program rooted at Root %d", name, qp.Root)
+		}
 	}
 }
 

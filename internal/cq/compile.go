@@ -69,12 +69,13 @@ func Compile(text string) (*Compiled, error) {
 // through the GYO machinery and picks the plan:
 //
 //   - free-connex (the hypergraph plus the head-variable hyperedge is
-//     still a tree schema): Yannakakis rooted at the atom covering the
-//     most head variables, so projections push below the semijoin
-//     program;
-//   - acyclic but not free-connex: plain Yannakakis;
+//     still a tree schema): answer-directed Yannakakis rooted by
+//     program.AnswerRoot, so projections push below the joins and a
+//     head inside one atom costs one semijoin per other atom;
+//   - acyclic but not free-connex: the same program at the same root
+//     rule — its joins carry the links between the head variables;
 //   - cyclic: the paper's §4 strategy — materialize ∪GR of the
-//     hypergraph, then Yannakakis over the tree that leaves.
+//     hypergraph, then the same program over the tree that leaves.
 func (q *Query) Compile() (*Compiled, error) {
 	u := schema.NewUniverse()
 	d := schema.New(u)

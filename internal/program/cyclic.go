@@ -17,8 +17,10 @@ import (
 //  2. build a state R_new for it with joins and projects: join, in
 //     GreedyJoinOrder, the projections of the relations that survive in
 //     GR(D), and project onto ∪GR(D);
-//  3. solve the resulting tree schema with the full-reducer +
-//     Yannakakis program, rooted by CoverRoot.
+//  3. solve the resulting tree schema with the answer-directed
+//     Yannakakis program (see YannakakisRooted), rooted by AnswerRoot:
+//     when x lies inside ∪GR(D) — or inside any one relation — that is
+//     one semijoin per tree edge toward it and at most one projection.
 //
 // Step 3 runs over R_new plus only the relations that did not go into
 // it whole. A survivor whose content is its whole schema Rᵢ satisfies
@@ -87,26 +89,10 @@ func CyclicPlan(d *schema.Schema, x schema.AttrSet) (*Program, error) {
 	if !ok {
 		return nil, fmt.Errorf("program: internal: %s with ∪GR(D) added is not a tree schema — Theorem 3.2(ii) violated", d)
 	}
-	if err := emitYannakakis(p, ext.Rels, cur, t, CoverRoot(ext.Rels, x), x); err != nil {
+	if err := emitYannakakis(p, ext.Rels, cur, t, AnswerRoot(ext.Rels, t, x), x); err != nil {
 		return nil, err
 	}
 	return p, nil
-}
-
-// CoverRoot is the root rule for a Yannakakis tree the target sits well
-// in: the relation covering the most attributes of x (lowest index on
-// ties). Every other node projects down to its subtree's target
-// attributes plus the parent link before its parent joins it, so join
-// widths stay within relation ∪ target widths instead of growing toward
-// the full join.
-func CoverRoot(rels []schema.AttrSet, x schema.AttrSet) int {
-	best, bestCover := 0, -1
-	for i, r := range rels {
-		if cov := r.IntersectCard(x); cov > bestCover {
-			best, bestCover = i, cov
-		}
-	}
-	return best
 }
 
 // GreedyJoinOrder reorders the inputs of a multiway join by repeatedly

@@ -21,13 +21,19 @@ func planText(p *Program) string {
 	return b.String()
 }
 
-// TestPlanShapeGolden pins the statement lists CyclicPlan, Yannakakis
-// and YannakakisRooted emit. The tree shapes were printed by the
-// separate full-reducer / Yannakakis emitters that preceded the shared
-// one, which must keep reproducing them exactly; the cyclic shapes are
-// the record of what the §4 strategy materializes and which relations
-// it joins back (every ring and the triangle reduce to the one-node
-// tree {∪GR}; a relation GYO eliminated as a subset stays a filter).
+// TestPlanShapeGolden pins the statement lists CyclicPlan, Yannakakis,
+// YannakakisRooted and FullReducer emit; a change to the file is a
+// change of plan and is reviewed as one. The chain5 x=af shapes have
+// every node live at every root, so they are the full 2(n−1)-semijoin
+// programs and must not lose a statement to the answer-directed
+// pruning, and the full reducer always runs both whole passes. The
+// "answer" shapes are rooted by AnswerRoot and record what a head that
+// leaves part of the tree dead costs: the upward pass over everything,
+// then semijoins, joins and projections over the live subtree only. The
+// cyclic shapes are the record of what the §4 strategy materializes and
+// which relations it joins back (every ring and the triangle reduce to
+// the one-node tree {∪GR}; a relation GYO eliminated as a subset stays
+// a filter).
 func TestPlanShapeGolden(t *testing.T) {
 	var got strings.Builder
 	add := func(name string, p *Program) {
@@ -71,6 +77,24 @@ func TestPlanShapeGolden(t *testing.T) {
 		}
 		add(fmt.Sprintf("yannakakis chain5 root%d", root), p)
 	}
+	answer := func(name string, d *schema.Schema, head ...string) {
+		tr, ok := qualgraph.QualTree(d)
+		if !ok {
+			t.Fatalf("%s rejected", name)
+		}
+		x := d.U.Set(head...)
+		root := AnswerRoot(d.Rels, tr, x)
+		if p, err = YannakakisRooted(d, x, tr, root); err != nil {
+			t.Fatal(err)
+		}
+		add(fmt.Sprintf("answer %s x=%s root=%s", name, d.U.FormatSet(x), d.U.FormatSet(d.Rels[root])), p)
+	}
+	answer("chain4", gen.Chain(4), "a", "b")
+	answer("chain4", gen.Chain(4), "d")
+	answer("chain3", gen.Chain(3), "a", "b", "c")
+	answer("chain8", gen.Chain(8), "a", "b")
+	answer("star4", gen.Star(4), "c")
+	answer("star4", gen.Star(4), "c", "e")
 	// A single relation: nothing to semijoin, so the program is the root
 	// projection alone — the input is copied once, not twice.
 	one := gen.Chain(1)

@@ -76,59 +76,65 @@ func (p *Program) ResultID() int {
 	return p.NumIDs() - 1
 }
 
-// SchemaOf returns the (symbolic) relation schema of id.
+// SchemaOf returns the (symbolic) relation schema of id. It panics on a
+// program Validate rejects.
 func (p *Program) SchemaOf(id int) schema.AttrSet {
-	n := len(p.D.Rels)
-	if id < n {
-		return p.D.Rels[id].Clone()
-	}
-	s := p.Stmts[id-n]
-	switch s.Kind {
-	case Join:
-		return p.SchemaOf(s.Left).Union(p.SchemaOf(s.Right))
-	case Project:
-		return s.Proj.Clone()
-	case Semijoin:
-		return p.SchemaOf(s.Left)
-	default:
-		panic("program: invalid statement kind")
-	}
+	return p.SchemaMap().Rels[id].Clone()
 }
 
 // SchemaMap returns P(D): the original schema plus one relation schema
 // per created relation, in creation order (§6).
 func (p *Program) SchemaMap() *schema.Schema {
-	out := p.D.Clone()
-	for i := range p.Stmts {
-		out.Add(p.SchemaOf(len(p.D.Rels) + i))
+	sch, err := p.schemas()
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return &schema.Schema{U: p.D.U, Rels: sch}
 }
 
 // Validate checks statement well-formedness: operand ids must precede
 // the statement, and projections must target a subset of the operand.
 func (p *Program) Validate() error {
+	_, err := p.schemas()
+	return err
+}
+
+// schemas checks every statement and returns the schema of every
+// relation id (inputs first) in one forward pass: an operand precedes
+// its statement, so its schema is already in the table. A program may
+// use an id any number of times (Rk+1 := Rk ⋈ Rk), so recomputing an
+// operand's schema per use is exponential in the program length. The
+// sets are shared with p, not copied.
+func (p *Program) schemas() ([]schema.AttrSet, error) {
 	n := len(p.D.Rels)
+	sch := make([]schema.AttrSet, n, p.NumIDs())
+	copy(sch, p.D.Rels)
 	for i, s := range p.Stmts {
 		id := n + i
 		if s.Left < 0 || s.Left >= id {
-			return fmt.Errorf("program: stmt %d: left operand %d out of range", i, s.Left)
+			return nil, fmt.Errorf("program: stmt %d: left operand %d out of range", i, s.Left)
 		}
 		switch s.Kind {
 		case Join, Semijoin:
 			if s.Right < 0 || s.Right >= id {
-				return fmt.Errorf("program: stmt %d: right operand %d out of range", i, s.Right)
+				return nil, fmt.Errorf("program: stmt %d: right operand %d out of range", i, s.Right)
+			}
+			if s.Kind == Join {
+				sch = append(sch, sch[s.Left].Union(sch[s.Right]))
+			} else {
+				sch = append(sch, sch[s.Left])
 			}
 		case Project:
-			if !s.Proj.SubsetOf(p.SchemaOf(s.Left)) {
-				return fmt.Errorf("program: stmt %d: projection %s ⊄ operand schema %s",
-					i, p.D.U.FormatSet(s.Proj), p.D.U.FormatSet(p.SchemaOf(s.Left)))
+			if !s.Proj.SubsetOf(sch[s.Left]) {
+				return nil, fmt.Errorf("program: stmt %d: projection %s ⊄ operand schema %s",
+					i, p.D.U.FormatSet(s.Proj), p.D.U.FormatSet(sch[s.Left]))
 			}
+			sch = append(sch, s.Proj)
 		default:
-			return fmt.Errorf("program: stmt %d: invalid kind %d", i, s.Kind)
+			return nil, fmt.Errorf("program: stmt %d: invalid kind %d", i, s.Kind)
 		}
 	}
-	return nil
+	return sch, nil
 }
 
 // StmtStat is the observed cost of one statement: input and output
@@ -224,7 +230,8 @@ func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error
 // remaining statements as skipped (see Stats) and returns the empty
 // relation over the result schema.
 func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits) (*relation.Relation, *Stats, error) {
-	if err := p.Validate(); err != nil {
+	sch, err := p.schemas()
+	if err != nil {
 		return nil, nil, err
 	}
 	if !db.D.MultisetEqual(p.D) {
@@ -270,7 +277,7 @@ func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits) (*re
 			}
 		}
 		if d.Out == 0 && needed[id] {
-			return p.skipRest(st, si+1, start), st, nil
+			return p.skipRest(st, si+1, start, sch[len(sch)-1]), st, nil
 		}
 	}
 	st.Elapsed = time.Since(start)
@@ -302,7 +309,7 @@ func (p *Program) answerDeps() []bool {
 // empty: statements from index from on are recorded as skipped — no
 // input, no output, no time — and the empty relation over the result
 // schema is returned.
-func (p *Program) skipRest(st *Stats, from int, start time.Time) *relation.Relation {
+func (p *Program) skipRest(st *Stats, from int, start time.Time, result schema.AttrSet) *relation.Relation {
 	for _, s := range p.Stmts[from:] {
 		d := StmtStat{Kind: s.Kind, InRight: -1}
 		if s.Kind != Project {
@@ -311,7 +318,7 @@ func (p *Program) skipRest(st *Stats, from int, start time.Time) *relation.Relat
 		st.record(d)
 	}
 	st.Elapsed = time.Since(start)
-	return relation.New(p.D.U, p.SchemaOf(p.ResultID()))
+	return relation.New(p.D.U, result)
 }
 
 // InputRef names an input relation and an optional pre-projection
@@ -387,17 +394,21 @@ func CCPlan(d *schema.Schema, x schema.AttrSet, cc *schema.Schema) (*Program, er
 
 // FullReducer builds the two-pass semijoin full reducer for tree
 // schema d with qual tree t: a leaf→root pass then a root→leaf pass of
-// semijoins. It returns the program and reduced[i] — the id holding
-// the fully reduced state of relation i (the program's last statement
-// is the reduced root, so the program is well-formed on its own).
-// After running it, each reduced relation equals π_{Rᵢ}(⋈ⱼ Rⱼ): the
-// database is globally consistent.
+// semijoins, both over the whole tree. It returns the program and
+// reduced[i] — the id holding the fully reduced state of relation i (the
+// program's last statement is a reduced relation, so the program is
+// well-formed on its own). After running it, each reduced relation
+// equals π_{Rᵢ}(⋈ⱼ Rⱼ): the database is globally consistent.
 func FullReducer(d *schema.Schema, t *graph.Undirected) (*Program, []int, error) {
 	p := NewProgram(d)
 	cur := inputIDs(len(d.Rels))
-	if _, _, err := emitReducer(p, cur, t, 0); err != nil {
+	// Full reduction is root-independent: any root yields global
+	// consistency.
+	order, parent, err := rootTree(t, len(cur), 0)
+	if err != nil {
 		return nil, nil, err
 	}
+	emitReducer(p, cur, order, parent, nil)
 	// A single-node tree has no semijoins; copy the relation through a
 	// trivial projection so the program has a last statement to answer
 	// with.
@@ -416,14 +427,10 @@ func inputIDs(n int) []int {
 	return ids
 }
 
-// emitReducer appends to p the two semijoin passes over tree t from
-// root. On entry cur[v] is the id holding the state of tree node v; on
-// return it is the id of v's fully reduced state. Full reduction is
-// root-independent (any root yields global consistency); the parameter
-// exists so the Yannakakis emitter runs both phases over one coherent
-// traversal, which is returned.
-func emitReducer(p *Program, cur []int, t *graph.Undirected, root int) (order, parent []int, err error) {
-	n := len(cur)
+// rootTree checks that t is a tree over n ≥ 1 nodes containing root and
+// returns its post-order from root (children before parents, root last)
+// with the parent array (parent[root] = -1).
+func rootTree(t *graph.Undirected, n, root int) (order, parent []int, err error) {
 	if t.N() != n {
 		return nil, nil, fmt.Errorf("program: tree has %d nodes, schema has %d relations", t.N(), n)
 	}
@@ -437,19 +444,28 @@ func emitReducer(p *Program, cur []int, t *graph.Undirected, root int) (order, p
 		return nil, nil, fmt.Errorf("program: root %d out of range [0, %d)", root, n)
 	}
 	order, parent = postorder(t, root)
+	return order, parent, nil
+}
+
+// emitReducer appends to p the two semijoin passes over the rooted tree
+// (order, parent): leaf→root over every node, then root→leaf over the
+// nodes live marks (nil: all of them). On entry cur[v] is the id holding
+// the state of tree node v; on return it is the id of v's reduced state
+// — fully reduced for the root and every live node, reduced by its own
+// subtree only for the rest.
+func emitReducer(p *Program, cur, order, parent []int, live []bool) {
 	// Leaf → root: parent absorbs child restrictions.
 	for _, v := range order {
-		if v != root {
+		if parent[v] >= 0 {
 			cur[parent[v]] = p.emit(Stmt{Kind: Semijoin, Left: cur[parent[v]], Right: cur[v]})
 		}
 	}
 	// Root → leaf: children absorb the now-consistent parents.
 	for i := len(order) - 1; i >= 0; i-- {
-		if v := order[i]; v != root {
+		if v := order[i]; parent[v] >= 0 && (live == nil || live[v]) {
 			cur[v] = p.emit(Stmt{Kind: Semijoin, Left: cur[v], Right: cur[parent[v]]})
 		}
 	}
-	return order, parent, nil
 }
 
 // emit appends s and returns the id of the relation it creates.
@@ -482,23 +498,28 @@ func postorder(t *graph.Undirected, root int) (order []int, parent []int) {
 	return order, parent
 }
 
-// Yannakakis builds a complete program solving (D, X) on tree schema d
-// with qual tree t: full reduction followed by a bottom-up join with
-// early projection. Each intermediate is projected onto the attributes
-// still needed: X restricted to the subtree plus the link to the
-// parent. X must be ⊆ U(D).
+// Yannakakis is YannakakisRooted at relation 0 — a fixed root for tests
+// and examples that do not care where the tree is rooted; the planner
+// roots at AnswerRoot.
 func Yannakakis(d *schema.Schema, x schema.AttrSet, t *graph.Undirected) (*Program, error) {
 	return YannakakisRooted(d, x, t, 0)
 }
 
-// YannakakisRooted is Yannakakis with an explicit reduction root. The
-// root is where early projection stops helping: every other node keeps
-// only its subtree's target attributes plus the link to its parent
-// before the parent joins it, but the root's own joins see whatever its
-// children send up. A caller that knows which relation covers the
-// target — the planner's free-connex case, see CoverRoot — roots the
-// tree there, so projections push below every join and no intermediate
-// materializes attributes outside relation ∪ target widths.
+// YannakakisRooted builds a complete program solving (D, X) on tree
+// schema d with qual tree t rooted at root, on arbitrary databases for
+// d. X must be ⊆ U(D). The program is answer-directed: rooted at root,
+// a node is live when it is the root or its subtree holds an attribute
+// of X outside its link to its parent, and the live nodes form a
+// connected subtree S containing the root (running intersection). The
+// leaf→root semijoin pass runs over all of D — a dead subtree still
+// filters — and leaves the root fully reduced; the root→leaf semijoins,
+// the bottom-up joins and the early projections (each live node keeps
+// its subtree's X attributes plus the link to its parent, so no
+// intermediate is wider than a relation ∪ X) run over S only. That is
+// (|D|−1) + (|S|−1) semijoins, within Theorem 6.1's budget of 2·|D|,
+// |S|−1 joins, and a projection only where it drops a column: a head
+// inside one relation, rooted there, costs |D|−1 semijoins and at most
+// one projection. AnswerRoot picks the root that minimizes |S|.
 func YannakakisRooted(d *schema.Schema, x schema.AttrSet, t *graph.Undirected, root int) (*Program, error) {
 	if !x.SubsetOf(d.Attrs()) {
 		return nil, fmt.Errorf("program: target %s ⊄ U(D)", d.U.FormatSet(x))
@@ -510,51 +531,119 @@ func YannakakisRooted(d *schema.Schema, x schema.AttrSet, t *graph.Undirected, r
 	return p, nil
 }
 
-// emitYannakakis appends to p the full reducer and the bottom-up join
-// with early projection over tree t rooted at root, answering x. Tree
-// node v has relation schema rels[v] and its state is held by id
+// headBelow returns head[v] = x ∩ attrs(subtree of v) over the rooted
+// tree (order, parent), and the test the answer-directed emitter and
+// AnswerRoot share: below(v) reports whether that set escapes v's link
+// to its parent, i.e. whether v must hand tuples — not just a filter —
+// up the tree.
+func headBelow(rels []schema.AttrSet, order, parent []int, x schema.AttrSet) (head []schema.AttrSet, below func(v int) bool) {
+	head = make([]schema.AttrSet, len(rels))
+	for _, v := range order {
+		head[v] = x.Intersect(rels[v])
+	}
+	for _, v := range order { // post-order: head[v] is complete when v is reached
+		if parent[v] >= 0 {
+			head[parent[v]] = head[parent[v]].Union(head[v])
+		}
+	}
+	below = func(v int) bool {
+		return !head[v].SubsetOf(rels[v].Intersect(rels[parent[v]]))
+	}
+	return head, below
+}
+
+// AnswerRoot is the root rule for answering x over the tree schema rels
+// with qual tree t: the root that leaves the fewest nodes live (see
+// YannakakisRooted), ties to the relation covering the most attributes
+// of x — so projections push below the root's joins — then to the lowest
+// index. x must be ⊆ the attributes of rels.
+//
+// Cut a tree edge: by the running-intersection property a head
+// attribute found on both sides is in the link, so the node on one side
+// is live under a root on the other exactly when its side owns a head
+// attribute the other side lacks. Two flags per edge, computed from one
+// traversal from relation 0 — "the subtree below v owns one" (below) and
+// "the rest of the tree owns one" (head[v] ≠ x) — give |S| for root 0 as
+// one plus the below flags, and moving the root across an edge swaps
+// which of its two flags counts.
+func AnswerRoot(rels []schema.AttrSet, t *graph.Undirected, x schema.AttrSet) int {
+	if len(rels) == 0 || t.N() != len(rels) {
+		return 0 // no tree to root; the emitter reports it
+	}
+	order, parent := postorder(t, 0)
+	head, below := headBelow(rels, order, parent, x)
+	live := make([]int, len(rels)) // live[r] = |S| under root r
+	live[0] = 1
+	for _, v := range order {
+		if v != 0 && below(v) {
+			live[0]++
+		}
+	}
+	for i := len(order) - 2; i >= 0; i-- { // reverse post-order: a parent before its children
+		v := order[i]
+		live[v] = live[parent[v]]
+		if below(v) {
+			live[v]--
+		}
+		if !head[v].Equal(x) {
+			live[v]++
+		}
+	}
+	best := 0
+	for r := range rels {
+		if live[r] < live[best] ||
+			live[r] == live[best] && rels[r].IntersectCard(x) > rels[best].IntersectCard(x) {
+			best = r
+		}
+	}
+	return best
+}
+
+// emitYannakakis appends to p the answer-directed program
+// YannakakisRooted documents, over tree t rooted at root, answering x.
+// Tree node v has relation schema rels[v] and its state is held by id
 // cur[v] — an input relation of p, or a relation p has already built,
 // which is how the §4 cyclic strategy hands in the materialized ∪GR(D).
 func emitYannakakis(p *Program, rels []schema.AttrSet, cur []int, t *graph.Undirected, root int, x schema.AttrSet) error {
-	order, parent, err := emitReducer(p, cur, t, root)
+	order, parent, err := rootTree(t, len(cur), root)
 	if err != nil {
 		return err
 	}
-	// Subtree attribute sets.
-	subAttrs := make([]schema.AttrSet, len(rels))
-	for _, v := range order { // post-order: children first
-		s := rels[v].Clone()
-		for _, w := range t.Neighbors(v) {
-			if parent[w] == v {
-				s = s.Union(subAttrs[w])
-			}
-		}
-		subAttrs[v] = s
-	}
-	// Bottom-up join with early projection; agg[v] = id of the joined
-	// subtree result at v.
-	agg := make([]int, len(rels))
+	head, below := headBelow(rels, order, parent, x)
+	live := make([]bool, len(rels))
 	for _, v := range order {
-		id := cur[v]
+		live[v] = v == root || below(v)
+	}
+	emitReducer(p, cur, order, parent, live)
+	// Bottom-up join with early projection over the live subtree: agg[v]
+	// is the id of the joined subtree result at v, over schema has[v].
+	agg := make([]int, len(rels))
+	has := make([]schema.AttrSet, len(rels))
+	for _, v := range order {
+		if !live[v] {
+			continue
+		}
+		id, sch := cur[v], rels[v]
 		for _, w := range t.Neighbors(v) {
-			if parent[w] == v {
+			if parent[w] == v && live[w] {
 				id = p.emit(Stmt{Kind: Join, Left: id, Right: agg[w]})
+				sch = sch.Union(has[w])
 			}
 		}
 		// Keep only what is needed above v.
-		var keep schema.AttrSet
-		if v == root {
-			keep = x.Clone()
-		} else {
-			link := rels[v].Intersect(rels[parent[v]])
-			keep = x.Intersect(subAttrs[v]).Union(link)
+		keep := x
+		if v != root {
+			keep = head[v].Union(rels[v].Intersect(rels[parent[v]]))
 		}
-		curSchema := p.SchemaOf(id)
-		keep = keep.Intersect(curSchema)
-		if !keep.Equal(curSchema) || v == root {
+		keep = keep.Intersect(sch)
+		// The program's answer is its last statement: a root that needed
+		// no statement of its own (one relation, x all of it) is copied
+		// through an identity projection.
+		if !keep.Equal(sch) || (v == root && id != p.ResultID()) {
 			id = p.emit(Stmt{Kind: Project, Left: id, Proj: keep})
+			sch = keep
 		}
-		agg[v] = id
+		agg[v], has[v] = id, sch
 	}
 	return p.Validate()
 }

@@ -158,6 +158,40 @@ func TestSchemaOfAndSchemaMap(t *testing.T) {
 	}
 }
 
+// TestReusedOperandSchemas: a program may name one id as both operands
+// (Rk+1 := Rk ⋈ Rk), so a schema computed by recursing into the operands
+// costs 2^k — 48 self-joins would not finish. Validate, SchemaOf,
+// SchemaMap, Eval and SpanTree all read one forward pass.
+func TestReusedOperandSchemas(t *testing.T) {
+	u := schema.NewUniverse()
+	d := parse(t, u, "ab")
+	p := NewProgram(d)
+	for i := 0; i < 48; i++ {
+		p.emit(Stmt{Kind: Join, Left: i, Right: i})
+	}
+	p.emit(Stmt{Kind: Project, Left: 48, Proj: u.Set("a")})
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.SchemaOf(48); !got.Equal(u.Set("a", "b")) {
+		t.Errorf("schema after 48 self-joins = %s", u.FormatSet(got))
+	}
+	if pd := p.SchemaMap(); pd.Len() != 50 || !pd.Rels[49].Equal(u.Set("a")) {
+		t.Errorf("P(D) = %s", pd)
+	}
+	db := urdb(d, 5, 3, 4)
+	got, st, err := p.Eval(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(db.Rels[0].Project(u.Set("a"))) || !got.Equal(refEval(p, db)) {
+		t.Errorf("answer %s", got)
+	}
+	if _, err := p.SpanTree(st); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestValidateRejectsBadPrograms(t *testing.T) {
 	u := schema.NewUniverse()
 	d := parse(t, u, "ab, bc")

@@ -76,6 +76,10 @@ func (p *Program) SpanTree(st *Stats) (*Span, error) {
 	if len(p.Stmts) == 0 {
 		return nil, fmt.Errorf("program: empty program has no spans")
 	}
+	sch, err := p.schemas()
+	if err != nil {
+		return nil, err
+	}
 	n := len(p.D.Rels)
 	spans := make([]*Span, len(p.Stmts))
 	for i, s := range p.Stmts {
@@ -83,7 +87,7 @@ func (p *Program) SpanTree(st *Stats) (*Span, error) {
 		sp := &Span{
 			ID:        n + i,
 			Op:        s.Kind.String(),
-			Rel:       p.D.U.FormatSet(p.SchemaOf(n + i)),
+			Rel:       p.D.U.FormatSet(sch[n+i]),
 			Left:      s.Left,
 			Right:     s.Right,
 			InLeft:    d.InLeft,
