@@ -237,14 +237,19 @@ func (r *Relation) AppendStored(block []Value, dead []int32) error {
 // adoptPrefix makes the empty relation out hold rows [0, upto) of r
 // (same attribute set): every full chunk of r lying wholly below upto
 // is shared — struct copy, durable id included, exactly as Clone shares
-// it — and only the rows of the chunk upto falls in are copied. A
-// shared chunk is full, so later appends to out start a fresh chunk and
-// never write into r's arena.
+// it — and only the rows of the chunk upto falls in are copied, values
+// and hashes as two blocks, into a fresh tail chunk (never full, so it
+// gets no id). A shared chunk is full, so later appends to out start a
+// fresh chunk and never write into r's arena.
 func (out *Relation) adoptPrefix(r *Relation, upto int) {
 	keep := upto >> chunkShift
-	out.chunks = append(out.chunks, r.chunks[:keep]...)
+	out.chunks = append(make([]chunk, 0, len(r.chunks)), r.chunks[:keep]...)
 	out.n = keep << chunkShift
-	for i := out.n; i < upto; i++ {
-		out.appendRow(r.row(i), r.hash(i))
+	if rows := upto - out.n; rows > 0 {
+		src, tail := &r.chunks[keep], out.newChunk()
+		tail.data = append(tail.data, src.data[:rows*r.width]...)
+		tail.hashes = append(tail.hashes, src.hashes[:rows]...)
+		out.chunks = append(out.chunks, tail)
+		out.n = upto
 	}
 }

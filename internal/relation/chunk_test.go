@@ -277,6 +277,76 @@ func TestSemijoinSharesCleanPrefix(t *testing.T) {
 	}
 }
 
+// TestSemijoinFirstDropPositions walks the first dropped row of a
+// semijoin across the chunk edges — where adoptPrefix copies no tail, a
+// one-row tail, a tail one short of a chunk — with the drop a key miss, a
+// dead row, or a key miss behind an earlier dead row, against the
+// nested-loop reference (checkKernels); the chunks wholly before the
+// first drop must be the input's own, ids included, and nothing after
+// them may be.
+func TestSemijoinFirstDropPositions(t *testing.T) {
+	u := schema.NewUniverse()
+	ab, b := u.Set("a", "b"), u.Set("b")
+	n := 2*ChunkRows + 100
+	ex := NewExec()
+	for _, pos := range []int{0, 1, ChunkRows - 1, ChunkRows, ChunkRows + 1, n - 1} {
+		for _, tc := range []struct {
+			name string
+			miss int // position of a row whose key s lacks; -1 = none
+			dead int // position of a deleted row; -1 = none
+		}{
+			{"key miss", pos, -1},
+			{"dead row", -1, pos},
+			{"key miss behind a dead row", pos, pos / 2},
+		} {
+			if tc.miss == tc.dead {
+				continue // position 0 has nothing before it
+			}
+			t.Run(fmt.Sprintf("%s at %d", tc.name, pos), func(t *testing.T) {
+				// s lacks the key of r's row at miss and of every 97th row
+				// after it, so the repack past the first drop both keeps
+				// and drops rows across the later chunk edges.
+				r, s := New(u, ab), New(u, b)
+				for i := 0; i < n; i++ {
+					k := Value(i % 7)
+					if tc.miss >= 0 && (i == tc.miss || (i > tc.miss && i%97 == 0)) {
+						k = -5
+					}
+					r.Insert(Tuple{Value(i), k})
+				}
+				for k := 0; k < 7; k++ {
+					s.Insert(Tuple{Value(k)})
+				}
+				first := n
+				if tc.miss >= 0 {
+					first = tc.miss
+				}
+				if tc.dead >= 0 {
+					r, _ = r.Without([]Tuple{slices.Clone(r.row(tc.dead))})
+					if r.dead != 1 || !r.isDead(tc.dead) {
+						t.Fatalf("row %d is not dead in place (%d dead rows)", tc.dead, r.dead)
+					}
+					first = min(first, tc.dead)
+				}
+				r.Freeze()
+				checkKernels(t, "r, s", ex, r, s, b)
+				out := ex.Semijoin(r, s)
+				for k := range out.chunks {
+					oc, rc := out.chunks[k], r.chunks[k]
+					aliased := &oc.data[0] == &rc.data[0] && &oc.hashes[0] == &rc.hashes[0]
+					if shared := k < first>>chunkShift; shared != aliased || shared != (oc.id != 0 && oc.id == rc.id) {
+						t.Errorf("chunk %d (first drop at %d): aliased %v, id %d vs the input's %d",
+							k, first, aliased, oc.id, rc.id)
+					}
+					if full := len(oc.hashes) == ChunkRows; full != (oc.id != 0) {
+						t.Errorf("chunk %d: %d rows with id %d", k, len(oc.hashes), oc.id)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestFirstMembershipUseIsRaceFree shares one frozen, still index-free
 // operator output among many goroutines, each of which makes what may be
 // the first membership call on it — Has, Equal on either side, Clone,

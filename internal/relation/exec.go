@@ -2,27 +2,29 @@ package relation
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gyokit/internal/schema"
 )
 
 // Exec is a reusable execution context for the relational operators.
-// It owns the scratch state the operators need — open-addressing hash
-// tables, chain links, per-row key hashes, gather buffers, and column
-// position maps — so a program that evaluates many statements (a §6
-// semijoin program, a Yannakakis plan, a full reducer) reuses one set
-// of allocations instead of rebuilding them per statement. Its tables
-// are the only hash tables a statement touches: Join and Semijoin build
-// their key sets in them, Project deduplicates in them, and every
+// It owns the scratch state the operators need — one open-addressing
+// slot table, chain links and a key word per build row, an output-row
+// buffer, and column position maps — so a program that evaluates many
+// statements (a §6 semijoin program, a Yannakakis plan, a full reducer)
+// reuses one set of allocations instead of rebuilding them per
+// statement. Its table is the only hash table a statement touches: Join
+// and Semijoin build their key sets in it, keyed by the shared columns
+// themselves (keyWord: 12 B of scratch per build row beside the slots,
+// nothing per slot), Project deduplicates in it by row hash, and every
 // operator emits an index-free output by plain appends (the output's own
 // set index is built only if something later asks it for membership —
 // see the package comment). The zero value is ready to use; an Exec must
 // not be used concurrently.
 type Exec struct {
-	slots []int32 // open addressing: row index + 1; 0 = empty
-	next  []int32 // same-key chain: next row index + 1; 0 = end
-	keyh  []uint64
-	kbuf  []Value
+	slots []int32  // open addressing: row index + 1; 0 = empty
+	next  []int32  // same-key chain: next row index + 1; 0 = end
+	words []uint64 // key word of each build row, by position
 	obuf  []Value
 	posA  []int
 	posB  []int
@@ -116,22 +118,144 @@ func (e *Exec) Project(r *Relation, x schema.AttrSet) *Relation {
 	return out
 }
 
-// keyEqual reports whether the key columns pos of row i of r equal key.
-func keyEqual(r *Relation, i int, pos []int, key []Value) bool {
-	row := r.row(i)
-	for k, p := range pos {
-		if row[p] != key[k] {
+// keyWord returns the 64-bit key word of row's columns pos. A key of at
+// most two columns is the columns themselves — exact: equal words are
+// equal keys, and nothing is fetched to verify a match. A wider key is an
+// FNV-1a fold of its columns — inexact: a word match is verified
+// column-by-column (keyEqual). Both pack through uint32, so (-1, 0) and
+// (0, -1) are distinct words.
+func keyWord(row []Value, pos []int) uint64 {
+	switch len(pos) {
+	case 0:
+		return 0
+	case 1:
+		return uint64(uint32(row[pos[0]]))
+	case 2:
+		return uint64(uint32(row[pos[0]]))<<32 | uint64(uint32(row[pos[1]]))
+	}
+	w := uint64(fnvOffset64)
+	for _, p := range pos {
+		w ^= uint64(uint32(row[p]))
+		w *= fnvPrime64
+	}
+	return w
+}
+
+// Two values fill a key word exactly only while a Value is 32 bits.
+var (
+	_ [4 - ValueBytes]struct{}
+	_ [ValueBytes - 4]struct{}
+)
+
+// keySlot maps a key word to its home slot in a table of 1<<(64-shift)
+// slots: a multiplicative mix whose top bits depend on every bit of the
+// word, packed columns included.
+func keySlot(w uint64, shift uint) uint64 {
+	return (w ^ w>>29) * 0x9E3779B97F4A7C15 >> shift
+}
+
+// keyEqual reports whether the key columns bPos of build row i equal
+// the key columns pos of row. Only an inexact key (more than two
+// columns) ever needs it.
+func keyEqual(build *Relation, i int, bPos []int, row []Value, pos []int) bool {
+	brow := build.row(i)
+	for k, p := range bPos {
+		if brow[p] != row[pos[k]] {
 			return false
 		}
 	}
 	return true
 }
 
+// keyTable is the build side of a Join or Semijoin: an open-addressing
+// table over the Exec's scratch, keyed by the key word of the build
+// relation's columns pos. A slot names one build row (position + 1) per
+// distinct key; words holds the key word of every build row, by
+// position, so a probe reads slots[j], then words[head-1], and — the
+// key being exact — is done.
+type keyTable struct {
+	slots []int32
+	words []uint64
+	shift uint
+	mask  uint64
+	exact bool
+	build *Relation
+	pos   []int
+}
+
+// buildKeys enters every live row of build into a fresh keyTable on its
+// columns pos. The first row of a key claims a slot. With chain, later
+// rows of the key are linked in front of it through e.next (newest
+// first) and the slot names the newest — Join's buckets; without, they
+// are dropped — Semijoin's key set.
+func (e *Exec) buildKeys(build *Relation, pos []int, chain bool) keyTable {
+	nSlots := tableSize(build.Card())
+	slots := e.slotScratch(nSlots)
+	words := uint64Scratch(e.words, build.n)
+	e.words = words
+	var next []int32
+	if chain {
+		next = int32Scratch(e.next, build.n)
+		e.next = next
+	}
+	shift := uint(64 - bits.TrailingZeros(uint(nSlots)))
+	mask := uint64(nSlots - 1)
+	exact := len(pos) <= 2
+	w := build.width
+	for c := range build.chunks {
+		ch := &build.chunks[c]
+		data, dead := ch.data, ch.dead
+		for k := range ch.hashes {
+			if dead != nil && dead.has(k) {
+				continue
+			}
+			row := data[k*w : k*w+w]
+			i := c<<chunkShift + k
+			word := keyWord(row, pos)
+			words[i] = word
+			j := keySlot(word, shift)
+			for {
+				head := slots[j]
+				if head == 0 {
+					slots[j] = int32(i + 1)
+					if chain {
+						next[i] = 0
+					}
+					break
+				}
+				if words[head-1] == word && (exact || keyEqual(build, int(head-1), pos, row, pos)) {
+					if chain {
+						next[i] = head
+						slots[j] = int32(i + 1)
+					}
+					break
+				}
+				j = (j + 1) & mask
+			}
+		}
+	}
+	return keyTable{slots: slots, words: words, shift: shift, mask: mask, exact: exact, build: build, pos: pos}
+}
+
+// lookup returns the slot value (build row position + 1) of the key in
+// row's columns pos, or 0 when no build row carries it.
+func (t *keyTable) lookup(row []Value, pos []int) int32 {
+	word := keyWord(row, pos)
+	for j := keySlot(word, t.shift); ; j = (j + 1) & t.mask {
+		head := t.slots[j]
+		if head == 0 || t.words[head-1] == word && (t.exact || keyEqual(t.build, int(head-1), t.pos, row, pos)) {
+			return head
+		}
+	}
+}
+
 // Join returns the natural join r ⋈ s: a hash join on the shared
 // attributes (a cross product when none are shared). The smaller side
-// is built into a bucket-chained open-addressing table keyed by the
-// 64-bit hash of its shared columns; probe-side matches are verified
-// column-by-column, so hash collisions never produce wrong results.
+// is built into a bucket-chained open-addressing table keyed by the key
+// word of its shared columns (keyWord): the columns themselves when
+// there are at most two, so a word match is the match; a fold of them
+// otherwise, verified column-by-column, so collisions never produce
+// wrong results. Both sides are walked chunk by chunk.
 // Two distinct (r-row, s-row) pairs differ on some column of the result,
 // so output rows are appended without a duplicate check.
 func (e *Exec) Join(r, s *Relation) *Relation {
@@ -148,42 +272,8 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 		bPos[i] = build.colPos(c)
 		pPos[i] = probe.colPos(c)
 	}
-
-	// Build: distinct keys claim slots; rows sharing a key are chained
-	// through next (newest first). next and keyh are indexed by row
-	// position, the table holds live rows only.
-	nSlots := tableSize(build.Card())
-	mask := uint64(nSlots - 1)
-	slots := e.slotScratch(nSlots)
-	next := int32Scratch(e.next, build.n)
-	e.next = next
-	keyh := uint64Scratch(e.keyh, build.n)
-	e.keyh = keyh
-	kbuf := valScratch(e.kbuf, len(sharedCols))
-	e.kbuf = kbuf
-	for i := build.nextLive(0); i < build.n; i = build.nextLive(i + 1) {
-		row := build.row(i)
-		for k, p := range bPos {
-			kbuf[k] = row[p]
-		}
-		h := hashValues(kbuf)
-		keyh[i] = h
-		j := h & mask
-		for {
-			head := slots[j]
-			if head == 0 {
-				slots[j] = int32(i + 1)
-				next[i] = 0
-				break
-			}
-			if hi := int(head - 1); keyh[hi] == h && keyEqual(build, hi, bPos, kbuf) {
-				next[i] = head
-				slots[j] = int32(i + 1)
-				break
-			}
-			j = (j + 1) & mask
-		}
-	}
+	t := e.buildKeys(build, bPos, true)
+	next := e.next // bucket chains, newest build row first
 
 	out := New(r.U, r.attrs.Union(s.attrs))
 	// A guess, not a bound: the joins a reduced Yannakakis plan runs are
@@ -202,35 +292,25 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 	}
 	obuf := valScratch(e.obuf, out.width)
 	e.obuf = obuf
-	for pi := probe.nextLive(0); pi < probe.n; pi = probe.nextLive(pi + 1) {
-		prow := probe.row(pi)
-		for k, p := range pPos {
-			kbuf[k] = prow[p]
-		}
-		h := hashValues(kbuf)
-		j := h & mask
-		for {
-			head := slots[j]
-			if head == 0 {
-				break // key absent from build side
-			}
-			hi := int(head - 1)
-			if keyh[hi] != h || !keyEqual(build, hi, bPos, kbuf) {
-				j = (j + 1) & mask
+	w := probe.width
+	for c := range probe.chunks {
+		ch := &probe.chunks[c]
+		for k := range ch.hashes {
+			if ch.dead != nil && ch.dead.has(k) {
 				continue
 			}
-			for bi := head; bi != 0; bi = next[bi-1] {
+			prow := ch.data[k*w : k*w+w]
+			for bi := t.lookup(prow, pPos); bi != 0; bi = next[bi-1] {
 				brow := build.row(int(bi - 1))
-				for k, sc := range srcs {
+				for o, sc := range srcs {
 					if sc >= 0 {
-						obuf[k] = prow[sc]
+						obuf[o] = prow[sc]
 					} else {
-						obuf[k] = brow[^sc]
+						obuf[o] = brow[^sc]
 					}
 				}
 				out.appendRow(obuf, hashValues(obuf))
 			}
-			break
 		}
 	}
 	return out
@@ -238,16 +318,18 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 
 // Semijoin returns r ⋉ s = π_{attrs(r)}(r ⋈ s): the tuples of r that
 // join with at least one tuple of s. The distinct shared-column keys of
-// s form an open-addressing set (each slot keeps a representative
-// s-row for collision verification). While every row of r so far has
-// survived, nothing is copied: at the first dropped row (or the end) the
-// output adopts that clean prefix, sharing its full chunks with r —
-// ids included, the way compact shares the chunks before a delete — and
-// only the rows from the first drop's chunk onward are repacked, with
-// their stored hashes. A dead row of r is a dropped row, so the output
-// is dense whatever r carries. A semijoin that filters nothing, the steady
-// state of a full reducer over consistent data, costs a chunk-table
-// copy plus the tail.
+// s form an open-addressing set — Join's build table without the chains,
+// keyed by the same key word, so for a key of up to two columns a probe
+// never touches a row of s — which every row of r probes, chunk by
+// chunk. While every row of r so far has survived, nothing is copied: at
+// the first dropped row (or the end) the output adopts that clean
+// prefix, sharing its full chunks with r — ids included, the way compact
+// shares the chunks before a delete — and only the rows from the first
+// drop's chunk onward are repacked, with their stored hashes. A dead row
+// of r is a dropped row, so the output is dense whatever r carries. A
+// semijoin that filters nothing, the steady state of a full reducer over
+// consistent data, costs the build, the probes, a chunk-table copy and
+// two block copies of the tail.
 func (e *Exec) Semijoin(r, s *Relation) *Relation {
 	shared := r.attrs.Intersect(s.attrs)
 	sharedCols := shared.Attrs()
@@ -258,64 +340,24 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		sPos[i] = s.colPos(c)
 		rPos[i] = r.colPos(c)
 	}
-	nSlots := tableSize(s.Card())
-	mask := uint64(nSlots - 1)
-	slots := e.slotScratch(nSlots)
-	keyh := uint64Scratch(e.keyh, s.n)
-	e.keyh = keyh
-	kbuf := valScratch(e.kbuf, len(sharedCols))
-	e.kbuf = kbuf
-	for i := s.nextLive(0); i < s.n; i = s.nextLive(i + 1) {
-		row := s.row(i)
-		for k, p := range sPos {
-			kbuf[k] = row[p]
-		}
-		h := hashValues(kbuf)
-		keyh[i] = h
-		j := h & mask
-		for {
-			head := slots[j]
-			if head == 0 {
-				slots[j] = int32(i + 1)
-				break
-			}
-			if hi := int(head - 1); keyh[hi] == h && keyEqual(s, hi, sPos, kbuf) {
-				break // key already present
-			}
-			j = (j + 1) & mask
-		}
-	}
+	t := e.buildKeys(s, sPos, false)
 	out := New(r.U, r.attrs)
 	out.reserved = r.Card() // upper bound
 	// clean: no row dropped yet, so out is still empty.
 	clean := true
-	for i := 0; i < r.n; i++ {
-		row := r.row(i)
-		hit := false
-		if r.dead == 0 || !r.isDead(i) {
-			for k, p := range rPos {
-				kbuf[k] = row[p]
+	w := r.width
+	for c := range r.chunks {
+		ch := &r.chunks[c]
+		for k, h := range ch.hashes {
+			row := ch.data[k*w : k*w+w]
+			hit := (ch.dead == nil || !ch.dead.has(k)) && t.lookup(row, rPos) != 0
+			switch {
+			case hit && !clean:
+				out.appendRow(row, h)
+			case !hit && clean:
+				clean = false
+				out.adoptPrefix(r, c<<chunkShift+k)
 			}
-			h := hashValues(kbuf)
-			j := h & mask
-			for {
-				head := slots[j]
-				if head == 0 {
-					break
-				}
-				if hi := int(head - 1); keyh[hi] == h && keyEqual(s, hi, sPos, kbuf) {
-					hit = true
-					break
-				}
-				j = (j + 1) & mask
-			}
-		}
-		switch {
-		case hit && !clean:
-			out.appendRow(row, r.hash(i))
-		case !hit && clean:
-			clean = false
-			out.adoptPrefix(r, i)
 		}
 	}
 	if clean {

@@ -8,7 +8,9 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -247,6 +249,114 @@ func sameSet(t *testing.T, label string, mk func() *Relation, ref *naiveRel) {
 	}
 }
 
+// naiveOf copies r's live tuples into the reference engine.
+func naiveOf(r *Relation) *naiveRel {
+	ref := newNaive(r.Attrs())
+	for _, tp := range r.Tuples() {
+		ref.insert(tp)
+	}
+	return ref
+}
+
+// joinInOrder is Join's output as a sequence, by nested loops: the
+// probe side's rows in position order (the probe side is r unless r is
+// strictly the bigger operand), and for each of them its partners on
+// the other side newest first.
+func joinInOrder(r, s *Relation) []Tuple {
+	build, probe := r, s
+	if s.Card() < r.Card() {
+		build, probe = s, r
+	}
+	var shared [][2]int // probe column, build column
+	for pi, c := range probe.cols {
+		if build.attrs.Has(c) {
+			shared = append(shared, [2]int{pi, build.colPos(c)})
+		}
+	}
+	cols := r.attrs.Union(s.attrs).Attrs()
+	brows := build.Tuples()
+	var out []Tuple
+	for _, pt := range probe.Tuples() {
+		for k := len(brows) - 1; k >= 0; k-- {
+			bt := brows[k]
+			if slices.ContainsFunc(shared, func(p [2]int) bool { return pt[p[0]] != bt[p[1]] }) {
+				continue
+			}
+			row := make(Tuple, len(cols))
+			for i, c := range cols {
+				if probe.attrs.Has(c) {
+					row[i] = pt[probe.colPos(c)]
+				} else {
+					row[i] = bt[build.colPos(c)]
+				}
+			}
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// checkKernels runs Join, Semijoin and Project over r and s — which may
+// carry dead rows — through ex and holds each to the nested-loop
+// reference as a set, Join and Semijoin to their row order as well
+// (probe order with partners newest first; r's own order), every output
+// to be dense, and both operands to be bit for bit what they were.
+func checkKernels(t *testing.T, label string, ex *Exec, r, s *Relation, px schema.AttrSet) {
+	t.Helper()
+	rBefore, sBefore := captureLayout(r), captureLayout(s)
+	nr, ns := naiveOf(r), naiveOf(s)
+	sameSeq := func(op string, got *Relation, want []Tuple) {
+		t.Helper()
+		if got.dead != 0 {
+			t.Fatalf("%s: %s output carries %d dead rows", label, op, got.dead)
+		}
+		if !slices.EqualFunc(got.Tuples(), want, func(a, b Tuple) bool { return slices.Equal(a, b) }) {
+			t.Fatalf("%s: %s rows, in order\ngot  %v\nwant %v", label, op, got.Tuples(), want)
+		}
+	}
+
+	join := ex.Join(r, s)
+	sameRows(t, label+" join", join, nr.join(ns))
+	sameSeq("join", join, joinInOrder(r, s))
+
+	semi := ex.Semijoin(r, s)
+	kept := nr.semijoin(ns)
+	sameRows(t, label+" semijoin", semi, kept)
+	var inOrder []Tuple
+	for _, tp := range r.Tuples() {
+		if _, ok := kept.rows[naiveKey(tp)]; ok {
+			inOrder = append(inOrder, tp)
+		}
+	}
+	sameSeq("semijoin", semi, inOrder)
+
+	proj := ex.Project(r, px)
+	sameRows(t, label+" project", proj, nr.project(px))
+	if proj.dead != 0 {
+		t.Fatalf("%s: project output carries %d dead rows", label, proj.dead)
+	}
+
+	rBefore.check(t, r, label+": left operand")
+	sBefore.check(t, s, label+": right operand")
+}
+
+// edgeValues are the values the key-word packing could get wrong — it
+// casts through uint32 — beside a small domain that makes keys collide.
+var edgeValues = []Value{math.MinInt32, -1, 0, 1, math.MaxInt32, 2, 3, 4}
+
+// withDead returns r with about one row in six deleted: the rows stay
+// where they are, dead, unless the delete tipped r into a compaction.
+func withDead(rng *rand.Rand, r *Relation) *Relation {
+	var drop []Tuple
+	for _, tp := range r.Tuples() {
+		if rng.Intn(6) == 0 {
+			drop = append(drop, tp)
+		}
+	}
+	out, _ := r.Without(drop)
+	return out
+}
+
 // randomPair builds the same random tuple set in both engines.
 func randomPair(rng *rand.Rand, u *schema.Universe, attrs schema.AttrSet, n, domain int) (*Relation, *naiveRel) {
 	eng := New(u, attrs)
@@ -328,4 +438,176 @@ func TestDifferentialLarge(t *testing.T) {
 	sameSet(t, "large semijoin", func() *Relation { return ex.Semijoin(r, s) }, nr.semijoin(ns))
 	sameSet(t, "large project", func() *Relation { return ex.Project(r, u.Set("a")) }, nr.project(u.Set("a")))
 	sameSet(t, "large join", func() *Relation { return ex.Join(r, s) }, nr.join(ns))
+}
+
+// TestDifferentialOperatorEdges covers what TestDifferentialOperators'
+// draws cannot reach: keys of exactly 0 to 4 shared columns (none: a
+// cross product, and r ⋉ s = r iff s is non-empty; up to two: the key
+// word is the key; more: it is a fold, verified), operands of width 0
+// on either side or both, values at the ends of int32, and dead rows on
+// both operands.
+func TestDifferentialOperatorEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261003))
+	u := schema.NewUniverse()
+	// Interned in this order, so the key columns of r are neither a
+	// prefix nor contiguous: r is (a, k1, m, k2, k3, k4), s (k1, …, z).
+	for _, name := range []string{"a", "k1", "m", "k2", "k3", "z", "k4"} {
+		u.Attr(name)
+	}
+	keys := []string{"k1", "k2", "k3", "k4"}
+	ex := NewExec() // shared, so a stale word or chain link would show
+	sawDead, sawDrop := false, false
+	for nk := 0; nk <= len(keys); nk++ {
+		for _, extra := range []struct{ r, s []string }{
+			{[]string{"a", "m"}, []string{"z"}},
+			{nil, []string{"z"}},
+			{[]string{"a"}, nil},
+			{nil, nil},
+		} {
+			ra := u.Set(append(slices.Clone(keys[:nk]), extra.r...)...)
+			sa := u.Set(append(slices.Clone(keys[:nk]), extra.s...)...)
+			shared := u.Set(keys[:nk]...)
+			for trial := 0; trial < 8; trial++ {
+				r := New(u, ra)
+				for i, n := 0, rng.Intn(40); i < n; i++ {
+					row := make(Tuple, r.width)
+					for j := range row {
+						row[j] = edgeValues[rng.Intn(len(edgeValues))]
+					}
+					r.Insert(row)
+				}
+				// Half of s's rows take their key from a row of r, or a
+				// four-column key would almost never find a partner.
+				s := New(u, sa)
+				rrows := r.Tuples()
+				for i, n := 0, rng.Intn(40); i < n; i++ {
+					row := make(Tuple, s.width)
+					for j := range row {
+						row[j] = edgeValues[rng.Intn(len(edgeValues))]
+					}
+					if len(rrows) > 0 && rng.Intn(2) == 0 {
+						from := rrows[rng.Intn(len(rrows))]
+						for _, c := range shared.Attrs() {
+							row[s.colPos(c)] = from[r.colPos(c)]
+						}
+					}
+					s.Insert(row)
+				}
+				if trial%2 == 1 {
+					r, s = withDead(rng, r), withDead(rng, s)
+				}
+				sawDead = sawDead || (r.dead > 0 && s.dead > 0)
+				label := fmt.Sprintf("keys=%d r=%s s=%s trial=%d", nk, u.FormatSet(ra), u.FormatSet(sa), trial)
+				checkKernels(t, label, ex, r, s, gen.RandomAttrSubset(rng, ra, 0.5))
+				checkKernels(t, label+" flipped", ex, s, r, gen.RandomAttrSubset(rng, sa, 0.5))
+				if n := ex.Semijoin(r, s).Card(); 0 < n && n < r.Card() {
+					sawDrop = true
+				}
+			}
+		}
+	}
+	if !sawDead || !sawDrop {
+		t.Fatalf("coverage: dead rows on both operands %v, a semijoin that drops some rows %v", sawDead, sawDrop)
+	}
+}
+
+// TestKeyWordKeepsColumnsApart pins the two-column packing at the values
+// a cast could fold together: (-1, 0) and (0, -1), and the ends of int32.
+func TestKeyWordKeepsColumnsApart(t *testing.T) {
+	u := schema.NewUniverse()
+	abx, aby := u.Set("a", "b", "x"), u.Set("a", "b", "y")
+	pairs := [][2]Value{
+		{-1, 0}, {0, -1}, {0, 0}, {-1, -1},
+		{math.MinInt32, math.MaxInt32}, {math.MaxInt32, math.MinInt32},
+		{math.MinInt32, 0}, {0, math.MinInt32}, {math.MaxInt32, -1}, {-1, math.MaxInt32},
+	}
+	ex := NewExec()
+	for i, p := range pairs {
+		r := New(u, abx)
+		for k, q := range pairs {
+			r.Insert(Tuple{q[0], q[1], Value(k)})
+		}
+		s := New(u, aby)
+		s.Insert(Tuple{p[0], p[1], 7})
+		if got := ex.Semijoin(r, s).Tuples(); len(got) != 1 || !slices.Equal(got[0], Tuple{p[0], p[1], Value(i)}) {
+			t.Errorf("r ⋉ {%v} = %v", p, got)
+		}
+		if got := ex.Join(r, s).Tuples(); len(got) != 1 || !slices.Equal(got[0], Tuple{p[0], p[1], Value(i), 7}) {
+			t.Errorf("r ⋈ {%v} = %v", p, got)
+		}
+		checkKernels(t, fmt.Sprint("pair ", p), ex, r, s, u.Set("a", "b"))
+	}
+}
+
+// FuzzOperators decodes two relations of width 0–4 over a five-attribute
+// pool — values from edgeValues, a dead-row mask each — and a projection
+// list from the input bytes, and holds the three operators, run through
+// one Exec, to checkKernels' oracles: the nested-loop results, Join's
+// and Semijoin's row order, dense outputs, untouched operands. Runs in
+// the CI fuzz-smoke lane; the seeds run under go test.
+func FuzzOperators(f *testing.F) {
+	for _, seed := range [][]byte{
+		{},                       // two empty zero-width relations
+		{0, 0, 0, 1, 0, 0, 1, 0}, // {()} ⋈ {()}
+		{0, 0b00011, 0, 1, 0, 0, 3, 0, 0, 1, 2, 3, 4, 5},                               // zero-width left operand
+		{0b00011, 0, 0, 3, 0, 0, 0, 1, 2, 3, 4, 5, 1, 0},                               // zero-width right operand
+		{0b00001, 0b00010, 1, 4, 0, 0, 1, 2, 3, 4, 3, 0, 0, 5, 6, 7},                   // no shared attribute
+		{0b00011, 0b00110, 3, 5, 0, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 5, 0, 0, 2, 1, 4}, // one key column
+		{0b00111, 0b01110, 2, 4, 0, 0, 4, 0, 1, 0, 4, 2, 1, 1, 1, 4, 0, 0, 4, 0, 9, 0, 4, 9, 1, 1, 9},
+		{0b01111, 0b11110, 7, 6, 1, 0, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 6, 2, 0, 1, 2, 3, 4},
+		{0b11110, 0b11110, 15, 8, 0xff, 0xff, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 8, 0xff, 0xff, 1, 1, 1, 1, 2, 2, 2, 3},
+		{0b11111, 0b11111, 31, 40, 0x55, 0xaa, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0},
+		{0b00011, 0b00011, 1, 30, 0, 0, 0, 1, 1, 0, 4, 0, 0, 4, 30, 2, 0, 1, 0},
+		{0b00110, 0b00011, 2, 39, 3, 0, 7, 7, 7, 7, 39, 0, 3},
+		[]byte("gyo reductions, canonical connections, tree and cyclic schemas"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		next := func() byte {
+			if len(raw) == 0 {
+				return 0
+			}
+			b := raw[0]
+			raw = raw[1:]
+			return b
+		}
+		u := schema.NewUniverse()
+		pool := []string{"a", "b", "c", "d", "e"}
+		attrsOf := func(mask byte) schema.AttrSet {
+			var names []string
+			for i, name := range pool {
+				if mask>>i&1 == 1 && len(names) < 4 {
+					names = append(names, name)
+				}
+			}
+			return u.Set(names...)
+		}
+		ra, sa := attrsOf(next()), attrsOf(next())
+		px := attrsOf(next()).Intersect(ra)
+		decode := func(attrs schema.AttrSet) *Relation {
+			r := New(u, attrs)
+			n := int(next()) % 41
+			dead := uint16(next()) | uint16(next())<<8
+			for i := 0; i < n; i++ {
+				row := make(Tuple, r.width)
+				for j := range row {
+					row[j] = edgeValues[int(next())%len(edgeValues)]
+				}
+				r.Insert(row)
+			}
+			var drop []Tuple
+			for i, tp := range r.Tuples() {
+				if dead>>(i%16)&1 == 1 {
+					drop = append(drop, tp)
+				}
+			}
+			out, _ := r.Without(drop)
+			return out
+		}
+		r, s := decode(ra), decode(sa)
+		ex := NewExec()
+		checkKernels(t, "r,s", ex, r, s, px)
+		checkKernels(t, "s,r", ex, s, r, px.Intersect(sa))
+	})
 }

@@ -60,32 +60,55 @@ func benchJoinPair(u *schema.Universe, n int) (*Relation, *Relation) {
 	return r, s
 }
 
-func BenchmarkJoinColumnar(b *testing.B) {
+// benchKeyPair builds R(k1..kw, a) and S(k1..kw, c), n rows each, that
+// share w key columns: n/8 distinct keys spread over all w columns, so a
+// key matches ~8 rows a side whatever its width. Widths 1 and 2 pack the
+// key into the word; 3 takes the folded, verified branch.
+func benchKeyPair(n, w int) (*Relation, *Relation) {
 	u := schema.NewUniverse()
-	for _, n := range benchSizes() {
-		r, s := benchJoinPair(u, n)
+	keys := u.Set([]string{"k1", "k2", "k3"}[:w]...) // interned first: columns 0..w-1 on both sides
+	r, s := New(u, keys.Union(u.Set("a"))), New(u, keys.Union(u.Set("c")))
+	for side, rel := range []*Relation{r, s} {
+		for i, t := range benchTuples(n, int64(4+side)) {
+			row := make(Tuple, 0, w+1)
+			for j := 1; j <= w; j++ {
+				row = append(row, t[1]*Value(j))
+			}
+			rel.Insert(append(row, Value(i)))
+		}
+	}
+	return r, s
+}
+
+// benchOperator times op over the benchmark pair at every size, and at
+// n = 10000 over pairs sharing 1, 2 and 3 key columns.
+func benchOperator(b *testing.B, op func(ex *Exec, r, s *Relation)) {
+	u := schema.NewUniverse()
+	run := func(name string, r, s *Relation) {
 		ex := NewExec()
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ex.Join(r, s)
+				op(ex, r, s)
 			}
 		})
+	}
+	for _, n := range benchSizes() {
+		r, s := benchJoinPair(u, n)
+		run(fmt.Sprintf("n=%d", n), r, s)
+	}
+	for w := 1; w <= 3; w++ {
+		r, s := benchKeyPair(10000, w)
+		run(fmt.Sprintf("keys=%d", w), r, s)
 	}
 }
 
+func BenchmarkJoinColumnar(b *testing.B) {
+	benchOperator(b, func(ex *Exec, r, s *Relation) { ex.Join(r, s) })
+}
+
 func BenchmarkSemijoinColumnar(b *testing.B) {
-	u := schema.NewUniverse()
-	for _, n := range benchSizes() {
-		r, s := benchJoinPair(u, n)
-		ex := NewExec()
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ex.Semijoin(r, s)
-			}
-		})
-	}
+	benchOperator(b, func(ex *Exec, r, s *Relation) { ex.Semijoin(r, s) })
 }
 
 // BenchmarkProjectColumnar projects the ≈8n-row join of the benchmark

@@ -50,9 +50,16 @@
 // base once the overlay outgrows its bound. No string keys are
 // materialized anywhere on the insert, lookup, join, or semijoin paths.
 // The operators live on Exec (see exec.go), a reusable execution
-// context that amortizes hash tables and scratch buffers across a whole
-// program run; the methods on Relation are convenience wrappers over a
-// throwaway Exec.
+// context that amortizes one scratch table and its buffers across a
+// whole program run; the methods on Relation are convenience wrappers
+// over a throwaway Exec. The operator tables are not the set index and
+// do not key on row hashes: Join and Semijoin key their build side by
+// the shared columns themselves — a 64-bit key word per build row that
+// is the key when it has at most two columns, so a probe compares words
+// and fetches no row, and a fold of the columns, verified
+// column-by-column, when it has more — and walk both operands chunk by
+// chunk; only Project, whose output rows need their hashes anyway,
+// deduplicates by row hash.
 package relation
 
 import (
