@@ -491,3 +491,39 @@ func TestStatsProcessBlock(t *testing.T) {
 		t.Errorf("buildInfo = %+v, want embedded go version", st.BuildInfo)
 	}
 }
+
+// TestTraceShowsStreamedJoin: on the D20k database (seed 1) the q5 read
+// shape, π_AC(ab ⋈ bc), streams its 218 502-row join into the
+// projection. The traced reply still reports the join — its span carries
+// the rows that passed through and is marked streamed — and the stats
+// count it as the largest intermediate, as if it had been stored.
+func TestTraceShowsStreamedJoin(t *testing.T) {
+	u := schema.NewUniverse()
+	d := schema.MustParse(u, "ab, bc, cd, de, ac")
+	e := New(Options{})
+	e.Swap(urdb(d, 1, 20000, 2000))
+	ts := httptest.NewServer(NewServer(e, u, d).Handler())
+	t.Cleanup(ts.Close)
+
+	var ans QueryResponse
+	resp := post(t, ts.URL+"/v1/query", `{"query": "ans(A,C) :- ab(A,B), bc(B,C).", "limit": 10, "trace": true}`, &ans)
+	if resp.StatusCode != http.StatusOK || ans.Trace == nil {
+		t.Fatalf("status %d, trace %v", resp.StatusCode, ans.Trace)
+	}
+	const joined = 218502
+	var join *program.Span
+	ans.Trace.Each(func(sp *program.Span) {
+		if sp.Op == "join" {
+			join = sp
+		}
+	})
+	if join == nil || join.Out != joined || !join.Streamed || join.ElapsedNs != 0 {
+		t.Fatalf("join span %+v, want out %d, streamed, no time of its own", join, joined)
+	}
+	if ans.Trace.Op != "project" || ans.Trace.InLeft != joined || ans.Trace.Streamed {
+		t.Errorf("root span %+v, want the projection of the %d joined rows", ans.Trace, joined)
+	}
+	if ans.Stats.MaxIntermediate != joined {
+		t.Errorf("max intermediate %d, want the streamed join's %d", ans.Stats.MaxIntermediate, joined)
+	}
+}

@@ -66,10 +66,11 @@ func keyOn(r *relation.Relation, tp relation.Tuple, shared []schema.Attr) string
 // eval_read shape (planned the way core.PlanQuery plans it) and the full
 // reducer of the 5-chain over a database of more than two chunks per
 // relation on which semijoins filter. The answer of Run must equal
-// refEval's, and, walking the statements on one shared Exec, every
-// semijoin output must be exactly the rows of its left operand that
-// have a partner — found by nested maps, not by the engine — in the left
-// operand's own order.
+// refEval's, with q5's join streamed into its projection, q7's and s8's
+// into the join with ac, and no other join streamed. Walking the
+// statements unfused on one shared Exec, every semijoin output must be
+// exactly the rows of its left operand that have a partner — found by
+// nested maps, not by the engine — in the left operand's own order.
 func TestOperatorOutputsOnDanglingDatabase(t *testing.T) {
 	const rows, domain = 2*relation.ChunkRows + 900, 3000
 	u := schema.NewUniverse()
@@ -97,18 +98,19 @@ func TestOperatorOutputsOnDanglingDatabase(t *testing.T) {
 	}
 	ex := relation.NewExec()
 	for i, tc := range []struct {
-		name string
-		p    *Program
+		name    string
+		p       *Program
+		streams []StmtKind // the consumers of the joins Run streams, in order
 	}{
-		{"q1_fc_ab", plan(chain4, "ab")},
-		{"q2_fc_bc", plan(chain4, "bc")},
-		{"q3_fc_cd", plan(chain4, "cd")},
-		{"q4_fc_d", plan(chain4, "d")},
-		{"q5_acyclic_ac", plan(parse(t, u, "ab, bc"), "ac")},
-		{"q6_wide_abc", plan(parse(t, u, "ab, bc, cd"), "abc")},
-		{"q7_triangle", plan(parse(t, u, "ab, bc, ac"), "abc")},
-		{"s8_solve_ab", plan(parse(t, u, "ab, bc, cd, de, ac"), "ab")},
-		{"fullreducer chain5", reducer},
+		{"q1_fc_ab", plan(chain4, "ab"), nil},
+		{"q2_fc_bc", plan(chain4, "bc"), nil},
+		{"q3_fc_cd", plan(chain4, "cd"), nil},
+		{"q4_fc_d", plan(chain4, "d"), nil},
+		{"q5_acyclic_ac", plan(parse(t, u, "ab, bc"), "ac"), []StmtKind{Project}},
+		{"q6_wide_abc", plan(parse(t, u, "ab, bc, cd"), "abc"), nil},
+		{"q7_triangle", plan(parse(t, u, "ab, bc, ac"), "abc"), []StmtKind{Join}},
+		{"s8_solve_ab", plan(parse(t, u, "ab, bc, cd, de, ac"), "ab"), []StmtKind{Join}},
+		{"fullreducer chain5", reducer, nil},
 	} {
 		name, p := tc.name, tc.p
 		db := danglingDB(p.D, int64(i+1), rows, domain)
@@ -125,12 +127,21 @@ func TestOperatorOutputsOnDanglingDatabase(t *testing.T) {
 		}
 
 		want := refEval(p, db)
-		got, _, err := p.Run(db, ex, Limits{})
+		got, st, err := p.Run(db, ex, Limits{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if !got.Equal(want) || !want.Equal(got) {
 			t.Fatalf("%s: Run answers %d tuples, the reference %d", name, got.Card(), want.Card())
+		}
+		var consumers []StmtKind
+		for si, d := range st.Detail {
+			if d.Streamed {
+				consumers = append(consumers, st.Detail[si+1].Kind)
+			}
+		}
+		if w := tc.streams; !slices.Equal(consumers, w) {
+			t.Fatalf("%s: joins streamed into %v, want %v\n%s", name, consumers, w, st.Table())
 		}
 
 		vals := slices.Clone(db.Rels)

@@ -4,17 +4,21 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"gyokit/internal/relation"
 )
 
 // Limits bounds one program evaluation — the serving layer's
 // multi-tenant safety rails. The zero value means unlimited.
 //
 // Both rails are checked at statement boundaries inside the evaluation
-// loop: statements themselves are never interrupted, so the overshoot
-// past a deadline (or a gas budget) is bounded by one statement's
-// work. An aborted run returns a *LimitError and no relation; since
-// evaluation never mutates the database, an abort leaves no partial
-// state behind.
+// loop, and while a join streams into its consumer (see Program.Run):
+// the gas after each probe row's partners, the deadline every few
+// thousand join rows. Other statements are never interrupted, so the
+// overshoot past a deadline (or a gas budget) is bounded by one
+// statement's work — a streamed join's by one probe row's partners. An
+// aborted run returns a *LimitError and no relation; since evaluation
+// never mutates the database, an abort leaves no partial state behind.
 type Limits struct {
 	// MaxTuples is the evaluation's gas: the total tuples all statements
 	// may materialize (what Stats.TuplesProduced counts). Exceeding it
@@ -22,7 +26,8 @@ type Limits struct {
 	// unlimited.
 	MaxTuples int
 	// Deadline, when nonzero, aborts the run with ErrDeadlineExceeded at
-	// the first statement boundary past it.
+	// the first statement boundary past it — or, inside a streamed join,
+	// within a few thousand join rows of it.
 	Deadline time.Time
 }
 
@@ -41,6 +46,26 @@ func (l Limits) check(si, produced int) error {
 		return &LimitError{Reason: ErrGasExhausted, Stmt: si, Produced: produced, Limits: l}
 	}
 	return nil
+}
+
+// budget is what is left of l for a join streamed after produced tuples
+// were materialized: it stops the join once its rows pass the gas.
+func (l Limits) budget(produced int) relation.Budget {
+	b := relation.Budget{Deadline: l.Deadline}
+	if l.MaxTuples > 0 {
+		b.Rows = l.MaxTuples - produced + 1
+	}
+	return b
+}
+
+// stopped is the error of a join statement si that budget stopped with
+// produced tuples counted: check's, which a spent budget always trips —
+// the deadline, should the wall clock have stepped back since.
+func (l Limits) stopped(si, produced int) error {
+	if err := l.check(si, produced); err != nil {
+		return err
+	}
+	return &LimitError{Reason: ErrDeadlineExceeded, Stmt: si, Produced: produced, Limits: l}
 }
 
 // Sentinel reasons a limited evaluation aborts with; match with

@@ -97,7 +97,9 @@ func TestDeadlineExceeded(t *testing.T) {
 // TestLimitErrorLeavesExecReusable: a run aborted by either rail returns
 // no partial state, leaves the frozen snapshot untouched, and leaves the
 // execution context it ran in — pooled across requests by the engine —
-// good for the next run.
+// good for the next run. One budget runs out halfway through a join that
+// streams into its projection: the error names the join, stopped past
+// the gas and before its last row.
 func TestLimitErrorLeavesExecReusable(t *testing.T) {
 	p, db := limitsFixture(t)
 	db.Freeze()
@@ -111,17 +113,38 @@ func TestLimitErrorLeavesExecReusable(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The last streamed join, and the tuples produced before it: a budget
+	// that ends halfway through its rows stops it mid-stream.
+	fused, prior := -1, 0
+	for i, d := range st.Detail {
+		if d.Streamed {
+			fused, prior = i, sumOut(st.Detail[:i])
+		}
+	}
+	if fused < 0 || st.Detail[fused].Out < 2 {
+		t.Fatalf("fixture streams no join of two rows or more:\n%s", st.Table())
+	}
+	midStream := Limits{MaxTuples: prior + st.Detail[fused].Out/2}
+
 	for name, tc := range map[string]struct {
 		lim  Limits
 		want error
+		stmt int // the statement the LimitError names; -1: any
 	}{
-		"gas":       {Limits{MaxTuples: st.TuplesProduced - 1}, ErrGasExhausted},
-		"one tuple": {Limits{MaxTuples: 1}, ErrGasExhausted},
-		"deadline":  {Limits{Deadline: time.Now().Add(-time.Millisecond)}, ErrDeadlineExceeded},
+		"gas":        {Limits{MaxTuples: st.TuplesProduced - 1}, ErrGasExhausted, -1},
+		"one tuple":  {Limits{MaxTuples: 1}, ErrGasExhausted, -1},
+		"deadline":   {Limits{Deadline: time.Now().Add(-time.Millisecond)}, ErrDeadlineExceeded, -1},
+		"mid-stream": {midStream, ErrGasExhausted, fused},
 	} {
 		out, st2, err := p.Run(db, ex, tc.lim)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
+		var le *LimitError
+		if errors.As(err, &le) && tc.stmt >= 0 &&
+			(le.Stmt != tc.stmt || le.Produced <= tc.lim.MaxTuples || le.Produced >= prior+st.Detail[fused].Out) {
+			t.Errorf("%s: stopped at statement %d with %d produced, want statement %d past %d, short of the whole join's %d",
+				name, le.Stmt, le.Produced, tc.stmt, tc.lim.MaxTuples, prior+st.Detail[fused].Out)
 		}
 		if out != nil || st2 != nil {
 			t.Errorf("%s: aborted evaluation returned partial state", name)
@@ -140,4 +163,13 @@ func TestLimitErrorLeavesExecReusable(t *testing.T) {
 			t.Errorf("relation %d changed under aborted runs", i)
 		}
 	}
+}
+
+// sumOut is the sum of the Out of ds.
+func sumOut(ds []StmtStat) int {
+	n := 0
+	for _, d := range ds {
+		n += d.Out
+	}
+	return n
 }

@@ -139,13 +139,16 @@ func (p *Program) schemas() ([]schema.AttrSet, error) {
 
 // StmtStat is the observed cost of one statement: input and output
 // cardinalities plus wall time. InRight is −1 for projections, which
-// have a single operand.
+// have a single operand. Streamed marks a join Run fed straight into the
+// next statement (see Run): its Out counts the rows that passed through,
+// and the pair's wall time is on the consumer.
 type StmtStat struct {
-	Kind    StmtKind
-	InLeft  int
-	InRight int
-	Out     int
-	Elapsed time.Duration
+	Kind     StmtKind
+	InLeft   int
+	InRight  int
+	Out      int
+	Elapsed  time.Duration
+	Streamed bool
 }
 
 // Stats records interpreter costs. Detail holds one entry per
@@ -195,7 +198,11 @@ func (st *Stats) Table() string {
 		if d.InRight >= 0 {
 			right = strconv.Itoa(d.InRight)
 		}
-		fmt.Fprintf(&b, "%-4d %-9s %10d %10s %10d %14v\n", i, d.Kind, d.InLeft, right, d.Out, d.Elapsed)
+		elapsed := d.Elapsed.String()
+		if d.Streamed {
+			elapsed = "streamed"
+		}
+		fmt.Fprintf(&b, "%-4d %-9s %10d %10s %10d %14s\n", i, d.Kind, d.InLeft, right, d.Out, elapsed)
 	}
 	fmt.Fprintf(&b, "total: %d tuples produced, max intermediate %d, %v\n",
 		st.TuplesProduced, st.MaxIntermediate, st.Elapsed)
@@ -215,6 +222,17 @@ func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error
 // scratch buffers are allocated once per run — and a server pooling
 // contexts across requests amortizes them across runs too.
 //
+// One pair of statements is evaluated as one: a join whose value has a
+// single use, by the statement right after it, is streamed into that
+// statement and never materialized when the statement is a projection
+// of it (relation.Exec.JoinProject) or a join or semijoin of it with a
+// relation over a subset of its attributes — a filter
+// (relation.Exec.JoinFilter). The program is unchanged, and so are the
+// stats: the join is recorded with the rows that streamed through as its
+// Out — counted toward TuplesProduced, MaxIntermediate and the gas like
+// a materialized join's — and marked Streamed, and the pair's wall time
+// is recorded on the consumer.
+//
 // Run never mutates db: input relations are read-only operands (every
 // statement materializes a fresh output relation), the Rels slice is
 // copied before any statement runs, and db may be a frozen snapshot
@@ -228,7 +246,9 @@ func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error
 // result, so once a statement the answer transitively depends on comes
 // out empty the answer is empty too: the run stops there, records the
 // remaining statements as skipped (see Stats) and returns the empty
-// relation over the result schema.
+// relation over the result schema. A streamed join that comes out empty
+// is such a statement: its consumer is recorded as skipped, and the
+// pair's wall time stays on the join.
 func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits) (*relation.Relation, *Stats, error) {
 	sch, err := p.schemas()
 	if err != nil {
@@ -250,59 +270,150 @@ func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits) (*re
 	n := len(db.Rels)
 	vals := make([]*relation.Relation, p.NumIDs())
 	copy(vals, db.Rels)
-	needed := p.answerDeps()
+	flow := p.flow()
 	st := &Stats{}
-
-	start := time.Now()
-	for si, s := range p.Stmts {
-		id := n + si
-		d := StmtStat{Kind: s.Kind, InLeft: vals[s.Left].Card(), InRight: -1}
-		t0 := time.Now()
-		switch s.Kind {
-		case Join:
-			d.InRight = vals[s.Right].Card()
-			vals[id] = ex.Join(vals[s.Left], vals[s.Right])
-		case Semijoin:
-			d.InRight = vals[s.Right].Card()
-			vals[id] = ex.Semijoin(vals[s.Left], vals[s.Right])
-		case Project:
-			vals[id] = ex.Project(vals[s.Left], s.Proj)
-		}
-		d.Elapsed = time.Since(t0)
-		d.Out = vals[id].Card()
+	// finish records statement si's cost and enforces the rails; end
+	// reports that the run is over — an error, or an empty value the
+	// answer depends on.
+	finish := func(si int, d StmtStat) (end bool, err error) {
 		st.record(d)
 		if enforce {
 			if err := lim.check(si, st.TuplesProduced); err != nil {
-				return nil, nil, err
+				return true, err
 			}
 		}
-		if d.Out == 0 && needed[id] {
-			return p.skipRest(st, si+1, start, sch[len(sch)-1]), st, nil
+		return d.Out == 0 && flow[n+si].needed, nil
+	}
+
+	start := time.Now()
+	for si := 0; si < len(p.Stmts); si++ {
+		s := p.Stmts[si]
+		d := opStat(s, vals, 0)
+		filter, streamed := p.streamsInto(si, flow, sch)
+		t0 := time.Now()
+		var out *relation.Relation
+		switch {
+		case streamed:
+			var b relation.Budget
+			if enforce {
+				b = lim.budget(st.TuplesProduced)
+			}
+			if c := p.Stmts[si+1]; c.Kind == Project {
+				out, d.Out = ex.JoinProject(vals[s.Left], vals[s.Right], c.Proj, b)
+			} else {
+				out, d.Out = ex.JoinFilter(vals[s.Left], vals[s.Right], vals[filter], b)
+			}
+			if out == nil {
+				return nil, nil, lim.stopped(si, st.TuplesProduced+d.Out)
+			}
+		case s.Kind == Join:
+			out = ex.Join(vals[s.Left], vals[s.Right])
+		case s.Kind == Semijoin:
+			out = ex.Semijoin(vals[s.Left], vals[s.Right])
+		case s.Kind == Project:
+			out = ex.Project(vals[s.Left], s.Proj)
+		}
+		elapsed := time.Since(t0)
+		if streamed {
+			d.Streamed = true
+			if d.Out == 0 && flow[n+si].needed {
+				d.Elapsed = elapsed // the consumer is skipped
+			}
+			if end, err := finish(si, d); end {
+				return p.endEarly(st, si+1, start, sch, err)
+			}
+			si++
+			d = opStat(p.Stmts[si], vals, d.Out)
+		}
+		vals[n+si] = out
+		d.Out, d.Elapsed = out.Card(), elapsed
+		if end, err := finish(si, d); end {
+			return p.endEarly(st, si+1, start, sch, err)
 		}
 	}
 	st.Elapsed = time.Since(start)
 	return vals[len(vals)-1], st, nil
 }
 
-// answerDeps reports, for every relation id, whether the program's
-// answer transitively depends on it through join operands, semijoin
-// operands or a projection's operand.
-func (p *Program) answerDeps() []bool {
+// opStat starts the StmtStat of s from its operands' cardinalities: an
+// operand's value in vals, or joined for the one operand that has none —
+// a join streamed into s.
+func opStat(s Stmt, vals []*relation.Relation, joined int) StmtStat {
+	card := func(id int) int {
+		if vals[id] == nil {
+			return joined
+		}
+		return vals[id].Card()
+	}
+	d := StmtStat{Kind: s.Kind, InLeft: card(s.Left), InRight: -1}
+	if s.Kind != Project {
+		d.InRight = card(s.Right)
+	}
+	return d
+}
+
+// idFlow is what Run knows of one relation id before it starts: whether
+// the program's answer transitively depends on it, and how many statement
+// operands name it (counted up to 2).
+type idFlow struct {
+	needed bool
+	uses   uint8
+}
+
+// flow returns every id's idFlow from one backward pass: needed closes
+// over join operands, semijoin operands and a projection's operand of
+// the statements the answer needs; uses counts the operands of every
+// statement.
+func (p *Program) flow() []idFlow {
 	n := len(p.D.Rels)
-	needed := make([]bool, p.NumIDs())
-	needed[p.ResultID()] = true
+	f := make([]idFlow, p.NumIDs())
+	f[p.ResultID()].needed = true
+	use := func(id int, needed bool) {
+		f[id].needed = f[id].needed || needed
+		f[id].uses = min(f[id].uses+1, 2)
+	}
 	// Operands precede their statement, so one backward pass closes the set.
 	for i := len(p.Stmts) - 1; i >= 0; i-- {
-		if !needed[n+i] {
-			continue
-		}
 		s := p.Stmts[i]
-		needed[s.Left] = true
+		use(s.Left, f[n+i].needed)
 		if s.Kind != Project {
-			needed[s.Right] = true
+			use(s.Right, f[n+i].needed)
 		}
 	}
-	return needed
+	return f
+}
+
+// streamsInto reports whether Run streams statement si into statement
+// si+1: si is a join, si+1 is the one use of its value, and si+1 is a
+// projection of it or a join or semijoin of it with a filter — an
+// operand over a subset of its attributes, whose id is returned (-1 for
+// a projection). sch holds every id's schema.
+func (p *Program) streamsInto(si int, flow []idFlow, sch []schema.AttrSet) (filter int, ok bool) {
+	id := len(p.D.Rels) + si
+	if p.Stmts[si].Kind != Join || si+1 == len(p.Stmts) || flow[id].uses != 1 {
+		return -1, false
+	}
+	switch c := p.Stmts[si+1]; {
+	case c.Kind == Project && c.Left == id:
+		return -1, true
+	case c.Kind == Semijoin && c.Left == id, c.Kind == Join && c.Left == id:
+		filter = c.Right
+	case c.Kind == Join && c.Right == id:
+		filter = c.Left
+	default:
+		return -1, false
+	}
+	return filter, sch[filter].SubsetOf(sch[id])
+}
+
+// endEarly returns what Run returns when finish ends it at a statement
+// before from: err, or the empty answer with the statements from from on
+// recorded as skipped.
+func (p *Program) endEarly(st *Stats, from int, start time.Time, sch []schema.AttrSet, err error) (*relation.Relation, *Stats, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.skipRest(st, from, start, sch[len(sch)-1]), st, nil
 }
 
 // skipRest ends a run (begun at start) whose answer is known to be

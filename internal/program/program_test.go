@@ -3,6 +3,7 @@ package program
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gyokit/internal/gen"
@@ -589,5 +590,68 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 	}
 	if st.PerStmt[0] != 0 || !got.Equal(wantJoin) || !got.Equal(refEval(side, db)) {
 		t.Errorf("unused empty statement changed the answer: %d tuples, want %d", got.Card(), wantJoin.Card())
+	}
+}
+
+// TestStreamedPairs runs hand-written programs over ab, bc, ac, cd — a
+// database on which ac drops rows of ab ⋈ bc — and checks which join Run
+// streams into its successor: a projection of it, a join with a filter
+// on either side, a semijoin by a filter; not a join with a relation
+// outside its attributes, a semijoin of the filter by it, a join with
+// two uses or a use that is not the next statement. Either way the
+// answer is refEval's and the stats are those of the statements run one
+// by one: the same Out per statement, InLeft/InRight from the operands,
+// and so the same TuplesProduced and MaxIntermediate.
+func TestStreamedPairs(t *testing.T) {
+	u := schema.NewUniverse()
+	d := parse(t, u, "ab, bc, ac, cd")
+	db := danglingDB(d, 5, 3000, 300)
+	const ab, bc, ac, cd, j = 0, 1, 2, 3, 4 // j: the join ab ⋈ bc, statement 0
+	join := Stmt{Kind: Join, Left: ab, Right: bc}
+	for _, tc := range []struct {
+		name     string
+		stmts    []Stmt
+		streamed bool
+	}{
+		{"project", []Stmt{join, {Kind: Project, Left: j, Proj: u.Set("a", "c")}}, true},
+		{"join filter", []Stmt{join, {Kind: Join, Left: j, Right: ac}}, true},
+		{"filter join", []Stmt{join, {Kind: Join, Left: ac, Right: j}}, true},
+		{"semijoin filter", []Stmt{join, {Kind: Semijoin, Left: j, Right: ac}}, true},
+		{"join wider", []Stmt{join, {Kind: Join, Left: j, Right: cd}}, false},
+		{"semijoin of the filter", []Stmt{join, {Kind: Semijoin, Left: ac, Right: j}}, false},
+		{"two uses", []Stmt{join, {Kind: Project, Left: j, Proj: u.Set("a")}, {Kind: Semijoin, Left: j, Right: j + 1}}, false},
+		{"later use", []Stmt{join, {Kind: Project, Left: ab, Proj: u.Set("a")}, {Kind: Semijoin, Left: j, Right: j + 1}}, false},
+	} {
+		p := &Program{D: d, Stmts: tc.stmts}
+		got, st, err := p.Eval(db)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := refEval(p, db); !got.Equal(want) || !want.Equal(got) {
+			t.Fatalf("%s: %d tuples, the reference %d", tc.name, got.Card(), want.Card())
+		}
+		if st.Detail[0].Streamed != tc.streamed {
+			t.Errorf("%s: join streamed %v, want %v\n%s", tc.name, st.Detail[0].Streamed, tc.streamed, st.Table())
+		}
+		vals := slices.Clone(db.Rels)
+		produced, largest := 0, 0
+		for si, s := range p.Stmts {
+			out := refEval(&Program{D: d, Stmts: p.Stmts[:si+1]}, db)
+			want := StmtStat{Kind: s.Kind, InLeft: vals[s.Left].Card(), InRight: -1, Out: out.Card()}
+			if s.Kind != Project {
+				want.InRight = vals[s.Right].Card()
+			}
+			if g := st.Detail[si]; g.Kind != want.Kind || g.InLeft != want.InLeft || g.InRight != want.InRight || g.Out != want.Out {
+				t.Errorf("%s: statement %d: %+v, want %+v", tc.name, si, g, want)
+			}
+			vals = append(vals, out)
+			produced, largest = produced+out.Card(), max(largest, out.Card())
+		}
+		if st.TuplesProduced != produced || st.MaxIntermediate != largest {
+			t.Errorf("%s: %d produced, max intermediate %d; want %d, %d", tc.name, st.TuplesProduced, st.MaxIntermediate, produced, largest)
+		}
+		if got.Card() == 0 || tc.name == "join filter" && got.Card() == vals[j].Card() {
+			t.Fatalf("%s: the fixture gives an empty answer or a filter that drops nothing", tc.name)
+		}
 	}
 }

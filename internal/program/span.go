@@ -38,6 +38,10 @@ type Span struct {
 	Out     int `json:"out"`
 	// ElapsedNs is the statement's wall time.
 	ElapsedNs int64 `json:"elapsedNs"`
+	// Streamed marks a join fed straight into its consumer, never
+	// materialized: Out counts the rows that passed through, and the
+	// pair's wall time is the consumer's ElapsedNs.
+	Streamed bool `json:"streamed,omitempty"`
 	// Children are the operand statements' spans (first-consumer-owned;
 	// see type comment).
 	Children []*Span `json:"children,omitempty"`
@@ -94,6 +98,7 @@ func (p *Program) SpanTree(st *Stats) (*Span, error) {
 			InRight:   d.InRight,
 			Out:       d.Out,
 			ElapsedNs: d.Elapsed.Nanoseconds(),
+			Streamed:  d.Streamed,
 		}
 		if s.Kind == Project {
 			sp.Right = -1

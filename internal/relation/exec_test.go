@@ -7,12 +7,16 @@ import (
 	"gyokit/internal/schema"
 )
 
-// TestExecScratchBudget pins what a pooled Exec retains after the three
-// operators ran over n-row operands: one slot table (4 B per slot), one
-// key word per build row (8 B) and one chain link per build row (4 B),
-// plus the handful of per-column buffers. It sums cap × element size
-// over every slice field by reflection, so scratch added later — a
-// second table, a word per slot — is counted without being listed here.
+// TestExecScratchBudget pins what a pooled Exec retains after the
+// operators ran over n-row operands: per key table one slot table (4 B
+// per slot), one key word per row (8 B) and one chain link per row
+// (4 B); JoinProject's group-local table; and the handful of per-column
+// buffers. Join, Semijoin and Project use one key table, and a streamed
+// join a second, over its probe side or its filter — so a join→project
+// retains less than the two statements it replaces, whose projection
+// sizes a table by |r ⋈ s|. It sums cap × element size over every slice
+// field by reflection, struct fields included, so scratch added later —
+// a third table, a word per slot — is counted without being listed here.
 func TestExecScratchBudget(t *testing.T) {
 	const n = 50000
 	u := schema.NewUniverse()
@@ -21,6 +25,8 @@ func TestExecScratchBudget(t *testing.T) {
 		r.Insert(Tuple{Value(i), Value(i % 5000)})
 		s.Insert(Tuple{Value(i % 5000), Value(i)})
 	}
+	const joined = n * n / 5000
+	ac := u.Set("a", "c")
 	ex := NewExec()
 	if got := ex.Semijoin(r, s).Card(); got != n {
 		t.Fatalf("semijoin kept %d of %d rows", got, n)
@@ -28,24 +34,55 @@ func TestExecScratchBudget(t *testing.T) {
 	if got := ex.Project(r, u.Set("b")).Card(); got != 5000 {
 		t.Fatalf("projection has %d rows, want 5000", got)
 	}
-	if got := ex.Join(r, ex.Semijoin(s, r)).Card(); got != n*n/5000 {
-		t.Fatalf("join has %d rows, want %d", got, n*n/5000)
+	if got := ex.Join(r, ex.Semijoin(s, r)).Card(); got != joined {
+		t.Fatalf("join has %d rows, want %d", got, joined)
+	}
+	const perColumn = 1 << 10 // obuf, pos, srcs: a few words per column
+	if budget := 4*tableSize(n) + 8*n + 4*n + perColumn; retained(t, ex) > budget {
+		t.Fatalf("Exec retains %d B after %d-row operators, budget %d B (4 B × %d slots + 12 B × %d build rows + %d)",
+			retained(t, ex), n, budget, tableSize(n), n, perColumn)
 	}
 
-	retained := 0
-	v := reflect.ValueOf(ex).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		if f.Kind() != reflect.Slice {
-			t.Fatalf("Exec.%s is a %s: count what it retains here", v.Type().Field(i).Name, f.Kind())
+	twoStmt := NewExec()
+	want := twoStmt.Project(twoStmt.Join(r, s), ac)
+	got, rows := ex.JoinProject(r, s, ac, Budget{})
+	if rows != joined || got.Card() != want.Card() {
+		t.Fatalf("streamed join→project: %d rows from %d joined, want %d from %d", got.Card(), rows, want.Card(), joined)
+	}
+	if got, _ := ex.JoinFilter(r, s, s, Budget{}); got.Card() != joined {
+		t.Fatalf("streamed join→filter by s kept %d rows, want %d", got.Card(), joined)
+	}
+	budget := 2*(4*tableSize(n)+8*n+4*n) + 16*localSlots + perColumn
+	if retained(t, ex) > budget {
+		t.Fatalf("Exec retains %d B after streamed joins of %d-row operands, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + %d B local + %d)",
+			retained(t, ex), n, budget, tableSize(n), n, 16*localSlots, perColumn)
+	}
+	if two := retained(t, twoStmt); two < 4*tableSize(joined) || budget >= two {
+		t.Fatalf("join then project retains %d B (a %d-slot projection table), the streamed budget %d B", two, tableSize(joined), budget)
+	}
+}
+
+// retained sums cap × element size over every slice field of ex,
+// descending into struct fields; any other kind fails the test.
+func retained(t *testing.T, ex *Exec) int {
+	t.Helper()
+	var sum func(v reflect.Value, path string) int
+	sum = func(v reflect.Value, path string) int {
+		total := 0
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+"."+v.Type().Field(i).Name
+			switch f.Kind() {
+			case reflect.Slice:
+				total += f.Cap() * int(f.Type().Elem().Size())
+			case reflect.Struct:
+				total += sum(f, name)
+			default:
+				t.Fatalf("%s is a %s: count what it retains here", name, f.Kind())
+			}
 		}
-		retained += f.Cap() * int(f.Type().Elem().Size())
+		return total
 	}
-	const perColumn = 1 << 10 // obuf, posA, posB, srcs: a few words per column
-	if budget := 4*tableSize(n) + 8*n + 4*n + perColumn; retained > budget {
-		t.Fatalf("Exec retains %d B after %d-row operators, budget %d B (4 B × %d slots + 12 B × %d build rows + %d)",
-			retained, n, budget, tableSize(n), n, perColumn)
-	}
+	return sum(reflect.ValueOf(ex).Elem(), "Exec")
 }
 
 // TestFoldedKeyIsVerified forges what 64 bits make too rare to draw: two
@@ -59,7 +96,7 @@ func TestFoldedKeyIsVerified(t *testing.T) {
 	s.Insert(Tuple{1, 2, 3})
 	pos := []int{0, 1, 2}
 	stranger := Tuple{4, 5, 6}
-	kt := NewExec().buildKeys(s, pos, false)
+	kt := new(keyScratch).buildKeys(s, pos, false)
 	if kt.exact || kt.lookup(Tuple{1, 2, 3}, pos) != 1 || kt.lookup(stranger, pos) != 0 {
 		t.Fatalf("before the forgery: exact %v, own key → %d, other key → %d",
 			kt.exact, kt.lookup(Tuple{1, 2, 3}, pos), kt.lookup(stranger, pos))

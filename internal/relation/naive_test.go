@@ -340,6 +340,65 @@ func checkKernels(t *testing.T, label string, ex *Exec, r, s *Relation, px schem
 	sBefore.check(t, s, label+": right operand")
 }
 
+// checkStreams runs the streamed join sinks over r and s — which, like f,
+// may carry dead rows — through ex: JoinProject onto x (⊆ attrs(r ⋈ s))
+// and JoinFilter by f (attrs(f) ⊆ attrs(r ⋈ s)). Each is held set-equal
+// to the nested-loop reference and to the two-statement form on the same
+// Exec — Project(Join(r, s)), Join(Join(r, s), f) — and to be dense; the
+// filter also to Join's row order with the misses dropped; both to
+// report |r ⋈ s| and, under a budget of exactly that many rows, to stop;
+// and every operand to be bit for bit what it was.
+func checkStreams(t *testing.T, label string, ex *Exec, r, s, f *Relation, x schema.AttrSet) {
+	t.Helper()
+	before := []layout{captureLayout(r), captureLayout(s), captureLayout(f)}
+	nj := naiveOf(r).join(naiveOf(s))
+	dense := func(op string, got *Relation, joined int) {
+		t.Helper()
+		if got.dead != 0 {
+			t.Fatalf("%s: %s output carries %d dead rows", label, op, got.dead)
+		}
+		if joined != len(nj.rows) {
+			t.Fatalf("%s: %s walked %d join rows, r ⋈ s has %d", label, op, joined, len(nj.rows))
+		}
+	}
+
+	proj, joined := ex.JoinProject(r, s, x, Budget{})
+	dense("streamed project", proj, joined)
+	sameRows(t, label+" streamed project", proj, nj.project(x))
+	sameRows(t, label+" streamed project vs two statements", proj, naiveOf(ex.Project(ex.Join(r, s), x)))
+
+	filt, joined := ex.JoinFilter(r, s, f, Budget{})
+	dense("streamed filter", filt, joined)
+	nf := naiveOf(f)
+	sameRows(t, label+" streamed filter", filt, nj.join(nf))
+	sameRows(t, label+" streamed filter vs two statements", filt, naiveOf(ex.Join(ex.Join(r, s), f)))
+	var inOrder []Tuple
+	for _, tp := range joinInOrder(r, s) {
+		key := make(Tuple, len(nf.cols))
+		for i, c := range nf.cols {
+			key[i] = tp[nj.pos(c)]
+		}
+		if _, ok := nf.rows[naiveKey(key)]; ok {
+			inOrder = append(inOrder, tp)
+		}
+	}
+	if !slices.EqualFunc(filt.Tuples(), inOrder, func(a, b Tuple) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("%s: streamed filter rows, in order\ngot  %v\nwant %v", label, filt.Tuples(), inOrder)
+	}
+
+	if n := len(nj.rows); n > 0 {
+		if out, stopped := ex.JoinProject(r, s, x, Budget{Rows: n}); out != nil || stopped != n {
+			t.Fatalf("%s: a %d-row budget on a %d-row join: output %v after %d rows", label, n, n, out != nil, stopped)
+		}
+		if out, _ := ex.JoinFilter(r, s, f, Budget{Rows: n + 1}); out == nil {
+			t.Fatalf("%s: a %d-row budget stopped a %d-row join", label, n+1, n)
+		}
+	}
+	for i, op := range []*Relation{r, s, f} {
+		before[i].check(t, op, fmt.Sprintf("%s: operand %d", label, i))
+	}
+}
+
 // edgeValues are the values the key-word packing could get wrong — it
 // casts through uint32 — beside a small domain that makes keys collide.
 var edgeValues = []Value{math.MinInt32, -1, 0, 1, math.MaxInt32, 2, 3, 4}
@@ -539,12 +598,171 @@ func TestKeyWordKeepsColumnsApart(t *testing.T) {
 	}
 }
 
+// fuzzOperands is one decoded FuzzOperators input: r and s with the
+// projection px ⊆ attrs(r) for checkKernels, and the filter f and head x,
+// both over attrs(r ⋈ s), for checkStreams.
+type fuzzOperands struct {
+	r, s, f *Relation
+	px, x   schema.AttrSet
+}
+
+// decodeOperands reads r, s, f, px and x off raw, which runs out into
+// zeros. Attribute sets are masks over a five-attribute pool (at most
+// four kept); a relation is a row count, a 16-bit dead-row mask and its
+// rows, each value an index into edgeValues. A count byte of 0xff makes
+// the relation 1024 rows dense — row i is (i, i>>1, i>>2, …) — so a
+// group can outgrow JoinProject's first table. A row of f starts with a
+// selector byte: even picks row selector/2 of r ⋈ s (modulo its size) and
+// projects it onto f, so the filter hits; odd is followed by the row.
+func decodeOperands(raw []byte) fuzzOperands {
+	next := func() byte {
+		if len(raw) == 0 {
+			return 0
+		}
+		b := raw[0]
+		raw = raw[1:]
+		return b
+	}
+	u := schema.NewUniverse()
+	pool := []string{"a", "b", "c", "d", "e"}
+	attrsOf := func(mask byte) schema.AttrSet {
+		var names []string
+		for i, name := range pool {
+			if mask>>i&1 == 1 && len(names) < 4 {
+				names = append(names, name)
+			}
+		}
+		return u.Set(names...)
+	}
+	decode := func(attrs schema.AttrSet, join []Tuple, joinCols []schema.Attr) *Relation {
+		r := New(u, attrs)
+		n := int(next())
+		dense := n == 0xff
+		if dense {
+			n = 1024
+		} else {
+			n %= 41
+		}
+		dead := uint16(next()) | uint16(next())<<8
+		for i := 0; i < n; i++ {
+			row := make(Tuple, r.width)
+			switch sel := byte(1); {
+			case dense:
+				for j := range row {
+					row[j] = Value(i >> j)
+				}
+			case joinCols != nil && func() bool { sel = next(); return sel%2 == 0 && len(join) > 0 }():
+				from := join[int(sel/2)%len(join)]
+				for j, c := range r.cols {
+					row[j] = from[slices.Index(joinCols, c)]
+				}
+			default:
+				for j := range row {
+					row[j] = edgeValues[int(next())%len(edgeValues)]
+				}
+			}
+			r.Insert(row)
+		}
+		var drop []Tuple
+		for i, tp := range r.Tuples() {
+			if dead>>(i%16)&1 == 1 {
+				drop = append(drop, tp)
+			}
+		}
+		out, _ := r.Without(drop)
+		return out
+	}
+	var op fuzzOperands
+	ra, sa := attrsOf(next()), attrsOf(next())
+	op.px = attrsOf(next()).Intersect(ra)
+	op.r, op.s = decode(ra, nil, nil), decode(sa, nil, nil)
+	rs := ra.Union(sa)
+	fa := attrsOf(next()).Intersect(rs)
+	op.x = attrsOf(next()).Intersect(rs)
+	op.f = decode(fa, NewExec().Join(op.r, op.s).Tuples(), rs.Attrs())
+	return op
+}
+
+// streamSeeds are FuzzOperators seeds for the cases of the streamed
+// sinks; TestStreamSeedsCoverTheirCases checks each hits its case.
+var streamSeeds = map[string][]byte{
+	// r = ab and s = bc dense, x = a: with r built, g = x ∩ attrs(s) = ∅,
+	// so one group projects 1024 rows and the local table grows.
+	"g=∅": {0b00011, 0b00110, 0, 0xff, 0, 0, 0xff, 0, 0, 0b00101, 0b00001, 4, 0, 0, 0, 2, 4, 6},
+	// r = abc built, s = cd probed, x = bcd ⊇ attrs(s); r's rows agree on
+	// b and c in pairs, so groups see duplicates.
+	"x⊇probe": {0b00111, 0b01100, 0b00001, 4, 0, 0, 2, 2, 2, 3, 2, 2, 5, 3, 3, 6, 3, 5,
+		8, 0, 0, 2, 2, 2, 3, 3, 2, 3, 3, 5, 2, 2, 2, 0, 0, 1, 1,
+		0b01010, 0b01110, 3, 0, 0, 0, 4, 1, 2, 2},
+	// r = abcd built, s = de probed, x = abce: the build-side part of the
+	// projection, abc, is three columns — a folded word, verified — and
+	// the rows (0,0,0,·) of r meet in the group e = 0.
+	"inexact": {0b01111, 0b11000, 0, 6, 0, 0, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 2, 3, 3, 3, 3, 5, 5, 5, 5, 0, 1, 4, 5,
+		8, 0, 0, 2, 5, 3, 5, 2, 6, 3, 6, 5, 5, 5, 7, 4, 4, 0, 0,
+		0b10001, 0b10111, 3, 0, 0, 0, 2, 1, 3, 5},
+	// r = {()} and f = {()}: a zero-width operand on each side.
+	"zero-width": {0, 0b00011, 0, 1, 0, 0, 3, 0, 0, 2, 3, 5, 6, 7, 7, 0, 0b00010, 1, 0, 0, 0},
+	// r = ab, s = bc, f = abc, 20 rows each, two of every sixteen dead.
+	"dead": func() []byte {
+		b := []byte{0b00011, 0b00110, 0b00001, 20, 0x02, 0x02}
+		for i := byte(0); i < 20; i++ {
+			b = append(b, i%8, 2+i%3)
+		}
+		b = append(b, 20, 0x02, 0x02)
+		for i := byte(0); i < 20; i++ {
+			b = append(b, 2+i%3, i%8)
+		}
+		b = append(b, 0b00111, 0b00101, 20, 0x02, 0x02)
+		for i := byte(0); i < 20; i++ {
+			b = append(b, 10*i)
+		}
+		return b
+	}(),
+}
+
+// TestStreamSeedsCoverTheirCases decodes each stream seed and checks it
+// reaches the case it is named for, so an edit to the decoder cannot
+// quietly turn a seed into a duplicate of another.
+func TestStreamSeedsCoverTheirCases(t *testing.T) {
+	for name, raw := range streamSeeds {
+		op := decodeOperands(raw)
+		build, probe := op.r, op.s
+		if op.s.Card() < op.r.Card() {
+			build, probe = op.s, op.r
+		}
+		g, h := op.x.Intersect(probe.attrs), op.x.Diff(probe.attrs)
+		joined := NewExec().Join(op.r, op.s).Card()
+		ok := joined > 0 && op.f.Card() > 0
+		switch name {
+		case "g=∅":
+			ex := NewExec()
+			ex.JoinProject(op.r, op.s, op.x, Budget{})
+			ok = ok && g.IsEmpty() && len(ex.local) > localSlots
+		case "x⊇probe":
+			ok = ok && probe.attrs.SubsetOf(op.x) && !h.IsEmpty()
+		case "inexact":
+			ok = ok && h.Card() > 2 && h.SubsetOf(build.attrs)
+		case "zero-width":
+			ok = ok && op.r.width == 0 && op.f.width == 0
+		case "dead":
+			ok = ok && op.r.dead > 0 && op.s.dead > 0 && op.f.dead > 0
+		}
+		if !ok {
+			t.Errorf("seed %q misses its case: r %s (%d, %d dead), s %s (%d, %d dead), f %s (%d, %d dead), x %s, |r ⋈ s| = %d",
+				name, op.r.U.FormatSet(op.r.attrs), op.r.Card(), op.r.dead, op.s.U.FormatSet(op.s.attrs), op.s.Card(), op.s.dead,
+				op.f.U.FormatSet(op.f.attrs), op.f.Card(), op.f.dead, op.x.Key(), joined)
+		}
+	}
+}
+
 // FuzzOperators decodes two relations of width 0–4 over a five-attribute
-// pool — values from edgeValues, a dead-row mask each — and a projection
-// list from the input bytes, and holds the three operators, run through
-// one Exec, to checkKernels' oracles: the nested-loop results, Join's
-// and Semijoin's row order, dense outputs, untouched operands. Runs in
-// the CI fuzz-smoke lane; the seeds run under go test.
+// pool — values from edgeValues, a dead-row mask each — a projection
+// list, and a filter relation and head over their union (decodeOperands),
+// and holds the operators, run through one Exec, to checkKernels' and
+// checkStreams' oracles: the nested-loop results, the two-statement
+// forms of the streamed sinks, Join's, Semijoin's and the filter's row
+// order, dense outputs, untouched operands. Runs in the CI fuzz-smoke
+// lane; the seeds run under go test.
 func FuzzOperators(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},                       // two empty zero-width relations
@@ -563,51 +781,15 @@ func FuzzOperators(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	for _, seed := range streamSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		next := func() byte {
-			if len(raw) == 0 {
-				return 0
-			}
-			b := raw[0]
-			raw = raw[1:]
-			return b
-		}
-		u := schema.NewUniverse()
-		pool := []string{"a", "b", "c", "d", "e"}
-		attrsOf := func(mask byte) schema.AttrSet {
-			var names []string
-			for i, name := range pool {
-				if mask>>i&1 == 1 && len(names) < 4 {
-					names = append(names, name)
-				}
-			}
-			return u.Set(names...)
-		}
-		ra, sa := attrsOf(next()), attrsOf(next())
-		px := attrsOf(next()).Intersect(ra)
-		decode := func(attrs schema.AttrSet) *Relation {
-			r := New(u, attrs)
-			n := int(next()) % 41
-			dead := uint16(next()) | uint16(next())<<8
-			for i := 0; i < n; i++ {
-				row := make(Tuple, r.width)
-				for j := range row {
-					row[j] = edgeValues[int(next())%len(edgeValues)]
-				}
-				r.Insert(row)
-			}
-			var drop []Tuple
-			for i, tp := range r.Tuples() {
-				if dead>>(i%16)&1 == 1 {
-					drop = append(drop, tp)
-				}
-			}
-			out, _ := r.Without(drop)
-			return out
-		}
-		r, s := decode(ra), decode(sa)
+		op := decodeOperands(raw)
 		ex := NewExec()
-		checkKernels(t, "r,s", ex, r, s, px)
-		checkKernels(t, "s,r", ex, s, r, px.Intersect(sa))
+		checkKernels(t, "r,s", ex, op.r, op.s, op.px)
+		checkKernels(t, "s,r", ex, op.s, op.r, op.px.Intersect(op.s.attrs))
+		checkStreams(t, "r,s", ex, op.r, op.s, op.f, op.x)
+		checkStreams(t, "s,r", ex, op.s, op.r, op.f, op.x)
 	})
 }

@@ -2,7 +2,7 @@ package relation
 
 // Operator benchmarks for the columnar engine. Run with
 //
-//	go test ./internal/relation -bench 'Join|Semijoin|Insert|Project' -benchmem
+//	go test ./internal/relation -run '^$' -bench 'Join|Semijoin|Insert|Project' -benchmem
 
 import (
 	"fmt"
@@ -125,6 +125,52 @@ func BenchmarkProjectColumnar(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ex.Project(abc, s.Attrs())
+			}
+		})
+	}
+}
+
+// benchD20k returns ab, bc and ac of 20 000 universal tuples over a, b, c
+// drawn from [0, 2000) — the shape of the D20k triangle: about 20k rows a
+// relation, and ab ⋈ bc about ten times that.
+func benchD20k() (ab, bc, ac *Relation) {
+	u := schema.NewUniverse()
+	univ, _ := RandomUniversal(u, u.Set("a", "b", "c"), 20000, 2000, rand.New(rand.NewSource(1)))
+	return univ.Project(u.Set("a", "b")), univ.Project(u.Set("b", "c")), univ.Project(u.Set("a", "c"))
+}
+
+// BenchmarkJoinProject prices π_ac(ab ⋈ bc) — eval_read's q5 — streamed
+// through one JoinProject against the two statements it replaces, a Join
+// whose output the Project then deduplicates in a table sized by it.
+func BenchmarkJoinProject(b *testing.B) {
+	ab, bc, ac := benchD20k()
+	ex := NewExec()
+	benchForms(b,
+		func() { ex.JoinProject(ab, bc, ac.Attrs(), Budget{}) },
+		func() { ex.Project(ex.Join(ab, bc), ac.Attrs()) })
+}
+
+// BenchmarkJoinFilter prices (ab ⋈ bc) ⋈ ac — eval_read's q7 — streamed
+// through one JoinFilter against the two joins it replaces.
+func BenchmarkJoinFilter(b *testing.B) {
+	ab, bc, ac := benchD20k()
+	ex := NewExec()
+	benchForms(b,
+		func() { ex.JoinFilter(ab, bc, ac, Budget{}) },
+		func() { ex.Join(ex.Join(ab, bc), ac) })
+}
+
+// benchForms times a streamed operator and its two-statement form as the
+// sub-benchmarks streamed and two-statement.
+func benchForms(b *testing.B, streamed, twoStatement func()) {
+	for _, form := range []struct {
+		name string
+		op   func()
+	}{{"streamed", streamed}, {"two-statement", twoStatement}} {
+		b.Run(form.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				form.op()
 			}
 		})
 	}

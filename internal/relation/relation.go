@@ -33,8 +33,13 @@
 // relation, and a column permutation of one are duplicate-free, so
 // Exec.Join, Exec.Semijoin, Partition and the permuting Renamed only
 // append rows;
-// Exec.Project, the one operator that can create duplicates, eliminates
-// them in the Exec's pooled scratch table. None of them gives its output
+// projection is the one operation that can create duplicates: Exec.Project
+// eliminates them in the Exec's pooled scratch table, and
+// Exec.JoinProject — π_x(r ⋈ s) without the join ever being stored —
+// in a small group-local table, since two join rows with one projection
+// come from probe rows that agree on the kept columns. Exec.JoinFilter,
+// a join with a relation over a subset of its attributes done as it
+// streams, only appends. None of them gives its output
 // a set index. The index — an open-addressing hash table over the
 // stored 64-bit row hashes with full collision verification — is
 // maintained eagerly only by the insert paths (Insert, InsertBlock,
@@ -58,8 +63,9 @@
 // is the key when it has at most two columns, so a probe compares words
 // and fetches no row, and a fold of the columns, verified
 // column-by-column, when it has more — and walk both operands chunk by
-// chunk; only Project, whose output rows need their hashes anyway,
-// deduplicates by row hash.
+// chunk; JoinProject's group-local table keys an output row by its
+// build-side columns the same way; only Project, whose output rows need
+// their hashes anyway, deduplicates by row hash.
 package relation
 
 import (
