@@ -10,27 +10,27 @@ import (
 )
 
 // Exec is a reusable execution context for the relational operators.
-// It owns the scratch state the operators need — two key tables' worth
-// of open-addressing slots, chain links and per-row key words, a small
-// group-local deduplication table, an output-row buffer, and column
-// position maps — so a program that evaluates many statements (a §6
-// semijoin program, a Yannakakis plan, a full reducer) reuses one set of
-// allocations instead of rebuilding them per statement. Join and
-// Semijoin build their key sets in keys, keyed by the shared columns
-// themselves (keyWord: 12 B of scratch per build row beside the slots,
-// nothing per slot), and Project deduplicates in keys' slots by row
-// hash. A streamed join (JoinProject, JoinFilter) also keys its second
-// operand in aux — the probe side chained by the kept columns, or the
-// filter's rows — and JoinProject deduplicates in local, a table sized
-// by the largest group of one call rather than by |r ⋈ s|. Every
-// operator emits an index-free output by plain appends (the output's own
-// set index is built only if something later asks it for membership —
-// see the package comment). The zero value is ready to use; an Exec must
-// not be used concurrently.
+// It owns the scratch state the operators need — three keyScratch
+// tables' worth of open-addressing slots, chain links and per-row key
+// words, an output-row buffer, and column position maps — so a program
+// that evaluates many statements (a §6 semijoin program, a Yannakakis
+// plan, a full reducer) reuses one set of allocations instead of
+// rebuilding them per statement. Every table is a keyTable, keyed by
+// columns themselves (keyWord: 4 B per slot, 8 B per row, 4 B more per
+// row for a chained one). Join and Semijoin build their key sets in
+// keys, and Project deduplicates there, keyed by its output's rows. A
+// streamed join (JoinProject, JoinFilter) also keys its second operand
+// in aux — the probe side chained by the kept columns, or the filter's
+// rows — and JoinProject deduplicates in local, a table sized by the
+// largest group of one call rather than by |r ⋈ s|. Every operator
+// emits an index-free output by plain appends (the output's own set
+// index is built only if something later asks it for membership — see
+// the package comment). The zero value is ready to use; an Exec must not
+// be used concurrently.
 type Exec struct {
-	keys  keyScratch  // Join's and Semijoin's build side; Project's table
-	aux   keyScratch  // JoinProject's probe groups; JoinFilter's filter keys
-	local []localSlot // JoinProject's group-local output keys
+	keys  keyScratch // Join's and Semijoin's build side; Project's output keys
+	aux   keyScratch // JoinProject's probe groups; JoinFilter's filter keys
+	local keyScratch // JoinProject's group-local output keys
 	obuf  []Value
 	pos   []int // column positions of one call, carved per operand
 	srcs  []int32
@@ -40,7 +40,7 @@ type Exec struct {
 type keyScratch struct {
 	slots []int32  // open addressing: row index + 1; 0 = empty
 	next  []int32  // same-key chain: next row index + 1; 0 = end
-	words []uint64 // key word of each row, by position
+	words []uint64 // key word of each row, by row index
 }
 
 // NewExec returns a fresh execution context.
@@ -57,9 +57,11 @@ func (ks *keyScratch) slotScratch(n int) []int32 {
 	return ks.slots
 }
 
-func int32Scratch(s []int32, n int) []int32 {
+// scratch returns s resized to n, reallocated only when it is too small;
+// the contents are whatever was there.
+func scratch[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -67,31 +69,16 @@ func int32Scratch(s []int32, n int) []int32 {
 // positions returns e.pos resized to n; a call carves it into the
 // column position lists it needs.
 func (e *Exec) positions(n int) []int {
-	if cap(e.pos) < n {
-		e.pos = make([]int, n)
-	}
-	e.pos = e.pos[:n]
+	e.pos = scratch(e.pos, n)
 	return e.pos
 }
 
-func valScratch(s []Value, n int) []Value {
-	if cap(s) < n {
-		return make([]Value, n)
-	}
-	return s[:n]
-}
-
-func uint64Scratch(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
 // Project returns π_x(r). x must be a subset of r's attributes.
-// Duplicates are eliminated in the Exec's slot table — sized for r's
-// cardinality, the output's upper bound, so it never grows — whose
-// slots name output rows.
+// Duplicates are eliminated in a keyTable over the output's rows, keyed
+// by all their columns, in the Exec's keys scratch — sized for r's
+// cardinality, the output's upper bound, so it never grows. A live row of
+// r is looked up by its columns x and emitted (and entered) the first
+// time its projection is seen, so the output keeps r's order.
 func (e *Exec) Project(r *Relation, x schema.AttrSet) *Relation {
 	if !x.SubsetOf(r.attrs) {
 		panic(fmt.Sprintf("relation: projection %s ⊄ %s",
@@ -99,34 +86,23 @@ func (e *Exec) Project(r *Relation, x schema.AttrSet) *Relation {
 	}
 	out := New(r.U, x)
 	out.reserved = r.Card() // upper bound
-	pos := e.positions(out.width)
+	pos := e.positions(2 * out.width)
+	rPos, own := pos[:out.width], pos[out.width:] // x in r, x in out
 	for i, c := range out.cols {
-		pos[i] = r.colPos(c)
+		rPos[i], own[i] = r.colPos(c), i
 	}
-	buf := valScratch(e.obuf, out.width)
+	buf := scratch(e.obuf, out.width)
 	e.obuf = buf
-	nSlots := tableSize(r.Card())
-	mask := uint64(nSlots - 1)
-	slots := e.keys.slotScratch(nSlots)
+	t := e.keys.table(out, own, r.Card(), r.Card())
 	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
 		row := r.row(i)
-		for k, p := range pos {
+		if _, head := t.probe(row, rPos, out.n); head != 0 {
+			continue
+		}
+		for k, p := range rPos {
 			buf[k] = row[p]
 		}
-		h := hashValues(buf)
-		j := h & mask
-		for {
-			s := slots[j]
-			if s == 0 {
-				slots[j] = int32(out.n + 1)
-				out.appendRow(buf, h)
-				break
-			}
-			if o := int(s - 1); out.hash(o) == h && valuesEqual(out.row(o), buf) {
-				break // duplicate
-			}
-			j = (j + 1) & mask
-		}
+		out.appendRow(buf, hashValues(buf))
 	}
 	return out
 }
@@ -167,25 +143,27 @@ func keySlot(w uint64, shift uint) uint64 {
 	return (w ^ w>>29) * 0x9E3779B97F4A7C15 >> shift
 }
 
-// keyEqual reports whether the key columns bPos of build row i equal
+// keyEqual reports whether the key columns tPos of row i of rel equal
 // the key columns pos of row. Only an inexact key (more than two
 // columns) ever needs it.
-func keyEqual(build *Relation, i int, bPos []int, row []Value, pos []int) bool {
-	brow := build.row(i)
-	for k, p := range bPos {
-		if brow[p] != row[pos[k]] {
+func keyEqual(rel *Relation, i int, tPos []int, row []Value, pos []int) bool {
+	trow := rel.row(i)
+	for k, p := range tPos {
+		if trow[p] != row[pos[k]] {
 			return false
 		}
 	}
 	return true
 }
 
-// keyTable is an open-addressing table over one keyScratch, keyed by the
-// key word of a relation's columns pos: the build side of a Join or
-// Semijoin, and a streamed join's probe groups or filter keys. A slot
-// names one row (position + 1) per distinct key; words holds the key
-// word of every row, by position, so a lookup reads slots[j], then
-// words[head-1], and — the key being exact — is done.
+// keyTable is the one hash table of the operators: open addressing over
+// one keyScratch, keyed by the key word of the columns pos of rel's rows
+// from base on — row i of the table is rel's row base+i. It is the build
+// side of a Join or Semijoin, a streamed join's probe groups or filter
+// keys (base 0), and a projection's output rows (groupDedup). A slot
+// names one row (i + 1) per distinct key; words holds the key word of
+// every row, by i, so a lookup reads slots[j], then words[head-1], and —
+// the key being exact — is done.
 type keyTable struct {
 	slots []int32
 	next  []int32
@@ -193,8 +171,19 @@ type keyTable struct {
 	shift uint
 	mask  uint64
 	exact bool
-	build *Relation
+	rel   *Relation
+	base  int
 	pos   []int
+}
+
+// table returns an empty keyTable over ks for rel's rows from base 0 on,
+// keyed by their columns pos: tableSize(keys) slots, zeroed, and a word
+// for each of rows rows.
+func (ks *keyScratch) table(rel *Relation, pos []int, keys, rows int) keyTable {
+	n := tableSize(keys)
+	ks.words = scratch(ks.words, rows)
+	return keyTable{slots: ks.slotScratch(n), words: ks.words, shift: uint(64 - bits.TrailingZeros(uint(n))),
+		mask: uint64(n - 1), exact: len(pos) <= 2, rel: rel, pos: pos}
 }
 
 // buildKeys enters every live row of rel into a fresh keyTable over ks on
@@ -203,18 +192,11 @@ type keyTable struct {
 // first) and the slot names the newest — Join's buckets, JoinProject's
 // groups; without, they are dropped — a key set.
 func (ks *keyScratch) buildKeys(rel *Relation, pos []int, chain bool) keyTable {
-	nSlots := tableSize(rel.Card())
-	slots := ks.slotScratch(nSlots)
-	words := uint64Scratch(ks.words, rel.n)
-	ks.words = words
-	var next []int32
+	t := ks.table(rel, pos, rel.Card(), rel.n)
 	if chain {
-		next = int32Scratch(ks.next, rel.n)
-		ks.next = next
+		ks.next = scratch(ks.next, rel.n)
+		t.next = ks.next
 	}
-	shift := uint(64 - bits.TrailingZeros(uint(nSlots)))
-	mask := uint64(nSlots - 1)
-	exact := len(pos) <= 2
 	w := rel.width
 	for c := range rel.chunks {
 		ch := &rel.chunks[c]
@@ -225,42 +207,43 @@ func (ks *keyScratch) buildKeys(rel *Relation, pos []int, chain bool) keyTable {
 			}
 			row := data[k*w : k*w+w]
 			i := c<<chunkShift + k
-			word := keyWord(row, pos)
-			words[i] = word
-			j := keySlot(word, shift)
-			for {
-				head := slots[j]
-				if head == 0 {
-					slots[j] = int32(i + 1)
-					if chain {
-						next[i] = 0
-					}
-					break
-				}
-				if words[head-1] == word && (exact || keyEqual(rel, int(head-1), pos, row, pos)) {
-					if chain {
-						next[i] = head
-						slots[j] = int32(i + 1)
-					}
-					break
-				}
-				j = (j + 1) & mask
+			if j, head := t.probe(row, pos, i); chain {
+				t.next[i], t.slots[j] = head, int32(i+1)
 			}
 		}
 	}
-	return keyTable{slots: slots, next: next, words: words, shift: shift, mask: mask, exact: exact, build: rel, pos: pos}
+	return t
 }
 
-// lookup returns the slot value (build row position + 1) of the key in
-// row's columns pos, or 0 when no build row carries it.
-func (t *keyTable) lookup(row []Value, pos []int) int32 {
-	word := keyWord(row, pos)
-	for j := keySlot(word, t.shift); ; j = (j + 1) & t.mask {
+// probe is the table's one probe loop. It returns the slot of the key in
+// row's columns pos and the row (+ 1) the slot names, 0 when no row of
+// the table carries the key. With i ≥ 0 it also inserts on a miss: it
+// records the key's word as the table's row i's, and if no row holds the
+// key, row i claims the slot.
+func (t *keyTable) probe(row []Value, pos []int, i int) (uint64, int32) {
+	w := keyWord(row, pos)
+	if i >= 0 {
+		t.words[i] = w
+	}
+	for j := keySlot(w, t.shift); ; j = (j + 1) & t.mask {
 		head := t.slots[j]
-		if head == 0 || t.words[head-1] == word && (t.exact || keyEqual(t.build, int(head-1), t.pos, row, pos)) {
-			return head
+		if head == 0 {
+			if i >= 0 {
+				t.slots[j] = int32(i + 1)
+			}
+			return j, 0
+		}
+		if t.words[head-1] == w && (t.exact || keyEqual(t.rel, t.base+int(head-1), t.pos, row, pos)) {
+			return j, head
 		}
 	}
+}
+
+// lookup returns the slot value (row + 1) of the key in row's columns
+// pos, or 0 when no row of the table carries it.
+func (t *keyTable) lookup(row []Value, pos []int) int32 {
+	_, head := t.probe(row, pos, -1)
+	return head
 }
 
 // Budget bounds a streamed join (JoinProject, JoinFilter) the way a
@@ -303,89 +286,68 @@ const (
 	filterRows              // JoinFilter: emit it if its projection onto f is a row of f
 )
 
-// localSlot is one entry of JoinProject's group-local table: the key word
-// of an output row's build-side columns, the group that entered it, and
-// the output row.
-type localSlot struct {
-	word  uint64
-	stamp uint32
-	row   int32
-}
+// groupRows is the row capacity a JoinProject group table starts with:
+// 4 KB of slots and 4 KB of words, so the groups of a key–foreign-key
+// join deduplicate in L1.
+const groupRows = 1 << 9
 
-// localSlots is the group-local table's starting size: 16 KB, so the
-// groups of a key–foreign-key join deduplicate in L1.
-const localSlots = 1 << 10
-
-// localScratch returns e.local resized to n and zeroed.
-func (e *Exec) localScratch(n int) []localSlot {
-	if cap(e.local) < n {
-		e.local = make([]localSlot, n)
-	} else {
-		e.local = e.local[:n]
-		clear(e.local)
-	}
-	return e.local
-}
-
-// groupDedup is JoinProject's duplicate check. Within one probe group
-// every join row agrees on the probe-side kept columns, so an output row
-// is told apart by its build-side columns h alone: the table keys their
-// key word — exact up to two columns, verified against the output row
-// beyond. A slot belongs to the current group only if it carries the
-// group's stamp, so starting a group clears the table in O(1).
+// groupDedup is JoinProject's duplicate check: a keyTable over ks whose
+// rows are the current group of out — out's rows from base on — keyed by
+// the output columns pos that tell them apart, exact up to two columns
+// and verified against the output row beyond. Every join row of a probe
+// group agrees on the probe-side kept columns, so pos is the build-side
+// ones, h, alone. Project's table is the one-group case: base 0, and
+// sized for its whole operand, so it never grows or restarts.
 type groupDedup struct {
-	loc   []localSlot
-	shift uint // loc has 1<<(64-shift) slots
-	stamp uint32
-	first int // the current group's first output row
-	exact bool
-	hPos  []int // h in the build side
-	outH  []int // h in the output
+	keyTable
+	ks *keyScratch
 }
 
-// start begins a group whose first output row will be out's next.
-func (d *groupDedup) start(out *Relation) {
-	d.stamp++
-	d.first = out.n
-}
-
-// seen reports whether the current group has emitted the output row
-// whose h columns are brow's; if not, it enters that row as out's next.
-// A group about to fill half the table first doubles it (grow).
-func (d *groupDedup) seen(e *Exec, out *Relation, brow []Value) bool {
-	if 2*(out.n+1-d.first) > len(d.loc) {
-		d.grow(e, out)
+// seen reports whether the current group holds a row whose key is row's
+// columns pos; if not, it enters that row as out's next. A group about to
+// outgrow its words first doubles the table (grow).
+func (d *groupDedup) seen(row []Value, pos []int) bool {
+	i := d.rel.n - d.base
+	if i == len(d.words) {
+		d.grow()
 	}
-	word := keyWord(brow, d.hPos)
-	mask := uint64(len(d.loc) - 1)
-	for j := keySlot(word, d.shift); ; j = (j + 1) & mask {
-		sl := &d.loc[j]
-		if sl.stamp != d.stamp {
-			*sl = localSlot{word: word, stamp: d.stamp, row: int32(out.n)}
-			return false
-		}
-		if sl.word == word && (d.exact || keyEqual(out, int(sl.row), d.outH, brow, d.hPos)) {
-			return true
-		}
+	_, head := d.probe(row, pos, i)
+	return head != 0
+}
+
+// grow doubles the table in ks and re-enters the current group's rows,
+// in the order they were entered. The table keeps its size for the rest
+// of the call.
+func (d *groupDedup) grow() {
+	n, base := len(d.words), d.base
+	d.keyTable = d.ks.table(d.rel, d.pos, 2*n, 2*n)
+	d.base = base
+	for k := range n {
+		d.probe(d.rel.row(base+k), d.pos, k)
 	}
 }
 
-// grow doubles the table in e's scratch and re-enters the current
-// group's output rows, out's rows from d.first on. The table keeps its
-// size for the rest of the call.
-func (d *groupDedup) grow(e *Exec, out *Relation) {
-	d.loc = e.localScratch(2 * len(d.loc))
-	d.shift--
-	mask := uint64(len(d.loc) - 1)
-	for o := d.first; o < out.n; o++ {
-		word := keyWord(out.row(o), d.outH)
-		j := keySlot(word, d.shift)
-		for d.loc[j].stamp == d.stamp {
-			j = (j + 1) & mask
+// start empties the table of the group before and begins one whose first
+// row will be out's next. A small group has its slots re-zeroed, newest
+// row first, so each row is found where it was entered — every row it
+// probed past then is still in; a large one has the whole table cleared.
+// Either costs O(rows the group emitted).
+func (d *groupDedup) start() {
+	if n := d.rel.n - d.base; n*clearResets < len(d.slots) {
+		for k := n - 1; k >= 0; k-- {
+			j, _ := d.probe(d.rel.row(d.base+k), d.pos, -1)
+			d.slots[j] = 0
 		}
-		d.loc[j] = localSlot{word: word, stamp: d.stamp, row: int32(o)}
+	} else {
+		clear(d.slots)
 	}
+	d.base = d.rel.n
 }
+
+// clearResets is the slots per group row at or below which start clears
+// the whole table instead of re-zeroing the group's slots one probe each:
+// a probe costs about what clearing that many slots does.
+const clearResets = 64
 
 // Join returns the natural join r ⋈ s: a hash join on the shared
 // attributes (a cross product when none are shared). The smaller side
@@ -407,10 +369,9 @@ func (e *Exec) Join(r, s *Relation) *Relation {
 // chained by its columns g = x ∩ attrs(probe) — the kept columns the
 // probe row decides — and the probe loop runs group by group. Two join
 // rows with one projection agree on g, so they come from one group; each
-// group's projections are deduplicated in a table of its own, cleared
-// per group by stamp and keyed by the projection's build-side columns
-// (exact up to two columns, verified beyond). Output rows come grouped by
-// g. It returns a nil relation when b stops the join.
+// group's projections are deduplicated in a group-local table (groupDedup)
+// keyed by the projection's build-side columns. Output rows come grouped
+// by g. It returns a nil relation when b stops the join.
 func (e *Exec) JoinProject(r, s *Relation, x schema.AttrSet, b Budget) (*Relation, int) {
 	if !x.SubsetOf(r.attrs.Union(s.attrs)) {
 		panic(fmt.Sprintf("relation: projection %s ⊄ %s",
@@ -487,7 +448,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Bu
 	}
 	// Output column sources: from probe where present, else from build.
 	// srcs[k] ≥ 0 is a probe column; srcs[k] < 0 is build column ^srcs[k].
-	srcs := int32Scratch(e.srcs, out.width)
+	srcs := scratch(e.srcs, out.width)
 	e.srcs = srcs
 	for i, c := range out.cols {
 		if probe.attrs.Has(c) {
@@ -496,7 +457,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Bu
 			srcs[i] = int32(^build.colPos(c))
 		}
 	}
-	obuf := valScratch(e.obuf, out.width)
+	obuf := scratch(e.obuf, out.width)
 	e.obuf = obuf
 
 	t := e.keys.buildKeys(build, bPos, true)
@@ -510,8 +471,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Bu
 	case projectRows:
 		gt = e.aux.buildKeys(probe, gPos, true)
 		groups = len(gt.slots)
-		dd = groupDedup{loc: e.localScratch(localSlots), shift: uint(64 - bits.TrailingZeros(localSlots)),
-			exact: len(hPos) <= 2, hPos: hPos, outH: outH}
+		dd = groupDedup{keyTable: e.local.table(out, outH, groupRows, groupRows), ks: &e.local}
 	case filterRows:
 		ft = e.aux.buildKeys(f, fOwn, false)
 	}
@@ -524,7 +484,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Bu
 				continue
 			}
 			i = int(gt.slots[grp] - 1)
-			dd.start(out)
+			dd.start()
 		}
 		for i >= 0 {
 			ch := &probe.chunks[i>>chunkShift]
@@ -552,7 +512,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Bu
 					for ; bi != 0; bi = next[bi-1] {
 						joined++
 						brow := build.row(int(bi - 1))
-						if dd.seen(e, out, brow) {
+						if dd.seen(brow, hPos) {
 							continue // this group has emitted the row
 						}
 						fillRow(obuf, srcs, prow, brow)

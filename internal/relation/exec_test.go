@@ -2,6 +2,7 @@ package relation
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"gyokit/internal/schema"
@@ -10,13 +11,15 @@ import (
 // TestExecScratchBudget pins what a pooled Exec retains after the
 // operators ran over n-row operands: per key table one slot table (4 B
 // per slot), one key word per row (8 B) and one chain link per row
-// (4 B); JoinProject's group-local table; and the handful of per-column
-// buffers. Join, Semijoin and Project use one key table, and a streamed
-// join a second, over its probe side or its filter — so a join→project
-// retains less than the two statements it replaces, whose projection
-// sizes a table by |r ⋈ s|. It sums cap × element size over every slice
-// field by reflection, struct fields included, so scratch added later —
-// a third table, a word per slot — is counted without being listed here.
+// (4 B); JoinProject's group-local table, the same layout without
+// chains; and the handful of per-column buffers. Join, Semijoin and
+// Project use one key table — Project's words sized by its operand's
+// rows, like a build side's — and a streamed join a second, over its
+// probe side or its filter — so a join→project retains less than the two
+// statements it replaces, whose projection sizes a table by |r ⋈ s|. It
+// sums cap × element size over every slice field by reflection, struct
+// fields included, so scratch added later — a fourth table, a word per
+// slot — is counted without being listed here.
 func TestExecScratchBudget(t *testing.T) {
 	const n = 50000
 	u := schema.NewUniverse()
@@ -52,10 +55,11 @@ func TestExecScratchBudget(t *testing.T) {
 	if got, _ := ex.JoinFilter(r, s, s, Budget{}); got.Card() != joined {
 		t.Fatalf("streamed join→filter by s kept %d rows, want %d", got.Card(), joined)
 	}
-	budget := 2*(4*tableSize(n)+8*n+4*n) + 16*localSlots + perColumn
+	local := 4*tableSize(groupRows) + 8*groupRows // a group table that never grew
+	budget := 2*(4*tableSize(n)+8*n+4*n) + local + perColumn
 	if retained(t, ex) > budget {
 		t.Fatalf("Exec retains %d B after streamed joins of %d-row operands, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + %d B local + %d)",
-			retained(t, ex), n, budget, tableSize(n), n, 16*localSlots, perColumn)
+			retained(t, ex), n, budget, tableSize(n), n, local, perColumn)
 	}
 	if two := retained(t, twoStmt); two < 4*tableSize(joined) || budget >= two {
 		t.Fatalf("join then project retains %d B (a %d-slot projection table), the streamed budget %d B", two, tableSize(joined), budget)
@@ -83,6 +87,47 @@ func retained(t *testing.T, ex *Exec) int {
 		return total
 	}
 	return sum(reflect.ValueOf(ex).Elem(), "Exec")
+}
+
+// TestGroupTableEmptiesBetweenGroups forges what a 1024-slot table makes
+// too rare to draw: a group whose rows share one home slot, so each is
+// entered past the one before. Whichever way start resets the table — a
+// small group's slots re-zeroed, a large group's table cleared — the next
+// group must find every slot empty.
+func TestGroupTableEmptiesBetweenGroups(t *testing.T) {
+	u := schema.NewUniverse()
+	out := New(u, u.Set("a"))
+	own := []int{0}
+	ks := new(keyScratch)
+	d := groupDedup{keyTable: ks.table(out, own, groupRows, groupRows), ks: ks}
+	home := func(v Value) uint64 { return keySlot(keyWord(Tuple{v}, own), d.shift) }
+	var crowd []Value // values sharing 0's home slot
+	for v := Value(0); len(crowd) < 4; v++ {
+		if home(v) == home(0) {
+			crowd = append(crowd, v)
+		}
+	}
+	large := len(d.slots) / clearResets // with the crowd, enough rows that start clears
+	for _, extra := range []int{0, large} {
+		rows := slices.Clone(crowd)
+		for v := range extra {
+			rows = append(rows, Value(-1-v))
+		}
+		d.start()
+		for _, v := range rows {
+			if d.seen(Tuple{v}, own) {
+				t.Fatalf("group of %d rows: %d seen before it was entered", len(rows), v)
+			}
+			out.appendRow(Tuple{v}, hashValues(Tuple{v}))
+			if !d.seen(Tuple{v}, own) {
+				t.Fatalf("group of %d rows: %d not seen after it was entered", len(rows), v)
+			}
+		}
+		d.start()
+		if j := slices.IndexFunc(d.slots, func(s int32) bool { return s != 0 }); j >= 0 {
+			t.Fatalf("after a group of %d rows, slot %d still names row %d", len(rows), j, d.slots[j]-1)
+		}
+	}
 }
 
 // TestFoldedKeyIsVerified forges what 64 bits make too rare to draw: two

@@ -298,9 +298,10 @@ func joinInOrder(r, s *Relation) []Tuple {
 
 // checkKernels runs Join, Semijoin and Project over r and s — which may
 // carry dead rows — through ex and holds each to the nested-loop
-// reference as a set, Join and Semijoin to their row order as well
-// (probe order with partners newest first; r's own order), every output
-// to be dense, and both operands to be bit for bit what they were.
+// reference as a set and to its row order as well (Join: probe order
+// with partners newest first; Semijoin: r's own order; Project: the
+// first occurrence of each projection, in r's order), every output to be
+// dense, and both operands to be bit for bit what they were.
 func checkKernels(t *testing.T, label string, ex *Exec, r, s *Relation, px schema.AttrSet) {
 	t.Helper()
 	rBefore, sBefore := captureLayout(r), captureLayout(s)
@@ -332,9 +333,19 @@ func checkKernels(t *testing.T, label string, ex *Exec, r, s *Relation, px schem
 
 	proj := ex.Project(r, px)
 	sameRows(t, label+" project", proj, nr.project(px))
-	if proj.dead != 0 {
-		t.Fatalf("%s: project output carries %d dead rows", label, proj.dead)
+	var firsts []Tuple
+	seen := map[string]bool{}
+	for _, tp := range r.Tuples() {
+		pt := Tuple{}
+		for _, c := range px.Attrs() {
+			pt = append(pt, tp[r.colPos(c)])
+		}
+		if k := naiveKey(pt); !seen[k] {
+			seen[k] = true
+			firsts = append(firsts, pt)
+		}
 	}
+	sameSeq("project", proj, firsts)
 
 	rBefore.check(t, r, label+": left operand")
 	sBefore.check(t, s, label+": right operand")
@@ -737,7 +748,7 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 		case "g=∅":
 			ex := NewExec()
 			ex.JoinProject(op.r, op.s, op.x, Budget{})
-			ok = ok && g.IsEmpty() && len(ex.local) > localSlots
+			ok = ok && g.IsEmpty() && len(ex.local.words) > groupRows
 		case "x⊇probe":
 			ok = ok && probe.attrs.SubsetOf(op.x) && !h.IsEmpty()
 		case "inexact":
@@ -760,9 +771,9 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 // list, and a filter relation and head over their union (decodeOperands),
 // and holds the operators, run through one Exec, to checkKernels' and
 // checkStreams' oracles: the nested-loop results, the two-statement
-// forms of the streamed sinks, Join's, Semijoin's and the filter's row
-// order, dense outputs, untouched operands. Runs in the CI fuzz-smoke
-// lane; the seeds run under go test.
+// forms of the streamed sinks, Join's, Semijoin's, Project's and the
+// filter's row order, dense outputs, untouched operands. Runs in the CI
+// fuzz-smoke lane; the seeds run under go test.
 func FuzzOperators(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},                       // two empty zero-width relations

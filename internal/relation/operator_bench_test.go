@@ -130,20 +130,49 @@ func BenchmarkProjectColumnar(b *testing.B) {
 	}
 }
 
-// benchD20k returns ab, bc and ac of 20 000 universal tuples over a, b, c
-// drawn from [0, 2000) — the shape of the D20k triangle: about 20k rows a
-// relation, and ab ⋈ bc about ten times that.
-func benchD20k() (ab, bc, ac *Relation) {
+// benchD20k returns 20 000 universal tuples over a, b, c drawn from
+// [0, 2000), and their ab, bc and ac — the shape of the D20k triangle:
+// about 20k rows a relation, and ab ⋈ bc about ten times that.
+func benchD20k() (abc, ab, bc, ac *Relation) {
 	u := schema.NewUniverse()
-	univ, _ := RandomUniversal(u, u.Set("a", "b", "c"), 20000, 2000, rand.New(rand.NewSource(1)))
-	return univ.Project(u.Set("a", "b")), univ.Project(u.Set("b", "c")), univ.Project(u.Set("a", "c"))
+	abc, _ = RandomUniversal(u, u.Set("a", "b", "c"), 20000, 2000, rand.New(rand.NewSource(1)))
+	return abc, abc.Project(u.Set("a", "b")), abc.Project(u.Set("b", "c")), abc.Project(u.Set("a", "c"))
+}
+
+// BenchmarkProjectD20k prices standalone Project on both sides of its
+// trade: a collapsing projection (ab→a, the shape of q4's cd→D) finds
+// most of its rows already seen, the injective ones (abc→ab, the shape of
+// s8's ∪GR→ab, and ab→ab) emit nearly every row they read, and 20 rows
+// is the size of plan_churn's relations.
+func BenchmarkProjectD20k(b *testing.B) {
+	abc, ab, _, _ := benchD20k()
+	u := abc.U
+	small, _ := RandomUniversal(u, abc.Attrs(), 20, 2000, rand.New(rand.NewSource(2)))
+	ex := NewExec()
+	for _, c := range []struct {
+		name string
+		r    *Relation
+		x    schema.AttrSet
+	}{
+		{"ab→a", ab, u.Set("a")},
+		{"abc→ab", abc, u.Set("a", "b")},
+		{"ab→ab", ab, u.Set("a", "b")},
+		{"n=20", small, u.Set("a", "b")},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ex.Project(c.r, c.x)
+			}
+		})
+	}
 }
 
 // BenchmarkJoinProject prices π_ac(ab ⋈ bc) — eval_read's q5 — streamed
 // through one JoinProject against the two statements it replaces, a Join
 // whose output the Project then deduplicates in a table sized by it.
 func BenchmarkJoinProject(b *testing.B) {
-	ab, bc, ac := benchD20k()
+	_, ab, bc, ac := benchD20k()
 	ex := NewExec()
 	benchForms(b,
 		func() { ex.JoinProject(ab, bc, ac.Attrs(), Budget{}) },
@@ -153,7 +182,7 @@ func BenchmarkJoinProject(b *testing.B) {
 // BenchmarkJoinFilter prices (ab ⋈ bc) ⋈ ac — eval_read's q7 — streamed
 // through one JoinFilter against the two joins it replaces.
 func BenchmarkJoinFilter(b *testing.B) {
-	ab, bc, ac := benchD20k()
+	_, ab, bc, ac := benchD20k()
 	ex := NewExec()
 	benchForms(b,
 		func() { ex.JoinFilter(ab, bc, ac, Budget{}) },

@@ -34,9 +34,9 @@
 // Exec.Join, Exec.Semijoin, Partition and the permuting Renamed only
 // append rows;
 // projection is the one operation that can create duplicates: Exec.Project
-// eliminates them in the Exec's pooled scratch table, and
+// eliminates them in a pooled key table over its output's rows, and
 // Exec.JoinProject — π_x(r ⋈ s) without the join ever being stored —
-// in a small group-local table, since two join rows with one projection
+// in a small group-local one, since two join rows with one projection
 // come from probe rows that agree on the kept columns. Exec.JoinFilter,
 // a join with a relation over a subset of its attributes done as it
 // streams, only appends. None of them gives its output
@@ -55,17 +55,18 @@
 // base once the overlay outgrows its bound. No string keys are
 // materialized anywhere on the insert, lookup, join, or semijoin paths.
 // The operators live on Exec (see exec.go), a reusable execution
-// context that amortizes one scratch table and its buffers across a
-// whole program run; the methods on Relation are convenience wrappers
-// over a throwaway Exec. The operator tables are not the set index and
-// do not key on row hashes: Join and Semijoin key their build side by
-// the shared columns themselves — a 64-bit key word per build row that
-// is the key when it has at most two columns, so a probe compares words
-// and fetches no row, and a fold of the columns, verified
-// column-by-column, when it has more — and walk both operands chunk by
-// chunk; JoinProject's group-local table keys an output row by its
-// build-side columns the same way; only Project, whose output rows need
-// their hashes anyway, deduplicates by row hash.
+// context that amortizes its scratch tables and buffers across a whole
+// program run; the methods on Relation are convenience wrappers over a
+// throwaway Exec. The operator tables are not the set index and do not
+// key on row hashes: they are all one keyTable, keyed by columns
+// themselves — a 64-bit key word per row that is the key when it has at
+// most two columns, so a probe compares words and fetches no row, and a
+// fold of the columns, verified column-by-column, when it has more. Join
+// and Semijoin key their build side by the shared columns and walk both
+// operands chunk by chunk; Project keys its output rows by all their
+// columns, and JoinProject's group-local table keys them by their
+// build-side columns. No operator's duplicate check reads the stored row
+// hashes; they serve the set index.
 package relation
 
 import (
