@@ -96,9 +96,11 @@ func (e *Exec) Project(r *Relation, x schema.AttrSet) *Relation {
 	t := e.keys.table(out, own, r.Card(), r.Card())
 	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
 		row := r.row(i)
-		if _, head := t.probe(row, rPos, out.n); head != 0 {
+		w, j, head := t.probe(row, rPos)
+		if head != 0 {
 			continue
 		}
+		t.enter(out.n, w, j)
 		for k, p := range rPos {
 			buf[k] = row[p]
 		}
@@ -160,7 +162,8 @@ func keyEqual(rel *Relation, i int, tPos []int, row []Value, pos []int) bool {
 // one keyScratch, keyed by the key word of the columns pos of rel's rows
 // from base on — row i of the table is rel's row base+i. It is the build
 // side of a Join or Semijoin, a streamed join's probe groups or filter
-// keys (base 0), and a projection's output rows (groupDedup). A slot
+// keys (base 0), Project's output rows (base 0) and JoinProject's
+// current group of output rows (groupDedup). A slot
 // names one row (i + 1) per distinct key; words holds the key word of
 // every row, by i, so a lookup reads slots[j], then words[head-1], and —
 // the key being exact — is done.
@@ -207,42 +210,42 @@ func (ks *keyScratch) buildKeys(rel *Relation, pos []int, chain bool) keyTable {
 			}
 			row := data[k*w : k*w+w]
 			i := c<<chunkShift + k
-			if j, head := t.probe(row, pos, i); chain {
-				t.next[i], t.slots[j] = head, int32(i+1)
+			kw, j, head := t.probe(row, pos)
+			if chain {
+				t.next[i] = head
+			}
+			if head == 0 || chain {
+				t.enter(i, kw, j)
 			}
 		}
 	}
 	return t
 }
 
-// probe is the table's one probe loop. It returns the slot of the key in
-// row's columns pos and the row (+ 1) the slot names, 0 when no row of
-// the table carries the key. With i ≥ 0 it also inserts on a miss: it
-// records the key's word as the table's row i's, and if no row holds the
-// key, row i claims the slot.
-func (t *keyTable) probe(row []Value, pos []int, i int) (uint64, int32) {
-	w := keyWord(row, pos)
-	if i >= 0 {
-		t.words[i] = w
-	}
-	for j := keySlot(w, t.shift); ; j = (j + 1) & t.mask {
-		head := t.slots[j]
-		if head == 0 {
-			if i >= 0 {
-				t.slots[j] = int32(i + 1)
-			}
-			return j, 0
-		}
-		if t.words[head-1] == w && (t.exact || keyEqual(t.rel, t.base+int(head-1), t.pos, row, pos)) {
-			return j, head
+// probe is the table's one probe loop. It returns the key word of row's
+// columns pos, the slot of that key and the row (+ 1) the slot names —
+// or, when no row of the table carries the key, the empty slot the key
+// would claim and 0, so an insert (enter) needs no second probe. It
+// leaves the table as it was: a lookup pays for no insert.
+func (t *keyTable) probe(row []Value, pos []int) (w, j uint64, head int32) {
+	w = keyWord(row, pos)
+	for j = keySlot(w, t.shift); ; j = (j + 1) & t.mask {
+		head = t.slots[j]
+		if head == 0 || t.words[head-1] == w && (t.exact || keyEqual(t.rel, t.base+int(head-1), t.pos, row, pos)) {
+			return w, j, head
 		}
 	}
+}
+
+// enter makes row i the one slot j names, with key word w.
+func (t *keyTable) enter(i int, w, j uint64) {
+	t.words[i], t.slots[j] = w, int32(i+1)
 }
 
 // lookup returns the slot value (row + 1) of the key in row's columns
 // pos, or 0 when no row of the table carries it.
 func (t *keyTable) lookup(row []Value, pos []int) int32 {
-	_, head := t.probe(row, pos, -1)
+	_, _, head := t.probe(row, pos)
 	return head
 }
 
@@ -296,8 +299,7 @@ const groupRows = 1 << 9
 // the output columns pos that tell them apart, exact up to two columns
 // and verified against the output row beyond. Every join row of a probe
 // group agrees on the probe-side kept columns, so pos is the build-side
-// ones, h, alone. Project's table is the one-group case: base 0, and
-// sized for its whole operand, so it never grows or restarts.
+// ones, h, alone.
 type groupDedup struct {
 	keyTable
 	ks *keyScratch
@@ -311,43 +313,34 @@ func (d *groupDedup) seen(row []Value, pos []int) bool {
 	if i == len(d.words) {
 		d.grow()
 	}
-	_, head := d.probe(row, pos, i)
+	w, j, head := d.probe(row, pos)
+	if head == 0 {
+		d.enter(i, w, j)
+	}
 	return head != 0
 }
 
-// grow doubles the table in ks and re-enters the current group's rows,
-// in the order they were entered. The table keeps its size for the rest
-// of the call.
+// grow doubles the table in ks and re-enters the current group's rows.
+// The table keeps its size for the rest of the call.
 func (d *groupDedup) grow() {
 	n, base := len(d.words), d.base
 	d.keyTable = d.ks.table(d.rel, d.pos, 2*n, 2*n)
 	d.base = base
 	for k := range n {
-		d.probe(d.rel.row(base+k), d.pos, k)
+		w, j, _ := d.probe(d.rel.row(base+k), d.pos)
+		d.enter(k, w, j)
 	}
 }
 
 // start empties the table of the group before and begins one whose first
-// row will be out's next. A small group has its slots re-zeroed, newest
-// row first, so each row is found where it was entered — every row it
-// probed past then is still in; a large one has the whole table cleared.
-// Either costs O(rows the group emitted).
+// row will be out's next. Clearing costs the table's size, not the
+// group's — 4 KB of slots unless a group of the call grew it — and that
+// is no slower than re-zeroing a group's slots one probe each even when
+// every group is one probe row (BenchmarkJoinProjectRowGroups).
 func (d *groupDedup) start() {
-	if n := d.rel.n - d.base; n*clearResets < len(d.slots) {
-		for k := n - 1; k >= 0; k-- {
-			j, _ := d.probe(d.rel.row(d.base+k), d.pos, -1)
-			d.slots[j] = 0
-		}
-	} else {
-		clear(d.slots)
-	}
+	clear(d.slots)
 	d.base = d.rel.n
 }
-
-// clearResets is the slots per group row at or below which start clears
-// the whole table instead of re-zeroing the group's slots one probe each:
-// a probe costs about what clearing that many slots does.
-const clearResets = 64
 
 // Join returns the natural join r ⋈ s: a hash join on the shared
 // attributes (a cross product when none are shared). The smaller side

@@ -179,6 +179,19 @@ func BenchmarkJoinProject(b *testing.B) {
 		func() { ex.Project(ex.Join(ab, bc), ac.Attrs()) })
 }
 
+// BenchmarkJoinProjectRowGroups prices JoinProject on groups of one probe
+// row: π_abc(ab ⋈ bc) keeps every probe column, so each of the ≈20k probe
+// rows is a group of its ≈10 partners, where q5's ≈2000 groups have ≈100
+// join rows each. It is the shape that pays most for starting a group.
+func BenchmarkJoinProjectRowGroups(b *testing.B) {
+	abc, ab, bc, _ := benchD20k()
+	ex := NewExec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ex.JoinProject(ab, bc, abc.Attrs(), Budget{})
+	}
+}
+
 // BenchmarkJoinFilter prices (ab ⋈ bc) ⋈ ac — eval_read's q7 — streamed
 // through one JoinFilter against the two joins it replaces.
 func BenchmarkJoinFilter(b *testing.B) {
