@@ -261,7 +261,7 @@ func BenchmarkSemijoinProgramSerial(b *testing.B) {
 	ex := relation.NewExec()
 	b.ResetTimer()
 	for k := 0; k < b.N; k++ {
-		if _, _, err := plan.Run(db, ex, program.Limits{}); err != nil {
+		if _, _, err := plan.Run(db, ex, program.Limits{}, relation.All); err != nil {
 			b.Fatal(err)
 		}
 	}

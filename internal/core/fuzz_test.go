@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -125,6 +126,9 @@ func FuzzQueryEquivalence(f *testing.F) {
 	for _, s := range streamingSeeds {
 		f.Add(s.seed)
 	}
+	for _, s := range countedSeeds {
+		f.Add(s.seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := &fuzzInput{b: data}
 		d := fuzzSchema(in)
@@ -141,19 +145,42 @@ func FuzzQueryEquivalence(f *testing.F) {
 			t.Fatalf("%s: naive eval: %v", name, err)
 		}
 		// solves runs p and returns its stats, whose Joins/Projects/
-		// Semijoins count every statement of p, skipped ones included.
+		// Semijoins count every statement of p, skipped ones included. It
+		// runs p again keeping k ∈ {0, 1, 10} answer rows, as a reply with
+		// that limit does: the card must still be the naive join's, the
+		// rows kept the whole run's first k, and the stats the whole run's
+		// apart from Counted, which only the answer statement may carry.
 		solves := func(label string, p *program.Program, lim program.Limits) *program.Stats {
 			t.Helper()
-			got, st, err := p.Run(db, relation.NewExec(), lim)
+			got, st, err := p.Run(db, relation.NewExec(), lim, relation.All)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, label, err)
 			}
-			if !got.Attrs().Equal(x) || !got.Equal(want) {
-				t.Fatalf("%s: %s: %d tuples over %s, naive join has %d\n%s",
-					name, label, got.Card(), d.U.FormatSet(got.Attrs()), want.Card(), st.Table())
+			if !got.Attrs().Equal(x) || !got.Equal(want) || st.AnswerCard() != want.Card() {
+				t.Fatalf("%s: %s: %d tuples over %s (card %d), naive join has %d\n%s",
+					name, label, got.Card(), d.U.FormatSet(got.Attrs()), st.AnswerCard(), want.Card(), st.Table())
 			}
 			if len(st.Detail) != len(p.Stmts) {
 				t.Fatalf("%s: %s: stats cover %d of %d statements", name, label, len(st.Detail), len(p.Stmts))
+			}
+			for _, k := range []int{0, 1, 10} {
+				first, kst, err := p.Run(db, relation.NewExec(), lim, k)
+				if err != nil {
+					t.Fatalf("%s: %s at k=%d: %v", name, label, k, err)
+				}
+				last := len(kst.Detail) - 1
+				kept := first.Tuples()
+				if kst.Detail[last].Counted && len(kept) != min(k, want.Card()) || len(kept) < min(k, want.Card()) {
+					t.Fatalf("%s: %s at k=%d: %d rows kept of %d (counted %v)", name, label, k, len(kept), want.Card(), kst.Detail[last].Counted)
+				}
+				kept = kept[:min(k, len(kept))]
+				if !slices.EqualFunc(kept, got.Tuples()[:len(kept)], slices.Equal) || kst.AnswerCard() != want.Card() {
+					t.Fatalf("%s: %s at k=%d: card %d, rows %v; want %d and the first of %v\n%s",
+						name, label, k, kst.AnswerCard(), kept, want.Card(), got.Tuples(), kst.Table())
+				}
+				if !sameStats(st, kst) {
+					t.Fatalf("%s: %s at k=%d: stats differ from the whole run's\n%s\n%s", name, label, k, st.Table(), kst.Table())
+				}
 			}
 			return st
 		}
@@ -255,6 +282,65 @@ func TestStreamingSeeds(t *testing.T) {
 		if !hit {
 			t.Errorf("seed %v (%s x=%s) streams no nonempty join into a %s\n%s",
 				s.seed, d, d.U.FormatSet(x), s.into, st.Table())
+		}
+	}
+}
+
+// sameStats reports whether two runs of one program recorded the same
+// costs, apart from wall times and from Counted on the answer statement.
+func sameStats(a, b *program.Stats) bool {
+	strip := func(st *program.Stats) []program.StmtStat {
+		ds := slices.Clone(st.Detail)
+		for i := range ds {
+			ds[i].Elapsed = 0
+			if i == len(ds)-1 {
+				ds[i].Counted = false
+			}
+		}
+		return ds
+	}
+	return a.TuplesProduced == b.TuplesProduced && a.MaxIntermediate == b.MaxIntermediate &&
+		a.Joins == b.Joins && a.Projects == b.Projects && a.Semijoins == b.Semijoins &&
+		slices.Equal(a.PerStmt, b.PerStmt) && slices.Equal(strip(a), strip(b))
+}
+
+// countedSeeds are FuzzQueryEquivalence seeds whose PlanQuery answer
+// statement Run counts when it keeps one row: a join, and the consumer of
+// a join streamed into a projection (JoinProject) or into a join with a
+// filter (JoinFilter). Each answer has more rows than the oracle's
+// middle k, so k = 1 and k = 10 both cut it. TestCountedSeeds checks
+// each.
+var countedSeeds = []struct {
+	seed     []byte
+	kind     program.StmtKind // the answer statement's kind
+	streamed bool             // whether a join streams into it
+}{
+	{[]byte{5, 5, 3, 10, 7, 1, 5}, program.Join, false},                                // 6-chain, x = abcd
+	{[]byte{2, 3, 6, 3, 14, 13, 13, 9, 4, 11, 11, 10, 2, 1, 5}, program.Project, true}, // branching tree, x = abcefij
+	{[]byte{13, 2, 3, 3, 9, 15, 5}, program.Join, true},                                // ab, bc, cd, ad, x = abcd: the §4 join filtered by ad
+}
+
+// TestCountedSeeds decodes each counted seed the way FuzzQueryEquivalence
+// does and checks that a run keeping one answer row counts the answer
+// statement it is named for, and that the answer has more than ten rows.
+func TestCountedSeeds(t *testing.T) {
+	for _, s := range countedSeeds {
+		in := &fuzzInput{b: s.seed}
+		d := fuzzSchema(in)
+		x := fuzzHead(in, d)
+		db := fuzzDatabase(in, d)
+		qp, err := PlanQuery(d, x)
+		if err != nil {
+			t.Fatalf("%v: %v", s.seed, err)
+		}
+		_, st, err := qp.Prog.Run(db, relation.NewExec(), program.Limits{}, 1)
+		if err != nil {
+			t.Fatalf("%v: %v", s.seed, err)
+		}
+		last := len(st.Detail) - 1
+		if a := st.Detail[last]; !a.Counted || a.Kind != s.kind || st.Detail[last-1].Streamed != s.streamed || a.Out <= 10 {
+			t.Errorf("seed %v (%s x=%s) answers with %+v, want a counted %s of more than 10 rows (streamed into: %v)\n%s",
+				s.seed, d, d.U.FormatSet(x), a, s.kind, s.streamed, st.Table())
 		}
 	}
 }

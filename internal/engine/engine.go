@@ -450,7 +450,7 @@ func (e *Engine) Solve(d *schema.Schema, x schema.AttrSet) (*relation.Relation, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.run(e.db.Load(), pl, hit, program.Limits{})
+	return e.run(e.db.Load(), pl, hit, program.Limits{}, relation.All)
 }
 
 // SolveQuery evaluates a plan — from Plan or PrepareQuery — against
@@ -464,14 +464,15 @@ func (e *Engine) Solve(d *schema.Schema, x schema.AttrSet) (*relation.Relation, 
 // — which no PR but a benchmark PR may edit — calls SolveQuery(pl, 1, …);
 // the benchmark PR that updates that call drops the argument.
 func (e *Engine) SolveQuery(pl *Plan, _ int, lim program.Limits) (*relation.Relation, *program.Stats, error) {
-	return e.run(e.db.Load(), pl, true, lim)
+	return e.run(e.db.Load(), pl, true, lim, relation.All)
 }
 
 // run is the engine's one evaluation path. It binds the plan's atoms to
 // db's relations (bind) and runs the program over them in a pooled
-// execution context. db is never mutated. cacheHit says how the caller
-// came by pl and only labels the latency observation.
-func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, lim program.Limits) (*relation.Relation, *program.Stats, error) {
+// execution context, keeping k rows of the answer (see Program.Run). db
+// is never mutated. cacheHit says how the caller came by pl and only
+// labels the latency observation.
+func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, lim program.Limits, k int) (*relation.Relation, *program.Stats, error) {
 	if pl == nil || pl.QueryPlan == nil || pl.Prog == nil {
 		return nil, nil, fmt.Errorf("engine: plan has no program (use Plan or PrepareQuery)")
 	}
@@ -484,7 +485,7 @@ func (e *Engine) run(db *relation.Database, pl *Plan, cacheHit bool, lim program
 		return nil, nil, err
 	}
 	ex := e.execs.Get().(*relation.Exec)
-	out, st, err := pl.Prog.Run(db, ex, lim)
+	out, st, err := pl.Prog.Run(db, ex, lim, k)
 	e.execs.Put(ex)
 	if err != nil {
 		switch {

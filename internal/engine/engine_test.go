@@ -25,7 +25,7 @@ func solveOn(e *Engine, db *relation.Database, d *schema.Schema, x schema.AttrSe
 	if err != nil {
 		return nil, nil, err
 	}
-	return e.run(db, pl, hit, program.Limits{})
+	return e.run(db, pl, hit, program.Limits{}, relation.All)
 }
 
 func TestPlanCacheHit(t *testing.T) {

@@ -283,7 +283,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 type readOptions struct {
 	// Limit caps the tuples echoed for this request. A pointer so that
 	// an explicit 0 ("card only, no tuples") is distinguishable from an
-	// omitted field (server default); negative limits are rejected.
+	// omitted field (server default); negative limits are rejected. The
+	// resolved cap is also how many answer rows the evaluation builds
+	// when the answer is a join (Program.Run): card stays exact, and the
+	// gas counts every answer row as before.
 	Limit *int `json:"limit,omitempty"`
 	// Parallelism is accepted and ignored; evaluation is serial. It was
 	// the per-request shard count of the deleted partition-parallel
@@ -495,7 +498,7 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 		lim.Deadline = time.Now().Add(timeout)
 	}
 	t0 := time.Now()
-	out, st, err := s.E.run(s.E.Snapshot(), pl, hit, lim)
+	out, st, err := s.E.run(s.E.Snapshot(), pl, hit, lim, limit)
 	elapsed := time.Since(t0)
 	if err != nil {
 		switch {
@@ -511,9 +514,10 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 	if s.SlowQuery > 0 && elapsed >= s.SlowQuery {
 		s.logSlowQuery(requestID(w), pl.Canonical, text, elapsed, st)
 	}
+	// out holds at least the rows echoed; the answer may have more.
 	ans = Answer{
 		Cols:  pl.HeadVars,
-		Card:  out.Card(),
+		Card:  st.AnswerCard(),
 		Stats: solveStats(st),
 	}
 	if opt.Trace {
@@ -528,11 +532,8 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 	for j, id := range pl.HeadIDs {
 		perm[j] = indexOfAttr(stored, id)
 	}
-	echo := out.Card()
-	if echo > limit {
-		echo = limit
-		ans.Truncated = true
-	}
+	echo := min(ans.Card, limit)
+	ans.Truncated = ans.Card > limit
 	ans.Tuples = make([][]relation.Value, echo)
 	for i := range ans.Tuples {
 		row := out.TupleAt(i)

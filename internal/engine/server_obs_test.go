@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -525,5 +526,65 @@ func TestTraceShowsStreamedJoin(t *testing.T) {
 	}
 	if ans.Stats.MaxIntermediate != joined {
 		t.Errorf("max intermediate %d, want the streamed join's %d", ans.Stats.MaxIntermediate, joined)
+	}
+}
+
+// TestCountedAnswerMatchesStored: a read whose answer is a join — q5's
+// projection of ab ⋈ bc, q6's ab ⋈ bc itself, q7's ab ⋈ bc filtered by
+// ac — builds only the rows its limit echoes. At limit 0, 1 and 10 and
+// with the limit omitted, the reply's card, truncated flag, tuples and
+// stats must be those of the same plan run keeping every row, and the
+// traced answer span must be marked counted with the full card as its out.
+func TestCountedAnswerMatchesStored(t *testing.T) {
+	u := schema.NewUniverse()
+	d := schema.MustParse(u, "ab, bc, cd, de, ac")
+	e := New(Options{})
+	e.Swap(urdb(d, 3, 400, 12))
+	ts := httptest.NewServer(NewServer(e, u, d).Handler())
+	t.Cleanup(ts.Close)
+
+	for _, q := range []string{
+		"ans(A,C) :- ab(A,B), bc(B,C).",
+		"ans(A,B,C) :- ab(A,B), bc(B,C), cd(C,D).",
+		"ans(A,B,C) :- ab(A,B), bc(B,C), ac(A,C).",
+	} {
+		pl, err := e.PrepareQuery(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, st, err := e.SolveQuery(pl, 1, program.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		card, cols := whole.Card(), whole.Cols()
+		for _, limit := range []int{0, 1, 10, -1} { // -1: omitted
+			body, k := fmt.Sprintf(`{"query": %q, "trace": true, "limit": %d}`, q, limit), limit
+			if limit < 0 {
+				body, k = fmt.Sprintf(`{"query": %q, "trace": true}`, q), DefaultMaxTuples
+			}
+			want := make([][]relation.Value, min(card, k))
+			for i := range want {
+				row := whole.TupleAt(i)
+				for _, id := range pl.HeadIDs {
+					want[i] = append(want[i], row[indexOfAttr(cols, id)])
+				}
+			}
+			var ans QueryResponse
+			if resp := post(t, ts.URL+"/v1/query", body, &ans); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s limit %d: status %d", q, limit, resp.StatusCode)
+			}
+			if ans.Card != card || ans.Truncated != (card > k) || !reflect.DeepEqual(ans.Tuples, want) ||
+				ans.Stats.TuplesProduced != st.TuplesProduced || ans.Stats.MaxIntermediate != st.MaxIntermediate {
+				t.Errorf("%s limit %d: card %d, truncated %v, %d tuples, %d produced, max %d; want %d, %v, %d, %d, %d\n got  %v\n want %v",
+					q, limit, ans.Card, ans.Truncated, len(ans.Tuples), ans.Stats.TuplesProduced, ans.Stats.MaxIntermediate,
+					card, card > k, len(want), st.TuplesProduced, st.MaxIntermediate, ans.Tuples, want)
+			}
+			if ans.Trace == nil || !ans.Trace.Counted || ans.Trace.Out != card {
+				t.Errorf("%s limit %d: answer span %+v, want counted with out %d", q, limit, ans.Trace, card)
+			}
+		}
+		if card <= 10 {
+			t.Errorf("%s: the fixture answers %d rows, so limit 10 truncates nothing", q, card)
+		}
 	}
 }

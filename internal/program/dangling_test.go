@@ -127,7 +127,7 @@ func TestOperatorOutputsOnDanglingDatabase(t *testing.T) {
 		}
 
 		want := refEval(p, db)
-		got, st, err := p.Run(db, ex, Limits{})
+		got, st, err := p.Run(db, ex, Limits{}, relation.All)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -90,7 +90,7 @@ func TestEvalExecReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := plan.Run(db, ex, Limits{})
+		got, _, err := plan.Run(db, ex, Limits{}, relation.All)
 		if err != nil {
 			t.Fatal(err)
 		}

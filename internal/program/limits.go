@@ -12,7 +12,8 @@ import (
 // multi-tenant safety rails. The zero value means unlimited.
 //
 // Both rails are checked at statement boundaries inside the evaluation
-// loop, and while a join streams into its consumer (see Program.Run):
+// loop, and while a join streams into its consumer or is counted as the
+// answer (see Program.Run):
 // the gas after each probe row's partners, the deadline every few
 // thousand join rows. Other statements are never interrupted, so the
 // overshoot past a deadline (or a gas budget) is bounded by one
@@ -48,8 +49,9 @@ func (l Limits) check(si, produced int) error {
 	return nil
 }
 
-// budget is what is left of l for a join streamed after produced tuples
-// were materialized: it stops the join once its rows pass the gas.
+// budget is what is left of l for a join streamed or counted after
+// produced tuples were materialized: it stops the join once its rows pass
+// the gas.
 func (l Limits) budget(produced int) relation.Budget {
 	b := relation.Budget{Deadline: l.Deadline}
 	if l.MaxTuples > 0 {

@@ -44,7 +44,7 @@ func TestGasExhausted(t *testing.T) {
 	want := out
 
 	lim := Limits{MaxTuples: st.TuplesProduced - 1}
-	out, st2, err := p.Run(db, relation.NewExec(), lim)
+	out, st2, err := p.Run(db, relation.NewExec(), lim, relation.All)
 	if err == nil {
 		t.Fatal("evaluation under an insufficient gas budget succeeded")
 	}
@@ -64,7 +64,7 @@ func TestGasExhausted(t *testing.T) {
 
 	// An exactly-sufficient budget succeeds with the same answer: the
 	// rail is > budget, not ≥.
-	out, _, err = p.Run(db, relation.NewExec(), Limits{MaxTuples: st.TuplesProduced})
+	out, _, err = p.Run(db, relation.NewExec(), Limits{MaxTuples: st.TuplesProduced}, relation.All)
 	if err != nil {
 		t.Fatalf("evaluation under an exact budget: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	p, db := limitsFixture(t)
 
 	lim := Limits{Deadline: time.Now().Add(-time.Millisecond)}
-	out, st, err := p.Run(db, relation.NewExec(), lim)
+	out, st, err := p.Run(db, relation.NewExec(), lim, relation.All)
 	if err == nil {
 		t.Fatal("evaluation past its deadline succeeded")
 	}
@@ -89,7 +89,7 @@ func TestDeadlineExceeded(t *testing.T) {
 	}
 
 	// A generous deadline does not perturb the run.
-	if _, _, err := p.Run(db, relation.NewExec(), Limits{Deadline: time.Now().Add(time.Minute)}); err != nil {
+	if _, _, err := p.Run(db, relation.NewExec(), Limits{Deadline: time.Now().Add(time.Minute)}, relation.All); err != nil {
 		t.Fatalf("evaluation under a generous deadline: %v", err)
 	}
 }
@@ -98,8 +98,9 @@ func TestDeadlineExceeded(t *testing.T) {
 // no partial state, leaves the frozen snapshot untouched, and leaves the
 // execution context it ran in — pooled across requests by the engine —
 // good for the next run. One budget runs out halfway through a join that
-// streams into its projection: the error names the join, stopped past
-// the gas and before its last row.
+// streams into its projection, the answer: the error names the join,
+// stopped past the gas and before its last row, whether the run keeps
+// every answer row or counts them and keeps one.
 func TestLimitErrorLeavesExecReusable(t *testing.T) {
 	p, db := limitsFixture(t)
 	db.Freeze()
@@ -108,7 +109,7 @@ func TestLimitErrorLeavesExecReusable(t *testing.T) {
 		before[i] = r.Clone()
 	}
 	ex := relation.NewExec()
-	want, st, err := p.Run(db, ex, Limits{})
+	want, st, err := p.Run(db, ex, Limits{}, relation.All)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +122,8 @@ func TestLimitErrorLeavesExecReusable(t *testing.T) {
 			fused, prior = i, sumOut(st.Detail[:i])
 		}
 	}
-	if fused < 0 || st.Detail[fused].Out < 2 {
-		t.Fatalf("fixture streams no join of two rows or more:\n%s", st.Table())
+	if fused < 0 || st.Detail[fused].Out < 2 || fused+2 != len(p.Stmts) {
+		t.Fatalf("fixture streams no join of two rows or more into its answer:\n%s", st.Table())
 	}
 	midStream := Limits{MaxTuples: prior + st.Detail[fused].Out/2}
 
@@ -130,13 +131,16 @@ func TestLimitErrorLeavesExecReusable(t *testing.T) {
 		lim  Limits
 		want error
 		stmt int // the statement the LimitError names; -1: any
+		k    int // the answer rows the run keeps
 	}{
-		"gas":        {Limits{MaxTuples: st.TuplesProduced - 1}, ErrGasExhausted, -1},
-		"one tuple":  {Limits{MaxTuples: 1}, ErrGasExhausted, -1},
-		"deadline":   {Limits{Deadline: time.Now().Add(-time.Millisecond)}, ErrDeadlineExceeded, -1},
-		"mid-stream": {midStream, ErrGasExhausted, fused},
+		"gas":                {Limits{MaxTuples: st.TuplesProduced - 1}, ErrGasExhausted, -1, relation.All},
+		"one tuple":          {Limits{MaxTuples: 1}, ErrGasExhausted, -1, relation.All},
+		"deadline":           {Limits{Deadline: time.Now().Add(-time.Millisecond)}, ErrDeadlineExceeded, -1, relation.All},
+		"mid-stream":         {midStream, ErrGasExhausted, fused, relation.All},
+		"counted gas":        {Limits{MaxTuples: st.TuplesProduced - 1}, ErrGasExhausted, -1, 1},
+		"counted mid-stream": {midStream, ErrGasExhausted, fused, 1},
 	} {
-		out, st2, err := p.Run(db, ex, tc.lim)
+		out, st2, err := p.Run(db, ex, tc.lim, tc.k)
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
 		}
@@ -149,7 +153,7 @@ func TestLimitErrorLeavesExecReusable(t *testing.T) {
 		if out != nil || st2 != nil {
 			t.Errorf("%s: aborted evaluation returned partial state", name)
 		}
-		got, st3, err := p.Run(db, ex, Limits{})
+		got, st3, err := p.Run(db, ex, Limits{}, relation.All)
 		if err != nil {
 			t.Fatalf("%s: run after the abort: %v", name, err)
 		}

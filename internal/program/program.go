@@ -141,7 +141,9 @@ func (p *Program) schemas() ([]schema.AttrSet, error) {
 // cardinalities plus wall time. InRight is −1 for projections, which
 // have a single operand. Streamed marks a join Run fed straight into the
 // next statement (see Run): its Out counts the rows that passed through,
-// and the pair's wall time is on the consumer.
+// and the pair's wall time is on the consumer. Counted marks the answer
+// statement Run counted and kept only the first k rows of: its Out is
+// still the answer's full cardinality.
 type StmtStat struct {
 	Kind     StmtKind
 	InLeft   int
@@ -149,6 +151,7 @@ type StmtStat struct {
 	Out      int
 	Elapsed  time.Duration
 	Streamed bool
+	Counted  bool
 }
 
 // Stats records interpreter costs. Detail holds one entry per
@@ -202,18 +205,26 @@ func (st *Stats) Table() string {
 		if d.Streamed {
 			elapsed = "streamed"
 		}
-		fmt.Fprintf(&b, "%-4d %-9s %10d %10s %10d %14s\n", i, d.Kind, d.InLeft, right, d.Out, elapsed)
+		fmt.Fprintf(&b, "%-4d %-9s %10d %10s %10d %14s", i, d.Kind, d.InLeft, right, d.Out, elapsed)
+		if d.Counted {
+			b.WriteString(" counted")
+		}
+		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "total: %d tuples produced, max intermediate %d, %v\n",
 		st.TuplesProduced, st.MaxIntermediate, st.Elapsed)
 	return b.String()
 }
 
+// AnswerCard returns the cardinality of the run's answer: the last
+// statement's Out, exact even when Run kept fewer of its rows.
+func (st *Stats) AnswerCard() int { return st.PerStmt[len(st.PerStmt)-1] }
+
 // Eval runs the program without limits over a database state for D and
 // returns the final relation (the last statement's value) plus cost
-// statistics: Run with a throwaway execution context.
+// statistics: Run with a throwaway execution context, keeping every row.
 func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error) {
-	return p.Run(db, relation.NewExec(), Limits{})
+	return p.Run(db, relation.NewExec(), Limits{}, relation.All)
 }
 
 // Run evaluates the program over db in the execution context ex, under
@@ -221,6 +232,18 @@ func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error
 // (§4, §6). The whole statement sequence shares ex, so hash tables and
 // scratch buffers are allocated once per run — and a server pooling
 // contexts across requests amortizes them across runs too.
+//
+// k ≥ 0 is how many rows of the answer the caller reads — a reply's echo
+// limit; relation.All for every row. When the answer statement is a join
+// (relation.Exec.JoinFirst) or the consumer of a streamed join (below),
+// and k is not All, it runs counted: every row is still found and
+// counted, so its Out, the answer's cardinality (Stats.AnswerCard), is
+// exact, but only the first k rows, in the order the whole answer would
+// have them, are built and returned. The statement is marked Counted and
+// nothing else changes — not the other stats, not what the gas counts;
+// the rails are checked as the counted join runs, as in a streamed one.
+// A final semijoin or projection, and every run with k = All, returns
+// the whole answer.
 //
 // One pair of statements is evaluated as one: a join whose value has a
 // single use, by the statement right after it, is streamed into that
@@ -249,7 +272,7 @@ func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error
 // relation over the result schema. A streamed join that comes out empty
 // is such a statement: its consumer is recorded as skipped, and the
 // pair's wall time stays on the join.
-func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits) (*relation.Relation, *Stats, error) {
+func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits, k int) (*relation.Relation, *Stats, error) {
 	sch, err := p.schemas()
 	if err != nil {
 		return nil, nil, err
@@ -286,25 +309,37 @@ func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits) (*re
 	}
 
 	start := time.Now()
+	last := len(p.Stmts) - 1
 	for si := 0; si < len(p.Stmts); si++ {
 		s := p.Stmts[si]
 		d := opStat(s, vals, 0)
 		filter, streamed := p.streamsInto(si, flow, sch)
+		// The answer statement keeps k rows; a join kernel counts the rest.
+		keep := relation.All
+		if si == last || streamed && si+1 == last {
+			keep = k
+		}
+		counted := keep != relation.All && (streamed || s.Kind == Join)
+		var b relation.Budget
+		if enforce {
+			b = lim.budget(st.TuplesProduced)
+		}
 		t0 := time.Now()
 		var out *relation.Relation
+		var card int
 		switch {
 		case streamed:
-			var b relation.Budget
-			if enforce {
-				b = lim.budget(st.TuplesProduced)
-			}
 			if c := p.Stmts[si+1]; c.Kind == Project {
-				out, d.Out = ex.JoinProject(vals[s.Left], vals[s.Right], c.Proj, b)
+				out, card, d.Out = ex.JoinProject(vals[s.Left], vals[s.Right], c.Proj, keep, b)
 			} else {
-				out, d.Out = ex.JoinFilter(vals[s.Left], vals[s.Right], vals[filter], b)
+				out, card, d.Out = ex.JoinFilter(vals[s.Left], vals[s.Right], vals[filter], keep, b)
 			}
 			if out == nil {
 				return nil, nil, lim.stopped(si, st.TuplesProduced+d.Out)
+			}
+		case counted: // the answer is this join
+			if out, card = ex.JoinFirst(vals[s.Left], vals[s.Right], keep, b); out == nil {
+				return nil, nil, lim.stopped(si, st.TuplesProduced+card)
 			}
 		case s.Kind == Join:
 			out = ex.Join(vals[s.Left], vals[s.Right])
@@ -312,6 +347,9 @@ func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits) (*re
 			out = ex.Semijoin(vals[s.Left], vals[s.Right])
 		case s.Kind == Project:
 			out = ex.Project(vals[s.Left], s.Proj)
+		}
+		if !streamed && !counted {
+			card = out.Card()
 		}
 		elapsed := time.Since(t0)
 		if streamed {
@@ -326,7 +364,7 @@ func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits) (*re
 			d = opStat(p.Stmts[si], vals, d.Out)
 		}
 		vals[n+si] = out
-		d.Out, d.Elapsed = out.Card(), elapsed
+		d.Out, d.Elapsed, d.Counted = card, elapsed, counted
 		if end, err := finish(si, d); end {
 			return p.endEarly(st, si+1, start, sch, err)
 		}

@@ -42,6 +42,9 @@ type Span struct {
 	// materialized: Out counts the rows that passed through, and the
 	// pair's wall time is the consumer's ElapsedNs.
 	Streamed bool `json:"streamed,omitempty"`
+	// Counted marks the answer statement run counted: Out is the answer's
+	// full cardinality, but only the rows the reply echoes were built.
+	Counted bool `json:"counted,omitempty"`
 	// Children are the operand statements' spans (first-consumer-owned;
 	// see type comment).
 	Children []*Span `json:"children,omitempty"`
@@ -99,6 +102,7 @@ func (p *Program) SpanTree(st *Stats) (*Span, error) {
 			Out:       d.Out,
 			ElapsedNs: d.Elapsed.Nanoseconds(),
 			Streamed:  d.Streamed,
+			Counted:   d.Counted,
 		}
 		if s.Kind == Project {
 			sp.Right = -1

@@ -22,7 +22,9 @@ import (
 // streamed join (JoinProject, JoinFilter) also keys its second operand
 // in aux — the probe side chained by the kept columns, or the filter's
 // rows — and JoinProject deduplicates in local, a table sized by the
-// largest group of one call rather than by |r ⋈ s|. Every operator
+// largest group of one call rather than by |r ⋈ s| or by its output, so
+// a counted join (JoinFirst, or a k below All) stores k rows whatever it
+// counts. Every operator
 // emits an index-free output by plain appends (the output's own set
 // index is built only if something later asks it for membership — see
 // the package comment). The zero value is ready to use; an Exec must not
@@ -163,7 +165,7 @@ func keyEqual(rel *Relation, i int, tPos []int, row []Value, pos []int) bool {
 // from base on — row i of the table is rel's row base+i. It is the build
 // side of a Join or Semijoin, a streamed join's probe groups or filter
 // keys (base 0), Project's output rows (base 0) and JoinProject's
-// current group of output rows (groupDedup). A slot
+// current group of distinct projections (groupDedup). A slot
 // names one row (i + 1) per distinct key; words holds the key word of
 // every row, by i, so a lookup reads slots[j], then words[head-1], and —
 // the key being exact — is done.
@@ -294,52 +296,95 @@ const (
 // join deduplicate in L1.
 const groupRows = 1 << 9
 
-// groupDedup is JoinProject's duplicate check: a keyTable over ks whose
-// rows are the current group of out — out's rows from base on — keyed by
-// the output columns pos that tell them apart, exact up to two columns
-// and verified against the output row beyond. Every join row of a probe
-// group agrees on the probe-side kept columns, so pos is the build-side
-// ones, h, alone.
+// groupDedup is JoinProject's duplicate check: a keyTable over ks of the
+// current group's distinct projections, by the order they were seen,
+// keyed by the output columns that tell them apart. Every join row of a
+// probe group agrees on the probe-side kept columns, so those are the
+// build-side ones, h, alone. Up to two columns the key word is the key,
+// and nothing but the words is kept. A wider key is verified against the
+// group's h-columns, which it keeps in hold, its rel; either way the
+// output is never read back, so it may keep as few of its rows as it
+// likes.
 type groupDedup struct {
 	keyTable
-	ks *keyScratch
+	ks  *keyScratch
+	n   int     // the group's distinct keys so far
+	buf []Value // one key's h-columns, on their way into hold
 }
 
-// seen reports whether the current group holds a row whose key is row's
-// columns pos; if not, it enters that row as out's next. A group about to
-// outgrow its words first doubles the table (grow).
+// groupDedup returns an empty group table over ks for projections whose
+// build-side columns are h. own must hold len(h) ints; it becomes the
+// positions of h in hold.
+func (ks *keyScratch) groupDedup(u *schema.Universe, h []schema.Attr, own []int) groupDedup {
+	var hold *Relation
+	var buf []Value
+	for i := range own {
+		own[i] = i
+	}
+	if len(h) > 2 {
+		hold, buf = New(u, schema.NewAttrSet(h...)), make([]Value, len(h))
+	}
+	return groupDedup{keyTable: ks.table(hold, own, groupRows, groupRows), ks: ks, buf: buf}
+}
+
+// seen reports whether the current group holds a key equal to row's
+// columns pos; if not, it enters that key. A group about to outgrow its
+// words first doubles the table (grow).
 func (d *groupDedup) seen(row []Value, pos []int) bool {
-	i := d.rel.n - d.base
-	if i == len(d.words) {
+	if d.n == len(d.words) {
 		d.grow()
 	}
 	w, j, head := d.probe(row, pos)
-	if head == 0 {
+	if head != 0 {
+		return true
+	}
+	d.enter(d.n, w, j)
+	d.n++
+	if !d.exact {
+		for k, p := range pos {
+			d.buf[k] = row[p]
+		}
+		d.rel.appendRow(d.buf, 0)
+	}
+	return false
+}
+
+// grow doubles the table in ks and re-enters the current group's keys by
+// their stored words: they are distinct, so each takes the first empty
+// slot from its home, and no row is read. The table keeps its size for
+// the rest of the call.
+func (d *groupDedup) grow() {
+	words := d.words
+	d.keyTable = d.ks.table(d.rel, d.pos, 2*len(words), 2*len(words))
+	for i, w := range words {
+		j := keySlot(w, d.shift)
+		for d.slots[j] != 0 {
+			j = (j + 1) & d.mask
+		}
 		d.enter(i, w, j)
 	}
-	return head != 0
 }
 
-// grow doubles the table in ks and re-enters the current group's rows.
-// The table keeps its size for the rest of the call.
-func (d *groupDedup) grow() {
-	n, base := len(d.words), d.base
-	d.keyTable = d.ks.table(d.rel, d.pos, 2*n, 2*n)
-	d.base = base
-	for k := range n {
-		w, j, _ := d.probe(d.rel.row(base+k), d.pos)
-		d.enter(k, w, j)
+// start empties the table of the group before and begins the next.
+// Clearing costs the table's size, not the group's — 4 KB of slots unless
+// a group of the call grew it — and that is no slower than re-zeroing a
+// group's slots one probe each even when every group is one probe row
+// (BenchmarkJoinProjectRowGroups).
+func (d *groupDedup) start() {
+	clear(d.slots)
+	d.n = 0
+	if !d.exact {
+		d.rel.truncate()
 	}
 }
 
-// start empties the table of the group before and begins one whose first
-// row will be out's next. Clearing costs the table's size, not the
-// group's — 4 KB of slots unless a group of the call grew it — and that
-// is no slower than re-zeroing a group's slots one probe each even when
-// every group is one probe row (BenchmarkJoinProjectRowGroups).
-func (d *groupDedup) start() {
-	clear(d.slots)
-	d.base = d.rel.n
+// truncate empties r, a relation no one else holds, keeping its first
+// chunk's storage for the rows appended next.
+func (r *Relation) truncate() {
+	if len(r.chunks) > 0 {
+		r.chunks = append(r.chunks[:0], chunk{data: r.chunks[0].data[:0], hashes: r.chunks[0].hashes[:0]})
+	}
+	r.n = 0
 }
 
 // Join returns the natural join r ⋈ s: a hash join on the shared
@@ -352,60 +397,79 @@ func (d *groupDedup) start() {
 // Two distinct (r-row, s-row) pairs differ on some column of the result,
 // so output rows are appended without a duplicate check.
 func (e *Exec) Join(r, s *Relation) *Relation {
-	out, _ := e.join(r, s, appendRows, r.attrs.Union(s.attrs), nil, Budget{})
+	out, _, _ := e.join(r, s, appendRows, r.attrs.Union(s.attrs), nil, All, Budget{})
 	return out
 }
 
-// JoinProject returns π_x(r ⋈ s) without materializing r ⋈ s, and the
-// number of rows r ⋈ s has. x must be a subset of r's and s's
-// attributes. It is Join with one more pass first: the probe side is
-// chained by its columns g = x ∩ attrs(probe) — the kept columns the
-// probe row decides — and the probe loop runs group by group. Two join
-// rows with one projection agree on g, so they come from one group; each
-// group's projections are deduplicated in a group-local table (groupDedup)
-// keyed by the projection's build-side columns. Output rows come grouped
-// by g. It returns a nil relation when b stops the join.
-func (e *Exec) JoinProject(r, s *Relation, x schema.AttrSet, b Budget) (*Relation, int) {
+// All is the keep of an operator that stores every row it counts.
+const All = math.MaxInt
+
+// JoinFirst is Join in counted form: it returns the first k rows of
+// r ⋈ s, in Join's order, and how many rows r ⋈ s has. The two are
+// distinct pairs of sets, so the count is the sum of every probe row's
+// partners, and only the first k rows are built and stored. It returns a
+// nil relation when b stops the join.
+func (e *Exec) JoinFirst(r, s *Relation, k int, b Budget) (*Relation, int) {
+	out, card, _ := e.join(r, s, appendRows, r.attrs.Union(s.attrs), nil, k, b)
+	return out, card
+}
+
+// JoinProject returns the first k rows of π_x(r ⋈ s) (k = All: every
+// row) without materializing r ⋈ s, how many rows π_x(r ⋈ s) has, and
+// how many r ⋈ s has. x must be a subset of r's and s's attributes. It
+// is Join with one more pass first: the probe side is chained by its
+// columns g = x ∩ attrs(probe) — the kept columns the probe row decides
+// — and the probe loop runs group by group. Two join rows with one
+// projection agree on g, so they come from one group; each group's
+// projections are deduplicated in a group-local table (groupDedup) keyed
+// by the projection's build-side columns, which never reads the output
+// back, so a row past the first k is counted and not built. Output rows
+// come grouped by g. It returns a nil relation when b stops the join.
+func (e *Exec) JoinProject(r, s *Relation, x schema.AttrSet, k int, b Budget) (out *Relation, card, joined int) {
 	if !x.SubsetOf(r.attrs.Union(s.attrs)) {
 		panic(fmt.Sprintf("relation: projection %s ⊄ %s",
 			r.U.FormatSet(x), r.U.FormatSet(r.attrs.Union(s.attrs))))
 	}
-	return e.join(r, s, projectRows, x, nil, b)
+	return e.join(r, s, projectRows, x, nil, k, b)
 }
 
-// JoinFilter returns (r ⋈ s) ⋈ f — equally (r ⋈ s) ⋉ f — for an f
-// whose attributes are a subset of r's and s's, without materializing
-// r ⋈ s, and the number of rows r ⋈ s has. f's rows form a key set on
-// all of f's columns, and a row of r ⋈ s is emitted, in Join's order,
-// when its projection onto f is in it. It returns a nil relation when b
-// stops the join.
-func (e *Exec) JoinFilter(r, s, f *Relation, b Budget) (*Relation, int) {
+// JoinFilter returns the first k rows of (r ⋈ s) ⋈ f — equally
+// (r ⋈ s) ⋉ f — (k = All: every row) for an f whose attributes are a
+// subset of r's and s's, without materializing r ⋈ s, how many rows it
+// has, and how many r ⋈ s has. f's rows form a key set on all of f's
+// columns, and a row of r ⋈ s is emitted, in Join's order, when its
+// projection onto f is in it. It returns a nil relation when b stops the
+// join.
+func (e *Exec) JoinFilter(r, s, f *Relation, k int, b Budget) (out *Relation, card, joined int) {
 	if !f.attrs.SubsetOf(r.attrs.Union(s.attrs)) {
 		panic(fmt.Sprintf("relation: filter %s ⊄ %s",
 			r.U.FormatSet(f.attrs), r.U.FormatSet(r.attrs.Union(s.attrs))))
 	}
-	return e.join(r, s, filterRows, r.attrs.Union(s.attrs), f, b)
+	return e.join(r, s, filterRows, r.attrs.Union(s.attrs), f, k, b)
 }
 
 // join is the one join kernel: it builds the smaller of r and s on the
 // shared columns, probes it with every live row of the other, and hands
 // each row of r ⋈ s to the sink sk, whose output is over x. The probe
 // loop is shared; the sink picks how a probe row's bucket is walked, so
-// Join's walk carries no test for the other two. It returns the output
-// (nil when b stopped it) and how many join rows it walked.
-func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Budget) (*Relation, int) {
+// Join's walk carries no test for the other two. Every sink counts its
+// output rows and stores the first keep of them. It returns the output
+// (nil when b stopped it), its row count and how many join rows it
+// walked.
+func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep int, b Budget) (out *Relation, card, joined int) {
 	build, probe := r, s
 	if s.Card() < r.Card() {
 		build, probe = s, r
 	}
-	out := New(r.U, x)
+	out = New(r.U, x)
 	// A guess, not a bound: the joins a reduced Yannakakis plan runs are
 	// key–foreign-key shaped and emit about one row per probe row.
-	out.reserved = probe.Card()
+	out.reserved = min(keep, probe.Card())
 
 	// Column positions: the join key on each side, then the sink's own —
-	// for JoinProject g in the probe and h = x \ attrs(probe) in the build
-	// side and the output; for JoinFilter f's columns in f and the output.
+	// for JoinProject g in the probe, h = x \ attrs(probe) in the build
+	// side and h in the group table; for JoinFilter f's columns in f and
+	// the output.
 	sharedCols := r.attrs.Intersect(s.attrs).Attrs()
 	nk := len(sharedCols)
 	var g, h []schema.Attr
@@ -423,15 +487,15 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Bu
 		bPos[i] = build.colPos(c)
 		pPos[i] = probe.colPos(c)
 	}
-	var gPos, hPos, outH, fOwn, fPos []int
+	var gPos, hPos, hOwn, fOwn, fPos []int
 	switch sk {
 	case projectRows:
-		gPos, hPos, outH = rest[:len(g)], rest[len(g):len(g)+len(h)], rest[len(g)+len(h):]
+		gPos, hPos, hOwn = rest[:len(g)], rest[len(g):len(g)+len(h)], rest[len(g)+len(h):]
 		for i, c := range g {
 			gPos[i] = probe.colPos(c)
 		}
 		for i, c := range h {
-			hPos[i], outH[i] = build.colPos(c), out.colPos(c)
+			hPos[i] = build.colPos(c)
 		}
 	case filterRows:
 		fOwn, fPos = rest[:f.width], rest[f.width:]
@@ -464,11 +528,11 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Bu
 	case projectRows:
 		gt = e.aux.buildKeys(probe, gPos, true)
 		groups = len(gt.slots)
-		dd = groupDedup{keyTable: e.local.table(out, outH, groupRows, groupRows), ks: &e.local}
+		dd = e.local.groupDedup(r.U, h, hOwn)
 	case filterRows:
 		ft = e.aux.buildKeys(f, fOwn, false)
 	}
-	joined, check := 0, b.next(0)
+	check := b.next(0)
 	w := probe.width
 	for grp := 0; grp < groups; grp++ {
 		i, end := grp<<chunkShift, min((grp+1)<<chunkShift, probe.n)
@@ -487,18 +551,20 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Bu
 				switch sk {
 				case appendRows:
 					for ; bi != 0; bi = next[bi-1] {
-						brow := build.row(int(bi - 1))
-						fillRow(obuf, srcs, prow, brow)
-						out.appendRow(obuf, hashValues(obuf))
+						if card++; card <= keep {
+							fillRow(obuf, srcs, prow, build.row(int(bi-1)))
+							out.appendRow(obuf, hashValues(obuf))
+						}
 					}
-					joined = out.n // every join row is an output row
+					joined = card // every join row is an output row
 				case filterRows:
 					for ; bi != 0; bi = next[bi-1] {
 						joined++
-						brow := build.row(int(bi - 1))
-						fillRow(obuf, srcs, prow, brow)
+						fillRow(obuf, srcs, prow, build.row(int(bi-1)))
 						if ft.lookup(obuf, fPos) != 0 {
-							out.appendRow(obuf, hashValues(obuf))
+							if card++; card <= keep {
+								out.appendRow(obuf, hashValues(obuf))
+							}
 						}
 					}
 				case projectRows:
@@ -506,15 +572,17 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Bu
 						joined++
 						brow := build.row(int(bi - 1))
 						if dd.seen(brow, hPos) {
-							continue // this group has emitted the row
+							continue // this group has counted the row
 						}
-						fillRow(obuf, srcs, prow, brow)
-						out.appendRow(obuf, hashValues(obuf))
+						if card++; card <= keep {
+							fillRow(obuf, srcs, prow, brow)
+							out.appendRow(obuf, hashValues(obuf))
+						}
 					}
 				}
 				if joined >= check {
 					if b.spent(joined) {
-						return nil, joined
+						return nil, card, joined
 					}
 					check = b.next(joined)
 				}
@@ -526,7 +594,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, b Bu
 			}
 		}
 	}
-	return out, joined
+	return out, card, joined
 }
 
 // fillRow writes the join row of probe row prow and build row brow into

@@ -48,11 +48,11 @@ func TestExecScratchBudget(t *testing.T) {
 
 	twoStmt := NewExec()
 	want := twoStmt.Project(twoStmt.Join(r, s), ac)
-	got, rows := ex.JoinProject(r, s, ac, Budget{})
-	if rows != joined || got.Card() != want.Card() {
-		t.Fatalf("streamed join→project: %d rows from %d joined, want %d from %d", got.Card(), rows, want.Card(), joined)
+	got, card, rows := ex.JoinProject(r, s, ac, All, Budget{})
+	if rows != joined || got.Card() != want.Card() || card != want.Card() {
+		t.Fatalf("streamed join→project: %d rows (%d counted) from %d joined, want %d from %d", got.Card(), card, rows, want.Card(), joined)
 	}
-	if got, _ := ex.JoinFilter(r, s, s, Budget{}); got.Card() != joined {
+	if got, _, _ := ex.JoinFilter(r, s, s, All, Budget{}); got.Card() != joined {
 		t.Fatalf("streamed join→filter by s kept %d rows, want %d", got.Card(), joined)
 	}
 	local := 4*tableSize(groupRows) + 8*groupRows // a group table that never grew
@@ -63,6 +63,39 @@ func TestExecScratchBudget(t *testing.T) {
 	}
 	if two := retained(t, twoStmt); two < 4*tableSize(joined) || budget >= two {
 		t.Fatalf("join then project retains %d B (a %d-slot projection table), the streamed budget %d B", two, tableSize(joined), budget)
+	}
+
+	// Counted forms store k rows' worth of chunk, whatever they count. π_a
+	// keeps no column of the probe side, bc, so its one group holds all n
+	// distinct keys: the group table grows to them, and no further.
+	const k = 10
+	capRows := func(rel *Relation) int {
+		rows := 0
+		for _, c := range rel.chunks {
+			rows += max(cap(c.hashes), cap(c.data)/rel.width)
+		}
+		return rows
+	}
+	if first, card := ex.JoinFirst(r, s, k, Budget{}); card != joined || first.Card() != k || capRows(first) > k {
+		t.Fatalf("counted join: %d of %d rows kept, room for %d; want %d of %d, room for ≤ %d", first.Card(), card, capRows(first), k, joined, k)
+	}
+	proj, card, rows := ex.JoinProject(r, s, u.Set("a"), k, Budget{})
+	if card != n || rows != joined || proj.Card() != k || capRows(proj) > k {
+		t.Fatalf("counted join→project: %d of %d rows kept from %d joined, room for %d; want %d of %d from %d, room for ≤ %d",
+			proj.Card(), card, rows, capRows(proj), k, n, joined, k)
+	}
+	grown := groupRows
+	for grown < n {
+		grown *= 2
+	}
+	if len(ex.local.words) != grown {
+		t.Fatalf("the group table holds %d words after a group of %d keys, want %d", len(ex.local.words), n, grown)
+	}
+	local = 4*tableSize(grown) + 8*grown
+	budget = 2*(4*tableSize(n)+8*n+4*n) + local + perColumn
+	if retained(t, ex) > budget {
+		t.Fatalf("Exec retains %d B after a counted join→project whose group has %d keys, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + %d B local + %d)",
+			retained(t, ex), n, budget, tableSize(n), n, local, perColumn)
 	}
 }
 
@@ -90,34 +123,44 @@ func retained(t *testing.T, ex *Exec) int {
 }
 
 // TestGroupTableEmptiesBetweenGroups forges what a group table makes too
-// rare to draw: a group whose rows share one home slot, so each is
-// entered past the one before. The next group must find every slot empty
-// and every one of those rows unseen.
+// rare to draw: a group whose keys share one home slot, so each is
+// entered past the one before. The next group must find every slot empty,
+// every one of those keys unseen and — for a key of more than two
+// columns, verified against the group's own copy of its columns — that
+// copy empty too.
 func TestGroupTableEmptiesBetweenGroups(t *testing.T) {
 	u := schema.NewUniverse()
-	out := New(u, u.Set("a"))
-	own := []int{0}
-	ks := new(keyScratch)
-	d := groupDedup{keyTable: ks.table(out, own, groupRows, groupRows), ks: ks}
-	home := func(v Value) uint64 { return keySlot(keyWord(Tuple{v}, own), d.shift) }
-	var crowd []Value // values sharing 0's home slot
-	for v := Value(0); len(crowd) < 4; v++ {
-		if home(v) == home(0) {
-			crowd = append(crowd, v)
+	for _, h := range []schema.AttrSet{u.Set("a"), u.Set("a", "b", "c")} {
+		cols := h.Attrs()
+		pos := make([]int, len(cols))
+		d := new(keyScratch).groupDedup(u, cols, pos)
+		key := func(v Value) Tuple { // v, then zeros
+			row := make(Tuple, len(cols))
+			row[0] = v
+			return row
 		}
-	}
-	for group := range 2 {
-		d.start()
-		if j := slices.IndexFunc(d.slots, func(s int32) bool { return s != 0 }); j >= 0 {
-			t.Fatalf("group %d starts with slot %d naming row %d", group, j, d.slots[j]-1)
-		}
-		for _, v := range crowd {
-			if d.seen(Tuple{v}, own) {
-				t.Fatalf("group %d: %d seen before it was entered", group, v)
+		home := func(v Value) uint64 { return keySlot(keyWord(key(v), pos), d.shift) }
+		var crowd []Value // values sharing 0's home slot
+		for v := Value(0); len(crowd) < 4; v++ {
+			if home(v) == home(0) {
+				crowd = append(crowd, v)
 			}
-			out.appendRow(Tuple{v}, hashValues(Tuple{v}))
-			if !d.seen(Tuple{v}, own) {
-				t.Fatalf("group %d: %d not seen after it was entered", group, v)
+		}
+		for group := range 2 {
+			d.start()
+			if j := slices.IndexFunc(d.slots, func(s int32) bool { return s != 0 }); j >= 0 {
+				t.Fatalf("%d columns, group %d starts with slot %d naming key %d", len(cols), group, j, d.slots[j]-1)
+			}
+			if !d.exact && d.rel.Card() != 0 {
+				t.Fatalf("%d columns, group %d starts with %d keys held", len(cols), group, d.rel.Card())
+			}
+			for _, v := range crowd {
+				if d.seen(key(v), pos) {
+					t.Fatalf("%d columns, group %d: %d seen before it was entered", len(cols), group, v)
+				}
+				if !d.seen(key(v), pos) {
+					t.Fatalf("%d columns, group %d: %d not seen after it was entered", len(cols), group, v)
+				}
 			}
 		}
 	}

@@ -12,7 +12,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"testing"
 
 	"gyokit/internal/gen"
@@ -32,11 +32,14 @@ func newNaive(attrs schema.AttrSet) *naiveRel {
 }
 
 func naiveKey(t Tuple) string {
-	parts := make([]string, len(t))
+	b := make([]byte, 0, 12*len(t))
 	for i, v := range t {
-		parts[i] = fmt.Sprint(v)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 func (r *naiveRel) insert(t Tuple) {
@@ -67,21 +70,33 @@ func (r *naiveRel) project(x schema.AttrSet) *naiveRel {
 	return out
 }
 
+// keyOn renders row t of r on the attributes shared, which r has.
+func (r *naiveRel) keyOn(t Tuple, shared []schema.Attr) string {
+	k := make(Tuple, len(shared))
+	for i, c := range shared {
+		k[i] = t[r.pos(c)]
+	}
+	return naiveKey(k)
+}
+
+// byKey groups the rows of r by their rendered shared columns, so a join
+// or semijoin looks a row's partners up instead of scanning for them: on
+// a dense 1024-row operand the scan took seconds.
+func (r *naiveRel) byKey(shared []schema.Attr) map[string][]Tuple {
+	m := map[string][]Tuple{}
+	for _, t := range r.rows {
+		k := r.keyOn(t, shared)
+		m[k] = append(m[k], t)
+	}
+	return m
+}
+
 func (r *naiveRel) join(s *naiveRel) *naiveRel {
 	shared := r.attrs.Intersect(s.attrs).Attrs()
+	partners := s.byKey(shared)
 	out := newNaive(r.attrs.Union(s.attrs))
 	for _, rt := range r.rows {
-		for _, st := range s.rows {
-			ok := true
-			for _, c := range shared {
-				if rt[r.pos(c)] != st[s.pos(c)] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
+		for _, st := range partners[r.keyOn(rt, shared)] {
 			nt := make(Tuple, len(out.cols))
 			for i, c := range out.cols {
 				if r.attrs.Has(c) {
@@ -98,20 +113,11 @@ func (r *naiveRel) join(s *naiveRel) *naiveRel {
 
 func (r *naiveRel) semijoin(s *naiveRel) *naiveRel {
 	shared := r.attrs.Intersect(s.attrs).Attrs()
+	partners := s.byKey(shared)
 	out := newNaive(r.attrs)
 	for _, rt := range r.rows {
-		for _, st := range s.rows {
-			ok := true
-			for _, c := range shared {
-				if rt[r.pos(c)] != st[s.pos(c)] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out.insert(rt)
-				break
-			}
+		if len(partners[r.keyOn(rt, shared)]) > 0 {
+			out.insert(rt)
 		}
 	}
 	return out
@@ -358,28 +364,32 @@ func checkKernels(t *testing.T, label string, ex *Exec, r, s *Relation, px schem
 // Exec — Project(Join(r, s)), Join(Join(r, s), f) — and to be dense; the
 // filter also to Join's row order with the misses dropped; both to
 // report |r ⋈ s| and, under a budget of exactly that many rows, to stop;
-// and every operand to be bit for bit what it was.
+// and every operand to be bit for bit what it was. Each sink — Join's
+// too — is then run in counted form at k = 0, 1 and 3: it must count
+// what the stored form holds, walk as many join rows, and keep the
+// stored form's first k rows, in order.
 func checkStreams(t *testing.T, label string, ex *Exec, r, s, f *Relation, x schema.AttrSet) {
 	t.Helper()
 	before := []layout{captureLayout(r), captureLayout(s), captureLayout(f)}
 	nj := naiveOf(r).join(naiveOf(s))
-	dense := func(op string, got *Relation, joined int) {
+	dense := func(op string, got *Relation, card, joined int) {
 		t.Helper()
 		if got.dead != 0 {
 			t.Fatalf("%s: %s output carries %d dead rows", label, op, got.dead)
 		}
-		if joined != len(nj.rows) {
-			t.Fatalf("%s: %s walked %d join rows, r ⋈ s has %d", label, op, joined, len(nj.rows))
+		if joined != len(nj.rows) || card != got.Card() {
+			t.Fatalf("%s: %s walked %d join rows and counted %d, r ⋈ s has %d and the output %d",
+				label, op, joined, card, len(nj.rows), got.Card())
 		}
 	}
 
-	proj, joined := ex.JoinProject(r, s, x, Budget{})
-	dense("streamed project", proj, joined)
+	proj, card, joined := ex.JoinProject(r, s, x, All, Budget{})
+	dense("streamed project", proj, card, joined)
 	sameRows(t, label+" streamed project", proj, nj.project(x))
 	sameRows(t, label+" streamed project vs two statements", proj, naiveOf(ex.Project(ex.Join(r, s), x)))
 
-	filt, joined := ex.JoinFilter(r, s, f, Budget{})
-	dense("streamed filter", filt, joined)
+	filt, card, joined := ex.JoinFilter(r, s, f, All, Budget{})
+	dense("streamed filter", filt, card, joined)
 	nf := naiveOf(f)
 	sameRows(t, label+" streamed filter", filt, nj.join(nf))
 	sameRows(t, label+" streamed filter vs two statements", filt, naiveOf(ex.Join(ex.Join(r, s), f)))
@@ -398,12 +408,37 @@ func checkStreams(t *testing.T, label string, ex *Exec, r, s, f *Relation, x sch
 	}
 
 	if n := len(nj.rows); n > 0 {
-		if out, stopped := ex.JoinProject(r, s, x, Budget{Rows: n}); out != nil || stopped != n {
+		if out, _, stopped := ex.JoinProject(r, s, x, All, Budget{Rows: n}); out != nil || stopped != n {
 			t.Fatalf("%s: a %d-row budget on a %d-row join: output %v after %d rows", label, n, n, out != nil, stopped)
 		}
-		if out, _ := ex.JoinFilter(r, s, f, Budget{Rows: n + 1}); out == nil {
+		if out, _, _ := ex.JoinFilter(r, s, f, All, Budget{Rows: n + 1}); out == nil {
 			t.Fatalf("%s: a %d-row budget stopped a %d-row join", label, n+1, n)
 		}
+		if out, stopped := ex.JoinFirst(r, s, 1, Budget{Rows: n}); out != nil || stopped != n {
+			t.Fatalf("%s: a %d-row budget on a counted %d-row join: output %v after %d rows", label, n, n, out != nil, stopped)
+		}
+	}
+
+	join := ex.Join(r, s)
+	for _, k := range []int{0, 1, 3} {
+		firstK := func(op string, got *Relation, card, joined int, whole *Relation) {
+			t.Helper()
+			want := make([]Tuple, min(k, whole.Card()))
+			for i := range want {
+				want[i] = whole.TupleAt(i)
+			}
+			if card != whole.Card() || joined != len(nj.rows) || got.dead != 0 ||
+				!slices.EqualFunc(got.Tuples(), want, func(a, b Tuple) bool { return slices.Equal(a, b) }) {
+				t.Fatalf("%s: counted %s at k=%d: %v, %d counted, %d walked; want %v, %d counted, %d walked",
+					label, op, k, got.Tuples(), card, joined, want, whole.Card(), len(nj.rows))
+			}
+		}
+		out, card := ex.JoinFirst(r, s, k, Budget{})
+		firstK("join", out, card, card, join)
+		out, card, joined = ex.JoinProject(r, s, x, k, Budget{})
+		firstK("project", out, card, joined, proj)
+		out, card, joined = ex.JoinFilter(r, s, f, k, Budget{})
+		firstK("filter", out, card, joined, filt)
 	}
 	for i, op := range []*Relation{r, s, f} {
 		before[i].check(t, op, fmt.Sprintf("%s: operand %d", label, i))
@@ -745,10 +780,10 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 		joined := NewExec().Join(op.r, op.s).Card()
 		ok := joined > 0 && op.f.Card() > 0
 		switch name {
-		case "g=∅":
+		case "g=∅": // counted with k = 0, so the group grows with no row stored
 			ex := NewExec()
-			ex.JoinProject(op.r, op.s, op.x, Budget{})
-			ok = ok && g.IsEmpty() && len(ex.local.words) > groupRows
+			out, _, _ := ex.JoinProject(op.r, op.s, op.x, 0, Budget{})
+			ok = ok && g.IsEmpty() && len(ex.local.words) > groupRows && out.Card() == 0
 		case "x⊇probe":
 			ok = ok && probe.attrs.SubsetOf(op.x) && !h.IsEmpty()
 		case "inexact":
@@ -797,6 +832,12 @@ func FuzzOperators(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		op := decodeOperands(raw)
+		if !op.r.attrs.Intersects(op.s.attrs) && op.r.Card()*op.s.Card() > 1<<16 {
+			// Two dense operands with no shared attribute: the reference
+			// spends seconds on their million-row product, which checks
+			// nothing a smaller cross product does not.
+			t.Skip("cross product of two dense operands")
+		}
 		ex := NewExec()
 		checkKernels(t, "r,s", ex, op.r, op.s, op.px)
 		checkKernels(t, "s,r", ex, op.s, op.r, op.px.Intersect(op.s.attrs))

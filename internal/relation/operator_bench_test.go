@@ -170,13 +170,15 @@ func BenchmarkProjectD20k(b *testing.B) {
 
 // BenchmarkJoinProject prices π_ac(ab ⋈ bc) — eval_read's q5 — streamed
 // through one JoinProject against the two statements it replaces, a Join
-// whose output the Project then deduplicates in a table sized by it.
+// whose output the Project then deduplicates in a table sized by it, and
+// in the counted form an answer read with "limit": 10 runs.
 func BenchmarkJoinProject(b *testing.B) {
 	_, ab, bc, ac := benchD20k()
 	ex := NewExec()
 	benchForms(b,
-		func() { ex.JoinProject(ab, bc, ac.Attrs(), Budget{}) },
-		func() { ex.Project(ex.Join(ab, bc), ac.Attrs()) })
+		benchForm{"streamed", func() { ex.JoinProject(ab, bc, ac.Attrs(), All, Budget{}) }},
+		benchForm{"counted/k=10", func() { ex.JoinProject(ab, bc, ac.Attrs(), 10, Budget{}) }},
+		benchForm{"two-statement", func() { ex.Project(ex.Join(ab, bc), ac.Attrs()) }})
 }
 
 // BenchmarkJoinProjectRowGroups prices JoinProject on groups of one probe
@@ -188,27 +190,41 @@ func BenchmarkJoinProjectRowGroups(b *testing.B) {
 	ex := NewExec()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ex.JoinProject(ab, bc, abc.Attrs(), Budget{})
+		ex.JoinProject(ab, bc, abc.Attrs(), All, Budget{})
 	}
 }
 
 // BenchmarkJoinFilter prices (ab ⋈ bc) ⋈ ac — eval_read's q7 — streamed
-// through one JoinFilter against the two joins it replaces.
+// through one JoinFilter against the two joins it replaces, and counted
+// as an answer read with "limit": 10 runs it.
 func BenchmarkJoinFilter(b *testing.B) {
 	_, ab, bc, ac := benchD20k()
 	ex := NewExec()
 	benchForms(b,
-		func() { ex.JoinFilter(ab, bc, ac, Budget{}) },
-		func() { ex.Join(ex.Join(ab, bc), ac) })
+		benchForm{"streamed", func() { ex.JoinFilter(ab, bc, ac, All, Budget{}) }},
+		benchForm{"counted/k=10", func() { ex.JoinFilter(ab, bc, ac, 10, Budget{}) }},
+		benchForm{"two-statement", func() { ex.Join(ex.Join(ab, bc), ac) }})
 }
 
-// benchForms times a streamed operator and its two-statement form as the
-// sub-benchmarks streamed and two-statement.
-func benchForms(b *testing.B, streamed, twoStatement func()) {
-	for _, form := range []struct {
-		name string
-		op   func()
-	}{{"streamed", streamed}, {"two-statement", twoStatement}} {
+// BenchmarkJoinD20k prices ab ⋈ bc — eval_read's q6, whose answer it is —
+// stored whole and counted as an answer read with "limit": 10 runs it.
+func BenchmarkJoinD20k(b *testing.B) {
+	_, ab, bc, _ := benchD20k()
+	ex := NewExec()
+	benchForms(b,
+		benchForm{"stored", func() { ex.Join(ab, bc) }},
+		benchForm{"counted/k=10", func() { ex.JoinFirst(ab, bc, 10, Budget{}) }})
+}
+
+// benchForm is one form of an operator, timed as the sub-benchmark name.
+type benchForm struct {
+	name string
+	op   func()
+}
+
+// benchForms times each form of an operator as its own sub-benchmark.
+func benchForms(b *testing.B, forms ...benchForm) {
+	for _, form := range forms {
 		b.Run(form.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -39,7 +39,9 @@
 // in a small group-local one, since two join rows with one projection
 // come from probe rows that agree on the kept columns. Exec.JoinFilter,
 // a join with a relation over a subset of its attributes done as it
-// streams, only appends. None of them gives its output
+// streams, only appends. The three join sinks also run counted
+// (Exec.JoinFirst, and the k of the other two): they count every output
+// row and store only the first k. None of them gives its output
 // a set index. The index — an open-addressing hash table over the
 // stored 64-bit row hashes with full collision verification — is
 // maintained eagerly only by the insert paths (Insert, InsertBlock,
