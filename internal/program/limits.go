@@ -12,12 +12,12 @@ import (
 // multi-tenant safety rails. The zero value means unlimited.
 //
 // Both rails are checked at statement boundaries inside the evaluation
-// loop, and while a join streams into its consumer or is counted as the
-// answer (see Program.Run):
-// the gas after each probe row's partners, the deadline every few
-// thousand join rows. Other statements are never interrupted, so the
-// overshoot past a deadline (or a gas budget) is bounded by one
-// statement's work — a streamed join's by one probe row's partners. An
+// loop, and while a join runs — streamed into its consumer (see
+// Program.Run) or not: the gas after each probe row's partners, the
+// deadline every few thousand join rows. Semijoins and projections are
+// never interrupted, so the overshoot past a deadline (or a gas budget)
+// is bounded by one such statement's work — a join's by one probe row's
+// partners. An
 // aborted run returns a *LimitError and no relation; since evaluation
 // never mutates the database, an abort leaves no partial state behind.
 type Limits struct {
@@ -27,8 +27,8 @@ type Limits struct {
 	// unlimited.
 	MaxTuples int
 	// Deadline, when nonzero, aborts the run with ErrDeadlineExceeded at
-	// the first statement boundary past it — or, inside a streamed join,
-	// within a few thousand join rows of it.
+	// the first statement boundary past it — or, inside a join, within a
+	// few thousand join rows of it.
 	Deadline time.Time
 }
 
@@ -49,9 +49,8 @@ func (l Limits) check(si, produced int) error {
 	return nil
 }
 
-// budget is what is left of l for a join streamed or counted after
-// produced tuples were materialized: it stops the join once its rows pass
-// the gas.
+// budget is what is left of l for a join run after produced tuples were
+// materialized: it stops the join once its rows pass the gas.
 func (l Limits) budget(produced int) relation.Budget {
 	b := relation.Budget{Deadline: l.Deadline}
 	if l.MaxTuples > 0 {

@@ -177,3 +177,33 @@ func sumOut(ds []StmtStat) int {
 	}
 	return n
 }
+
+// TestGasStopsEveryJoin: the rails run inside a join that is neither
+// streamed nor the answer too. ab ⋈ bc feeds a join with cd, which is
+// wider than it, so it is materialized; a budget of half its rows stops
+// it part way, at its own statement, and the Exec serves the next run.
+func TestGasStopsEveryJoin(t *testing.T) {
+	u := schema.NewUniverse()
+	d := parse(t, u, "ab, bc, cd")
+	db := danglingDB(d, 5, 3000, 300)
+	const ab, bc, cd, j = 0, 1, 2, 3
+	p := &Program{D: d, Stmts: []Stmt{{Kind: Join, Left: ab, Right: bc}, {Kind: Join, Left: j, Right: cd}}}
+	ex := relation.NewExec()
+	want, st, err := p.Run(db, ex, Limits{}, relation.All)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Detail[0].Streamed || st.Detail[0].Counted || st.PerStmt[0] < 2 {
+		t.Fatalf("fixture's first join is streamed, counted or under two rows:\n%s", st.Table())
+	}
+	lim := Limits{MaxTuples: st.PerStmt[0] / 2}
+	_, _, err = p.Run(db, ex, lim, relation.All)
+	var le *LimitError
+	if !errors.As(err, &le) || !errors.Is(err, ErrGasExhausted) || le.Stmt != 0 ||
+		le.Produced <= lim.MaxTuples || le.Produced >= st.PerStmt[0] {
+		t.Fatalf("err = %v, want gas exhausted in statement 0 past %d, short of its %d rows", err, lim.MaxTuples, st.PerStmt[0])
+	}
+	if got, _, err := p.Run(db, ex, Limits{}, relation.All); err != nil || !got.Equal(want) {
+		t.Fatalf("run after the abort: %v, %d tuples, want %d", err, got.Card(), want.Card())
+	}
+}

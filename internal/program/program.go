@@ -240,8 +240,7 @@ func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error
 // counted, so its Out, the answer's cardinality (Stats.AnswerCard), is
 // exact, but only the first k rows, in the order the whole answer would
 // have them, are built and returned. The statement is marked Counted and
-// nothing else changes — not the other stats, not what the gas counts;
-// the rails are checked as the counted join runs, as in a streamed one.
+// nothing else changes — not the other stats, not what the gas counts.
 // A final semijoin or projection, and every run with k = All, returns
 // the whole answer.
 //
@@ -319,7 +318,7 @@ func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits, k in
 		if si == last || streamed && si+1 == last {
 			keep = k
 		}
-		counted := keep != relation.All && (streamed || s.Kind == Join)
+		counted := keep != relation.All && s.Kind == Join // streamed or not
 		var b relation.Budget
 		if enforce {
 			b = lim.budget(st.TuplesProduced)
@@ -337,18 +336,16 @@ func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits, k in
 			if out == nil {
 				return nil, nil, lim.stopped(si, st.TuplesProduced+d.Out)
 			}
-		case counted: // the answer is this join
+		case s.Kind == Join:
 			if out, card = ex.JoinFirst(vals[s.Left], vals[s.Right], keep, b); out == nil {
 				return nil, nil, lim.stopped(si, st.TuplesProduced+card)
 			}
-		case s.Kind == Join:
-			out = ex.Join(vals[s.Left], vals[s.Right])
 		case s.Kind == Semijoin:
 			out = ex.Semijoin(vals[s.Left], vals[s.Right])
 		case s.Kind == Project:
 			out = ex.Project(vals[s.Left], s.Proj)
 		}
-		if !streamed && !counted {
+		if s.Kind != Join {
 			card = out.Card()
 		}
 		elapsed := time.Since(t0)

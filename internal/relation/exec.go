@@ -43,6 +43,7 @@ type keyScratch struct {
 	slots []int32  // open addressing: row index + 1; 0 = empty
 	next  []int32  // same-key chain: next row index + 1; 0 = end
 	words []uint64 // key word of each row, by row index
+	vals  []Value  // key columns of each row, by row index: a table with no rel
 }
 
 // NewExec returns a fresh execution context.
@@ -147,11 +148,10 @@ func keySlot(w uint64, shift uint) uint64 {
 	return (w ^ w>>29) * 0x9E3779B97F4A7C15 >> shift
 }
 
-// keyEqual reports whether the key columns tPos of row i of rel equal
-// the key columns pos of row. Only an inexact key (more than two
-// columns) ever needs it.
-func keyEqual(rel *Relation, i int, tPos []int, row []Value, pos []int) bool {
-	trow := rel.row(i)
+// keyEqual reports whether the key columns tPos of trow equal the key
+// columns pos of row. Only an inexact key (more than two columns) ever
+// needs it.
+func keyEqual(trow []Value, tPos []int, row []Value, pos []int) bool {
 	for k, p := range tPos {
 		if trow[p] != row[pos[k]] {
 			return false
@@ -161,29 +161,38 @@ func keyEqual(rel *Relation, i int, tPos []int, row []Value, pos []int) bool {
 }
 
 // keyTable is the one hash table of the operators: open addressing over
-// one keyScratch, keyed by the key word of the columns pos of rel's rows
-// from base on — row i of the table is rel's row base+i. It is the build
-// side of a Join or Semijoin, a streamed join's probe groups or filter
-// keys (base 0), Project's output rows (base 0) and JoinProject's
-// current group of distinct projections (groupDedup). A slot
-// names one row (i + 1) per distinct key; words holds the key word of
-// every row, by i, so a lookup reads slots[j], then words[head-1], and —
-// the key being exact — is done.
+// one keyScratch, keyed by the key word of the columns pos of rel's rows.
+// It is the build side of a Join or Semijoin, a streamed join's probe
+// groups or filter keys, Project's output rows and JoinProject's current
+// group of distinct projections (groupDedup), whose rel is nil: its rows
+// are its keys alone, in vals, pos being 0, 1, …. A slot names one row
+// (i + 1) per distinct key; words holds the key word of every row, by i,
+// so a lookup reads slots[j], then words[head-1], and — the key being
+// exact — is done.
 type keyTable struct {
 	slots []int32
 	next  []int32
 	words []uint64
+	vals  []Value
 	shift uint
 	mask  uint64
 	exact bool
 	rel   *Relation
-	base  int
 	pos   []int
 }
 
-// table returns an empty keyTable over ks for rel's rows from base 0 on,
-// keyed by their columns pos: tableSize(keys) slots, zeroed, and a word
-// for each of rows rows.
+// row returns row i of the table: rel's, or its key columns in vals.
+func (t *keyTable) row(i int) []Value {
+	if t.rel == nil {
+		n := len(t.pos)
+		return t.vals[i*n : i*n+n]
+	}
+	return t.rel.row(i)
+}
+
+// table returns an empty keyTable over ks for rel's rows, keyed by their
+// columns pos: tableSize(keys) slots, zeroed, and a word for each of rows
+// rows.
 func (ks *keyScratch) table(rel *Relation, pos []int, keys, rows int) keyTable {
 	n := tableSize(keys)
 	ks.words = scratch(ks.words, rows)
@@ -233,7 +242,7 @@ func (t *keyTable) probe(row []Value, pos []int) (w, j uint64, head int32) {
 	w = keyWord(row, pos)
 	for j = keySlot(w, t.shift); ; j = (j + 1) & t.mask {
 		head = t.slots[j]
-		if head == 0 || t.words[head-1] == w && (t.exact || keyEqual(t.rel, t.base+int(head-1), t.pos, row, pos)) {
+		if head == 0 || t.words[head-1] == w && (t.exact || keyEqual(t.row(int(head-1)), t.pos, row, pos)) {
 			return w, j, head
 		}
 	}
@@ -302,29 +311,25 @@ const groupRows = 1 << 9
 // probe group agrees on the probe-side kept columns, so those are the
 // build-side ones, h, alone. Up to two columns the key word is the key,
 // and nothing but the words is kept. A wider key is verified against the
-// group's h-columns, which it keeps in hold, its rel; either way the
-// output is never read back, so it may keep as few of its rows as it
-// likes.
+// group's h-columns, which it keeps in ks.vals; either way the output is
+// never read back, so it may keep as few of its rows as it likes.
 type groupDedup struct {
 	keyTable
-	ks  *keyScratch
-	n   int     // the group's distinct keys so far
-	buf []Value // one key's h-columns, on their way into hold
+	ks *keyScratch
+	n  int // the group's distinct keys so far
 }
 
 // groupDedup returns an empty group table over ks for projections whose
 // build-side columns are h. own must hold len(h) ints; it becomes the
-// positions of h in hold.
-func (ks *keyScratch) groupDedup(u *schema.Universe, h []schema.Attr, own []int) groupDedup {
-	var hold *Relation
-	var buf []Value
+// positions of h in the table's rows.
+func (ks *keyScratch) groupDedup(h []schema.Attr, own []int) groupDedup {
 	for i := range own {
 		own[i] = i
 	}
-	if len(h) > 2 {
-		hold, buf = New(u, schema.NewAttrSet(h...)), make([]Value, len(h))
-	}
-	return groupDedup{keyTable: ks.table(hold, own, groupRows, groupRows), ks: ks, buf: buf}
+	d := groupDedup{ks: ks}
+	d.pos = own
+	d.resize(groupRows)
+	return d
 }
 
 // seen reports whether the current group holds a key equal to row's
@@ -339,23 +344,31 @@ func (d *groupDedup) seen(row []Value, pos []int) bool {
 		return true
 	}
 	d.enter(d.n, w, j)
-	d.n++
 	if !d.exact {
+		key := d.row(d.n)
 		for k, p := range pos {
-			d.buf[k] = row[p]
+			key[k] = row[p]
 		}
-		d.rel.appendRow(d.buf, 0)
 	}
+	d.n++
 	return false
 }
 
-// grow doubles the table in ks and re-enters the current group's keys by
-// their stored words: they are distinct, so each takes the first empty
-// slot from its home, and no row is read. The table keeps its size for
-// the rest of the call.
-func (d *groupDedup) grow() {
-	words := d.words
-	d.keyTable = d.ks.table(d.rel, d.pos, 2*len(words), 2*len(words))
+// grow doubles the table. It keeps its size for the rest of the call.
+func (d *groupDedup) grow() { d.resize(2 * len(d.words)) }
+
+// resize makes the table rows keys large in ks and re-enters the current
+// group's keys by their stored words: they are distinct, so each takes
+// the first empty slot from its home, and no row is read. A wide key's
+// columns stay at their row index in vals.
+func (d *groupDedup) resize(rows int) {
+	words, vals := d.words, d.vals
+	d.keyTable = d.ks.table(nil, d.pos, rows, rows)
+	if !d.exact {
+		d.ks.vals = scratch(d.ks.vals, rows*len(d.pos))
+		d.vals = d.ks.vals
+		copy(d.vals, vals)
+	}
 	for i, w := range words {
 		j := keySlot(w, d.shift)
 		for d.slots[j] != 0 {
@@ -373,18 +386,6 @@ func (d *groupDedup) grow() {
 func (d *groupDedup) start() {
 	clear(d.slots)
 	d.n = 0
-	if !d.exact {
-		d.rel.truncate()
-	}
-}
-
-// truncate empties r, a relation no one else holds, keeping its first
-// chunk's storage for the rows appended next.
-func (r *Relation) truncate() {
-	if len(r.chunks) > 0 {
-		r.chunks = append(r.chunks[:0], chunk{data: r.chunks[0].data[:0], hashes: r.chunks[0].hashes[:0]})
-	}
-	r.n = 0
 }
 
 // Join returns the natural join r ⋈ s: a hash join on the shared
@@ -528,7 +529,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 	case projectRows:
 		gt = e.aux.buildKeys(probe, gPos, true)
 		groups = len(gt.slots)
-		dd = e.local.groupDedup(r.U, h, hOwn)
+		dd = e.local.groupDedup(h, hOwn)
 	case filterRows:
 		ft = e.aux.buildKeys(f, fOwn, false)
 	}

@@ -125,15 +125,15 @@ func retained(t *testing.T, ex *Exec) int {
 // TestGroupTableEmptiesBetweenGroups forges what a group table makes too
 // rare to draw: a group whose keys share one home slot, so each is
 // entered past the one before. The next group must find every slot empty,
-// every one of those keys unseen and — for a key of more than two
-// columns, verified against the group's own copy of its columns — that
-// copy empty too.
+// every one of those keys unseen — for a key of more than two columns,
+// verified against the group's own copy of its columns, too — and no key
+// held.
 func TestGroupTableEmptiesBetweenGroups(t *testing.T) {
 	u := schema.NewUniverse()
 	for _, h := range []schema.AttrSet{u.Set("a"), u.Set("a", "b", "c")} {
 		cols := h.Attrs()
 		pos := make([]int, len(cols))
-		d := new(keyScratch).groupDedup(u, cols, pos)
+		d := new(keyScratch).groupDedup(cols, pos)
 		key := func(v Value) Tuple { // v, then zeros
 			row := make(Tuple, len(cols))
 			row[0] = v
@@ -151,8 +151,8 @@ func TestGroupTableEmptiesBetweenGroups(t *testing.T) {
 			if j := slices.IndexFunc(d.slots, func(s int32) bool { return s != 0 }); j >= 0 {
 				t.Fatalf("%d columns, group %d starts with slot %d naming key %d", len(cols), group, j, d.slots[j]-1)
 			}
-			if !d.exact && d.rel.Card() != 0 {
-				t.Fatalf("%d columns, group %d starts with %d keys held", len(cols), group, d.rel.Card())
+			if d.n != 0 {
+				t.Fatalf("%d columns, group %d starts with %d keys held", len(cols), group, d.n)
 			}
 			for _, v := range crowd {
 				if d.seen(key(v), pos) {
@@ -163,6 +163,26 @@ func TestGroupTableEmptiesBetweenGroups(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWideGroupKeysReuseScratch: JoinProject keeps the columns of a group
+// key wider than two in the Exec's scratch, so once warm it allocates no
+// more for three-column keys than for two. k = 0 keeps the output empty,
+// so the two runs differ only in their group tables.
+func TestWideGroupKeysReuseScratch(t *testing.T) {
+	op := decodeOperands(streamSeeds["inexact"])
+	u := op.r.U
+	wide, narrow := op.x, op.x.Diff(u.Set("c"))
+	if h := wide.Diff(op.s.attrs); h.Card() != 3 || !h.SubsetOf(op.r.attrs) || op.s.Card() < op.r.Card() {
+		t.Fatalf("seed: x %s, r %s built, want three build-side columns in x", wide.Key(), u.FormatSet(op.r.attrs))
+	}
+	ex := NewExec()
+	allocs := func(x schema.AttrSet) float64 {
+		return testing.AllocsPerRun(20, func() { ex.JoinProject(op.r, op.s, x, 0, Budget{}) })
+	}
+	if w, n := allocs(wide), allocs(narrow); w > n {
+		t.Fatalf("JoinProject allocates %.0f times with three-column group keys, %.0f with two", w, n)
 	}
 }
 

@@ -656,8 +656,11 @@ type fuzzOperands struct {
 // zeros. Attribute sets are masks over a five-attribute pool (at most
 // four kept); a relation is a row count, a 16-bit dead-row mask and its
 // rows, each value an index into edgeValues. A count byte of 0xff makes
-// the relation 1024 rows dense — row i is (i, i>>1, i>>2, …) — so a
-// group can outgrow JoinProject's first table. A row of f starts with a
+// the relation dense — row i is (i, i>>1, i>>2, …) — 1024 rows, so a
+// group can outgrow JoinProject's first table; when r is dense and shares
+// no attribute with s, a dense s has 64 rows, so their keyless product
+// stays at 64k rows, which the reference checks in well under a second,
+// not a million. A row of f starts with a
 // selector byte: even picks row selector/2 of r ⋈ s (modulo its size) and
 // projects it onto f, so the filter hits; odd is followed by the row.
 func decodeOperands(raw []byte) fuzzOperands {
@@ -680,12 +683,12 @@ func decodeOperands(raw []byte) fuzzOperands {
 		}
 		return u.Set(names...)
 	}
-	decode := func(attrs schema.AttrSet, join []Tuple, joinCols []schema.Attr) *Relation {
+	decode := func(attrs schema.AttrSet, denseRows int, join []Tuple, joinCols []schema.Attr) *Relation {
 		r := New(u, attrs)
 		n := int(next())
 		dense := n == 0xff
 		if dense {
-			n = 1024
+			n = denseRows
 		} else {
 			n %= 41
 		}
@@ -721,11 +724,16 @@ func decodeOperands(raw []byte) fuzzOperands {
 	var op fuzzOperands
 	ra, sa := attrsOf(next()), attrsOf(next())
 	op.px = attrsOf(next()).Intersect(ra)
-	op.r, op.s = decode(ra, nil, nil), decode(sa, nil, nil)
+	op.r = decode(ra, 1024, nil, nil)
+	sDense := 1024
+	if !ra.Intersects(sa) && op.r.Card() > 64 {
+		sDense = 64
+	}
+	op.s = decode(sa, sDense, nil, nil)
 	rs := ra.Union(sa)
 	fa := attrsOf(next()).Intersect(rs)
 	op.x = attrsOf(next()).Intersect(rs)
-	op.f = decode(fa, NewExec().Join(op.r, op.s).Tuples(), rs.Attrs())
+	op.f = decode(fa, 1024, NewExec().Join(op.r, op.s).Tuples(), rs.Attrs())
 	return op
 }
 
@@ -746,6 +754,9 @@ var streamSeeds = map[string][]byte{
 	"inexact": {0b01111, 0b11000, 0, 6, 0, 0, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 2, 3, 3, 3, 3, 5, 5, 5, 5, 0, 1, 4, 5,
 		8, 0, 0, 2, 5, 3, 5, 2, 6, 3, 6, 5, 5, 5, 7, 4, 4, 0, 0,
 		0b10001, 0b10111, 3, 0, 0, 0, 2, 1, 3, 5},
+	// r = a and s = b dense, f = ab dense, x = ab: a keyless product, s
+	// cut to 64 rows, so 64k join rows, of which f keeps 128.
+	"dense product": {0b00001, 0b00010, 0b00001, 0xff, 0, 0, 0xff, 0, 0, 0b00011, 0b00011, 0xff, 0, 0},
 	// r = {()} and f = {()}: a zero-width operand on each side.
 	"zero-width": {0, 0b00011, 0, 1, 0, 0, 3, 0, 0, 2, 3, 5, 6, 7, 7, 0, 0b00010, 1, 0, 0, 0},
 	// r = ab, s = bc, f = abc, 20 rows each, two of every sixteen dead.
@@ -788,6 +799,8 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 			ok = ok && probe.attrs.SubsetOf(op.x) && !h.IsEmpty()
 		case "inexact":
 			ok = ok && h.Card() > 2 && h.SubsetOf(build.attrs)
+		case "dense product":
+			ok = ok && !op.r.attrs.Intersects(op.s.attrs) && op.r.Card() == 1024 && op.s.Card() == 64
 		case "zero-width":
 			ok = ok && op.r.width == 0 && op.f.width == 0
 		case "dead":
@@ -832,12 +845,6 @@ func FuzzOperators(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		op := decodeOperands(raw)
-		if !op.r.attrs.Intersects(op.s.attrs) && op.r.Card()*op.s.Card() > 1<<16 {
-			// Two dense operands with no shared attribute: the reference
-			// spends seconds on their million-row product, which checks
-			// nothing a smaller cross product does not.
-			t.Skip("cross product of two dense operands")
-		}
 		ex := NewExec()
 		checkKernels(t, "r,s", ex, op.r, op.s, op.px)
 		checkKernels(t, "s,r", ex, op.s, op.r, op.px.Intersect(op.s.attrs))
