@@ -106,7 +106,8 @@ func main() {
 		qout.Card(), qout.Card() == sol.Card())
 
 	// Evaluation runs on rails: a gas budget (total tuples produced) and
-	// a deadline, both checked at statement boundaries. A tripped rail
+	// a deadline, both checked at statement boundaries and inside every
+	// join. A tripped rail
 	// returns a typed error and no partial state — gyod exposes them as
 	// -gas and -querytimeout.
 	if _, _, err := e.SolveQuery(qpl, 1, program.Limits{MaxTuples: 1}); err != nil {

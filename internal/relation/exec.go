@@ -12,7 +12,8 @@ import (
 // Exec is a reusable execution context for the relational operators.
 // It owns the scratch state the operators need — three keyScratch
 // tables' worth of open-addressing slots, chain links and per-row key
-// words, an output-row buffer, and column position maps — so a program
+// words (and a wide group key's columns, for JoinProject), an output-row
+// buffer, and column position maps — so a program
 // that evaluates many statements (a §6 semijoin program, a Yannakakis
 // plan, a full reducer) reuses one set of allocations instead of
 // rebuilding them per statement. Every table is a keyTable, keyed by
@@ -319,10 +320,9 @@ type groupDedup struct {
 	n  int // the group's distinct keys so far
 }
 
-// groupDedup returns an empty group table over ks for projections whose
-// build-side columns are h. own must hold len(h) ints; it becomes the
-// positions of h in the table's rows.
-func (ks *keyScratch) groupDedup(h []schema.Attr, own []int) groupDedup {
+// groupDedup returns an empty group table over ks for keys of len(own)
+// columns; own becomes their positions in the table's rows, 0, 1, ….
+func (ks *keyScratch) groupDedup(own []int) groupDedup {
 	for i := range own {
 		own[i] = i
 	}
@@ -529,7 +529,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 	case projectRows:
 		gt = e.aux.buildKeys(probe, gPos, true)
 		groups = len(gt.slots)
-		dd = e.local.groupDedup(h, hOwn)
+		dd = e.local.groupDedup(hOwn)
 	case filterRows:
 		ft = e.aux.buildKeys(f, fOwn, false)
 	}

@@ -133,7 +133,7 @@ func TestGroupTableEmptiesBetweenGroups(t *testing.T) {
 	for _, h := range []schema.AttrSet{u.Set("a"), u.Set("a", "b", "c")} {
 		cols := h.Attrs()
 		pos := make([]int, len(cols))
-		d := new(keyScratch).groupDedup(cols, pos)
+		d := new(keyScratch).groupDedup(pos)
 		key := func(v Value) Tuple { // v, then zeros
 			row := make(Tuple, len(cols))
 			row[0] = v
