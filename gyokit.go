@@ -39,10 +39,11 @@
 // Relation states are backed by a columnar engine (internal/relation):
 // tuples live in a chunked row-major []Value arena (4096-row chunks,
 // immutable once full and shared between snapshots) with width-strided
-// access, and every set-semantics index, join hash table, and semijoin
-// key set is an open-addressing table over 64-bit integer hashes with full
-// collision verification — no string keys are materialized on any hot
-// path. A reusable Exec context carries the scratch buffers and hash
+// access and nothing stored beside a row's values. Every set-semantics
+// index, join hash table, and semijoin key set is an open-addressing
+// table keyed by a 64-bit word of the columns themselves (exact up to two
+// columns, a verified fold beyond) — no string keys are materialized on
+// any hot path. A reusable Exec context carries the scratch buffers and hash
 // tables across the statements of a program run, so Program.Eval
 // evaluates a whole §6 statement sequence without per-statement
 // re-allocation. Eval returns Stats with per-statement tuples-in /

@@ -98,8 +98,11 @@ func fuzzDatabase(in *fuzzInput, d *schema.Schema) *relation.Database {
 // holds the plans themselves against the shape the answer-directed
 // emitter promises: no statement the answer does not depend on, n−1
 // upward semijoins plus one downward semijoin per live non-root node,
-// and — on tree schemas — no intermediate wider than a relation ∪ X.
-// The committed seeds run under plain `go test`.
+// and — on tree schemas — no intermediate wider than a relation ∪ X. On a
+// tree schema it also holds FullReducer to global consistency: every
+// relation it reduces equals the projection of the full join (on a cyclic
+// schema that may fail, so it is not checked). The committed seeds run
+// under plain `go test`.
 func FuzzQueryEquivalence(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},                                      // the 1-chain, x = a
@@ -203,6 +206,7 @@ func FuzzQueryEquivalence(f *testing.F) {
 			return
 		}
 		tree := qp.Cls.QualTree
+		globallyConsistent(t, name, db, tree)
 		minLive := n + 1
 		for root := 0; root < n; root++ {
 			p, err := program.YannakakisRooted(d, x, tree, root)
@@ -241,6 +245,37 @@ func FuzzQueryEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// globallyConsistent runs FullReducer over db along the qual tree of its
+// tree schema and fails unless every reduced relation equals π_Rᵢ of the
+// full join.
+func globallyConsistent(t *testing.T, name string, db *relation.Database, tree *graph.Undirected) {
+	t.Helper()
+	d := db.D
+	p, reduced, err := program.FullReducer(d, tree)
+	if err != nil {
+		t.Fatalf("%s: FullReducer: %v", name, err)
+	}
+	ex := relation.NewExec()
+	vals := append(make([]*relation.Relation, 0, p.NumIDs()), db.Rels...)
+	for _, s := range p.Stmts {
+		switch s.Kind {
+		case program.Semijoin:
+			vals = append(vals, ex.Semijoin(vals[s.Left], vals[s.Right]))
+		case program.Project:
+			vals = append(vals, ex.Project(vals[s.Left], s.Proj))
+		default:
+			t.Fatalf("%s: FullReducer emitted a %s", name, s.Kind)
+		}
+	}
+	full := ex.JoinAll(db.Rels)
+	for i, id := range reduced {
+		if want := ex.Project(full, d.Rels[i]); !vals[id].Equal(want) {
+			t.Fatalf("%s: FullReducer leaves %s with %v, π of the full join is %v\n%s",
+				name, d.U.FormatSet(d.Rels[i]), vals[id], want, planText(p))
+		}
+	}
 }
 
 // streamingSeeds are FuzzQueryEquivalence seeds whose PlanQuery plan has

@@ -2,11 +2,10 @@ package relation
 
 // Codec hooks over the chunked arena layout. The durable-storage layer
 // (internal/storage) serializes a relation as its attribute list plus
-// the raw row-major arena, chunk by chunk; the row hashes are rebuilt
-// on load rather than written to disk, and the hash index is never
-// written at all (a relation need not even have built one). These hooks
-// expose exactly that boundary without leaking mutable internals
-// anywhere else.
+// the raw row-major arena, chunk by chunk — a row is nothing but its
+// values — and the set index is never written at all (a relation need
+// not even have built one; loading rebuilds it). These hooks expose
+// exactly that boundary without leaking mutable internals anywhere else.
 
 import (
 	"fmt"
@@ -54,7 +53,7 @@ func (r *Relation) liveBlock(c int) []Value {
 		return ch.data
 	}
 	out := make([]Value, 0, len(ch.data))
-	for k := range ch.hashes {
+	for k := range r.chunkRows(c) {
 		if !ch.dead.has(k) {
 			out = append(out, ch.data[k*r.width:(k+1)*r.width]...)
 		}
@@ -63,7 +62,7 @@ func (r *Relation) liveBlock(c int) []Value {
 }
 
 // ArenaBytes returns the bytes of the live tuples in the arena (the
-// dominant share of a relation's memory; index and hash overhead are
+// dominant share of a relation's memory; the set index's 4 B slots are
 // proportional, and dead rows hold at most 1/compactDiv as much again).
 func (r *Relation) ArenaBytes() int { return r.Card() * r.width * ValueBytes }
 
@@ -167,8 +166,8 @@ func (r *Relation) grow(rows int) {
 }
 
 // FromArena builds a relation over attrs from a row-major arena of
-// rows tuples, rebuilding the row hashes and the set-semantics index
-// in one pass (the index is presized, so loading never rehashes).
+// rows tuples, building the set-semantics index as it goes (the index
+// is presized, so loading never rehashes).
 // Duplicate rows are eliminated, so the result may hold fewer than
 // rows tuples. data is copied into the relation's chunked arena; the
 // caller keeps ownership of the input slice.
@@ -215,11 +214,10 @@ func (r *Relation) AppendStored(block []Value, dead []int32) error {
 	start, next := r.n, 0
 	for o, k := 0, 0; o < len(block); o, k = o+r.width, k+1 {
 		row := block[o : o+r.width]
-		h := hashValues(row)
 		if next < len(dead) && int(dead[next]) == k {
-			r.appendRow(row, h)
+			r.appendRow(row)
 			next++
-		} else if !r.insertHashed(row, h) {
+		} else if !r.insert(row) {
 			return fmt.Errorf("relation: stored row %d duplicates a live row", start+k)
 		}
 	}
@@ -237,10 +235,10 @@ func (r *Relation) AppendStored(block []Value, dead []int32) error {
 // adoptPrefix makes the empty relation out hold rows [0, upto) of r
 // (same attribute set): every full chunk of r lying wholly below upto
 // is shared — struct copy, durable id included, exactly as Clone shares
-// it — and only the rows of the chunk upto falls in are copied, values
-// and hashes as two blocks, into a fresh tail chunk (never full, so it
-// gets no id). A shared chunk is full, so later appends to out start a
-// fresh chunk and never write into r's arena.
+// it — and only the rows of the chunk upto falls in are copied, as one
+// block, into a fresh tail chunk (never full, so it gets no id). A
+// shared chunk is full, so later appends to out start a fresh chunk and
+// never write into r's arena.
 func (out *Relation) adoptPrefix(r *Relation, upto int) {
 	keep := upto >> chunkShift
 	out.chunks = append(make([]chunk, 0, len(r.chunks)), r.chunks[:keep]...)
@@ -248,7 +246,6 @@ func (out *Relation) adoptPrefix(r *Relation, upto int) {
 	if rows := upto - out.n; rows > 0 {
 		src, tail := &r.chunks[keep], out.newChunk()
 		tail.data = append(tail.data, src.data[:rows*r.width]...)
-		tail.hashes = append(tail.hashes, src.hashes[:rows]...)
 		out.chunks = append(out.chunks, tail)
 		out.n = upto
 	}

@@ -51,7 +51,7 @@ type frozenState struct {
 	ref  refSet
 	raw  []Value
 	card int
-	lay  layout // chunks, hashes, ids and dead bitmaps, by address and content
+	lay  layout // chunks, ids and dead bitmaps, by address and content
 }
 
 func capture(r *Relation, ref refSet) frozenState {
@@ -252,8 +252,7 @@ func TestSemijoinSharesCleanPrefix(t *testing.T) {
 			ref.equal(t, out, "semijoin")
 			for k := range out.chunks {
 				aliased := k < len(r.chunks) && len(out.chunks[k].data) > 0 &&
-					&out.chunks[k].data[0] == &r.chunks[k].data[0] &&
-					&out.chunks[k].hashes[0] == &r.chunks[k].hashes[0]
+					&out.chunks[k].data[0] == &r.chunks[k].data[0]
 				switch {
 				case k < tc.shared && (!aliased || out.chunks[k].id != r.chunks[k].id || out.chunks[k].id == 0):
 					t.Errorf("chunk %d: not shared with the input (aliased %v, id %d vs %d)",
@@ -333,13 +332,13 @@ func TestSemijoinFirstDropPositions(t *testing.T) {
 				out := ex.Semijoin(r, s)
 				for k := range out.chunks {
 					oc, rc := out.chunks[k], r.chunks[k]
-					aliased := &oc.data[0] == &rc.data[0] && &oc.hashes[0] == &rc.hashes[0]
+					aliased := &oc.data[0] == &rc.data[0]
 					if shared := k < first>>chunkShift; shared != aliased || shared != (oc.id != 0 && oc.id == rc.id) {
 						t.Errorf("chunk %d (first drop at %d): aliased %v, id %d vs the input's %d",
 							k, first, aliased, oc.id, rc.id)
 					}
-					if full := len(oc.hashes) == ChunkRows; full != (oc.id != 0) {
-						t.Errorf("chunk %d: %d rows with id %d", k, len(oc.hashes), oc.id)
+					if rows := out.chunkRows(k); (rows == ChunkRows) != (oc.id != 0) || len(oc.data) != rows*out.width {
+						t.Errorf("chunk %d: %d rows, %d values, id %d", k, rows, len(oc.data), oc.id)
 					}
 				}
 			})

@@ -11,9 +11,9 @@ import (
 
 // layout is everything a snapshot's readers can reach, captured so that
 // later writes to its descendants can be checked against it bit for bit:
-// the row positions in use, the dead count, and per chunk the data and
-// hash backing arrays (by address and by content) and the dead bitmap
-// (by address and by content).
+// the row positions in use, the dead count, and per chunk the data
+// backing array (by address and by content) and the dead bitmap (by
+// address and by content).
 type layout struct {
 	n, dead int
 	chunks  []chunkImage
@@ -21,17 +21,16 @@ type layout struct {
 }
 
 type chunkImage struct {
-	data   []Value
-	hashes []uint64
-	id     uint64
-	dead   *deadBits
-	bits   deadBits
+	data []Value
+	id   uint64
+	dead *deadBits
+	bits deadBits
 }
 
 func captureLayout(r *Relation) layout {
 	l := layout{n: r.n, dead: r.dead, raw: r.RawData()}
 	for _, c := range r.chunks {
-		im := chunkImage{data: slices.Clone(c.data), hashes: slices.Clone(c.hashes), id: c.id, dead: c.dead}
+		im := chunkImage{data: slices.Clone(c.data), id: c.id, dead: c.dead}
 		if c.dead != nil {
 			im.bits = *c.dead
 		}
@@ -48,7 +47,7 @@ func (l layout) check(t *testing.T, r *Relation, label string) {
 	}
 	for k, c := range r.chunks {
 		im := l.chunks[k]
-		if !slices.Equal(c.data, im.data) || !slices.Equal(c.hashes, im.hashes) || c.id != im.id {
+		if !slices.Equal(c.data, im.data) || c.id != im.id {
 			t.Fatalf("%s: chunk %d of a published snapshot changed", label, k)
 		}
 		if c.dead != im.dead || (c.dead != nil && *c.dead != im.bits) {
@@ -340,7 +339,7 @@ func TestDeleteLineageDifferential(t *testing.T) {
 }
 
 // TestDeleteSharesEverything pins the cost contract of a delete: the
-// result shares every chunk (data, hashes, id), the base index table and
+// result shares every chunk (data and id), the base index table and
 // the overlay with the snapshot it was taken from — pointer-equal — and
 // what it allocates does not grow with the relation.
 func TestDeleteSharesEverything(t *testing.T) {
@@ -375,7 +374,7 @@ func TestDeleteSharesEverything(t *testing.T) {
 		t.Fatalf("%d chunks became %d", len(r.chunks), len(out.chunks))
 	}
 	for k := range r.chunks {
-		if &out.chunks[k].data[0] != &r.chunks[k].data[0] || &out.chunks[k].hashes[0] != &r.chunks[k].hashes[0] || out.chunks[k].id != r.chunks[k].id {
+		if &out.chunks[k].data[0] != &r.chunks[k].data[0] || out.chunks[k].id != r.chunks[k].id {
 			t.Errorf("chunk %d was rewritten, not shared", k)
 		}
 	}

@@ -90,14 +90,13 @@ func (e *Exec) Project(r *Relation, x schema.AttrSet) *Relation {
 	}
 	out := New(r.U, x)
 	out.reserved = r.Card() // upper bound
-	pos := e.positions(2 * out.width)
-	rPos, own := pos[:out.width], pos[out.width:] // x in r, x in out
+	rPos := e.positions(out.width)
 	for i, c := range out.cols {
-		rPos[i], own[i] = r.colPos(c), i
+		rPos[i] = r.colPos(c)
 	}
 	buf := scratch(e.obuf, out.width)
 	e.obuf = buf
-	t := e.keys.table(out, own, r.Card(), r.Card())
+	t := e.keys.table(out, out.all, r.Card(), r.Card())
 	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
 		row := r.row(i)
 		w, j, head := t.probe(row, rPos)
@@ -108,7 +107,7 @@ func (e *Exec) Project(r *Relation, x schema.AttrSet) *Relation {
 		for k, p := range rPos {
 			buf[k] = row[p]
 		}
-		out.appendRow(buf, hashValues(buf))
+		out.appendRow(buf)
 	}
 	return out
 }
@@ -134,6 +133,16 @@ func keyWord(row []Value, pos []int) uint64 {
 		w *= fnvPrime64
 	}
 	return w
+}
+
+// allCols returns the positions 0 … w−1: the key on all of a width-w
+// row's columns.
+func allCols(w int) []int {
+	p := make([]int, w)
+	for i := range p {
+		p[i] = i
+	}
+	return p
 }
 
 // Two values fill a key word exactly only while a Value is 32 bits.
@@ -216,7 +225,7 @@ func (ks *keyScratch) buildKeys(rel *Relation, pos []int, chain bool) keyTable {
 	for c := range rel.chunks {
 		ch := &rel.chunks[c]
 		data, dead := ch.data, ch.dead
-		for k := range ch.hashes {
+		for k := range rel.chunkRows(c) {
 			if dead != nil && dead.has(k) {
 				continue
 			}
@@ -320,14 +329,11 @@ type groupDedup struct {
 	n  int // the group's distinct keys so far
 }
 
-// groupDedup returns an empty group table over ks for keys of len(own)
-// columns; own becomes their positions in the table's rows, 0, 1, ….
-func (ks *keyScratch) groupDedup(own []int) groupDedup {
-	for i := range own {
-		own[i] = i
-	}
+// groupDedup returns an empty group table over ks for keys of n columns,
+// at positions 0 … n−1 of the table's rows.
+func (ks *keyScratch) groupDedup(n int) groupDedup {
 	d := groupDedup{ks: ks}
-	d.pos = own
+	d.pos = allCols(n)
 	d.resize(groupRows)
 	return d
 }
@@ -468,9 +474,8 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 	out.reserved = min(keep, probe.Card())
 
 	// Column positions: the join key on each side, then the sink's own —
-	// for JoinProject g in the probe, h = x \ attrs(probe) in the build
-	// side and h in the group table; for JoinFilter f's columns in f and
-	// the output.
+	// for JoinProject g in the probe and h = x \ attrs(probe) in the build
+	// side; for JoinFilter f's columns in the output.
 	sharedCols := r.attrs.Intersect(s.attrs).Attrs()
 	nk := len(sharedCols)
 	var g, h []schema.Attr
@@ -478,9 +483,9 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 	switch sk {
 	case projectRows:
 		g, h = x.Intersect(probe.attrs).Attrs(), x.Diff(probe.attrs).Attrs()
-		extra = len(g) + 2*len(h)
+		extra = len(g) + len(h)
 	case filterRows:
-		extra = 2 * f.width
+		extra = f.width
 	}
 	pos := e.positions(2*nk + extra)
 	bPos, pPos, rest := pos[:nk], pos[nk:2*nk], pos[2*nk:]
@@ -488,10 +493,10 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 		bPos[i] = build.colPos(c)
 		pPos[i] = probe.colPos(c)
 	}
-	var gPos, hPos, hOwn, fOwn, fPos []int
+	var gPos, hPos, fPos []int
 	switch sk {
 	case projectRows:
-		gPos, hPos, hOwn = rest[:len(g)], rest[len(g):len(g)+len(h)], rest[len(g)+len(h):]
+		gPos, hPos = rest[:len(g)], rest[len(g):]
 		for i, c := range g {
 			gPos[i] = probe.colPos(c)
 		}
@@ -499,9 +504,9 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 			hPos[i] = build.colPos(c)
 		}
 	case filterRows:
-		fOwn, fPos = rest[:f.width], rest[f.width:]
+		fPos = rest
 		for i, c := range f.cols {
-			fOwn[i], fPos[i] = i, out.colPos(c)
+			fPos[i] = out.colPos(c)
 		}
 	}
 	// Output column sources: from probe where present, else from build.
@@ -529,9 +534,9 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 	case projectRows:
 		gt = e.aux.buildKeys(probe, gPos, true)
 		groups = len(gt.slots)
-		dd = e.local.groupDedup(hOwn)
+		dd = e.local.groupDedup(len(h))
 	case filterRows:
-		ft = e.aux.buildKeys(f, fOwn, false)
+		ft = e.aux.buildKeys(f, f.all, false)
 	}
 	check := b.next(0)
 	w := probe.width
@@ -554,7 +559,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 					for ; bi != 0; bi = next[bi-1] {
 						if card++; card <= keep {
 							fillRow(obuf, srcs, prow, build.row(int(bi-1)))
-							out.appendRow(obuf, hashValues(obuf))
+							out.appendRow(obuf)
 						}
 					}
 					joined = card // every join row is an output row
@@ -564,7 +569,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 						fillRow(obuf, srcs, prow, build.row(int(bi-1)))
 						if ft.lookup(obuf, fPos) != 0 {
 							if card++; card <= keep {
-								out.appendRow(obuf, hashValues(obuf))
+								out.appendRow(obuf)
 							}
 						}
 					}
@@ -577,7 +582,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 						}
 						if card++; card <= keep {
 							fillRow(obuf, srcs, prow, brow)
-							out.appendRow(obuf, hashValues(obuf))
+							out.appendRow(obuf)
 						}
 					}
 				}
@@ -619,11 +624,11 @@ func fillRow(buf []Value, srcs []int32, prow, brow []Value) {
 // the first dropped row (or the end) the output adopts that clean
 // prefix, sharing its full chunks with r — ids included, the way compact
 // shares the chunks before a delete — and only the rows from the first
-// drop's chunk onward are repacked, with their stored hashes. A dead row
-// of r is a dropped row, so the output is dense whatever r carries. A
-// semijoin that filters nothing, the steady state of a full reducer over
-// consistent data, costs the build, the probes, a chunk-table copy and
-// two block copies of the tail.
+// drop's chunk onward are repacked. A dead row of r is a dropped row, so
+// the output is dense whatever r carries. A semijoin that filters
+// nothing, the steady state of a full reducer over consistent data,
+// costs the build, the probes, a chunk-table copy and one block copy of
+// the tail.
 func (e *Exec) Semijoin(r, s *Relation) *Relation {
 	sharedCols := r.attrs.Intersect(s.attrs).Attrs()
 	pos := e.positions(2 * len(sharedCols))
@@ -640,12 +645,12 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 	w := r.width
 	for c := range r.chunks {
 		ch := &r.chunks[c]
-		for k, h := range ch.hashes {
+		for k := range r.chunkRows(c) {
 			row := ch.data[k*w : k*w+w]
 			hit := (ch.dead == nil || !ch.dead.has(k)) && t.lookup(row, rPos) != 0
 			switch {
 			case hit && !clean:
-				out.appendRow(row, h)
+				out.appendRow(row)
 			case !hit && clean:
 				clean = false
 				out.adoptPrefix(r, c<<chunkShift+k)

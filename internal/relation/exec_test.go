@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -72,7 +73,7 @@ func TestExecScratchBudget(t *testing.T) {
 	capRows := func(rel *Relation) int {
 		rows := 0
 		for _, c := range rel.chunks {
-			rows += max(cap(c.hashes), cap(c.data)/rel.width)
+			rows += cap(c.data) / rel.width
 		}
 		return rows
 	}
@@ -132,8 +133,8 @@ func TestGroupTableEmptiesBetweenGroups(t *testing.T) {
 	u := schema.NewUniverse()
 	for _, h := range []schema.AttrSet{u.Set("a"), u.Set("a", "b", "c")} {
 		cols := h.Attrs()
-		pos := make([]int, len(cols))
-		d := new(keyScratch).groupDedup(pos)
+		d := new(keyScratch).groupDedup(len(cols))
+		pos := d.pos
 		key := func(v Value) Tuple { // v, then zeros
 			row := make(Tuple, len(cols))
 			row[0] = v
@@ -190,7 +191,10 @@ func TestWideGroupKeysReuseScratch(t *testing.T) {
 // different three-column keys with one key word. The build row's word is
 // overwritten with the probe row's and its slot moved to match, so only
 // the column-by-column check can tell the keys apart; a two-column key,
-// being its own word, never gets that far.
+// being its own word, never gets that far. The set index keys a row the
+// same way, on all its columns, so the same forgery — the stranger's home
+// slot naming s's row — must not make Has or Insert take one for the
+// other.
 func TestFoldedKeyIsVerified(t *testing.T) {
 	u := schema.NewUniverse()
 	s := New(u, u.Set("a", "b", "c"))
@@ -207,5 +211,14 @@ func TestFoldedKeyIsVerified(t *testing.T) {
 	kt.slots[keySlot(kt.words[0], kt.shift)] = 1
 	if got := kt.lookup(stranger, pos); got != 0 {
 		t.Fatalf("a key that only shares the build row's word found row %d", got)
+	}
+
+	clear(s.base)
+	s.base[keySlot(keyWord(stranger, s.all), uint(64-bits.TrailingZeros(uint(len(s.base)))))] = 1
+	if s.Has(stranger) {
+		t.Fatal("the set index took a row that only sits in the stranger's home slot for it")
+	}
+	if s.Insert(stranger); s.Card() != 2 || !s.Has(stranger) {
+		t.Fatalf("inserting the stranger past the forged slot: card %d, has %v", s.Card(), s.Has(stranger))
 	}
 }

@@ -6,25 +6,6 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// hashValues hashes a row (or key-column gather) of 32-bit values:
-// FNV-1a over the values followed by a splitmix64-style avalanche so
-// the table's masked low bits depend on every column. The empty row
-// hashes to a fixed constant (zero-width relations hold at most one
-// tuple).
-func hashValues(vals []Value) uint64 {
-	h := uint64(fnvOffset64)
-	for _, v := range vals {
-		h ^= uint64(uint32(v))
-		h *= fnvPrime64
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 func valuesEqual(a, b []Value) bool {
 	for i := range a {
 		if a[i] != b[i] {

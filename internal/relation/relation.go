@@ -41,34 +41,34 @@
 // a join with a relation over a subset of its attributes done as it
 // streams, only appends. The three join sinks also run counted
 // (Exec.JoinFirst, and the k of the other two): they count every output
-// row and store only the first k. None of them gives its output
-// a set index. The index — an open-addressing hash table over the
-// stored 64-bit row hashes with full collision verification — is
-// maintained eagerly only by the insert paths (Insert, InsertBlock,
-// FromArena), whose rows arrive from outside; for an operator output it
-// is built on demand, once and race-safely, by the first membership use:
-// Has, Equal (of its argument), Insert/InsertBlock, DeleteBlock/Without,
-// Clone, or the identity Renamed view. A program run therefore never
-// allocates, grows or probes a per-relation table, and a database
-// published from operator outputs (URDatabase) pays for each relation's
-// index on its first write or first bind. An index is a shared
-// immutable base table inherited from the snapshot lineage plus a small
-// private overlay for rows appended since, merged back into an owned
-// base once the overlay outgrows its bound. No string keys are
-// materialized anywhere on the insert, lookup, join, or semijoin paths.
-// The operators live on Exec (see exec.go), a reusable execution
-// context that amortizes its scratch tables and buffers across a whole
-// program run; the methods on Relation are convenience wrappers over a
-// throwaway Exec. The operator tables are not the set index and do not
-// key on row hashes: they are all one keyTable, keyed by columns
+// row and store only the first k. None of them gives its output a set
+// index. A row stores nothing but its values. The index is open
+// addressing over row positions, placed by the key word of all a row's
+// columns (the word Project's output table uses) and verified against
+// the row itself. It is maintained eagerly only by the insert paths
+// (Insert, InsertBlock, FromArena), whose rows arrive from outside; for
+// an operator output it is built on demand, once and race-safely, by the
+// first membership use: Has, Equal (of its argument),
+// Insert/InsertBlock, DeleteBlock/Without, Clone, or the identity
+// Renamed view. A program run therefore never allocates, grows or probes
+// a per-relation table, and a database published from operator outputs
+// (URDatabase) pays for each relation's index on its first write or
+// first bind. An index is a shared immutable base table inherited from
+// the snapshot lineage plus a small private overlay for rows appended
+// since, merged back into an owned base once the overlay outgrows its
+// bound. No string keys are materialized anywhere on the insert, lookup,
+// join, or semijoin paths. The operators live on Exec (see exec.go), a
+// reusable execution context that amortizes its scratch tables and
+// buffers across a whole program run; the methods on Relation are
+// convenience wrappers over a throwaway Exec. The operator tables are
+// not the set index: they are all one keyTable, keyed by columns
 // themselves — a 64-bit key word per row that is the key when it has at
 // most two columns, so a probe compares words and fetches no row, and a
 // fold of the columns, verified column-by-column, when it has more. Join
 // and Semijoin key their build side by the shared columns and walk both
 // operands chunk by chunk; Project keys its output rows by all their
 // columns, and JoinProject's group-local table keys them by their
-// build-side columns. No operator's duplicate check reads the stored row
-// hashes; they serve the set index.
+// build-side columns.
 package relation
 
 import (
@@ -94,10 +94,9 @@ type Tuple []Value
 // ChunkRows is the arena chunk size in rows. A chunk that reaches
 // ChunkRows rows is full and immutable forever; only the (unique,
 // growing) tail chunk of a relation is ever appended to. 4096 rows
-// keeps a full chunk's arena at 16·width KiB plus 32 KiB of row hashes
-// — big enough to amortize the chunk-table indirection, small enough
-// that the copy-on-write tail copy stays trivial next to a large
-// relation.
+// keeps a full chunk's arena at 16·width KiB — big enough to amortize
+// the chunk-table indirection, small enough that the copy-on-write tail
+// copy stays trivial next to a large relation.
 const ChunkRows = 1 << chunkShift
 
 const (
@@ -106,12 +105,11 @@ const (
 )
 
 // chunk is one fixed-capacity block of the arena: up to ChunkRows rows
-// of values (row-major) with their precomputed 64-bit hashes alongside.
-// len(hashes) is the chunk's row count; len(data) is always row count ×
-// width.
+// of values, row-major, so len(data) is row count × width. The row count
+// itself comes from the relation's n (chunkRows): a zero-width chunk has
+// no data to count.
 type chunk struct {
-	data   []Value
-	hashes []uint64
+	data []Value
 	// id is the chunk's durable identity: nonzero exactly when the chunk
 	// is full (and therefore immutable forever), drawn from a
 	// process-wide monotonic counter at the moment the chunk fills.
@@ -173,6 +171,7 @@ type Relation struct {
 	attrs schema.AttrSet
 	cols  []schema.Attr // sorted ascending
 	width int
+	all   []int // positions 0 … width−1: the key the set index and Project place a row by
 
 	chunks []chunk // row i lives in chunks[i>>chunkShift] at offset (i&chunkMask)*width
 	n      int     // row positions in use, live or dead
@@ -223,6 +222,7 @@ func New(u *schema.Universe, attrs schema.AttrSet) *Relation {
 		attrs:     attrs.Clone(),
 		cols:      cols,
 		width:     len(cols),
+		all:       allCols(len(cols)),
 		baseOwned: true,
 	}
 }
@@ -251,9 +251,10 @@ func (r *Relation) row(i int) []Value {
 	return r.chunks[i>>chunkShift].data[o : o+r.width]
 }
 
-// hash returns the stored 64-bit hash of row i.
-func (r *Relation) hash(i int) uint64 {
-	return r.chunks[i>>chunkShift].hashes[i&chunkMask]
+// chunkRows returns the row count of chunk c: ChunkRows for every chunk
+// but the tail.
+func (r *Relation) chunkRows(c int) int {
+	return min(r.n-c<<chunkShift, ChunkRows)
 }
 
 // isDead reports whether the row at position i has been deleted.
@@ -313,8 +314,7 @@ func (r *Relation) TupleAt(i int) Tuple {
 		return Tuple(r.row(i))
 	}
 	for c := range r.chunks {
-		ch := &r.chunks[c]
-		rows := len(ch.hashes)
+		ch, rows := &r.chunks[c], r.chunkRows(c)
 		if ch.dead == nil {
 			if i < rows {
 				return Tuple(r.row(c<<chunkShift + i))
@@ -340,22 +340,19 @@ func (r *Relation) TupleAt(i int) Tuple {
 	panic(fmt.Sprintf("relation: TupleAt past the last of %d tuples", r.Card()))
 }
 
-// appendRow appends a row (copied) and its hash to the arena tail,
-// starting a fresh chunk when the tail is full. It neither checks for
-// duplicates nor touches the index: the producers that call it directly
-// emit rows that are distinct by construction into a relation that has
-// no index yet.
-func (r *Relation) appendRow(vals []Value, h uint64) {
-	if len(r.chunks) == 0 || len(r.chunks[len(r.chunks)-1].hashes) == ChunkRows {
+// appendRow appends a row (copied) to the arena tail, starting a fresh
+// chunk when the tail is full. It neither checks for duplicates nor
+// touches the index: the producers that call it directly emit rows that
+// are distinct by construction into a relation that has no index yet.
+func (r *Relation) appendRow(vals []Value) {
+	if r.n&chunkMask == 0 {
 		r.chunks = append(r.chunks, r.newChunk())
 	}
 	c := &r.chunks[len(r.chunks)-1]
 	c.data = append(c.data, vals...)
-	c.hashes = append(c.hashes, h)
-	if len(c.hashes) == ChunkRows {
+	if r.n++; r.n&chunkMask == 0 {
 		c.id = nextChunkID()
 	}
-	r.n++
 }
 
 // newChunk returns an empty tail chunk sized for the rows still
@@ -373,11 +370,11 @@ func (r *Relation) newChunk() chunk {
 	if rows <= 0 {
 		return chunk{}
 	}
-	return chunk{data: make([]Value, 0, rows*r.width), hashes: make([]uint64, 0, rows)}
+	return chunk{data: make([]Value, 0, rows*r.width)}
 }
 
 // growBase (re)builds the owned open-addressing table at double
-// capacity, reusing the stored row hashes so rows are never re-hashed.
+// capacity.
 func (r *Relation) growBase() {
 	size := 16
 	if len(r.base) > 0 {
@@ -397,14 +394,15 @@ func (r *Relation) growOverlay() {
 }
 
 // rebuildTable builds a table of the given power-of-two size holding
-// the live rows among [lo, hi) of r, placed by their stored hashes. Live
+// the live rows among [lo, hi) of r, each placed by its key word. Live
 // rows of a relation are distinct by construction, so placement needs no
 // compares.
 func rebuildTable(r *Relation, size, lo, hi int) []int32 {
 	t := make([]int32, size)
 	mask := uint64(size - 1)
+	shift := uint(bits.LeadingZeros64(mask))
 	for i := r.nextLive(lo); i < hi; i = r.nextLive(i + 1) {
-		j := r.hash(i) & mask
+		j := keySlot(keyWord(r.row(i), r.all), shift)
 		for t[j] != 0 {
 			j = (j + 1) & mask
 		}
@@ -434,11 +432,10 @@ func (r *Relation) rebuildOwned() {
 	r.over, r.overShared = nil, false
 }
 
-// ensureIndex builds the set index of an index-free operator output
-// from its stored row hashes — rows are distinct by construction, so
-// placement needs no compares — and is a no-op on every relation that
-// already maintains one. Safe for concurrent callers: the first builds,
-// the rest wait for it.
+// ensureIndex builds the set index of an index-free operator output —
+// rows are distinct by construction, so placement needs no compares —
+// and is a no-op on every relation that already maintains one. Safe for
+// concurrent callers: the first builds, the rest wait for it.
 func (r *Relation) ensureIndex() {
 	r.indexOnce.Do(func() {
 		if r.baseOwned && len(r.base) == 0 && r.n > 0 {
@@ -447,53 +444,50 @@ func (r *Relation) ensureIndex() {
 	})
 }
 
-// probe returns the position of the live row equal to vals (with hash
-// h) that the given table indexes, or -1. A matching dead row is not an
-// answer and does not end the search: the tuple may have been inserted
-// again since, further along the probe sequence.
-func (r *Relation) probe(table []int32, vals []Value, h uint64) int {
+// probe is the set index's one probe loop. It looks vals, whose key word
+// is w, up in table and returns the slot of the live row equal to it and
+// that row's position — or, when there is none, the empty slot vals
+// would claim and -1, so an insert needs no second probe. A matching
+// dead row is not an answer and does not end the search: the tuple may
+// have been inserted again since, further along the probe sequence. An
+// empty (unallocated) table holds nothing and has no slot to claim.
+func (r *Relation) probe(table []int32, vals []Value, w uint64) (slot uint64, pos int) {
 	if len(table) == 0 {
-		return -1
+		return 0, -1
 	}
 	mask := uint64(len(table) - 1)
-	for j := h & mask; ; j = (j + 1) & mask {
+	for j := keySlot(w, uint(bits.LeadingZeros64(mask))); ; j = (j + 1) & mask {
 		s := table[j]
 		if s == 0 {
-			return -1
+			return j, -1
 		}
-		if i := int(s - 1); r.hash(i) == h && valuesEqual(r.row(i), vals) && !r.isDead(i) {
-			return i
+		if i := int(s - 1); valuesEqual(r.row(i), vals) && !r.isDead(i) {
+			return j, i
 		}
 	}
 }
 
-// insertHashed adds the row (given with its precomputed hash) unless an
-// equal row is present; it reports whether the row was added. vals is
-// copied into the arena. The index must exist (ensureIndex).
-func (r *Relation) insertHashed(vals []Value, h uint64) bool {
+// insert adds the row vals (copied into the arena) unless an equal row
+// is present and reports whether it was added. The index must exist
+// (ensureIndex).
+func (r *Relation) insert(vals []Value) bool {
+	w := keyWord(vals, r.all)
 	if r.baseOwned {
 		if 4*(r.n+1) > 3*len(r.base) {
 			r.growBase()
 		}
-		mask := uint64(len(r.base) - 1)
-		j := h & mask
-		for {
-			s := r.base[j]
-			if s == 0 {
-				r.base[j] = int32(r.n + 1)
-				r.appendRow(vals, h)
-				return true
-			}
-			if i := int(s - 1); r.hash(i) == h && valuesEqual(r.row(i), vals) && !r.isDead(i) {
-				return false
-			}
-			j = (j + 1) & mask
+		j, i := r.probe(r.base, vals, w)
+		if i >= 0 {
+			return false
 		}
+		r.base[j] = int32(r.n + 1)
+		r.appendRow(vals)
+		return true
 	}
 	// Shared base: duplicate-check it read-only, then claim an overlay
 	// slot. The shared table is never written — ancestors and siblings
 	// keep probing it concurrently.
-	if r.probe(r.base, vals, h) >= 0 {
+	if _, i := r.probe(r.base, vals, w); i >= 0 {
 		return false
 	}
 	if 4*(r.n-r.baseN+1) > 3*len(r.over) {
@@ -501,38 +495,28 @@ func (r *Relation) insertHashed(vals []Value, h uint64) bool {
 	} else if r.overShared {
 		r.over, r.overShared = slices.Clone(r.over), false
 	}
-	mask := uint64(len(r.over) - 1)
-	j := h & mask
-	for {
-		s := r.over[j]
-		if s == 0 {
-			r.over[j] = int32(r.n + 1)
-			r.appendRow(vals, h)
-			break
-		}
-		if i := int(s - 1); r.hash(i) == h && valuesEqual(r.row(i), vals) && !r.isDead(i) {
-			return false
-		}
-		j = (j + 1) & mask
+	j, i := r.probe(r.over, vals, w)
+	if i >= 0 {
+		return false
 	}
+	r.over[j] = int32(r.n + 1)
+	r.appendRow(vals)
 	if r.n-r.baseN > r.overlayBound() {
 		r.rebuildOwned()
 	}
 	return true
 }
 
-// find returns the position of the live row equal to vals (with hash
-// h), or -1.
-func (r *Relation) find(vals []Value, h uint64) int {
+// find returns the position of the live row equal to vals, or -1.
+func (r *Relation) find(vals []Value) int {
 	r.ensureIndex()
-	if i := r.probe(r.base, vals, h); i >= 0 {
+	w := keyWord(vals, r.all)
+	if _, i := r.probe(r.base, vals, w); i >= 0 {
 		return i
 	}
-	return r.probe(r.over, vals, h)
+	_, i := r.probe(r.over, vals, w)
+	return i
 }
-
-// contains reports whether a row equal to vals (with hash h) is present.
-func (r *Relation) contains(vals []Value, h uint64) bool { return r.find(vals, h) >= 0 }
 
 // Insert adds a tuple given in column order. Duplicates are ignored.
 // It panics if the arity is wrong or the relation is frozen
@@ -545,7 +529,7 @@ func (r *Relation) Insert(t Tuple) {
 		panic(fmt.Sprintf("relation: arity %d ≠ %d", len(t), r.width))
 	}
 	r.ensureIndex()
-	r.insertHashed(t, hashValues(t))
+	r.insert(t)
 }
 
 // InsertBlock inserts a row-major block of tuples given in column
@@ -565,8 +549,7 @@ func (r *Relation) InsertBlock(data []Value) int {
 	r.ensureIndex()
 	added := 0
 	for o := 0; o < len(data); o += r.width {
-		row := data[o : o+r.width]
-		if r.insertHashed(row, hashValues(row)) {
+		if r.insert(data[o : o+r.width]) {
 			added++
 		}
 	}
@@ -592,7 +575,7 @@ func (r *Relation) Has(t Tuple) bool {
 	if len(t) != r.width {
 		return false
 	}
-	return r.contains(t, hashValues(t))
+	return r.find(t) >= 0
 }
 
 // DeleteBlock removes a row-major block of tuples given in column order
@@ -611,8 +594,7 @@ func (r *Relation) DeleteBlock(data []Value) int {
 	}
 	pos := make([]int32, 0, len(data)/r.width)
 	for o := 0; o < len(data); o += r.width {
-		row := data[o : o+r.width]
-		if i := r.find(row, hashValues(row)); i >= 0 {
+		if i := r.find(data[o : o+r.width]); i >= 0 {
 			pos = append(pos, int32(i))
 		}
 	}
@@ -633,7 +615,7 @@ func (r *Relation) Without(ts []Tuple) (*Relation, int) {
 		if len(t) != r.width {
 			continue
 		}
-		if i := out.find(t, hashValues(t)); i >= 0 {
+		if i := out.find(t); i >= 0 {
 			pos = append(pos, int32(i))
 		}
 	}
@@ -695,7 +677,7 @@ func (r *Relation) compact() {
 	out.reserved = r.Card() + kept
 	out.adoptPrefix(r, keep<<chunkShift)
 	for i := r.nextLive(out.n); i < r.n; i = r.nextLive(i + 1) {
-		out.appendRow(r.row(i), r.hash(i))
+		out.appendRow(r.row(i))
 	}
 	r.chunks, r.n, r.dead, r.reserved = out.chunks, out.n, kept, 0
 	r.rebuildOwned()
@@ -722,19 +704,16 @@ func (r *Relation) Clone() *Relation {
 	out.chunks = append([]chunk(nil), r.chunks...)
 	out.n, out.dead, out.compactions = r.n, r.dead, r.compactions
 	frozen := r.frozen.Load()
-	if len(out.chunks) > 0 {
-		if t := &out.chunks[len(out.chunks)-1]; len(t.hashes) < ChunkRows {
-			if frozen {
-				// The frozen parent can never append, but two sibling
-				// clones of it could both append into the tail's spare
-				// backing capacity and clobber each other — clip the
-				// capacity so the first append reallocates privately.
-				t.data = t.data[:len(t.data):len(t.data)]
-				t.hashes = t.hashes[:len(t.hashes):len(t.hashes)]
-			} else {
-				t.data = append([]Value(nil), t.data...)
-				t.hashes = append([]uint64(nil), t.hashes...)
-			}
+	if r.n&chunkMask != 0 {
+		t := &out.chunks[len(out.chunks)-1]
+		if frozen {
+			// The frozen parent can never append, but two sibling clones
+			// of it could both append into the tail's spare backing
+			// capacity and clobber each other — clip the capacity so the
+			// first append reallocates privately.
+			t.data = t.data[:len(t.data):len(t.data)]
+		} else {
+			t.data = append([]Value(nil), t.data...)
 		}
 	}
 	if frozen || !r.baseOwned {
@@ -770,7 +749,7 @@ func (r *Relation) Equal(s *Relation) bool {
 		return false
 	}
 	for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
-		if !s.contains(r.row(i), r.hash(i)) {
+		if s.find(r.row(i)) < 0 {
 			return false
 		}
 	}

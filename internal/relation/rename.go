@@ -15,14 +15,14 @@ import (
 //
 // When src is the identity permutation and r is frozen, the result is a
 // zero-copy frozen view sharing r's chunk table (dead-row bitmaps
-// included) and hash index, overlay too — O(1), the common case when
+// included) and set index, overlay too — O(1), the common case when
 // variable interning order matches the stored column order (an
 // index-free r builds its index here, once, so every later view shares
 // it; a Clone of the view copies what it will write, as a Clone of r
-// does). Otherwise the rows are permuted and re-hashed
-// into a fresh index-free relation (row hashes depend on column order,
-// so a permuted relation cannot share r's index; a permutation of
-// distinct rows is distinct, so it needs none to build).
+// does). Otherwise the rows are permuted into a fresh index-free
+// relation (a row's key word depends on column order, so a permuted
+// relation cannot share r's index; a permutation of distinct rows is
+// distinct, so it needs none to build).
 func (r *Relation) Renamed(u *schema.Universe, attrs schema.AttrSet, src []int) *Relation {
 	cols := attrs.Attrs()
 	if len(cols) != r.width || len(src) != r.width {
@@ -45,6 +45,7 @@ func (r *Relation) Renamed(u *schema.Universe, attrs schema.AttrSet, src []int) 
 			attrs:  attrs.Clone(),
 			cols:   cols,
 			width:  r.width,
+			all:    r.all,
 			chunks: r.chunks,
 			n:      r.n,
 			dead:   r.dead,
@@ -68,7 +69,7 @@ func (r *Relation) Renamed(u *schema.Universe, attrs schema.AttrSet, src []int) 
 		for k, s := range src {
 			buf[k] = row[s]
 		}
-		out.appendRow(buf, hashValues(buf))
+		out.appendRow(buf)
 	}
 	return out
 }

@@ -34,7 +34,7 @@ func TestRenamedPermutes(t *testing.T) {
 	before := out.Card()
 	out.Insert(Tuple{2, 1})
 	if out.Card() != before {
-		t.Error("permuted relation accepted a duplicate: hashes are inconsistent")
+		t.Error("permuted relation accepted a duplicate: its index is inconsistent")
 	}
 }
 
