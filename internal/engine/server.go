@@ -546,23 +546,6 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 	return ans, true
 }
 
-// mutateRequest is the /v1/insert and /v1/delete body, and one element
-// of a /v1/load body: a relation (named by its attribute set, e.g.
-// "ab") and a tuple batch in that relation's sorted-column order.
-// Schemas are multisets, so when the serving schema contains the same
-// relation schema more than once, "rel" alone addresses the first
-// occurrence; "index" (a position in the serving schema)
-// disambiguates.
-type mutateRequest struct {
-	Rel    string           `json:"rel"`
-	Index  *int             `json:"index,omitempty"`
-	Tuples []relation.Tuple `json:"tuples"`
-}
-
-type loadRequest struct {
-	Relations []mutateRequest `json:"relations"`
-}
-
 // MutateResponse is the /v1/insert and /v1/delete reply, and one
 // element of a /v1/load reply. Applied counts the tuples actually
 // inserted or deleted (set semantics: duplicates and absentees don't
@@ -593,7 +576,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, kind storage.Kind) {
 	var req mutateRequest
-	if !decodeCapped(w, r, &req, MaxBodyBytes) {
+	if !decodeWith(w, r, MaxBodyBytes, func(b []byte) error { return decodeMutate(b, &req) }) {
 		return
 	}
 	db := s.E.Snapshot()
@@ -617,8 +600,8 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request, kind stora
 		return
 	}
 	writeJSON(w, MutateResponse{
-		Rel:       req.Rel,
-		Requested: len(req.Tuples),
+		Rel:       req.rel,
+		Requested: req.tuples,
 		Applied:   counts[0],
 		Card:      next.Rels[m.Rel].Card(),
 		Durable:   s.E.Durable(),
@@ -631,10 +614,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		capBytes = DefaultMaxLoadBytes
 	}
 	var req loadRequest
-	if !decodeCapped(w, r, &req, capBytes) {
+	if !decodeWith(w, r, capBytes, func(b []byte) error { return decodeLoad(b, &req) }) {
 		return
 	}
-	if len(req.Relations) == 0 {
+	if len(req.relations) == 0 {
 		writeError(w, http.StatusBadRequest, "invalid_request", fmt.Errorf("empty \"relations\""))
 		return
 	}
@@ -643,8 +626,8 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request", fmt.Errorf("no database snapshot installed"))
 		return
 	}
-	muts := make([]storage.Mutation, len(req.Relations))
-	for i, mr := range req.Relations {
+	muts := make([]storage.Mutation, len(req.relations))
+	for i, mr := range req.relations {
 		m, err := s.buildMutation(db, storage.KindInsert, mr)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "invalid_request", fmt.Errorf("relations[%d]: %w", i, err))
@@ -663,10 +646,10 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := LoadResponse{Durable: s.E.Durable()}
-	for i, mr := range req.Relations {
+	for i, mr := range req.relations {
 		resp.Relations = append(resp.Relations, MutateResponse{
-			Rel:       mr.Rel,
-			Requested: len(mr.Tuples),
+			Rel:       mr.rel,
+			Requested: mr.tuples,
 			Applied:   counts[i],
 			Card:      next.Rels[muts[i].Rel].Card(),
 			Durable:   s.E.Durable(),
@@ -695,24 +678,24 @@ func applyStatus(err error) (int, string) {
 // issues Create/Drop mutations through the Go API concurrently with
 // HTTP writes can shift indexes between resolution and Apply.
 func (s *Server) buildMutation(db *relation.Database, kind storage.Kind, req mutateRequest) (storage.Mutation, error) {
-	if req.Rel == "" {
+	if req.rel == "" {
 		return storage.Mutation{}, fmt.Errorf("missing relation \"rel\"")
 	}
-	set, err := s.lookupTarget(req.Rel)
+	set, err := s.lookupTarget(req.rel)
 	if err != nil {
 		return storage.Mutation{}, err
 	}
 	idx := -1
-	if req.Index != nil {
+	if req.hasIndex {
 		// Explicit position: must name the same relation schema, so a
 		// stale index cannot silently write to the wrong relation.
-		i := *req.Index
+		i := req.index
 		if i < 0 || i >= len(db.D.Rels) {
 			return storage.Mutation{}, fmt.Errorf("index %d out of range (schema has %d relations)", i, len(db.D.Rels))
 		}
 		if !db.D.Rels[i].Equal(set) {
 			return storage.Mutation{}, fmt.Errorf("relation at index %d is %s, not %q",
-				i, db.D.U.FormatSet(db.D.Rels[i]), req.Rel)
+				i, db.D.U.FormatSet(db.D.Rels[i]), req.rel)
 		}
 		idx = i
 	} else {
@@ -723,22 +706,19 @@ func (s *Server) buildMutation(db *relation.Database, kind storage.Kind, req mut
 			}
 		}
 		if idx < 0 {
-			return storage.Mutation{}, fmt.Errorf("relation %q not in serving schema %s", req.Rel, db.D)
+			return storage.Mutation{}, fmt.Errorf("relation %q not in serving schema %s", req.rel, db.D)
 		}
 	}
 	width := set.Card()
-	for i, t := range req.Tuples {
-		if len(t) != width {
-			return storage.Mutation{}, fmt.Errorf("tuple %d has arity %d, want %d", i, len(t), width)
-		}
-	}
-	if len(req.Tuples) == 0 {
+	switch {
+	case req.tuples > 0 && req.arity != width:
+		return storage.Mutation{}, fmt.Errorf("tuple 0 has arity %d, want %d", req.arity, width)
+	case req.odd >= 0:
+		return storage.Mutation{}, fmt.Errorf("tuple %d has arity %d, want %d", req.odd, req.oddArity, width)
+	case req.tuples == 0:
 		return storage.Mutation{}, fmt.Errorf("empty \"tuples\"")
 	}
-	if kind == storage.KindDelete {
-		return storage.Delete(idx, width, req.Tuples), nil
-	}
-	return storage.Insert(idx, width, req.Tuples), nil
+	return storage.Mutation{Kind: kind, Rel: idx, Width: width, Values: req.values}, nil
 }
 
 // RelationStats describes one relation of the live snapshot.
@@ -955,6 +935,29 @@ func decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 // (405 + Allow), content-type enforcement (415), body cap (413), then
 // strict JSON decoding (400).
 func decodeCapped(w http.ResponseWriter, r *http.Request, dst any, capBytes int64) bool {
+	return postJSON(w, r) && decodeJSON(w, r, dst, capBytes)
+}
+
+// decodeWith is decodeCapped for a body with its own decoder: the same
+// front door, with the whole capped body handed to decode.
+func decodeWith(w http.ResponseWriter, r *http.Request, capBytes int64, decode func([]byte) error) bool {
+	if !postJSON(w, r) {
+		return false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, capBytes))
+	if err == nil {
+		if err = decode(body); err == nil {
+			return true
+		}
+		err = fmt.Errorf("invalid JSON body: %w", err)
+	}
+	writeBodyError(w, err)
+	return false
+}
+
+// postJSON enforces the method (405 + Allow) and content type (415) of
+// a JSON POST endpoint.
+func postJSON(w http.ResponseWriter, r *http.Request) bool {
 	if !allowMethod(w, r, http.MethodPost) {
 		return false
 	}
@@ -962,19 +965,26 @@ func decodeCapped(w http.ResponseWriter, r *http.Request, dst any, capBytes int6
 		writeUnsupportedMediaType(w, r, "application/json")
 		return false
 	}
-	return decodeJSON(w, r, dst, capBytes)
+	return true
 }
 
-// decodeJSON decodes the body into dst, assuming method and content
-// type were already vetted.
+// decodeJSON decodes the body, which must hold exactly one JSON value,
+// into dst, assuming method and content type were already vetted.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any, capBytes int64) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, capBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeBodyError(w, fmt.Errorf("invalid JSON body: %w", err))
-		return false
+	err := dec.Decode(dst)
+	if err == nil {
+		_, err = dec.Token()
+		switch err {
+		case io.EOF:
+			return true
+		case nil:
+			err = errors.New("unexpected data after the JSON value")
+		}
 	}
-	return true
+	writeBodyError(w, fmt.Errorf("invalid JSON body: %w", err))
+	return false
 }
 
 // writeBodyError maps a request-body read failure: the cap trips 413,

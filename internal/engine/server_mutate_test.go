@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"gyokit/internal/storage"
@@ -61,8 +62,8 @@ func TestServerInsertDelete(t *testing.T) {
 	post(t, ts.URL+"/v1/delete", `{"rel": "ab", "tuples": [[40,41]]}`, nil)
 
 	// Bad requests: unknown relation, unknown attribute, wrong arity,
-	// empty batch, index/schema mismatch, index out of range — all
-	// 400, none applied.
+	// empty batch, index/schema mismatch, index out of range, a second
+	// value after the body's — all 400, none applied.
 	for _, body := range []string{
 		`{"rel": "zz", "tuples": [[1,2]]}`,
 		`{"rel": "ad", "tuples": [[1,2]]}`,
@@ -71,6 +72,7 @@ func TestServerInsertDelete(t *testing.T) {
 		`{"tuples": [[1,2]]}`,
 		`{"rel": "ab", "index": 1, "tuples": [[1,2]]}`,
 		`{"rel": "ab", "index": 7, "tuples": [[1,2]]}`,
+		`{"rel": "ab", "tuples": [[1,2]]}{"rel": "ab", "tuples": [[3,4]]}`,
 	} {
 		resp := post(t, ts.URL+"/v1/insert", body, nil)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -112,6 +114,36 @@ func TestServerLoadAtomic(t *testing.T) {
 	resp = post(t, ts.URL+"/v1/load", `{"relations": []}`, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty /load → %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServerBodyCaps: a write body over its cap — MaxBodyBytes for
+// /v1/insert, Server.MaxLoadBytes for /v1/load — is refused with 413
+// payload_too_large and applies nothing, even when the value inside the
+// cap is complete and only trailing whitespace crosses it.
+func TestServerBodyCaps(t *testing.T) {
+	ts, srv := durableServer(t, t.TempDir())
+	srv.MaxLoadBytes = 64
+	insert := `{"rel": "ab", "tuples": [[1,2]` + strings.Repeat(`,[1,2]`, MaxBodyBytes/6) + `]}`
+	load := `{"relations": [{"rel": "ab", "tuples": [[1,2]]}]}`
+	before := srv.E.Snapshot()
+	for _, c := range []struct{ path, body string }{
+		{"/v1/insert", insert},
+		{"/v1/insert", `{"rel": "ab", "tuples": [[1,2]]}` + strings.Repeat(" ", MaxBodyBytes)},
+		{"/v1/load", `{"relations": [{"rel": "ab", "tuples": [[1,2]]}, {"rel": "ab", "tuples": [[3,4]]}]}`},
+		{"/v1/load", load + strings.Repeat(" ", 64)},
+	} {
+		r := postRaw(t, ts.URL+c.path, c.body)
+		if eb := decodeErrorBody(t, r); r.StatusCode != http.StatusRequestEntityTooLarge || eb.Error.Code != "payload_too_large" {
+			t.Errorf("%s of %d bytes: status %d, code %q; want 413 payload_too_large", c.path, len(c.body), r.StatusCode, eb.Error.Code)
+		}
+	}
+	if srv.E.Snapshot() != before {
+		t.Error("an over-cap body changed the snapshot")
+	}
+	// Under the cap the same load applies.
+	if r := postRaw(t, ts.URL+"/v1/load", load); r.StatusCode != http.StatusOK {
+		t.Errorf("/v1/load under the cap: status %d", r.StatusCode)
 	}
 }
 

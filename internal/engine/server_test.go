@@ -161,6 +161,9 @@ func TestServerErrorsAndStats(t *testing.T) {
 	if resp := post(t, ts.URL+"/v1/solve", `{"x": ""}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing x: status %d", resp.StatusCode)
 	}
+	if resp := post(t, ts.URL+"/v1/solve", `{"x": "ad"} {"x": "ab"}`, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("two values in one body: status %d", resp.StatusCode)
+	}
 	if resp := post(t, ts.URL+"/v1/classify", `{"schema": "a-b"}`, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad schema: status %d", resp.StatusCode)
 	}

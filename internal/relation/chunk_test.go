@@ -497,6 +497,89 @@ func TestOverlayMergeRebuildsOwnedBase(t *testing.T) {
 	}
 }
 
+// TestMergedIndexFindsLiveRows follows a copy-on-write lineage (freeze,
+// clone, write) through interleaved insert batches, delete batches and
+// the compactions they trigger, and after every step checks that the
+// set index names each live row exactly once and finds exactly the live
+// tuples — across overlay merges that copy the base table and place only
+// the overlay's rows, and merges and compactions that rebuild it.
+func TestMergedIndexFindsLiveRows(t *testing.T) {
+	u := schema.NewUniverse()
+	r := New(u, u.Set("a", "b"))
+	rng := rand.New(rand.NewSource(1))
+	live := map[[2]Value]bool{} // every tuple the lineage wrote: is it live?
+	card := 0
+	var next Value
+	var dead [][2]Value // deleted tuples, re-inserted now and then
+	copies, rebuilds := 0, 0
+	for step := 0; step < 90; step++ {
+		r.Freeze()
+		r = r.Clone()
+		before, compactions := r.base, r.Compactions()
+		block := []Value{}
+		if step%3 == 2 {
+			for k, in := range live {
+				if len(block) == 2*300 {
+					break
+				}
+				if in {
+					block = append(block, k[0], k[1])
+					live[k] = false
+					dead = append(dead, k)
+					card--
+				}
+			}
+			r.DeleteBlock(block)
+		} else {
+			for j := 0; j < 500; j++ {
+				k := [2]Value{next, Value(rng.Intn(1000))}
+				next++
+				if j%10 == 0 && len(dead) > 0 {
+					k, dead = dead[len(dead)-1], dead[:len(dead)-1]
+				}
+				block = append(block, k[0], k[1])
+				live[k] = true
+				card++
+			}
+			r.InsertBlock(block)
+			if merged := len(before) > 0 && &r.base[0] != &before[0]; merged && r.Compactions() == compactions {
+				if len(r.base) == len(before) {
+					copies++
+				} else {
+					rebuilds++
+				}
+			}
+		}
+		seen := make([]bool, r.n)
+		for _, table := range [][]int32{r.base, r.over} {
+			for _, s := range table {
+				if i := int(s) - 1; s != 0 && !r.isDead(i) {
+					if seen[i] {
+						t.Fatalf("step %d: row %d indexed twice", step, i)
+					}
+					seen[i] = true
+				}
+			}
+		}
+		for i := r.nextLive(0); i < r.n; i = r.nextLive(i + 1) {
+			if !seen[i] {
+				t.Fatalf("step %d: live row %d not indexed", step, i)
+			}
+		}
+		if r.Card() != card {
+			t.Fatalf("step %d: card %d, want %d", step, r.Card(), card)
+		}
+		for k, in := range live {
+			if r.Has(Tuple{k[0], k[1]}) != in {
+				t.Fatalf("step %d: Has(%v) = %v", step, k, !in)
+			}
+		}
+	}
+	if copies == 0 || rebuilds == 0 || r.Compactions() == 0 {
+		t.Errorf("lineage ran %d copying merges, %d rebuilding merges and %d compactions; want each", copies, rebuilds, r.Compactions())
+	}
+}
+
 // TestInsertBlockDedups covers the bulk-insert mirror of Insert used by
 // WAL replay and batch apply.
 func TestInsertBlockDedups(t *testing.T) {

@@ -394,12 +394,17 @@ func (r *Relation) growOverlay() {
 }
 
 // rebuildTable builds a table of the given power-of-two size holding
-// the live rows among [lo, hi) of r, each placed by its key word. Live
+// the live rows among [lo, hi) of r, each placed by its key word.
+func rebuildTable(r *Relation, size, lo, hi int) []int32 {
+	return placeRows(r, make([]int32, size), lo, hi)
+}
+
+// placeRows places the live rows among [lo, hi) of r into the
+// power-of-two table t, which holds none of them, and returns t. Live
 // rows of a relation are distinct by construction, so placement needs no
 // compares.
-func rebuildTable(r *Relation, size, lo, hi int) []int32 {
-	t := make([]int32, size)
-	mask := uint64(size - 1)
+func placeRows(r *Relation, t []int32, lo, hi int) []int32 {
+	mask := uint64(len(t) - 1)
 	shift := uint(bits.LeadingZeros64(mask))
 	for i := r.nextLive(lo); i < hi; i = r.nextLive(i + 1) {
 		j := keySlot(keyWord(r.row(i), r.all), shift)
@@ -423,8 +428,26 @@ func (r *Relation) overlayBound() int {
 	return ChunkRows
 }
 
-// rebuildOwned merges the shared base and the overlay into one owned
-// table sized for n rows.
+// mergeOverlay merges the shared base and the overlay into one owned
+// table sized for n rows. When the base already has that size it is
+// copied and only the overlay's rows [baseN, n) are placed: its slots
+// still name the rows [0, baseN) of this relation (only compact moves
+// rows, and it rebuilds), and a slot naming a row deleted since is one
+// probe skips. The copy keeps load at or under a half, as a rebuild
+// would, since the table holds at most n entries.
+func (r *Relation) mergeOverlay() {
+	if len(r.base) != tableSize(r.n) {
+		r.rebuildOwned()
+		return
+	}
+	r.base = placeRows(r, slices.Clone(r.base), r.baseN, r.n)
+	r.baseOwned = true
+	r.baseN = r.n
+	r.over, r.overShared = nil, false
+}
+
+// rebuildOwned replaces the index by one owned table sized for n rows,
+// built by reading every row.
 func (r *Relation) rebuildOwned() {
 	r.base = rebuildTable(r, tableSize(r.n), 0, r.n)
 	r.baseOwned = true
@@ -502,7 +525,7 @@ func (r *Relation) insert(vals []Value) bool {
 	r.over[j] = int32(r.n + 1)
 	r.appendRow(vals)
 	if r.n-r.baseN > r.overlayBound() {
-		r.rebuildOwned()
+		r.mergeOverlay()
 	}
 	return true
 }
