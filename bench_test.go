@@ -193,7 +193,7 @@ func BenchmarkEvalYannakakis(b *testing.B) {
 		if !ok {
 			b.Fatal("chain rejected")
 		}
-		plan, err := program.Yannakakis(d, x, tr)
+		plan, err := program.YannakakisRooted(d, x, tr, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func BenchmarkEvalYannakakisLarge(b *testing.B) {
 	if !ok {
 		b.Fatal("chain rejected")
 	}
-	plan, err := program.Yannakakis(d, x, tr)
+	plan, err := program.YannakakisRooted(d, x, tr, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func semijoinProgramSetup(b *testing.B) (*program.Program, *relation.Database) {
 	if !ok {
 		b.Fatal("chain rejected")
 	}
-	plan, err := program.Yannakakis(d, x, tr)
+	plan, err := program.YannakakisRooted(d, x, tr, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -396,11 +396,44 @@ func BenchmarkSolveByJoins(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanQuery times one plan miss below the cache: GYO
+// reduction, decomposition and emission (gyokit.Plan), on the chains
+// plan_churn sends to /v1/plan, heads {first, middle attribute}, and on
+// rings, heads {a₀, a_{n/2}}.
+func BenchmarkPlanQuery(b *testing.B) {
+	type query struct {
+		name string
+		d    *schema.Schema
+		x    schema.AttrSet
+	}
+	var qs []query
+	for _, n := range []int{4, 8, 19} {
+		d := gen.Chain(n)
+		attrs := d.Attrs().Attrs()
+		qs = append(qs, query{fmt.Sprintf("chain%d", n), d, schema.NewAttrSet(attrs[0], attrs[len(attrs)/2])})
+	}
+	for _, n := range []int{3, 6} {
+		d := gen.Ring(n)
+		attrs := d.Attrs().Attrs()
+		qs = append(qs, query{fmt.Sprintf("ring%d", n), d, schema.NewAttrSet(attrs[0], attrs[n/2])})
+	}
+	for _, q := range qs {
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := gyokit.Plan(q.d, q.x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // --- serving engine: plan cache, pooling, concurrency ---------------
 
 // engineBenchQuery is the fixed (schema, X) pair the engine benchmarks
 // share: the paper's §6 cyclic running example, whose planning cost
-// (GYO reduction + γ test + the §4 treefy-then-Yannakakis build) is
+// (GYO reduction + the §4 treefy-then-Yannakakis build) is
 // exactly what the plan cache is supposed to amortize.
 func engineBenchQuery() (*schema.Schema, schema.AttrSet, *relation.Database) {
 	u := schema.NewUniverse()

@@ -92,7 +92,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nconjunctive query: %s\n  kind: %s (reduction rooted at %s)\n",
-		cc.Canonical, cc.Kind, cc.Atoms[cc.Root].Pred)
+		cc.Canonical, cc.Kind, cc.Atoms[cc.Dec.Root].Pred)
 
 	qpl, err := e.PrepareQuery(text)
 	if err != nil {

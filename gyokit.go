@@ -55,8 +55,8 @@
 // For concurrent workloads, Engine (internal/engine) separates
 // planning from execution and amortizes both across requests: one LRU
 // plan cache keyed by canonical query text — a (schema, X) solve is
-// lowered to the conjunctive query it already is — holds the
-// Classification plus the compiled Program, so repeat queries skip
+// lowered to the conjunctive query it already is — holds the plan's
+// Kind, decomposition and compiled Program, so repeat queries skip
 // GYO reduction and planning entirely; a sync.Pool of Exec contexts, one
 // per in-flight (serial) evaluation, lets concurrent requests reuse hash
 // tables without locking; and
@@ -159,8 +159,9 @@ type (
 	// CQ is a parsed conjunctive query in the Datalog-style grammar,
 	// e.g. "ans(X, Z) :- r(X, Y), s(Y, Z).".
 	CQ = cq.Query
-	// CompiledCQ is a classified, planned conjunctive query: hypergraph,
-	// free-connex/acyclic/cyclic kind, and the compiled program.
+	// CompiledCQ is a planned conjunctive query: hypergraph,
+	// free-connex/acyclic/cyclic kind, decomposition and the compiled
+	// program.
 	CompiledCQ = cq.Compiled
 	// CQKind labels a compiled query's planning class.
 	CQKind = cq.Kind
@@ -170,8 +171,9 @@ type (
 type (
 	// Classification is the §3 status of a schema.
 	Classification = core.Classification
-	// QueryPlan is the planner's decision for a query (D, X): the
-	// classification, the plan Kind, the reduction root and the program.
+	// QueryPlan is the planner's decision for a query (D, X): the plan
+	// Kind, the decomposition Dec (bags, their sources, a qual tree over
+	// them and its root) and the program.
 	QueryPlan = core.QueryPlan
 	// JoinSolution is the §4 join-plan answer.
 	JoinSolution = core.JoinSolution
@@ -204,12 +206,12 @@ func NewEngineServer(e *Engine, u *Universe, d *Schema) *EngineServer {
 // "ans(X, Z) :- r(X, Y), s(Y, Z).". Errors carry line:column positions.
 func ParseCQ(text string) (*CQ, error) { return cq.Parse(text) }
 
-// CompileCQ parses, classifies, and plans a conjunctive query:
+// CompileCQ parses and plans a conjunctive query (see Plan):
 // free-connex and acyclic queries get the answer-directed Yannakakis
 // program (semijoins up the whole tree; semijoins down, joins and
 // projections only over the subtree the head lives in), cyclic queries
-// the paper's §4 strategy (program.CyclicPlan: materialize ∪GR(D), then
-// the same program over the resulting tree schema).
+// the paper's §4 strategy (materialize ∪GR(D), then the same program
+// over the resulting tree schema).
 func CompileCQ(text string) (*CompiledCQ, error) { return cq.Compile(text) }
 
 // NewSchema returns a schema over u with the given relation schemas.
@@ -270,13 +272,13 @@ func Implies(d, dprime *Schema) bool { return lossless.Implies(d, dprime) }
 // Theorem 5.3(ii) test.
 func IsGammaAcyclic(d *Schema) bool { return gamma.IsGammaAcyclic(d) }
 
-// Plan is the planner: it classifies d and builds the program solving
-// (D, X) on any database for D — answer-directed Yannakakis on tree
-// schemas, rooted (qp.Root) where the fewest relations must hand tuples
-// rather than a filter up the tree (qp.Kind free-connex when D ∪ (X) is
-// still a tree, else acyclic); on cyclic schemas (qp.Kind cyclic) the §4
-// strategy: materialize ∪GR(D) per Corollary 3.2, then solve the
-// resulting tree schema the same way.
+// Plan is the planner: it decomposes (D, X) into a tree schema
+// (qp.Dec) and builds the program solving (D, X) on any database for D
+// — answer-directed Yannakakis over the bags, rooted (qp.Dec.Root) where
+// the fewest bags must hand tuples rather than a filter up the tree. On
+// a tree schema the bags are D (qp.Kind free-connex when D ∪ (X) is
+// still a tree, else acyclic); on a cyclic one (qp.Kind cyclic) the §4
+// strategy adds ∪GR(D) per Corollary 3.2, built from the GYO survivors.
 func Plan(d *Schema, x AttrSet) (*QueryPlan, error) { return core.PlanQuery(d, x) }
 
 // AnalyzeProgram runs the §6 tree-projection analysis of p against

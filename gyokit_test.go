@@ -92,7 +92,7 @@ func TestFacadeEndToEndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qp.Kind.String() != "acyclic" || !qp.Cls.Tree {
+	if qp.Kind.String() != "acyclic" {
 		t.Errorf("chain planned as %v", qp.Kind)
 	}
 	plan := qp.Prog

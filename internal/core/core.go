@@ -214,8 +214,7 @@ func AnalyzeProgram(p *program.Program, x schema.AttrSet) (*ProgramAnalysis, err
 
 // Kind is the shape of a query plan, decided by the planner. It labels
 // where the head sits relative to the schema; the program is built the
-// same way for both tree kinds (program.YannakakisRooted at
-// program.AnswerRoot) and the §4 strategy ends in the same emitter.
+// same way for every kind (program.Decompose, then program.Emit).
 type Kind int
 
 const (
@@ -230,7 +229,7 @@ const (
 	// restricted to the subtree the head lives in, but the joins along
 	// the paths between head attributes carry the links as well as X.
 	KindAcyclic
-	// KindCyclic: D is cyclic; the §4 strategy (program.CyclicPlan).
+	// KindCyclic: D is cyclic; the decomposition adds ∪GR(D) (§4).
 	KindCyclic
 )
 
@@ -249,58 +248,56 @@ func (k Kind) String() string {
 
 // QueryPlan is the planner's decision for a query (D, X).
 type QueryPlan struct {
-	Cls  *Classification
 	Kind Kind
-	// Root is the index in D of the relation the Yannakakis program was
-	// rooted at (program.AnswerRoot); -1 for a cyclic plan, whose tree is
-	// not over D.
-	Root int
+	// Dec is the tree schema the program evaluates over: D itself for a
+	// tree schema (Dec.Root then indexes D), D with ∪GR(D) for a cyclic
+	// one.
+	Dec *program.Decomposition
 	// Prog solves (D, X) on arbitrary databases for D.
 	Prog *program.Program
 }
 
-// PlanQuery is the library's one planner: it classifies d and decides
-// the plan shape for (d, x) from the classification. The facade's Plan
-// and the conjunctive-query compiler both call it, so a schema solve and
-// the conjunctive query it denotes get the same program. The tree cases
-// reuse the classification's qual tree.
+// PlanQuery is the library's one planner: it reduces d once (GYO),
+// labels the plan's Kind, decomposes (d, x) (program.Decompose) and
+// emits the program (program.Emit). The facade's Plan and the
+// conjunctive-query compiler both call it, so a schema solve and the
+// conjunctive query it denotes get the same program.
 func PlanQuery(d *schema.Schema, x schema.AttrSet) (*QueryPlan, error) {
-	// Reject bad targets before the expensive classification, so
-	// repeated invalid queries (which the serving layer cannot cache)
-	// stay cheap.
+	// Reject bad targets before the reduction, so repeated invalid
+	// queries (which the serving layer cannot cache) stay cheap.
 	if !x.SubsetOf(d.Attrs()) {
 		return nil, fmt.Errorf("core: target %s ⊄ U(D)", d.U.FormatSet(x))
 	}
-	cls, err := Classify(d)
-	if err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	qp := &QueryPlan{Cls: cls}
-	if !cls.Tree {
-		qp.Kind, qp.Root = KindCyclic, -1
-		qp.Prog, err = program.CyclicPlan(d, x)
-	} else {
+	res := gyo.ReduceFull(d)
+	qp := &QueryPlan{Kind: KindCyclic}
+	if res.Empty() {
 		qp.Kind = KindAcyclic
 		if gyo.IsTree(d.WithRel(x)) {
 			qp.Kind = KindFreeConnex
 		}
-		qp.Root = program.AnswerRoot(d.Rels, cls.QualTree, x)
-		qp.Prog, err = program.YannakakisRooted(d, x, cls.QualTree, qp.Root)
 	}
-	if err != nil {
+	var err error
+	if qp.Dec, err = program.Decompose(d, res, x); err != nil {
+		return nil, err
+	}
+	if qp.Prog, err = program.Emit(d, qp.Dec, x); err != nil {
 		return nil, err
 	}
 	return qp, nil
 }
 
-// Prepare is PlanQuery less the plan's Kind and Root. It is kept only
-// because bench/probe.go — which no PR but a benchmark PR may edit —
-// times it as core.prepare_us; the benchmark PR that points that probe
-// at PlanQuery deletes it.
+// Prepare returns PlanQuery's program and a nil classification: the
+// plan does not classify (Classify does). It is kept only because
+// bench/probe.go, which changes only with the benchmark, times it as
+// core.prepare_us; the benchmark change that points that probe at
+// PlanQuery deletes it.
 func Prepare(d *schema.Schema, x schema.AttrSet) (*Classification, *program.Program, error) {
 	qp, err := PlanQuery(d, x)
 	if err != nil {
 		return nil, nil, err
 	}
-	return qp.Cls, qp.Prog, nil
+	return nil, qp.Prog, nil
 }

@@ -213,8 +213,8 @@ func TestTheorem62EndToEnd(t *testing.T) {
 }
 
 // TestPlanQueryCyclicKind: a cyclic schema is not an error — the plan
-// says so (KindCyclic, no root over D) and carries the Corollary 3.2
-// treefying relation in its classification.
+// says so (KindCyclic) and its decomposition adds the Corollary 3.2
+// treefying relation ∪GR(D) as a bag.
 func TestPlanQueryCyclicKind(t *testing.T) {
 	u := schema.NewUniverse()
 	ring := parse(t, u, "ab, bc, ca")
@@ -222,23 +222,23 @@ func TestPlanQueryCyclicKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qp.Kind != KindCyclic || qp.Root != -1 || qp.Prog == nil {
-		t.Errorf("ring planned as %v, root %d", qp.Kind, qp.Root)
+	if qp.Kind != KindCyclic || qp.Prog == nil {
+		t.Errorf("ring planned as %v", qp.Kind)
 	}
-	if !qp.Cls.TreefyingRelation.Equal(u.Set("a", "b", "c")) {
-		t.Errorf("treefying relation %s", u.FormatSet(qp.Cls.TreefyingRelation))
+	if bags := qp.Dec.Bags.Rels; len(bags) != 1 || !bags[0].Equal(u.Set("a", "b", "c")) {
+		t.Errorf("bags %s, want the treefying relation abc alone", qp.Dec.Bags)
 	}
 }
 
 // TestPlanQueryRoot pins the root rule (program.AnswerRoot: fewest live
 // nodes, then most head attributes covered, then lowest index), the
-// Kind label beside it, and that Root is the root Prog was emitted from
-// for both tree kinds.
+// Kind label beside it, and, for both tree kinds, that Prog is the
+// program YannakakisRooted emits over D at the decomposition's root.
 func TestPlanQueryRoot(t *testing.T) {
 	for _, tc := range []struct {
 		schema, x string
 		kind      Kind
-		root      string // the relation Root names; "" for no root over D
+		root      string // the bag Dec.Root names
 		stmts     int
 	}{
 		{"ab, bc", "ab", KindFreeConnex, "ab", 1},
@@ -249,7 +249,7 @@ func TestPlanQueryRoot(t *testing.T) {
 		// Seven semijoins toward de and one projection; rooted at ab the
 		// same emitter needs 16 statements.
 		{"ab, bc, cd, de, ef, fg, gh, hi", "e", KindFreeConnex, "de", 8},
-		{"ab, bc, cd, de, ac", "ab", KindCyclic, "", 5},
+		{"ab, bc, cd, de, ac", "ab", KindCyclic, "abc", 5},
 	} {
 		u := schema.NewUniverse()
 		d := parse(t, u, tc.schema)
@@ -262,22 +262,20 @@ func TestPlanQueryRoot(t *testing.T) {
 		if qp.Kind != tc.kind || len(qp.Prog.Stmts) != tc.stmts {
 			t.Errorf("%s: %v plan of %d statements, want %v and %d", name, qp.Kind, len(qp.Prog.Stmts), tc.kind, tc.stmts)
 		}
-		if tc.root == "" {
-			if qp.Root != -1 {
-				t.Errorf("%s: root %d, want -1", name, qp.Root)
-			}
+		dec := qp.Dec
+		if !dec.Bags.Rels[dec.Root].Equal(schema.MustSet(u, tc.root)) {
+			t.Errorf("%s: root bag %s, want %s", name, u.FormatSet(dec.Bags.Rels[dec.Root]), tc.root)
 			continue
 		}
-		if qp.Root < 0 || !d.Rels[qp.Root].Equal(schema.MustSet(u, tc.root)) {
-			t.Errorf("%s: root %d, want %s", name, qp.Root, tc.root)
+		if tc.kind == KindCyclic {
 			continue
 		}
-		p, err := program.YannakakisRooted(d, x, qp.Cls.QualTree, qp.Root)
+		p, err := program.YannakakisRooted(d, x, dec.Tree, dec.Root)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(p.Stmts, qp.Prog.Stmts) {
-			t.Errorf("%s: Prog is not the program rooted at Root %d", name, qp.Root)
+			t.Errorf("%s: Prog is not the program rooted at Root %d", name, dec.Root)
 		}
 	}
 }
@@ -329,12 +327,8 @@ func TestPrepareMatchesPlan(t *testing.T) {
 		if !got.Equal(ref) {
 			t.Errorf("%s: Prepare program disagrees with PlanQuery program", tc.schema)
 		}
-		wantCls, err := Classify(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cls.Tree != wantCls.Tree || cls.GammaAcyclic != wantCls.GammaAcyclic {
-			t.Errorf("%s: Prepare classification disagrees with Classify", tc.schema)
+		if cls != nil {
+			t.Errorf("%s: Prepare returned a classification; only Classify classifies", tc.schema)
 		}
 	}
 }

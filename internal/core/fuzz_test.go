@@ -9,9 +9,12 @@ import (
 
 	"gyokit/internal/gen"
 	"gyokit/internal/graph"
+	"gyokit/internal/gyo"
 	"gyokit/internal/program"
+	"gyokit/internal/qualgraph"
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
+	"gyokit/internal/treeproj"
 )
 
 // fuzzInput deals decisions off the fuzz bytes, one byte each; an
@@ -98,11 +101,14 @@ func fuzzDatabase(in *fuzzInput, d *schema.Schema) *relation.Database {
 // holds the plans themselves against the shape the answer-directed
 // emitter promises: no statement the answer does not depend on, n−1
 // upward semijoins plus one downward semijoin per live non-root node,
-// and — on tree schemas — no intermediate wider than a relation ∪ X. On a
-// tree schema it also holds FullReducer to global consistency: every
-// relation it reduces equals the projection of the full join (on a cyclic
-// schema that may fail, so it is not checked). The committed seeds run
-// under plain `go test`.
+// and — on tree schemas — no intermediate wider than a relation ∪ X.
+// Every plan is also held to its Theorem 6.1 certificate (certified):
+// the decomposition is a tree schema between D and P(D), and with the
+// joins' outputs and the answer it is a tree projection of P(D) wrt
+// (D, X). On a tree schema it also holds FullReducer to global
+// consistency: every relation it reduces equals the projection of the
+// full join (on a cyclic schema that may fail, so it is not checked).
+// The committed seeds run under plain `go test`.
 func FuzzQueryEquivalence(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},                                      // the 1-chain, x = a
@@ -126,6 +132,7 @@ func FuzzQueryEquivalence(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	f.Add(multiSourceSeed)
 	for _, s := range streamingSeeds {
 		f.Add(s.seed)
 	}
@@ -198,14 +205,17 @@ func FuzzQueryEquivalence(f *testing.F) {
 		noDeadStatement(t, name, qp.Prog)
 
 		n := len(d.Rels)
-		if !qp.Cls.Tree {
-			// The §4 tree has at most |D| + 1 nodes (D plus ∪GR).
-			if qp.Kind != KindCyclic || qp.Root != -1 || st.Semijoins > 2*n {
-				t.Fatalf("%s: cyclic plan labelled %v root %d with %d semijoins, budget %d", name, qp.Kind, qp.Root, st.Semijoins, 2*n)
-			}
+		certified(t, name, qp, x)
+		if (qp.Kind == KindCyclic) == gyo.IsTree(d) {
+			t.Fatalf("%s: planned as %v", name, qp.Kind)
+		}
+		if qp.Kind == KindCyclic {
 			return
 		}
-		tree := qp.Cls.QualTree
+		if !slices.EqualFunc(qp.Dec.Bags.Rels, d.Rels, schema.AttrSet.Equal) {
+			t.Fatalf("%s: tree schema decomposed into %s", name, qp.Dec.Bags)
+		}
+		tree := qp.Dec.Tree
 		globallyConsistent(t, name, db, tree)
 		minLive := n + 1
 		for root := 0; root < n; root++ {
@@ -231,12 +241,9 @@ func FuzzQueryEquivalence(f *testing.F) {
 				minLive = live
 			}
 		}
-		if qp.Kind == KindCyclic || qp.Root < 0 || qp.Root >= n {
-			t.Fatalf("%s: tree schema planned as %v root %d", name, qp.Kind, qp.Root)
-		}
-		if live := liveCount(d.Rels, tree, qp.Root, x); live != minLive || st.Semijoins != (n-1)+(live-1) {
+		if live := liveCount(d.Rels, tree, qp.Dec.Root, x); live != minLive || st.Semijoins != (n-1)+(live-1) {
 			t.Fatalf("%s: planner root %s keeps %d nodes live with %d semijoins; the best root keeps %d\n%s",
-				name, d.U.FormatSet(d.Rels[qp.Root]), live, st.Semijoins, minLive, planText(qp.Prog))
+				name, d.U.FormatSet(d.Rels[qp.Dec.Root]), live, st.Semijoins, minLive, planText(qp.Prog))
 		}
 		for _, r := range d.Rels {
 			if x.SubsetOf(r) && (st.Semijoins != n-1 || st.Joins != 0 || st.Projects > 1) {
@@ -245,6 +252,43 @@ func FuzzQueryEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// certified holds qp to its Theorem 6.1 certificate, with P(D) the
+// schema mapping of qp.Prog:
+//
+//	(i) D ≤ Dec.Bags ≤ P(D), and Dec.Tree is a qual tree for the bags
+//	    with Dec.Root one of its nodes;
+//	(ii) the bags, the output schema of every join and the answer's
+//	    schema form a tree projection of P(D) wrt (D, X);
+//	(iii) the program has at most 2·|D| semijoins, the budget Theorem
+//	    6.1 allows once such a tree projection exists.
+func certified(t *testing.T, name string, qp *QueryPlan, x schema.AttrSet) {
+	t.Helper()
+	p, dec := qp.Prog, qp.Dec
+	d, pd := p.D, p.SchemaMap()
+	if !d.LE(dec.Bags) || !dec.Bags.LE(pd) || !dec.Tree.IsTree() || !qualgraph.IsQualGraph(dec.Bags, dec.Tree) ||
+		dec.Root < 0 || dec.Root >= len(dec.Bags.Rels) {
+		t.Fatalf("%s: decomposition %s, tree %v, root %d is no tree schema between D and P(D) = %s",
+			name, dec.Bags, dec.Tree.Edges(), dec.Root, pd)
+	}
+	w := dec.Bags.Clone()
+	semijoins := 0
+	for i, s := range p.Stmts {
+		switch s.Kind {
+		case program.Join:
+			w.Add(pd.Rels[len(d.Rels)+i])
+		case program.Semijoin:
+			semijoins++
+		}
+	}
+	w.Add(pd.Rels[p.ResultID()])
+	if !treeproj.IsTreeProjectionWrtQuery(w, pd, d, x) {
+		t.Fatalf("%s: %s is no tree projection of P(D) = %s wrt (D, X)\n%s", name, w, pd, planText(p))
+	}
+	if semijoins > 2*len(d.Rels) {
+		t.Fatalf("%s: %d semijoins, budget %d\n%s", name, semijoins, 2*len(d.Rels), planText(p))
+	}
 }
 
 // globallyConsistent runs FullReducer over db along the qual tree of its
@@ -275,6 +319,55 @@ func globallyConsistent(t *testing.T, name string, db *relation.Database, tree *
 			t.Fatalf("%s: FullReducer leaves %s with %v, π of the full join is %v\n%s",
 				name, d.U.FormatSet(d.Rels[i]), vals[id], want, planText(p))
 		}
+	}
+}
+
+// multiSourceSeed is a FuzzQueryEquivalence seed whose decomposition
+// builds ∪GR(D) from a projected GYO survivor and keeps a relation GYO
+// eliminated as a subset beside it as a filter bag: (abde, acd, bcd, a),
+// x = a, joins π_abd(abde), acd and bcd into abcd, and a filters it.
+// TestMultiSourceSeed checks it.
+var multiSourceSeed = []byte{4, 42, 232, 98, 161, 195, 52, 77, 143, 178, 159, 228, 31, 92, 164}
+
+// TestMultiSourceSeed decodes multiSourceSeed the way
+// FuzzQueryEquivalence does and checks that its plan still builds ∪GR(D)
+// from a projected survivor, keeps a relation that is no survivor as a
+// bag, and drops a row in some semijoin, so the committed seeds keep
+// exercising a multi-source bag and its filters on a non-UR database.
+func TestMultiSourceSeed(t *testing.T) {
+	in := &fuzzInput{b: multiSourceSeed}
+	d := fuzzSchema(in)
+	x := fuzzHead(in, d)
+	db := fuzzDatabase(in, d)
+	qp, err := PlanQuery(d, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := d.String() + " x=" + d.U.FormatSet(x)
+	if qp.Kind != KindCyclic {
+		t.Fatalf("%s: planned as %v", name, qp.Kind)
+	}
+	core := qp.Dec.Src[len(qp.Dec.Src)-1]
+	projected, survivor := false, make([]bool, len(d.Rels))
+	for _, in := range core {
+		projected = projected || !in.Proj.IsEmpty()
+		survivor[in.Rel] = true
+	}
+	filter := false
+	for _, src := range qp.Dec.Src[:len(qp.Dec.Src)-1] {
+		filter = filter || !survivor[src[0].Rel]
+	}
+	_, st, err := qp.Prog.Eval(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dropped := false
+	for _, sd := range st.Detail {
+		dropped = dropped || sd.Kind == program.Semijoin && sd.Out < sd.InLeft
+	}
+	if !projected || !filter || !dropped {
+		t.Errorf("%s: bags %s from %v: projected survivor %v, eliminated relation kept %v, semijoin drops a row %v\n%s",
+			name, qp.Dec.Bags, qp.Dec.Src, projected, filter, dropped, st.Table())
 	}
 }
 

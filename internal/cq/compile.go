@@ -49,9 +49,9 @@ type Compiled struct {
 	HeadVars  []string         // head variables in written order (the response column order)
 	HeadIDs   []schema.Attr    // ids of HeadVars, positionally aligned
 	Atoms     []AtomBinding    // one per body atom, aligned with D.Rels
-	// The planner's decision for (D, Head): Cls, Kind, Root (the
-	// Yannakakis reduction root, -1 for cyclic plans) and Prog, which
-	// solves the query over per-atom states.
+	// The planner's decision for (D, Head): Kind, Dec (the tree schema
+	// the program runs over; on an acyclic plan Dec.Root indexes Atoms)
+	// and Prog, which solves the query over per-atom states.
 	*core.QueryPlan
 }
 
@@ -65,8 +65,8 @@ func Compile(text string) (*Compiled, error) {
 }
 
 // Compile builds the query's hypergraph over a fresh variable universe
-// and hands it to the planner (core.PlanQuery), which classifies it
-// through the GYO machinery and picks the plan:
+// and hands it to the planner (core.PlanQuery), which reduces it (GYO),
+// decomposes it and emits the plan:
 //
 //   - free-connex (the hypergraph plus the head-variable hyperedge is
 //     still a tree schema): answer-directed Yannakakis rooted by
@@ -192,21 +192,24 @@ func Lower(canonical string, d *schema.Schema, x schema.AttrSet) (*Compiled, err
 // depend on — the id and the name of every attribute of x and of each
 // relation schema — so two universes share a plan only when they agree
 // on both ("ab, cd" interned a, b, c, d and "cd, ab" interned c, d, a, b
-// have equal bitsets and do not). Relations are listed in sorted order,
-// so permutations of one schema share a plan. No written query's
-// canonical text starts with "@".
+// have equal bitsets and do not). Relations are listed after "|", each
+// as " " + its attributes, sorted by that text, so permutations of one
+// schema share a plan. No written query's canonical text starts with "@".
 func LoweredText(d *schema.Schema, x schema.AttrSet) string {
+	text := make([]byte, 0, 16*len(d.Rels))
+	segs := make([][]byte, len(d.Rels))
+	for i, r := range d.Rels {
+		start := len(text)
+		text = appendAttrs(text, d.U, r)
+		segs[i] = text[start:len(text):len(text)]
+	}
+	slices.SortFunc(segs, bytes.Compare)
 	b := append(make([]byte, 0, 32+24*len(d.Rels)), "@solve "...)
-	return string(appendSchemaText(appendAttrs(b, d.U, x), d, true))
-}
-
-// ClassifyText is the cache key of d's classification: like LoweredText
-// without a target, but with the relations in d's own order — a
-// Classification is positional (QualTree edges index relations), so
-// permutations of one schema must not share one.
-func ClassifyText(d *schema.Schema) string {
-	b := append(make([]byte, 0, 32+24*len(d.Rels)), "@classify"...)
-	return string(appendSchemaText(b, d, false))
+	b = append(appendAttrs(b, d.U, x), '|')
+	for _, seg := range segs {
+		b = append(append(b, ' '), seg...)
+	}
+	return string(b)
 }
 
 // appendAttrs appends the attributes of s in ascending id order, each as
@@ -220,26 +223,6 @@ func appendAttrs(b []byte, u *schema.Universe, s schema.AttrSet) []byte {
 		b = append(append(b, name...), ',')
 		return true
 	})
-	return b
-}
-
-// appendSchemaText appends "|" and then each relation schema of d as
-// " " + its attributes, in d's order or sorted by that text.
-func appendSchemaText(b []byte, d *schema.Schema, sorted bool) []byte {
-	text := make([]byte, 0, 16*len(d.Rels))
-	segs := make([][]byte, len(d.Rels))
-	for i, r := range d.Rels {
-		start := len(text)
-		text = appendAttrs(text, d.U, r)
-		segs[i] = text[start:len(text):len(text)]
-	}
-	if sorted {
-		slices.SortFunc(segs, bytes.Compare)
-	}
-	b = append(b, '|')
-	for _, seg := range segs {
-		b = append(append(b, ' '), seg...)
-	}
 	return b
 }
 

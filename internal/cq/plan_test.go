@@ -37,8 +37,8 @@ func TestCompileKinds(t *testing.T) {
 		if comp.Kind != c.kind {
 			t.Errorf("Compile(%q).Kind = %s, want %s", c.query, comp.Kind, c.kind)
 		}
-		if c.kind == KindCyclic && comp.Root != -1 {
-			t.Errorf("cyclic plan has root %d, want -1", comp.Root)
+		if c.kind == KindCyclic && comp.Dec.Bags.LE(comp.D) {
+			t.Errorf("cyclic plan decomposed into %s, which adds no bag beyond the atoms", comp.Dec.Bags)
 		}
 	}
 }
@@ -67,8 +67,8 @@ func TestFreeConnexPlanGolden(t *testing.T) {
 	if fc.Kind != KindFreeConnex {
 		t.Fatalf("kind = %s, want free-connex", fc.Kind)
 	}
-	if fc.Root != 0 {
-		t.Fatalf("root = %d, want 0 (the atom covering both head variables)", fc.Root)
+	if fc.Dec.Root != 0 {
+		t.Fatalf("root = %d, want 0 (the atom covering both head variables)", fc.Dec.Root)
 	}
 	if w := maxStmtWidth(fc.Prog); w > 2 {
 		t.Errorf("free-connex plan materializes width %d > 2: projections were not pushed below the joins\n%v",

@@ -7,11 +7,11 @@
 // Three mechanisms carry the load:
 //
 //   - a plan cache: one LRU keyed by canonical query text, holding the
-//     §3 Classification together with the compiled §4/§6 Program. A
-//     (schema, X) solve is lowered to the conjunctive query it already
-//     is (cq.Lower), so both front ends share the cache and the one
-//     prepare → bind → run path, and a repeated query skips
-//     classification and planning entirely;
+//     planner's decision — the plan kind, the decomposition and the
+//     compiled §4/§6 Program. A (schema, X) solve is lowered to the
+//     conjunctive query it already is (cq.Lower), so both front ends
+//     share the cache and the one prepare → bind → run path, and a
+//     repeated query skips reduction and planning entirely;
 //   - an execution-context pool: a sync.Pool of relation.Exec
 //     contexts, one per in-flight evaluation, so concurrent requests
 //     reuse join hash tables and scratch buffers without contending on
@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gyokit/internal/core"
 	"gyokit/internal/cq"
 	"gyokit/internal/obs"
 	"gyokit/internal/program"
@@ -50,7 +49,7 @@ const DefaultPlanCacheSize = 256
 type Options struct {
 	// PlanCacheSize is the LRU capacity in plans. Zero means
 	// DefaultPlanCacheSize; negative disables caching (every query is
-	// classified and planned from scratch — the cold baseline).
+	// planned from scratch — the cold baseline).
 	PlanCacheSize int
 	// Store, when non-nil, makes the engine durable: the store's
 	// recovered database is installed as the first snapshot, Apply
@@ -80,15 +79,15 @@ type Options struct {
 // Plan is a cache-resident compiled query — written (PrepareQuery) or
 // lowered from a schema solve (Plan): the query's hypergraph D in the
 // relation order of the request that compiled it, its target Head, the
-// §3 classification Cls of D, the program Prog solving (D, Head), and
-// the atoms evaluation binds to stored relations, by name, at solve
+// plan Kind, the decomposition Dec, the program Prog solving (D, Head),
+// and the atoms evaluation binds to stored relations, by name, at solve
 // time. Plans are immutable once built and may be shared by concurrent
-// evaluations. Classify's classification-only entries hold Cls alone.
+// evaluations.
 type Plan = cq.Compiled
 
 // Stats is a point-in-time snapshot of engine counters.
 type Stats struct {
-	PlanHits    uint64 // cache hits (classification or plan)
+	PlanHits    uint64 // plan-cache hits
 	PlanMisses  uint64 // cache misses compiled from scratch
 	Evictions   uint64 // plans pushed out of the LRU by newer entries
 	CachedPlans int    // entries currently resident
@@ -192,23 +191,6 @@ func (e *Engine) compiled(pl *Plan, err error) (*Plan, error) {
 	return pl, nil
 }
 
-// Classify returns the §3 classification of d, from cache when the
-// schema has been seen before in the same relation order. Classify
-// hands the Classification straight back to the caller, and its
-// QualTree edges are positional (relation indexes), so its cache key
-// (cq.ClassifyText) is order-sensitive; permutations of a cached schema
-// reclassify.
-func (e *Engine) Classify(d *schema.Schema) (*core.Classification, error) {
-	pl, _, err := e.prepare(cq.ClassifyText(d), func() (*Plan, error) {
-		cls, err := core.Classify(d)
-		return &Plan{QueryPlan: &core.QueryPlan{Cls: cls}}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pl.Cls, nil
-}
-
 // Plan returns the compiled plan for the query (d, x), from cache when
 // the same schema — any relation order, any universe that gives the
 // same ids the same names — and target have been planned before.
@@ -220,8 +202,7 @@ func (e *Engine) Plan(d *schema.Schema, x schema.AttrSet) (*Plan, error) {
 // plan is Plan plus the cache-outcome flag. (d, x) is lowered to the
 // conjunctive query it already is and from there shares PrepareQuery's
 // path. A permuted hit returns a plan compiled in another relation
-// order, whose classification is positional in that order — which is
-// why Classify keeps entries of its own rather than reading a plan's.
+// order: its D, Dec and Prog are positional in that order.
 func (e *Engine) plan(d *schema.Schema, x schema.AttrSet) (*Plan, bool, error) {
 	key := cq.LoweredText(d, x)
 	return e.prepare(key, func() (*Plan, error) { return e.compiled(cq.Lower(key, d, x)) })

@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
-	"gyokit/internal/core"
 	"gyokit/internal/program"
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
@@ -67,40 +65,6 @@ func TestPlanCacheHit(t *testing.T) {
 	st = e.Stats()
 	if st.PlanHits != 2 || st.PlanMisses != 2 {
 		t.Errorf("stats = %+v, want 2 hits / 2 misses", st)
-	}
-}
-
-// TestClassifyPermutedSchema pins the fix for a positional-data cache
-// bug: Classification.QualTree edges are relation indexes, so a
-// permuted schema must NOT be served the cached classification of
-// another ordering.
-func TestClassifyPermutedSchema(t *testing.T) {
-	e := New(Options{})
-	u := schema.NewUniverse()
-	d1 := schema.MustParse(u, "ab, bc, cd")
-	if _, err := e.Classify(d1); err != nil {
-		t.Fatal(err)
-	}
-	d2 := schema.MustParse(u, "ab, cd, bc")
-	got, err := e.Classify(d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Classify(d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got.QualTree.Edges()) != fmt.Sprint(want.QualTree.Edges()) {
-		t.Errorf("permuted schema served stale positional qual tree: got %v, want %v",
-			got.QualTree.Edges(), want.QualTree.Edges())
-	}
-	// Same order still hits.
-	hits := e.Stats().PlanHits
-	if _, err := e.Classify(d1); err != nil {
-		t.Fatal(err)
-	}
-	if e.Stats().PlanHits != hits+1 {
-		t.Error("same-order Classify did not hit the cache")
 	}
 }
 

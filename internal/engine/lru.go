@@ -3,12 +3,11 @@ package engine
 import "container/list"
 
 // lruCache is a fixed-capacity LRU over compiled plans, keyed by the
-// plan's canonical text (cq.Query.String, cq.LoweredText or
-// cq.ClassifyText) — the text itself, not a hash of it, so a hit needs
-// no verification. It is not itself synchronized; the Engine guards it
-// with a mutex (operations are O(1) map/list work, orders of magnitude
-// cheaper than the planning they replace, so one lock does not become
-// the bottleneck).
+// plan's canonical text (cq.Query.String or cq.LoweredText) — the text
+// itself, not a hash of it, so a hit needs no verification. It is not
+// itself synchronized; the Engine guards it with a mutex (operations are
+// O(1) map/list work, orders of magnitude cheaper than the planning they
+// replace, so one lock does not become the bottleneck).
 type lruCache struct {
 	cap   int
 	items map[string]*list.Element

@@ -9,7 +9,7 @@ import (
 	"gyokit/internal/schema"
 )
 
-// PrepareQuery parses, classifies, and plans a conjunctive query (see
+// PrepareQuery parses and plans a conjunctive query (see
 // internal/cq for the grammar), caching the compiled plan in the same
 // LRU the schema-set path uses. The cache key is the query's canonical
 // text, so whitespace variants of one query share an entry.

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"gyokit/internal/core"
 	"gyokit/internal/program"
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
@@ -193,7 +194,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request", err)
 		return
 	}
-	cls, err := s.E.Classify(d)
+	cls, err := core.Classify(d)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_request", err)
 		return
@@ -263,7 +264,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	resp := PlanResponse{
 		Schema: pl.D.String(),
 		X:      pl.D.U.FormatSet(pl.Head),
-		Tree:   pl.Cls.Tree,
+		Tree:   pl.Kind != core.KindCyclic,
 		Kind:   pl.Kind.String(),
 		Stmts:  make([]PlanStmt, len(pl.Prog.Stmts)),
 	}

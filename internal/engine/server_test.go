@@ -3,11 +3,13 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
+	"gyokit/internal/core"
 	"gyokit/internal/relation"
 	"gyokit/internal/schema"
 	"gyokit/internal/storage"
@@ -53,6 +55,23 @@ func TestServerClassify(t *testing.T) {
 	post(t, ts.URL+"/v1/classify", `{"schema": "ab, bc, ca"}`, &ring)
 	if ring.Tree || ring.TreefyWith != "abc" {
 		t.Errorf("Aring(3) classification = %+v", ring)
+	}
+}
+
+// TestClassifyPermutedSchema: a qual tree's edges are relation indexes,
+// so /v1/classify on a permutation of a schema it has already answered
+// must answer with the permuted schema's own qual tree.
+func TestClassifyPermutedSchema(t *testing.T) {
+	ts, _, _ := testServer(t)
+	post(t, ts.URL+"/v1/classify", `{"schema": "ab, bc, cd"}`, nil)
+	var got ClassifyResponse
+	post(t, ts.URL+"/v1/classify", `{"schema": "ab, cd, bc"}`, &got)
+	want, err := core.Classify(schema.MustParse(schema.NewUniverse(), "ab, cd, bc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.QualTree) != fmt.Sprint(want.QualTree.Edges()) {
+		t.Errorf("permuted schema answered with qual tree %v, want %v", got.QualTree, want.QualTree.Edges())
 	}
 }
 

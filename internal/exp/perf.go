@@ -46,7 +46,7 @@ func runPerf4(w io.Writer) error {
 			return err
 		}
 		tr, _ := qualgraph.QualTree(d)
-		yann, err := program.Yannakakis(d, x, tr)
+		yann, err := program.YannakakisRooted(d, x, tr, 0)
 		if err != nil {
 			return err
 		}
@@ -87,7 +87,7 @@ func runPerf9(w io.Writer) error {
 	if !ok {
 		return fmt.Errorf("chain schema rejected as cyclic")
 	}
-	plan, err := program.Yannakakis(d, x, tr)
+	plan, err := program.YannakakisRooted(d, x, tr, 0)
 	if err != nil {
 		return err
 	}

@@ -79,7 +79,7 @@ func TestEvalExecReuse(t *testing.T) {
 		t.Fatal("chain rejected")
 	}
 	x := u.Set("a", "d")
-	plan, err := Yannakakis(d, x, tr)
+	plan, err := YannakakisRooted(d, x, tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

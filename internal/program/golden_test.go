@@ -21,7 +21,7 @@ func planText(p *Program) string {
 	return b.String()
 }
 
-// TestPlanShapeGolden pins the statement lists CyclicPlan, Yannakakis,
+// TestPlanShapeGolden pins the statement lists CyclicPlan,
 // YannakakisRooted and FullReducer emit; a change to the file is a
 // change of plan and is reviewed as one. The chain5 x=af shapes have
 // every node live at every root, so they are the full 2(n−1)-semijoin
@@ -67,7 +67,7 @@ func TestPlanShapeGolden(t *testing.T) {
 	}
 	attrs := chain.Attrs().Attrs()
 	x := schema.NewAttrSet(attrs[0], attrs[len(attrs)-1])
-	if p, err = Yannakakis(chain, x, tr); err != nil {
+	if p, err = YannakakisRooted(chain, x, tr, 0); err != nil {
 		t.Fatal(err)
 	}
 	add("yannakakis chain5", p)
@@ -99,7 +99,7 @@ func TestPlanShapeGolden(t *testing.T) {
 	// projection alone — the input is copied once, not twice.
 	one := gen.Chain(1)
 	tr1, _ := qualgraph.QualTree(one)
-	if p, err = Yannakakis(one, one.Rels[0], tr1); err != nil {
+	if p, err = YannakakisRooted(one, one.Rels[0], tr1, 0); err != nil {
 		t.Fatal(err)
 	}
 	add("yannakakis chain1", p)

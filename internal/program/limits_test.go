@@ -21,7 +21,7 @@ func limitsFixture(t *testing.T) (*Program, *relation.Database) {
 	if !ok {
 		t.Fatal("chain schema rejected as tree")
 	}
-	p, err := Yannakakis(d, u.Set("a", "d"), tr)
+	p, err := YannakakisRooted(d, u.Set("a", "d"), tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

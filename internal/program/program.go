@@ -4,8 +4,9 @@
 // with cost accounting, the schema mapping P(D) used by the tree
 // projection theorems (6.1–6.4), and the classical plan builders the
 // paper's analysis applies to: CC-pruned join plans (Corollary 4.1),
-// two-pass semijoin full reducers, and Yannakakis-style evaluation for
-// tree schemas.
+// two-pass semijoin full reducers, and Yannakakis-style evaluation over
+// a plan's decomposition (Decompose, Emit): D itself when it is a tree
+// schema, D made one by ∪GR(D) (§4) when it is cyclic.
 package program
 
 import (
@@ -486,31 +487,42 @@ func JoinProject(d *schema.Schema, x schema.AttrSet, inputs []InputRef) (*Progra
 		return nil, fmt.Errorf("program: JoinProject needs at least one input")
 	}
 	p := NewProgram(d)
-	n := len(d.Rels)
-	ids := make([]int, 0, len(inputs))
-	for _, in := range inputs {
-		if in.Rel < 0 || in.Rel >= n {
-			return nil, fmt.Errorf("program: input relation %d out of range", in.Rel)
-		}
-		if in.Proj.IsEmpty() || in.Proj.Equal(d.Rels[in.Rel]) {
-			ids = append(ids, in.Rel)
-			continue
-		}
-		if !in.Proj.SubsetOf(d.Rels[in.Rel]) {
-			return nil, fmt.Errorf("program: pre-projection %s ⊄ R%d = %s",
-				d.U.FormatSet(in.Proj), in.Rel, d.U.FormatSet(d.Rels[in.Rel]))
-		}
-		ids = append(ids, p.emit(Stmt{Kind: Project, Left: in.Rel, Proj: in.Proj}))
-	}
-	acc := ids[0]
-	for _, id := range ids[1:] {
-		acc = p.emit(Stmt{Kind: Join, Left: acc, Right: id})
+	acc, _, err := p.emitJoin(inputs)
+	if err != nil {
+		return nil, err
 	}
 	p.emit(Stmt{Kind: Project, Left: acc, Proj: x.Clone()})
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// emitJoin appends to p the join of the inputs, in order, each
+// pre-projected just before it joins, and returns the id holding the
+// join and its schema. A single whole input emits nothing: its id is
+// the input relation's own.
+func (p *Program) emitJoin(inputs []InputRef) (acc int, sch schema.AttrSet, err error) {
+	d := p.D
+	for i, in := range inputs {
+		if in.Rel < 0 || in.Rel >= len(d.Rels) {
+			return 0, sch, fmt.Errorf("program: input relation %d out of range", in.Rel)
+		}
+		id, rel := in.Rel, d.Rels[in.Rel]
+		if !in.Proj.IsEmpty() && !in.Proj.Equal(rel) {
+			if !in.Proj.SubsetOf(rel) {
+				return 0, sch, fmt.Errorf("program: pre-projection %s ⊄ R%d = %s",
+					d.U.FormatSet(in.Proj), in.Rel, d.U.FormatSet(rel))
+			}
+			id, rel = p.emit(Stmt{Kind: Project, Left: in.Rel, Proj: in.Proj}), in.Proj
+		}
+		if i == 0 {
+			acc, sch = id, rel
+		} else {
+			acc, sch = p.emit(Stmt{Kind: Join, Left: acc, Right: id}), sch.Union(rel)
+		}
+	}
+	return acc, sch, nil
 }
 
 // CCPlan builds the Corollary 4.1 plan for (D, X) from a canonical
@@ -644,13 +656,6 @@ func postorder(t *graph.Undirected, root int) (order []int, parent []int) {
 	return order, parent
 }
 
-// Yannakakis is YannakakisRooted at relation 0 — a fixed root for tests
-// and examples that do not care where the tree is rooted; the planner
-// roots at AnswerRoot.
-func Yannakakis(d *schema.Schema, x schema.AttrSet, t *graph.Undirected) (*Program, error) {
-	return YannakakisRooted(d, x, t, 0)
-}
-
 // YannakakisRooted builds a complete program solving (D, X) on tree
 // schema d with qual tree t rooted at root, on arbitrary databases for
 // d. X must be ⊆ U(D). The program is answer-directed: rooted at root,
@@ -667,9 +672,6 @@ func Yannakakis(d *schema.Schema, x schema.AttrSet, t *graph.Undirected) (*Progr
 // inside one relation, rooted there, costs |D|−1 semijoins and at most
 // one projection. AnswerRoot picks the root that minimizes |S|.
 func YannakakisRooted(d *schema.Schema, x schema.AttrSet, t *graph.Undirected, root int) (*Program, error) {
-	if !x.SubsetOf(d.Attrs()) {
-		return nil, fmt.Errorf("program: target %s ⊄ U(D)", d.U.FormatSet(x))
-	}
 	p := NewProgram(d)
 	if err := emitYannakakis(p, d.Rels, inputIDs(len(d.Rels)), t, root, x); err != nil {
 		return nil, err
@@ -749,8 +751,11 @@ func AnswerRoot(rels []schema.AttrSet, t *graph.Undirected, x schema.AttrSet) in
 // YannakakisRooted documents, over tree t rooted at root, answering x.
 // Tree node v has relation schema rels[v] and its state is held by id
 // cur[v] — an input relation of p, or a relation p has already built,
-// which is how the §4 cyclic strategy hands in the materialized ∪GR(D).
+// which is how Emit hands in the materialized ∪GR(D).
 func emitYannakakis(p *Program, rels []schema.AttrSet, cur []int, t *graph.Undirected, root int, x schema.AttrSet) error {
+	if !x.SubsetOf(p.D.Attrs()) {
+		return fmt.Errorf("program: target %s ⊄ U(D)", p.D.U.FormatSet(x))
+	}
 	order, parent, err := rootTree(t, len(cur), root)
 	if err != nil {
 		return err

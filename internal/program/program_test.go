@@ -84,7 +84,7 @@ func TestEvalDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: full reducer: %v", seed, err)
 		}
-		yan, err := Yannakakis(d, x, tr)
+		yan, err := YannakakisRooted(d, x, tr, 0)
 		if err != nil {
 			t.Fatalf("seed %d: yannakakis: %v", seed, err)
 		}
@@ -398,7 +398,7 @@ func TestYannakakisCorrect(t *testing.T) {
 		if x.IsEmpty() {
 			x = schema.NewAttrSet(d.Attrs().Min())
 		}
-		p, err := Yannakakis(d, x, tr)
+		p, err := YannakakisRooted(d, x, tr, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +422,7 @@ func TestYannakakisNonURDatabase(t *testing.T) {
 	d := parse(t, u, "ab, bc, cd")
 	tr, _ := qualgraph.QualTree(d)
 	x := u.Set("a", "d")
-	p, err := Yannakakis(d, x, tr)
+	p, err := YannakakisRooted(d, x, tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestYannakakisSingleRelation(t *testing.T) {
 	u := schema.NewUniverse()
 	d := parse(t, u, "ab")
 	tr, _ := qualgraph.QualTree(d)
-	p, err := Yannakakis(d, u.Set("a"), tr)
+	p, err := YannakakisRooted(d, u.Set("a"), tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestBuilderErrors(t *testing.T) {
 		t.Error("empty schema accepted")
 	}
 	u.Attr("z")
-	if _, err := Yannakakis(d, u.Set("z"), tr); err == nil {
+	if _, err := YannakakisRooted(d, u.Set("z"), tr, 0); err == nil {
 		t.Error("X ⊄ U(D) accepted")
 	}
 }
@@ -517,7 +517,7 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	yan, err := Yannakakis(d, x, tr)
+	yan, err := YannakakisRooted(d, x, tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
