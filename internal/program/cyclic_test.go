@@ -194,3 +194,69 @@ func TestJoinProjectGreedyOrder(t *testing.T) {
 		t.Error("ordered plan wrong")
 	}
 }
+
+// TestDecomposeLeavesOutWholeSurvivors holds Decompose's step 2 on random
+// cyclic schemas: the relations of D left out of Bags are exactly the GYO
+// survivors whose GR(D) content is their whole schema, and ∪GR(D) is the
+// last bag. On a UR database each relation left out is the projection of
+// the ∪GR bag's state — the survivors' GR contents joined — onto its
+// schema, so the semijoin that would join it back changes nothing.
+func TestDecomposeLeavesOutWholeSurvivors(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	checked, dropped, projected := 0, 0, 0
+	for trial := 0; trial < 400 && checked < 60; trial++ {
+		d := gen.RandomSchema(rng, 3+rng.Intn(4), 3+rng.Intn(4), 0.45)
+		if gyo.IsTree(d) {
+			continue
+		}
+		checked++
+		res := gyo.ReduceFull(d)
+		dec, err := Decompose(d, res, schema.NewAttrSet(d.Attrs().Min()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole := map[int]bool{}
+		for k, i := range res.Alive {
+			if res.GR.Rels[k].Equal(d.Rels[i]) {
+				whole[i] = true
+			} else {
+				projected++
+			}
+		}
+		last := len(dec.Bags.Rels) - 1
+		if !dec.Bags.Rels[last].Equal(res.GR.Attrs()) {
+			t.Fatalf("%s: last bag %s, want ∪GR(D) = %s", d, d.U.FormatSet(dec.Bags.Rels[last]), d.U.FormatSet(res.GR.Attrs()))
+		}
+		kept := map[int]bool{}
+		for _, src := range dec.Src[:last] {
+			kept[src[0].Rel] = true
+		}
+		for i := range d.Rels {
+			if kept[i] == whole[i] {
+				t.Fatalf("%s: relation %d (%s) kept as a bag %v, a survivor whole in GR(D) %v (GR(D) = %s)",
+					d, i, d.U.FormatSet(d.Rels[i]), kept[i], whole[i], res.GR)
+			}
+		}
+		dropped += len(whole)
+
+		db := urdb(d, int64(trial), 30, 3)
+		var bag *relation.Relation
+		for k, i := range res.Alive {
+			in := db.Rels[i].Project(res.GR.Rels[k])
+			if bag == nil {
+				bag = in
+			} else {
+				bag = bag.Join(in)
+			}
+		}
+		for i := range whole {
+			if got := bag.Project(d.Rels[i]); !got.Equal(db.Rels[i]) {
+				t.Fatalf("%s: π_%s(∪GR bag) has %d rows, the relation it replaces %d",
+					d, d.U.FormatSet(d.Rels[i]), got.Card(), db.Rels[i].Card())
+			}
+		}
+	}
+	if checked < 40 || dropped == 0 || projected == 0 {
+		t.Fatalf("coverage: %d cyclic schemas, %d relations left out, %d survivors projected", checked, dropped, projected)
+	}
+}

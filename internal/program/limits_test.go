@@ -3,6 +3,8 @@ package program
 import (
 	"errors"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -100,7 +102,9 @@ func TestDeadlineExceeded(t *testing.T) {
 // good for the next run. One budget runs out halfway through a join that
 // streams into its projection, the answer: the error names the join,
 // stopped past the gas and before its last row, whether the run keeps
-// every answer row or counts them and keeps one.
+// every answer row or counts them and keeps one. Gas and a deadline also
+// stop a streamed filter inside one of its g-groups
+// (filterStoppedInsideGroup).
 func TestLimitErrorLeavesExecReusable(t *testing.T) {
 	p, db := limitsFixture(t)
 	db.Freeze()
@@ -167,6 +171,112 @@ func TestLimitErrorLeavesExecReusable(t *testing.T) {
 			t.Errorf("relation %d changed under aborted runs", i)
 		}
 	}
+	t.Run("filter inside a group", filterStoppedInsideGroup)
+}
+
+// filterStoppedInsideGroup is TestLimitErrorLeavesExecReusable's case
+// of a streamed filter stopped inside a g-group. The triangle's ∪GR bag is
+// ab ⋈ bc ⋉ ac, streamed into the filter; with a ∈ [0, 3), b ∈ [0, 3000)
+// and c ∈ [0, 2), bc (6000 rows) is built, ab (9000) probed, and the
+// filter's g = attrs(ac) ∩ attrs(ab) = a splits the probe side into three
+// groups of 6000 join rows. Gas at half a group stops the run inside the
+// first group walked; a deadline already past stops the filter itself at
+// its first look, budgetStride join rows in, inside a group too. After
+// each stop the same pooled Exec reruns the filter plan and a join→project
+// program, and both must match a fresh Exec's output, row for row, and
+// Stats.
+func filterStoppedInsideGroup(t *testing.T) {
+	u := schema.NewUniverse()
+	d := parse(t, u, "ab, bc, ac")
+	db := &relation.Database{D: d}
+	for _, r := range d.Rels {
+		db.Rels = append(db.Rels, relation.New(u, r))
+	}
+	const na, nb, group = 3, 3000, 2 * 3000 // join rows per a-group: nb probe rows × 2 partners
+	ab, bc, ac := db.Rels[0], db.Rels[1], db.Rels[2]
+	for a := range relation.Value(na) {
+		for b := range relation.Value(nb) {
+			ab.Insert(relation.Tuple{a, b})
+		}
+	}
+	for b := range relation.Value(nb) {
+		bc.Insert(relation.Tuple{b, 0})
+		bc.Insert(relation.Tuple{b, 1})
+	}
+	for _, t := range []relation.Tuple{{0, 0}, {0, 1}, {1, 0}, {2, 1}} {
+		ac.Insert(t)
+	}
+	db.Freeze()
+	filter, err := CyclicPlan(d, d.Attrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	project := &Program{D: d, Stmts: []Stmt{{Kind: Join, Left: 0, Right: 1}, {Kind: Project, Left: 3, Proj: u.Set("a", "c")}}}
+
+	// fresh runs p on a new Exec: the output and Stats a reused one must match.
+	fresh := func(p *Program) (*relation.Relation, *Stats) {
+		out, st, err := p.Run(db, relation.NewExec(), Limits{}, relation.All)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, st
+	}
+	wantF, stF := fresh(filter)
+	wantP, stP := fresh(project)
+	if len(stF.Detail) != 2 || !stF.Detail[0].Streamed || filter.Stmts[1].Kind != Join || stF.Detail[0].Out != na*group {
+		t.Fatalf("fixture: the filter plan is not one %d-row join streamed into a filter:\n%s", na*group, stF.Table())
+	}
+	if !stP.Detail[0].Streamed {
+		t.Fatalf("fixture: the join does not stream into its projection:\n%s", stP.Table())
+	}
+
+	ex := relation.NewExec()
+	reuse := func(name string) {
+		t.Helper()
+		for _, c := range []struct {
+			p    *Program
+			want *relation.Relation
+			st   *Stats
+		}{{filter, wantF, stF}, {project, wantP, stP}} {
+			got, st, err := c.p.Run(db, ex, Limits{}, relation.All)
+			if err != nil {
+				t.Fatalf("%s: run after the stop: %v", name, err)
+			}
+			if !slices.EqualFunc(got.Tuples(), c.want.Tuples(), slices.Equal) || !sameStats(st, c.st) {
+				t.Fatalf("%s: run after the stop on the pooled Exec: %d rows,\n%s\nwant %d rows,\n%s",
+					name, got.Card(), st.Table(), c.want.Card(), c.st.Table())
+			}
+		}
+	}
+
+	lim := Limits{MaxTuples: group / 2}
+	_, _, err = filter.Run(db, ex, lim, relation.All)
+	var le *LimitError
+	if !errors.As(err, &le) || !errors.Is(err, ErrGasExhausted) || le.Stmt != 0 ||
+		le.Produced <= lim.MaxTuples || le.Produced%group == 0 || le.Produced > group {
+		t.Fatalf("gas: err = %v, want gas exhausted in statement 0 inside the first %d-row group, past %d", err, group, lim.MaxTuples)
+	}
+	reuse("gas")
+
+	out, _, joined := ex.JoinFilter(ab, bc, ac, relation.All, relation.Budget{Deadline: time.Now().Add(-time.Millisecond)})
+	if out != nil || joined%group == 0 || joined >= na*group {
+		t.Fatalf("deadline: the filter returned a relation %v after %d join rows, want it stopped inside a %d-row group", out != nil, joined, group)
+	}
+	reuse("deadline")
+}
+
+// sameStats reports whether two runs' Stats agree on everything but time.
+func sameStats(a, b *Stats) bool {
+	untimed := func(st *Stats) Stats {
+		c := *st
+		c.Elapsed = 0
+		c.Detail = slices.Clone(st.Detail)
+		for i := range c.Detail {
+			c.Detail[i].Elapsed = 0
+		}
+		return c
+	}
+	return reflect.DeepEqual(untimed(a), untimed(b))
 }
 
 // sumOut is the sum of the Out of ds.

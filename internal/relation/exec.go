@@ -12,28 +12,35 @@ import (
 // Exec is a reusable execution context for the relational operators.
 // It owns the scratch state the operators need — three keyScratch
 // tables' worth of open-addressing slots, chain links and per-row key
-// words (and a wide group key's columns, for JoinProject), an output-row
-// buffer, and column position maps — so a program
-// that evaluates many statements (a §6 semijoin program, a Yannakakis
-// plan, a full reducer) reuses one set of allocations instead of
-// rebuilding them per statement. Every table is a keyTable, keyed by
-// columns themselves (keyWord: 4 B per slot, 8 B per row, 4 B more per
-// row for a chained one). Join and Semijoin build their key sets in
-// keys, and Project deduplicates there, keyed by its output's rows. A
-// streamed join (JoinProject, JoinFilter) also keys its second operand
-// in aux — the probe side chained by the kept columns, or the filter's
-// rows — and JoinProject deduplicates in local, a table sized by the
-// largest group of one call rather than by |r ⋈ s| or by its output, so
-// a counted join (JoinFirst, or a k below All) stores k rows whatever it
-// counts. Every operator
-// emits an index-free output by plain appends (the output's own set
-// index is built only if something later asks it for membership — see
-// the package comment). The zero value is ready to use; an Exec must not
-// be used concurrently.
+// words (and a wide group key's columns), JoinFilter's filter chains, an
+// output-row buffer, and column position maps — so a program that
+// evaluates many statements (a §6 semijoin program, a Yannakakis plan,
+// a full reducer) reuses one set of allocations instead of rebuilding
+// them per statement. Every table is a keyTable, keyed by columns
+// themselves (keyWord: 4 B per slot, 8 B per row, 4 B more per row for a
+// chained one). Join and Semijoin build their key sets in keys, and
+// Project deduplicates there, keyed by its output's rows. A streamed
+// join (JoinProject, JoinFilter) walks its probe side one group at a
+// time: aux chains it by g, the columns of the sink's key the probe side
+// holds. JoinFilter chains f by g too, by looking each row of f up in
+// aux: fhead names a group's newest filter row, indexed by the group's
+// first probe row, and fnext links each filter row to the group's next
+// (4 B per probe row and 4 B per filter row). The build-side columns of
+// the sink's key, h, go into local, one group at a time — JoinProject's
+// projections as it meets them, JoinFilter's filter rows when the group
+// starts — a table sized by the largest group of one call rather than by
+// |r ⋈ s|, its output or f, so it stays in L1, and a counted join
+// (JoinFirst, or a k below All) stores k rows whatever it counts. Every
+// operator emits an index-free output by plain appends (the output's own
+// set index is built only if something later asks it for membership —
+// see the package comment). The zero value is ready to use; an Exec must
+// not be used concurrently.
 type Exec struct {
 	keys  keyScratch // Join's and Semijoin's build side; Project's output keys
-	aux   keyScratch // JoinProject's probe groups; JoinFilter's filter keys
-	local keyScratch // JoinProject's group-local output keys
+	aux   keyScratch // a streamed join's probe side, chained by g
+	local keyScratch // a streamed join's group-local keys, by h
+	fhead []int32    // JoinFilter: by a group's first probe row, its newest filter row + 1
+	fnext []int32    // JoinFilter: by filter row, its group's next filter row + 1
 	obuf  []Value
 	pos   []int // column positions of one call, carved per operand
 	srcs  []int32
@@ -173,12 +180,11 @@ func keyEqual(trow []Value, tPos []int, row []Value, pos []int) bool {
 // keyTable is the one hash table of the operators: open addressing over
 // one keyScratch, keyed by the key word of the columns pos of rel's rows.
 // It is the build side of a Join or Semijoin, a streamed join's probe
-// groups or filter keys, Project's output rows and JoinProject's current
-// group of distinct projections (groupDedup), whose rel is nil: its rows
-// are its keys alone, in vals, pos being 0, 1, …. A slot names one row
-// (i + 1) per distinct key; words holds the key word of every row, by i,
-// so a lookup reads slots[j], then words[head-1], and — the key being
-// exact — is done.
+// groups, Project's output rows and a streamed join's current group of
+// keys (groupDedup), whose rel is nil: its rows are its keys alone, in
+// vals, pos being 0, 1, …. A slot names one row (i + 1) per distinct
+// key; words holds the key word of every row, by i, so a lookup reads
+// slots[j], then words[head-1], and — the key being exact — is done.
 type keyTable struct {
 	slots []int32
 	next  []int32
@@ -310,19 +316,22 @@ const (
 	filterRows              // JoinFilter: emit it if its projection onto f is a row of f
 )
 
-// groupRows is the row capacity a JoinProject group table starts with:
-// 4 KB of slots and 4 KB of words, so the groups of a key–foreign-key
-// join deduplicate in L1.
+// groupRows is the row capacity a group table starts with: 4 KB of slots
+// and 4 KB of words, so the groups of a key–foreign-key join deduplicate,
+// and filter, in L1.
 const groupRows = 1 << 9
 
-// groupDedup is JoinProject's duplicate check: a keyTable over ks of the
-// current group's distinct projections, by the order they were seen,
-// keyed by the output columns that tell them apart. Every join row of a
-// probe group agrees on the probe-side kept columns, so those are the
-// build-side ones, h, alone. Up to two columns the key word is the key,
-// and nothing but the words is kept. A wider key is verified against the
-// group's h-columns, which it keeps in ks.vals; either way the output is
-// never read back, so it may keep as few of its rows as it likes.
+// groupDedup is the group-local table of a streamed join: a keyTable over
+// ks of the current group's distinct keys, by the order they were seen,
+// keyed by the columns that tell them apart. Every join row of a probe
+// group agrees on the probe-side columns of the sink's key, g, so those
+// are the build-side ones, h, alone. For JoinProject it is the duplicate
+// check of the group's projections; for JoinFilter it holds the h
+// columns of the group's filter rows. Up to two columns the key word is
+// the key, and nothing but the words is kept. A wider key is verified
+// against the group's h-columns, which it keeps in ks.vals; either way
+// the output is never read back, so it may keep as few of its rows as it
+// likes.
 type groupDedup struct {
 	keyTable
 	ks *keyScratch
@@ -443,10 +452,13 @@ func (e *Exec) JoinProject(r, s *Relation, x schema.AttrSet, k int, b Budget) (o
 // JoinFilter returns the first k rows of (r ⋈ s) ⋈ f — equally
 // (r ⋈ s) ⋉ f — (k = All: every row) for an f whose attributes are a
 // subset of r's and s's, without materializing r ⋈ s, how many rows it
-// has, and how many r ⋈ s has. f's rows form a key set on all of f's
-// columns, and a row of r ⋈ s is emitted, in Join's order, when its
-// projection onto f is in it. It returns a nil relation when b stops the
-// join.
+// has, and how many r ⋈ s has. It walks the probe side group by group,
+// as JoinProject does, on g = attrs(f) ∩ attrs(probe), with f chained by
+// g as well: when a group starts, the h = attrs(f) \ g columns of its
+// filter rows go into the group-local table, and a row of r ⋈ s is
+// emitted when its build-side h columns are there — a probe among the
+// group's few keys, not a table over all of f. Output rows come grouped
+// by g. It returns a nil relation when b stops the join.
 func (e *Exec) JoinFilter(r, s, f *Relation, k int, b Budget) (out *Relation, card, joined int) {
 	if !f.attrs.SubsetOf(r.attrs.Union(s.attrs)) {
 		panic(fmt.Sprintf("relation: filter %s ⊄ %s",
@@ -457,12 +469,14 @@ func (e *Exec) JoinFilter(r, s, f *Relation, k int, b Budget) (out *Relation, ca
 
 // join is the one join kernel: it builds the smaller of r and s on the
 // shared columns, probes it with every live row of the other, and hands
-// each row of r ⋈ s to the sink sk, whose output is over x. The probe
-// loop is shared; the sink picks how a probe row's bucket is walked, so
-// Join's walk carries no test for the other two. Every sink counts its
-// output rows and stores the first keep of them. It returns the output
-// (nil when b stopped it), its row count and how many join rows it
-// walked.
+// each row of r ⋈ s to the sink sk, whose output is over x. Join walks
+// the probe side chunk by chunk, in position order; the streamed sinks
+// walk it grouped by g, one g-chain at a time, starting a group-local
+// table for each. The probe loop is shared; the sink picks how a probe
+// row's bucket is walked, so Join's walk carries no test for the other
+// two. Every sink counts its output rows and stores the first keep of
+// them. It returns the output (nil when b stopped it), its row count and
+// how many join rows it walked.
 func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep int, b Budget) (out *Relation, card, joined int) {
 	build, probe := r, s
 	if s.Card() < r.Card() {
@@ -473,40 +487,38 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 	// key–foreign-key shaped and emit about one row per probe row.
 	out.reserved = min(keep, probe.Card())
 
-	// Column positions: the join key on each side, then the sink's own —
-	// for JoinProject g in the probe and h = x \ attrs(probe) in the build
-	// side; for JoinFilter f's columns in the output.
+	// Column positions: the join key on each side, then a streamed sink's
+	// group key g in the probe side and the rest of its key, h, in the
+	// build side — for JoinProject g = x ∩ attrs(probe) and h = x \ g, for
+	// JoinFilter g = attrs(f) ∩ attrs(probe) and h = attrs(f) \ g, both
+	// also at their columns in f.
 	sharedCols := r.attrs.Intersect(s.attrs).Attrs()
 	nk := len(sharedCols)
 	var g, h []schema.Attr
-	extra := 0
 	switch sk {
 	case projectRows:
 		g, h = x.Intersect(probe.attrs).Attrs(), x.Diff(probe.attrs).Attrs()
-		extra = len(g) + len(h)
 	case filterRows:
-		extra = f.width
+		g, h = f.attrs.Intersect(probe.attrs).Attrs(), f.attrs.Diff(probe.attrs).Attrs()
 	}
-	pos := e.positions(2*nk + extra)
-	bPos, pPos, rest := pos[:nk], pos[nk:2*nk], pos[2*nk:]
+	ng, nh := len(g), len(h)
+	pos := e.positions(2 * (nk + ng + nh))
+	bPos, pPos := pos[:nk], pos[nk:2*nk]
+	gPos, fgPos := pos[2*nk:][:ng], pos[2*nk+ng:][:ng]
+	hPos, fhPos := pos[2*(nk+ng):][:nh], pos[2*(nk+ng)+nh:][:nh]
 	for i, c := range sharedCols {
-		bPos[i] = build.colPos(c)
-		pPos[i] = probe.colPos(c)
+		bPos[i], pPos[i] = build.colPos(c), probe.colPos(c)
 	}
-	var gPos, hPos, fPos []int
-	switch sk {
-	case projectRows:
-		gPos, hPos = rest[:len(g)], rest[len(g):]
-		for i, c := range g {
-			gPos[i] = probe.colPos(c)
+	for i, c := range g {
+		gPos[i] = probe.colPos(c)
+		if sk == filterRows {
+			fgPos[i] = f.colPos(c)
 		}
-		for i, c := range h {
-			hPos[i] = build.colPos(c)
-		}
-	case filterRows:
-		fPos = rest
-		for i, c := range f.cols {
-			fPos[i] = out.colPos(c)
+	}
+	for i, c := range h {
+		hPos[i] = build.colPos(c)
+		if sk == filterRows {
+			fhPos[i] = f.colPos(c)
 		}
 	}
 	// Output column sources: from probe where present, else from build.
@@ -525,29 +537,48 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 
 	t := e.keys.buildKeys(build, bPos, true)
 	next := t.next // bucket chains, newest build row first
-	// The probe side is walked in groups: for JoinProject the rows of one
-	// g-chain (newest first), otherwise one chunk in position order.
+	// The probe side is walked in groups: for a streamed sink the rows of
+	// one g-chain (newest first), each group with a fresh group table; for
+	// Join one chunk in position order.
 	groups := len(probe.chunks)
-	var gt, ft keyTable
+	var gt keyTable
 	var dd groupDedup
-	switch sk {
-	case projectRows:
+	if sk != appendRows {
 		gt = e.aux.buildKeys(probe, gPos, true)
 		groups = len(gt.slots)
 		dd = e.local.groupDedup(len(h))
-	case filterRows:
-		ft = e.aux.buildKeys(f, f.all, false)
+	}
+	if sk == filterRows {
+		// f chained by g through the probe groups: each live row of f whose
+		// g some group has is linked in front of that group's filter rows,
+		// which fhead names by the group's first probe row. A row of f
+		// whose g no group has can match no join row.
+		e.fhead = scratch(e.fhead, probe.n)
+		clear(e.fhead)
+		e.fnext = scratch(e.fnext, f.n)
+		for fi := f.nextLive(0); fi < f.n; fi = f.nextLive(fi + 1) {
+			if head := gt.lookup(f.row(fi), fgPos); head != 0 {
+				e.fnext[fi], e.fhead[head-1] = e.fhead[head-1], int32(fi+1)
+			}
+		}
 	}
 	check := b.next(0)
 	w := probe.width
 	for grp := 0; grp < groups; grp++ {
 		i, end := grp<<chunkShift, min((grp+1)<<chunkShift, probe.n)
-		if sk == projectRows {
+		if sk != appendRows {
 			if gt.slots[grp] == 0 {
 				continue
 			}
 			i = int(gt.slots[grp] - 1)
 			dd.start()
+			if sk == filterRows {
+				// The group's filter rows agree with it on g; their h
+				// columns are the rest of the key a join row must carry.
+				for fi := e.fhead[i]; fi != 0; fi = e.fnext[fi-1] {
+					dd.seen(f.row(int(fi-1)), fhPos)
+				}
+			}
 		}
 		for i >= 0 {
 			ch := &probe.chunks[i>>chunkShift]
@@ -566,11 +597,13 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 				case filterRows:
 					for ; bi != 0; bi = next[bi-1] {
 						joined++
-						fillRow(obuf, srcs, prow, build.row(int(bi-1)))
-						if ft.lookup(obuf, fPos) != 0 {
-							if card++; card <= keep {
-								out.appendRow(obuf)
-							}
+						brow := build.row(int(bi - 1))
+						if dd.lookup(brow, hPos) == 0 {
+							continue // no filter row of this group has its h columns
+						}
+						if card++; card <= keep {
+							fillRow(obuf, srcs, prow, brow)
+							out.appendRow(obuf)
 						}
 					}
 				case projectRows:
@@ -593,7 +626,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 					check = b.next(joined)
 				}
 			}
-			if sk == projectRows {
+			if sk != appendRows {
 				i = int(gt.next[i]) - 1
 			} else if i++; i == end {
 				i = -1

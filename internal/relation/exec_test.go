@@ -12,12 +12,15 @@ import (
 // TestExecScratchBudget pins what a pooled Exec retains after the
 // operators ran over n-row operands: per key table one slot table (4 B
 // per slot), one key word per row (8 B) and one chain link per row
-// (4 B); JoinProject's group-local table, the same layout without
+// (4 B); a streamed join's group-local table, the same layout without
 // chains; and the handful of per-column buffers. Join, Semijoin and
 // Project use one key table — Project's words sized by its operand's
-// rows, like a build side's — and a streamed join a second, over its
-// probe side or its filter — so a join→project retains less than the two
-// statements it replaces, whose projection sizes a table by |r ⋈ s|. It
+// rows, like a build side's — a streamed join a second, its probe side
+// chained by g, and a join→filter 4 B per probe row and 4 B per filter
+// row more, f's chains by g — so a streamed join retains less than the
+// two statements it replaces, whose projection sizes a table by
+// |r ⋈ s|. A filter's group table holds the h columns of one g-group of
+// f, so with g = ∅ it grows to f and no further. It
 // sums cap × element size over every slice field by reflection, struct
 // fields included, so scratch added later — a fourth table, a word per
 // slot — is counted without being listed here.
@@ -41,8 +44,10 @@ func TestExecScratchBudget(t *testing.T) {
 	if got := ex.Join(r, ex.Semijoin(s, r)).Card(); got != joined {
 		t.Fatalf("join has %d rows, want %d", got, joined)
 	}
-	const perColumn = 1 << 10 // obuf, pos, srcs: a few words per column
-	if budget := 4*tableSize(n) + 8*n + 4*n + perColumn; retained(t, ex) > budget {
+	const perColumn = 1 << 10             // obuf, pos, srcs: a few words per column
+	chained := 4*tableSize(n) + 8*n + 4*n // one key table over n rows, with chains
+	const filterChains = 4*n + 4*n        // fhead by probe row, fnext by filter row
+	if budget := chained + perColumn; retained(t, ex) > budget {
 		t.Fatalf("Exec retains %d B after %d-row operators, budget %d B (4 B × %d slots + 12 B × %d build rows + %d)",
 			retained(t, ex), n, budget, tableSize(n), n, perColumn)
 	}
@@ -57,10 +62,10 @@ func TestExecScratchBudget(t *testing.T) {
 		t.Fatalf("streamed join→filter by s kept %d rows, want %d", got.Card(), joined)
 	}
 	local := 4*tableSize(groupRows) + 8*groupRows // a group table that never grew
-	budget := 2*(4*tableSize(n)+8*n+4*n) + local + perColumn
+	budget := 2*chained + filterChains + local + perColumn
 	if retained(t, ex) > budget {
-		t.Fatalf("Exec retains %d B after streamed joins of %d-row operands, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + %d B local + %d)",
-			retained(t, ex), n, budget, tableSize(n), n, local, perColumn)
+		t.Fatalf("Exec retains %d B after streamed joins of %d-row operands, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d)",
+			retained(t, ex), n, budget, tableSize(n), n, n, local, perColumn)
 	}
 	if two := retained(t, twoStmt); two < 4*tableSize(joined) || budget >= two {
 		t.Fatalf("join then project retains %d B (a %d-slot projection table), the streamed budget %d B", two, tableSize(joined), budget)
@@ -93,10 +98,28 @@ func TestExecScratchBudget(t *testing.T) {
 		t.Fatalf("the group table holds %d words after a group of %d keys, want %d", len(ex.local.words), n, grown)
 	}
 	local = 4*tableSize(grown) + 8*grown
-	budget = 2*(4*tableSize(n)+8*n+4*n) + local + perColumn
+	budget = 2*chained + filterChains + local + perColumn
 	if retained(t, ex) > budget {
-		t.Fatalf("Exec retains %d B after a counted join→project whose group has %d keys, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + %d B local + %d)",
-			retained(t, ex), n, budget, tableSize(n), n, local, perColumn)
+		t.Fatalf("Exec retains %d B after a counted join→project whose group has %d keys, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d)",
+			retained(t, ex), n, budget, tableSize(n), n, n, local, perColumn)
+	}
+
+	// A filter by π_a(r) shares no column with the probe side, bc: g = ∅,
+	// so its one group table holds all of f's keys, in tableSize(|f|)
+	// slots and as many words at most, however many join rows probe it.
+	fa := ex.Project(r, u.Set("a"))
+	filt, card, rows := ex.JoinFilter(r, s, fa, k, Budget{})
+	if card != joined || rows != joined || filt.Card() != k {
+		t.Fatalf("counted join→filter by π_a(r): %d of %d rows kept from %d joined; want %d of %d from %d", filt.Card(), card, rows, k, joined, joined)
+	}
+	if size := tableSize(fa.Card()); len(ex.local.slots) > size || len(ex.local.words) > size {
+		t.Fatalf("the group table of a g = ∅ filter by %d rows has %d slots and %d words, want ≤ %d each", fa.Card(), len(ex.local.slots), len(ex.local.words), size)
+	}
+	local = 4*tableSize(fa.Card()) + 8*tableSize(fa.Card())
+	budget = 2*chained + filterChains + local + perColumn
+	if retained(t, ex) > budget {
+		t.Fatalf("Exec retains %d B after a counted g = ∅ join→filter by %d rows, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d)",
+			retained(t, ex), fa.Card(), budget, tableSize(n), n, n, local, perColumn)
 	}
 }
 

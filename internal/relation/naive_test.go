@@ -361,9 +361,10 @@ func checkKernels(t *testing.T, label string, ex *Exec, r, s *Relation, px schem
 // may carry dead rows — through ex: JoinProject onto x (⊆ attrs(r ⋈ s))
 // and JoinFilter by f (attrs(f) ⊆ attrs(r ⋈ s)). Each is held set-equal
 // to the nested-loop reference and to the two-statement form on the same
-// Exec — Project(Join(r, s)), Join(Join(r, s), f) — and to be dense; the
-// filter also to Join's row order with the misses dropped; both to
-// report |r ⋈ s| and, under a budget of exactly that many rows, to stop;
+// Exec — Project(Join(r, s)), Join(Join(r, s), f) — and to be dense;
+// both to come grouped by g, their key's columns in the probe side (the
+// rows that agree on g are contiguous); both to report |r ⋈ s| and, under
+// a budget of exactly that many rows, to stop;
 // and every operand to be bit for bit what it was. Each sink — Join's
 // too — is then run in counted form at k = 0, 1 and 3: it must count
 // what the stored form holds, walk as many join rows, and keep the
@@ -393,19 +394,12 @@ func checkStreams(t *testing.T, label string, ex *Exec, r, s, f *Relation, x sch
 	nf := naiveOf(f)
 	sameRows(t, label+" streamed filter", filt, nj.join(nf))
 	sameRows(t, label+" streamed filter vs two statements", filt, naiveOf(ex.Join(ex.Join(r, s), f)))
-	var inOrder []Tuple
-	for _, tp := range joinInOrder(r, s) {
-		key := make(Tuple, len(nf.cols))
-		for i, c := range nf.cols {
-			key[i] = tp[nj.pos(c)]
-		}
-		if _, ok := nf.rows[naiveKey(key)]; ok {
-			inOrder = append(inOrder, tp)
-		}
+	probe := s
+	if s.Card() < r.Card() {
+		probe = r
 	}
-	if !slices.EqualFunc(filt.Tuples(), inOrder, func(a, b Tuple) bool { return slices.Equal(a, b) }) {
-		t.Fatalf("%s: streamed filter rows, in order\ngot  %v\nwant %v", label, filt.Tuples(), inOrder)
-	}
+	groupedBy(t, label+" streamed project", proj, x.Intersect(probe.attrs))
+	groupedBy(t, label+" streamed filter", filt, f.attrs.Intersect(probe.attrs))
 
 	if n := len(nj.rows); n > 0 {
 		if out, _, stopped := ex.JoinProject(r, s, x, All, Budget{Rows: n}); out != nil || stopped != n {
@@ -442,6 +436,32 @@ func checkStreams(t *testing.T, label string, ex *Exec, r, s, f *Relation, x sch
 	}
 	for i, op := range []*Relation{r, s, f} {
 		before[i].check(t, op, fmt.Sprintf("%s: operand %d", label, i))
+	}
+}
+
+// groupedBy fails unless the rows of out that agree on g are contiguous:
+// a streamed sink walks its probe side one g-group at a time.
+func groupedBy(t *testing.T, label string, out *Relation, g schema.AttrSet) {
+	t.Helper()
+	gPos := make([]int, 0, g.Card())
+	for _, c := range g.Attrs() {
+		gPos = append(gPos, out.colPos(c))
+	}
+	done := map[string]bool{} // groups whose run has ended
+	prev := ""
+	for i, tp := range out.Tuples() {
+		key := make(Tuple, len(gPos))
+		for k, p := range gPos {
+			key[k] = tp[p]
+		}
+		k := naiveKey(key)
+		if i > 0 && k != prev {
+			done[prev] = true
+		}
+		if done[k] {
+			t.Fatalf("%s: row %d, %v, resumes the group %s = (%s) after another", label, i, tp, out.U.FormatSet(g), k)
+		}
+		prev = k
 	}
 }
 
@@ -775,6 +795,43 @@ var streamSeeds = map[string][]byte{
 		}
 		return b
 	}(),
+	// r = ab and s = bc dense, f = a dense: with r built, JoinFilter's
+	// g = attrs(f) ∩ attrs(s) = ∅, so one group's table holds all 1024
+	// rows of f; flipped, s is built and h = attrs(f) \ attrs(r) = ∅.
+	"filter g=∅": {0b00011, 0b00110, 0, 0xff, 0, 0, 0xff, 0, 0, 0b00001, 0b00001, 0xff, 0, 0},
+	// r = ab built, s = bc probed, f = bc ⊆ attrs(s): h = ∅, so a group
+	// keeps every join row or none.
+	"filter h=∅": {0b00011, 0b00110, 0, 3, 0, 0, 2, 3, 3, 3, 5, 2,
+		6, 0, 0, 3, 2, 3, 5, 2, 2, 2, 0, 1, 1, 3, 4,
+		0b00110, 0b00001, 3, 0, 0, 0, 2, 1, 4, 4},
+	// The "inexact" operands, f = abce: g = e, and h = abc is three
+	// build-side columns — a folded word, verified against the group's
+	// copy of its columns.
+	"filter inexact": {0b01111, 0b11000, 0, 6, 0, 0, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 2, 3, 3, 3, 3, 5, 5, 5, 5, 0, 1, 4, 5,
+		8, 0, 0, 2, 5, 3, 5, 2, 6, 3, 6, 5, 5, 5, 7, 4, 4, 0, 0,
+		0b10111, 0b10001, 6, 0, 0, 0, 2, 4, 6, 8, 1, 2, 3, 5, 4},
+	// The "dead" operands with f = ac: g = c, h = a, and dead rows in
+	// both operands and in f.
+	"filter dead": func() []byte {
+		b := []byte{0b00011, 0b00110, 0b00001, 20, 0x02, 0x02}
+		for i := byte(0); i < 20; i++ {
+			b = append(b, i%8, 2+i%3)
+		}
+		b = append(b, 20, 0x02, 0x02)
+		for i := byte(0); i < 20; i++ {
+			b = append(b, 2+i%3, i%8)
+		}
+		b = append(b, 0b00101, 0b00101, 20, 0x02, 0x02)
+		for i := byte(0); i < 20; i++ {
+			b = append(b, 10*i)
+		}
+		return b
+	}(),
+	// The "filter h=∅" operands with f = one row of ac: g = c, and every
+	// probe group but that row's c has join rows and no filter row.
+	"filter empty group": {0b00011, 0b00110, 0, 3, 0, 0, 2, 3, 3, 3, 5, 2,
+		6, 0, 0, 3, 2, 3, 5, 2, 2, 2, 0, 1, 1, 3, 4,
+		0b00101, 0b00001, 1, 0, 0, 0},
 }
 
 // TestStreamSeedsCoverTheirCases decodes each stream seed and checks it
@@ -788,7 +845,9 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 			build, probe = op.s, op.r
 		}
 		g, h := op.x.Intersect(probe.attrs), op.x.Diff(probe.attrs)
+		fg, fh := op.f.attrs.Intersect(probe.attrs), op.f.attrs.Diff(probe.attrs)
 		joined := NewExec().Join(op.r, op.s).Card()
+		kept, _, _ := NewExec().JoinFilter(op.r, op.s, op.f, All, Budget{})
 		ok := joined > 0 && op.f.Card() > 0
 		switch name {
 		case "g=∅": // counted with k = 0, so the group grows with no row stored
@@ -805,6 +864,24 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 			ok = ok && op.r.width == 0 && op.f.width == 0
 		case "dead":
 			ok = ok && op.r.dead > 0 && op.s.dead > 0 && op.f.dead > 0
+		case "filter g=∅": // counted with k = 0, so the group grows with no row stored
+			ex := NewExec()
+			out, _, _ := ex.JoinFilter(op.r, op.s, op.f, 0, Budget{})
+			ok = ok && fg.IsEmpty() && len(ex.local.words) > groupRows && out.Card() == 0 && kept.Card() > 0
+		case "filter h=∅":
+			ok = ok && fh.IsEmpty() && kept.Card() > 0 && kept.Card() < joined
+		case "filter inexact":
+			ok = ok && fh.Card() > 2 && !fg.IsEmpty() && kept.Card() > 0
+		case "filter dead":
+			ok = ok && probe.dead > 0 && op.f.dead > 0 && !fg.IsEmpty() && !fh.IsEmpty() && kept.Card() > 0
+		case "filter empty group":
+			groups, inF := naiveOf(op.r).join(naiveOf(op.s)).project(fg).rows, naiveOf(op.f).project(fg).rows
+			bare := false
+			for key := range groups {
+				_, has := inF[key]
+				bare = bare || !has
+			}
+			ok = ok && !fg.IsEmpty() && bare && kept.Card() > 0
 		}
 		if !ok {
 			t.Errorf("seed %q misses its case: r %s (%d, %d dead), s %s (%d, %d dead), f %s (%d, %d dead), x %s, |r ⋈ s| = %d",

@@ -196,14 +196,31 @@ func BenchmarkJoinProjectRowGroups(b *testing.B) {
 
 // BenchmarkJoinFilter prices (ab ⋈ bc) ⋈ ac — eval_read's q7 — streamed
 // through one JoinFilter against the two joins it replaces, and counted
-// as an answer read with "limit": 10 runs it.
+// as an answer read with "limit": 10 runs it. Two more streamed forms
+// price the grouped walk's edges: one-group filters by f over the build
+// side's own column, so g = ∅ and one group table holds all of f;
+// sparse-f keeps one row in ten of ac, so most join rows find their
+// group's table holding nothing they carry.
 func BenchmarkJoinFilter(b *testing.B) {
 	_, ab, bc, ac := benchD20k()
+	build, probe := ab, bc
+	if bc.Card() < ab.Card() {
+		build, probe = bc, ab
+	}
 	ex := NewExec()
+	own := ex.Project(ac, build.Attrs().Diff(probe.Attrs()))
+	sparse := New(ac.U, ac.Attrs())
+	for i, tp := range ac.Tuples() {
+		if i%10 == 0 {
+			sparse.Insert(tp)
+		}
+	}
 	benchForms(b,
 		benchForm{"streamed", func() { ex.JoinFilter(ab, bc, ac, All, Budget{}) }},
 		benchForm{"counted/k=10", func() { ex.JoinFilter(ab, bc, ac, 10, Budget{}) }},
-		benchForm{"two-statement", func() { ex.Join(ex.Join(ab, bc), ac) }})
+		benchForm{"two-statement", func() { ex.Join(ex.Join(ab, bc), ac) }},
+		benchForm{"one-group", func() { ex.JoinFilter(ab, bc, own, All, Budget{}) }},
+		benchForm{"sparse-f", func() { ex.JoinFilter(ab, bc, sparse, All, Budget{}) }})
 }
 
 // BenchmarkJoinD20k prices ab ⋈ bc — eval_read's q6, whose answer it is —

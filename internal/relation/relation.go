@@ -67,8 +67,9 @@
 // fold of the columns, verified column-by-column, when it has more. Join
 // and Semijoin key their build side by the shared columns and walk both
 // operands chunk by chunk; Project keys its output rows by all their
-// columns, and JoinProject's group-local table keys them by their
-// build-side columns.
+// columns, and a streamed join's group-local table keys them by their
+// build-side columns — JoinProject's projections, and the filter rows of
+// JoinFilter's current group.
 package relation
 
 import (
