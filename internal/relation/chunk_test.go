@@ -216,63 +216,88 @@ func TestChunkedSnapshotLineage(t *testing.T) {
 // contract: the full chunks before the first dropped row are shared with
 // the input — same backing arrays, same durable ids — everything from
 // that row's chunk on is repacked into private chunks, and appending to
-// the result never writes into the input's arena.
+// the result never writes into the input's arena. Each case runs with
+// the key set as a bitmap (keys 0, 1, …) and as a keyTable (keys 1000
+// apart, a span past the bitmap's budget).
 func TestSemijoinSharesCleanPrefix(t *testing.T) {
 	u := schema.NewUniverse()
 	ab, a := u.Set("a", "b"), u.Set("a")
 	ex := NewExec()
 	for _, tc := range []struct {
-		name   string
-		n      int
-		drop   int // row of r with no partner in s; -1 = every row survives
-		shared int // chunks the result must share with r
+		name string
+		n    int
+		drop int // row of r with no partner in s; -1 = every row survives
 	}{
-		{"first row", 2*ChunkRows + 100, 0, 0},
-		{"mid chunk", 2*ChunkRows + 100, ChunkRows + 50, 1},
-		{"chunk boundary", 2*ChunkRows + 100, ChunkRows, 1},
-		{"tail", 2*ChunkRows + 100, 2*ChunkRows + 50, 2},
-		{"never", 2*ChunkRows + 100, -1, 2},
-		{"never, no tail", 2 * ChunkRows, -1, 2},
+		{"first row", 2*ChunkRows + 100, 0},
+		{"mid chunk", 2*ChunkRows + 100, ChunkRows + 50},
+		{"chunk boundary", 2*ChunkRows + 100, ChunkRows},
+		{"tail", 2*ChunkRows + 100, 2*ChunkRows + 50},
+		{"never", 2*ChunkRows + 100, -1},
+		{"never, no tail", 2 * ChunkRows, -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r, s := New(u, ab), New(u, a)
-			ref := refSet{}
-			for i := 0; i < tc.n; i++ {
-				row := Tuple{Value(i), Value(i + 1)}
-				r.Insert(row)
-				if i != tc.drop {
-					s.Insert(Tuple{Value(i)})
-					ref[refKey(row)] = row
-				}
-			}
-			r.Freeze()
-			frozen := capture(r, nil)
+			for _, keys := range []struct {
+				name  string
+				scale Value
+			}{{"bitmap", 1}, {"keyTable", 1000}} {
+				t.Run(keys.name, func(t *testing.T) {
+					r, s := New(u, ab), New(u, a)
+					ref := refSet{}
+					for i := 0; i < tc.n; i++ {
+						row := Tuple{Value(i) * keys.scale, Value(i + 1)}
+						r.Insert(row)
+						if i != tc.drop {
+							s.Insert(Tuple{row[0]})
+							ref[refKey(row)] = row
+						}
+					}
+					if _, _, dense := denseSpan(s, 0); dense != (keys.scale == 1) {
+						t.Fatalf("key set of %d keys %d apart: bitmap %v", s.Card(), keys.scale, dense)
+					}
+					r.Freeze()
+					frozen := capture(r, nil)
 
-			out := ex.Semijoin(r, s)
-			ref.equal(t, out, "semijoin")
-			for k := range out.chunks {
-				aliased := k < len(r.chunks) && len(out.chunks[k].data) > 0 &&
-					&out.chunks[k].data[0] == &r.chunks[k].data[0]
-				switch {
-				case k < tc.shared && (!aliased || out.chunks[k].id != r.chunks[k].id || out.chunks[k].id == 0):
-					t.Errorf("chunk %d: not shared with the input (aliased %v, id %d vs %d)",
-						k, aliased, out.chunks[k].id, r.chunks[k].id)
-				case k >= tc.shared && (aliased || (out.chunks[k].id != 0 && out.chunks[k].id == r.chunks[k].id)):
-					t.Errorf("chunk %d: repacked rows alias the input", k)
-				}
-			}
+					out := ex.Semijoin(r, s)
+					ref.equal(t, out, "semijoin")
+					first := tc.drop
+					if first < 0 {
+						first = r.n
+					}
+					checkSharesPrefix(t, r, out, first)
 
-			// Appends land in a private chunk, whatever the tail was.
-			for i := 0; i < ChunkRows+10; i++ {
-				row := Tuple{Value(-i - 1), Value(i)}
-				out.Insert(row)
-				ref[refKey(row)] = row
-			}
-			ref.equal(t, out, "semijoin + inserts")
-			if r.Card() != frozen.card || !slices.Equal(r.RawData(), frozen.raw) {
-				t.Fatal("appending to the semijoin result changed its input")
+					// Appends land in a private chunk, whatever the tail was.
+					for i := 0; i < ChunkRows+10; i++ {
+						row := Tuple{Value(-i - 1), Value(i)}
+						out.Insert(row)
+						ref[refKey(row)] = row
+					}
+					ref.equal(t, out, "semijoin + inserts")
+					if r.Card() != frozen.card || !slices.Equal(r.RawData(), frozen.raw) {
+						t.Fatal("appending to the semijoin result changed its input")
+					}
+				})
 			}
 		})
+	}
+}
+
+// checkSharesPrefix fails unless out, a semijoin of r whose first dropped
+// row (dead, or without a partner) is at position first — r.n when none
+// is — shares with r exactly the full chunks wholly before first, same
+// backing arrays and same ids, and holds only well-formed chunks: full
+// ones with an id, a tail without.
+func checkSharesPrefix(t *testing.T, r, out *Relation, first int) {
+	t.Helper()
+	for k := range out.chunks {
+		oc, rc := out.chunks[k], r.chunks[k]
+		aliased := len(oc.data) > 0 && &oc.data[0] == &rc.data[0]
+		if shared := k < first>>chunkShift; shared != aliased || shared != (oc.id != 0 && oc.id == rc.id) {
+			t.Errorf("chunk %d (first drop at %d): aliased %v, id %d vs the input's %d",
+				k, first, aliased, oc.id, rc.id)
+		}
+		if rows := out.chunkRows(k); (rows == ChunkRows) != (oc.id != 0) || len(oc.data) != rows*out.width {
+			t.Errorf("chunk %d: %d rows, %d values, id %d", k, rows, len(oc.data), oc.id)
+		}
 	}
 }
 
@@ -282,7 +307,8 @@ func TestSemijoinSharesCleanPrefix(t *testing.T) {
 // dead row, or a key miss behind an earlier dead row, against the
 // nested-loop reference (checkKernels); the chunks wholly before the
 // first drop must be the input's own, ids included, and nothing after
-// them may be.
+// them may be. The key set is a bitmap (keys 0–6) and a keyTable (keys
+// 1000 apart).
 func TestSemijoinFirstDropPositions(t *testing.T) {
 	u := schema.NewUniverse()
 	ab, b := u.Set("a", "b"), u.Set("b")
@@ -302,44 +328,40 @@ func TestSemijoinFirstDropPositions(t *testing.T) {
 				continue // position 0 has nothing before it
 			}
 			t.Run(fmt.Sprintf("%s at %d", tc.name, pos), func(t *testing.T) {
-				// s lacks the key of r's row at miss and of every 97th row
-				// after it, so the repack past the first drop both keeps
-				// and drops rows across the later chunk edges.
-				r, s := New(u, ab), New(u, b)
-				for i := 0; i < n; i++ {
-					k := Value(i % 7)
-					if tc.miss >= 0 && (i == tc.miss || (i > tc.miss && i%97 == 0)) {
-						k = -5
-					}
-					r.Insert(Tuple{Value(i), k})
-				}
-				for k := 0; k < 7; k++ {
-					s.Insert(Tuple{Value(k)})
-				}
-				first := n
-				if tc.miss >= 0 {
-					first = tc.miss
-				}
-				if tc.dead >= 0 {
-					r, _ = r.Without([]Tuple{slices.Clone(r.row(tc.dead))})
-					if r.dead != 1 || !r.isDead(tc.dead) {
-						t.Fatalf("row %d is not dead in place (%d dead rows)", tc.dead, r.dead)
-					}
-					first = min(first, tc.dead)
-				}
-				r.Freeze()
-				checkKernels(t, "r, s", ex, r, s, b)
-				out := ex.Semijoin(r, s)
-				for k := range out.chunks {
-					oc, rc := out.chunks[k], r.chunks[k]
-					aliased := &oc.data[0] == &rc.data[0]
-					if shared := k < first>>chunkShift; shared != aliased || shared != (oc.id != 0 && oc.id == rc.id) {
-						t.Errorf("chunk %d (first drop at %d): aliased %v, id %d vs the input's %d",
-							k, first, aliased, oc.id, rc.id)
-					}
-					if rows := out.chunkRows(k); (rows == ChunkRows) != (oc.id != 0) || len(oc.data) != rows*out.width {
-						t.Errorf("chunk %d: %d rows, %d values, id %d", k, rows, len(oc.data), oc.id)
-					}
+				for _, scale := range []Value{1, 1000} {
+					t.Run(fmt.Sprintf("keys %d apart", scale), func(t *testing.T) {
+						// s lacks the key of r's row at miss and of every 97th row
+						// after it, so the repack past the first drop both keeps
+						// and drops rows across the later chunk edges.
+						r, s := New(u, ab), New(u, b)
+						for i := 0; i < n; i++ {
+							k := Value(i%7) * scale
+							if tc.miss >= 0 && (i == tc.miss || (i > tc.miss && i%97 == 0)) {
+								k = -5
+							}
+							r.Insert(Tuple{Value(i), k})
+						}
+						for k := 0; k < 7; k++ {
+							s.Insert(Tuple{Value(k) * scale})
+						}
+						if _, _, dense := denseSpan(s, 0); dense != (scale == 1) {
+							t.Fatalf("key set of keys %d apart: bitmap %v", scale, dense)
+						}
+						first := n
+						if tc.miss >= 0 {
+							first = tc.miss
+						}
+						if tc.dead >= 0 {
+							r, _ = r.Without([]Tuple{slices.Clone(r.row(tc.dead))})
+							if r.dead != 1 || !r.isDead(tc.dead) {
+								t.Fatalf("row %d is not dead in place (%d dead rows)", tc.dead, r.dead)
+							}
+							first = min(first, tc.dead)
+						}
+						r.Freeze()
+						checkKernels(t, "r, s", ex, r, s, b)
+						checkSharesPrefix(t, r, ex.Semijoin(r, s), first)
+					})
 				}
 			})
 		}

@@ -9,32 +9,35 @@ import (
 	"gyokit/internal/schema"
 )
 
-// Exec is a reusable execution context for the relational operators.
-// It owns the scratch state the operators need — three keyScratch
-// tables' worth of open-addressing slots, chain links and per-row key
-// words (and a wide group key's columns), JoinFilter's filter chains, an
-// output-row buffer, and column position maps — so a program that
-// evaluates many statements (a §6 semijoin program, a Yannakakis plan,
-// a full reducer) reuses one set of allocations instead of rebuilding
-// them per statement. Every table is a keyTable, keyed by columns
-// themselves (keyWord: 4 B per slot, 8 B per row, 4 B more per row for a
-// chained one). Join and Semijoin build their key sets in keys, and
-// Project deduplicates there, keyed by its output's rows. A streamed
-// join (JoinProject, JoinFilter) walks its probe side one group at a
-// time: aux chains it by g, the columns of the sink's key the probe side
-// holds. JoinFilter chains f by g too, by looking each row of f up in
-// aux: fhead names a group's newest filter row, indexed by the group's
-// first probe row, and fnext links each filter row to the group's next
-// (4 B per probe row and 4 B per filter row). The build-side columns of
-// the sink's key, h, go into local, one group at a time — JoinProject's
-// projections as it meets them, JoinFilter's filter rows when the group
-// starts — a table sized by the largest group of one call rather than by
-// |r ⋈ s|, its output or f, so it stays in L1, and a counted join
-// (JoinFirst, or a k below All) stores k rows whatever it counts. Every
-// operator emits an index-free output by plain appends (the output's own
-// set index is built only if something later asks it for membership —
-// see the package comment). The zero value is ready to use; an Exec must
-// not be used concurrently.
+// Exec is a reusable execution context for the relational operators. It
+// owns the scratch state the operators need — three keyScratch tables'
+// worth of open-addressing slots, chain links and per-row key words (and
+// a wide group key's columns), JoinFilter's filter chains, Semijoin's
+// bitmap, an output-row buffer, and column position maps — so a program
+// that evaluates many statements (a §6 semijoin program, a Yannakakis
+// plan, a full reducer) reuses one set of allocations instead of
+// rebuilding them per statement. Every table is a keyTable, keyed by
+// columns themselves (keyWord: 4 B per slot, 8 B per row, 4 B more per
+// row for a chained one). Join and Semijoin build their key sets in keys,
+// and Project deduplicates there, keyed by its output's rows. The one key
+// set that is not a keyTable is a Semijoin's on one column whose live
+// values in s lie in a short enough [lo, hi]: a bitmap over it (keyBits),
+// which denseSpan allows only when it has no more bytes than the slot
+// table it stands in for. A streamed join (JoinProject, JoinFilter) walks
+// its probe side one group at a time: aux chains it by g, the columns of
+// the sink's key the probe side holds. JoinFilter chains f by g too, by
+// looking each row of f up in aux: fhead names a group's newest filter
+// row, indexed by the group's first probe row, and fnext links each
+// filter row to the group's next (4 B per probe row and 4 B per filter
+// row). The build-side columns of the sink's key, h, go into local, one
+// group at a time — JoinProject's projections as it meets them,
+// JoinFilter's filter rows when the group starts — a table sized by the
+// largest group of one call rather than by |r ⋈ s|, its output or f, so
+// it stays in L1, and a counted join (JoinFirst, or a k below All) stores
+// k rows whatever it counts. Every operator emits an index-free output by
+// plain appends (the output's own set index is built only if something
+// later asks it for membership — see the package comment). The zero value
+// is ready to use; an Exec must not be used concurrently.
 type Exec struct {
 	keys  keyScratch // Join's and Semijoin's build side; Project's output keys
 	aux   keyScratch // a streamed join's probe side, chained by g
@@ -44,6 +47,7 @@ type Exec struct {
 	obuf  []Value
 	pos   []int // column positions of one call, carved per operand
 	srcs  []int32
+	bits  []uint64 // Semijoin's one-column key set, when it is a bitmap (keyBits)
 }
 
 // keyScratch is the storage of one keyTable, kept across calls.
@@ -650,18 +654,20 @@ func fillRow(buf []Value, srcs []int32, prow, brow []Value) {
 
 // Semijoin returns r ⋉ s = π_{attrs(r)}(r ⋈ s): the tuples of r that
 // join with at least one tuple of s. The distinct shared-column keys of
-// s form an open-addressing set — Join's build table without the chains,
-// keyed by the same key word, so for a key of up to two columns a probe
-// never touches a row of s — which every row of r probes, chunk by
-// chunk. While every row of r so far has survived, nothing is copied: at
-// the first dropped row (or the end) the output adopts that clean
-// prefix, sharing its full chunks with r — ids included, the way compact
-// shares the chunks before a delete — and only the rows from the first
-// drop's chunk onward are repacked. A dead row of r is a dropped row, so
-// the output is dense whatever r carries. A semijoin that filters
-// nothing, the steady state of a full reducer over consistent data,
-// costs the build, the probes, a chunk-table copy and one block copy of
-// the tail.
+// s form a set which every row of r probes, chunk by chunk. A key of one
+// column whose live values in s span few enough values (denseSpan) is a
+// bitmap over [lo, hi] (keyBits), and a probe is a subtract, an unsigned
+// compare and a bit test; any other key is an open-addressing set —
+// Join's build table without the chains, keyed by the same key word, so
+// for a key of up to two columns a probe never touches a row of s. While
+// every row of r so far has survived, nothing is copied: at the first
+// dropped row (or the end) the output adopts that clean prefix, sharing
+// its full chunks with r — ids included, the way compact shares the
+// chunks before a delete — and only the rows from the first drop's chunk
+// onward are repacked. A dead row of r is a dropped row, so the output is
+// dense whatever r carries. A semijoin that filters nothing, the steady
+// state of a full reducer over consistent data, costs the build, the
+// probes, a chunk-table copy and one block copy of the tail.
 func (e *Exec) Semijoin(r, s *Relation) *Relation {
 	sharedCols := r.attrs.Intersect(s.attrs).Attrs()
 	pos := e.positions(2 * len(sharedCols))
@@ -670,7 +676,16 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		sPos[i] = s.colPos(c)
 		rPos[i] = r.colPos(c)
 	}
-	t := e.keys.buildKeys(s, sPos, false)
+	var t keyTable
+	var set keyBits
+	dense, p := false, 0
+	if len(sharedCols) == 1 {
+		set, dense = e.denseKeys(s, sPos[0])
+		p = rPos[0]
+	}
+	if !dense {
+		t = e.keys.buildKeys(s, sPos, false)
+	}
 	out := New(r.U, r.attrs)
 	out.reserved = r.Card() // upper bound
 	// clean: no row dropped yet, so out is still empty.
@@ -680,7 +695,12 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		ch := &r.chunks[c]
 		for k := range r.chunkRows(c) {
 			row := ch.data[k*w : k*w+w]
-			hit := (ch.dead == nil || !ch.dead.has(k)) && t.lookup(row, rPos) != 0
+			hit := ch.dead == nil || !ch.dead.has(k)
+			if hit && dense {
+				hit = set.has(row[p])
+			} else if hit {
+				hit = t.lookup(row, rPos) != 0
+			}
 			switch {
 			case hit && !clean:
 				out.appendRow(row)
@@ -694,6 +714,75 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		out.adoptPrefix(r, r.n)
 	}
 	return out
+}
+
+// denseSpan decides how Semijoin holds the key set of a one-column key,
+// s's column p. It returns the least live value lo and the span
+// hi − lo + 1 of the live values, and whether that span is at most
+// 32 · tableSize(|s|): a bitmap over [lo, hi], a bit per value, then has
+// no more bytes than the slot table of the keyTable it replaces. The span
+// is taken in int64, so [MinInt32, MaxInt32] is 2³² and does not wrap.
+// The scan stops at the first live row that pushes the span past the
+// budget, so a sparse key costs a few rows, not a pass. An s with no live
+// row has span 0.
+func denseSpan(s *Relation, p int) (lo, span int64, ok bool) {
+	if s.Card() == 0 {
+		return 0, 0, true
+	}
+	budget := 32 * int64(tableSize(s.Card()))
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	w := s.width
+	for c := range s.chunks {
+		data, dead := s.chunks[c].data, s.chunks[c].dead
+		for k := range s.chunkRows(c) {
+			if dead != nil && dead.has(k) {
+				continue
+			}
+			v := int64(data[k*w+p])
+			lo, hi = min(lo, v), max(hi, v)
+			if hi-lo >= budget {
+				return 0, 0, false
+			}
+		}
+	}
+	return lo, hi - lo + 1, true
+}
+
+// keyBits is a one-column key set as a bitmap: bit v − lo of words is
+// set when the set holds v.
+type keyBits struct {
+	words []uint64
+	lo    int64
+}
+
+// denseKeys returns the live values of s's column p as a bitmap over
+// [lo, hi], in e's scratch, when denseSpan allows one; otherwise false.
+func (e *Exec) denseKeys(s *Relation, p int) (keyBits, bool) {
+	lo, span, ok := denseSpan(s, p)
+	if !ok {
+		return keyBits{}, false
+	}
+	e.bits = scratch(e.bits, int((span+63)>>6))
+	clear(e.bits)
+	set := keyBits{words: e.bits, lo: lo}
+	w := s.width
+	for c := range s.chunks {
+		data, dead := s.chunks[c].data, s.chunks[c].dead
+		for k := range s.chunkRows(c) {
+			if dead == nil || !dead.has(k) {
+				d := uint64(int64(data[k*w+p]) - lo)
+				set.words[d>>6] |= 1 << (d & 63)
+			}
+		}
+	}
+	return set, true
+}
+
+// has reports whether the set holds v: a v below lo wraps to a large d,
+// so one unsigned compare bounds both ends.
+func (b keyBits) has(v Value) bool {
+	d := uint64(int64(v) - b.lo)
+	return d>>6 < uint64(len(b.words)) && b.words[d>>6]&(1<<(d&63)) != 0
 }
 
 // JoinAll folds the natural join over rels greedily: it starts from

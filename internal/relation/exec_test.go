@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/bits"
 	"reflect"
 	"slices"
@@ -13,7 +14,10 @@ import (
 // operators ran over n-row operands: per key table one slot table (4 B
 // per slot), one key word per row (8 B) and one chain link per row
 // (4 B); a streamed join's group-local table, the same layout without
-// chains; and the handful of per-column buffers. Join, Semijoin and
+// chains; Semijoin's bitmap key set, at most 32 · tableSize(|s|) bits —
+// 4 B per slot of the keyTable it stands in for, the bytes of its slot
+// table — which a semijoin whose key spans exactly that many values
+// fills; and the handful of per-column buffers. Join, Semijoin and
 // Project use one key table — Project's words sized by its operand's
 // rows, like a build side's — a streamed join a second, its probe side
 // chained by g, and a join→filter 4 B per probe row and 4 B per filter
@@ -44,12 +48,26 @@ func TestExecScratchBudget(t *testing.T) {
 	if got := ex.Join(r, ex.Semijoin(s, r)).Card(); got != joined {
 		t.Fatalf("join has %d rows, want %d", got, joined)
 	}
+	// wide's key b runs from 0 to 32 · tableSize(n) − 1: the widest span
+	// a bitmap over n rows may have.
+	bitmap := 4 * tableSize(n) // B
+	wide := New(u, u.Set("b", "c"))
+	for i := 0; i < n-1; i++ {
+		wide.Insert(Tuple{Value(i), Value(i)})
+	}
+	wide.Insert(Tuple{Value(8*bitmap - 1), 0})
+	if got := ex.Semijoin(r, wide).Card(); got != n {
+		t.Fatalf("semijoin with the widest bitmap kept %d of %d rows", got, n)
+	}
+	if got := 8 * cap(ex.bits); got != bitmap {
+		t.Fatalf("the widest bitmap over %d rows holds %d B, want %d", n, got, bitmap)
+	}
 	const perColumn = 1 << 10             // obuf, pos, srcs: a few words per column
 	chained := 4*tableSize(n) + 8*n + 4*n // one key table over n rows, with chains
 	const filterChains = 4*n + 4*n        // fhead by probe row, fnext by filter row
-	if budget := chained + perColumn; retained(t, ex) > budget {
-		t.Fatalf("Exec retains %d B after %d-row operators, budget %d B (4 B × %d slots + 12 B × %d build rows + %d)",
-			retained(t, ex), n, budget, tableSize(n), n, perColumn)
+	if budget := chained + bitmap + perColumn; retained(t, ex) > budget {
+		t.Fatalf("Exec retains %d B after %d-row operators, budget %d B (4 B × %d slots + 12 B × %d build rows + %d B bitmap + %d)",
+			retained(t, ex), n, budget, tableSize(n), n, bitmap, perColumn)
 	}
 
 	twoStmt := NewExec()
@@ -62,10 +80,10 @@ func TestExecScratchBudget(t *testing.T) {
 		t.Fatalf("streamed join→filter by s kept %d rows, want %d", got.Card(), joined)
 	}
 	local := 4*tableSize(groupRows) + 8*groupRows // a group table that never grew
-	budget := 2*chained + filterChains + local + perColumn
+	budget := 2*chained + filterChains + local + bitmap + perColumn
 	if retained(t, ex) > budget {
-		t.Fatalf("Exec retains %d B after streamed joins of %d-row operands, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d)",
-			retained(t, ex), n, budget, tableSize(n), n, n, local, perColumn)
+		t.Fatalf("Exec retains %d B after streamed joins of %d-row operands, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + %d)",
+			retained(t, ex), n, budget, tableSize(n), n, n, local, bitmap, perColumn)
 	}
 	if two := retained(t, twoStmt); two < 4*tableSize(joined) || budget >= two {
 		t.Fatalf("join then project retains %d B (a %d-slot projection table), the streamed budget %d B", two, tableSize(joined), budget)
@@ -98,10 +116,10 @@ func TestExecScratchBudget(t *testing.T) {
 		t.Fatalf("the group table holds %d words after a group of %d keys, want %d", len(ex.local.words), n, grown)
 	}
 	local = 4*tableSize(grown) + 8*grown
-	budget = 2*chained + filterChains + local + perColumn
+	budget = 2*chained + filterChains + local + bitmap + perColumn
 	if retained(t, ex) > budget {
-		t.Fatalf("Exec retains %d B after a counted join→project whose group has %d keys, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d)",
-			retained(t, ex), n, budget, tableSize(n), n, n, local, perColumn)
+		t.Fatalf("Exec retains %d B after a counted join→project whose group has %d keys, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + %d)",
+			retained(t, ex), n, budget, tableSize(n), n, n, local, bitmap, perColumn)
 	}
 
 	// A filter by π_a(r) shares no column with the probe side, bc: g = ∅,
@@ -116,10 +134,97 @@ func TestExecScratchBudget(t *testing.T) {
 		t.Fatalf("the group table of a g = ∅ filter by %d rows has %d slots and %d words, want ≤ %d each", fa.Card(), len(ex.local.slots), len(ex.local.words), size)
 	}
 	local = 4*tableSize(fa.Card()) + 8*tableSize(fa.Card())
-	budget = 2*chained + filterChains + local + perColumn
+	budget = 2*chained + filterChains + local + bitmap + perColumn
 	if retained(t, ex) > budget {
-		t.Fatalf("Exec retains %d B after a counted g = ∅ join→filter by %d rows, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d)",
-			retained(t, ex), fa.Card(), budget, tableSize(n), n, n, local, perColumn)
+		t.Fatalf("Exec retains %d B after a counted g = ∅ join→filter by %d rows, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + %d)",
+			retained(t, ex), fa.Card(), budget, tableSize(n), n, n, local, bitmap, perColumn)
+	}
+}
+
+// TestSemijoinKeyBitmapBoundaries runs Semijoin at the edges of its
+// key-set rule (denseSpan): a one-column key whose live values in s span
+// at most 32 · tableSize(|s|) values is a bitmap over [lo, hi], and one
+// value more makes it a keyTable. Each case names the path it must take
+// and is held to the nested-loop reference in r's order (checkKernels)
+// and to sharing r's full chunks before its first dropped row. r's key
+// runs over every live key of s for its first ChunkRows + 50 rows, then
+// also over s's dead keys, lo − 1, hi + 1 and the ends of int32.
+func TestSemijoinKeyBitmapBoundaries(t *testing.T) {
+	u := schema.NewUniverse()
+	u.Attr("c") // interned first, so s's key b is its second column
+	ab, bc := u.Set("a", "b"), u.Set("b", "c")
+	const n = 16
+	budget := Value(32 * tableSize(n))       // bits, for n live rows
+	spanning := func(lo, hi Value) []Value { // n values: lo, hi and lo+1, …
+		vals := []Value{lo, hi}
+		for v := lo + 1; len(vals) < n; v++ {
+			vals = append(vals, v)
+		}
+		return vals
+	}
+	gapped := []Value{0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	ex := NewExec()
+	for _, tc := range []struct {
+		name       string
+		live, dead []Value // key values of s's live rows, and of its dead ones
+		dense      bool
+		lo, span   int64 // the bitmap's, when dense
+	}{
+		{"span at the budget", spanning(0, budget-1), nil, true, 0, int64(budget)},
+		{"span one past the budget", spanning(0, budget), nil, false, 0, 0},
+		{"negative lo at the budget", spanning(-budget/2, budget/2-1), nil, true, int64(-budget / 2), int64(budget)},
+		{"negative lo one past", spanning(-budget/2, budget/2), nil, false, 0, 0},
+		{"MinInt32 to MaxInt32", spanning(math.MinInt32, math.MaxInt32), nil, false, 0, 0},
+		{"dead rows hold the min, the max and a gap", gapped, []Value{math.MinInt32, 7, math.MaxInt32}, true, 0, 17},
+		{"empty", nil, nil, true, 0, 0},
+		{"all dead", nil, []Value{1, 2, 3}, true, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(u, bc)
+			for i, v := range append(slices.Clone(tc.live), tc.dead...) {
+				s.Insert(Tuple{Value(i), v})
+			}
+			// Marked dead directly: a delete of every row, or of more than
+			// a quarter, would repack s instead.
+			var dead []int32
+			for i := range tc.dead {
+				dead = append(dead, int32(len(tc.live)+i))
+			}
+			s.markDead(dead)
+			if s.Card() != len(tc.live) || s.dead != len(tc.dead) {
+				t.Fatalf("s has %d live rows and %d dead, want %d and %d", s.Card(), s.dead, len(tc.live), len(tc.dead))
+			}
+			lo, span, dense := denseSpan(s, s.colPos(u.Attr("b")))
+			if dense != tc.dense || dense && (lo != tc.lo || span != tc.span) {
+				t.Fatalf("denseSpan = %d, %d, %v; want %d, %d, %v", lo, span, dense, tc.lo, tc.span, tc.dense)
+			}
+
+			probes := slices.Clone(tc.live)
+			probes = append(probes, tc.dead...)
+			if len(tc.live) > 0 {
+				probes = append(probes, slices.Min(tc.live)-1, slices.Max(tc.live)+1)
+			}
+			probes = append(probes, math.MinInt32, math.MaxInt32, 0)
+			r := New(u, ab)
+			for i := 0; i < 2*ChunkRows+100; i++ {
+				keys := probes
+				if i < ChunkRows+50 && len(tc.live) > 0 {
+					keys = tc.live
+				}
+				r.Insert(Tuple{Value(i), keys[i%len(keys)]})
+			}
+			r.Freeze()
+			checkKernels(t, tc.name, ex, r, s, ab)
+			first := r.n
+			kept := naiveOf(r).semijoin(naiveOf(s))
+			for i, tp := range r.Tuples() {
+				if _, ok := kept.rows[naiveKey(tp)]; !ok {
+					first = i
+					break
+				}
+			}
+			checkSharesPrefix(t, r, ex.Semijoin(r, s), first)
+		})
 	}
 }
 

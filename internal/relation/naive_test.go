@@ -758,7 +758,8 @@ func decodeOperands(raw []byte) fuzzOperands {
 }
 
 // streamSeeds are FuzzOperators seeds for the cases of the streamed
-// sinks; TestStreamSeedsCoverTheirCases checks each hits its case.
+// sinks and of Semijoin's key set; TestStreamSeedsCoverTheirCases checks
+// each hits its case.
 var streamSeeds = map[string][]byte{
 	// r = ab and s = bc dense, x = a: with r built, g = x ∩ attrs(s) = ∅,
 	// so one group projects 1024 rows and the local table grows.
@@ -832,6 +833,19 @@ var streamSeeds = map[string][]byte{
 	"filter empty group": {0b00011, 0b00110, 0, 3, 0, 0, 2, 3, 3, 3, 5, 2,
 		6, 0, 0, 3, 2, 3, 5, 2, 2, 2, 0, 1, 1, 3, 4,
 		0b00101, 0b00001, 1, 0, 0, 0},
+	// r = ab probes s = bc on b: s's live b span [0, 2], a bitmap; its dead
+	// row alone holds MaxInt32, and r's b runs from MinInt32 to MaxInt32,
+	// below and above the bitmap. Flipped, s ⋉ r's key set is a keyTable.
+	"semijoin dense": {0b00011, 0b00110, 0b00001,
+		8, 0, 0, 2, 0, 2, 1, 2, 2, 2, 3, 2, 4, 2, 5, 2, 6, 2, 7,
+		8, 0x01, 0, 4, 2, 2, 2, 3, 2, 5, 2, 2, 3, 3, 3, 5, 3, 2, 5,
+		0b00011, 0b00101, 2, 0, 0, 0, 2},
+	// s's live b holds MinInt32 and MaxInt32: a span of 2³², past any
+	// bitmap's budget (and 0 if it wrapped), so a keyTable holds the keys.
+	"semijoin sparse": {0b00011, 0b00110, 0b00010,
+		6, 0, 0, 2, 0, 2, 1, 2, 2, 2, 4, 3, 5, 3, 2,
+		4, 0, 0, 0, 2, 4, 2, 2, 3, 6, 3,
+		0b00011, 0b00101, 2, 0, 0, 0, 2},
 }
 
 // TestStreamSeedsCoverTheirCases decodes each stream seed and checks it
@@ -882,6 +896,14 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 				bare = bare || !has
 			}
 			ok = ok && !fg.IsEmpty() && bare && kept.Card() > 0
+		case "semijoin dense", "semijoin sparse":
+			shared := op.r.attrs.Intersect(op.s.attrs)
+			_, _, dense := denseSpan(op.s, op.s.colPos(shared.Min()))
+			semi := NewExec().Semijoin(op.r, op.s).Card()
+			ok = ok && shared.Card() == 1 && dense == (name == "semijoin dense") && 0 < semi && semi < op.r.Card()
+			if dense {
+				ok = ok && op.s.dead > 0
+			}
 		}
 		if !ok {
 			t.Errorf("seed %q misses its case: r %s (%d, %d dead), s %s (%d, %d dead), f %s (%d, %d dead), x %s, |r ⋈ s| = %d",

@@ -7,6 +7,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gyokit/internal/schema"
@@ -137,6 +138,34 @@ func benchD20k() (abc, ab, bc, ac *Relation) {
 	u := schema.NewUniverse()
 	abc, _ = RandomUniversal(u, u.Set("a", "b", "c"), 20000, 2000, rand.New(rand.NewSource(1)))
 	return abc, abc.Project(u.Set("a", "b")), abc.Project(u.Set("b", "c")), abc.Project(u.Set("a", "c"))
+}
+
+// BenchmarkSemijoinD20k prices ab ⋉ bc — eval_read's semijoin — in three
+// forms: dense is D20k's, whose one key column b spans [0, 2000), so its
+// key set is a bitmap; sparse is the same rows with b multiplied by
+// 1 000 003, a span no bitmap within budget covers, so the keyTable holds
+// it; n=20 is the size of plan_churn's relations.
+func BenchmarkSemijoinD20k(b *testing.B) {
+	abc, ab, bc, _ := benchD20k()
+	u := abc.U
+	spread := func(r *Relation) *Relation {
+		p := r.colPos(u.Attr("b"))
+		out := New(u, r.Attrs())
+		for _, tp := range r.Tuples() {
+			tp = slices.Clone(tp)
+			tp[p] *= 1000003
+			out.Insert(tp)
+		}
+		return out
+	}
+	small, _ := RandomUniversal(u, abc.Attrs(), 20, 2000, rand.New(rand.NewSource(2)))
+	sab, sbc := small.Project(u.Set("a", "b")), small.Project(u.Set("b", "c"))
+	wab, wbc := spread(ab), spread(bc)
+	ex := NewExec()
+	benchForms(b,
+		benchForm{"dense", func() { ex.Semijoin(ab, bc) }},
+		benchForm{"sparse", func() { ex.Semijoin(wab, wbc) }},
+		benchForm{"n=20", func() { ex.Semijoin(sab, sbc) }})
 }
 
 // BenchmarkProjectD20k prices standalone Project on both sides of its

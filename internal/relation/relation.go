@@ -64,12 +64,16 @@
 // not the set index: they are all one keyTable, keyed by columns
 // themselves — a 64-bit key word per row that is the key when it has at
 // most two columns, so a probe compares words and fetches no row, and a
-// fold of the columns, verified column-by-column, when it has more. Join
-// and Semijoin key their build side by the shared columns and walk both
-// operands chunk by chunk; Project keys its output rows by all their
-// columns, and a streamed join's group-local table keys them by their
-// build-side columns — JoinProject's projections, and the filter rows of
-// JoinFilter's current group.
+// fold of the columns, verified column-by-column, when it has more. The
+// one exception is a Semijoin on one column whose live values in s span
+// no more values than that keyTable's slot table has bits: its key set is
+// a bitmap over [lo, hi], no bigger than those slots, and a probe is a
+// subtract, a compare and a bit test. Join and Semijoin key their build
+// side by the shared columns and walk both operands chunk by chunk;
+// Project keys its output rows by all their columns, and a streamed
+// join's group-local table keys them by their build-side columns —
+// JoinProject's projections, and the filter rows of JoinFilter's current
+// group.
 package relation
 
 import (
