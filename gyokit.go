@@ -121,7 +121,8 @@ type (
 	Program = program.Program
 	// Relation is a relation state.
 	Relation = relation.Relation
-	// Database is a database state for a schema.
+	// Database is a database state for a schema: one relation state per
+	// relation schema, in the schema's order, and nothing else.
 	Database = relation.Database
 	// Value is a single attribute value.
 	Value = relation.Value
@@ -302,10 +303,11 @@ func Treefy(d *Schema, k, b int) (witness []AttrSet, ok bool) {
 	return treefy.Solve(treefy.Instance{D: d, K: k, B: b})
 }
 
-// RandomURDatabase builds a universal-relation database over d with up
-// to n universal tuples drawn from [0, domain) per column; when fewer
-// than n distinct tuples exist the universal relation saturates below
-// n (see relation.RandomUniversal for the retry bound).
+// RandomURDatabase builds a universal-relation database over d: the
+// projections onto d's relation schemas of a universal relation of up
+// to n tuples drawn from [0, domain) per column, which is not kept.
+// When fewer than n distinct tuples exist the universal relation
+// saturates below n (see relation.RandomUniversal for the retry bound).
 func RandomURDatabase(d *Schema, n, domain int, seed int64) *Database {
 	rng := rand.New(rand.NewSource(seed))
 	i, _ := relation.RandomUniversal(d.U, d.Attrs(), n, domain, rng)

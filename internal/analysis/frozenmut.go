@@ -14,7 +14,7 @@ import (
 //   - r.Freeze() / db.Freeze() marks the receiver frozen from that
 //     point on,
 //   - x := e.Snapshot(), v := r.Renamed(...) mark x/v frozen,
-//   - aliases (y := x) and projections (db.Rels[i], db.Univ) of frozen
+//   - aliases (y := x) and projections (db.Rels, db.Rels[i]) of frozen
 //     values are frozen,
 //   - Clone() yields a fresh, mutable value (the copy-on-write idiom
 //     `r := db.Rels[i].Clone(); r.Insert(t)` stays legal),
@@ -63,8 +63,8 @@ func runFrozenMut(pass *Pass) error {
 				case *ast.ParenExpr:
 					return isFrozen(e.X)
 				case *ast.SelectorExpr:
-					// A field of a frozen value (db.Rels, db.Univ) is
-					// frozen; a method value is handled at call sites.
+					// A field of a frozen value (db.Rels) is frozen; a
+					// method value is handled at call sites.
 					if s, ok := pass.Info.Selections[e]; ok && s.Kind() == types.FieldVal {
 						return isFrozen(e.X)
 					}

@@ -129,7 +129,7 @@ func TestSolveMatchesDirectEval(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("run %d: Solve ≠ naive eval", i)
 		}
-		if st == nil || len(st.PerStmt) == 0 {
+		if st == nil || len(st.Detail) == 0 {
 			t.Fatalf("run %d: missing stats", i)
 		}
 	}
@@ -149,7 +149,7 @@ func TestSolveAlignsReorderedDatabase(t *testing.T) {
 	// …then solve with the database and schema in another ordering.
 	perm := []int{2, 0, 1}
 	d2 := d.Restrict(perm)
-	db2 := &relation.Database{D: d2, Univ: db.Univ}
+	db2 := &relation.Database{D: d2}
 	for _, i := range perm {
 		db2.Rels = append(db2.Rels, db.Rels[i])
 	}

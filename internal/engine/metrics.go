@@ -80,8 +80,7 @@ func (e *Engine) registerGauges(reg *obs.Registry) {
 			defer e.mu.Unlock()
 			return float64(e.cache.len())
 		})
-	// sum adds up one per-relation figure over the live snapshot
-	// (universe included).
+	// sum adds up one per-relation figure over the live snapshot.
 	sum := func(of func(*relation.Relation) float64) func() float64 {
 		return func() float64 {
 			db := e.db.Load()
@@ -92,14 +91,11 @@ func (e *Engine) registerGauges(reg *obs.Registry) {
 			for _, r := range db.Rels {
 				total += of(r)
 			}
-			if db.Univ != nil {
-				total += of(db.Univ)
-			}
 			return total
 		}
 	}
 	reg.GaugeFunc("gyo_snapshot_arena_bytes",
-		"Bytes of the live tuples in the live database snapshot's arenas (universe included).",
+		"Bytes of the live tuples in the live database snapshot's arenas.",
 		sum(func(r *relation.Relation) float64 { return float64(r.ArenaBytes()) }))
 	reg.GaugeFunc("gyo_snapshot_dead_rows",
 		"Deleted rows still holding arena positions in the live database snapshot, until a compaction reclaims them.",

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"mime"
 	"net/http"
 	"runtime"
@@ -321,19 +322,17 @@ type SolveStats struct {
 	Joins           int   `json:"joins"`
 	Projects        int   `json:"projects"`
 	Semijoins       int   `json:"semijoins"`
-	Parallelism     int   `json:"parallelism"` // always 1: every evaluation is serial
 	ElapsedNs       int64 `json:"elapsedNs"`
 }
 
 func solveStats(st *program.Stats) SolveStats {
 	return SolveStats{
-		Statements:      len(st.PerStmt),
+		Statements:      len(st.Detail),
 		TuplesProduced:  st.TuplesProduced,
 		MaxIntermediate: st.MaxIntermediate,
 		Joins:           st.Joins,
 		Projects:        st.Projects,
 		Semijoins:       st.Semijoins,
-		Parallelism:     1,
 		ElapsedNs:       st.Elapsed.Nanoseconds(),
 	}
 }
@@ -487,11 +486,14 @@ func (s *Server) answer(w http.ResponseWriter, opt readOptions, pl *Plan, hit bo
 		return ans, false
 	}
 	// The evaluation rails: the server's gas budget, and the tighter of
-	// the server's and the client's deadline.
+	// the server's and the client's deadline. The client's is clamped to
+	// the longest Duration first: past it the product would wrap
+	// negative and unset the deadline.
 	lim := program.Limits{MaxTuples: s.Gas}
 	timeout := s.QueryTimeout
 	if opt.TimeoutMs > 0 {
-		if ct := time.Duration(opt.TimeoutMs) * time.Millisecond; timeout <= 0 || ct < timeout {
+		const maxMs = int64(math.MaxInt64 / time.Millisecond)
+		if ct := time.Duration(min(int64(opt.TimeoutMs), maxMs)) * time.Millisecond; timeout <= 0 || ct < timeout {
 			timeout = ct
 		}
 	}
@@ -792,9 +794,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				DeadRows:   rel.DeadRows(),
 			}
 			resp.ArenaBytes += int64(rel.ArenaBytes())
-		}
-		if db.Univ != nil {
-			resp.ArenaBytes += int64(db.Univ.ArenaBytes())
 		}
 	}
 	if store := s.E.Store(); store != nil {

@@ -216,11 +216,15 @@ func TestReadRails(t *testing.T) {
 
 			// A nanosecond server deadline has always expired by the
 			// pre-evaluation check, so this is deterministic — and a
-			// client asking for a minute cannot raise it.
+			// client asking for a minute cannot raise it, nor one asking
+			// for more milliseconds than a Duration holds (the product
+			// would wrap negative).
 			srv.QueryTimeout = time.Nanosecond
 			aborted("deadline", "", http.StatusGatewayTimeout, "deadline_exceeded")
-			srv.QueryTimeout = time.Nanosecond
-			aborted("raised deadline", `, "timeoutMs": 60000`, http.StatusGatewayTimeout, "deadline_exceeded")
+			for _, ms := range []string{"60000", "9223372036855", "18446744073709"} {
+				srv.QueryTimeout = time.Nanosecond
+				aborted("raised deadline "+ms, `, "timeoutMs": `+ms, http.StatusGatewayTimeout, "deadline_exceeded")
+			}
 
 			// The client can lower a generous server deadline. One
 			// millisecond expires at a statement boundary only if the
@@ -241,8 +245,9 @@ func TestReadRails(t *testing.T) {
 // TestServerSolveParallelism pins the "parallelism" request field as an
 // accepted no-op on both read endpoints: whatever a client sends, the
 // reply is the one it gets for leaving the field out — same columns,
-// cardinality, tuples and cost report, stats.parallelism 1, none of the
-// deleted executor's fields — while a misspelt sibling is still refused.
+// cardinality, tuples and cost report, none of the deleted executor's
+// fields and no stats.parallelism — while a misspelt sibling is still
+// refused.
 func TestServerSolveParallelism(t *testing.T) {
 	u := schema.NewUniverse()
 	d := schema.MustParse(u, "ab, bc, cd")
@@ -263,9 +268,6 @@ func TestServerSolveParallelism(t *testing.T) {
 					t.Fatalf("%q: status %d", extra, r.StatusCode)
 				}
 				stats := reply["stats"].(map[string]any)
-				if stats["parallelism"] != float64(1) {
-					t.Errorf("%q: stats.parallelism = %v, want 1", extra, stats["parallelism"])
-				}
 				delete(stats, "elapsedNs")
 				return reply
 			}
@@ -281,7 +283,7 @@ func TestServerSolveParallelism(t *testing.T) {
 						t.Errorf("%q: %s = %v, want %v as without the field", extra, key, got[key], want[key])
 					}
 				}
-				for _, gone := range []string{"parallelStmts", "repartitions", "repartitionBytes"} {
+				for _, gone := range []string{"parallelism", "parallelStmts", "repartitions", "repartitionBytes"} {
 					if _, ok := got["stats"].(map[string]any)[gone]; ok {
 						t.Errorf("%q: stats still carries %q", extra, gone)
 					}

@@ -303,15 +303,15 @@ func TestGasStopsEveryJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Detail[0].Streamed || st.Detail[0].Counted || st.PerStmt[0] < 2 {
+	if st.Detail[0].Streamed || st.Detail[0].Counted || st.Detail[0].Out < 2 {
 		t.Fatalf("fixture's first join is streamed, counted or under two rows:\n%s", st.Table())
 	}
-	lim := Limits{MaxTuples: st.PerStmt[0] / 2}
+	lim := Limits{MaxTuples: st.Detail[0].Out / 2}
 	_, _, err = p.Run(db, ex, lim, relation.All)
 	var le *LimitError
 	if !errors.As(err, &le) || !errors.Is(err, ErrGasExhausted) || le.Stmt != 0 ||
-		le.Produced <= lim.MaxTuples || le.Produced >= st.PerStmt[0] {
-		t.Fatalf("err = %v, want gas exhausted in statement 0 past %d, short of its %d rows", err, lim.MaxTuples, st.PerStmt[0])
+		le.Produced <= lim.MaxTuples || le.Produced >= st.Detail[0].Out {
+		t.Fatalf("err = %v, want gas exhausted in statement 0 past %d, short of its %d rows", err, lim.MaxTuples, st.Detail[0].Out)
 	}
 	if got, _, err := p.Run(db, ex, Limits{}, relation.All); err != nil || !got.Equal(want) {
 		t.Fatalf("run after the abort: %v, %d tuples, want %d", err, got.Card(), want.Card())

@@ -166,7 +166,6 @@ type StmtStat struct {
 type Stats struct {
 	TuplesProduced  int        // total output tuples over all statements
 	MaxIntermediate int        // largest single intermediate result
-	PerStmt         []int      // output cardinality of each statement
 	Detail          []StmtStat // per-statement cost breakdown
 	Joins           int
 	Projects        int
@@ -185,7 +184,6 @@ func (st *Stats) record(d StmtStat) {
 		st.Semijoins++
 	}
 	st.Detail = append(st.Detail, d)
-	st.PerStmt = append(st.PerStmt, d.Out)
 	st.TuplesProduced += d.Out
 	if d.Out > st.MaxIntermediate {
 		st.MaxIntermediate = d.Out
@@ -219,7 +217,7 @@ func (st *Stats) Table() string {
 
 // AnswerCard returns the cardinality of the run's answer: the last
 // statement's Out, exact even when Run kept fewer of its rows.
-func (st *Stats) AnswerCard() int { return st.PerStmt[len(st.PerStmt)-1] }
+func (st *Stats) AnswerCard() int { return st.Detail[len(st.Detail)-1].Out }
 
 // Eval runs the program without limits over a database state for D and
 // returns the final relation (the last statement's value) plus cost

@@ -64,9 +64,9 @@ func TestEvalDifferential(t *testing.T) {
 		if ref := refEval(p, db); !got.Equal(ref) {
 			t.Fatalf("%s: result (%d tuples) ≠ reference result (%d tuples)", label, got.Card(), ref.Card())
 		}
-		if len(st.PerStmt) != len(p.Stmts) || st.PerStmt[len(st.PerStmt)-1] != got.Card() {
+		if len(st.Detail) != len(p.Stmts) || st.AnswerCard() != got.Card() {
 			t.Fatalf("%s: stats cover %d of %d statements, last output %d for a %d-tuple answer",
-				label, len(st.PerStmt), len(p.Stmts), st.PerStmt[len(st.PerStmt)-1], got.Card())
+				label, len(st.Detail), len(p.Stmts), st.AnswerCard(), got.Card())
 		}
 		cases++
 	}
@@ -229,7 +229,7 @@ func TestEvalStats(t *testing.T) {
 	if st.Joins != 1 || st.Projects != 1 || st.Semijoins != 0 {
 		t.Errorf("stats wrong: %+v", st)
 	}
-	if len(st.PerStmt) != 2 || st.MaxIntermediate == 0 {
+	if st.MaxIntermediate == 0 {
 		t.Errorf("per-stmt stats wrong: %+v", st)
 	}
 	if len(st.Detail) != 2 {
@@ -243,10 +243,8 @@ func TestEvalStats(t *testing.T) {
 	if d1.Kind != Project || d1.InRight != -1 || d1.InLeft != d0.Out || d1.Out != res.Card() {
 		t.Errorf("project detail wrong: %+v", d1)
 	}
-	for i, d := range st.Detail {
-		if d.Out != st.PerStmt[i] {
-			t.Errorf("Detail[%d].Out = %d ≠ PerStmt %d", i, d.Out, st.PerStmt[i])
-		}
+	if st.AnswerCard() != d1.Out || st.MaxIntermediate != max(d0.Out, d1.Out) {
+		t.Errorf("AnswerCard %d, MaxIntermediate %d; want %d, %d", st.AnswerCard(), st.MaxIntermediate, d1.Out, max(d0.Out, d1.Out))
 	}
 	if st.Table() == "" {
 		t.Error("empty stats table")
@@ -552,10 +550,9 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 			if !got.Equal(refEval(p, db)) {
 				t.Errorf("hole %d %s: answer differs from the reference evaluation", hole, name)
 			}
-			if len(st.Detail) != len(p.Stmts) || len(st.PerStmt) != len(p.Stmts) ||
-				st.Joins+st.Projects+st.Semijoins != len(p.Stmts) {
-				t.Fatalf("hole %d %s: stats cover %d/%d of %d statements", hole, name,
-					len(st.Detail), len(st.PerStmt), len(p.Stmts))
+			if len(st.Detail) != len(p.Stmts) || st.Joins+st.Projects+st.Semijoins != len(p.Stmts) {
+				t.Fatalf("hole %d %s: stats cover %d of %d statements", hole, name,
+					len(st.Detail), len(p.Stmts))
 			}
 			// Everything after the first empty statement was skipped.
 			first := 0
@@ -588,7 +585,7 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PerStmt[0] != 0 || !got.Equal(wantJoin) || !got.Equal(refEval(side, db)) {
+	if st.Detail[0].Out != 0 || !got.Equal(wantJoin) || !got.Equal(refEval(side, db)) {
 		t.Errorf("unused empty statement changed the answer: %d tuples, want %d", got.Card(), wantJoin.Card())
 	}
 }

@@ -859,8 +859,8 @@ func RandomUniversal(u *schema.Universe, attrs schema.AttrSet, n, domain int, rn
 	return r, r.n
 }
 
-// Database is a universal-relation database state: one relation per
-// relation schema of D, in the same order.
+// Database is a database state for D: one relation state per relation
+// schema of D, in the same order (§2).
 //
 // Databases support snapshot semantics for concurrent serving: Freeze
 // marks every relation immutable, Clone takes an O(|D|) shallow
@@ -872,24 +872,19 @@ func RandomUniversal(u *schema.Universe, attrs schema.AttrSet, n, domain int, rn
 type Database struct {
 	D    *schema.Schema
 	Rels []*Relation
-	Univ *Relation // the generating universal relation (may be nil)
 }
 
 // Clone returns a shallow snapshot: a new Database sharing the same
 // schema and relation states. O(|D|). Use the copy-on-write mutators to
 // derive modified snapshots.
 func (db *Database) Clone() *Database {
-	return &Database{D: db.D, Rels: append([]*Relation(nil), db.Rels...), Univ: db.Univ}
+	return &Database{D: db.D, Rels: append([]*Relation(nil), db.Rels...)}
 }
 
-// Freeze marks every relation state (including the generating universal
-// relation) immutable. Idempotent.
+// Freeze marks every relation state immutable. Idempotent.
 func (db *Database) Freeze() {
 	for _, r := range db.Rels {
 		r.Freeze()
-	}
-	if db.Univ != nil {
-		db.Univ.Freeze()
 	}
 }
 
@@ -918,9 +913,10 @@ func (db *Database) InsertTuple(i int, t Tuple) *Database {
 }
 
 // URDatabase builds the UR database D = {π_R(I) | R ∈ D} from the
-// universal relation I.
+// universal relation I. I only generates it: the database keeps the
+// projections, not I.
 func URDatabase(d *schema.Schema, i *Relation) *Database {
-	db := &Database{D: d, Univ: i}
+	db := &Database{D: d}
 	ex := &Exec{}
 	for _, r := range d.Rels {
 		db.Rels = append(db.Rels, ex.Project(i, r))

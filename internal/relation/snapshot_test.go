@@ -19,7 +19,7 @@ func TestFreezePanicsOnInsert(t *testing.T) {
 	d, db := snapshotDB(t)
 	_ = d
 	db.Freeze()
-	if !db.Rels[0].Frozen() || db.Univ == nil || !db.Univ.Frozen() {
+	if !db.Rels[0].Frozen() || !db.Rels[1].Frozen() {
 		t.Fatal("Freeze did not freeze all relations")
 	}
 	defer func() {

@@ -26,20 +26,9 @@ func dbEqual(a, b *relation.Database) bool {
 		return false
 	}
 	for i := range a.Rels {
-		if a.Rels[i].Card() != b.Rels[i].Card() {
+		if !sameTuples(a.Rels[i], b.Rels[i]) {
 			return false
 		}
-		for j := 0; j < a.Rels[i].Card(); j++ {
-			if !b.Rels[i].Has(a.Rels[i].TupleAt(j)) {
-				return false
-			}
-		}
-	}
-	if (a.Univ == nil) != (b.Univ == nil) {
-		return false
-	}
-	if a.Univ != nil && !sameTuples(a.Univ, b.Univ) {
-		return false
 	}
 	return true
 }
@@ -112,10 +101,10 @@ func snapshotRoundTrip(t testing.TB, db *relation.Database) *relation.Database {
 // well-formed database, so it survives being checkpointed into a fresh
 // directory and recovered.
 func FuzzCodec(f *testing.F) {
-	// GYOMAN02 bodies: a relation with dead rows in both chunks and the
-	// tail, a universal-relation database, multi-character attribute
-	// names, the empty database; and the GYOMAN01 body of the committed
-	// fixture.
+	// Bodies: a relation with dead rows in both chunks and the tail, a
+	// UR database, multi-character attribute names, the empty database;
+	// and the body of the committed fixture whose universal-relation
+	// flag is 1.
 	manDir, man2 := manifestWithDeadRows(f)
 	f.Add(man2)
 	f.Add(manifestBody(f, testDB(f, "ab, bc, cd", 20, 8, 1)))
@@ -123,19 +112,19 @@ func FuzzCodec(f *testing.F) {
 	f.Add(manifestBody(f, &relation.Database{D: schema.New(schema.NewUniverse())}))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
-	v1Dir := writeDir(f, dirFiles(f, filepath.Join("testdata", "man01")))
-	man1 := dirFiles(f, v1Dir)[manName(2)][20:]
-	f.Add(man1)
-	for dir, body := range map[string][]byte{manDir: man2, v1Dir: man1} {
-		st, err := decodeManifest(dir, body, dir == v1Dir)
+	univDir := writeDir(f, dirFiles(f, filepath.Join("testdata", "man02univ")))
+	manUniv := dirFiles(f, univDir)[manName(2)][manFrameLen:]
+	f.Add(manUniv)
+	for dir, body := range map[string][]byte{manDir: man2, univDir: manUniv} {
+		st, err := decodeManifest(dir, body)
 		if err != nil {
 			f.Fatalf("seed manifest does not decode: %v", err)
 		}
 		_ = st.f.Close()
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, dir := range []string{manDir, v1Dir} {
-			st, err := decodeManifest(dir, data, dir == v1Dir)
+		for _, dir := range []string{manDir, univDir} {
+			st, err := decodeManifest(dir, data)
 			if err != nil {
 				continue
 			}

@@ -19,7 +19,7 @@ package storage
 // describes the database by reference instead of by value: the
 // chunk-store generation, the universe name table (attribute names in
 // interning order, so attribute ids — and therefore arena column order
-// — survive a round trip), and per relation
+// — survive a round trip), the relation count, per relation
 //
 //	uvarint width, width × uvarint attribute id
 //	uvarint card                      live rows
@@ -39,9 +39,17 @@ package storage
 // writes O(dirty chunks + tails + dead rows) bytes: chunks already in
 // the store are referenced, not rewritten.
 //
+// The payload ends in a universal-relation flag byte, always written 0.
+// Builds up to f0b2cad wrote 1 there for a UR database, followed by one
+// more relation entry: the universal relation it was generated from. A
+// reader decodes that entry (its chunks verify like any other) and
+// drops it; the next checkpoint references only the relations, so its
+// chunks leave the live set.
+//
 // GYOMAN01 manifests, written before deletes left rows in place, are
-// the same layout without the rows field and the dead lists (rows =
-// card); they load unchanged.
+// refused with ErrLegacyFormat: commit f0b2cad is the last build that
+// reads one, and it rewrites the directory as GYOMAN02 at its next
+// checkpoint.
 //
 // Recovery reads the newest valid manifest, then reads every referenced
 // chunk record back out of the chunk store (validating id, length, and
@@ -66,7 +74,6 @@ import (
 
 var (
 	manMagic   = []byte("GYOMAN02")
-	manMagicV1 = []byte("GYOMAN01")
 	chunkMagic = []byte("GYOCHNK1")
 )
 
@@ -111,17 +118,13 @@ func (p planned) recLen() int64 {
 	return chunkRecHeaderLen + int64(len(p.block))*relation.ValueBytes
 }
 
-// planChunks walks the full chunks of db's relations (the universal
-// relation last) once, in manifest reference order, keeping the first
-// occurrence of each id. Nothing is copied.
+// planChunks walks the full chunks of db's relations once, in manifest
+// reference order, keeping the first occurrence of each id. Nothing is
+// copied.
 func planChunks(db *relation.Database) []planned {
-	rels := db.Rels
-	if db.Univ != nil {
-		rels = append(append([]*relation.Relation(nil), db.Rels...), db.Univ)
-	}
 	seen := make(map[uint64]bool)
 	var all []planned
-	for _, r := range rels {
+	for _, r := range db.Rels {
 		r.ForEachFullChunk(func(id uint64, block []relation.Value) bool {
 			if !seen[id] {
 				seen[id] = true
@@ -215,15 +218,7 @@ func appendManifest(dst []byte, db *relation.Database, gen uint64, refs func(id 
 			return nil, err
 		}
 	}
-	if db.Univ != nil {
-		dst = append(dst, 1)
-		if dst, err = appendManifestRelation(dst, db.Univ, refs); err != nil {
-			return nil, err
-		}
-	} else {
-		dst = append(dst, 0)
-	}
-	return dst, nil
+	return append(dst, 0), nil // no universal relation
 }
 
 func appendManifestRelation(dst []byte, r *relation.Relation, refs func(id uint64) (chunkRef, bool)) ([]byte, error) {
@@ -287,17 +282,16 @@ type manifestState struct {
 // owns it); on any error nothing is kept open and the caller should
 // fall back to an older candidate.
 func loadManifest(dir string, seq uint64) (manifestState, error) {
-	payload, v1, err := readManifestFile(filepath.Join(dir, manName(seq)), seq)
+	payload, err := readManifestFile(filepath.Join(dir, manName(seq)), seq)
 	if err != nil {
 		return manifestState{}, err
 	}
-	return decodeManifest(dir, payload, v1)
+	return decodeManifest(dir, payload)
 }
 
 // decodeManifest is loadManifest past the file frame: payload is a
-// manifest body (v1: in the GYOMAN01 layout) whose chunk store lives in
-// dir.
-func decodeManifest(dir string, payload []byte, v1 bool) (st manifestState, err error) {
+// manifest body whose chunk store lives in dir.
+func decodeManifest(dir string, payload []byte) (st manifestState, err error) {
 	r := &reader{buf: payload}
 	gen, err := r.uvarint("chunk-store generation")
 	if err != nil {
@@ -333,7 +327,7 @@ func decodeManifest(dir string, payload []byte, v1 bool) (st manifestState, err 
 		return manifestState{}, err
 	}
 	for i := 0; i < nRels; i++ {
-		rel, err := decodeManifestRelation(r, v1, u, nNames, cs, &st)
+		rel, err := decodeManifestRelation(r, u, nNames, cs, &st)
 		if err != nil {
 			return manifestState{}, fmt.Errorf("relation %d: %w", i, err)
 		}
@@ -346,12 +340,10 @@ func decodeManifest(dir string, payload []byte, v1 bool) (st manifestState, err 
 	}
 	switch hasUniv[0] {
 	case 0:
-	case 1:
-		univ, err := decodeManifestRelation(r, v1, u, nNames, cs, &st)
-		if err != nil {
+	case 1: // written up to f0b2cad: verified, then dropped
+		if _, err := decodeManifestRelation(r, u, nNames, cs, &st); err != nil {
 			return manifestState{}, fmt.Errorf("universal relation: %w", err)
 		}
-		st.db.Univ = univ
 	default:
 		return manifestState{}, corruptf("universal-relation flag %d", hasUniv[0])
 	}
@@ -365,12 +357,11 @@ func decodeManifest(dir string, payload []byte, v1 bool) (st manifestState, err 
 	return st, nil
 }
 
-// decodeManifestRelation rebuilds one relation from its manifest entry
-// (v1: the GYOMAN01 layout, no rows field and no dead lists), reading
-// each referenced chunk out of the chunk store at its recorded row
-// positions, dead rows included, and restoring its persisted id, then
-// appending the inline tail rows.
-func decodeManifestRelation(r *reader, v1 bool, u *schema.Universe, nNames int, cs *chunkReader, st *manifestState) (*relation.Relation, error) {
+// decodeManifestRelation rebuilds one relation from its manifest entry,
+// reading each referenced chunk out of the chunk store at its recorded
+// row positions, dead rows included, and restoring its persisted id,
+// then appending the inline tail rows.
+func decodeManifestRelation(r *reader, u *schema.Universe, nNames int, cs *chunkReader, st *manifestState) (*relation.Relation, error) {
 	ids, err := decodeAttrs(r, nNames)
 	if err != nil {
 		return nil, err
@@ -380,11 +371,9 @@ func decodeManifestRelation(r *reader, v1 bool, u *schema.Universe, nNames int, 
 	if err != nil {
 		return nil, err
 	}
-	rows := card
-	if !v1 {
-		if rows, err = r.uvarint("row count"); err != nil {
-			return nil, err
-		}
+	rows, err := r.uvarint("row count")
+	if err != nil {
+		return nil, err
 	}
 	if rows > maxManifestRows || card > rows || (width == 0 && rows > 1) {
 		return nil, corruptf("cardinality %d of %d rows (width %d)", card, rows, width)
@@ -418,9 +407,6 @@ func decodeManifestRelation(r *reader, v1 bool, u *schema.Universe, nNames int, 
 			return nil, corruptf("chunk ref id=%d len=%d (want len %d)", id, ln, wantLn)
 		}
 		refs[i] = idRef{id: id, ref: chunkRef{off: int64(off), ln: int64(ln)}}
-		if v1 {
-			continue
-		}
 		// A chunk has ChunkRows rows and every offset costs a byte, so
 		// both bound the list before it is allocated.
 		nDead, err := r.count("dead rows", min(relation.ChunkRows, r.remaining()))
@@ -501,24 +487,27 @@ func (o Options) writeManifestFile(path string, seq uint64, payload []byte) (ren
 	return o.writeFileAtomic(path, hdr[:], payload)
 }
 
-// readManifestFile returns the payload of the framed manifest at path
-// and whether it is in the GYOMAN01 layout.
-func readManifestFile(path string, wantSeq uint64) (payload []byte, v1 bool, err error) {
+// readManifestFile returns the payload of the framed manifest at path.
+// A GYOMAN01 manifest is an ErrLegacyFormat error.
+func readManifestFile(path string, wantSeq uint64) (payload []byte, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	v1 = bytes.HasPrefix(data, manMagicV1)
-	if len(data) < manFrameLen || !(v1 || bytes.HasPrefix(data, manMagic)) {
-		return nil, false, corruptf("manifest header")
+	if bytes.HasPrefix(data, []byte("GYOMAN01")) {
+		return nil, fmt.Errorf("%w: %s is a GYOMAN01 manifest, which this build does not read; commit f0b2cad is the last that does — open and checkpoint the directory once with that build to upgrade it in place",
+			ErrLegacyFormat, path)
+	}
+	if len(data) < manFrameLen || !bytes.HasPrefix(data, manMagic) {
+		return nil, corruptf("manifest header")
 	}
 	crc := readU32(data[8:])
 	rest := data[8+4:]
 	if crcOf(rest) != crc {
-		return nil, false, corruptf("manifest CRC mismatch")
+		return nil, corruptf("manifest CRC mismatch")
 	}
 	if seq := readU64(rest); seq != wantSeq {
-		return nil, false, corruptf("manifest sequence %d ≠ filename %d", seq, wantSeq)
+		return nil, corruptf("manifest sequence %d ≠ filename %d", seq, wantSeq)
 	}
-	return rest[8:], v1, nil
+	return rest[8:], nil
 }

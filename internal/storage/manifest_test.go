@@ -3,9 +3,9 @@ package storage
 // Tests for the incremental checkpoint format: chunk dedup across
 // checkpoints and restarts, compaction, crash recovery with torn
 // manifests and torn chunk stores (mirroring TestWALTornTail), the
-// refusal of pre-manifest full checkpoints, GYOMAN01 compatibility,
-// checkpoint-error hygiene, and the O(batch)-vs-O(card) I/O bound the
-// format exists for.
+// refusal of pre-manifest full checkpoints and GYOMAN01 manifests, the
+// universal relation older manifests carry, checkpoint-error hygiene,
+// and the O(batch)-vs-O(card) I/O bound the format exists for.
 
 import (
 	"bytes"
@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gyokit/internal/relation"
@@ -179,45 +180,6 @@ func TestIncrementalCheckpointRoundTrip(t *testing.T) {
 	defer s3.Close()
 	if !dbEqual(db2, s3.State()) {
 		t.Error("state after restart + incremental checkpoint differs")
-	}
-}
-
-// TestManifestUniversalRelation routes a database with a materialized
-// universal relation (larger than one chunk) through the manifest
-// format and back.
-func TestManifestUniversalRelation(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := testDB(t, "ab, bc, cd", 5000, 64, 3)
-	if db.Univ == nil || db.Univ.Card() <= relation.ChunkRows {
-		t.Fatalf("test universal relation too small (%v) to exercise chunk refs", db.Univ)
-	}
-	if err := s.Checkpoint(db); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	got := s2.State()
-	if !dbEqual(db, got) {
-		t.Fatal("recovered relations differ")
-	}
-	if got.Univ == nil || got.Univ.Card() != db.Univ.Card() {
-		t.Fatalf("recovered universal relation = %v, want card %d", got.Univ, db.Univ.Card())
-	}
-	for j := 0; j < db.Univ.Card(); j++ {
-		if !got.Univ.Has(db.Univ.TupleAt(j)) {
-			t.Fatalf("recovered universal relation lost tuple %d", j)
-		}
 	}
 }
 
@@ -611,69 +573,133 @@ func dirFilesWith(t testing.TB, dir, name string, data []byte) map[string][]byte
 	return files
 }
 
-// TestManifestV1Fixture: a store directory written by the commit before
-// deletes left rows in place — a GYOMAN01 manifest, its chunk store and
-// a WAL segment holding an insert and a delete batch (committed under
-// testdata/man01) — still opens to the exact relation, and its next
-// checkpoint upgrades it to GYOMAN02 reusing the chunk already on disk.
+// TestManifestV1Fixture: a GYOMAN01 manifest (testdata/man01: the
+// manifest, its chunk store and a WAL segment, written before deletes
+// left rows in place) is an encoding Open no longer reads. A directory
+// whose newest manifest is one is refused with ErrLegacyFormat — alone,
+// beside a genesis WAL segment, and newer than a GYOMAN02 manifest, since
+// replaying the WAL or loading the older manifest instead would drop its
+// state — and the refusal is inert: the directory is left byte-identical
+// and its lock released. A GYOMAN01 file that a newer GYOMAN02 manifest
+// supersedes is tidied away.
 func TestManifestV1Fixture(t *testing.T) {
-	files := dirFiles(t, filepath.Join("testdata", "man01"))
-	if !bytes.HasPrefix(files[manName(2)], []byte("GYOMAN01")) {
-		t.Fatalf("fixture manifest opens with %q", files[manName(2)][:8])
+	v1 := dirFiles(t, filepath.Join("testdata", "man01"))
+	man1 := v1[manName(2)]
+	if !bytes.HasPrefix(man1, []byte("GYOMAN01")) {
+		t.Fatalf("fixture manifest opens with %q", man1[:8])
 	}
+	// The fixture manifest re-framed as sequence 3, newer than manDir's.
+	man1At3 := append([]byte(nil), man1...)
+	putU64(man1At3[12:], 3)
+	putU32(man1At3[8:], crcOf(man1At3[12:]))
+	manDir, _ := manifestWithDeadRows(t) // holds manifest-…02
+	for name, files := range map[string]map[string][]byte{
+		"manifest only":            cloneFiles(v1),
+		"beside a genesis segment": dirFilesWith(t, filepath.Join("testdata", "man01"), segName(1), walMagic),
+		"newer than a GYOMAN02":    dirFilesWith(t, manDir, manName(3), man1At3),
+	} {
+		files["LOCK"] = []byte{}
+		dir := writeDir(t, files)
+		for attempt := 1; attempt <= 2; attempt++ {
+			s, err := Open(dir, Options{NoSync: true})
+			if !errors.Is(err, ErrLegacyFormat) || !strings.Contains(err.Error(), "f0b2cad") {
+				if s != nil {
+					s.Close()
+				}
+				t.Fatalf("%s, attempt %d: Open returned %v, want ErrLegacyFormat naming f0b2cad", name, attempt, err)
+			}
+		}
+		if !reflect.DeepEqual(dirFiles(t, dir), files) {
+			t.Errorf("%s: the refused Open changed the directory", name)
+		}
+	}
+
+	// manDir checkpointed once more publishes manifest-…03; the GYOMAN01
+	// manifest-…02 beside it is then superseded.
+	dir := writeDir(t, dirFiles(t, manDir))
+	s, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.State()
+	if err := s.Checkpoint(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manName(2)), man1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatalf("GYOMAN01 manifest older than a GYOMAN02: %v", err)
+	}
+	defer s.Close()
+	if !dbEqual(want, s.State()) {
+		t.Error("state differs from the GYOMAN02 manifest's")
+	}
+	if _, snaps, _ := listStoreFiles(t, dir); len(snaps) != 1 || snaps[0] != manName(3) {
+		t.Errorf("snapshot files after opening past a superseded GYOMAN01 manifest: %v", snaps)
+	}
+}
+
+// TestManifestUnivFixture: a GYOMAN02 directory written by f0b2cad for
+// testDB(t, "a", ChunkRows+50, 1<<20, 41) — a UR database whose manifest
+// also carries the universal relation I (flag 1), one full chunk each
+// (testdata/man02univ) — opens to the same relations. I's entry is
+// verified and dropped: the first checkpoint writes no chunk, writes
+// the fixture's manifest up to the flag and then 0, and leaves I's chunk
+// out of the chunk table and the live bytes.
+func TestManifestUnivFixture(t *testing.T) {
+	files := dirFiles(t, filepath.Join("testdata", "man02univ"))
 	dir := writeDir(t, files)
 	s, err := Open(dir, Options{NoSync: true})
 	if err != nil {
-		t.Fatalf("opening a GYOMAN01 store: %v", err)
+		t.Fatal(err)
 	}
-	if got := s.Stats().Replayed; got != 2 {
-		t.Errorf("replayed %d batches, want 2", got)
-	}
-	// What the fixture's writer applied: a, [0, ChunkRows+8) then
-	// [5000, 5004), less {3, 4, 5, ChunkRows+2, 5001}.
-	want := map[relation.Value]bool{}
-	for v := relation.Value(0); v < relation.ChunkRows+8; v++ {
-		want[v] = true
-	}
-	for v := relation.Value(5000); v < 5004; v++ {
-		want[v] = true
-	}
-	for _, v := range []relation.Value{3, 4, 5, relation.ChunkRows + 2, 5001} {
-		delete(want, v)
-	}
+	want := testDB(t, "a", relation.ChunkRows+50, 1<<20, 41)
 	db := s.State()
-	if len(db.Rels) != 1 || db.D.U.FormatSet(db.Rels[0].Attrs()) != "a" || db.Rels[0].Card() != len(want) {
-		t.Fatalf("recovered %d relations, first with %d tuples; want 1 with %d", len(db.Rels), db.Rels[0].Card(), len(want))
+	if !dbEqual(want, db) || db.Rels[0].FullChunks() != 1 {
+		t.Fatalf("fixture opened to %d relations, not testDB's", len(db.Rels))
 	}
-	for v := range want {
-		if !db.Rels[0].Has(relation.Tuple{v}) {
-			t.Fatalf("recovered relation lacks %d", v)
-		}
+	chunk := int64(chunkRecHeaderLen + relation.ChunkRows*relation.ValueBytes)
+	if len(s.chunkTable) != 2 || s.chunkLive != chunkStoreHeaderLen+2*chunk {
+		t.Fatalf("opened with %d chunks / %d live bytes; want the relation's and I's", len(s.chunkTable), s.chunkLive)
 	}
 
 	if err := s.Checkpoint(db); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.ChunksWritten != 0 || st.ChunksReused != 1 {
-		t.Errorf("upgrade checkpoint wrote %d / reused %d chunks, want 0 / 1", st.ChunksWritten, st.ChunksReused)
+		t.Errorf("checkpoint wrote %d / reused %d chunks, want 0 / 1", st.ChunksWritten, st.ChunksReused)
+	}
+	var relChunk uint64
+	db.Rels[0].ForEachFullChunk(func(id uint64, _ []relation.Value) bool { relChunk = id; return true })
+	if _, ok := s.chunkTable[relChunk]; !ok || len(s.chunkTable) != 1 || s.chunkLive != chunkStoreHeaderLen+chunk {
+		t.Errorf("after the checkpoint: %d chunks / %d live bytes; want only the relation's", len(s.chunkTable), s.chunkLive)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, snaps, _ := listStoreFiles(t, dir)
-	if len(snaps) != 1 {
-		t.Fatalf("snapshot files after the upgrade: %v", snaps)
-	}
-	if man, err := os.ReadFile(filepath.Join(dir, snaps[0])); err != nil || !bytes.HasPrefix(man, []byte("GYOMAN02")) {
-		t.Fatalf("upgraded manifest: %v, opens with %q", err, man[:min(8, len(man))])
-	}
-	s2, err := Open(dir, Options{NoSync: true})
+	old := files[manName(2)][manFrameLen:]
+	man, err := os.ReadFile(filepath.Join(dir, manName(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if !dbEqual(db, s2.State()) || s2.Stats().Replayed != 0 {
-		t.Error("state differs after the GYOMAN01 → GYOMAN02 upgrade")
+	body := man[manFrameLen:]
+	k := len(body) - 1
+	if k >= len(old) || !bytes.Equal(body[:k], old[:k]) || old[k] != 1 || body[k] != 0 {
+		t.Errorf("new manifest is not the fixture's up to the universal-relation flag, then 0")
+	}
+
+	s, err = Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if !dbEqual(want, s.State()) || s.Stats().Replayed != 0 {
+		t.Error("state differs after the checkpoint and a reopen")
 	}
 }
 

@@ -7,7 +7,8 @@
 // append-only chunk store (chunks-<gen>.gyo), at most one live
 // checkpoint manifest (manifest-<seq>.mf) — the only snapshot encoding:
 // a directory whose newest snapshot is a pre-manifest full checkpoint
-// (checkpoint-<seq>.ckpt) is refused with ErrLegacyFormat — and three
+// (checkpoint-<seq>.ckpt) or a GYOMAN01 manifest is refused with
+// ErrLegacyFormat — and three
 // small files: LOCK, store-id (the store's identity) and wal-trunc
 // (where the last checkpoint cut the WAL). A replica adds its sidecar,
 // repl-state.json. A segment, manifest or chunk generation the live
@@ -232,11 +233,12 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 }
 
 // ErrLegacyFormat is wrapped by Open when the directory's newest
-// snapshot is a pre-manifest full checkpoint (checkpoint-<seq>.ckpt),
-// which this build no longer decodes. Commit 0152974 is the last that
-// reads one, and rewrites the directory as manifest + chunk store at
-// its next checkpoint.
-var ErrLegacyFormat = errors.New("storage: pre-manifest checkpoint format")
+// snapshot is in an encoding this build no longer decodes: a
+// pre-manifest full checkpoint (checkpoint-<seq>.ckpt; commit 0152974
+// is the last that reads one) or a GYOMAN01 manifest (commit f0b2cad is
+// the last). Each of those builds rewrites the directory in the next
+// format at its next checkpoint.
+var ErrLegacyFormat = errors.New("storage: legacy snapshot format")
 
 // path returns the path of the store file of class c numbered seq.
 func (s *Store) path(c fileClass, seq uint64) string {
@@ -276,7 +278,10 @@ func Open(dir string, opt Options) (_ *Store, err error) {
 	}
 
 	// 1. Newest valid snapshot (manifest + chunk store).
-	db, startSeq, ckptLoaded := s.loadSnapshot(ls[classManifest])
+	db, startSeq, ckptLoaded, err := s.loadSnapshot(ls[classManifest])
+	if err != nil {
+		return nil, err
+	}
 	// A legacy full checkpoint that the loaded manifest does not
 	// supersede holds state this build cannot decode, and the WAL was
 	// truncated behind it: skipping it and replaying what is left would
@@ -368,10 +373,16 @@ func Open(dir string, opt Options) (_ *Store, err error) {
 // loadSnapshot loads the newest manifest that verifies, together with
 // its chunk store, trying manSeqs newest-first (a corrupt or unreadable
 // one falls back to an older one). It reports the manifest's sequence —
-// the first segment to replay; 1 when none loaded.
-func (s *Store) loadSnapshot(manSeqs []uint64) (db *relation.Database, startSeq uint64, ok bool) {
+// the first segment to replay; 1 when none loaded. A GYOMAN01 manifest
+// met before one loads is an ErrLegacyFormat error: it holds state this
+// build cannot decode, so neither an older manifest nor the WAL may
+// stand in for it.
+func (s *Store) loadSnapshot(manSeqs []uint64) (db *relation.Database, startSeq uint64, ok bool, err error) {
 	for i := len(manSeqs) - 1; i >= 0; i-- {
 		st, err := loadManifest(s.dir, manSeqs[i])
+		if errors.Is(err, ErrLegacyFormat) {
+			return nil, 1, false, err
+		}
 		if err != nil {
 			continue
 		}
@@ -379,9 +390,9 @@ func (s *Store) loadSnapshot(manSeqs []uint64) (db *relation.Database, startSeq 
 		s.chunkSize, s.chunkLive = st.size, st.live
 		s.chunkBytes = st.size
 		s.chunkTable = st.table
-		return st.db, manSeqs[i], true
+		return st.db, manSeqs[i], true, nil
 	}
-	return nil, 1, false
+	return nil, 1, false, nil
 }
 
 // replay applies segments seqs — which must run consecutively from
