@@ -62,6 +62,26 @@ func keyOn(r *relation.Relation, tp relation.Tuple, shared []schema.Attr) string
 	return k
 }
 
+// planShape plans the query (d, head) the way core.PlanQuery plans an
+// eval_read shape: Yannakakis rooted at AnswerRoot on a tree schema, the
+// cyclic strategy otherwise.
+func planShape(t *testing.T, d *schema.Schema, head string) *Program {
+	t.Helper()
+	x := schema.MustSet(d.U, head)
+	tr, tree := qualgraph.QualTree(d)
+	var p *Program
+	var err error
+	if tree {
+		p, err = YannakakisRooted(d, x, tr, AnswerRoot(d.Rels, tr, x))
+	} else {
+		p, err = CyclicPlan(d, x)
+	}
+	if err != nil {
+		t.Fatalf("%s x=%s: %v", d, head, err)
+	}
+	return p
+}
+
 // TestOperatorOutputsOnDanglingDatabase runs the program of every
 // eval_read shape (planned the way core.PlanQuery plans it) and the full
 // reducer of the 5-chain over a database of more than two chunks per
@@ -70,9 +90,22 @@ func keyOn(r *relation.Relation, tp relation.Tuple, shared []schema.Attr) string
 // into the join with ac, and no other join streamed. Walking the
 // statements unfused on one shared Exec, every semijoin output must be
 // exactly the rows of its left operand that have a partner — found by
-// nested maps, not by the engine — in the left operand's own order.
+// nested maps, not by the engine — in the left operand's own order. It
+// runs at three domains, which set the streamed joins' build sides
+// (relation's TestBitRowsAtTheProgramTestDomains pins them): over 6000
+// values the chained table; over 3000 values — 3000 keys of 47 words,
+// ≈ 15 words a row — the chained table for q5's projection and bit rows
+// for q7's and s8's filter; over 1000 values bit rows for both, which
+// then see the chunk-edge drops and the dead rows too.
 func TestOperatorOutputsOnDanglingDatabase(t *testing.T) {
-	const rows, domain = 2*relation.ChunkRows + 900, 3000
+	for _, domain := range []int{6000, 3000, 1000} {
+		danglingShapes(t, domain)
+	}
+}
+
+// danglingShapes is TestOperatorOutputsOnDanglingDatabase at one domain.
+func danglingShapes(t *testing.T, domain int) {
+	const rows = 2*relation.ChunkRows + 900
 	u := schema.NewUniverse()
 	chain4 := parse(t, u, "ab, bc, cd, de")
 	chain5 := parse(t, u, "ab, bc, cd, de, ef")
@@ -81,21 +114,7 @@ func TestOperatorOutputsOnDanglingDatabase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := func(d *schema.Schema, head string) *Program {
-		x := schema.MustSet(u, head)
-		tr, tree := qualgraph.QualTree(d)
-		var p *Program
-		var err error
-		if tree {
-			p, err = YannakakisRooted(d, x, tr, AnswerRoot(d.Rels, tr, x))
-		} else {
-			p, err = CyclicPlan(d, x)
-		}
-		if err != nil {
-			t.Fatalf("%s x=%s: %v", d, head, err)
-		}
-		return p
-	}
+	plan := func(d *schema.Schema, head string) *Program { return planShape(t, d, head) }
 	ex := relation.NewExec()
 	for i, tc := range []struct {
 		name    string
@@ -112,7 +131,7 @@ func TestOperatorOutputsOnDanglingDatabase(t *testing.T) {
 		{"s8_solve_ab", plan(parse(t, u, "ab, bc, cd, de, ac"), "ab"), []StmtKind{Join}},
 		{"fullreducer chain5", reducer, nil},
 	} {
-		name, p := tc.name, tc.p
+		name, p := fmt.Sprintf("domain %d: %s", domain, tc.name), tc.p
 		db := danglingDB(p.D, int64(i+1), rows, domain)
 		db.Freeze()
 		dead := 0

@@ -171,21 +171,24 @@ func TestLimitErrorLeavesExecReusable(t *testing.T) {
 			t.Errorf("relation %d changed under aborted runs", i)
 		}
 	}
-	t.Run("filter inside a group", filterStoppedInsideGroup)
+	// b's 3000 values spread 100 003 apart, past any bit rows: the chained
+	// table; b over [0, 3000): bit rows.
+	t.Run("filter inside a group", func(t *testing.T) { filterStoppedInsideGroup(t, 100003) })
+	t.Run("filter inside a group on bit rows", func(t *testing.T) { filterStoppedInsideGroup(t, 1) })
 }
 
 // filterStoppedInsideGroup is TestLimitErrorLeavesExecReusable's case
 // of a streamed filter stopped inside a g-group. The triangle's ∪GR bag is
 // ab ⋈ bc ⋉ ac, streamed into the filter; with a ∈ [0, 3), b ∈ [0, 3000)
-// and c ∈ [0, 2), bc (6000 rows) is built, ab (9000) probed, and the
-// filter's g = attrs(ac) ∩ attrs(ab) = a splits the probe side into three
-// groups of 6000 join rows. Gas at half a group stops the run inside the
-// first group walked; a deadline already past stops the filter itself at
-// its first look, budgetStride join rows in, inside a group too. After
-// each stop the same pooled Exec reruns the filter plan and a join→project
-// program, and both must match a fresh Exec's output, row for row, and
-// Stats.
-func filterStoppedInsideGroup(t *testing.T) {
+// times step and c ∈ [0, 2), bc (6000 rows) is built, ab (9000) probed,
+// and the filter's g = attrs(ac) ∩ attrs(ab) = a splits the probe side
+// into three groups of 6000 join rows. Gas at half a group stops the run
+// inside the first group walked; a deadline already past stops the filter
+// itself at its first look, budgetStride join rows in, inside a group too.
+// After each stop the same pooled Exec reruns the filter plan and a
+// join→project program, and both must match a fresh Exec's output, row
+// for row, and Stats.
+func filterStoppedInsideGroup(t *testing.T, step relation.Value) {
 	u := schema.NewUniverse()
 	d := parse(t, u, "ab, bc, ac")
 	db := &relation.Database{D: d}
@@ -196,12 +199,12 @@ func filterStoppedInsideGroup(t *testing.T) {
 	ab, bc, ac := db.Rels[0], db.Rels[1], db.Rels[2]
 	for a := range relation.Value(na) {
 		for b := range relation.Value(nb) {
-			ab.Insert(relation.Tuple{a, b})
+			ab.Insert(relation.Tuple{a, b * step})
 		}
 	}
 	for b := range relation.Value(nb) {
-		bc.Insert(relation.Tuple{b, 0})
-		bc.Insert(relation.Tuple{b, 1})
+		bc.Insert(relation.Tuple{b * step, 0})
+		bc.Insert(relation.Tuple{b * step, 1})
 	}
 	for _, t := range []relation.Tuple{{0, 0}, {0, 1}, {1, 0}, {2, 1}} {
 		ac.Insert(t)

@@ -34,6 +34,13 @@ func urdb(d *schema.Schema, seed int64, tuples, domain int) *relation.Database {
 // no early exit, no stats — so it shares nothing with the evaluation
 // loop but the statement list.
 func refEval(p *Program, db *relation.Database) *relation.Relation {
+	vals := refValues(p, db)
+	return vals[len(vals)-1]
+}
+
+// refValues is refEval keeping every value: the stored relations, then
+// each statement's output.
+func refValues(p *Program, db *relation.Database) []*relation.Relation {
 	vals := append([]*relation.Relation(nil), db.Rels...)
 	for _, s := range p.Stmts {
 		switch s.Kind {
@@ -45,7 +52,7 @@ func refEval(p *Program, db *relation.Database) *relation.Relation {
 			vals = append(vals, vals[s.Left].Project(s.Proj))
 		}
 	}
-	return vals[len(vals)-1]
+	return vals
 }
 
 // TestEvalDifferential checks Run against the reference evaluation on

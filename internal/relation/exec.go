@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"gyokit/internal/schema"
@@ -18,26 +19,32 @@ import (
 // plan, a full reducer) reuses one set of allocations instead of
 // rebuilding them per statement. Every table is a keyTable, keyed by
 // columns themselves (keyWord: 4 B per slot, 8 B per row, 4 B more per
-// row for a chained one). Join and Semijoin build their key sets in keys,
-// and Project deduplicates there, keyed by its output's rows. The one key
-// set that is not a keyTable is a Semijoin's on one column whose live
-// values in s lie in a short enough [lo, hi]: a bitmap over it (keyBits),
-// which denseSpan allows only when it has no more bytes than the slot
-// table it stands in for. A streamed join (JoinProject, JoinFilter) walks
-// its probe side one group at a time: aux chains it by g, the columns of
-// the sink's key the probe side holds. JoinFilter chains f by g too, by
-// looking each row of f up in aux: fhead names a group's newest filter
-// row, indexed by the group's first probe row, and fnext links each
-// filter row to the group's next (4 B per probe row and 4 B per filter
-// row). The build-side columns of the sink's key, h, go into local, one
-// group at a time — JoinProject's projections as it meets them,
-// JoinFilter's filter rows when the group starts — a table sized by the
-// largest group of one call rather than by |r ⋈ s|, its output or f, so
-// it stays in L1, and a counted join (JoinFirst, or a k below All) stores
-// k rows whatever it counts. Every operator emits an index-free output by
-// plain appends (the output's own set index is built only if something
-// later asks it for membership — see the package comment). The zero value
-// is ready to use; an Exec must not be used concurrently.
+// row for a chained one, 4 B more again for a counted Join's bucket
+// sizes). Join and Semijoin build their key sets in keys, and Project
+// deduplicates there, keyed by its output's rows. The one key set that is
+// not a keyTable is a Semijoin's on one column whose live values in s lie
+// in a short enough [lo, hi]: a bitmap over it (keyBits), which denseSpan
+// allows only when it has no more bytes than the slot table it stands in
+// for. A streamed join (JoinProject, JoinFilter) walks its probe side one
+// group at a time: aux chains it by g, the columns of the sink's key the
+// probe side holds. JoinFilter chains f by g too, by looking each row of
+// f up in aux: fhead names a group's newest filter row, indexed by the
+// group's first probe row, and fnext links each filter row to the group's
+// next (4 B per probe row and 4 B per filter row). The build-side columns
+// of the sink's key, h, go into local, one group at a time — JoinProject's
+// projections as it meets them, JoinFilter's filter rows when the group
+// starts — a table sized by the largest group of one call rather than by
+// |r ⋈ s|, its output or f, so it stays in L1, and a counted join
+// (JoinFirst, or a k below All) stores k rows whatever it counts. When the
+// join key is one column and h is one column, both dense (bitSpans), the
+// build side is bit rows instead of a chained table (bitRows): a row of
+// words per key, a bit per h value, in the words of keys and its counts
+// by key in keys' sizes — at most bitRowWords words per build row — and a
+// group's filter bits or projections are one such row in local's words.
+// Every operator emits an index-free output by plain appends (the
+// output's own set index is built only if something later asks it for
+// membership — see the package comment). The zero value is ready to use;
+// an Exec must not be used concurrently.
 type Exec struct {
 	keys  keyScratch // Join's and Semijoin's build side; Project's output keys
 	aux   keyScratch // a streamed join's probe side, chained by g
@@ -54,7 +61,8 @@ type Exec struct {
 type keyScratch struct {
 	slots []int32  // open addressing: row index + 1; 0 = empty
 	next  []int32  // same-key chain: next row index + 1; 0 = end
-	words []uint64 // key word of each row, by row index
+	sizes []int32  // a sized chain's row count, by its newest row; bit rows' count, by key
+	words []uint64 // key word of each row, by row index; bit rows' words
 	vals  []Value  // key columns of each row, by row index: a table with no rel
 }
 
@@ -192,6 +200,7 @@ func keyEqual(trow []Value, tPos []int, row []Value, pos []int) bool {
 type keyTable struct {
 	slots []int32
 	next  []int32
+	sizes []int32
 	words []uint64
 	vals  []Value
 	shift uint
@@ -223,13 +232,19 @@ func (ks *keyScratch) table(rel *Relation, pos []int, keys, rows int) keyTable {
 // buildKeys enters every live row of rel into a fresh keyTable over ks on
 // its columns pos. The first row of a key claims a slot. With chain,
 // later rows of the key are linked in front of it through next (newest
-// first) and the slot names the newest — Join's buckets, JoinProject's
-// groups; without, they are dropped — a key set.
-func (ks *keyScratch) buildKeys(rel *Relation, pos []int, chain bool) keyTable {
+// first) and the slot names the newest — Join's buckets, a streamed
+// join's probe groups; without, they are dropped — a key set. With sized
+// too, sizes holds each bucket's row count at its newest row, so a
+// counted join adds a bucket up without walking it.
+func (ks *keyScratch) buildKeys(rel *Relation, pos []int, chain, sized bool) keyTable {
 	t := ks.table(rel, pos, rel.Card(), rel.n)
 	if chain {
 		ks.next = scratch(ks.next, rel.n)
 		t.next = ks.next
+	}
+	if sized {
+		ks.sizes = scratch(ks.sizes, rel.n)
+		t.sizes = ks.sizes
 	}
 	w := rel.width
 	for c := range rel.chunks {
@@ -244,6 +259,12 @@ func (ks *keyScratch) buildKeys(rel *Relation, pos []int, chain bool) keyTable {
 			kw, j, head := t.probe(row, pos)
 			if chain {
 				t.next[i] = head
+			}
+			if sized {
+				t.sizes[i] = 1
+				if head != 0 {
+					t.sizes[i] += t.sizes[head-1]
+				}
 			}
 			if head == 0 || chain {
 				t.enter(i, kw, j)
@@ -475,12 +496,18 @@ func (e *Exec) JoinFilter(r, s, f *Relation, k int, b Budget) (out *Relation, ca
 // shared columns, probes it with every live row of the other, and hands
 // each row of r ⋈ s to the sink sk, whose output is over x. Join walks
 // the probe side chunk by chunk, in position order; the streamed sinks
-// walk it grouped by g, one g-chain at a time, starting a group-local
-// table for each. The probe loop is shared; the sink picks how a probe
-// row's bucket is walked, so Join's walk carries no test for the other
-// two. Every sink counts its output rows and stores the first keep of
-// them. It returns the output (nil when b stopped it), its row count and
-// how many join rows it walked.
+// walk it grouped by g, one g-chain at a time. The build side is a
+// chained keyTable — a streamed sink then starts a group-local table for
+// each group — or, for a streamed sink whose one key column and one h
+// column are dense, bit rows (bitRows): a probe row's partners are then
+// one row of words, ANDed with its group's filter bits or ORed into its
+// group's projections, and come in ascending h. The probe loop is shared;
+// the sink picks how a probe row's partners are walked, so Join's walk
+// carries no test for the others. Every sink counts its output rows and
+// stores the first keep of them; a counted Join walks a bucket only while
+// it stores rows and adds the rest of it from the bucket's size. It
+// returns the output (nil when b stopped it), its row count and how many
+// join rows it walked.
 func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep int, b Budget) (out *Relation, card, joined int) {
 	build, probe := r, s
 	if s.Card() < r.Card() {
@@ -539,18 +566,43 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 	obuf := scratch(e.obuf, out.width)
 	e.obuf = obuf
 
-	t := e.keys.buildKeys(build, bPos, true)
+	// The build side: bit rows when the sink allows them — one key column,
+	// one h column and, for a filter, no other build column, so that a bit
+	// is a build row — and bitSpans finds both dense enough; else a
+	// chained keyTable, sized when a counted Join adds buckets up instead
+	// of walking them.
+	var t keyTable
+	var br bitRows
+	bitPath := nk == 1 && nh == 1 && (sk == projectRows || sk == filterRows && build.width == 2)
+	if bitPath {
+		br, bitPath = e.bitRows(build, bPos[0], hPos[0], sk)
+	}
+	if !bitPath {
+		t = e.keys.buildKeys(build, bPos, true, sk == appendRows && keep < All)
+	}
 	next := t.next // bucket chains, newest build row first
 	// The probe side is walked in groups: for a streamed sink the rows of
-	// one g-chain (newest first), each group with a fresh group table; for
-	// Join one chunk in position order.
+	// one g-chain (newest first), each group with a fresh group table — or,
+	// on bit rows, a fresh row of bits, acc; for Join one chunk in
+	// position order.
 	groups := len(probe.chunks)
 	var gt keyTable
 	var dd groupDedup
+	var acc []uint64 // bit rows: the group's filter bits, or its projections so far
+	var fw []int32   // bit rows: the words a filter group set in acc, ascending
+	ho := 0          // bit rows: the output column of h
 	if sk != appendRows {
-		gt = e.aux.buildKeys(probe, gPos, true)
+		gt = e.aux.buildKeys(probe, gPos, true, false)
 		groups = len(gt.slots)
-		dd = e.local.groupDedup(len(h))
+		if bitPath {
+			e.local.words = scratch(e.local.words, br.w)
+			e.local.slots = scratch(e.local.slots, br.w)
+			acc, fw = e.local.words, e.local.slots[:0]
+			clear(acc)
+			ho = slices.Index(srcs, int32(^hPos[0]))
+		} else {
+			dd = e.local.groupDedup(len(h))
+		}
 	}
 	if sk == filterRows {
 		// f chained by g through the probe groups: each live row of f whose
@@ -575,31 +627,86 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 				continue
 			}
 			i = int(gt.slots[grp] - 1)
-			dd.start()
 			if sk == filterRows {
 				// The group's filter rows agree with it on g; their h
-				// columns are the rest of the key a join row must carry.
-				for fi := e.fhead[i]; fi != 0; fi = e.fnext[fi-1] {
-					dd.seen(f.row(int(fi-1)), fhPos)
+				// columns are the rest of the key a join row must carry —
+				// as bits, only those inside the build side's h window.
+				if bitPath {
+					flo, fhi := br.w, -1
+					for fi := e.fhead[i]; fi != 0; fi = e.fnext[fi-1] {
+						if u := uint64(int64(f.row(int(fi - 1))[fhPos[0]]) - br.hlo); u>>6 < uint64(br.w) {
+							acc[u>>6] |= 1 << (u & 63)
+							flo, fhi = min(flo, int(u>>6)), max(fhi, int(u>>6))
+						}
+					}
+					fw = fw[:0]
+					for wi := flo; wi <= fhi; wi++ {
+						if acc[wi] != 0 {
+							fw = append(fw, int32(wi))
+						}
+					}
+				} else {
+					dd.start()
+					for fi := e.fhead[i]; fi != 0; fi = e.fnext[fi-1] {
+						dd.seen(f.row(int(fi-1)), fhPos)
+					}
 				}
+			} else if !bitPath {
+				dd.start()
 			}
 		}
+		var gprow []Value // bit rows: a live probe row of the group
 		for i >= 0 {
 			ch := &probe.chunks[i>>chunkShift]
 			if k := i & chunkMask; ch.dead == nil || !ch.dead.has(k) {
 				prow := ch.data[k*w : k*w+w]
-				bi := t.lookup(prow, pPos)
-				switch sk {
-				case appendRows:
-					for ; bi != 0; bi = next[bi-1] {
-						if card++; card <= keep {
-							fillRow(obuf, srcs, prow, build.row(int(bi-1)))
-							out.appendRow(obuf)
+				switch {
+				case bitPath:
+					gprow = prow
+					d := uint64(int64(prow[pPos[0]]) - br.klo)
+					if d >= uint64(len(br.sizes)) {
+						break // no build row has this key
+					}
+					joined += int(br.sizes[d])
+					row := br.words[int(d)*br.w:][:br.w]
+					if sk == projectRows {
+						acc := acc[:len(row)]
+						for wi, bw := range row {
+							acc[wi] |= bw
+						}
+						break
+					}
+					if card < keep {
+						fillProbe(obuf, srcs, prow)
+					}
+					for _, wi := range fw {
+						m := row[wi] & acc[wi]
+						if card >= keep {
+							card += bits.OnesCount64(m)
+							continue
+						}
+						for ; m != 0; m &= m - 1 {
+							if card++; card <= keep {
+								obuf[ho] = br.h(int(wi), m)
+								out.appendRow(obuf)
+							}
 						}
 					}
+				case sk == appendRows:
+					bi := t.lookup(prow, pPos)
+					total := card
+					if keep < All && bi != 0 {
+						total += int(t.sizes[bi-1]) // the bucket's rows past keep are counted, not walked
+					}
+					for ; bi != 0 && card < keep; bi = next[bi-1] {
+						card++
+						fillRow(obuf, srcs, prow, build.row(int(bi-1)))
+						out.appendRow(obuf)
+					}
+					card = max(card, total)
 					joined = card // every join row is an output row
-				case filterRows:
-					for ; bi != 0; bi = next[bi-1] {
+				case sk == filterRows:
+					for bi := t.lookup(prow, pPos); bi != 0; bi = next[bi-1] {
 						joined++
 						brow := build.row(int(bi - 1))
 						if dd.lookup(brow, hPos) == 0 {
@@ -610,8 +717,8 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 							out.appendRow(obuf)
 						}
 					}
-				case projectRows:
-					for ; bi != 0; bi = next[bi-1] {
+				case sk == projectRows:
+					for bi := t.lookup(prow, pPos); bi != 0; bi = next[bi-1] {
 						joined++
 						brow := build.row(int(bi - 1))
 						if dd.seen(brow, hPos) {
@@ -636,8 +743,145 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 				i = -1
 			}
 		}
+		if bitPath {
+			// A filter group's bits, or a projecting group's projections,
+			// emitted in ascending h; either way acc is left empty.
+			if sk == filterRows {
+				for _, wi := range fw {
+					acc[wi] = 0
+				}
+				continue
+			}
+			if card < keep {
+				fillProbe(obuf, srcs, gprow)
+			}
+			for wi, m := range acc {
+				if m == 0 {
+					continue
+				}
+				acc[wi] = 0
+				if card >= keep {
+					card += bits.OnesCount64(m)
+					continue
+				}
+				for ; m != 0; m &= m - 1 {
+					if card++; card <= keep {
+						obuf[ho] = br.h(wi, m)
+						out.appendRow(obuf)
+					}
+				}
+			}
+		}
 	}
 	return out, card, joined
+}
+
+// bitRowWords bounds a streamed join's bit rows, by sink: they may hold
+// at most bitRowWords[sk] words per live build row — per key, a row of at
+// most that many words per partner the key has on average. It is the
+// memory bound too: 64 B per build row for JoinProject and 160 B for
+// JoinFilter, against the ≈ 25 B of the chained table they stand in for.
+// The figures are the crossovers of BenchmarkJoinDensity (counted, k =
+// 10, 20k build rows over 2000 keys, h's domain from 2000 to 128 000; a
+// 2-core Xeon at -cpu 1, bits ÷ chained, medians of 5 runs, two or three
+// sweeps): JoinProject ORs a key's whole row into its group's — 0.44–0.47
+// at 3.2 words a row, 0.63–0.64 at 6.3, 0.99 at 8.0, 0.79–1.07 at 8.9,
+// 1.29–1.53 at 12.5; JoinFilter reads only the words its group's filter
+// rows set — 0.39–0.58 at 3.2, 0.72–0.94 at 12.5, 0.83–0.96 at 17.7, 1.07
+// at 20, 0.90–1.30 at 25, 1.06–1.69 at 35. D20k's triangle is 3.2 words a
+// row. It is a variable so that the sweep can force either path; nothing
+// else sets it.
+var bitRowWords = [...]int{projectRows: 8, filterRows: 20}
+
+// bitRows is a streamed join's build side on one dense key column and one
+// dense h column: row v − klo of words, w words long, has bit u − hlo set
+// for every live build row whose key is v and whose h is u, and sizes
+// counts the live build rows of each key — the join rows one probe row
+// with that key makes. The rows live in the words, and the counts in the
+// sizes, of the keys scratch: the chained table they stand in for is not
+// built.
+type bitRows struct {
+	words    []uint64
+	sizes    []int32
+	klo, hlo int64
+	w        int
+}
+
+// bitSpans scans the live rows of rel for the least values and the spans
+// hi − lo + 1 of its columns kp and hp, in int64, and reports whether bit
+// rows over them fit: one row of ⌈hspan/64⌉ words per key of the span,
+// at most perRow words per live row in all. The scan stops at the first
+// live row that breaks the bound, so a sparse column costs a few rows,
+// not a pass. A rel with no live row has no bit rows.
+func bitSpans(rel *Relation, kp, hp, perRow int) (klo, kspan, hlo, hspan int64, ok bool) {
+	if rel.Card() == 0 {
+		return 0, 0, 0, 0, false
+	}
+	budget := int64(perRow) * int64(rel.Card())
+	klo, khi := int64(math.MaxInt64), int64(math.MinInt64)
+	hlo, hhi := klo, khi
+	w := rel.width
+	for c := range rel.chunks {
+		data, dead := rel.chunks[c].data, rel.chunks[c].dead
+		for k := range rel.chunkRows(c) {
+			if dead != nil && dead.has(k) {
+				continue
+			}
+			kv, hv := int64(data[k*w+kp]), int64(data[k*w+hp])
+			if kv < klo || kv > khi || hv < hlo || hv > hhi {
+				klo, khi = min(klo, kv), max(khi, kv)
+				hlo, hhi = min(hlo, hv), max(hhi, hv)
+				if (khi-klo+1)*((hhi-hlo+64)>>6) > budget {
+					return 0, 0, 0, 0, false
+				}
+			}
+		}
+	}
+	return klo, khi - klo + 1, hlo, hhi - hlo + 1, true
+}
+
+// bitRows builds rel's bit rows on its key column kp and h column hp in
+// e's keys scratch for the sink sk, when bitSpans allows them at
+// bitRowWords[sk] words per row; otherwise false.
+func (e *Exec) bitRows(rel *Relation, kp, hp int, sk sink) (bitRows, bool) {
+	klo, kspan, hlo, hspan, ok := bitSpans(rel, kp, hp, bitRowWords[sk])
+	if !ok {
+		return bitRows{}, false
+	}
+	br := bitRows{klo: klo, hlo: hlo, w: int((hspan + 63) >> 6)}
+	e.keys.words = scratch(e.keys.words, int(kspan)*br.w)
+	e.keys.sizes = scratch(e.keys.sizes, int(kspan))
+	br.words, br.sizes = e.keys.words, e.keys.sizes
+	clear(br.words)
+	clear(br.sizes)
+	w := rel.width
+	for c := range rel.chunks {
+		data, dead := rel.chunks[c].data, rel.chunks[c].dead
+		for k := range rel.chunkRows(c) {
+			if dead != nil && dead.has(k) {
+				continue
+			}
+			d, u := int64(data[k*w+kp])-klo, uint64(int64(data[k*w+hp])-hlo)
+			br.words[int(d)*br.w+int(u>>6)] |= 1 << (u & 63)
+			br.sizes[d]++
+		}
+	}
+	return br, true
+}
+
+// h returns the h value of the lowest set bit of m, word wi of a bit row.
+func (br bitRows) h(wi int, m uint64) Value {
+	return Value(br.hlo + int64(wi<<6+bits.TrailingZeros64(m)))
+}
+
+// fillProbe writes the columns of a join row that come from probe row
+// prow into buf: on bit rows every other column is h.
+func fillProbe(buf []Value, srcs []int32, prow []Value) {
+	for o, sc := range srcs {
+		if sc >= 0 {
+			buf[o] = prow[sc]
+		}
+	}
 }
 
 // fillRow writes the join row of probe row prow and build row brow into
@@ -684,7 +928,7 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		p = rPos[0]
 	}
 	if !dense {
-		t = e.keys.buildKeys(s, sPos, false)
+		t = e.keys.buildKeys(s, sPos, false, false)
 	}
 	out := New(r.U, r.attrs)
 	out.reserved = r.Card() // upper bound

@@ -3,6 +3,7 @@ package relation
 import (
 	"math"
 	"math/bits"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -27,7 +28,11 @@ import (
 // f, so with g = ∅ it grows to f and no further. It
 // sums cap × element size over every slice field by reflection, struct
 // fields included, so scratch added later — a fourth table, a word per
-// slot — is counted without being listed here.
+// slot — is counted without being listed here. A counted Join keeps 4 B
+// more per build row, its bucket sizes; a streamed join on bit rows keeps
+// them in its key table's words — at most bitRowWords words per build
+// row, a filter's being the most, so their term is what passes the
+// table's own 8 B per row — and their counts by key in those sizes.
 func TestExecScratchBudget(t *testing.T) {
 	const n = 50000
 	u := schema.NewUniverse()
@@ -116,10 +121,11 @@ func TestExecScratchBudget(t *testing.T) {
 		t.Fatalf("the group table holds %d words after a group of %d keys, want %d", len(ex.local.words), n, grown)
 	}
 	local = 4*tableSize(grown) + 8*grown
-	budget = 2*chained + filterChains + local + bitmap + perColumn
+	const sized = 4 * n // a counted Join's bucket sizes, by build row
+	budget = 2*chained + filterChains + local + bitmap + sized + perColumn
 	if retained(t, ex) > budget {
-		t.Fatalf("Exec retains %d B after a counted join→project whose group has %d keys, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + %d)",
-			retained(t, ex), n, budget, tableSize(n), n, n, local, bitmap, perColumn)
+		t.Fatalf("Exec retains %d B after a counted join→project whose group has %d keys, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + 4 B × %d sizes + %d)",
+			retained(t, ex), n, budget, tableSize(n), n, n, local, bitmap, n, perColumn)
 	}
 
 	// A filter by π_a(r) shares no column with the probe side, bc: g = ∅,
@@ -134,10 +140,38 @@ func TestExecScratchBudget(t *testing.T) {
 		t.Fatalf("the group table of a g = ∅ filter by %d rows has %d slots and %d words, want ≤ %d each", fa.Card(), len(ex.local.slots), len(ex.local.words), size)
 	}
 	local = 4*tableSize(fa.Card()) + 8*tableSize(fa.Card())
-	budget = 2*chained + filterChains + local + bitmap + perColumn
+	budget = 2*chained + filterChains + local + bitmap + sized + perColumn
 	if retained(t, ex) > budget {
-		t.Fatalf("Exec retains %d B after a counted g = ∅ join→filter by %d rows, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + %d)",
-			retained(t, ex), fa.Card(), budget, tableSize(n), n, n, local, bitmap, perColumn)
+		t.Fatalf("Exec retains %d B after a counted g = ∅ join→filter by %d rows, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + 4 B × %d sizes + %d)",
+			retained(t, ex), fa.Card(), budget, tableSize(n), n, n, local, bitmap, n, perColumn)
+	}
+
+	// The widest bit rows, JoinFilter's at its bound: n build rows over
+	// 5000 keys b and h values a spanning 640 · c (c = bitRowWords of a
+	// filter), so each key's row is 10 · c words, c words per build row in
+	// all. They live in the words of the build table they stand in for,
+	// and their counts by key in its sizes; a group's filter bits, and the
+	// words they set, in the group table's words and slots.
+	c := bitRowWords[filterRows]
+	hdom := 640 * c
+	wb := New(u, u.Set("a", "b"))
+	for i := 0; i < n; i++ {
+		wb.Insert(Tuple{Value(i % hdom), Value(i % 5000)})
+	}
+	f := New(u, ac)
+	for i := 0; i < 5000; i++ {
+		f.Insert(Tuple{Value(i % hdom), Value(i)})
+	}
+	if kept, card, rows := ex.JoinFilter(wb, s, f, k, Budget{}); card == 0 || rows != joined || kept.Card() != k {
+		t.Fatalf("counted join→filter on bit rows: %d of %d rows kept from %d joined; want %d from %d", kept.Card(), card, rows, k, joined)
+	}
+	if words := c * n; cap(ex.keys.words) != words {
+		t.Fatalf("bit rows at the bound over %d build rows hold %d words, want %d", n, cap(ex.keys.words), words)
+	}
+	bitRows := 8 * (c - 1) * n // the words past the build table's own
+	if budget += bitRows; retained(t, ex) > budget {
+		t.Fatalf("Exec retains %d B after a join→filter on bit rows at the bound, budget %d B (the budget above + 8 B × %d words × %d build rows past the key table's 8 B per row)",
+			retained(t, ex), budget, c, n)
 	}
 }
 
@@ -225,6 +259,33 @@ func TestSemijoinKeyBitmapBoundaries(t *testing.T) {
 			}
 			checkSharesPrefix(t, r, ex.Semijoin(r, s), first)
 		})
+	}
+}
+
+// TestBitRowsAtTheProgramTestDomains pins the paths the program package's
+// tests on dangling databases (TestOperatorOutputsOnDanglingDatabase,
+// TestReadsUnderAWriteStream) say their streamed joins take: a random
+// build side of rows rows over [0, domain)² is bit rows for JoinProject
+// and for JoinFilter exactly as listed.
+func TestBitRowsAtTheProgramTestDomains(t *testing.T) {
+	u := schema.NewUniverse()
+	for _, tc := range []struct {
+		rows, domain    int
+		project, filter bool
+	}{
+		{2*ChunkRows + 900, 1000, true, true},   // ≈ 1.8 words a row
+		{2*ChunkRows + 900, 3000, false, true},  // ≈ 15.5
+		{2*ChunkRows + 900, 6000, false, false}, // ≈ 62
+		{12000, 1000, true, true},
+		{12000, 6000, false, false}, // ≈ 47
+	} {
+		r, _ := RandomUniversal(u, u.Set("a", "b"), tc.rows, tc.domain, rand.New(rand.NewSource(1)))
+		_, _, _, _, project := bitSpans(r, 0, 1, bitRowWords[projectRows])
+		_, _, _, _, filter := bitSpans(r, 0, 1, bitRowWords[filterRows])
+		if project != tc.project || filter != tc.filter {
+			t.Errorf("%d rows over %d values: bit rows for JoinProject %v, JoinFilter %v; want %v, %v",
+				tc.rows, tc.domain, project, filter, tc.project, tc.filter)
+		}
 	}
 }
 
@@ -329,7 +390,7 @@ func TestFoldedKeyIsVerified(t *testing.T) {
 	s.Insert(Tuple{1, 2, 3})
 	pos := []int{0, 1, 2}
 	stranger := Tuple{4, 5, 6}
-	kt := new(keyScratch).buildKeys(s, pos, false)
+	kt := new(keyScratch).buildKeys(s, pos, false, false)
 	if kt.exact || kt.lookup(Tuple{1, 2, 3}, pos) != 1 || kt.lookup(stranger, pos) != 0 {
 		t.Fatalf("before the forgery: exact %v, own key → %d, other key → %d",
 			kt.exact, kt.lookup(Tuple{1, 2, 3}, pos), kt.lookup(stranger, pos))

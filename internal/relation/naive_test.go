@@ -7,6 +7,7 @@ package relation
 // set-equal to the reference.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -680,9 +681,12 @@ type fuzzOperands struct {
 // group can outgrow JoinProject's first table; when r is dense and shares
 // no attribute with s, a dense s has 64 rows, so their keyless product
 // stays at 64k rows, which the reference checks in well under a second,
-// not a million. A row of f starts with a
-// selector byte: even picks row selector/2 of r ⋈ s (modulo its size) and
-// projects it onto f, so the filter hits; odd is followed by the row.
+// not a million. A count byte of 0xfe makes it literal: the row count is
+// the next byte (modulo 41 again), and after the mask every value is four
+// bytes, little-endian (literalRel) — any int32, so a seed can put spans
+// where it likes. A row of f starts with a selector byte: even picks row
+// selector/2 of r ⋈ s (modulo its size) and projects it onto f, so the
+// filter hits; odd is followed by the row.
 func decodeOperands(raw []byte) fuzzOperands {
 	next := func() byte {
 		if len(raw) == 0 {
@@ -706,10 +710,13 @@ func decodeOperands(raw []byte) fuzzOperands {
 	decode := func(attrs schema.AttrSet, denseRows int, join []Tuple, joinCols []schema.Attr) *Relation {
 		r := New(u, attrs)
 		n := int(next())
-		dense := n == 0xff
-		if dense {
+		dense, literal := n == 0xff, n == 0xfe
+		switch {
+		case dense:
 			n = denseRows
-		} else {
+		case literal:
+			n = int(next()) % 41
+		default:
 			n %= 41
 		}
 		dead := uint16(next()) | uint16(next())<<8
@@ -719,6 +726,10 @@ func decodeOperands(raw []byte) fuzzOperands {
 			case dense:
 				for j := range row {
 					row[j] = Value(i >> j)
+				}
+			case literal:
+				for j := range row {
+					row[j] = Value(uint32(next()) | uint32(next())<<8 | uint32(next())<<16 | uint32(next())<<24)
 				}
 			case joinCols != nil && func() bool { sel = next(); return sel%2 == 0 && len(join) > 0 }():
 				from := join[int(sel/2)%len(join)]
@@ -761,9 +772,10 @@ func decodeOperands(raw []byte) fuzzOperands {
 // sinks and of Semijoin's key set; TestStreamSeedsCoverTheirCases checks
 // each hits its case.
 var streamSeeds = map[string][]byte{
-	// r = ab and s = bc dense, x = a: with r built, g = x ∩ attrs(s) = ∅,
-	// so one group projects 1024 rows and the local table grows.
-	"g=∅": {0b00011, 0b00110, 0, 0xff, 0, 0, 0xff, 0, 0, 0b00101, 0b00001, 4, 0, 0, 0, 2, 4, 6},
+	// r = abc and s = bc dense, x = a: with r built on the two-column key
+	// bc, g = x ∩ attrs(s) = ∅, so one group projects 1024 rows and the
+	// local table grows.
+	"g=∅": {0b00111, 0b00110, 0, 0xff, 0, 0, 0xff, 0, 0, 0b00101, 0b00001, 4, 0, 0, 0, 2, 4, 6},
 	// r = abc built, s = cd probed, x = bcd ⊇ attrs(s); r's rows agree on
 	// b and c in pairs, so groups see duplicates.
 	"x⊇probe": {0b00111, 0b01100, 0b00001, 4, 0, 0, 2, 2, 2, 3, 2, 2, 5, 3, 3, 6, 3, 5,
@@ -796,10 +808,10 @@ var streamSeeds = map[string][]byte{
 		}
 		return b
 	}(),
-	// r = ab and s = bc dense, f = a dense: with r built, JoinFilter's
-	// g = attrs(f) ∩ attrs(s) = ∅, so one group's table holds all 1024
-	// rows of f; flipped, s is built and h = attrs(f) \ attrs(r) = ∅.
-	"filter g=∅": {0b00011, 0b00110, 0, 0xff, 0, 0, 0xff, 0, 0, 0b00001, 0b00001, 0xff, 0, 0},
+	// r = abc and s = bc dense, f = a dense: with r built on bc,
+	// JoinFilter's g = attrs(f) ∩ attrs(s) = ∅, so one group's table holds
+	// all 1024 rows of f; flipped, s is built and h = attrs(f) \ attrs(r) = ∅.
+	"filter g=∅": {0b00111, 0b00110, 0, 0xff, 0, 0, 0xff, 0, 0, 0b00001, 0b00001, 0xff, 0, 0},
 	// r = ab built, s = bc probed, f = bc ⊆ attrs(s): h = ∅, so a group
 	// keeps every join row or none.
 	"filter h=∅": {0b00011, 0b00110, 0, 3, 0, 0, 2, 3, 3, 3, 5, 2,
@@ -848,6 +860,157 @@ var streamSeeds = map[string][]byte{
 		0b00011, 0b00101, 2, 0, 0, 0, 2},
 }
 
+// literalRel encodes a relation in decodeOperands' literal form: 0xfe,
+// the row count, the dead-row mask and every value as four bytes.
+func literalRel(dead uint16, rows ...Tuple) []byte {
+	b := []byte{0xfe, byte(len(rows)), byte(dead), byte(dead >> 8)}
+	for _, row := range rows {
+		for _, v := range row {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+	}
+	return b
+}
+
+// bitSeed encodes a FuzzOperators input of literal relations: r = ab, s
+// over the mask sa (bc, or bcd), f = x = ac and px = a. s has fewer rows
+// than r, so it is built on b, and both streamed sinks have g = a and
+// h = c.
+func bitSeed(sa byte, r, s, f []byte) []byte {
+	b := append([]byte{0b00011, sa, 0b00001}, r...)
+	b = append(b, s...)
+	b = append(b, 0b00101, 0b00101)
+	return append(b, f...)
+}
+
+// boundSeed is a bitSeed whose four-row s has two keys, klo and klo + 1,
+// and h values from hlo to hlo + span − 1: at span = 128 · c its bit rows
+// are 2 rows of 2 · c words, exactly c words per build row; one more value
+// is one word per key past it.
+func boundSeed(klo, hlo Value, span int) []byte {
+	hhi := Value(int64(hlo) + int64(span) - 1)
+	mid := Value(int64(hlo) + int64(span)/2)
+	return bitSeed(0b00110,
+		literalRel(0, Tuple{0, klo}, Tuple{1, klo}, Tuple{0, klo + 1}, Tuple{2, klo + 1}, Tuple{0, 0}, Tuple{1, math.MaxInt32}),
+		literalRel(0, Tuple{klo, hlo}, Tuple{klo + 1, hhi}, Tuple{klo, mid}, Tuple{klo + 1, hlo}),
+		literalRel(0, Tuple{0, hlo}, Tuple{0, hhi}, Tuple{1, hlo}, Tuple{2, hhi}, Tuple{0, 0}, Tuple{1, mid}))
+}
+
+// bitSeeds are the stream seeds of the streamed sinks' bit rows (bitRows);
+// streamSeeds holds them with the rest.
+var bitSeeds = map[string][]byte{
+	// Dead rows in the build side (its one dead row, (9, 100), alone lies
+	// outside the live spans, and r probes key 9), the probe side and f.
+	"bits dead": bitSeed(0b00110,
+		literalRel(0x0081, Tuple{0, 0}, Tuple{0, 1}, Tuple{0, 2}, Tuple{0, 9}, Tuple{1, 0}, Tuple{1, 1},
+			Tuple{1, 2}, Tuple{1, 9}, Tuple{2, 0}, Tuple{2, 1}, Tuple{2, 2}, Tuple{2, 9}),
+		literalRel(0x0080, Tuple{0, 1}, Tuple{0, 3}, Tuple{1, 2}, Tuple{1, 5}, Tuple{2, 0}, Tuple{2, 4}, Tuple{3, 1}, Tuple{9, 100}),
+		literalRel(0x0001, Tuple{0, 1}, Tuple{0, 2}, Tuple{1, 3}, Tuple{1, 5}, Tuple{2, 0}, Tuple{2, 4}, Tuple{0, 5}, Tuple{1, 1})),
+	// s's h spans [10, 20], one word; f's h values also fall below it, in
+	// its word past 20, at the word's last bit, one word past it and at the
+	// ends of int32.
+	"bits f outside the window": bitSeed(0b00110,
+		literalRel(0, Tuple{0, 0}, Tuple{0, 1}, Tuple{0, 2}, Tuple{0, 3}, Tuple{1, 0}, Tuple{1, 1}, Tuple{1, 2}, Tuple{1, 3}),
+		literalRel(0, Tuple{0, 10}, Tuple{0, 12}, Tuple{1, 20}, Tuple{2, 15}, Tuple{3, 11}),
+		literalRel(0, Tuple{0, 10}, Tuple{1, 20}, Tuple{0, 9}, Tuple{1, 21}, Tuple{0, 73}, Tuple{1, 74},
+			Tuple{0, -5}, Tuple{1, math.MinInt32}, Tuple{0, math.MaxInt32}, Tuple{1, 12})),
+	// Keys at MinInt32 and h values around 0, at JoinProject's bound and
+	// one past it; then keys and h values ending at MaxInt32, at
+	// JoinFilter's bound and one past it.
+	"bits at the projection's bound, MinInt32": boundSeed(math.MinInt32, Value(-64*bitRowWords[projectRows]),
+		128*bitRowWords[projectRows]),
+	"bits one past the projection's bound, MinInt32": boundSeed(math.MinInt32, Value(-64*bitRowWords[projectRows]),
+		128*bitRowWords[projectRows]+1),
+	"bits at the filter's bound, MaxInt32": boundSeed(math.MaxInt32-1, Value(math.MaxInt32-128*bitRowWords[filterRows]+1),
+		128*bitRowWords[filterRows]),
+	"bits one past the filter's bound, MaxInt32": boundSeed(math.MaxInt32-1, Value(math.MaxInt32-128*bitRowWords[filterRows]),
+		128*bitRowWords[filterRows]+1),
+	// s's keys are 0, 5 and 9; r probes every key from 0 to 9.
+	"bits key gaps": bitSeed(0b00110,
+		func() []byte {
+			var rows []Tuple
+			for a := range Value(2) {
+				for b := range Value(10) {
+					rows = append(rows, Tuple{a, b})
+				}
+			}
+			return literalRel(0, rows...)
+		}(),
+		literalRel(0, Tuple{0, 0}, Tuple{0, 3}, Tuple{5, 1}, Tuple{5, 2}, Tuple{9, 4}),
+		literalRel(0, Tuple{0, 0}, Tuple{0, 1}, Tuple{1, 2}, Tuple{1, 4}, Tuple{0, 4}, Tuple{1, 3})),
+	// Keys 0 and 1 each have ten partners in one word, all kept by f: a
+	// counted sink's k = 3 ends inside a word.
+	"bits k mid-word": func() []byte {
+		var r, s, f []Tuple
+		for a := range Value(11) {
+			r = append(r, Tuple{a, 0}, Tuple{a, 1})
+		}
+		for c := range Value(10) {
+			s = append(s, Tuple{0, c}, Tuple{1, c + 3})
+		}
+		for a := range Value(3) {
+			for c := range Value(13) {
+				f = append(f, Tuple{a, c})
+			}
+		}
+		return bitSeed(0b00110, literalRel(0, r...), literalRel(0, s...), literalRel(0, f...))
+	}(),
+	// s = bcd: JoinProject's bit rows count its rows per key, several to a
+	// bit; JoinFilter, whose bit must be a build row, takes the chained
+	// table.
+	"build wider than key + h": bitSeed(0b01110,
+		literalRel(0, Tuple{0, 0}, Tuple{0, 1}, Tuple{0, 2}, Tuple{1, 0}, Tuple{1, 1}, Tuple{1, 2}, Tuple{2, 0}, Tuple{2, 1}, Tuple{2, 2}),
+		literalRel(0, Tuple{0, 0, 0}, Tuple{0, 0, 1}, Tuple{0, 2, 0}, Tuple{1, 1, 0}, Tuple{1, 3, 1}, Tuple{1, 3, 2}, Tuple{2, 0, 5}),
+		literalRel(0, Tuple{0, 0}, Tuple{1, 3}, Tuple{2, 2}, Tuple{0, 1}, Tuple{2, 0})),
+}
+
+func init() {
+	for name, seed := range bitSeeds {
+		streamSeeds[name] = seed
+	}
+}
+
+// seedPaths says, for every stream seed, whether JoinProject and
+// JoinFilter take bit rows on it (TestStreamSeedsCoverTheirCases).
+var seedPaths = map[string]struct{ project, filter bool }{
+	"g=∅":                {false, false}, // a two-column key
+	"x⊇probe":            {true, false},  // the filter's h is two columns
+	"inexact":            {false, false}, // h is three columns
+	"dense product":      {false, false}, // no key column
+	"zero-width":         {false, false},
+	"dead":               {false, false}, // edgeValues span int32
+	"filter g=∅":         {false, false}, // a two-column key
+	"filter h=∅":         {true, false},  // the filter has no h column
+	"filter inexact":     {false, false},
+	"filter dead":        {false, false},
+	"filter empty group": {true, true},
+	"semijoin dense":     {true, false},
+	"semijoin sparse":    {false, false},
+
+	"bits dead":                                      {true, true},
+	"bits f outside the window":                      {true, true},
+	"bits at the projection's bound, MinInt32":       {true, true},
+	"bits one past the projection's bound, MinInt32": {false, true},
+	"bits at the filter's bound, MaxInt32":           {false, true},
+	"bits one past the filter's bound, MaxInt32":     {false, false},
+	"bits key gaps":                                  {true, true},
+	"bits k mid-word":                                {true, true},
+	"build wider than key + h":                       {true, false},
+}
+
+// takesBitRows reports whether a streamed sink over op — JoinFilter by f
+// when filter, else JoinProject onto x — holds its build side as bit
+// rows: a fresh Exec then builds no keyTable in its keys scratch.
+func takesBitRows(op fuzzOperands, filter bool) bool {
+	ex := NewExec()
+	if filter {
+		ex.JoinFilter(op.r, op.s, op.f, All, Budget{})
+	} else {
+		ex.JoinProject(op.r, op.s, op.x, All, Budget{})
+	}
+	return ex.keys.slots == nil
+}
+
 // TestStreamSeedsCoverTheirCases decodes each stream seed and checks it
 // reaches the case it is named for, so an edit to the decoder cannot
 // quietly turn a seed into a duplicate of another.
@@ -863,6 +1026,22 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 		joined := NewExec().Join(op.r, op.s).Card()
 		kept, _, _ := NewExec().JoinFilter(op.r, op.s, op.f, All, Budget{})
 		ok := joined > 0 && op.f.Card() > 0
+		// The live spans of the build side's key and of the filter's h: the
+		// shape of the filter's bit rows.
+		var kspan, hspan, hlo, hhi int64
+		keys := map[Value]bool{}
+		if shared := op.r.attrs.Intersect(op.s.attrs); shared.Card() == 1 && fh.Card() == 1 && build.Card() > 0 {
+			kp, hp := build.colPos(shared.Min()), build.colPos(fh.Min())
+			klo, khi := int64(math.MaxInt64), int64(math.MinInt64)
+			hlo, hhi = klo, khi
+			for _, tp := range build.Tuples() {
+				klo, khi = min(klo, int64(tp[kp])), max(khi, int64(tp[kp]))
+				hlo, hhi = min(hlo, int64(tp[hp])), max(hhi, int64(tp[hp]))
+				keys[tp[kp]] = true
+			}
+			kspan, hspan = khi-klo+1, hhi-hlo+1
+		}
+		words := kspan * ((hspan + 63) >> 6)
 		switch name {
 		case "g=∅": // counted with k = 0, so the group grows with no row stored
 			ex := NewExec()
@@ -904,6 +1083,38 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 			if dense {
 				ok = ok && op.s.dead > 0
 			}
+		case "bits dead":
+			ok = ok && build.dead > 0 && probe.dead > 0 && op.f.dead > 0 && kept.Card() > 0
+		case "bits f outside the window":
+			below, above := false, false
+			for _, tp := range op.f.Tuples() {
+				v := int64(tp[op.f.colPos(fh.Min())])
+				below, above = below || v < hlo, above || v > hhi+64
+			}
+			ok = ok && below && above && kept.Card() > 0
+		case "bits at the projection's bound, MinInt32":
+			ok = ok && words == int64(bitRowWords[projectRows]*build.Card()) && kept.Card() > 0
+		case "bits one past the projection's bound, MinInt32":
+			ok = ok && words == int64(bitRowWords[projectRows]*build.Card())+kspan && kept.Card() > 0
+		case "bits at the filter's bound, MaxInt32":
+			ok = ok && words == int64(bitRowWords[filterRows]*build.Card()) && kept.Card() > 0
+		case "bits one past the filter's bound, MaxInt32":
+			ok = ok && words == int64(bitRowWords[filterRows]*build.Card())+kspan && kept.Card() > 0
+		case "bits key gaps":
+			ok = ok && int64(len(keys)) < kspan && kept.Card() > 0
+		case "bits k mid-word": // the filter's first four rows: one probe row's, from one word
+			rows, hp := kept.Tuples(), kept.colPos(fh.Min())
+			onePair := func(a, b Tuple) bool {
+				return !slices.ContainsFunc(probe.cols, func(c schema.Attr) bool { return a[kept.colPos(c)] != b[kept.colPos(c)] })
+			}
+			ok = ok && len(rows) > 3 && onePair(rows[0], rows[3]) && (int64(rows[0][hp])-hlo)>>6 == (int64(rows[3][hp])-hlo)>>6
+		case "build wider than key + h":
+			ok = ok && build.width == 3 && fh.Card() == 1 && kept.Card() > 0
+		}
+		// The path each sink takes: bit rows, or the chained table.
+		if path, known := seedPaths[name]; !known || takesBitRows(op, false) != path.project || takesBitRows(op, true) != path.filter {
+			t.Errorf("seed %q: JoinProject on bit rows %v, JoinFilter on bit rows %v; want %+v",
+				name, takesBitRows(op, false), takesBitRows(op, true), path)
 		}
 		if !ok {
 			t.Errorf("seed %q misses its case: r %s (%d, %d dead), s %s (%d, %d dead), f %s (%d, %d dead), x %s, |r ⋈ s| = %d",

@@ -6,6 +6,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -140,6 +141,21 @@ func benchD20k() (abc, ab, bc, ac *Relation) {
 	return abc, abc.Project(u.Set("a", "b")), abc.Project(u.Set("b", "c")), abc.Project(u.Set("a", "c"))
 }
 
+// spread returns r with its columns in attrs multiplied by 1 000 003: the
+// same join on values no bitmap or bit row within budget covers, so the
+// operators take their hash-table paths.
+func spread(r *Relation, attrs schema.AttrSet) *Relation {
+	out := New(r.U, r.Attrs())
+	for _, tp := range r.Tuples() {
+		tp = slices.Clone(tp)
+		for _, a := range attrs.Intersect(r.Attrs()).Attrs() {
+			tp[r.colPos(a)] *= 1000003
+		}
+		out.Insert(tp)
+	}
+	return out
+}
+
 // BenchmarkSemijoinD20k prices ab ⋉ bc — eval_read's semijoin — in three
 // forms: dense is D20k's, whose one key column b spans [0, 2000), so its
 // key set is a bitmap; sparse is the same rows with b multiplied by
@@ -148,19 +164,9 @@ func benchD20k() (abc, ab, bc, ac *Relation) {
 func BenchmarkSemijoinD20k(b *testing.B) {
 	abc, ab, bc, _ := benchD20k()
 	u := abc.U
-	spread := func(r *Relation) *Relation {
-		p := r.colPos(u.Attr("b"))
-		out := New(u, r.Attrs())
-		for _, tp := range r.Tuples() {
-			tp = slices.Clone(tp)
-			tp[p] *= 1000003
-			out.Insert(tp)
-		}
-		return out
-	}
 	small, _ := RandomUniversal(u, abc.Attrs(), 20, 2000, rand.New(rand.NewSource(2)))
 	sab, sbc := small.Project(u.Set("a", "b")), small.Project(u.Set("b", "c"))
-	wab, wbc := spread(ab), spread(bc)
+	wab, wbc := spread(ab, u.Set("b")), spread(bc, u.Set("b"))
 	ex := NewExec()
 	benchForms(b,
 		benchForm{"dense", func() { ex.Semijoin(ab, bc) }},
@@ -200,14 +206,19 @@ func BenchmarkProjectD20k(b *testing.B) {
 // BenchmarkJoinProject prices π_ac(ab ⋈ bc) — eval_read's q5 — streamed
 // through one JoinProject against the two statements it replaces, a Join
 // whose output the Project then deduplicates in a table sized by it, and
-// in the counted form an answer read with "limit": 10 runs.
+// in the counted form an answer read with "limit": 10 runs. D20k's key b
+// and h column a span [0, 2000), so the streamed forms run on bit rows;
+// wide is the counted form on the same rows with every column multiplied
+// by 1 000 003, so it runs on the chained table.
 func BenchmarkJoinProject(b *testing.B) {
-	_, ab, bc, ac := benchD20k()
+	abc, ab, bc, ac := benchD20k()
+	wab, wbc := spread(ab, abc.Attrs()), spread(bc, abc.Attrs())
 	ex := NewExec()
 	benchForms(b,
 		benchForm{"streamed", func() { ex.JoinProject(ab, bc, ac.Attrs(), All, Budget{}) }},
 		benchForm{"counted/k=10", func() { ex.JoinProject(ab, bc, ac.Attrs(), 10, Budget{}) }},
-		benchForm{"two-statement", func() { ex.Project(ex.Join(ab, bc), ac.Attrs()) }})
+		benchForm{"two-statement", func() { ex.Project(ex.Join(ab, bc), ac.Attrs()) }},
+		benchForm{"wide", func() { ex.JoinProject(wab, wbc, ac.Attrs(), 10, Budget{}) }})
 }
 
 // BenchmarkJoinProjectRowGroups prices JoinProject on groups of one probe
@@ -227,11 +238,13 @@ func BenchmarkJoinProjectRowGroups(b *testing.B) {
 // through one JoinFilter against the two joins it replaces, and counted
 // as an answer read with "limit": 10 runs it. Two more streamed forms
 // price the grouped walk's edges: one-group filters by f over the build
-// side's own column, so g = ∅ and one group table holds all of f;
+// side's own column, so g = ∅ and one group's filter bits hold all of f;
 // sparse-f keeps one row in ten of ac, so most join rows find their
-// group's table holding nothing they carry.
+// group holding nothing they carry. wide is the counted form with every
+// column multiplied by 1 000 003: the chained table and group tables
+// that D20k's dense b and h no longer take.
 func BenchmarkJoinFilter(b *testing.B) {
-	_, ab, bc, ac := benchD20k()
+	abc, ab, bc, ac := benchD20k()
 	build, probe := ab, bc
 	if bc.Card() < ab.Card() {
 		build, probe = bc, ab
@@ -244,22 +257,88 @@ func BenchmarkJoinFilter(b *testing.B) {
 			sparse.Insert(tp)
 		}
 	}
+	wab, wbc, wac := spread(ab, abc.Attrs()), spread(bc, abc.Attrs()), spread(ac, abc.Attrs())
 	benchForms(b,
 		benchForm{"streamed", func() { ex.JoinFilter(ab, bc, ac, All, Budget{}) }},
 		benchForm{"counted/k=10", func() { ex.JoinFilter(ab, bc, ac, 10, Budget{}) }},
 		benchForm{"two-statement", func() { ex.Join(ex.Join(ab, bc), ac) }},
 		benchForm{"one-group", func() { ex.JoinFilter(ab, bc, own, All, Budget{}) }},
-		benchForm{"sparse-f", func() { ex.JoinFilter(ab, bc, sparse, All, Budget{}) }})
+		benchForm{"sparse-f", func() { ex.JoinFilter(ab, bc, sparse, All, Budget{}) }},
+		benchForm{"wide", func() { ex.JoinFilter(wab, wbc, wac, 10, Budget{}) }})
 }
 
 // BenchmarkJoinD20k prices ab ⋈ bc — eval_read's q6, whose answer it is —
-// stored whole and counted as an answer read with "limit": 10 runs it.
+// stored whole and counted as an answer read with "limit": 10 runs it,
+// which adds each bucket past its tenth row up from the bucket's size;
+// wide is the counted form with every column multiplied by 1 000 003.
 func BenchmarkJoinD20k(b *testing.B) {
-	_, ab, bc, _ := benchD20k()
+	abc, ab, bc, _ := benchD20k()
+	wab, wbc := spread(ab, abc.Attrs()), spread(bc, abc.Attrs())
 	ex := NewExec()
 	benchForms(b,
 		benchForm{"stored", func() { ex.Join(ab, bc) }},
-		benchForm{"counted/k=10", func() { ex.JoinFirst(ab, bc, 10, Budget{}) }})
+		benchForm{"counted/k=10", func() { ex.JoinFirst(ab, bc, 10, Budget{}) }},
+		benchForm{"wide", func() { ex.JoinFirst(wab, wbc, 10, Budget{}) }})
+}
+
+// densityTriangle returns 20 000 universal tuples' ab, bc and ac, with b
+// and c drawn from [0, 2000) and a from [0, hdom): D20k's triangle with
+// its h column a widened. A tuple whose ab or bc is already held is
+// redrawn, so ab and bc both have 20 000 rows and ab — the first operand
+// on a tie — is the build side: key b, h = a.
+func densityTriangle(hdom int) (ab, bc, ac *Relation) {
+	u := schema.NewUniverse()
+	ab, bc, ac = New(u, u.Set("a", "b")), New(u, u.Set("b", "c")), New(u, u.Set("a", "c"))
+	rng := rand.New(rand.NewSource(1))
+	for ab.Card() < 20000 {
+		a, b, c := Value(rng.Intn(hdom)), Value(rng.Intn(2000)), Value(rng.Intn(2000))
+		if ab.Has(Tuple{a, b}) || bc.Has(Tuple{b, c}) {
+			continue
+		}
+		ab.Insert(Tuple{a, b})
+		bc.Insert(Tuple{b, c})
+		ac.Insert(Tuple{a, c})
+	}
+	return ab, bc, ac
+}
+
+// BenchmarkJoinDensity is the sweep bitRowWords is set from: eval_read's
+// counted q5 (project) and q7 (filter) over densityTriangle as h's
+// domain grows by √2 from D20k's 2000 to 128 000 — from 3.2 to 200 words
+// of bit rows per build row — and at the two bounds themselves (h over
+// 640 · bitRowWords values: 2000 keys of 64 · bitRowWords bits), each on
+// bit rows and on the chained table, whatever bitRowWords would pick.
+func BenchmarkJoinDensity(b *testing.B) {
+	defer func(c [len(bitRowWords)]int) { bitRowWords = c }(bitRowWords)
+	var hdoms []int
+	for step := 0; step <= 12; step++ {
+		hdoms = append(hdoms, int(2000*math.Exp2(float64(step)/2)))
+	}
+	hdoms = append(hdoms, 640*bitRowWords[projectRows], 640*bitRowWords[filterRows])
+	slices.Sort(hdoms)
+	ex := NewExec()
+	for _, hdom := range hdoms {
+		ab, bc, ac := densityTriangle(hdom)
+		for _, path := range []struct {
+			name  string
+			words int
+		}{{"bits", math.MaxInt32}, {"chained", 0}} {
+			b.Run(fmt.Sprintf("project/h=%d/%s", hdom, path.name), func(b *testing.B) {
+				bitRowWords[projectRows] = path.words
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ex.JoinProject(ab, bc, ac.Attrs(), 10, Budget{})
+				}
+			})
+			b.Run(fmt.Sprintf("filter/h=%d/%s", hdom, path.name), func(b *testing.B) {
+				bitRowWords[filterRows] = path.words
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					ex.JoinFilter(ab, bc, ac, 10, Budget{})
+				}
+			})
+		}
+	}
 }
 
 // benchForm is one form of an operator, timed as the sub-benchmark name.
