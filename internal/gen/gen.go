@@ -9,7 +9,9 @@ package gen
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"gyokit/internal/schema"
 )
@@ -230,4 +232,159 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// Inconsistent returns a database over d that is pairwise consistent —
+// every two of its relations agree on their shared attributes — yet whose
+// join is empty: the semantic witness that d is cyclic, since on an
+// acyclic schema pairwise consistency implies global consistency. Tuple
+// j of relation i is rels[i][j], its values in the order of
+// d.Rels[i].Attrs(). ok is false when d has no Lemma 3.1 witness, that
+// is, when d is acyclic.
+//
+// The construction starts from the witness core (schema.Lemma31Witness):
+// the relations of d with the attributes X deleted, reduced, form an
+// Aring or an Aclique. With m = 2 for an Aring and m = n − 1 for an
+// Aclique over n attributes, each core relation holds every tuple over
+// Z_m whose values sum to 0 mod m — except the first, whose values sum to
+// 1. Fixing all but one value of a core tuple leaves exactly one choice,
+// so any proper subset of a core relation's attributes projects to the
+// full cube, and two core relations meet on such a subset: the core is
+// pairwise consistent. Summed over the core, every attribute appears in
+// exactly two relations (Aring) or in n − 1 (Aclique), so a tuple in the
+// join would make 0 ≡ 1 mod m. Lifted to d, every attribute of X takes
+// the value 0 and each relation R is the projection of the first core
+// relation that contains R \ X: pairwise consistency carries over, and
+// every core relation is some R \ X, so the join stays empty. A core
+// relation holds m^(k−1) tuples for k attributes.
+func Inconsistent(d *schema.Schema) (rels [][][]int, ok bool) {
+	x, core, kind, found := schema.Lemma31Witness(d)
+	if !found {
+		return nil, false
+	}
+	m := 2
+	if kind == schema.CoreAclique {
+		m = core.Attrs().Card() - 1
+	}
+	// coreTuples[c] holds core relation c's tuples, by attribute.
+	coreTuples := make([][]map[schema.Attr]int, len(core.Rels))
+	for c, cr := range core.Rels {
+		attrs := cr.Attrs()
+		vals := make([]int, len(attrs))
+		target := 0
+		if c == 0 {
+			target = 1
+		}
+		for more := true; more; more = odometer(vals, m-1) {
+			sum := 0
+			for _, v := range vals {
+				sum += v
+			}
+			if sum%m == target {
+				tp := make(map[schema.Attr]int, len(attrs))
+				for k, a := range attrs {
+					tp[a] = vals[k]
+				}
+				coreTuples[c] = append(coreTuples[c], tp)
+			}
+		}
+	}
+	for _, r := range d.Rels {
+		c := 0
+		for !r.Diff(x).SubsetOf(core.Rels[c]) {
+			c++
+		}
+		attrs := r.Attrs()
+		seen := map[string]bool{}
+		var rel [][]int
+		for _, ct := range coreTuples[c] {
+			tp := make([]int, len(attrs))
+			for k, a := range attrs {
+				tp[k] = ct[a] // 0 for an attribute of X
+			}
+			if key := fmt.Sprint(tp); !seen[key] {
+				seen[key] = true
+				rel = append(rel, tp)
+			}
+		}
+		rels = append(rels, rel)
+	}
+	return rels, true
+}
+
+// CheckInconsistent checks by brute force what Inconsistent promises of
+// rels over d: no relation is empty, every two agree on their shared
+// attributes, and no assignment of values to U(d) — each attribute over
+// 0 … the largest value in rels — projects into every relation. It costs
+// (largest value + 1)^|U(d)| such checks.
+func CheckInconsistent(d *schema.Schema, rels [][][]int) error {
+	if len(rels) != len(d.Rels) {
+		return fmt.Errorf("gen: %d relations for %d relation schemas", len(rels), len(d.Rels))
+	}
+	// on returns the set of the projections of relation i onto attrs.
+	on := func(i int, attrs []schema.Attr) map[string]bool {
+		cols := d.Rels[i].Attrs()
+		set := map[string]bool{}
+		for _, tp := range rels[i] {
+			key := make([]int, len(attrs))
+			for k, a := range attrs {
+				key[k] = tp[slices.Index(cols, a)]
+			}
+			set[fmt.Sprint(key)] = true
+		}
+		return set
+	}
+	top := 0
+	for i, rel := range rels {
+		if len(rel) == 0 {
+			return fmt.Errorf("gen: relation %s is empty", d.U.FormatSet(d.Rels[i]))
+		}
+		for _, tp := range rel {
+			top = max(top, slices.Max(tp))
+		}
+		for j := range i {
+			shared := d.Rels[i].Intersect(d.Rels[j]).Attrs()
+			if !maps.Equal(on(i, shared), on(j, shared)) {
+				return fmt.Errorf("gen: %s and %s disagree on %s", d.U.FormatSet(d.Rels[i]), d.U.FormatSet(d.Rels[j]),
+					d.U.FormatSet(schema.NewAttrSet(shared...)))
+			}
+		}
+	}
+	members := make([]map[string]bool, len(rels))
+	for i, r := range d.Rels {
+		members[i] = on(i, r.Attrs())
+	}
+	u := d.Attrs().Attrs()
+	vals := make([]int, len(u))
+	for more := true; more; more = odometer(vals, top) {
+		in := true
+		for i, r := range d.Rels {
+			var key []int
+			for k, a := range u {
+				if r.Has(a) {
+					key = append(key, vals[k])
+				}
+			}
+			if in = members[i][fmt.Sprint(key)]; !in {
+				break
+			}
+		}
+		if in {
+			return fmt.Errorf("gen: the join holds %v over %s", vals, d.U.FormatSet(d.Attrs()))
+		}
+	}
+	return nil
+}
+
+// odometer advances vals, each digit over 0 … top, to the next
+// assignment, and reports false when it wraps back to all zeros.
+func odometer(vals []int, top int) bool {
+	for k := range vals {
+		if vals[k] < top {
+			vals[k]++
+			return true
+		}
+		vals[k] = 0
+	}
+	return false
 }

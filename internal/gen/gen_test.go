@@ -181,3 +181,37 @@ func TestUniverseHelper(t *testing.T) {
 		t.Errorf("overflow name = %s", u.Name(attrs[26]))
 	}
 }
+
+// TestInconsistent holds Inconsistent to its promise by brute force
+// (CheckInconsistent) on rings, cliques, a ring with tails and random
+// cyclic schemas, and checks that an acyclic schema has no such database
+// and that the brute force rejects a ring whose relations are all "equal".
+func TestInconsistent(t *testing.T) {
+	cyclic := []*schema.Schema{Ring(3), Ring(4), Ring(6), Clique(4), Clique(5), Clique(6), RingWithTails(4, 2)}
+	rng := RNG(7)
+	for len(cyclic) < 17 {
+		if d := RandomSchema(rng, 3+rng.Intn(4), 6, 0.4); !gyo.IsTree(d) {
+			cyclic = append(cyclic, d)
+		}
+	}
+	for _, d := range cyclic {
+		rels, ok := Inconsistent(d)
+		if !ok {
+			t.Fatalf("%s: no inconsistent database", d)
+		}
+		if err := CheckInconsistent(d, rels); err != nil {
+			t.Errorf("%s: %v", d, err)
+		}
+	}
+	for _, d := range []*schema.Schema{Chain(4), Star(3), TreeSchema(RNG(1), 6, 2, 1)} {
+		if _, ok := Inconsistent(d); ok {
+			t.Errorf("%s is acyclic, yet has an inconsistent database", d)
+		}
+	}
+	d := Ring(4)
+	rels, _ := Inconsistent(d)
+	rels[0] = [][]int{{0, 0}, {1, 1}}
+	if err := CheckInconsistent(d, rels); err == nil {
+		t.Error("a ring of equal relations passes the brute force")
+	}
+}

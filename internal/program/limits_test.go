@@ -103,8 +103,8 @@ func TestDeadlineExceeded(t *testing.T) {
 // streams into its projection, the answer: the error names the join,
 // stopped past the gas and before its last row, whether the run keeps
 // every answer row or counts them and keeps one. Gas and a deadline also
-// stop a streamed filter inside one of its g-groups
-// (filterStoppedInsideGroup).
+// stop a streamed filter, and gas a streamed projection, inside one of
+// their g-groups (streamStoppedInsideGroup).
 func TestLimitErrorLeavesExecReusable(t *testing.T) {
 	p, db := limitsFixture(t)
 	db.Freeze()
@@ -172,23 +172,26 @@ func TestLimitErrorLeavesExecReusable(t *testing.T) {
 		}
 	}
 	// b's 3000 values spread 100 003 apart, past any bit rows: the chained
-	// table; b over [0, 3000): bit rows.
-	t.Run("filter inside a group", func(t *testing.T) { filterStoppedInsideGroup(t, 100003) })
-	t.Run("filter inside a group on bit rows", func(t *testing.T) { filterStoppedInsideGroup(t, 1) })
+	// table; b over [0, 3000): bit rows. a's three values, 0, 1 and 2, are
+	// numbered by value; 100 003 apart, by a keyTable of them.
+	t.Run("filter inside a group", func(t *testing.T) { streamStoppedInsideGroup(t, 100003, 1) })
+	t.Run("filter inside a group on bit rows", func(t *testing.T) { streamStoppedInsideGroup(t, 1, 1) })
+	t.Run("inside a hash-numbered group", func(t *testing.T) { streamStoppedInsideGroup(t, 1, 100003) })
 }
 
-// filterStoppedInsideGroup is TestLimitErrorLeavesExecReusable's case
-// of a streamed filter stopped inside a g-group. The triangle's ∪GR bag is
-// ab ⋈ bc ⋉ ac, streamed into the filter; with a ∈ [0, 3), b ∈ [0, 3000)
-// times step and c ∈ [0, 2), bc (6000 rows) is built, ab (9000) probed,
-// and the filter's g = attrs(ac) ∩ attrs(ab) = a splits the probe side
-// into three groups of 6000 join rows. Gas at half a group stops the run
-// inside the first group walked; a deadline already past stops the filter
-// itself at its first look, budgetStride join rows in, inside a group too.
-// After each stop the same pooled Exec reruns the filter plan and a
+// streamStoppedInsideGroup is TestLimitErrorLeavesExecReusable's case of
+// a streamed join stopped inside a g-group. The triangle's ∪GR bag is
+// ab ⋈ bc ⋉ ac, streamed into the filter; with a ∈ [0, 3) times aStep,
+// b ∈ [0, 3000) times bStep and c ∈ [0, 2), bc (6000 rows) is built, ab
+// (9000) probed, and the filter's g = attrs(ac) ∩ attrs(ab) = a splits the
+// probe side into three groups of 6000 join rows; so does the projection
+// of ab ⋈ bc onto ac. Gas at half a group stops either run inside the
+// first group walked; a deadline already past stops the filter itself at
+// its first look, budgetStride join rows in, inside a group too. After
+// each stop the same pooled Exec reruns the filter plan and the
 // join→project program, and both must match a fresh Exec's output, row
 // for row, and Stats.
-func filterStoppedInsideGroup(t *testing.T, step relation.Value) {
+func streamStoppedInsideGroup(t *testing.T, bStep, aStep relation.Value) {
 	u := schema.NewUniverse()
 	d := parse(t, u, "ab, bc, ac")
 	db := &relation.Database{D: d}
@@ -199,14 +202,14 @@ func filterStoppedInsideGroup(t *testing.T, step relation.Value) {
 	ab, bc, ac := db.Rels[0], db.Rels[1], db.Rels[2]
 	for a := range relation.Value(na) {
 		for b := range relation.Value(nb) {
-			ab.Insert(relation.Tuple{a, b * step})
+			ab.Insert(relation.Tuple{a * aStep, b * bStep})
 		}
 	}
 	for b := range relation.Value(nb) {
-		bc.Insert(relation.Tuple{b * step, 0})
-		bc.Insert(relation.Tuple{b * step, 1})
+		bc.Insert(relation.Tuple{b * bStep, 0})
+		bc.Insert(relation.Tuple{b * bStep, 1})
 	}
-	for _, t := range []relation.Tuple{{0, 0}, {0, 1}, {1, 0}, {2, 1}} {
+	for _, t := range []relation.Tuple{{0, 0}, {0, 1}, {aStep, 0}, {2 * aStep, 1}} {
 		ac.Insert(t)
 	}
 	db.Freeze()
@@ -231,6 +234,9 @@ func filterStoppedInsideGroup(t *testing.T, step relation.Value) {
 	}
 	if !stP.Detail[0].Streamed {
 		t.Fatalf("fixture: the join does not stream into its projection:\n%s", stP.Table())
+	}
+	if byValue := groupsByValue(ab, bc, ac.Attrs()); byValue != (aStep == 1) {
+		t.Fatalf("fixture: a %d apart numbers the groups by value %v", aStep, byValue)
 	}
 
 	ex := relation.NewExec()
@@ -260,6 +266,13 @@ func filterStoppedInsideGroup(t *testing.T, step relation.Value) {
 		t.Fatalf("gas: err = %v, want gas exhausted in statement 0 inside the first %d-row group, past %d", err, group, lim.MaxTuples)
 	}
 	reuse("gas")
+
+	_, _, err = project.Run(db, ex, lim, relation.All)
+	if !errors.As(err, &le) || !errors.Is(err, ErrGasExhausted) || le.Stmt != 0 ||
+		le.Produced <= lim.MaxTuples || le.Produced%group == 0 || le.Produced > group {
+		t.Fatalf("projection's gas: err = %v, want gas exhausted in statement 0 inside the first %d-row group, past %d", err, group, lim.MaxTuples)
+	}
+	reuse("projection's gas")
 
 	out, _, joined := ex.JoinFilter(ab, bc, ac, relation.All, relation.Budget{Deadline: time.Now().Add(-time.Millisecond)})
 	if out != nil || joined%group == 0 || joined >= na*group {

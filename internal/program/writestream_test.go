@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -21,17 +22,52 @@ import (
 // answer's first ten. Every streamed join, and q6's counted answer join,
 // must report as many join rows as a count by Go maps of its operands. Deletes leave dead rows in
 // place until a relation's second delete batch repacks it. The stream
-// runs at two domains: over 1000 values the streamed joins' build sides
-// take bit rows, over 6000 the chained table (relation's
-// TestBitRowsAtTheProgramTestDomains pins both).
+// runs at three domains: over 1000 values the streamed joins' build sides
+// take bit rows, over 6000 and 40 000 the chained table (relation's
+// TestBitRowsAtTheProgramTestDomains pins these); over 1000 and 6000 their
+// probe sides' groups are numbered by value, over 40 000 by a keyTable of
+// g's keys, and every streamed statement is checked to take that source
+// (groupsByValue).
 func TestReadsUnderAWriteStream(t *testing.T) {
-	for _, domain := range []int{1000, 6000} {
-		writeStream(t, domain)
+	for _, tc := range []struct {
+		domain  int
+		byValue bool
+	}{{1000, true}, {6000, true}, {40000, false}} {
+		writeStream(t, tc.domain, tc.byValue)
 	}
 }
 
-// writeStream is TestReadsUnderAWriteStream at one domain.
-func writeStream(t *testing.T, domain int) {
+// groupsByValue reports whether a join of l and r streamed into a sink
+// keyed on attrs — a projection's head, or a filter's attributes —
+// numbers its groups by value, by relation's rule (Exec.join's group): g,
+// the sink's attributes on the probe side (r, unless it has fewer rows
+// than l), is one column whose live values span fewer values than a key
+// table over the probe side has slots — the least power of two that is at
+// least 16 and at least twice its rows.
+func groupsByValue(l, r *relation.Relation, attrs schema.AttrSet) bool {
+	probe := r
+	if r.Card() < l.Card() {
+		probe = l
+	}
+	g := attrs.Intersect(probe.Attrs())
+	if g.Card() != 1 {
+		return false
+	}
+	col := slices.Index(probe.Cols(), g.Min())
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, tp := range probe.Tuples() {
+		lo, hi = min(lo, int64(tp[col])), max(hi, int64(tp[col]))
+	}
+	slots := 16
+	for slots < 2*probe.Card() {
+		slots *= 2
+	}
+	return probe.Card() == 0 || hi-lo+1 < int64(slots)
+}
+
+// writeStream is TestReadsUnderAWriteStream at one domain, whose streamed
+// joins number their groups by value when byValue.
+func writeStream(t *testing.T, domain int, byValue bool) {
 	const (
 		rows    = 12000 // three chunks after every delete below
 		inserts = 256   // tuples per insert batch, as in replica_mixed
@@ -53,7 +89,7 @@ func writeStream(t *testing.T, domain int) {
 	db := danglingDB(d, int64(domain), rows, domain)
 	rng := rand.New(rand.NewSource(int64(domain)))
 	ex := relation.NewExec()
-	sawDead := false
+	sawDead, streams := false, 0
 	for batch := 0; batch < batches; batch++ {
 		j := []int{0, 4, 1}[batch/4] // ab, ac, bc: the triangle q7 and s8 stream
 		next := *db
@@ -119,6 +155,19 @@ func writeStream(t *testing.T, domain int) {
 					if n := joinCount(vals[s.Left], vals[s.Right]); sd.Out != n {
 						t.Fatalf("%s: statement %d joined %d rows, its operands have %d join rows\n%s", label, si, sd.Out, n, run.Table())
 					}
+					if !sd.Streamed {
+						continue
+					}
+					// The sink: the consumer's head, or the filter it joins.
+					c, id := sh.p.Stmts[si+1], len(sh.p.D.Rels)+si
+					attrs := c.Proj
+					if c.Kind != Project {
+						attrs = vals[c.Left+c.Right-id].Attrs()
+					}
+					if got := groupsByValue(vals[s.Left], vals[s.Right], attrs); got != byValue {
+						t.Fatalf("%s: statement %d numbers its groups by value %v, want %v", label, si, got, byValue)
+					}
+					streams++
 				}
 			}
 		}
@@ -127,8 +176,8 @@ func writeStream(t *testing.T, domain int) {
 	for _, r := range db.Rels {
 		compacted = compacted || r.Compactions() > 0
 	}
-	if !sawDead || !compacted {
-		t.Fatalf("domain %d: dead rows read %v, a relation compacted %v; want both", domain, sawDead, compacted)
+	if !sawDead || !compacted || streams == 0 {
+		t.Fatalf("domain %d: dead rows read %v, a relation compacted %v, %d streamed joins; want all three", domain, sawDead, compacted, streams)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // Exec is a reusable execution context for the relational operators. It
 // owns the scratch state the operators need — three keyScratch tables'
 // worth of open-addressing slots, chain links and per-row key words (and
-// a wide group key's columns), JoinFilter's filter chains, Semijoin's
+// a wide group key's columns), JoinFilter's groups of f, Semijoin's
 // bitmap, an output-row buffer, and column position maps — so a program
 // that evaluates many statements (a §6 semijoin program, a Yannakakis
 // plan, a full reducer) reuses one set of allocations instead of
@@ -26,31 +26,37 @@ import (
 // in a short enough [lo, hi]: a bitmap over it (keyBits), which denseSpan
 // allows only when it has no more bytes than the slot table it stands in
 // for. A streamed join (JoinProject, JoinFilter) walks its probe side one
-// group at a time: aux chains it by g, the columns of the sink's key the
-// probe side holds. JoinFilter chains f by g too, by looking each row of
-// f up in aux: fhead names a group's newest filter row, indexed by the
-// group's first probe row, and fnext links each filter row to the group's
-// next (4 B per probe row and 4 B per filter row). The build-side columns
-// of the sink's key, h, go into local, one group at a time — JoinProject's
-// projections as it meets them, JoinFilter's filter rows when the group
-// starts — a table sized by the largest group of one call rather than by
-// |r ⋈ s|, its output or f, so it stays in L1, and a counted join
-// (JoinFirst, or a k below All) stores k rows whatever it counts. When the
-// join key is one column and h is one column, both dense (bitSpans), the
-// build side is bit rows instead of a chained table (bitRows): a row of
-// words per key, a bit per h value, in the words of keys and its counts
-// by key in keys' sizes — at most bitRowWords words per build row — and a
-// group's filter bits or projections are one such row in local's words.
+// group at a time, g being the columns of the sink's key the probe side
+// holds, and group sorts it into aux by counting sort: one pass counts
+// each group's live rows and one places them, so a group is one run of
+// entries in aux's words, in position order, and aux's slots end each
+// run. A group is numbered by its value less the least when g is one
+// column whose live values span fewer values than a keyTable over the
+// probe side has slots (no table is built); otherwise aux first holds an
+// unchained keyTable of g's keys that numbers each key as it first
+// appears, each row's number in next.
+// JoinFilter groups f the same way, in fends and fents (4 B per group and
+// 4 B per filter row). The build-side columns of the sink's key, h, go
+// into local, one group at a time — JoinProject's projections as it meets
+// them, JoinFilter's filter rows when the group starts — a table sized by
+// the largest group of one call rather than by |r ⋈ s|, its output or f,
+// so it stays in L1, and a counted join (JoinFirst, or a k below All)
+// stores k rows whatever it counts. When the join key is one column and h
+// is one column, both dense (bitSpans), the build side is bit rows
+// instead of a chained table (bitRows): a row of words per key, a bit per
+// h value, in the words of keys and its counts by key in keys' sizes — at
+// most bitRowWords words per build row — and a group's filter bits or
+// projections are one such row in local's words.
 // Every operator emits an index-free output by plain appends (the
 // output's own set index is built only if something later asks it for
 // membership — see the package comment). The zero value is ready to use;
 // an Exec must not be used concurrently.
 type Exec struct {
 	keys  keyScratch // Join's and Semijoin's build side; Project's output keys
-	aux   keyScratch // a streamed join's probe side, chained by g
+	aux   keyScratch // a streamed join's probe side: g's numbering, then its groups (group)
 	local keyScratch // a streamed join's group-local keys, by h
-	fhead []int32    // JoinFilter: by a group's first probe row, its newest filter row + 1
-	fnext []int32    // JoinFilter: by filter row, its group's next filter row + 1
+	fends []int32    // JoinFilter: by group, the end of its run of filter entries in fents
+	fents []int32    // JoinFilter: f's live rows, group by group (group)
 	obuf  []Value
 	pos   []int // column positions of one call, carved per operand
 	srcs  []int32
@@ -59,10 +65,10 @@ type Exec struct {
 
 // keyScratch is the storage of one keyTable, kept across calls.
 type keyScratch struct {
-	slots []int32  // open addressing: row index + 1; 0 = empty
-	next  []int32  // same-key chain: next row index + 1; 0 = end
+	slots []int32  // open addressing: row index + 1; 0 = empty; group: each group's end
+	next  []int32  // same-key chain: next row index + 1, 0 = end; numberKeys: each row's key number
 	sizes []int32  // a sized chain's row count, by its newest row; bit rows' count, by key
-	words []uint64 // key word of each row, by row index; bit rows' words
+	words []uint64 // key word of each row, by row index; bit rows' words; group: the entries
 	vals  []Value  // key columns of each row, by row index: a table with no rel
 }
 
@@ -191,10 +197,10 @@ func keyEqual(trow []Value, tPos []int, row []Value, pos []int) bool {
 
 // keyTable is the one hash table of the operators: open addressing over
 // one keyScratch, keyed by the key word of the columns pos of rel's rows.
-// It is the build side of a Join or Semijoin, a streamed join's probe
-// groups, Project's output rows and a streamed join's current group of
-// keys (groupDedup), whose rel is nil: its rows are its keys alone, in
-// vals, pos being 0, 1, …. A slot names one row (i + 1) per distinct
+// It is the build side of a Join or Semijoin, the numbering of a
+// streamed join's probe groups (numberKeys), Project's output rows and a
+// streamed join's current group of keys (groupDedup), whose rel is nil:
+// its rows are its keys alone, in vals, pos being 0, 1, …. A slot names one row (i + 1) per distinct
 // key; words holds the key word of every row, by i, so a lookup reads
 // slots[j], then words[head-1], and — the key being exact — is done.
 type keyTable struct {
@@ -232,10 +238,10 @@ func (ks *keyScratch) table(rel *Relation, pos []int, keys, rows int) keyTable {
 // buildKeys enters every live row of rel into a fresh keyTable over ks on
 // its columns pos. The first row of a key claims a slot. With chain,
 // later rows of the key are linked in front of it through next (newest
-// first) and the slot names the newest — Join's buckets, a streamed
-// join's probe groups; without, they are dropped — a key set. With sized
-// too, sizes holds each bucket's row count at its newest row, so a
-// counted join adds a bucket up without walking it.
+// first) and the slot names the newest — Join's buckets; without, they
+// are dropped — a key set. With sized too, sizes holds each bucket's row
+// count at its newest row, so a counted join adds a bucket up without
+// walking it.
 func (ks *keyScratch) buildKeys(rel *Relation, pos []int, chain, sized bool) keyTable {
 	t := ks.table(rel, pos, rel.Card(), rel.n)
 	if chain {
@@ -458,10 +464,11 @@ func (e *Exec) JoinFirst(r, s *Relation, k int, b Budget) (*Relation, int) {
 // JoinProject returns the first k rows of π_x(r ⋈ s) (k = All: every
 // row) without materializing r ⋈ s, how many rows π_x(r ⋈ s) has, and
 // how many r ⋈ s has. x must be a subset of r's and s's attributes. It
-// is Join with one more pass first: the probe side is chained by its
-// columns g = x ∩ attrs(probe) — the kept columns the probe row decides
-// — and the probe loop runs group by group. Two join rows with one
-// projection agree on g, so they come from one group; each group's
+// is Join with two more passes first: the probe side is sorted into
+// groups on its columns g = x ∩ attrs(probe) — the kept columns the
+// probe row decides — and the probe loop runs group by group (group).
+// Two join rows with one projection agree on g, so they come from one
+// group; each group's
 // projections are deduplicated in a group-local table (groupDedup) keyed
 // by the projection's build-side columns, which never reads the output
 // back, so a row past the first k is counted and not built. Output rows
@@ -478,9 +485,9 @@ func (e *Exec) JoinProject(r, s *Relation, x schema.AttrSet, k int, b Budget) (o
 // (r ⋈ s) ⋉ f — (k = All: every row) for an f whose attributes are a
 // subset of r's and s's, without materializing r ⋈ s, how many rows it
 // has, and how many r ⋈ s has. It walks the probe side group by group,
-// as JoinProject does, on g = attrs(f) ∩ attrs(probe), with f chained by
-// g as well: when a group starts, the h = attrs(f) \ g columns of its
-// filter rows go into the group-local table, and a row of r ⋈ s is
+// as JoinProject does, on g = attrs(f) ∩ attrs(probe), with f sorted
+// into the same groups: when a group starts, the h = attrs(f) \ g columns
+// of its filter rows go into the group-local table, and a row of r ⋈ s is
 // emitted when its build-side h columns are there — a probe among the
 // group's few keys, not a table over all of f. Output rows come grouped
 // by g. It returns a nil relation when b stops the join.
@@ -495,19 +502,19 @@ func (e *Exec) JoinFilter(r, s, f *Relation, k int, b Budget) (out *Relation, ca
 // join is the one join kernel: it builds the smaller of r and s on the
 // shared columns, probes it with every live row of the other, and hands
 // each row of r ⋈ s to the sink sk, whose output is over x. Join walks
-// the probe side chunk by chunk, in position order; the streamed sinks
-// walk it grouped by g, one g-chain at a time. The build side is a
-// chained keyTable — a streamed sink then starts a group-local table for
-// each group — or, for a streamed sink whose one key column and one h
+// the probe side chunk by chunk, in position order, and a counted Join
+// walks a bucket only while it stores rows and adds the rest of it from
+// the bucket's size. The streamed sinks walk it group by group on g
+// (group): dense groups in ascending g, hash-numbered ones in the order
+// they first appear, each group's rows in position order. The build side
+// is a chained keyTable — a streamed sink then starts a group-local table
+// for each group — or, for a streamed sink whose one key column and one h
 // column are dense, bit rows (bitRows): a probe row's partners are then
 // one row of words, ANDed with its group's filter bits or ORed into its
-// group's projections, and come in ascending h. The probe loop is shared;
-// the sink picks how a probe row's partners are walked, so Join's walk
-// carries no test for the others. Every sink counts its output rows and
-// stores the first keep of them; a counted Join walks a bucket only while
-// it stores rows and adds the rest of it from the bucket's size. It
-// returns the output (nil when b stopped it), its row count and how many
-// join rows it walked.
+// group's projections, and come in ascending h. Every sink counts its
+// output rows and stores the first keep of them. It returns the output
+// (nil when b stopped it), its row count and how many join rows it
+// walked.
 func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep int, b Budget) (out *Relation, card, joined int) {
 	build, probe := r, s
 	if s.Card() < r.Card() {
@@ -581,199 +588,365 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 		t = e.keys.buildKeys(build, bPos, true, sk == appendRows && keep < All)
 	}
 	next := t.next // bucket chains, newest build row first
-	// The probe side is walked in groups: for a streamed sink the rows of
-	// one g-chain (newest first), each group with a fresh group table — or,
-	// on bit rows, a fresh row of bits, acc; for Join one chunk in
-	// position order.
-	groups := len(probe.chunks)
-	var gt keyTable
+	check := b.next(0)
+
+	if sk == appendRows {
+		w := probe.width
+		for c := range probe.chunks {
+			ch := &probe.chunks[c]
+			for k := range probe.chunkRows(c) {
+				if ch.dead != nil && ch.dead.has(k) {
+					continue
+				}
+				prow := ch.data[k*w : k*w+w]
+				bi := t.lookup(prow, pPos)
+				total := card
+				if keep < All && bi != 0 {
+					total += int(t.sizes[bi-1]) // the bucket's rows past keep are counted, not walked
+				}
+				for ; bi != 0 && card < keep; bi = next[bi-1] {
+					card++
+					fillRow(obuf, srcs, prow, build.row(int(bi-1)))
+					out.appendRow(obuf)
+				}
+				if card = max(card, total); card >= check { // every join row is an output row
+					if b.spent(card) {
+						return nil, card, card
+					}
+					check = b.next(card)
+				}
+			}
+		}
+		return out, card, card
+	}
+
+	// A streamed sink walks its groups, each with a fresh group table —
+	// or, on bit rows, a fresh row of bits, acc.
+	var bp *bitRows
+	if bitPath {
+		bp = &br
+	}
+	gs := e.group(probe, f, gPos, fgPos, pPos, fhPos, bp)
 	var dd groupDedup
 	var acc []uint64 // bit rows: the group's filter bits, or its projections so far
 	var fw []int32   // bit rows: the words a filter group set in acc, ascending
 	ho := 0          // bit rows: the output column of h
-	if sk != appendRows {
-		gt = e.aux.buildKeys(probe, gPos, true, false)
-		groups = len(gt.slots)
-		if bitPath {
-			e.local.words = scratch(e.local.words, br.w)
-			e.local.slots = scratch(e.local.slots, br.w)
-			acc, fw = e.local.words, e.local.slots[:0]
-			clear(acc)
-			ho = slices.Index(srcs, int32(^hPos[0]))
-		} else {
-			dd = e.local.groupDedup(len(h))
-		}
+	if bitPath {
+		e.local.words = scratch(e.local.words, br.w)
+		e.local.slots = scratch(e.local.slots, br.w)
+		acc, fw = e.local.words, e.local.slots[:0]
+		clear(acc)
+		ho = slices.Index(srcs, int32(^hPos[0]))
+	} else {
+		dd = e.local.groupDedup(len(h))
 	}
-	if sk == filterRows {
-		// f chained by g through the probe groups: each live row of f whose
-		// g some group has is linked in front of that group's filter rows,
-		// which fhead names by the group's first probe row. A row of f
-		// whose g no group has can match no join row.
-		e.fhead = scratch(e.fhead, probe.n)
-		clear(e.fhead)
-		e.fnext = scratch(e.fnext, f.n)
-		for fi := f.nextLive(0); fi < f.n; fi = f.nextLive(fi + 1) {
-			if head := gt.lookup(f.row(fi), fgPos); head != 0 {
-				e.fnext[fi], e.fhead[head-1] = e.fhead[head-1], int32(fi+1)
-			}
+	lo, flo := int32(0), int32(0)
+	for grp, hi := range gs.ends {
+		ents := gs.ents[lo:hi]
+		lo = hi
+		var fents []int32
+		if sk == filterRows {
+			fents = gs.fents[flo:gs.fends[grp]]
+			flo = gs.fends[grp]
 		}
-	}
-	check := b.next(0)
-	w := probe.width
-	for grp := 0; grp < groups; grp++ {
-		i, end := grp<<chunkShift, min((grp+1)<<chunkShift, probe.n)
-		if sk != appendRows {
-			if gt.slots[grp] == 0 {
-				continue
-			}
-			i = int(gt.slots[grp] - 1)
-			if sk == filterRows {
-				// The group's filter rows agree with it on g; their h
-				// columns are the rest of the key a join row must carry —
-				// as bits, only those inside the build side's h window.
-				if bitPath {
-					flo, fhi := br.w, -1
-					for fi := e.fhead[i]; fi != 0; fi = e.fnext[fi-1] {
-						if u := uint64(int64(f.row(int(fi - 1))[fhPos[0]]) - br.hlo); u>>6 < uint64(br.w) {
-							acc[u>>6] |= 1 << (u & 63)
-							flo, fhi = min(flo, int(u>>6)), max(fhi, int(u>>6))
-						}
-					}
-					fw = fw[:0]
-					for wi := flo; wi <= fhi; wi++ {
-						if acc[wi] != 0 {
-							fw = append(fw, int32(wi))
-						}
-					}
-				} else {
-					dd.start()
-					for fi := e.fhead[i]; fi != 0; fi = e.fnext[fi-1] {
-						dd.seen(f.row(int(fi-1)), fhPos)
-					}
-				}
-			} else if !bitPath {
-				dd.start()
-			}
+		if len(ents) == 0 {
+			continue // a dense group no live probe row has
 		}
-		var gprow []Value // bit rows: a live probe row of the group
-		for i >= 0 {
-			ch := &probe.chunks[i>>chunkShift]
-			if k := i & chunkMask; ch.dead == nil || !ch.dead.has(k) {
-				prow := ch.data[k*w : k*w+w]
-				switch {
-				case bitPath:
-					gprow = prow
-					d := uint64(int64(prow[pPos[0]]) - br.klo)
-					if d >= uint64(len(br.sizes)) {
-						break // no build row has this key
-					}
-					joined += int(br.sizes[d])
-					row := br.words[int(d)*br.w:][:br.w]
-					if sk == projectRows {
-						acc := acc[:len(row)]
-						for wi, bw := range row {
-							acc[wi] |= bw
-						}
-						break
-					}
-					if card < keep {
-						fillProbe(obuf, srcs, prow)
-					}
-					for _, wi := range fw {
-						m := row[wi] & acc[wi]
-						if card >= keep {
-							card += bits.OnesCount64(m)
-							continue
-						}
-						for ; m != 0; m &= m - 1 {
-							if card++; card <= keep {
-								obuf[ho] = br.h(int(wi), m)
-								out.appendRow(obuf)
-							}
-						}
-					}
-				case sk == appendRows:
-					bi := t.lookup(prow, pPos)
-					total := card
-					if keep < All && bi != 0 {
-						total += int(t.sizes[bi-1]) // the bucket's rows past keep are counted, not walked
-					}
-					for ; bi != 0 && card < keep; bi = next[bi-1] {
-						card++
-						fillRow(obuf, srcs, prow, build.row(int(bi-1)))
-						out.appendRow(obuf)
-					}
-					card = max(card, total)
-					joined = card // every join row is an output row
-				case sk == filterRows:
-					for bi := t.lookup(prow, pPos); bi != 0; bi = next[bi-1] {
-						joined++
-						brow := build.row(int(bi - 1))
-						if dd.lookup(brow, hPos) == 0 {
-							continue // no filter row of this group has its h columns
-						}
-						if card++; card <= keep {
-							fillRow(obuf, srcs, prow, brow)
-							out.appendRow(obuf)
-						}
-					}
-				case sk == projectRows:
-					for bi := t.lookup(prow, pPos); bi != 0; bi = next[bi-1] {
-						joined++
-						brow := build.row(int(bi - 1))
-						if dd.seen(brow, hPos) {
-							continue // this group has counted the row
-						}
-						if card++; card <= keep {
-							fillRow(obuf, srcs, prow, brow)
-							out.appendRow(obuf)
-						}
-					}
-				}
-				if joined >= check {
-					if b.spent(joined) {
-						return nil, card, joined
-					}
-					check = b.next(joined)
-				}
+		switch {
+		case sk == filterRows && bitPath:
+			// The group's filter rows agree with it on g; the bits of their h
+			// in the build side's window are the rest of the key a join row
+			// must carry.
+			wlo, whi := br.w, -1
+			for _, u := range fents {
+				acc[u>>6] |= 1 << (u & 63)
+				wlo, whi = min(wlo, int(u>>6)), max(whi, int(u>>6))
 			}
-			if sk != appendRows {
-				i = int(gt.next[i]) - 1
-			} else if i++; i == end {
-				i = -1
+			fw = fw[:max(whi-wlo+1, 0)]
+			nw := 0
+			for wi := wlo; wi <= whi; wi++ {
+				fw[nw] = int32(wi)
+				nw += int((acc[wi] | -acc[wi]) >> 63) // the word is set
 			}
+			fw = fw[:nw]
+		case sk == filterRows:
+			dd.start()
+			for _, fi := range fents {
+				dd.seen(f.row(int(fi)), fhPos)
+			}
+		case !bitPath:
+			dd.start()
 		}
-		if bitPath {
-			// A filter group's bits, or a projecting group's projections,
-			// emitted in ascending h; either way acc is left empty.
-			if sk == filterRows {
+		for _, ent := range ents {
+			i := int(uint32(ent))
+			switch {
+			case bitPath:
+				d := uint64(int64(int32(ent>>32)) - br.klo)
+				if d >= uint64(len(br.sizes)) {
+					break // no build row has this key
+				}
+				joined += int(br.sizes[d])
+				row := br.words[int(d)*br.w:][:br.w]
+				if sk == projectRows {
+					acc := acc[:len(row)]
+					for wi, bw := range row {
+						acc[wi] |= bw
+					}
+					break
+				}
+				filled := false // the probe row is read only when it emits
 				for _, wi := range fw {
-					acc[wi] = 0
+					m := row[wi] & acc[wi]
+					if card >= keep || m == 0 {
+						card += bits.OnesCount64(m)
+						continue
+					}
+					if !filled {
+						fillProbe(obuf, srcs, probe.row(i))
+						filled = true
+					}
+					for ; m != 0; m &= m - 1 {
+						if card++; card <= keep {
+							obuf[ho] = br.h(int(wi), m)
+							out.appendRow(obuf)
+						}
+					}
 				}
-				continue
-			}
-			if card < keep {
-				fillProbe(obuf, srcs, gprow)
-			}
-			for wi, m := range acc {
-				if m == 0 {
-					continue
-				}
-				acc[wi] = 0
-				if card >= keep {
-					card += bits.OnesCount64(m)
-					continue
-				}
-				for ; m != 0; m &= m - 1 {
+			case sk == filterRows:
+				prow := probe.row(i)
+				for bi := t.lookup(prow, pPos); bi != 0; bi = next[bi-1] {
+					joined++
+					brow := build.row(int(bi - 1))
+					if dd.lookup(brow, hPos) == 0 {
+						continue // no filter row of this group has its h columns
+					}
 					if card++; card <= keep {
-						obuf[ho] = br.h(wi, m)
+						fillRow(obuf, srcs, prow, brow)
 						out.appendRow(obuf)
 					}
+				}
+			default:
+				prow := probe.row(i)
+				for bi := t.lookup(prow, pPos); bi != 0; bi = next[bi-1] {
+					joined++
+					brow := build.row(int(bi - 1))
+					if dd.seen(brow, hPos) {
+						continue // this group has counted the row
+					}
+					if card++; card <= keep {
+						fillRow(obuf, srcs, prow, brow)
+						out.appendRow(obuf)
+					}
+				}
+			}
+			if joined >= check {
+				if b.spent(joined) {
+					return nil, card, joined
+				}
+				check = b.next(joined)
+			}
+		}
+		if !bitPath {
+			continue
+		}
+		// A filter group's bits, or a projecting group's projections,
+		// emitted in ascending h; either way acc is left empty.
+		if sk == filterRows {
+			for _, wi := range fw {
+				acc[wi] = 0
+			}
+			continue
+		}
+		if card < keep {
+			fillProbe(obuf, srcs, probe.row(int(uint32(ents[0]))))
+		}
+		for wi, m := range acc {
+			if m == 0 {
+				continue
+			}
+			acc[wi] = 0
+			if card >= keep {
+				card += bits.OnesCount64(m)
+				continue
+			}
+			for ; m != 0; m &= m - 1 {
+				if card++; card <= keep {
+					obuf[ho] = br.h(wi, m)
+					out.appendRow(obuf)
 				}
 			}
 		}
 	}
 	return out, card, joined
+}
+
+// groups is a streamed join's probe side, and a filter's f, grouped on g
+// (group): group i's entries run from ends[i−1] (0 for the first group)
+// to ends[i], and its filter entries from fends[i−1] to fends[i].
+type groups struct {
+	ends  []int32
+	ents  []uint64 // a live probe row's position; on bit rows its join key too, in the high word
+	fends []int32
+	fents []int32 // a live filter row's position; on bit rows its h's offset in the build side's window
+}
+
+// group sorts the live rows of probe by their g columns gPos — and, for a
+// filter, the live rows of f by theirs, fgPos — into e's scratch by
+// counting sort: a pass counts each group's rows, a pass places them, so
+// each group is one run, in position order. The groups are numbered by
+// value, v − lo, when g is one column whose live span is shorter than
+// tableSize(|probe|) — its ends then take no more bytes than the slot
+// table they stand in for, and no table is built — and otherwise by an
+// unchained keyTable of probe's g keys (numberKeys), in the order they
+// first appear: g = ∅, two or more columns, or a sparse column. A row of
+// f whose g no probe row has matches no join row, and is dropped. On bit
+// rows (br), a probe entry carries the row's join key, its column
+// pPos[0], so the walk reads no probe row it does not emit, and a filter
+// entry is the offset of its h, column fhPos[0], in br's window; a filter
+// row whose h lies outside the window has no partner, and is dropped too.
+// The ends are aux's slots and the entries its words, which a keyTable
+// of g leaves behind once f has been looked up in it; f's are fends and
+// fents.
+func (e *Exec) group(probe, f *Relation, gPos, fgPos, pPos, fhPos []int, br *bitRows) groups {
+	var gs groups
+	// Dense, a row's group is v − lo; else t numbers g's keys and nums
+	// holds each probe row's number.
+	var t keyTable
+	var nums []int32
+	lo, n, dense := int64(0), 0, false
+	if len(gPos) == 1 {
+		var span int64
+		lo, span, dense = liveSpan(probe, gPos[0], int64(tableSize(probe.Card()))-1)
+		n = int(span)
+	}
+	if !dense {
+		t, n = e.aux.numberKeys(probe, gPos)
+		nums = e.aux.next
+	}
+	if f != nil {
+		e.fends = scratch(e.fends, n)
+		gs.fends = e.fends
+		clear(gs.fends)
+		w := f.width
+		for pass := range 2 {
+			for c := range f.chunks {
+				data, dead := f.chunks[c].data, f.chunks[c].dead
+				for k := range f.chunkRows(c) {
+					if dead != nil && dead.has(k) {
+						continue
+					}
+					row := data[k*w : k*w+w]
+					var grp int
+					if dense {
+						d := uint64(int64(row[fgPos[0]]) - lo)
+						if d >= uint64(n) {
+							continue
+						}
+						grp = int(d)
+					} else if head := t.lookup(row, fgPos); head != 0 {
+						grp = int(nums[head-1])
+					} else {
+						continue
+					}
+					ent := int32(c<<chunkShift + k)
+					if br != nil {
+						u := uint64(int64(row[fhPos[0]]) - br.hlo)
+						if u>>6 >= uint64(br.w) {
+							continue
+						}
+						ent = int32(u)
+					}
+					if pass == 1 {
+						gs.fents[gs.fends[grp]] = ent
+					}
+					gs.fends[grp]++
+				}
+			}
+			if pass == 0 {
+				e.fents = scratch(e.fents, int(starts(gs.fends)))
+				gs.fents = e.fents
+			}
+		}
+	}
+	gs.ends = e.aux.slotScratch(n)
+	e.aux.words = scratch(e.aux.words, probe.Card())
+	gs.ents = e.aux.words
+	w, gp := probe.width, 0
+	if dense {
+		gp = gPos[0]
+	}
+	for pass := range 2 {
+		for c := range probe.chunks {
+			data, dead := probe.chunks[c].data, probe.chunks[c].dead
+			for k := range probe.chunkRows(c) {
+				i := c<<chunkShift + k
+				var grp int
+				if !dense {
+					if grp = int(nums[i]); grp < 0 {
+						continue
+					}
+				} else if dead != nil && dead.has(k) {
+					continue
+				} else {
+					grp = int(int64(data[k*w+gp]) - lo)
+				}
+				if pass == 1 {
+					ent := uint64(i)
+					if br != nil {
+						ent |= uint64(uint32(data[k*w+pPos[0]])) << 32
+					}
+					gs.ents[gs.ends[grp]] = ent
+				}
+				gs.ends[grp]++
+			}
+		}
+		if pass == 0 {
+			starts(gs.ends)
+		}
+	}
+	return gs
+}
+
+// starts turns counts by group into each group's first index — its end
+// once the place pass has advanced it by its count — and returns their sum.
+func starts(ends []int32) int32 {
+	sum := int32(0)
+	for grp, n := range ends {
+		ends[grp] = sum
+		sum += n
+	}
+	return sum
+}
+
+// numberKeys enters the keys of rel's live rows, its columns pos, into a
+// fresh unchained keyTable over ks, as buildKeys does, and numbers each
+// key the first time it meets it: next holds every row's number, −1 for a
+// dead row. It returns the table and how many keys it numbered.
+func (ks *keyScratch) numberKeys(rel *Relation, pos []int) (keyTable, int) {
+	t := ks.table(rel, pos, rel.Card(), rel.n)
+	ks.next = scratch(ks.next, rel.n)
+	num := ks.next
+	n := int32(0)
+	w := rel.width
+	for c := range rel.chunks {
+		data, dead := rel.chunks[c].data, rel.chunks[c].dead
+		for k := range rel.chunkRows(c) {
+			i := c<<chunkShift + k
+			if dead != nil && dead.has(k) {
+				num[i] = -1
+				continue
+			}
+			kw, j, head := t.probe(data[k*w:k*w+w], pos)
+			if head != 0 {
+				num[i] = num[head-1]
+				continue
+			}
+			t.enter(i, kw, j)
+			num[i] = n
+			n++
+		}
+	}
+	return t, int(n)
 }
 
 // bitRowWords bounds a streamed join's bit rows, by sink: they may hold
@@ -961,30 +1134,34 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 }
 
 // denseSpan decides how Semijoin holds the key set of a one-column key,
-// s's column p. It returns the least live value lo and the span
-// hi − lo + 1 of the live values, and whether that span is at most
-// 32 · tableSize(|s|): a bitmap over [lo, hi], a bit per value, then has
-// no more bytes than the slot table of the keyTable it replaces. The span
-// is taken in int64, so [MinInt32, MaxInt32] is 2³² and does not wrap.
-// The scan stops at the first live row that pushes the span past the
-// budget, so a sparse key costs a few rows, not a pass. An s with no live
-// row has span 0.
+// s's column p: as a bitmap over [lo, hi], a bit per value, when the live
+// values span at most 32 · tableSize(|s|) — it then has no more bytes than
+// the slot table of the keyTable it replaces (liveSpan).
 func denseSpan(s *Relation, p int) (lo, span int64, ok bool) {
-	if s.Card() == 0 {
+	return liveSpan(s, p, 32*int64(tableSize(s.Card())))
+}
+
+// liveSpan returns the least live value lo of rel's column p and the span
+// hi − lo + 1 of its live values, and whether that span is at most limit.
+// The span is taken in int64, so [MinInt32, MaxInt32] is 2³² and does not
+// wrap. The scan stops at the first live row that pushes the span past
+// limit, so a sparse column costs a few rows, not a pass. A rel with no
+// live row has span 0.
+func liveSpan(rel *Relation, p int, limit int64) (lo, span int64, ok bool) {
+	if rel.Card() == 0 {
 		return 0, 0, true
 	}
-	budget := 32 * int64(tableSize(s.Card()))
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	w := s.width
-	for c := range s.chunks {
-		data, dead := s.chunks[c].data, s.chunks[c].dead
-		for k := range s.chunkRows(c) {
+	w := rel.width
+	for c := range rel.chunks {
+		data, dead := rel.chunks[c].data, rel.chunks[c].dead
+		for k := range rel.chunkRows(c) {
 			if dead != nil && dead.has(k) {
 				continue
 			}
 			v := int64(data[k*w+p])
 			lo, hi = min(lo, v), max(hi, v)
-			if hi-lo >= budget {
+			if hi-lo >= limit {
 				return 0, 0, false
 			}
 		}

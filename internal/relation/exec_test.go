@@ -20,12 +20,14 @@ import (
 // table — which a semijoin whose key spans exactly that many values
 // fills; and the handful of per-column buffers. Join, Semijoin and
 // Project use one key table — Project's words sized by its operand's
-// rows, like a build side's — a streamed join a second, its probe side
-// chained by g, and a join→filter 4 B per probe row and 4 B per filter
-// row more, f's chains by g — so a streamed join retains less than the
-// two statements it replaces, whose projection sizes a table by
-// |r ⋈ s|. A filter's group table holds the h columns of one g-group of
-// f, so with g = ∅ it grows to f and no further. It
+// rows, like a build side's — and a streamed join a second, its probe
+// side's groups: the slots of the keyTable that numbers g's keys, then
+// each group's end; its words, then the entries, 8 B a row; a group
+// number per row in its links. A join→filter keeps 4 B per group and
+// 4 B per filter row more, f's groups (fends, fents) — so a streamed join
+// retains less than the two statements it replaces, whose projection
+// sizes a table by |r ⋈ s|. A filter's group table holds the h columns of
+// one g-group of f, so with g = ∅ it grows to f and no further. It
 // sums cap × element size over every slice field by reflection, struct
 // fields included, so scratch added later — a fourth table, a word per
 // slot — is counted without being listed here. A counted Join keeps 4 B
@@ -69,7 +71,7 @@ func TestExecScratchBudget(t *testing.T) {
 	}
 	const perColumn = 1 << 10             // obuf, pos, srcs: a few words per column
 	chained := 4*tableSize(n) + 8*n + 4*n // one key table over n rows, with chains
-	const filterChains = 4*n + 4*n        // fhead by probe row, fnext by filter row
+	const filterGroups = 4*n + 4*n        // fends by group — n, a group per row of s — and fents by filter row
 	if budget := chained + bitmap + perColumn; retained(t, ex) > budget {
 		t.Fatalf("Exec retains %d B after %d-row operators, budget %d B (4 B × %d slots + 12 B × %d build rows + %d B bitmap + %d)",
 			retained(t, ex), n, budget, tableSize(n), n, bitmap, perColumn)
@@ -85,7 +87,10 @@ func TestExecScratchBudget(t *testing.T) {
 		t.Fatalf("streamed join→filter by s kept %d rows, want %d", got.Card(), joined)
 	}
 	local := 4*tableSize(groupRows) + 8*groupRows // a group table that never grew
-	budget := 2*chained + filterChains + local + bitmap + perColumn
+	// The second table is the probe side's groups — the numbering table's
+	// slots, then the group ends; its words, then the entries; a group
+	// number per row — as many bytes as a chained table over it.
+	budget := 2*chained + filterGroups + local + bitmap + perColumn
 	if retained(t, ex) > budget {
 		t.Fatalf("Exec retains %d B after streamed joins of %d-row operands, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + %d)",
 			retained(t, ex), n, budget, tableSize(n), n, n, local, bitmap, perColumn)
@@ -122,7 +127,7 @@ func TestExecScratchBudget(t *testing.T) {
 	}
 	local = 4*tableSize(grown) + 8*grown
 	const sized = 4 * n // a counted Join's bucket sizes, by build row
-	budget = 2*chained + filterChains + local + bitmap + sized + perColumn
+	budget = 2*chained + filterGroups + local + bitmap + sized + perColumn
 	if retained(t, ex) > budget {
 		t.Fatalf("Exec retains %d B after a counted join→project whose group has %d keys, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + 4 B × %d sizes + %d)",
 			retained(t, ex), n, budget, tableSize(n), n, n, local, bitmap, n, perColumn)
@@ -140,7 +145,7 @@ func TestExecScratchBudget(t *testing.T) {
 		t.Fatalf("the group table of a g = ∅ filter by %d rows has %d slots and %d words, want ≤ %d each", fa.Card(), len(ex.local.slots), len(ex.local.words), size)
 	}
 	local = 4*tableSize(fa.Card()) + 8*tableSize(fa.Card())
-	budget = 2*chained + filterChains + local + bitmap + sized + perColumn
+	budget = 2*chained + filterGroups + local + bitmap + sized + perColumn
 	if retained(t, ex) > budget {
 		t.Fatalf("Exec retains %d B after a counted g = ∅ join→filter by %d rows, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + 4 B × %d sizes + %d)",
 			retained(t, ex), fa.Card(), budget, tableSize(n), n, n, local, bitmap, n, perColumn)
@@ -266,25 +271,28 @@ func TestSemijoinKeyBitmapBoundaries(t *testing.T) {
 // tests on dangling databases (TestOperatorOutputsOnDanglingDatabase,
 // TestReadsUnderAWriteStream) say their streamed joins take: a random
 // build side of rows rows over [0, domain)² is bit rows for JoinProject
-// and for JoinFilter exactly as listed.
+// and for JoinFilter exactly as listed, and a probe side like it has its
+// groups numbered by value (group) exactly when byValue.
 func TestBitRowsAtTheProgramTestDomains(t *testing.T) {
 	u := schema.NewUniverse()
 	for _, tc := range []struct {
-		rows, domain    int
-		project, filter bool
+		rows, domain             int
+		project, filter, byValue bool
 	}{
-		{2*ChunkRows + 900, 1000, true, true},   // ≈ 1.8 words a row
-		{2*ChunkRows + 900, 3000, false, true},  // ≈ 15.5
-		{2*ChunkRows + 900, 6000, false, false}, // ≈ 62
-		{12000, 1000, true, true},
-		{12000, 6000, false, false}, // ≈ 47
+		{2*ChunkRows + 900, 1000, true, true, true},   // ≈ 1.8 words a row
+		{2*ChunkRows + 900, 3000, false, true, true},  // ≈ 15.5
+		{2*ChunkRows + 900, 6000, false, false, true}, // ≈ 62
+		{12000, 1000, true, true, true},
+		{12000, 6000, false, false, true}, // ≈ 47
+		{12000, 40000, false, false, false},
 	} {
 		r, _ := RandomUniversal(u, u.Set("a", "b"), tc.rows, tc.domain, rand.New(rand.NewSource(1)))
 		_, _, _, _, project := bitSpans(r, 0, 1, bitRowWords[projectRows])
 		_, _, _, _, filter := bitSpans(r, 0, 1, bitRowWords[filterRows])
-		if project != tc.project || filter != tc.filter {
-			t.Errorf("%d rows over %d values: bit rows for JoinProject %v, JoinFilter %v; want %v, %v",
-				tc.rows, tc.domain, project, filter, tc.project, tc.filter)
+		_, _, byValue := liveSpan(r, 0, int64(tableSize(r.Card()))-1)
+		if project != tc.project || filter != tc.filter || byValue != tc.byValue {
+			t.Errorf("%d rows over %d values: bit rows for JoinProject %v, JoinFilter %v, groups by value %v; want %v, %v, %v",
+				tc.rows, tc.domain, project, filter, byValue, tc.project, tc.filter, tc.byValue)
 		}
 	}
 }

@@ -872,15 +872,21 @@ func literalRel(dead uint16, rows ...Tuple) []byte {
 	return b
 }
 
+// literalSeed encodes a FuzzOperators input of literal relations r, s and
+// f over the masks ra, sa and fa, with px and x.
+func literalSeed(ra, sa, px byte, r, s []byte, fa, x byte, f []byte) []byte {
+	b := append([]byte{ra, sa, px}, r...)
+	b = append(b, s...)
+	b = append(b, fa, x)
+	return append(b, f...)
+}
+
 // bitSeed encodes a FuzzOperators input of literal relations: r = ab, s
 // over the mask sa (bc, or bcd), f = x = ac and px = a. s has fewer rows
 // than r, so it is built on b, and both streamed sinks have g = a and
 // h = c.
 func bitSeed(sa byte, r, s, f []byte) []byte {
-	b := append([]byte{0b00011, sa, 0b00001}, r...)
-	b = append(b, s...)
-	b = append(b, 0b00101, 0b00101)
-	return append(b, f...)
+	return literalSeed(0b00011, sa, 0b00001, r, s, 0b00101, 0b00101, f)
 }
 
 // boundSeed is a bitSeed whose four-row s has two keys, klo and klo + 1,
@@ -964,51 +970,129 @@ var bitSeeds = map[string][]byte{
 		literalRel(0, Tuple{0, 0}, Tuple{1, 3}, Tuple{2, 2}, Tuple{0, 1}, Tuple{2, 0})),
 }
 
+// spanSeed is a bitSeed whose nine-row r has a values from lo to
+// lo + span − 1 (r's g for both sinks), and f rows at both ends: with 9
+// live rows the groups' slot table has tableSize(9) = 32 slots, so a span
+// of 31 is the widest numbered by value.
+func spanSeed(lo Value, span int) []byte {
+	hi := Value(int64(lo) + int64(span) - 1)
+	return bitSeed(0b00110,
+		literalRel(0, Tuple{lo, 0}, Tuple{lo, 1}, Tuple{hi, 0}, Tuple{hi, 2}, Tuple{lo + 1, 1}, Tuple{lo + 1, 2},
+			Tuple{hi - 1, 0}, Tuple{lo, 2}, Tuple{hi, 1}),
+		literalRel(0, Tuple{0, 3}, Tuple{1, 4}, Tuple{2, 3}, Tuple{0, 5}, Tuple{1, 3}),
+		literalRel(0, Tuple{lo, 3}, Tuple{lo, 5}, Tuple{hi, 4}, Tuple{hi, 3}, Tuple{lo + 1, 4}, Tuple{hi - 1, 5}))
+}
+
+// groupSeeds are the stream seeds of the streamed sinks' group sources
+// (group): g numbered by value or by a keyTable of its keys.
+var groupSeeds = map[string][]byte{
+	// r's a over [0, 4) with dead rows, s's c a million apart, so the
+	// build side is the chained table; f's rows dead in places too.
+	"groups dense dead": bitSeed(0b00110,
+		func() []byte {
+			var rows []Tuple
+			for a := range Value(4) {
+				for b := range Value(3) {
+					rows = append(rows, Tuple{a, b})
+				}
+			}
+			return literalRel(0x0021, rows...)
+		}(),
+		literalRel(0, Tuple{0, 0}, Tuple{0, 1 << 20}, Tuple{1, 2 << 20}, Tuple{2, 0}, Tuple{2, 3 << 20}),
+		literalRel(0x0004, Tuple{0, 0}, Tuple{1, 1 << 20}, Tuple{2, 2 << 20}, Tuple{3, 0}, Tuple{0, 3 << 20},
+			Tuple{1, 0}, Tuple{2, 1 << 20}, Tuple{3, 3 << 20}, Tuple{3, 2 << 20})),
+	// r's a over [5, 7]; f's a also at 4 and 8, just outside, and at the
+	// ends of int32.
+	"groups f outside the span": bitSeed(0b00110,
+		literalRel(0, Tuple{5, 0}, Tuple{5, 1}, Tuple{6, 0}, Tuple{6, 2}, Tuple{7, 1}, Tuple{7, 2}),
+		literalRel(0, Tuple{0, 3}, Tuple{1, 4}, Tuple{2, 5}),
+		literalRel(0, Tuple{4, 3}, Tuple{5, 3}, Tuple{6, 5}, Tuple{8, 4}, Tuple{7, 4}, Tuple{math.MinInt32, 3},
+			Tuple{math.MaxInt32, 5}, Tuple{5, 4})),
+	// r's a is 0, 5 and 9: the groups between have no probe row, and f
+	// rows in them.
+	"groups empty inside the span": bitSeed(0b00110,
+		literalRel(0, Tuple{0, 0}, Tuple{0, 1}, Tuple{5, 1}, Tuple{5, 2}, Tuple{9, 0}, Tuple{9, 2}),
+		literalRel(0, Tuple{0, 3}, Tuple{1, 4}, Tuple{2, 5}),
+		literalRel(0, Tuple{0, 3}, Tuple{2, 4}, Tuple{3, 3}, Tuple{5, 4}, Tuple{7, 5}, Tuple{9, 5}, Tuple{6, 3})),
+	// r's a spans tableSize(9) − 1 values, the widest numbered by value,
+	// ending at MaxInt32; one value more and a keyTable numbers them.
+	"groups span at the bound, MaxInt32":       spanSeed(math.MaxInt32-30, 31),
+	"groups span one past the bound, MaxInt32": spanSeed(math.MaxInt32-31, 32),
+	// r = abc probes s = bd on b, f = x = acd: both sinks group on two
+	// columns, a and c, with dead rows in r and f.
+	"groups two columns": literalSeed(0b00111, 0b01010, 0b00001,
+		literalRel(0x0010, Tuple{0, 0, 0}, Tuple{0, 1, 0}, Tuple{0, 2, 1}, Tuple{1, 0, 0}, Tuple{1, 1, 1}, Tuple{1, 2, 1},
+			Tuple{0, 1, 1}, Tuple{2, 0, 0}, Tuple{2, 2, 0}),
+		literalRel(0, Tuple{0, 7}, Tuple{1, 8}, Tuple{2, 7}, Tuple{0, 9}),
+		0b01101, 0b01101,
+		literalRel(0x0002, Tuple{0, 0, 7}, Tuple{0, 0, 8}, Tuple{0, 1, 9}, Tuple{1, 0, 7}, Tuple{1, 1, 8}, Tuple{2, 0, 9},
+			Tuple{2, 0, 7}, Tuple{3, 1, 8})),
+}
+
 func init() {
-	for name, seed := range bitSeeds {
-		streamSeeds[name] = seed
+	for _, seeds := range []map[string][]byte{bitSeeds, groupSeeds} {
+		for name, seed := range seeds {
+			streamSeeds[name] = seed
+		}
 	}
 }
 
-// seedPaths says, for every stream seed, whether JoinProject and
-// JoinFilter take bit rows on it (TestStreamSeedsCoverTheirCases).
-var seedPaths = map[string]struct{ project, filter bool }{
-	"g=∅":                {false, false}, // a two-column key
-	"x⊇probe":            {true, false},  // the filter's h is two columns
-	"inexact":            {false, false}, // h is three columns
-	"dense product":      {false, false}, // no key column
-	"zero-width":         {false, false},
-	"dead":               {false, false}, // edgeValues span int32
-	"filter g=∅":         {false, false}, // a two-column key
-	"filter h=∅":         {true, false},  // the filter has no h column
-	"filter inexact":     {false, false},
-	"filter dead":        {false, false},
-	"filter empty group": {true, true},
-	"semijoin dense":     {true, false},
-	"semijoin sparse":    {false, false},
+// seedPaths says, for every stream seed, the paths JoinProject and
+// JoinFilter take on it (TestStreamSeedsCoverTheirCases): a build side of
+// bit rows or the chained table, and groups numbered by value (dense) or
+// by a keyTable of g's keys (hashed).
+var seedPaths = map[string][2]string{ // project, filter
+	"g=∅":                {"chained hashed", "chained dense"},  // a two-column key
+	"x⊇probe":            {"bits hashed", "chained hashed"},    // the filter's h is two columns
+	"inexact":            {"chained hashed", "chained hashed"}, // h is three columns; g = e holds int32's ends
+	"dense product":      {"chained dense", "chained dense"},   // no key column
+	"zero-width":         {"chained dense", "chained hashed"},
+	"dead":               {"chained hashed", "chained hashed"}, // edgeValues span int32
+	"filter g=∅":         {"chained hashed", "chained hashed"}, // a two-column key
+	"filter h=∅":         {"bits hashed", "chained hashed"},    // the filter has no h column
+	"filter inexact":     {"chained hashed", "chained hashed"},
+	"filter dead":        {"chained hashed", "chained hashed"},
+	"filter empty group": {"bits hashed", "bits hashed"}, // s, probed, holds int32's ends in c
+	"semijoin dense":     {"bits dense", "chained hashed"},
+	"semijoin sparse":    {"chained dense", "chained hashed"},
 
-	"bits dead":                                      {true, true},
-	"bits f outside the window":                      {true, true},
-	"bits at the projection's bound, MinInt32":       {true, true},
-	"bits one past the projection's bound, MinInt32": {false, true},
-	"bits at the filter's bound, MaxInt32":           {false, true},
-	"bits one past the filter's bound, MaxInt32":     {false, false},
-	"bits key gaps":                                  {true, true},
-	"bits k mid-word":                                {true, true},
-	"build wider than key + h":                       {true, false},
+	"bits dead":                                      {"bits dense", "bits dense"},
+	"bits f outside the window":                      {"bits dense", "bits dense"},
+	"bits at the projection's bound, MinInt32":       {"bits dense", "bits dense"},
+	"bits one past the projection's bound, MinInt32": {"chained dense", "bits dense"},
+	"bits at the filter's bound, MaxInt32":           {"chained dense", "bits dense"},
+	"bits one past the filter's bound, MaxInt32":     {"chained dense", "chained dense"},
+	"bits key gaps":                                  {"bits dense", "bits dense"},
+	"bits k mid-word":                                {"bits dense", "bits dense"},
+	"build wider than key + h":                       {"bits dense", "chained dense"},
+
+	"groups dense dead":                        {"chained dense", "chained dense"},
+	"groups f outside the span":                {"bits dense", "bits dense"},
+	"groups empty inside the span":             {"bits dense", "bits dense"},
+	"groups span at the bound, MaxInt32":       {"bits dense", "bits dense"},
+	"groups span one past the bound, MaxInt32": {"bits hashed", "bits hashed"},
+	"groups two columns":                       {"bits hashed", "bits hashed"},
 }
 
-// takesBitRows reports whether a streamed sink over op — JoinFilter by f
-// when filter, else JoinProject onto x — holds its build side as bit
-// rows: a fresh Exec then builds no keyTable in its keys scratch.
-func takesBitRows(op fuzzOperands, filter bool) bool {
+// streamPath names the path a streamed sink over op takes — JoinFilter by
+// f when filter, else JoinProject onto x — as seedPaths does: a fresh
+// Exec builds no keyTable in its keys scratch on bit rows, and none in
+// its aux scratch when it numbers groups by value.
+func streamPath(op fuzzOperands, filter bool) string {
 	ex := NewExec()
 	if filter {
 		ex.JoinFilter(op.r, op.s, op.f, All, Budget{})
 	} else {
 		ex.JoinProject(op.r, op.s, op.x, All, Budget{})
 	}
-	return ex.keys.slots == nil
+	build, groups := "chained", "hashed"
+	if ex.keys.slots == nil {
+		build = "bits"
+	}
+	if ex.aux.next == nil {
+		groups = "dense"
+	}
+	return build + " " + groups
 }
 
 // TestStreamSeedsCoverTheirCases decodes each stream seed and checks it
@@ -1110,11 +1194,27 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 			ok = ok && len(rows) > 3 && onePair(rows[0], rows[3]) && (int64(rows[0][hp])-hlo)>>6 == (int64(rows[3][hp])-hlo)>>6
 		case "build wider than key + h":
 			ok = ok && build.width == 3 && fh.Card() == 1 && kept.Card() > 0
+		case "groups dense dead":
+			ok = ok && fg.Card() == 1 && probe.dead > 0 && op.f.dead > 0 && kept.Card() > 0
+		case "groups f outside the span":
+			pv, fv := liveValues(probe, fg.Min()), liveValues(op.f, fg.Min())
+			ok = ok && slices.Min(fv) < slices.Min(pv) && slices.Max(fv) > slices.Max(pv) && kept.Card() > 0
+		case "groups empty inside the span":
+			pv := liveValues(probe, fg.Min())
+			inGap := func(v int64) bool { return v > slices.Min(pv) && v < slices.Max(pv) && !slices.Contains(pv, v) }
+			ok = ok && slices.ContainsFunc(liveValues(op.f, fg.Min()), inGap) && kept.Card() > 0
+		case "groups span at the bound, MaxInt32", "groups span one past the bound, MaxInt32":
+			pv, want := liveValues(probe, g.Min()), int64(tableSize(probe.Card())-1)
+			if name == "groups span one past the bound, MaxInt32" {
+				want++
+			}
+			ok = ok && g.Equal(fg) && slices.Max(pv) == math.MaxInt32 && slices.Max(pv)-slices.Min(pv)+1 == want && kept.Card() > 0
+		case "groups two columns":
+			ok = ok && g.Card() == 2 && g.Equal(fg) && probe.dead > 0 && op.f.dead > 0 && kept.Card() > 0
 		}
-		// The path each sink takes: bit rows, or the chained table.
-		if path, known := seedPaths[name]; !known || takesBitRows(op, false) != path.project || takesBitRows(op, true) != path.filter {
-			t.Errorf("seed %q: JoinProject on bit rows %v, JoinFilter on bit rows %v; want %+v",
-				name, takesBitRows(op, false), takesBitRows(op, true), path)
+		// The path each sink takes: its build side and its groups.
+		if got := [2]string{streamPath(op, false), streamPath(op, true)}; got != seedPaths[name] {
+			t.Errorf("seed %q: JoinProject, JoinFilter take %q; want %q", name, got, seedPaths[name])
 		}
 		if !ok {
 			t.Errorf("seed %q misses its case: r %s (%d, %d dead), s %s (%d, %d dead), f %s (%d, %d dead), x %s, |r ⋈ s| = %d",
@@ -1122,6 +1222,15 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 				op.f.U.FormatSet(op.f.attrs), op.f.Card(), op.f.dead, op.x.Key(), joined)
 		}
 	}
+}
+
+// liveValues returns the values of rel's live rows in column a.
+func liveValues(rel *Relation, a schema.Attr) []int64 {
+	var vals []int64
+	for _, tp := range rel.Tuples() {
+		vals = append(vals, int64(tp[rel.colPos(a)]))
+	}
+	return vals
 }
 
 // FuzzOperators decodes two relations of width 0–4 over a five-attribute
