@@ -156,9 +156,11 @@ func FuzzQueryEquivalence(f *testing.F) {
 		}
 		// solves runs p and returns its stats, whose Joins/Projects/
 		// Semijoins count every statement of p, skipped ones included. It
-		// runs p again keeping k ∈ {0, 1, 10} answer rows, as a reply with
-		// that limit does: the card must still be the naive join's, the
-		// rows kept the whole run's first k, and the stats the whole run's
+		// runs p unfused too, every statement alone: the answer and the
+		// stats must be the same but for Streamed and Counted. It runs p
+		// again keeping k ∈ {0, 1, 10} answer rows, as a reply with that
+		// limit does: the card must still be the naive join's, the rows
+		// kept the whole run's first k, and the stats the whole run's
 		// apart from Counted, which only the answer statement may carry.
 		solves := func(label string, p *program.Program, lim program.Limits) *program.Stats {
 			t.Helper()
@@ -172,6 +174,14 @@ func FuzzQueryEquivalence(f *testing.F) {
 			}
 			if len(st.Detail) != len(p.Stmts) {
 				t.Fatalf("%s: %s: stats cover %d of %d statements", name, label, len(st.Detail), len(p.Stmts))
+			}
+			alone, ust, err := p.RunUnfused(db, relation.NewExec(), lim)
+			if err != nil {
+				t.Fatalf("%s: %s unfused: %v", name, label, err)
+			}
+			if !alone.Equal(got) || !sameStats(st, ust, true) {
+				t.Fatalf("%s: %s: the unfused run answers %d tuples, or its stats differ\n%s\n%s",
+					name, label, alone.Card(), st.Table(), ust.Table())
 			}
 			for _, k := range []int{0, 1, 10} {
 				first, kst, err := p.Run(db, relation.NewExec(), lim, k)
@@ -188,7 +198,7 @@ func FuzzQueryEquivalence(f *testing.F) {
 					t.Fatalf("%s: %s at k=%d: card %d, rows %v; want %d and the first of %v\n%s",
 						name, label, k, kst.AnswerCard(), kept, want.Card(), got.Tuples(), kst.Table())
 				}
-				if !sameStats(st, kst) {
+				if !sameStats(st, kst, false) {
 					t.Fatalf("%s: %s at k=%d: stats differ from the whole run's\n%s\n%s", name, label, k, st.Table(), kst.Table())
 				}
 			}
@@ -373,22 +383,28 @@ func TestMultiSourceSeed(t *testing.T) {
 
 // streamingSeeds are FuzzQueryEquivalence seeds whose PlanQuery plan has
 // a join that Run streams into its successor, of the kind into; the
-// planner emits no semijoin by a filter. TestStreamingSeeds checks each.
+// planner emits no semijoin by a filter. A chain seed streams the join on
+// through its filter and a semijoin that drops rows into a statement of
+// the kind into. TestStreamingSeeds checks each.
 var streamingSeeds = []struct {
-	seed []byte
-	into program.StmtKind
+	seed  []byte
+	into  program.StmtKind
+	chain bool
 }{
-	{[]byte{1, 1, 10, 1, 9, 11, 11, 1, 3, 0, 2, 6}, program.Project}, // star ab, ac, x = bc: a tree's last join
-	{[]byte{4, 9, 9, 4, 10, 8, 3, 3}, program.Project},               // random schema, acyclic, x = ac
-	{[]byte{3, 6, 11, 9, 8, 7, 5}, program.Project},                  // ring3 with tails: the §4 plan's projection
-	{[]byte{3, 9, 7, 6, 6, 4, 0}, program.Join},                      // ring6: a join filtered by a relation inside it
-	{[]byte{4, 3, 8, 9, 3, 1, 4}, program.Join},                      // cyclic random schema: the filter drops rows
+	{[]byte{1, 1, 10, 1, 9, 11, 11, 1, 3, 0, 2, 6}, program.Project, false}, // star ab, ac, x = bc: a tree's last join
+	{[]byte{4, 9, 9, 4, 10, 8, 3, 3}, program.Project, false},               // random schema, acyclic, x = ac
+	{[]byte{3, 6, 11, 9, 8, 7, 5}, program.Project, false},                  // ring3 with tails: the §4 plan's projection
+	{[]byte{3, 9, 7, 6, 6, 4, 0}, program.Join, false},                      // ring6: a join filtered by a relation inside it
+	{[]byte{4, 3, 8, 9, 3, 1, 4}, program.Join, false},                      // cyclic random schema: the filter drops rows
+	{[]byte{3, 6, 2, 6, 6, 5, 1}, program.Semijoin, true},                   // ring3 with tails, x = a: two semijoins of the bag
+	{[]byte{14, 0, 4, 14, 10, 7, 5}, program.Project, true},                 // cyclic random schema: s8's bag ⋉ a tail, onto an operand
 }
 
 // TestStreamingSeeds decodes each streaming seed the way
 // FuzzQueryEquivalence does and checks that Run streams a nonempty join
-// of its PlanQuery plan into a statement of the kind the seed is for, so
-// the fuzz seeds keep exercising both streamed sinks.
+// of its PlanQuery plan into a statement of the kind the seed is for — a
+// chain seed through a filter and a streamed semijoin that drops rows —
+// so the fuzz seeds keep exercising both streamed sinks and the chain.
 func TestStreamingSeeds(t *testing.T) {
 	for _, s := range streamingSeeds {
 		in := &fuzzInput{b: s.seed}
@@ -405,7 +421,16 @@ func TestStreamingSeeds(t *testing.T) {
 		}
 		hit := false
 		for i, sd := range st.Detail {
-			hit = hit || sd.Streamed && sd.Out > 0 && st.Detail[i+1].Kind == s.into
+			into := i + 1
+			if s.chain {
+				for into < len(st.Detail) && st.Detail[into].Streamed {
+					into++
+				}
+				if sj := st.Detail[into-1]; into-i < 3 || sj.Kind != program.Semijoin || sj.Out >= sj.InLeft {
+					continue
+				}
+			}
+			hit = hit || sd.Streamed && sd.Out > 0 && st.Detail[into].Kind == s.into
 		}
 		if !hit {
 			t.Errorf("seed %v (%s x=%s) streams no nonempty join into a %s\n%s",
@@ -415,14 +440,18 @@ func TestStreamingSeeds(t *testing.T) {
 }
 
 // sameStats reports whether two runs of one program recorded the same
-// costs, apart from wall times and from Counted on the answer statement.
-func sameStats(a, b *program.Stats) bool {
+// costs, apart from wall times and from Counted on the answer statement —
+// and, when unfused, from Streamed and Counted on every statement.
+func sameStats(a, b *program.Stats, unfused bool) bool {
 	strip := func(st *program.Stats) []program.StmtStat {
 		ds := slices.Clone(st.Detail)
 		for i := range ds {
 			ds[i].Elapsed = 0
-			if i == len(ds)-1 {
+			if i == len(ds)-1 || unfused {
 				ds[i].Counted = false
+			}
+			if unfused {
+				ds[i].Streamed = false
 			}
 		}
 		return ds

@@ -529,6 +529,45 @@ func TestTraceShowsStreamedJoin(t *testing.T) {
 	}
 }
 
+// TestTraceShowsStreamedChain: on the D20k database (seed 1) the s8 read,
+// /v1/solve x=ab, runs the ∪GR bag as one chain — ab ⋈ bc, filtered by
+// ac, semijoined by cd ⋉ de, projected onto ab — and its trace says so:
+// the join, the filter and the semijoin are streamed and carry no time,
+// the projection carries the chain's, and every statement's out is what
+// the statements run one by one give (their parent's figures).
+func TestTraceShowsStreamedChain(t *testing.T) {
+	u := schema.NewUniverse()
+	d := schema.MustParse(u, "ab, bc, cd, de, ac")
+	e := New(Options{})
+	e.Swap(urdb(d, 1, 20000, 2000))
+	ts := httptest.NewServer(NewServer(e, u, d).Handler())
+	t.Cleanup(ts.Close)
+
+	var sol SolveResponse
+	resp := post(t, ts.URL+"/v1/solve", `{"x": "ab", "limit": 10, "trace": true}`, &sol)
+	if resp.StatusCode != http.StatusOK || sol.Trace == nil {
+		t.Fatalf("status %d, trace %v", resp.StatusCode, sol.Trace)
+	}
+	// By statement: cd ⋉ de, then the chain ab ⋈ bc, ⋈ ac, ⋉ cd', π_ab.
+	want := []struct {
+		op       string
+		out      int
+		streamed bool
+	}{{"semijoin", 19944, false}, {"join", 218502, true}, {"join", 20962, true}, {"semijoin", 20962, true}, {"project", 19956, false}}
+	spans := map[int]*program.Span{}
+	sol.Trace.Each(func(sp *program.Span) { spans[sp.ID] = sp })
+	for i, w := range want {
+		sp := spans[len(d.Rels)+i]
+		if sp == nil || sp.Op != w.op || sp.Out != w.out || sp.Streamed != w.streamed || (sp.ElapsedNs == 0) != w.streamed {
+			t.Errorf("statement %d: span %+v, want a %s of %d rows, streamed %v", i, sp, w.op, w.out, w.streamed)
+		}
+	}
+	if sol.Card != 19956 || sol.Stats.MaxIntermediate != 218502 || sol.Stats.TuplesProduced != 300326 || len(sol.Tuples) != 10 {
+		t.Errorf("card %d, stats %+v, %d tuples echoed; want 19956, max intermediate 218502, 300326 produced, 10",
+			sol.Card, sol.Stats, len(sol.Tuples))
+	}
+}
+
 // TestCountedAnswerMatchesStored: a read whose answer is a join — q5's
 // projection of ab ⋈ bc, q6's ab ⋈ bc itself, q7's ab ⋈ bc filtered by
 // ac — builds only the rows its limit echoes. At limit 0, 1 and 10 and

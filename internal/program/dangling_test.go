@@ -86,8 +86,9 @@ func planShape(t *testing.T, d *schema.Schema, head string) *Program {
 // eval_read shape (planned the way core.PlanQuery plans it) and the full
 // reducer of the 5-chain over a database of more than two chunks per
 // relation on which semijoins filter. The answer of Run must equal
-// refEval's, with q5's join streamed into its projection, q7's and s8's
-// into the join with ac, and no other join streamed. Walking the
+// refEval's, with q5's join streamed into its projection, q7's into the
+// join with ac, s8's on through that filter, its semijoin by cd and its
+// projection onto ab, and nothing else streamed. Walking the
 // statements unfused on one shared Exec, every semijoin output must be
 // exactly the rows of its left operand that have a partner — found by
 // nested maps, not by the engine — in the left operand's own order. It
@@ -128,7 +129,7 @@ func danglingShapes(t *testing.T, domain int) {
 		{"q5_acyclic_ac", plan(parse(t, u, "ab, bc"), "ac"), []StmtKind{Project}},
 		{"q6_wide_abc", plan(parse(t, u, "ab, bc, cd"), "abc"), nil},
 		{"q7_triangle", plan(parse(t, u, "ab, bc, ac"), "abc"), []StmtKind{Join}},
-		{"s8_solve_ab", plan(parse(t, u, "ab, bc, cd, de, ac"), "ab"), []StmtKind{Join}},
+		{"s8_solve_ab", plan(parse(t, u, "ab, bc, cd, de, ac"), "ab"), []StmtKind{Join, Semijoin, Project}},
 		{"fullreducer chain5", reducer, nil},
 	} {
 		name, p := fmt.Sprintf("domain %d: %s", domain, tc.name), tc.p

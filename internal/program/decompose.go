@@ -1,6 +1,7 @@
 package program
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -79,26 +80,31 @@ func Decompose(d *schema.Schema, res *gyo.Result, x schema.AttrSet) (*Decomposit
 }
 
 // Emit turns dec into the program solving (D, X) on arbitrary databases
-// for d (not just UR ones): it builds each bag's state from its sources
-// — the sources joined, then projected onto the bag where they are
-// wider — and runs the answer-directed Yannakakis program (see
-// YannakakisRooted) over the bags, with the built states as their
-// relations.
+// for d (not just UR ones): it runs the answer-directed Yannakakis
+// program (see YannakakisRooted) over the bags, and builds each bag's
+// state from its sources — the sources joined, then projected onto the
+// bag where they are wider — right before the first statement that reads
+// it. ∪GR(D)'s joins then come straight before its semijoins, so Run
+// streams the bag through its reducer and stores none of it.
 func Emit(d *schema.Schema, dec *Decomposition, x schema.AttrSet) (*Program, error) {
 	p := NewProgram(d)
-	cur := make([]int, len(dec.Src))
-	for i, src := range dec.Src {
-		id, sch, err := p.emitJoin(src)
-		if err != nil {
-			return nil, err
+	var err error
+	cur := states{ids: make([]int, len(dec.Src)), build: func(v int) int {
+		id, sch, e := p.emitJoin(dec.Src[v])
+		if e != nil {
+			err = cmp.Or(err, e)
+			return 0
 		}
-		if bag := dec.Bags.Rels[i]; !sch.Equal(bag) {
+		if bag := dec.Bags.Rels[v]; !sch.Equal(bag) {
 			id = p.emit(Stmt{Kind: Project, Left: id, Proj: bag})
 		}
-		cur[i] = id
+		return id
+	}}
+	for v := range cur.ids {
+		cur.ids[v] = -1
 	}
-	if err := emitYannakakis(p, dec.Bags.Rels, cur, dec.Tree, dec.Root, x); err != nil {
-		return nil, err
+	if e := emitYannakakis(p, dec.Bags.Rels, cur, dec.Tree, dec.Root, x); e != nil || err != nil {
+		return nil, cmp.Or(err, e)
 	}
 	return p, nil
 }

@@ -140,9 +140,10 @@ func (p *Program) schemas() ([]schema.AttrSet, error) {
 
 // StmtStat is the observed cost of one statement: input and output
 // cardinalities plus wall time. InRight is −1 for projections, which
-// have a single operand. Streamed marks a join Run fed straight into the
-// next statement (see Run): its Out counts the rows that passed through,
-// and the pair's wall time is on the consumer. Counted marks the answer
+// have a single operand. Streamed marks a statement of a chain Run fed
+// straight into the next statement (see Run): its Out counts the rows
+// that passed through, and the chain's wall time is on its last
+// statement. Counted marks the answer
 // statement Run counted and kept only the first k rows of: its Out is
 // still the answer's full cardinality.
 type StmtStat struct {
@@ -234,25 +235,30 @@ func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error
 //
 // k ≥ 0 is how many rows of the answer the caller reads — a reply's echo
 // limit; relation.All for every row. When the answer statement is a join
-// (relation.Exec.JoinFirst) or the consumer of a streamed join (below),
-// and k is not All, it runs counted: every row is still found and
-// counted, so its Out, the answer's cardinality (Stats.AnswerCard), is
-// exact, but only the first k rows, in the order the whole answer would
-// have them, are built and returned. The statement is marked Counted and
-// nothing else changes — not the other stats, not what the gas counts.
-// A final semijoin or projection, and every run with k = All, returns
-// the whole answer.
+// (relation.Exec.JoinFirst) or ends a streamed chain (below) — unless a
+// projection onto a join operand closes it — and k is not All, it runs
+// counted: every row is still found and counted, so its Out, the
+// answer's cardinality (Stats.AnswerCard), is exact, but only the first
+// k rows, in the order the whole answer would have them, are built and
+// returned. The statement is marked Counted and nothing else changes —
+// not the other stats, not what the gas counts. Any other answer
+// statement, and every run with k = All, returns the whole answer.
 //
-// One pair of statements is evaluated as one: a join whose value has a
-// single use, by the statement right after it, is streamed into that
-// statement and never materialized when the statement is a projection
-// of it (relation.Exec.JoinProject) or a join or semijoin of it with a
-// relation over a subset of its attributes — a filter
-// (relation.Exec.JoinFilter). The program is unchanged, and so are the
-// stats: the join is recorded with the rows that streamed through as its
-// Out — counted toward TuplesProduced, MaxIntermediate and the gas like
-// a materialized join's — and marked Streamed, and the pair's wall time
-// is recorded on the consumer.
+// A chain of statements is evaluated as one (see fusion): a join whose
+// value has a single use, by the statement right after it, is streamed
+// into that statement and never materialized when the statement is a
+// projection of it (relation.Exec.JoinProject) or a join or semijoin of
+// it with a relation over a subset of its attributes — a filter
+// (relation.Exec.JoinFilter). Past a filter the chain goes on while each
+// value has a single use, by the next statement: through semijoins of
+// it, then at most one projection onto the attributes of one of the
+// join's two operands, which ends it (relation.Exec.JoinChain); a
+// projection onto anything else, or a value with two uses, ends it
+// before. The program is unchanged, and so are the stats: each statement
+// of a chain is recorded with its own Out — the join's the rows that
+// streamed through — counted toward TuplesProduced, MaxIntermediate and
+// the gas like a materialized statement's, every statement but the last
+// is marked Streamed, and the chain's wall time is recorded on the last.
 //
 // Run never mutates db: input relations are read-only operands (every
 // statement materializes a fresh output relation), the Rels slice is
@@ -267,10 +273,23 @@ func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error
 // result, so once a statement the answer transitively depends on comes
 // out empty the answer is empty too: the run stops there, records the
 // remaining statements as skipped (see Stats) and returns the empty
-// relation over the result schema. A streamed join that comes out empty
-// is such a statement: its consumer is recorded as skipped, and the
-// pair's wall time stays on the join.
+// relation over the result schema. A statement inside a chain that comes
+// out empty is such a statement: the rest of the chain is recorded as
+// skipped, and the chain's wall time stays on it.
 func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits, k int) (*relation.Relation, *Stats, error) {
+	return p.run(db, ex, lim, k, true)
+}
+
+// RunUnfused is Run with every statement evaluated alone — no join
+// streamed into another statement — and the answer kept whole: the
+// straight-line program as written, the oracle that Run's streaming and
+// counting are held to. It exists for tests.
+func (p *Program) RunUnfused(db *relation.Database, ex *relation.Exec, lim Limits) (*relation.Relation, *Stats, error) {
+	return p.run(db, ex, lim, relation.All, false)
+}
+
+// run is Run, streaming chains of statements (fusion) when fuse is set.
+func (p *Program) run(db *relation.Database, ex *relation.Exec, lim Limits, k int, fuse bool) (*relation.Relation, *Stats, error) {
 	sch, err := p.schemas()
 	if err != nil {
 		return nil, nil, err
@@ -308,13 +327,18 @@ func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits, k in
 
 	start := time.Now()
 	last := len(p.Stmts) - 1
+	var cards []int                // the Out of each statement of the chain at si
+	var semis []*relation.Relation // a chain's semijoin operands
 	for si := 0; si < len(p.Stmts); si++ {
 		s := p.Stmts[si]
-		d := opStat(s, vals, 0)
-		filter, streamed := p.streamsInto(si, flow, sch)
+		fu := fusion{filter: -1, onto: -1}
+		if fuse {
+			fu = p.fusion(si, flow, sch)
+		}
+		end := si + fu.n // the chain's last statement
 		// The answer statement keeps k rows; a join kernel counts the rest.
 		keep := relation.All
-		if si == last || streamed && si+1 == last {
+		if end == last && fu.onto < 0 {
 			keep = k
 		}
 		counted := keep != relation.All && s.Kind == Join // streamed or not
@@ -324,46 +348,57 @@ func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits, k in
 		}
 		t0 := time.Now()
 		var out *relation.Relation
-		var card int
+		cards = cards[:0]
 		switch {
-		case streamed:
-			if c := p.Stmts[si+1]; c.Kind == Project {
-				out, card, d.Out = ex.JoinProject(vals[s.Left], vals[s.Right], c.Proj, keep, b)
-			} else {
-				out, card, d.Out = ex.JoinFilter(vals[s.Left], vals[s.Right], vals[filter], keep, b)
+		case fu.n > 0 && fu.filter < 0:
+			var card, joined int
+			out, card, joined = ex.JoinProject(vals[s.Left], vals[s.Right], p.Stmts[end].Proj, keep, b)
+			cards = append(cards, joined, card)
+		case fu.n > 0:
+			semis = semis[:0]
+			for _, id := range fu.semis {
+				semis = append(semis, vals[id])
 			}
-			if out == nil {
-				return nil, nil, lim.stopped(si, st.TuplesProduced+d.Out)
+			c := relation.Chain{Semijoins: semis}
+			if fu.onto >= 0 {
+				c.Onto = vals[fu.onto]
 			}
+			out, cards = ex.JoinChain(vals[s.Left], vals[s.Right], vals[fu.filter], c, keep, b, cards)
 		case s.Kind == Join:
-			if out, card = ex.JoinFirst(vals[s.Left], vals[s.Right], keep, b); out == nil {
-				return nil, nil, lim.stopped(si, st.TuplesProduced+card)
-			}
+			var card int
+			out, card = ex.JoinFirst(vals[s.Left], vals[s.Right], keep, b)
+			cards = append(cards, card)
 		case s.Kind == Semijoin:
 			out = ex.Semijoin(vals[s.Left], vals[s.Right])
 		case s.Kind == Project:
 			out = ex.Project(vals[s.Left], s.Proj)
 		}
+		if out == nil {
+			return nil, nil, lim.stopped(si, st.TuplesProduced+cards[0])
+		}
 		if s.Kind != Join {
-			card = out.Card()
+			cards = append(cards, out.Card())
 		}
 		elapsed := time.Since(t0)
-		if streamed {
-			d.Streamed = true
-			if d.Out == 0 && flow[n+si].needed {
-				d.Elapsed = elapsed // the consumer is skipped
+		// Record the chain's statements in order, each with its own Out;
+		// the wall time goes on the last, or on the one that ends the run.
+		for j, in := si, 0; j <= end; j++ {
+			d := opStat(p.Stmts[j], vals, in)
+			d.Out, in = cards[j-si], cards[j-si]
+			if j < end {
+				d.Streamed = true
+				if d.Out == 0 && flow[n+j].needed {
+					d.Elapsed = elapsed // the rest of the chain is skipped
+				}
+			} else {
+				vals[n+j] = out
+				d.Elapsed, d.Counted = elapsed, counted
 			}
-			if end, err := finish(si, d); end {
-				return p.endEarly(st, si+1, start, sch, err)
+			if stop, err := finish(j, d); stop {
+				return p.endEarly(st, j+1, start, sch, err)
 			}
-			si++
-			d = opStat(p.Stmts[si], vals, d.Out)
 		}
-		vals[n+si] = out
-		d.Out, d.Elapsed, d.Counted = card, elapsed, counted
-		if end, err := finish(si, d); end {
-			return p.endEarly(st, si+1, start, sch, err)
-		}
+		si = end
 	}
 	st.Elapsed = time.Since(start)
 	return vals[len(vals)-1], st, nil
@@ -371,7 +406,7 @@ func (p *Program) Run(db *relation.Database, ex *relation.Exec, lim Limits, k in
 
 // opStat starts the StmtStat of s from its operands' cardinalities: an
 // operand's value in vals, or joined for the one operand that has none —
-// a join streamed into s.
+// the value streamed into s.
 func opStat(s Stmt, vals []*relation.Relation, joined int) StmtStat {
 	card := func(id int) int {
 		if vals[id] == nil {
@@ -417,27 +452,65 @@ func (p *Program) flow() []idFlow {
 	return f
 }
 
-// streamsInto reports whether Run streams statement si into statement
-// si+1: si is a join, si+1 is the one use of its value, and si+1 is a
-// projection of it or a join or semijoin of it with a filter — an
-// operand over a subset of its attributes, whose id is returned (-1 for
-// a projection). sch holds every id's schema.
-func (p *Program) streamsInto(si int, flow []idFlow, sch []schema.AttrSet) (filter int, ok bool) {
-	id := len(p.D.Rels) + si
-	if p.Stmts[si].Kind != Join || si+1 == len(p.Stmts) || flow[id].uses != 1 {
-		return -1, false
+// fusion is the chain of statements Run evaluates as one, from a join:
+// the n statements after it (0: it runs alone), the filter's id (-1 when
+// the one statement after it is a projection: JoinProject), the ids the
+// chain's semijoins take as right operands, and the join operand its
+// closing projection is onto (-1: none).
+type fusion struct {
+	n      int
+	filter int
+	semis  []int
+	onto   int
+}
+
+// fusion returns the chain Run streams statement si into (see Run): si is
+// a join whose value's one use is statement si+1, a projection of it or
+// a join or semijoin of it with a filter — an operand over a subset of
+// its attributes. Past a filter, each statement whose operand is the
+// value before it and that value's one use extends the chain: a
+// semijoin of it, or, to close it, a projection onto a join operand's
+// attributes. sch holds every id's schema.
+func (p *Program) fusion(si int, flow []idFlow, sch []schema.AttrSet) fusion {
+	none := fusion{filter: -1, onto: -1}
+	fu, j := none, p.Stmts[si]
+	single := func(i int) bool { // statement i's value has one use, by statement i+1
+		return i+1 < len(p.Stmts) && flow[len(p.D.Rels)+i].uses == 1
 	}
+	if j.Kind != Join || !single(si) {
+		return none
+	}
+	id := len(p.D.Rels) + si
 	switch c := p.Stmts[si+1]; {
 	case c.Kind == Project && c.Left == id:
-		return -1, true
+		fu.n = 1
+		return fu
 	case c.Kind == Semijoin && c.Left == id, c.Kind == Join && c.Left == id:
-		filter = c.Right
+		fu.filter = c.Right
 	case c.Kind == Join && c.Right == id:
-		filter = c.Left
+		fu.filter = c.Left
 	default:
-		return -1, false
+		return none
 	}
-	return filter, sch[filter].SubsetOf(sch[id])
+	if !sch[fu.filter].SubsetOf(sch[id]) {
+		return none
+	}
+	for fu.n = 1; single(si + fu.n); {
+		id, c := len(p.D.Rels)+si+fu.n, p.Stmts[si+fu.n+1]
+		switch {
+		case c.Kind == Semijoin && c.Left == id:
+			fu.semis = append(fu.semis, c.Right)
+			fu.n++
+			continue
+		case c.Kind != Project || c.Left != id:
+		case c.Proj.Equal(sch[j.Left]):
+			fu.onto, fu.n = j.Left, fu.n+1
+		case c.Proj.Equal(sch[j.Right]):
+			fu.onto, fu.n = j.Right, fu.n+1
+		}
+		break
+	}
+	return fu
 }
 
 // endEarly returns what Run returns when finish ends it at a statement
@@ -557,10 +630,10 @@ func CCPlan(d *schema.Schema, x schema.AttrSet, cc *schema.Schema) (*Program, er
 // equals π_{Rᵢ}(⋈ⱼ Rⱼ): the database is globally consistent.
 func FullReducer(d *schema.Schema, t *graph.Undirected) (*Program, []int, error) {
 	p := NewProgram(d)
-	cur := inputIDs(len(d.Rels))
+	cur := states{ids: inputIDs(len(d.Rels))}
 	// Full reduction is root-independent: any root yields global
 	// consistency.
-	order, parent, err := rootTree(t, len(cur), 0)
+	order, parent, err := rootTree(t, len(cur.ids), 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -568,10 +641,27 @@ func FullReducer(d *schema.Schema, t *graph.Undirected) (*Program, []int, error)
 	// A single-node tree has no semijoins; copy the relation through a
 	// trivial projection so the program has a last statement to answer
 	// with.
-	if len(cur) == 1 {
-		cur[0] = p.emit(Stmt{Kind: Project, Left: 0, Proj: d.Rels[0].Clone()})
+	if len(cur.ids) == 1 {
+		cur.ids[0] = p.emit(Stmt{Kind: Project, Left: 0, Proj: d.Rels[0].Clone()})
 	}
-	return p, cur, nil
+	return p, cur.ids, nil
+}
+
+// states holds, for the emitters, the id of each tree node's current
+// state. A node whose id is −1 is not built yet — Emit's ∪GR(D) — and
+// build builds it right before the first statement that reads it, so
+// that statement can stream its joins (see Run).
+type states struct {
+	ids   []int
+	build func(v int) int
+}
+
+// at returns the id of node v's state, building it first if need be.
+func (st states) at(v int) int {
+	if st.ids[v] < 0 {
+		st.ids[v] = st.build(v)
+	}
+	return st.ids[v]
 }
 
 // inputIDs returns the ids of a program's n input relations.
@@ -605,21 +695,22 @@ func rootTree(t *graph.Undirected, n, root int) (order, parent []int, err error)
 
 // emitReducer appends to p the two semijoin passes over the rooted tree
 // (order, parent): leaf→root over every node, then root→leaf over the
-// nodes live marks (nil: all of them). On entry cur[v] is the id holding
-// the state of tree node v; on return it is the id of v's reduced state
+// nodes live marks (nil: all of them). On entry cur holds the state of
+// each tree node v; on return cur.ids[v] is the id of v's reduced state
 // — fully reduced for the root and every live node, reduced by its own
 // subtree only for the rest.
-func emitReducer(p *Program, cur, order, parent []int, live []bool) {
+func emitReducer(p *Program, cur states, order, parent []int, live []bool) {
 	// Leaf → root: parent absorbs child restrictions.
 	for _, v := range order {
-		if parent[v] >= 0 {
-			cur[parent[v]] = p.emit(Stmt{Kind: Semijoin, Left: cur[parent[v]], Right: cur[v]})
+		if u := parent[v]; u >= 0 {
+			l, r := cur.at(u), cur.at(v)
+			cur.ids[u] = p.emit(Stmt{Kind: Semijoin, Left: l, Right: r})
 		}
 	}
 	// Root → leaf: children absorb the now-consistent parents.
 	for i := len(order) - 1; i >= 0; i-- {
 		if v := order[i]; parent[v] >= 0 && (live == nil || live[v]) {
-			cur[v] = p.emit(Stmt{Kind: Semijoin, Left: cur[v], Right: cur[parent[v]]})
+			cur.ids[v] = p.emit(Stmt{Kind: Semijoin, Left: cur.at(v), Right: cur.at(parent[v])})
 		}
 	}
 }
@@ -671,7 +762,7 @@ func postorder(t *graph.Undirected, root int) (order []int, parent []int) {
 // one projection. AnswerRoot picks the root that minimizes |S|.
 func YannakakisRooted(d *schema.Schema, x schema.AttrSet, t *graph.Undirected, root int) (*Program, error) {
 	p := NewProgram(d)
-	if err := emitYannakakis(p, d.Rels, inputIDs(len(d.Rels)), t, root, x); err != nil {
+	if err := emitYannakakis(p, d.Rels, states{ids: inputIDs(len(d.Rels))}, t, root, x); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -747,14 +838,13 @@ func AnswerRoot(rels []schema.AttrSet, t *graph.Undirected, x schema.AttrSet) in
 
 // emitYannakakis appends to p the answer-directed program
 // YannakakisRooted documents, over tree t rooted at root, answering x.
-// Tree node v has relation schema rels[v] and its state is held by id
-// cur[v] — an input relation of p, or a relation p has already built,
-// which is how Emit hands in the materialized ∪GR(D).
-func emitYannakakis(p *Program, rels []schema.AttrSet, cur []int, t *graph.Undirected, root int, x schema.AttrSet) error {
+// Tree node v has relation schema rels[v] and its state is cur's — an
+// input relation of p, or, for Emit's ∪GR(D), one built on first read.
+func emitYannakakis(p *Program, rels []schema.AttrSet, cur states, t *graph.Undirected, root int, x schema.AttrSet) error {
 	if !x.SubsetOf(p.D.Attrs()) {
 		return fmt.Errorf("program: target %s ⊄ U(D)", p.D.U.FormatSet(x))
 	}
-	order, parent, err := rootTree(t, len(cur), root)
+	order, parent, err := rootTree(t, len(cur.ids), root)
 	if err != nil {
 		return err
 	}
@@ -772,7 +862,7 @@ func emitYannakakis(p *Program, rels []schema.AttrSet, cur []int, t *graph.Undir
 		if !live[v] {
 			continue
 		}
-		id, sch := cur[v], rels[v]
+		id, sch := cur.at(v), rels[v]
 		for _, w := range t.Neighbors(v) {
 			if parent[w] == v && live[w] {
 				id = p.emit(Stmt{Kind: Join, Left: id, Right: agg[w]})

@@ -597,34 +597,65 @@ func TestEarlyExitOnEmpty(t *testing.T) {
 	}
 }
 
-// TestStreamedPairs runs hand-written programs over ab, bc, ac, cd — a
-// database on which ac drops rows of ab ⋈ bc — and checks which join Run
-// streams into its successor: a projection of it, a join with a filter
-// on either side, a semijoin by a filter; not a join with a relation
-// outside its attributes, a semijoin of the filter by it, a join with
-// two uses or a use that is not the next statement. Either way the
-// answer is refEval's and the stats are those of the statements run one
-// by one: the same Out per statement, InLeft/InRight from the operands,
-// and so the same TuplesProduced and MaxIntermediate.
+// TestStreamedPairs runs hand-written programs over ab, bc, ac, cd, a —
+// a database on which ac, cd and a each drop rows of ab ⋈ bc, and so
+// does every semijoin below by one of them — and checks which
+// statements Run streams into their successors: a join into a projection
+// of it, a join with a filter on either side, a semijoin by a filter; not
+// a join with a relation outside its attributes, a semijoin of the filter
+// by it, a join with two uses or a use that is not the next statement.
+// Past a filter the chain runs on through semijoins of its value and a
+// projection onto an operand of the join — ab, the larger, or bc — as in
+// the ring3 and ab,bc,ac,a golden plans; a projection onto anything else
+// ends it before, and a value with two uses after. Either way the answer
+// is refEval's and the stats are those of the statements run one by one
+// — by RunUnfused, and from refEval's values: the same Out per
+// statement, InLeft/InRight from the operands, and so the same
+// TuplesProduced and MaxIntermediate — every statement of a chain but
+// the last is marked Streamed, and the last carries the time.
 func TestStreamedPairs(t *testing.T) {
 	u := schema.NewUniverse()
-	d := parse(t, u, "ab, bc, ac, cd")
-	db := danglingDB(d, 5, 3000, 300)
-	const ab, bc, ac, cd, j = 0, 1, 2, 3, 4 // j: the join ab ⋈ bc, statement 0
+	d := parse(t, u, "ab, bc, ac, cd, a")
+	db := danglingDB(d, 2, 3000, 300)
+	const ab, bc, ac, cd, a, j = 0, 1, 2, 3, 4, 5 // j: the join ab ⋈ bc, statement 0
+	// cd lacks one c in three, and a one a in three.
+	for _, id := range []int{cd, a} {
+		var drop []relation.Tuple
+		for _, tp := range db.Rels[id].Tuples() {
+			if tp[0]%3 == 0 {
+				drop = append(drop, tp)
+			}
+		}
+		db.Rels[id], _ = db.Rels[id].Without(drop)
+	}
+	if db.Rels[ab].Card() <= db.Rels[bc].Card() {
+		t.Fatalf("the fixture's ab has %d rows, bc %d: ab is not the larger", db.Rels[ab].Card(), db.Rels[bc].Card())
+	}
 	join := Stmt{Kind: Join, Left: ab, Right: bc}
+	filter := Stmt{Kind: Join, Left: j, Right: ac}
+	onto := func(id int, attrs ...string) Stmt { return Stmt{Kind: Project, Left: id, Proj: u.Set(attrs...)} }
 	for _, tc := range []struct {
 		name     string
 		stmts    []Stmt
-		streamed bool
+		streamed int // how many statements, from the first, are streamed
 	}{
-		{"project", []Stmt{join, {Kind: Project, Left: j, Proj: u.Set("a", "c")}}, true},
-		{"join filter", []Stmt{join, {Kind: Join, Left: j, Right: ac}}, true},
-		{"filter join", []Stmt{join, {Kind: Join, Left: ac, Right: j}}, true},
-		{"semijoin filter", []Stmt{join, {Kind: Semijoin, Left: j, Right: ac}}, true},
-		{"join wider", []Stmt{join, {Kind: Join, Left: j, Right: cd}}, false},
-		{"semijoin of the filter", []Stmt{join, {Kind: Semijoin, Left: ac, Right: j}}, false},
-		{"two uses", []Stmt{join, {Kind: Project, Left: j, Proj: u.Set("a")}, {Kind: Semijoin, Left: j, Right: j + 1}}, false},
-		{"later use", []Stmt{join, {Kind: Project, Left: ab, Proj: u.Set("a")}, {Kind: Semijoin, Left: j, Right: j + 1}}, false},
+		{"project", []Stmt{join, onto(j, "a", "c")}, 1},
+		{"join filter", []Stmt{join, filter}, 1},
+		{"filter join", []Stmt{join, {Kind: Join, Left: ac, Right: j}}, 1},
+		{"semijoin filter", []Stmt{join, {Kind: Semijoin, Left: j, Right: ac}}, 1},
+		{"join wider", []Stmt{join, {Kind: Join, Left: j, Right: cd}}, 0},
+		{"semijoin of the filter", []Stmt{join, {Kind: Semijoin, Left: ac, Right: j}}, 0},
+		{"two uses", []Stmt{join, onto(j, "a"), {Kind: Semijoin, Left: j, Right: j + 1}}, 0},
+		{"later use", []Stmt{join, onto(ab, "a"), {Kind: Semijoin, Left: j, Right: j + 1}}, 0},
+		{"chain onto ab", []Stmt{join, filter, {Kind: Semijoin, Left: j + 1, Right: cd}, onto(j+2, "a", "b")}, 3},
+		{"chain onto bc", []Stmt{join, filter, {Kind: Semijoin, Left: j + 1, Right: cd}, {Kind: Semijoin, Left: j + 2, Right: a},
+			onto(j+3, "b", "c")}, 4},
+		{"chain onto a non-operand", []Stmt{join, filter, {Kind: Semijoin, Left: j + 1, Right: cd}, onto(j+2, "a", "c")}, 2},
+		{"semijoin with two uses", []Stmt{join, filter, {Kind: Semijoin, Left: j + 1, Right: cd}, onto(j+2, "a", "b"),
+			{Kind: Semijoin, Left: j + 2, Right: j + 3}}, 2},
+		{"filter with two uses", []Stmt{join, filter, {Kind: Semijoin, Left: j + 1, Right: cd}, {Kind: Semijoin, Left: a, Right: j + 1}}, 1},
+		{"ring3 golden", []Stmt{join, filter, onto(j+1, "a", "b")}, 2},
+		{"ab,bc,ac,a golden", []Stmt{join, filter, {Kind: Semijoin, Left: j + 1, Right: a}, onto(j+2, "a", "b")}, 3},
 	} {
 		p := &Program{D: d, Stmts: tc.stmts}
 		got, st, err := p.Eval(db)
@@ -634,8 +665,20 @@ func TestStreamedPairs(t *testing.T) {
 		if want := refEval(p, db); !got.Equal(want) || !want.Equal(got) {
 			t.Fatalf("%s: %d tuples, the reference %d", tc.name, got.Card(), want.Card())
 		}
-		if st.Detail[0].Streamed != tc.streamed {
-			t.Errorf("%s: join streamed %v, want %v\n%s", tc.name, st.Detail[0].Streamed, tc.streamed, st.Table())
+		for si, sd := range st.Detail {
+			if sd.Streamed != (si < tc.streamed) || si == tc.streamed && sd.Elapsed == 0 {
+				t.Errorf("%s: statement %d streamed %v, elapsed %v; want the first %d streamed and the next timed\n%s",
+					tc.name, si, sd.Streamed, sd.Elapsed, tc.streamed, st.Table())
+			}
+		}
+		_, unfused, err := p.RunUnfused(db, relation.NewExec(), Limits{})
+		if err != nil {
+			t.Fatalf("%s: unfused: %v", tc.name, err)
+		}
+		for si, sd := range unfused.Detail {
+			if g := st.Detail[si]; sd.Streamed || g.Kind != sd.Kind || g.InLeft != sd.InLeft || g.InRight != sd.InRight || g.Out != sd.Out {
+				t.Errorf("%s: statement %d: %+v, unfused %+v", tc.name, si, g, sd)
+			}
 		}
 		vals := slices.Clone(db.Rels)
 		produced, largest := 0, 0
@@ -648,11 +691,16 @@ func TestStreamedPairs(t *testing.T) {
 			if g := st.Detail[si]; g.Kind != want.Kind || g.InLeft != want.InLeft || g.InRight != want.InRight || g.Out != want.Out {
 				t.Errorf("%s: statement %d: %+v, want %+v", tc.name, si, g, want)
 			}
+			if s.Kind == Semijoin && s.Right < len(d.Rels) && out.Card() == vals[s.Left].Card() {
+				t.Errorf("%s: statement %d: the fixture's semijoin drops no row", tc.name, si)
+			}
 			vals = append(vals, out)
 			produced, largest = produced+out.Card(), max(largest, out.Card())
 		}
-		if st.TuplesProduced != produced || st.MaxIntermediate != largest {
-			t.Errorf("%s: %d produced, max intermediate %d; want %d, %d", tc.name, st.TuplesProduced, st.MaxIntermediate, produced, largest)
+		if st.TuplesProduced != produced || st.MaxIntermediate != largest ||
+			unfused.TuplesProduced != produced || unfused.MaxIntermediate != largest {
+			t.Errorf("%s: %d produced, max intermediate %d (unfused %d, %d); want %d, %d", tc.name,
+				st.TuplesProduced, st.MaxIntermediate, unfused.TuplesProduced, unfused.MaxIntermediate, produced, largest)
 		}
 		if got.Card() == 0 || tc.name == "join filter" && got.Card() == vals[j].Card() {
 			t.Fatalf("%s: the fixture gives an empty answer or a filter that drops nothing", tc.name)

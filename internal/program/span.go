@@ -38,9 +38,10 @@ type Span struct {
 	Out     int `json:"out"`
 	// ElapsedNs is the statement's wall time.
 	ElapsedNs int64 `json:"elapsedNs"`
-	// Streamed marks a join fed straight into its consumer, never
-	// materialized: Out counts the rows that passed through, and the
-	// pair's wall time is the consumer's ElapsedNs.
+	// Streamed marks a statement of a chain fed straight into the next,
+	// never materialized (see Program.Run): Out counts the rows that
+	// passed through, and the chain's wall time is the ElapsedNs of its
+	// last statement.
 	Streamed bool `json:"streamed,omitempty"`
 	// Counted marks the answer statement run counted: Out is the answer's
 	// full cardinality, but only the rows the reply echoes were built.

@@ -14,7 +14,8 @@ import (
 // owns the scratch state the operators need — three keyScratch tables'
 // worth of open-addressing slots, chain links and per-row key words (and
 // a wide group key's columns), JoinFilter's groups of f, Semijoin's
-// bitmap, an output-row buffer, and column position maps — so a program
+// bitmap and row marks, a chain's key sets, an output-row buffer, and
+// column position maps — so a program
 // that evaluates many statements (a §6 semijoin program, a Yannakakis
 // plan, a full reducer) reuses one set of allocations instead of
 // rebuilding them per statement. Every table is a keyTable, keyed by
@@ -47,6 +48,11 @@ import (
 // h value, in the words of keys and its counts by key in keys' sizes — at
 // most bitRowWords words per build row — and a group's filter bits or
 // projections are one such row in local's words.
+// A chain (JoinChain) is JoinFilter's walk with more statements on it:
+// each later semijoin's key set goes into a setScratch of sets of its own,
+// built as Semijoin builds its one, or, on bit rows, a mask over h's
+// window in that scratch's bits; a closing projection marks its probe
+// rows in marks, a bit per row, where Semijoin marks the rows it keeps.
 // Every operator emits an index-free output by plain appends (the
 // output's own set index is built only if something later asks it for
 // membership — see the package comment). The zero value is ready to use;
@@ -60,7 +66,16 @@ type Exec struct {
 	obuf  []Value
 	pos   []int // column positions of one call, carved per operand
 	srcs  []int32
-	bits  []uint64 // Semijoin's one-column key set, when it is a bitmap (keyBits)
+	bits  []uint64     // Semijoin's one-column key set, when it is a bitmap (keyBits)
+	marks []uint64     // Semijoin's kept rows, or a chain's projected probe rows: a bit per row (keepMarked)
+	sets  []setScratch // a chain's semijoin key sets, one per stage (JoinChain)
+}
+
+// setScratch is the storage of one of a chain's semijoin key sets
+// (JoinChain): a keyTable's, or a bitmap's words.
+type setScratch struct {
+	keys keyScratch
+	bits []uint64
 }
 
 // keyScratch is the storage of one keyTable, kept across calls.
@@ -444,7 +459,7 @@ func (d *groupDedup) start() {
 // Two distinct (r-row, s-row) pairs differ on some column of the result,
 // so output rows are appended without a duplicate check.
 func (e *Exec) Join(r, s *Relation) *Relation {
-	out, _, _ := e.join(r, s, appendRows, r.attrs.Union(s.attrs), nil, All, Budget{})
+	out, _, _ := e.join(r, s, appendRows, r.attrs.Union(s.attrs), nil, nil, All, Budget{})
 	return out
 }
 
@@ -457,7 +472,7 @@ const All = math.MaxInt
 // partners, and only the first k rows are built and stored. It returns a
 // nil relation when b stops the join.
 func (e *Exec) JoinFirst(r, s *Relation, k int, b Budget) (*Relation, int) {
-	out, card, _ := e.join(r, s, appendRows, r.attrs.Union(s.attrs), nil, k, b)
+	out, card, _ := e.join(r, s, appendRows, r.attrs.Union(s.attrs), nil, nil, k, b)
 	return out, card
 }
 
@@ -478,7 +493,7 @@ func (e *Exec) JoinProject(r, s *Relation, x schema.AttrSet, k int, b Budget) (o
 		panic(fmt.Sprintf("relation: projection %s ⊄ %s",
 			r.U.FormatSet(x), r.U.FormatSet(r.attrs.Union(s.attrs))))
 	}
-	return e.join(r, s, projectRows, x, nil, k, b)
+	return e.join(r, s, projectRows, x, nil, nil, k, b)
 }
 
 // JoinFilter returns the first k rows of (r ⋈ s) ⋈ f — equally
@@ -492,11 +507,141 @@ func (e *Exec) JoinProject(r, s *Relation, x schema.AttrSet, k int, b Budget) (o
 // group's few keys, not a table over all of f. Output rows come grouped
 // by g. It returns a nil relation when b stops the join.
 func (e *Exec) JoinFilter(r, s, f *Relation, k int, b Budget) (out *Relation, card, joined int) {
-	if !f.attrs.SubsetOf(r.attrs.Union(s.attrs)) {
-		panic(fmt.Sprintf("relation: filter %s ⊄ %s",
-			r.U.FormatSet(f.attrs), r.U.FormatSet(r.attrs.Union(s.attrs))))
+	var ch chain
+	return e.join(r, s, filterRows, filterAttrs(r, s, f), f, &ch, k, b)
+}
+
+// filterAttrs returns attrs(r ⋈ s), which a filter's attributes must lie
+// in.
+func filterAttrs(r, s, f *Relation) schema.AttrSet {
+	x := r.attrs.Union(s.attrs)
+	if !f.attrs.SubsetOf(x) {
+		panic(fmt.Sprintf("relation: filter %s ⊄ %s", r.U.FormatSet(f.attrs), r.U.FormatSet(x)))
 	}
-	return e.join(r, s, filterRows, r.attrs.Union(s.attrs), f, k, b)
+	return x
+}
+
+// Chain is what a streamed join feeds past its filter (JoinChain): the
+// semijoins of its value by each of Semijoins, in order, and then, when
+// Onto is r or s, the projection onto Onto's attributes.
+type Chain struct {
+	Semijoins []*Relation
+	Onto      *Relation
+}
+
+// JoinChain evaluates the statements v₀ = r ⋈ s, v₁ = v₀ ⋈ f — a filter,
+// as in JoinFilter — vᵢ₊₁ = vᵢ ⋉ c.Semijoins[i−1], and, when c.Onto is
+// set, π_attrs(Onto)(v) in JoinFilter's one grouped walk, storing none of
+// them but the last. Each semijoin is Semijoin's key set (keySet), probed
+// with the join rows the filter and the semijoins before it keep; on bit
+// rows, one keyed by h alone is instead a mask over the bit rows' window,
+// ANDed with a group's filter bits. The projection takes Onto as the
+// probe side, marks each probe row that keeps a join row, and returns the
+// marked rows as Semijoin returns its survivors (keepMarked) — every one
+// of them: it has no k. Otherwise the last value's first k rows are
+// stored (k = All: every row). It appends to cards each statement's exact
+// row count — |r ⋈ s|, the filter's, each semijoin's, the projection's.
+// When b stops the join it returns a nil relation and appends only how
+// many join rows it walked.
+func (e *Exec) JoinChain(r, s, f *Relation, c Chain, k int, b Budget, cards []int) (*Relation, []int) {
+	if c.Onto != nil && c.Onto != r && c.Onto != s {
+		panic("relation: a chain projects onto r or s")
+	}
+	ch := chain{Chain: c}
+	out, card, joined := e.join(r, s, filterRows, filterAttrs(r, s, f), f, &ch, k, b)
+	if out == nil {
+		return nil, append(cards, joined)
+	}
+	cards = append(cards, joined, ch.filtered)
+	for _, st := range ch.stages {
+		cards = append(cards, st.n)
+	}
+	if c.Onto != nil {
+		cards = append(cards, card)
+	}
+	return out, cards
+}
+
+// chain is a JoinChain — or, with no semijoin and no projection, a
+// JoinFilter — in the join kernel: how many join rows the filter kept,
+// each semijoin's stage, and the projection's marks by probe row.
+type chain struct {
+	Chain
+	filtered int
+	stages   []stage
+	rowTest  bool     // some stage tests a whole join row, not a mask
+	marks    []uint64 // the projection's: a bit per probe row; nil without one
+}
+
+// stage is one semijoin of a chain: its key set, probed with the join
+// row's columns — or, on bit rows, mask, a bit per h value of the window
+// — and how many rows it kept.
+type stage struct {
+	set  keySet
+	mask []uint64
+	n    int
+}
+
+// pass reports whether the join row row passes every stage, counting it
+// at each stage it passes.
+func (ch *chain) pass(row []Value) bool {
+	for i := range ch.stages {
+		st := &ch.stages[i]
+		if !st.set.has(row) {
+			return false
+		}
+		st.n++
+	}
+	return true
+}
+
+// passBits narrows m, the bits of word wi of a probe row's partners on bit
+// rows br, to those that pass every stage, counting each stage's; row
+// holds the probe row's columns, and a stage that tests whole rows sets
+// column ho, h, to each bit's value in turn.
+func (ch *chain) passBits(m uint64, wi int, br *bitRows, row []Value, ho int) uint64 {
+	for i := range ch.stages {
+		st := &ch.stages[i]
+		if st.mask != nil {
+			m &= st.mask[wi]
+		} else {
+			for rest := m; rest != 0; rest &= rest - 1 {
+				if row[ho] = br.h(wi, rest); !st.set.has(row) {
+					m &^= rest & -rest
+				}
+			}
+		}
+		st.n += bits.OnesCount64(m)
+	}
+	return m
+}
+
+// stages builds ch's semijoin stages for join rows laid out as out's
+// columns, each in a setScratch of e's: when the build side is bit rows
+// (br non-nil), a semijoin keyed by h alone — the one column of h — is a
+// mask over br's window; any other is a key set.
+func (e *Exec) stages(ch *chain, out *Relation, br *bitRows, h []schema.Attr) {
+	if len(ch.Semijoins) == 0 {
+		return
+	}
+	for len(e.sets) < len(ch.Semijoins) {
+		e.sets = append(e.sets, setScratch{})
+	}
+	ch.stages = make([]stage, len(ch.Semijoins))
+	for i, rel := range ch.Semijoins {
+		shared := out.attrs.Intersect(rel.attrs).Attrs()
+		sPos, rPos := make([]int, len(shared)), make([]int, len(shared))
+		for j, a := range shared {
+			sPos[j], rPos[j] = rel.colPos(a), out.colPos(a)
+		}
+		sc := &e.sets[i]
+		if br != nil && len(shared) == 1 && shared[0] == h[0] {
+			ch.stages[i].mask = bitsOver(rel, sPos[0], br.hlo, br.w, &sc.bits).words
+			continue
+		}
+		ch.stages[i].set = sc.keys.keySet(rel, sPos, rPos, &sc.bits)
+		ch.rowTest = true
+	}
 }
 
 // join is the one join kernel: it builds the smaller of r and s on the
@@ -515,9 +660,13 @@ func (e *Exec) JoinFilter(r, s, f *Relation, k int, b Budget) (out *Relation, ca
 // output rows and stores the first keep of them. It returns the output
 // (nil when b stopped it), its row count and how many join rows it
 // walked.
-func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep int, b Budget) (out *Relation, card, joined int) {
+func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, ch *chain, keep int, b Budget) (out *Relation, card, joined int) {
+	var onto *Relation
+	if ch != nil {
+		onto = ch.Onto
+	}
 	build, probe := r, s
-	if s.Card() < r.Card() {
+	if onto == r || onto == nil && s.Card() < r.Card() {
 		build, probe = s, r
 	}
 	out = New(r.U, x)
@@ -588,6 +737,25 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 		t = e.keys.buildKeys(build, bPos, true, sk == appendRows && keep < All)
 	}
 	next := t.next // bucket chains, newest build row first
+	var bp *bitRows
+	if bitPath {
+		bp = &br
+	}
+	// A filter's chain, in locals for the walk: its stages, whether one
+	// tests whole join rows, its projection's marks, and how many join
+	// rows the filter keeps.
+	var stages []stage
+	var marks []uint64
+	rowTest, filtered := false, 0
+	if sk == filterRows {
+		e.stages(ch, out, bp, h)
+		if onto != nil {
+			e.marks = scratch(e.marks, (probe.n+63)>>6)
+			clear(e.marks)
+			ch.marks = e.marks
+		}
+		stages, marks, rowTest = ch.stages, ch.marks, ch.rowTest
+	}
 	check := b.next(0)
 
 	if sk == appendRows {
@@ -622,10 +790,6 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 
 	// A streamed sink walks its groups, each with a fresh group table —
 	// or, on bit rows, a fresh row of bits, acc.
-	var bp *bitRows
-	if bitPath {
-		bp = &br
-	}
 	gs := e.group(probe, f, gPos, fgPos, pPos, fhPos, bp)
 	var dd groupDedup
 	var acc []uint64 // bit rows: the group's filter bits, or its projections so far
@@ -694,10 +858,34 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 					}
 					break
 				}
-				filled := false // the probe row is read only when it emits
+				filled := false // the probe row is read only when it emits, or a stage tests it
 				for _, wi := range fw {
 					m := row[wi] & acc[wi]
-					if card >= keep || m == 0 {
+					if m == 0 {
+						continue
+					}
+					filtered += bits.OnesCount64(m)
+					switch {
+					case rowTest:
+						if !filled {
+							fillProbe(obuf, srcs, probe.row(i))
+							filled = true
+						}
+						m = ch.passBits(m, int(wi), &br, obuf, ho)
+					case stages != nil:
+						for k := range stages { // masks alone
+							m &= stages[k].mask[wi]
+							stages[k].n += bits.OnesCount64(m)
+						}
+					}
+					if m == 0 {
+						continue
+					}
+					if marks != nil {
+						marks[i>>6] |= 1 << (i & 63)
+						continue
+					}
+					if card >= keep {
 						card += bits.OnesCount64(m)
 						continue
 					}
@@ -719,6 +907,16 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 					brow := build.row(int(bi - 1))
 					if dd.lookup(brow, hPos) == 0 {
 						continue // no filter row of this group has its h columns
+					}
+					if filtered++; stages != nil {
+						fillRow(obuf, srcs, prow, brow)
+						if !ch.pass(obuf) {
+							continue
+						}
+					}
+					if marks != nil {
+						marks[i>>6] |= 1 << (i & 63)
+						continue
 					}
 					if card++; card <= keep {
 						fillRow(obuf, srcs, prow, brow)
@@ -776,6 +974,13 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, keep
 				}
 			}
 		}
+	}
+	if marks != nil {
+		out = keepMarked(probe, marks)
+		card = out.Card()
+	}
+	if ch != nil {
+		ch.filtered = filtered
 	}
 	return out, card, joined
 }
@@ -1071,20 +1276,20 @@ func fillRow(buf []Value, srcs []int32, prow, brow []Value) {
 
 // Semijoin returns r ⋉ s = π_{attrs(r)}(r ⋈ s): the tuples of r that
 // join with at least one tuple of s. The distinct shared-column keys of
-// s form a set which every row of r probes, chunk by chunk. A key of one
-// column whose live values in s span few enough values (denseSpan) is a
-// bitmap over [lo, hi] (keyBits), and a probe is a subtract, an unsigned
-// compare and a bit test; any other key is an open-addressing set —
-// Join's build table without the chains, keyed by the same key word, so
-// for a key of up to two columns a probe never touches a row of s. While
-// every row of r so far has survived, nothing is copied: at the first
-// dropped row (or the end) the output adopts that clean prefix, sharing
-// its full chunks with r — ids included, the way compact shares the
-// chunks before a delete — and only the rows from the first drop's chunk
-// onward are repacked. A dead row of r is a dropped row, so the output is
-// dense whatever r carries. A semijoin that filters nothing, the steady
-// state of a full reducer over consistent data, costs the build, the
-// probes, a chunk-table copy and one block copy of the tail.
+// s form a set (keySet) which every row of r probes, chunk by chunk. A
+// key of one column whose live values in s span few enough values
+// (denseSpan) is a bitmap over [lo, hi] (keyBits), and a probe is a
+// subtract, an unsigned compare and a bit test; any other key is an
+// open-addressing set — Join's build table without the chains, keyed by
+// the same key word, so for a key of up to two columns a probe never
+// touches a row of s. A row that has a partner is marked, a bit per row
+// of r, and the marked rows are the output (keepMarked): the clean
+// prefix — every row before the first dropped one — shares r's full
+// chunks, and only the rows from the first drop's chunk onward are
+// repacked. A dead row of r is a dropped row, so the output is dense
+// whatever r carries. A semijoin that filters nothing, the steady state
+// of a full reducer over consistent data, costs the build, the probes, a
+// chunk-table copy and one block copy of the tail.
 func (e *Exec) Semijoin(r, s *Relation) *Relation {
 	sharedCols := r.attrs.Intersect(s.attrs).Attrs()
 	pos := e.positions(2 * len(sharedCols))
@@ -1093,44 +1298,98 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		sPos[i] = s.colPos(c)
 		rPos[i] = r.colPos(c)
 	}
-	var t keyTable
-	var set keyBits
-	dense, p := false, 0
-	if len(sharedCols) == 1 {
-		set, dense = e.denseKeys(s, sPos[0])
-		p = rPos[0]
-	}
-	if !dense {
-		t = e.keys.buildKeys(s, sPos, false, false)
-	}
-	out := New(r.U, r.attrs)
-	out.reserved = r.Card() // upper bound
-	// clean: no row dropped yet, so out is still empty.
-	clean := true
-	w := r.width
+	set := e.keys.keySet(s, sPos, rPos, &e.bits)
+	e.marks = scratch(e.marks, (r.n+63)>>6)
+	marks, w := e.marks, r.width
 	for c := range r.chunks {
-		ch := &r.chunks[c]
-		for k := range r.chunkRows(c) {
-			row := ch.data[k*w : k*w+w]
-			hit := ch.dead == nil || !ch.dead.has(k)
-			if hit && dense {
-				hit = set.has(row[p])
-			} else if hit {
-				hit = t.lookup(row, rPos) != 0
+		ch, rows := &r.chunks[c], r.chunkRows(c)
+		// A chunk is a whole number of words: each word of marks is one
+		// run of 64 rows, written once.
+		for k0 := 0; k0 < rows; k0 += 64 {
+			var m uint64
+			for k := k0; k < min(k0+64, rows); k++ {
+				row := ch.data[k*w : k*w+w]
+				if set.dense && set.bits.has(row[set.p]) || !set.dense && set.t.lookup(row, set.pos) != 0 {
+					m |= 1 << (k & 63)
+				}
 			}
-			switch {
-			case hit && !clean:
-				out.appendRow(row)
-			case !hit && clean:
-				clean = false
-				out.adoptPrefix(r, c<<chunkShift+k)
+			if ch.dead != nil {
+				m &^= ch.dead[k0>>6]
 			}
+			marks[(c<<chunkShift+k0)>>6] = m
 		}
 	}
-	if clean {
-		out.adoptPrefix(r, r.n)
+	return keepMarked(r, marks)
+}
+
+// keepMarked returns the rows of r whose bits are set in marks — a dead
+// row's never is — in r's order: Semijoin's survivors, and the probe rows
+// a chain's projection keeps (JoinChain). They are rows of a set, so
+// nothing is deduplicated. While every row so far is kept nothing is
+// copied: the output adopts the clean prefix before the first unmarked
+// row, sharing its full chunks with r — ids included, the way compact
+// shares the chunks before a delete — and only the marked rows past it
+// are repacked.
+func keepMarked(r *Relation, marks []uint64) *Relation {
+	out := New(r.U, r.attrs)
+	first := r.n
+	for wi, m := range marks {
+		out.reserved += bits.OnesCount64(m)
+		if first == r.n && m != math.MaxUint64 {
+			first = min(wi<<6+bits.TrailingZeros64(^m), r.n)
+		}
+	}
+	out.adoptPrefix(r, first)
+	w := r.width
+	for wi := first >> 6; wi < len(marks); wi++ {
+		m := marks[wi]
+		if wi == first>>6 {
+			m &= math.MaxUint64 << (first & 63)
+		}
+		if m == math.MaxUint64 && w > 0 { // 64 rows of one chunk, in one copy
+			c, k := wi>>(chunkShift-6), wi<<6&chunkMask
+			out.appendRows(r.chunks[c].data[k*w : (k+64)*w])
+			continue
+		}
+		for ; m != 0; m &= m - 1 {
+			out.appendRow(r.row(wi<<6 + bits.TrailingZeros64(m)))
+		}
 	}
 	return out
+}
+
+// keySet is a semijoin's build side: the distinct keys of its right
+// operand's shared columns, as a bitmap (bits) when the key is one column
+// that denseSpan allows, else as a keyTable without chains (t). A row
+// probes it on its own key columns, p or pos.
+type keySet struct {
+	bits  keyBits
+	t     keyTable
+	dense bool
+	p     int
+	pos   []int
+}
+
+// keySet builds the key set of s's columns sPos — in ks, or in *words
+// when it is a bitmap — for rows whose key columns are rPos.
+func (ks *keyScratch) keySet(s *Relation, sPos, rPos []int, words *[]uint64) keySet {
+	set := keySet{pos: rPos}
+	if len(sPos) == 1 {
+		set.bits, set.dense = denseKeys(s, sPos[0], words)
+		set.p = rPos[0]
+	}
+	if !set.dense {
+		set.t = ks.buildKeys(s, sPos, false, false)
+	}
+	return set
+}
+
+// has reports whether the key of row is in the set.
+func (set *keySet) has(row []Value) bool {
+	if set.dense {
+		return set.bits.has(row[set.p])
+	}
+	return set.t.lookup(row, set.pos) != 0
 }
 
 // denseSpan decides how Semijoin holds the key set of a one-column key,
@@ -1177,26 +1436,34 @@ type keyBits struct {
 }
 
 // denseKeys returns the live values of s's column p as a bitmap over
-// [lo, hi], in e's scratch, when denseSpan allows one; otherwise false.
-func (e *Exec) denseKeys(s *Relation, p int) (keyBits, bool) {
+// [lo, hi] in *words, when denseSpan allows one; otherwise false.
+func denseKeys(s *Relation, p int, words *[]uint64) (keyBits, bool) {
 	lo, span, ok := denseSpan(s, p)
 	if !ok {
 		return keyBits{}, false
 	}
-	e.bits = scratch(e.bits, int((span+63)>>6))
-	clear(e.bits)
-	set := keyBits{words: e.bits, lo: lo}
+	return bitsOver(s, p, lo, int((span+63)>>6), words), true
+}
+
+// bitsOver returns the live values of s's column p that lie in the n
+// words' window [lo, lo + 64n) as a bitmap in *words; the others are
+// left out.
+func bitsOver(s *Relation, p int, lo int64, n int, words *[]uint64) keyBits {
+	*words = scratch(*words, n)
+	clear(*words)
+	set := keyBits{words: *words, lo: lo}
 	w := s.width
 	for c := range s.chunks {
 		data, dead := s.chunks[c].data, s.chunks[c].dead
 		for k := range s.chunkRows(c) {
 			if dead == nil || !dead.has(k) {
-				d := uint64(int64(data[k*w+p]) - lo)
-				set.words[d>>6] |= 1 << (d & 63)
+				if d := uint64(int64(data[k*w+p]) - lo); d>>6 < uint64(n) {
+					set.words[d>>6] |= 1 << (d & 63)
+				}
 			}
 		}
 	}
-	return set, true
+	return set
 }
 
 // has reports whether the set holds v: a v below lo wraps to a large d,

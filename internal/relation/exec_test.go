@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -35,6 +36,11 @@ import (
 // them in its key table's words — at most bitRowWords words per build
 // row, a filter's being the most, so their term is what passes the
 // table's own 8 B per row — and their counts by key in those sizes.
+// Semijoin marks the rows it keeps, 1 bit per row of r, in a buffer a
+// chain's projection reuses for its probe rows; a chain keeps each
+// semijoin stage's key set in a scratch of its own — a keyTable without
+// chains (4 B per slot, 8 B per row) or a bitmap — so a two-stage chain
+// adds one of each and nothing else: it stores no intermediate value.
 func TestExecScratchBudget(t *testing.T) {
 	const n = 50000
 	u := schema.NewUniverse()
@@ -72,9 +78,10 @@ func TestExecScratchBudget(t *testing.T) {
 	const perColumn = 1 << 10             // obuf, pos, srcs: a few words per column
 	chained := 4*tableSize(n) + 8*n + 4*n // one key table over n rows, with chains
 	const filterGroups = 4*n + 4*n        // fends by group — n, a group per row of s — and fents by filter row
-	if budget := chained + bitmap + perColumn; retained(t, ex) > budget {
-		t.Fatalf("Exec retains %d B after %d-row operators, budget %d B (4 B × %d slots + 12 B × %d build rows + %d B bitmap + %d)",
-			retained(t, ex), n, budget, tableSize(n), n, bitmap, perColumn)
+	const marks = (n + 63) / 64 * 8       // Semijoin's kept rows, or a projecting chain's probe rows
+	if budget := chained + bitmap + marks + perColumn; retained(t, ex) > budget {
+		t.Fatalf("Exec retains %d B after %d-row operators, budget %d B (4 B × %d slots + 12 B × %d build rows + %d B bitmap + %d B marks + %d)",
+			retained(t, ex), n, budget, tableSize(n), n, bitmap, marks, perColumn)
 	}
 
 	twoStmt := NewExec()
@@ -90,7 +97,7 @@ func TestExecScratchBudget(t *testing.T) {
 	// The second table is the probe side's groups — the numbering table's
 	// slots, then the group ends; its words, then the entries; a group
 	// number per row — as many bytes as a chained table over it.
-	budget := 2*chained + filterGroups + local + bitmap + perColumn
+	budget := 2*chained + filterGroups + local + bitmap + marks + perColumn
 	if retained(t, ex) > budget {
 		t.Fatalf("Exec retains %d B after streamed joins of %d-row operands, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + %d)",
 			retained(t, ex), n, budget, tableSize(n), n, n, local, bitmap, perColumn)
@@ -127,7 +134,7 @@ func TestExecScratchBudget(t *testing.T) {
 	}
 	local = 4*tableSize(grown) + 8*grown
 	const sized = 4 * n // a counted Join's bucket sizes, by build row
-	budget = 2*chained + filterGroups + local + bitmap + sized + perColumn
+	budget = 2*chained + filterGroups + local + bitmap + marks + sized + perColumn
 	if retained(t, ex) > budget {
 		t.Fatalf("Exec retains %d B after a counted join→project whose group has %d keys, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + 4 B × %d sizes + %d)",
 			retained(t, ex), n, budget, tableSize(n), n, n, local, bitmap, n, perColumn)
@@ -145,7 +152,7 @@ func TestExecScratchBudget(t *testing.T) {
 		t.Fatalf("the group table of a g = ∅ filter by %d rows has %d slots and %d words, want ≤ %d each", fa.Card(), len(ex.local.slots), len(ex.local.words), size)
 	}
 	local = 4*tableSize(fa.Card()) + 8*tableSize(fa.Card())
-	budget = 2*chained + filterGroups + local + bitmap + sized + perColumn
+	budget = 2*chained + filterGroups + local + bitmap + marks + sized + perColumn
 	if retained(t, ex) > budget {
 		t.Fatalf("Exec retains %d B after a counted g = ∅ join→filter by %d rows, budget %d B (2 × (4 B × %d slots + 12 B × %d rows) + 8 B × %d rows + %d B local + %d B bitmap + 4 B × %d sizes + %d)",
 			retained(t, ex), fa.Card(), budget, tableSize(n), n, n, local, bitmap, n, perColumn)
@@ -177,6 +184,25 @@ func TestExecScratchBudget(t *testing.T) {
 	if budget += bitRows; retained(t, ex) > budget {
 		t.Fatalf("Exec retains %d B after a join→filter on bit rows at the bound, budget %d B (the budget above + 8 B × %d words × %d build rows past the key table's 8 B per row)",
 			retained(t, ex), budget, c, n)
+	}
+
+	// A two-stage chain, r ⋈ s filtered by s, then ⋉ the even c — a key
+	// table, for MaxInt32 among them — then ⋉ r's a, a bitmap, then onto
+	// r: one key set per stage, and the marks, 1 bit per row of r.
+	sparse := New(u, u.Set("c"))
+	for i := 0; i < n; i += 2 {
+		sparse.Insert(Tuple{Value(i)})
+	}
+	sparse.Insert(Tuple{math.MaxInt32})
+	chain := Chain{Semijoins: []*Relation{sparse, ex.Project(r, u.Set("a"))}, Onto: r}
+	kept, cards := ex.JoinChain(r, s, s, chain, All, Budget{}, nil)
+	if want := []int{joined, joined, joined / 2, joined / 2, n / 2}; !slices.Equal(cards, want) || kept.Card() != n/2 {
+		t.Fatalf("two-stage chain: cards %v, %d rows kept; want %v, %d: r's rows of odd b, c's parity, drop", cards, kept.Card(), want, n/2)
+	}
+	stageTable := 4*tableSize(n) + 8*n // no chains
+	if budget += stageTable + bitmap; retained(t, ex) > budget {
+		t.Fatalf("Exec retains %d B after a two-stage chain, budget %d B (the budget above + %d B key table + %d B bitmap)",
+			retained(t, ex), budget, stageTable, bitmap)
 	}
 }
 
@@ -309,6 +335,11 @@ func retained(t *testing.T, ex *Exec) int {
 			switch f.Kind() {
 			case reflect.Slice:
 				total += f.Cap() * int(f.Type().Elem().Size())
+				if f.Type().Elem().Kind() == reflect.Struct { // a chain's stage scratch
+					for j := range f.Len() {
+						total += sum(f.Index(j), fmt.Sprintf("%s[%d]", name, j))
+					}
+				}
 			case reflect.Struct:
 				total += sum(f, name)
 			default:

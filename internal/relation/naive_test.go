@@ -14,6 +14,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gyokit/internal/gen"
@@ -440,6 +441,73 @@ func checkStreams(t *testing.T, label string, ex *Exec, r, s, f *Relation, x sch
 	}
 }
 
+// checkChain runs JoinChain over r and s — which, like f and the
+// semijoin operands, may carry dead rows — through ex, by f, then each of
+// semis, then onto onto's attributes when onto is r or s, and holds it to
+// the statements composed on the same Exec — JoinFilter, Semijoin,
+// Project — and to the nested-loop reference: the same rows, in order —
+// a projection's are onto's rows that have a partner, in onto's order;
+// otherwise JoinFilter's order, which Semijoin keeps — the same card for
+// every statement, a dense output, and untouched operands. Under a budget
+// of exactly |r ⋈ s| rows it stops. Without a projection it is run
+// counted at k = 0, 1 and 3 as well: the same cards, and the whole
+// value's first k rows.
+func checkChain(t *testing.T, label string, ex *Exec, r, s, f *Relation, semis []*Relation, onto *Relation) {
+	t.Helper()
+	ops := append([]*Relation{r, s, f}, semis...)
+	before := make([]layout, len(ops))
+	for i, op := range ops {
+		before[i] = captureLayout(op)
+	}
+	label = fmt.Sprintf("%s chain of %d semijoins, onto %v", label, len(semis), onto != nil)
+	v, _, joined := ex.JoinFilter(r, s, f, All, Budget{})
+	want := []int{joined, v.Card()}
+	nv := naiveOf(r).join(naiveOf(s)).join(naiveOf(f))
+	for _, sj := range semis {
+		v = ex.Semijoin(v, sj)
+		nv = nv.semijoin(naiveOf(sj))
+		want = append(want, v.Card())
+	}
+	if onto != nil {
+		nv = nv.project(onto.attrs)
+		var rows []Tuple
+		for _, tp := range onto.Tuples() {
+			if _, ok := nv.rows[naiveKey(tp)]; ok {
+				rows = append(rows, tp)
+			}
+		}
+		v = New(onto.U, onto.attrs)
+		for _, tp := range rows {
+			v.appendRow(tp)
+		}
+		want = append(want, v.Card())
+	}
+	sameRows(t, label, v, nv)
+	got, cards := ex.JoinChain(r, s, f, Chain{Semijoins: semis, Onto: onto}, All, Budget{}, nil)
+	if got == nil || got.dead != 0 || !slices.Equal(cards, want) ||
+		!slices.EqualFunc(got.Tuples(), v.Tuples(), func(a, b Tuple) bool { return slices.Equal(a, b) }) {
+		t.Fatalf("%s: %v (cards %v); want %v (cards %v)", label, got.Tuples(), cards, v.Tuples(), want)
+	}
+	if joined > 0 {
+		if out, _ := ex.JoinChain(r, s, f, Chain{Semijoins: semis, Onto: onto}, All, Budget{Rows: joined}, nil); out != nil {
+			t.Fatalf("%s: a %d-row budget on a %d-row join did not stop it", label, joined, joined)
+		}
+	}
+	for _, k := range []int{0, 1, 3} {
+		if onto != nil {
+			break
+		}
+		first, kcards := ex.JoinChain(r, s, f, Chain{Semijoins: semis}, k, Budget{}, nil)
+		if n := min(k, v.Card()); !slices.Equal(kcards, want) || first.Card() != n ||
+			!slices.EqualFunc(first.Tuples(), v.Tuples()[:n], func(a, b Tuple) bool { return slices.Equal(a, b) }) {
+			t.Fatalf("%s: counted at k=%d: %v (cards %v); want the first of %v (cards %v)", label, k, first.Tuples(), kcards, v.Tuples(), want)
+		}
+	}
+	for i, op := range ops {
+		before[i].check(t, op, fmt.Sprintf("%s: operand %d", label, i))
+	}
+}
+
 // groupedBy fails unless the rows of out that agree on g are contiguous:
 // a streamed sink walks its probe side one g-group at a time.
 func groupedBy(t *testing.T, label string, out *Relation, g schema.AttrSet) {
@@ -666,11 +734,14 @@ func TestKeyWordKeepsColumnsApart(t *testing.T) {
 }
 
 // fuzzOperands is one decoded FuzzOperators input: r and s with the
-// projection px ⊆ attrs(r) for checkKernels, and the filter f and head x,
-// both over attrs(r ⋈ s), for checkStreams.
+// projection px ⊆ attrs(r) for checkKernels, the filter f and head x,
+// both over attrs(r ⋈ s), for checkStreams, and the chain's semijoin
+// operands and projection (0: none, 1: onto r, 2: onto s) for checkChain.
 type fuzzOperands struct {
 	r, s, f *Relation
 	px, x   schema.AttrSet
+	semis   []*Relation
+	onto    int
 }
 
 // decodeOperands reads r, s, f, px and x off raw, which runs out into
@@ -686,7 +757,10 @@ type fuzzOperands struct {
 // bytes, little-endian (literalRel) — any int32, so a seed can put spans
 // where it likes. A row of f starts with a selector byte: even picks row
 // selector/2 of r ⋈ s (modulo its size) and projects it onto f, so the
-// filter hits; odd is followed by the row.
+// filter hits; odd is followed by the row. Last come the chain's bytes:
+// a count of semijoins (modulo 3), each an attribute mask and a relation
+// decoded like f — a picked join row gives it its shared columns, and
+// edgeValues the rest — then the projection byte (modulo 3).
 func decodeOperands(raw []byte) fuzzOperands {
 	next := func() byte {
 		if len(raw) == 0 {
@@ -734,7 +808,11 @@ func decodeOperands(raw []byte) fuzzOperands {
 			case joinCols != nil && func() bool { sel = next(); return sel%2 == 0 && len(join) > 0 }():
 				from := join[int(sel/2)%len(join)]
 				for j, c := range r.cols {
-					row[j] = from[slices.Index(joinCols, c)]
+					if at := slices.Index(joinCols, c); at >= 0 {
+						row[j] = from[at]
+					} else {
+						row[j] = edgeValues[int(next())%len(edgeValues)]
+					}
 				}
 			default:
 				for j := range row {
@@ -764,7 +842,13 @@ func decodeOperands(raw []byte) fuzzOperands {
 	rs := ra.Union(sa)
 	fa := attrsOf(next()).Intersect(rs)
 	op.x = attrsOf(next()).Intersect(rs)
-	op.f = decode(fa, 1024, NewExec().Join(op.r, op.s).Tuples(), rs.Attrs())
+	joinRows := NewExec().Join(op.r, op.s).Tuples()
+	op.f = decode(fa, 1024, joinRows, rs.Attrs())
+	op.semis = make([]*Relation, int(next())%3)
+	for i := range op.semis {
+		op.semis[i] = decode(attrsOf(next()), 1024, joinRows, rs.Attrs())
+	}
+	op.onto = int(next()) % 3
 	return op
 }
 
@@ -1029,8 +1113,57 @@ var groupSeeds = map[string][]byte{
 			Tuple{2, 0, 7}, Tuple{3, 1, 8})),
 }
 
+// chainSeed is a stream seed with a chain: ab, 12 rows, and bc, 6, join
+// on b; f = ac filters them; the semijoins by cd, keyed by c, and by a
+// follow; onto picks the projection (0: none, 1: onto ab, 2: onto bc).
+// Every value is multiplied by k, and every relation carries the dead-row
+// mask dead — six rows or more each, so that one dead row does not
+// compact it away. Each stage drops join rows, and the projection drops
+// rows of its operand: ab's (1, 2) from the middle.
+func chainSeed(k Value, dead uint16, onto byte) []byte {
+	rel := func(rows ...Tuple) []byte {
+		for _, row := range rows {
+			for i := range row {
+				row[i] *= k
+			}
+		}
+		return literalRel(dead, rows...)
+	}
+	var ab []Tuple
+	for a := range Value(4) {
+		for b := range Value(3) {
+			ab = append(ab, Tuple{a, b})
+		}
+	}
+	b := bitSeed(0b00110, rel(ab...),
+		rel(Tuple{0, 1}, Tuple{0, 3}, Tuple{1, 2}, Tuple{1, 5}, Tuple{2, 0}, Tuple{2, 4}),
+		rel(Tuple{0, 1}, Tuple{0, 3}, Tuple{0, 2}, Tuple{1, 2}, Tuple{1, 5}, Tuple{1, 0}, Tuple{2, 4}, Tuple{2, 1},
+			Tuple{2, 3}, Tuple{3, 0}, Tuple{3, 5}, Tuple{3, 3}))
+	b = append(b, 2, 0b01100)
+	b = append(b, rel(Tuple{1, 7}, Tuple{2, 7}, Tuple{3, 8}, Tuple{4, 9}, Tuple{1, 8}, Tuple{2, 9})...)
+	b = append(b, 0b00001)
+	b = append(b, rel(Tuple{0}, Tuple{1}, Tuple{2}, Tuple{7}, Tuple{8}, Tuple{9})...)
+	return append(b, onto)
+}
+
+// chainSeeds are the stream seeds of JoinChain; streamSeeds holds them
+// with the rest.
+var chainSeeds = map[string][]byte{
+	// Onto ab, the larger operand, probed: bit rows by b with h = c, so
+	// the semijoin by cd is a mask and the one by a tests probe rows.
+	"chain bits onto the larger": chainSeed(1, 0, 1),
+	// Onto bc, the smaller: it is probed, ab is built, and h = a, so the
+	// semijoin by a is the mask and the one by cd tests join rows.
+	"chain bits onto the smaller": chainSeed(1, 0, 2),
+	// Values a million apart: the chained table, and key tables for both
+	// semijoins.
+	"chain wide": chainSeed(1000003, 0, 1),
+	// No projection, so counted; rows 0 and 8 of every relation dead.
+	"chain dead": chainSeed(1, 0x0101, 0),
+}
+
 func init() {
-	for _, seeds := range []map[string][]byte{bitSeeds, groupSeeds} {
+	for _, seeds := range []map[string][]byte{bitSeeds, groupSeeds, chainSeeds} {
 		for name, seed := range seeds {
 			streamSeeds[name] = seed
 		}
@@ -1072,6 +1205,11 @@ var seedPaths = map[string][2]string{ // project, filter
 	"groups span at the bound, MaxInt32":       {"bits dense", "bits dense"},
 	"groups span one past the bound, MaxInt32": {"bits hashed", "bits hashed"},
 	"groups two columns":                       {"bits hashed", "bits hashed"},
+
+	"chain bits onto the larger":  {"bits dense", "bits dense"},
+	"chain bits onto the smaller": {"bits dense", "bits dense"},
+	"chain wide":                  {"chained hashed", "chained hashed"},
+	"chain dead":                  {"bits dense", "bits dense"},
 }
 
 // streamPath names the path a streamed sink over op takes — JoinFilter by
@@ -1212,6 +1350,9 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 		case "groups two columns":
 			ok = ok && g.Card() == 2 && g.Equal(fg) && probe.dead > 0 && op.f.dead > 0 && kept.Card() > 0
 		}
+		if strings.HasPrefix(name, "chain") {
+			ok = ok && chainCovers(t, name, op)
+		}
 		// The path each sink takes: its build side and its groups.
 		if got := [2]string{streamPath(op, false), streamPath(op, true)}; got != seedPaths[name] {
 			t.Errorf("seed %q: JoinProject, JoinFilter take %q; want %q", name, got, seedPaths[name])
@@ -1222,6 +1363,41 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 				op.f.U.FormatSet(op.f.attrs), op.f.Card(), op.f.dead, op.x.Key(), joined)
 		}
 	}
+}
+
+// chainCovers reports whether a chain seed reaches its case: two
+// semijoins that each drop join rows, a projection that drops a row of
+// its operand — ab's being the larger — and, on bit rows, the semijoin
+// keyed by h alone being the one the seed names; the dead seed has dead
+// rows in every operand.
+func chainCovers(t *testing.T, name string, op fuzzOperands) bool {
+	onto := [...]*Relation{nil, op.r, op.s}[op.onto]
+	ex := NewExec()
+	out, cards := ex.JoinChain(op.r, op.s, op.f, Chain{Semijoins: op.semis, Onto: onto}, All, Budget{}, nil)
+	ok := len(op.semis) == 2 && cards[2] < cards[1] && cards[3] < cards[2] && out.Card() > 0
+	if onto != nil {
+		ok = ok && out.Card() < onto.Card()
+	}
+	hOnly := func(i int, probe *Relation) bool { // semijoin i is keyed by h alone
+		shared := op.semis[i].attrs.Intersect(op.r.attrs.Union(op.s.attrs))
+		return shared.Card() == 1 && !probe.attrs.Has(shared.Min())
+	}
+	switch name {
+	case "chain bits onto the larger":
+		ok = ok && op.r.Card() > op.s.Card() && hOnly(0, op.r) && !hOnly(1, op.r)
+	case "chain bits onto the smaller":
+		ok = ok && op.s.Card() < op.r.Card() && !hOnly(0, op.s) && hOnly(1, op.s)
+	case "chain wide":
+		ok = ok && ex.sets[0].keys.slots != nil && ex.sets[1].keys.slots != nil
+	case "chain dead":
+		for _, rel := range append([]*Relation{op.r, op.s, op.f}, op.semis...) {
+			ok = ok && rel.dead > 0
+		}
+	}
+	if !ok {
+		t.Logf("seed %q: cards %v, %d rows out", name, cards, out.Card())
+	}
+	return ok
 }
 
 // liveValues returns the values of rel's live rows in column a.
@@ -1238,8 +1414,9 @@ func liveValues(rel *Relation, a schema.Attr) []int64 {
 // list, and a filter relation and head over their union (decodeOperands),
 // and holds the operators, run through one Exec, to checkKernels' and
 // checkStreams' oracles: the nested-loop results, the two-statement
-// forms of the streamed sinks, Join's, Semijoin's, Project's and the
-// filter's row order, dense outputs, untouched operands. Runs in the CI
+// forms of the streamed sinks and of a chain (checkChain), Join's,
+// Semijoin's, Project's and the filter's row order, dense outputs,
+// untouched operands. Runs in the CI
 // fuzz-smoke lane; the seeds run under go test.
 func FuzzOperators(f *testing.F) {
 	for _, seed := range [][]byte{
@@ -1269,5 +1446,8 @@ func FuzzOperators(f *testing.F) {
 		checkKernels(t, "s,r", ex, op.s, op.r, op.px.Intersect(op.s.attrs))
 		checkStreams(t, "r,s", ex, op.r, op.s, op.f, op.x)
 		checkStreams(t, "s,r", ex, op.s, op.r, op.f, op.x)
+		onto := [...]*Relation{nil, op.r, op.s}[op.onto]
+		checkChain(t, "r,s", ex, op.r, op.s, op.f, op.semis, onto)
+		checkChain(t, "s,r", ex, op.s, op.r, op.f, op.semis, onto)
 	})
 }

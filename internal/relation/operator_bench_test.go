@@ -267,6 +267,32 @@ func BenchmarkJoinFilter(b *testing.B) {
 		benchForm{"wide", func() { ex.JoinFilter(wab, wbc, wac, 10, Budget{}) }})
 }
 
+// BenchmarkJoinChain prices s8's bag and its reducer, π_ab((ab ⋈ bc ⋈ ac)
+// ⋉ cd), over 20 000 universal tuples on a, b, c, d from [0, 2000): one
+// JoinChain — the filter by ac on bit rows, the semijoin by cd a mask
+// over c, the projection marks of ab's rows — against the three
+// statements it replaces, JoinFilter, Semijoin and Project. Seed 1 gives
+// |ab| > |bc|, so ab is probed either way; seed 3 gives |ab| < |bc|, so
+// JoinFilter builds ab and the chain, projecting onto ab, still probes it.
+func BenchmarkJoinChain(b *testing.B) {
+	for _, seed := range []int64{1, 3} {
+		u := schema.NewUniverse()
+		abcd, _ := RandomUniversal(u, u.Set("a", "b", "c", "d"), 20000, 2000, rand.New(rand.NewSource(seed)))
+		ab, bc, ac, cd := abcd.Project(u.Set("a", "b")), abcd.Project(u.Set("b", "c")), abcd.Project(u.Set("a", "c")), abcd.Project(u.Set("c", "d"))
+		ex := NewExec()
+		chain := Chain{Semijoins: []*Relation{cd}, Onto: ab}
+		var cards []int
+		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
+			benchForms(b,
+				benchForm{"chain", func() { _, cards = ex.JoinChain(ab, bc, ac, chain, All, Budget{}, cards[:0]) }},
+				benchForm{"three-statement", func() {
+					bag, _, _ := ex.JoinFilter(ab, bc, ac, All, Budget{})
+					ex.Project(ex.Semijoin(bag, cd), ab.Attrs())
+				}})
+		})
+	}
+}
+
 // BenchmarkJoinD20k prices ab ⋈ bc — eval_read's q6, whose answer it is —
 // stored whole and counted as an answer read with "limit": 10 runs it,
 // which adds each bucket past its tenth row up from the bucket's size;

@@ -360,6 +360,23 @@ func (r *Relation) appendRow(vals []Value) {
 	}
 }
 
+// appendRows appends the rows of block, a whole number of rows of a
+// relation of nonzero width, a chunk's worth at a time.
+func (r *Relation) appendRows(block []Value) {
+	for len(block) > 0 {
+		if r.n&chunkMask == 0 {
+			r.chunks = append(r.chunks, r.newChunk())
+		}
+		c := &r.chunks[len(r.chunks)-1]
+		rows := min(len(block)/r.width, ChunkRows-r.n&chunkMask)
+		c.data = append(c.data, block[:rows*r.width]...)
+		block = block[rows*r.width:]
+		if r.n += rows; r.n&chunkMask == 0 {
+			c.id = nextChunkID()
+		}
+	}
+}
+
 // newChunk returns an empty tail chunk sized for the rows still
 // expected: the outstanding part of the reservation, at most a full
 // chunk. Past (or without) a reservation, a chunk that follows a full

@@ -144,6 +144,9 @@ func (s *Store) ReadWAL(c Cursor, maxBytes int) (WALWindow, error) {
 		s.mu.Unlock()
 		return WALWindow{}, fmt.Errorf("%w: offset %d past segment %d durable end %d", ErrCursorInvalid, c.Off, c.Seg, size)
 	}
+	if s.feedSeg == 0 || c.Seg < s.feedSeg {
+		s.feedSeg = c.Seg // a feed reads here: the next checkpoint keeps it (retireSegmentsBelow)
+	}
 	tailSeq := s.segSeq
 	if c.Off == size {
 		defer s.mu.Unlock()

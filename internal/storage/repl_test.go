@@ -210,6 +210,71 @@ func TestReadWALCaughtUpCursorSurvivesCheckpoint(t *testing.T) {
 	}
 }
 
+// TestFollowerMidSegmentSurvivesCheckpoint: a feed has read part of a
+// segment when the leader checkpoints past it. The checkpoint keeps the
+// segment — its bytes leave the live WAL, so neither Dirty nor
+// ShouldCheckpoint counts them — and the follower's next poll reads on
+// from its cursor across the rotation, every batch once. The checkpoint
+// after that removes it, read since or not: a segment is kept for one
+// checkpoint interval at most.
+func TestFollowerMidSegmentSurvivesCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{NoSync: true, CheckpointBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	batches := manyBatches(40)
+	for _, b := range batches {
+		if err := s.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.ShouldCheckpoint() {
+		t.Fatalf("%d WAL bytes suggest no checkpoint", s.Stats().WALBytes)
+	}
+	// The follower has read a few frames: its cursor is mid-segment.
+	win, err := s.ReadWAL(genesis, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads, _ := SplitFrames(win.Frames)
+	cur := win.Next
+	if tip := s.TailCursor(); cur.Seg != tip.Seg || cur.Off >= tip.Off || len(payloads) == 0 {
+		t.Fatalf("cursor %v after %d frames, tail %v: not mid-segment", cur, len(payloads), tip)
+	}
+	if err := s.Checkpoint(s.State()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); s.Dirty() || s.ShouldCheckpoint() || st.WALBytes != walHeaderLen || st.Segments != 2 {
+		t.Fatalf("after the checkpoint: dirty %v, should checkpoint %v, %d WAL bytes over %d segments; want clean, %d bytes, the kept segment and the tail",
+			s.Dirty(), s.ShouldCheckpoint(), st.WALBytes, st.Segments, walHeaderLen)
+	}
+	extra := []Mutation{Insert(0, 2, []relation.Tuple{{999, 999}})}
+	if err := s.Append(extra); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := drainWAL(t, s, cur)
+	if got, want := len(payloads)+len(rest), len(batches)+1; got != want {
+		t.Fatalf("the follower read %d batches across the checkpoint, want %d", got, want)
+	}
+	if last := rest[len(rest)-1]; len(last) != 1 || last[0].Kind != KindInsert {
+		t.Fatalf("last batch read %+v, want the insert after the checkpoint", last)
+	}
+
+	// The kept segment is older than the last checkpoint now: the next
+	// one removes it, though the drain read it since.
+	if err := s.Checkpoint(s.State()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ReadWAL(cur, 0); !errors.Is(err, ErrCursorGone) {
+		t.Fatalf("a cursor in a segment two checkpoints back: got %v, want ErrCursorGone", err)
+	}
+	if segs, _, _ := listStoreFiles(t, dir); len(segs) != 2 {
+		t.Fatalf("segment files after the second checkpoint: %v, want the one the drain read and the tail", segs)
+	}
+}
+
 func TestAppendNotifyWakesWaiters(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{NoSync: true})

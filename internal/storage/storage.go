@@ -121,8 +121,8 @@ func (o Options) compactBytes() int64 {
 
 // Stats is a point-in-time snapshot of durability counters.
 type Stats struct {
-	WALBytes          int64     // bytes across live segments (headers included)
-	Segments          int       // live segment files
+	WALBytes          int64     // bytes across the segments a checkpoint has not covered (headers included)
+	Segments          int       // segment files, those kept only for a replication feed included
 	Appends           uint64    // batches appended since open
 	Replayed          uint64    // batches replayed during recovery
 	Checkpoints       uint64    // checkpoints written since open
@@ -146,8 +146,10 @@ type Store struct {
 	mu       sync.Mutex
 	seg      *os.File // current segment, positioned at its end
 	segSeq   uint64
-	segSizes map[uint64]int64 // live segment → size in bytes
-	walBytes int64
+	segSizes map[uint64]int64 // segment on disk → size in bytes
+	walBytes int64            // bytes of the segments from ckptSeq on: what recovery replays
+	ckptSeq  uint64           // the newest checkpoint's sequence: the segments below it are covered
+	feedSeg  uint64           // the oldest segment ReadWAL has served since that checkpoint; 0 if none
 	closed   bool
 	failed   error         // set when a write error left the WAL unappendable
 	lockf    *os.File      // exclusive directory lock (nil on non-unix)
@@ -213,13 +215,13 @@ func (s *Store) registerMetrics(reg *obs.Registry) {
 	s.mCompactions = reg.Counter("gyo_compactions_total",
 		"Chunk-store GC rewrites into a fresh generation.")
 	reg.GaugeFunc("gyo_wal_bytes",
-		"Live WAL bytes across segments (replayed at next recovery).", func() float64 {
+		"WAL bytes a checkpoint has not covered (replayed at next recovery).", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(s.walBytes)
 		})
 	reg.GaugeFunc("gyo_wal_segments",
-		"Live WAL segment files.", func() float64 {
+		"WAL segment files, those kept only for a replication feed included.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			return float64(len(s.segSizes))
@@ -327,7 +329,7 @@ func Open(dir string, opt Options) (_ *Store, err error) {
 	if err != nil {
 		return nil, err
 	}
-	s.walBytes = 0
+	s.walBytes, s.ckptSeq = 0, startSeq
 	for _, sz := range s.segSizes {
 		s.walBytes += sz
 	}
@@ -609,11 +611,18 @@ func (s *Store) rotateLocked() error {
 func (s *Store) Dirty() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.walBytes > int64(len(s.segSizes))*walHeaderLen
+	live := int64(0)
+	for seq := range s.segSizes {
+		if seq >= s.ckptSeq {
+			live++
+		}
+	}
+	return s.walBytes > live*walHeaderLen
 }
 
 // ShouldCheckpoint reports whether the live WAL has grown past the
-// configured threshold, suggesting a checkpoint.
+// configured threshold, suggesting a checkpoint. Segments kept past a
+// checkpoint for a replication feed do not count.
 func (s *Store) ShouldCheckpoint() bool {
 	if s.opt.checkpointBytes() < 0 {
 		return false
@@ -736,9 +745,10 @@ func (s *Store) WriteCheckpoint(seq uint64, db *relation.Database) (err error) {
 	s.chunkf, s.chunkGen, s.chunkTable = c.f, c.gen, table
 	s.chunkSize, s.chunkLive = c.off, live
 
-	// 5. The new manifest supersedes all older segments, snapshot files,
-	// and chunk-store generations.
-	if tail := s.dropSegmentsBelow(seq); tail.Seg != 0 {
+	// 5. The new manifest supersedes all older segments (bar those a
+	// replication feed still reads), snapshot files, and chunk-store
+	// generations.
+	if tail := s.retireSegmentsBelow(seq); tail.Seg != 0 {
 		// Persist the truncated tail so a caught-up follower survives a
 		// leader restart right after this checkpoint (the graceful
 		// shutdown path). Best-effort: failure costs a replica re-seed,
@@ -848,29 +858,48 @@ func (s *Store) abortChunks(c *chunkAppend, rollback bool) {
 	s.chunkSize, s.chunkLive = 0, 0
 }
 
-// dropSegmentsBelow removes every live segment older than seq and
-// returns the end of the newest one removed (zero if none was).
-func (s *Store) dropSegmentsBelow(seq uint64) (tail Cursor) {
+// retireSegmentsBelow takes the segments below seq, which the checkpoint
+// at seq covers, out of the live WAL (walBytes), and removes those no
+// replication feed needs. A segment ReadWAL has served since the previous
+// checkpoint (feedSeg), and every one after it, stays on disk — no
+// further back than that checkpoint — so a follower whose cursor is
+// mid-segment reads on instead of finding its segment gone; the next
+// checkpoint removes it unless a feed reads there again. It returns the
+// end of the newest segment removed (zero if none was).
+func (s *Store) retireSegmentsBelow(seq uint64) (tail Cursor) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if seq <= s.ckptSeq {
+		return tail // a newer checkpoint already retired them
+	}
+	keep := seq
+	if s.feedSeg != 0 {
+		keep = max(min(s.feedSeg, seq), s.ckptSeq)
+	}
 	var drop []uint64
-	for sseq := range s.segSizes {
-		if sseq < seq {
+	for sseq, size := range s.segSizes {
+		if sseq >= seq {
+			continue
+		}
+		if sseq >= s.ckptSeq {
+			s.walBytes -= size
+		}
+		if sseq < keep {
 			drop = append(drop, sseq)
 			if sseq > tail.Seg {
-				tail = Cursor{Seg: sseq, Off: s.segSizes[sseq]}
+				tail = Cursor{Seg: sseq, Off: size}
 			}
 		}
 	}
 	slices.Sort(drop)
 	for _, sseq := range drop {
 		removeFile(s.path(classSegment, sseq))
-		s.walBytes -= s.segSizes[sseq]
 		delete(s.segSizes, sseq)
 	}
 	if tail.Seg != 0 {
 		s.truncTail = tail
 	}
+	s.ckptSeq, s.feedSeg = seq, 0
 	return tail
 }
 
