@@ -274,8 +274,8 @@ func streamStoppedInsideGroup(t *testing.T, bStep, aStep relation.Value) {
 	}
 	reuse("projection's gas")
 
-	out, _, joined := ex.JoinFilter(ab, bc, ac, relation.All, relation.Budget{Deadline: time.Now().Add(-time.Millisecond)})
-	if out != nil || joined%group == 0 || joined >= na*group {
+	out, cards := ex.JoinFilter(ab, bc, ac, relation.Chain{}, relation.All, relation.Budget{Deadline: time.Now().Add(-time.Millisecond)}, nil)
+	if joined := cards[0]; out != nil || joined%group == 0 || joined >= na*group {
 		t.Fatalf("deadline: the filter returned a relation %v after %d join rows, want it stopped inside a %d-row group", out != nil, joined, group)
 	}
 	reuse("deadline")

@@ -252,7 +252,7 @@ func (p *Program) Eval(db *relation.Database) (*relation.Relation, *Stats, error
 // (relation.Exec.JoinFilter). Past a filter the chain goes on while each
 // value has a single use, by the next statement: through semijoins of
 // it, then at most one projection onto the attributes of one of the
-// join's two operands, which ends it (relation.Exec.JoinChain); a
+// join's two operands, which ends it (relation.Chain); a
 // projection onto anything else, or a value with two uses, ends it
 // before. The program is unchanged, and so are the stats: each statement
 // of a chain is recorded with its own Out — the join's the rows that
@@ -363,7 +363,7 @@ func (p *Program) run(db *relation.Database, ex *relation.Exec, lim Limits, k in
 			if fu.onto >= 0 {
 				c.Onto = vals[fu.onto]
 			}
-			out, cards = ex.JoinChain(vals[s.Left], vals[s.Right], vals[fu.filter], c, keep, b, cards)
+			out, cards = ex.JoinFilter(vals[s.Left], vals[s.Right], vals[fu.filter], c, keep, b, cards)
 		case s.Kind == Join:
 			var card int
 			out, card = ex.JoinFirst(vals[s.Left], vals[s.Right], keep, b)

@@ -48,11 +48,11 @@ import (
 // h value, in the words of keys and its counts by key in keys' sizes — at
 // most bitRowWords words per build row — and a group's filter bits or
 // projections are one such row in local's words.
-// A chain (JoinChain) is JoinFilter's walk with more statements on it:
-// each later semijoin's key set goes into a setScratch of sets of its own,
-// built as Semijoin builds its one, or, on bit rows, a mask over h's
-// window in that scratch's bits; a closing projection marks its probe
-// rows in marks, a bit per row, where Semijoin marks the rows it keeps.
+// A JoinFilter's chain carries its walk on to later statements: each
+// semijoin's key set goes into a setScratch of sets of its own, built as
+// Semijoin builds its one, or, on bit rows, a mask over h's window in that
+// scratch's bits; a closing projection marks its probe rows in marks, a
+// bit per row, where Semijoin marks the rows it keeps.
 // Every operator emits an index-free output by plain appends (the
 // output's own set index is built only if something later asks it for
 // membership — see the package comment). The zero value is ready to use;
@@ -68,11 +68,11 @@ type Exec struct {
 	srcs  []int32
 	bits  []uint64     // Semijoin's one-column key set, when it is a bitmap (keyBits)
 	marks []uint64     // Semijoin's kept rows, or a chain's projected probe rows: a bit per row (keepMarked)
-	sets  []setScratch // a chain's semijoin key sets, one per stage (JoinChain)
+	sets  []setScratch // a chain's semijoin key sets, one per stage (JoinFilter)
 }
 
 // setScratch is the storage of one of a chain's semijoin key sets
-// (JoinChain): a keyTable's, or a bitmap's words.
+// (JoinFilter): a keyTable's, or a bitmap's words.
 type setScratch struct {
 	keys keyScratch
 	bits []uint64
@@ -496,59 +496,51 @@ func (e *Exec) JoinProject(r, s *Relation, x schema.AttrSet, k int, b Budget) (o
 	return e.join(r, s, projectRows, x, nil, nil, k, b)
 }
 
-// JoinFilter returns the first k rows of (r ⋈ s) ⋈ f — equally
-// (r ⋈ s) ⋉ f — (k = All: every row) for an f whose attributes are a
-// subset of r's and s's, without materializing r ⋈ s, how many rows it
-// has, and how many r ⋈ s has. It walks the probe side group by group,
-// as JoinProject does, on g = attrs(f) ∩ attrs(probe), with f sorted
-// into the same groups: when a group starts, the h = attrs(f) \ g columns
-// of its filter rows go into the group-local table, and a row of r ⋈ s is
-// emitted when its build-side h columns are there — a probe among the
-// group's few keys, not a table over all of f. Output rows come grouped
-// by g. It returns a nil relation when b stops the join.
-func (e *Exec) JoinFilter(r, s, f *Relation, k int, b Budget) (out *Relation, card, joined int) {
-	var ch chain
-	return e.join(r, s, filterRows, filterAttrs(r, s, f), f, &ch, k, b)
-}
-
-// filterAttrs returns attrs(r ⋈ s), which a filter's attributes must lie
-// in.
-func filterAttrs(r, s, f *Relation) schema.AttrSet {
-	x := r.attrs.Union(s.attrs)
-	if !f.attrs.SubsetOf(x) {
-		panic(fmt.Sprintf("relation: filter %s ⊄ %s", r.U.FormatSet(f.attrs), r.U.FormatSet(x)))
-	}
-	return x
-}
-
-// Chain is what a streamed join feeds past its filter (JoinChain): the
+// Chain is what a streamed join feeds past its filter (JoinFilter): the
 // semijoins of its value by each of Semijoins, in order, and then, when
-// Onto is r or s, the projection onto Onto's attributes.
+// Onto is r or s, the projection onto Onto's attributes. The zero Chain
+// is the filter alone.
 type Chain struct {
 	Semijoins []*Relation
 	Onto      *Relation
 }
 
-// JoinChain evaluates the statements v₀ = r ⋈ s, v₁ = v₀ ⋈ f — a filter,
-// as in JoinFilter — vᵢ₊₁ = vᵢ ⋉ c.Semijoins[i−1], and, when c.Onto is
-// set, π_attrs(Onto)(v) in JoinFilter's one grouped walk, storing none of
-// them but the last. Each semijoin is Semijoin's key set (keySet), probed
-// with the join rows the filter and the semijoins before it keep; on bit
-// rows, one keyed by h alone is instead a mask over the bit rows' window,
-// ANDed with a group's filter bits. The projection takes Onto as the
-// probe side, marks each probe row that keeps a join row, and returns the
-// marked rows as Semijoin returns its survivors (keepMarked) — every one
-// of them: it has no k. Otherwise the last value's first k rows are
-// stored (k = All: every row). It appends to cards each statement's exact
-// row count — |r ⋈ s|, the filter's, each semijoin's, the projection's.
-// When b stops the join it returns a nil relation and appends only how
-// many join rows it walked.
-func (e *Exec) JoinChain(r, s, f *Relation, c Chain, k int, b Budget, cards []int) (*Relation, []int) {
+// maskStages lets a chain on bit rows hold a semijoin keyed by h alone as
+// a mask over h's window (JoinFilter); BenchmarkJoinChain turns it off to
+// price the mask against the key set it stands in for.
+var maskStages = true
+
+// JoinFilter evaluates the chain of statements v₀ = r ⋈ s, v₁ = v₀ ⋈ f —
+// equally v₀ ⋉ f, for an f whose attributes are a subset of r's and s's
+// — vᵢ₊₁ = vᵢ ⋉ c.Semijoins[i−1], and, when c.Onto is set,
+// π_attrs(Onto)(v) in one grouped walk, storing none of them but the
+// last. It walks the probe side group by group, as JoinProject does, on
+// g = attrs(f) ∩ attrs(probe), with f sorted into the same groups: when a
+// group starts, the h = attrs(f) \ g columns of its filter rows go into
+// the group-local table, and a row of r ⋈ s passes the filter when its
+// build-side h columns are there — a probe among the group's few keys,
+// not a table over all of f. Each semijoin is Semijoin's key set
+// (keySet), probed with the join rows the filter and the semijoins before
+// it keep; on bit rows, one keyed by h alone is instead a mask over the
+// bit rows' window, ANDed with a group's filter bits. The projection
+// takes Onto as the probe side, marks each probe row that keeps a join
+// row, and returns the marked rows as Semijoin returns its survivors
+// (keepMarked) — every one of them: it has no k. Otherwise the last
+// value's first k rows are stored (k = All: every row), grouped by g. It
+// appends to cards each statement's exact row
+// count — |r ⋈ s|, the filter's, each semijoin's, the projection's. When
+// b stops the join it returns a nil relation and appends only how many
+// join rows it walked.
+func (e *Exec) JoinFilter(r, s, f *Relation, c Chain, k int, b Budget, cards []int) (*Relation, []int) {
+	x := r.attrs.Union(s.attrs)
+	if !f.attrs.SubsetOf(x) {
+		panic(fmt.Sprintf("relation: filter %s ⊄ %s", r.U.FormatSet(f.attrs), r.U.FormatSet(x)))
+	}
 	if c.Onto != nil && c.Onto != r && c.Onto != s {
 		panic("relation: a chain projects onto r or s")
 	}
 	ch := chain{Chain: c}
-	out, card, joined := e.join(r, s, filterRows, filterAttrs(r, s, f), f, &ch, k, b)
+	out, card, joined := e.join(r, s, filterRows, x, f, &ch, k, b)
 	if out == nil {
 		return nil, append(cards, joined)
 	}
@@ -562,9 +554,9 @@ func (e *Exec) JoinChain(r, s, f *Relation, c Chain, k int, b Budget, cards []in
 	return out, cards
 }
 
-// chain is a JoinChain — or, with no semijoin and no projection, a
-// JoinFilter — in the join kernel: how many join rows the filter kept,
-// each semijoin's stage, and the projection's marks by probe row.
+// chain is a JoinFilter's Chain in the join kernel: how many join rows
+// the filter kept, each semijoin's stage, and the projection's marks by
+// probe row.
 type chain struct {
 	Chain
 	filtered int
@@ -582,26 +574,34 @@ type stage struct {
 	n    int
 }
 
-// pass reports whether the join row row passes every stage, counting it
-// at each stage it passes.
-func (ch *chain) pass(row []Value) bool {
-	for i := range ch.stages {
-		st := &ch.stages[i]
+// pass reports whether row, a join row of probe row i that the filter
+// keeps, passes every stage, counting it as the filter's and at each stage
+// it passes, and marks probe row i when it does and the chain projects.
+func (ch *chain) pass(row []Value, i int) bool {
+	ch.filtered++
+	for k := range ch.stages {
+		st := &ch.stages[k]
 		if !st.set.has(row) {
 			return false
 		}
 		st.n++
 	}
+	if ch.marks != nil {
+		ch.marks[i>>6] |= 1 << (i & 63)
+	}
 	return true
 }
 
-// passBits narrows m, the bits of word wi of a probe row's partners on bit
-// rows br, to those that pass every stage, counting each stage's; row
-// holds the probe row's columns, and a stage that tests whole rows sets
-// column ho, h, to each bit's value in turn.
-func (ch *chain) passBits(m uint64, wi int, br *bitRows, row []Value, ho int) uint64 {
-	for i := range ch.stages {
-		st := &ch.stages[i]
+// passBits narrows m, the filter's bits of word wi of probe row i's
+// partners on bit rows br, to those that pass every stage, counting the
+// filter's and each stage's, and marks probe row i when some bit passes
+// and the chain projects. When some stage tests whole rows, row holds the
+// probe row's columns, and its column ho, h, is set to each bit's value in
+// turn.
+func (ch *chain) passBits(m uint64, i, wi int, br *bitRows, row []Value, ho int) uint64 {
+	ch.filtered += bits.OnesCount64(m)
+	for k := range ch.stages {
+		st := &ch.stages[k]
 		if st.mask != nil {
 			m &= st.mask[wi]
 		} else {
@@ -612,6 +612,9 @@ func (ch *chain) passBits(m uint64, wi int, br *bitRows, row []Value, ho int) ui
 			}
 		}
 		st.n += bits.OnesCount64(m)
+	}
+	if ch.marks != nil && m != 0 {
+		ch.marks[i>>6] |= 1 << (i & 63)
 	}
 	return m
 }
@@ -635,7 +638,7 @@ func (e *Exec) stages(ch *chain, out *Relation, br *bitRows, h []schema.Attr) {
 			sPos[j], rPos[j] = rel.colPos(a), out.colPos(a)
 		}
 		sc := &e.sets[i]
-		if br != nil && len(shared) == 1 && shared[0] == h[0] {
+		if maskStages && br != nil && len(shared) == 1 && shared[0] == h[0] {
 			ch.stages[i].mask = bitsOver(rel, sPos[0], br.hlo, br.w, &sc.bits).words
 			continue
 		}
@@ -741,12 +744,10 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, ch *
 	if bitPath {
 		bp = &br
 	}
-	// A filter's chain, in locals for the walk: its stages, whether one
-	// tests whole join rows, its projection's marks, and how many join
-	// rows the filter keeps.
-	var stages []stage
-	var marks []uint64
-	rowTest, filtered := false, 0
+	// A filter whose chain goes on past it — semijoins, or a projection
+	// that marks probe rows — is chained; a plain filter's walk is
+	// untouched by it.
+	chained := false
 	if sk == filterRows {
 		e.stages(ch, out, bp, h)
 		if onto != nil {
@@ -754,7 +755,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, ch *
 			clear(e.marks)
 			ch.marks = e.marks
 		}
-		stages, marks, rowTest = ch.stages, ch.marks, ch.rowTest
+		chained = ch.stages != nil || ch.marks != nil
 	}
 	check := b.next(0)
 
@@ -861,31 +862,16 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, ch *
 				filled := false // the probe row is read only when it emits, or a stage tests it
 				for _, wi := range fw {
 					m := row[wi] & acc[wi]
-					if m == 0 {
-						continue
-					}
-					filtered += bits.OnesCount64(m)
-					switch {
-					case rowTest:
-						if !filled {
+					if chained && m != 0 {
+						if ch.rowTest && !filled {
 							fillProbe(obuf, srcs, probe.row(i))
 							filled = true
 						}
-						m = ch.passBits(m, int(wi), &br, obuf, ho)
-					case stages != nil:
-						for k := range stages { // masks alone
-							m &= stages[k].mask[wi]
-							stages[k].n += bits.OnesCount64(m)
+						if m = ch.passBits(m, i, int(wi), &br, obuf, ho); ch.marks != nil {
+							continue
 						}
 					}
-					if m == 0 {
-						continue
-					}
-					if marks != nil {
-						marks[i>>6] |= 1 << (i & 63)
-						continue
-					}
-					if card >= keep {
+					if card >= keep || m == 0 {
 						card += bits.OnesCount64(m)
 						continue
 					}
@@ -908,15 +894,11 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, ch *
 					if dd.lookup(brow, hPos) == 0 {
 						continue // no filter row of this group has its h columns
 					}
-					if filtered++; stages != nil {
+					if chained {
 						fillRow(obuf, srcs, prow, brow)
-						if !ch.pass(obuf) {
+						if !ch.pass(obuf, i) || ch.marks != nil {
 							continue
 						}
-					}
-					if marks != nil {
-						marks[i>>6] |= 1 << (i & 63)
-						continue
 					}
 					if card++; card <= keep {
 						fillRow(obuf, srcs, prow, brow)
@@ -975,12 +957,12 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, ch *
 			}
 		}
 	}
-	if marks != nil {
-		out = keepMarked(probe, marks)
+	switch {
+	case chained && ch.marks != nil:
+		out = keepMarked(probe, ch.marks)
 		card = out.Card()
-	}
-	if ch != nil {
-		ch.filtered = filtered
+	case sk == filterRows && !chained:
+		ch.filtered = card // a plain filter counts every row it keeps
 	}
 	return out, card, joined
 }
@@ -1324,7 +1306,7 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 
 // keepMarked returns the rows of r whose bits are set in marks — a dead
 // row's never is — in r's order: Semijoin's survivors, and the probe rows
-// a chain's projection keeps (JoinChain). They are rows of a set, so
+// a chain's projection keeps (JoinFilter). They are rows of a set, so
 // nothing is deduplicated. While every row so far is kept nothing is
 // copied: the output adopts the clean prefix before the first unmarked
 // row, sharing its full chunks with r — ids included, the way compact

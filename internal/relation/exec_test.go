@@ -90,7 +90,7 @@ func TestExecScratchBudget(t *testing.T) {
 	if rows != joined || got.Card() != want.Card() || card != want.Card() {
 		t.Fatalf("streamed join→project: %d rows (%d counted) from %d joined, want %d from %d", got.Card(), card, rows, want.Card(), joined)
 	}
-	if got, _, _ := ex.JoinFilter(r, s, s, All, Budget{}); got.Card() != joined {
+	if got, _, _ := joinFilter(ex, r, s, s, All, Budget{}); got.Card() != joined {
 		t.Fatalf("streamed join→filter by s kept %d rows, want %d", got.Card(), joined)
 	}
 	local := 4*tableSize(groupRows) + 8*groupRows // a group table that never grew
@@ -144,7 +144,7 @@ func TestExecScratchBudget(t *testing.T) {
 	// so its one group table holds all of f's keys, in tableSize(|f|)
 	// slots and as many words at most, however many join rows probe it.
 	fa := ex.Project(r, u.Set("a"))
-	filt, card, rows := ex.JoinFilter(r, s, fa, k, Budget{})
+	filt, card, rows := joinFilter(ex, r, s, fa, k, Budget{})
 	if card != joined || rows != joined || filt.Card() != k {
 		t.Fatalf("counted join→filter by π_a(r): %d of %d rows kept from %d joined; want %d of %d from %d", filt.Card(), card, rows, k, joined, joined)
 	}
@@ -174,7 +174,7 @@ func TestExecScratchBudget(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		f.Insert(Tuple{Value(i % hdom), Value(i)})
 	}
-	if kept, card, rows := ex.JoinFilter(wb, s, f, k, Budget{}); card == 0 || rows != joined || kept.Card() != k {
+	if kept, card, rows := joinFilter(ex, wb, s, f, k, Budget{}); card == 0 || rows != joined || kept.Card() != k {
 		t.Fatalf("counted join→filter on bit rows: %d of %d rows kept from %d joined; want %d from %d", kept.Card(), card, rows, k, joined)
 	}
 	if words := c * n; cap(ex.keys.words) != words {
@@ -195,7 +195,7 @@ func TestExecScratchBudget(t *testing.T) {
 	}
 	sparse.Insert(Tuple{math.MaxInt32})
 	chain := Chain{Semijoins: []*Relation{sparse, ex.Project(r, u.Set("a"))}, Onto: r}
-	kept, cards := ex.JoinChain(r, s, s, chain, All, Budget{}, nil)
+	kept, cards := ex.JoinFilter(r, s, s, chain, All, Budget{}, nil)
 	if want := []int{joined, joined, joined / 2, joined / 2, n / 2}; !slices.Equal(cards, want) || kept.Card() != n/2 {
 		t.Fatalf("two-stage chain: cards %v, %d rows kept; want %v, %d: r's rows of odd b, c's parity, drop", cards, kept.Card(), want, n/2)
 	}

@@ -391,7 +391,7 @@ func checkStreams(t *testing.T, label string, ex *Exec, r, s, f *Relation, x sch
 	sameRows(t, label+" streamed project", proj, nj.project(x))
 	sameRows(t, label+" streamed project vs two statements", proj, naiveOf(ex.Project(ex.Join(r, s), x)))
 
-	filt, card, joined := ex.JoinFilter(r, s, f, All, Budget{})
+	filt, card, joined := joinFilter(ex, r, s, f, All, Budget{})
 	dense("streamed filter", filt, card, joined)
 	nf := naiveOf(f)
 	sameRows(t, label+" streamed filter", filt, nj.join(nf))
@@ -407,7 +407,7 @@ func checkStreams(t *testing.T, label string, ex *Exec, r, s, f *Relation, x sch
 		if out, _, stopped := ex.JoinProject(r, s, x, All, Budget{Rows: n}); out != nil || stopped != n {
 			t.Fatalf("%s: a %d-row budget on a %d-row join: output %v after %d rows", label, n, n, out != nil, stopped)
 		}
-		if out, _, _ := ex.JoinFilter(r, s, f, All, Budget{Rows: n + 1}); out == nil {
+		if out, _, _ := joinFilter(ex, r, s, f, All, Budget{Rows: n + 1}); out == nil {
 			t.Fatalf("%s: a %d-row budget stopped a %d-row join", label, n+1, n)
 		}
 		if out, stopped := ex.JoinFirst(r, s, 1, Budget{Rows: n}); out != nil || stopped != n {
@@ -433,7 +433,7 @@ func checkStreams(t *testing.T, label string, ex *Exec, r, s, f *Relation, x sch
 		firstK("join", out, card, card, join)
 		out, card, joined = ex.JoinProject(r, s, x, k, Budget{})
 		firstK("project", out, card, joined, proj)
-		out, card, joined = ex.JoinFilter(r, s, f, k, Budget{})
+		out, card, joined = joinFilter(ex, r, s, f, k, Budget{})
 		firstK("filter", out, card, joined, filt)
 	}
 	for i, op := range []*Relation{r, s, f} {
@@ -441,7 +441,7 @@ func checkStreams(t *testing.T, label string, ex *Exec, r, s, f *Relation, x sch
 	}
 }
 
-// checkChain runs JoinChain over r and s — which, like f and the
+// checkChain runs JoinFilter's chain over r and s — which, like f and the
 // semijoin operands, may carry dead rows — through ex, by f, then each of
 // semis, then onto onto's attributes when onto is r or s, and holds it to
 // the statements composed on the same Exec — JoinFilter, Semijoin,
@@ -460,7 +460,7 @@ func checkChain(t *testing.T, label string, ex *Exec, r, s, f *Relation, semis [
 		before[i] = captureLayout(op)
 	}
 	label = fmt.Sprintf("%s chain of %d semijoins, onto %v", label, len(semis), onto != nil)
-	v, _, joined := ex.JoinFilter(r, s, f, All, Budget{})
+	v, _, joined := joinFilter(ex, r, s, f, All, Budget{})
 	want := []int{joined, v.Card()}
 	nv := naiveOf(r).join(naiveOf(s)).join(naiveOf(f))
 	for _, sj := range semis {
@@ -483,13 +483,13 @@ func checkChain(t *testing.T, label string, ex *Exec, r, s, f *Relation, semis [
 		want = append(want, v.Card())
 	}
 	sameRows(t, label, v, nv)
-	got, cards := ex.JoinChain(r, s, f, Chain{Semijoins: semis, Onto: onto}, All, Budget{}, nil)
+	got, cards := ex.JoinFilter(r, s, f, Chain{Semijoins: semis, Onto: onto}, All, Budget{}, nil)
 	if got == nil || got.dead != 0 || !slices.Equal(cards, want) ||
 		!slices.EqualFunc(got.Tuples(), v.Tuples(), func(a, b Tuple) bool { return slices.Equal(a, b) }) {
 		t.Fatalf("%s: %v (cards %v); want %v (cards %v)", label, got.Tuples(), cards, v.Tuples(), want)
 	}
 	if joined > 0 {
-		if out, _ := ex.JoinChain(r, s, f, Chain{Semijoins: semis, Onto: onto}, All, Budget{Rows: joined}, nil); out != nil {
+		if out, _ := ex.JoinFilter(r, s, f, Chain{Semijoins: semis, Onto: onto}, All, Budget{Rows: joined}, nil); out != nil {
 			t.Fatalf("%s: a %d-row budget on a %d-row join did not stop it", label, joined, joined)
 		}
 	}
@@ -497,7 +497,7 @@ func checkChain(t *testing.T, label string, ex *Exec, r, s, f *Relation, semis [
 		if onto != nil {
 			break
 		}
-		first, kcards := ex.JoinChain(r, s, f, Chain{Semijoins: semis}, k, Budget{}, nil)
+		first, kcards := ex.JoinFilter(r, s, f, Chain{Semijoins: semis}, k, Budget{}, nil)
 		if n := min(k, v.Card()); !slices.Equal(kcards, want) || first.Card() != n ||
 			!slices.EqualFunc(first.Tuples(), v.Tuples()[:n], func(a, b Tuple) bool { return slices.Equal(a, b) }) {
 			t.Fatalf("%s: counted at k=%d: %v (cards %v); want the first of %v (cards %v)", label, k, first.Tuples(), kcards, v.Tuples(), want)
@@ -1146,14 +1146,16 @@ func chainSeed(k Value, dead uint16, onto byte) []byte {
 	return append(b, onto)
 }
 
-// chainSeeds are the stream seeds of JoinChain; streamSeeds holds them
-// with the rest.
+// chainSeeds are the stream seeds of JoinFilter's chains; streamSeeds
+// holds them with the rest.
 var chainSeeds = map[string][]byte{
 	// Onto ab, the larger operand, probed: bit rows by b with h = c, so
-	// the semijoin by cd is a mask and the one by a tests probe rows.
+	// the semijoin by cd is keyed by h alone and the one by a by a probe
+	// column.
 	"chain bits onto the larger": chainSeed(1, 0, 1),
 	// Onto bc, the smaller: it is probed, ab is built, and h = a, so the
-	// semijoin by a is the mask and the one by cd tests join rows.
+	// semijoin by a is keyed by h alone and the one by cd by a probe
+	// column.
 	"chain bits onto the smaller": chainSeed(1, 0, 2),
 	// Values a million apart: the chained table, and key tables for both
 	// semijoins.
@@ -1219,7 +1221,7 @@ var seedPaths = map[string][2]string{ // project, filter
 func streamPath(op fuzzOperands, filter bool) string {
 	ex := NewExec()
 	if filter {
-		ex.JoinFilter(op.r, op.s, op.f, All, Budget{})
+		joinFilter(ex, op.r, op.s, op.f, All, Budget{})
 	} else {
 		ex.JoinProject(op.r, op.s, op.x, All, Budget{})
 	}
@@ -1246,7 +1248,7 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 		g, h := op.x.Intersect(probe.attrs), op.x.Diff(probe.attrs)
 		fg, fh := op.f.attrs.Intersect(probe.attrs), op.f.attrs.Diff(probe.attrs)
 		joined := NewExec().Join(op.r, op.s).Card()
-		kept, _, _ := NewExec().JoinFilter(op.r, op.s, op.f, All, Budget{})
+		kept, _, _ := joinFilter(NewExec(), op.r, op.s, op.f, All, Budget{})
 		ok := joined > 0 && op.f.Card() > 0
 		// The live spans of the build side's key and of the filter's h: the
 		// shape of the filter's bit rows.
@@ -1281,7 +1283,7 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 			ok = ok && op.r.dead > 0 && op.s.dead > 0 && op.f.dead > 0
 		case "filter g=∅": // counted with k = 0, so the group grows with no row stored
 			ex := NewExec()
-			out, _, _ := ex.JoinFilter(op.r, op.s, op.f, 0, Budget{})
+			out, _, _ := joinFilter(ex, op.r, op.s, op.f, 0, Budget{})
 			ok = ok && fg.IsEmpty() && len(ex.local.words) > groupRows && out.Card() == 0 && kept.Card() > 0
 		case "filter h=∅":
 			ok = ok && fh.IsEmpty() && kept.Card() > 0 && kept.Card() < joined
@@ -1368,27 +1370,28 @@ func TestStreamSeedsCoverTheirCases(t *testing.T) {
 // chainCovers reports whether a chain seed reaches its case: two
 // semijoins that each drop join rows, a projection that drops a row of
 // its operand — ab's being the larger — and, on bit rows, the semijoin
-// keyed by h alone being the one the seed names; the dead seed has dead
-// rows in every operand.
+// the seed names taking the mask and the other the key set, where the
+// wide seed's take key tables; the dead seed has dead rows in every
+// operand.
 func chainCovers(t *testing.T, name string, op fuzzOperands) bool {
 	onto := [...]*Relation{nil, op.r, op.s}[op.onto]
 	ex := NewExec()
-	out, cards := ex.JoinChain(op.r, op.s, op.f, Chain{Semijoins: op.semis, Onto: onto}, All, Budget{}, nil)
+	out, cards := ex.JoinFilter(op.r, op.s, op.f, Chain{Semijoins: op.semis, Onto: onto}, All, Budget{}, nil)
 	ok := len(op.semis) == 2 && cards[2] < cards[1] && cards[3] < cards[2] && out.Card() > 0
 	if onto != nil {
 		ok = ok && out.Card() < onto.Card()
 	}
-	hOnly := func(i int, probe *Relation) bool { // semijoin i is keyed by h alone
-		shared := op.semis[i].attrs.Intersect(op.r.attrs.Union(op.s.attrs))
-		return shared.Card() == 1 && !probe.attrs.Has(shared.Min())
-	}
+	// The kernel's own stages say which path each semijoin took.
+	ch := chain{Chain: Chain{Semijoins: op.semis, Onto: onto}}
+	NewExec().join(op.r, op.s, filterRows, op.r.attrs.Union(op.s.attrs), op.f, &ch, All, Budget{})
+	masked := func(i int) bool { return ch.stages[i].mask != nil }
 	switch name {
 	case "chain bits onto the larger":
-		ok = ok && op.r.Card() > op.s.Card() && hOnly(0, op.r) && !hOnly(1, op.r)
+		ok = ok && op.r.Card() > op.s.Card() && masked(0) && !masked(1)
 	case "chain bits onto the smaller":
-		ok = ok && op.s.Card() < op.r.Card() && !hOnly(0, op.s) && hOnly(1, op.s)
+		ok = ok && op.s.Card() < op.r.Card() && !masked(0) && masked(1)
 	case "chain wide":
-		ok = ok && ex.sets[0].keys.slots != nil && ex.sets[1].keys.slots != nil
+		ok = ok && !masked(0) && !masked(1) && ex.sets[0].keys.slots != nil && ex.sets[1].keys.slots != nil
 	case "chain dead":
 		for _, rel := range append([]*Relation{op.r, op.s, op.f}, op.semis...) {
 			ok = ok && rel.dead > 0
@@ -1450,4 +1453,15 @@ func FuzzOperators(f *testing.F) {
 		checkChain(t, "r,s", ex, op.r, op.s, op.f, op.semis, onto)
 		checkChain(t, "s,r", ex, op.s, op.r, op.f, op.semis, onto)
 	})
+}
+
+// joinFilter is JoinFilter with nothing past the filter: its output, its
+// row count and how many join rows it walked (a nil output and 0 rows
+// when b stopped it).
+func joinFilter(ex *Exec, r, s, f *Relation, k int, b Budget) (*Relation, int, int) {
+	out, cards := ex.JoinFilter(r, s, f, Chain{}, k, b, nil)
+	if out == nil {
+		return nil, 0, cards[0]
+	}
+	return out, cards[1], cards[0]
 }

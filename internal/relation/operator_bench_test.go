@@ -258,22 +258,25 @@ func BenchmarkJoinFilter(b *testing.B) {
 		}
 	}
 	wab, wbc, wac := spread(ab, abc.Attrs()), spread(bc, abc.Attrs()), spread(ac, abc.Attrs())
+	var cards []int
 	benchForms(b,
-		benchForm{"streamed", func() { ex.JoinFilter(ab, bc, ac, All, Budget{}) }},
-		benchForm{"counted/k=10", func() { ex.JoinFilter(ab, bc, ac, 10, Budget{}) }},
+		benchForm{"streamed", func() { _, cards = ex.JoinFilter(ab, bc, ac, Chain{}, All, Budget{}, cards[:0]) }},
+		benchForm{"counted/k=10", func() { _, cards = ex.JoinFilter(ab, bc, ac, Chain{}, 10, Budget{}, cards[:0]) }},
 		benchForm{"two-statement", func() { ex.Join(ex.Join(ab, bc), ac) }},
-		benchForm{"one-group", func() { ex.JoinFilter(ab, bc, own, All, Budget{}) }},
-		benchForm{"sparse-f", func() { ex.JoinFilter(ab, bc, sparse, All, Budget{}) }},
-		benchForm{"wide", func() { ex.JoinFilter(wab, wbc, wac, 10, Budget{}) }})
+		benchForm{"one-group", func() { _, cards = ex.JoinFilter(ab, bc, own, Chain{}, All, Budget{}, cards[:0]) }},
+		benchForm{"sparse-f", func() { _, cards = ex.JoinFilter(ab, bc, sparse, Chain{}, All, Budget{}, cards[:0]) }},
+		benchForm{"wide", func() { _, cards = ex.JoinFilter(wab, wbc, wac, Chain{}, 10, Budget{}, cards[:0]) }})
 }
 
 // BenchmarkJoinChain prices s8's bag and its reducer, π_ab((ab ⋈ bc ⋈ ac)
 // ⋉ cd), over 20 000 universal tuples on a, b, c, d from [0, 2000): one
-// JoinChain — the filter by ac on bit rows, the semijoin by cd a mask
-// over c, the projection marks of ab's rows — against the three
-// statements it replaces, JoinFilter, Semijoin and Project. Seed 1 gives
-// |ab| > |bc|, so ab is probed either way; seed 3 gives |ab| < |bc|, so
-// JoinFilter builds ab and the chain, projecting onto ab, still probes it.
+// JoinFilter chain — the filter by ac on bit rows, the semijoin by cd a
+// mask over c, the projection marks of ab's rows — against the three
+// statements it replaces, JoinFilter alone, Semijoin and Project, and
+// against the chain with the semijoin a key set tested bit by bit
+// (key-sets: maskStages off). Seed 1 gives |ab| > |bc|, so ab is probed
+// either way; seed 3 gives |ab| < |bc|, so JoinFilter builds ab and the
+// chain, projecting onto ab, still probes it.
 func BenchmarkJoinChain(b *testing.B) {
 	for _, seed := range []int64{1, 3} {
 		u := schema.NewUniverse()
@@ -284,9 +287,15 @@ func BenchmarkJoinChain(b *testing.B) {
 		var cards []int
 		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
 			benchForms(b,
-				benchForm{"chain", func() { _, cards = ex.JoinChain(ab, bc, ac, chain, All, Budget{}, cards[:0]) }},
+				benchForm{"chain", func() { _, cards = ex.JoinFilter(ab, bc, ac, chain, All, Budget{}, cards[:0]) }},
+				benchForm{"key-sets", func() {
+					maskStages = false
+					_, cards = ex.JoinFilter(ab, bc, ac, chain, All, Budget{}, cards[:0])
+					maskStages = true
+				}},
 				benchForm{"three-statement", func() {
-					bag, _, _ := ex.JoinFilter(ab, bc, ac, All, Budget{})
+					var bag *Relation
+					bag, cards = ex.JoinFilter(ab, bc, ac, Chain{}, All, Budget{}, cards[:0])
 					ex.Project(ex.Semijoin(bag, cd), ab.Attrs())
 				}})
 		})
@@ -343,6 +352,7 @@ func BenchmarkJoinDensity(b *testing.B) {
 	hdoms = append(hdoms, 640*bitRowWords[projectRows], 640*bitRowWords[filterRows])
 	slices.Sort(hdoms)
 	ex := NewExec()
+	var cards []int
 	for _, hdom := range hdoms {
 		ab, bc, ac := densityTriangle(hdom)
 		for _, path := range []struct {
@@ -360,7 +370,7 @@ func BenchmarkJoinDensity(b *testing.B) {
 				bitRowWords[filterRows] = path.words
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ex.JoinFilter(ab, bc, ac, 10, Budget{})
+					_, cards = ex.JoinFilter(ab, bc, ac, Chain{}, 10, Budget{}, cards[:0])
 				}
 			})
 		}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -406,10 +407,12 @@ func TestFollowerReconnectsAfterLeaderOutage(t *testing.T) {
 	l := newLeader(t, storage.Options{})
 	l.seed(t)
 
-	// A proxy we can cut stands in for a flapping leader.
-	up := true
+	// A proxy we can cut stands in for a flapping leader; its handlers
+	// read up while the test flips it.
+	var up atomic.Bool
+	up.Store(true)
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !up {
+		if !up.Load() {
 			http.Error(w, "leader unreachable", http.StatusBadGateway)
 			return
 		}
@@ -437,10 +440,10 @@ func TestFollowerReconnectsAfterLeaderOutage(t *testing.T) {
 	f := newFollower(t, proxy.URL, Config{})
 	waitFor(t, "catch-up through proxy", func() bool { return caughtUp(f, l) })
 
-	up = false
+	up.Store(false)
 	waitFor(t, "outage detection", func() bool { return !f.tailer.ReplicaStatus().Connected })
 	l.insert(t, 0, relation.Tuple{55, 56})
-	up = true
+	up.Store(true)
 	waitFor(t, "reconnect catch-up", func() bool { return caughtUp(f, l) })
 	st := f.tailer.ReplicaStatus()
 	if st.Diverged {
