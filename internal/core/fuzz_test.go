@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -162,11 +163,31 @@ func FuzzQueryEquivalence(f *testing.F) {
 		// limit does: the card must still be the naive join's, the rows
 		// kept the whole run's first k, and the stats the whole run's
 		// apart from Counted, which only the answer statement may carry.
+		// Each of these runs is repeated on the generic paths (SetGeneric):
+		// the same answer set and stats, the same counts kept at each k,
+		// and gas one tuple short of the run's runs out at the same
+		// statement.
 		solves := func(label string, p *program.Program, lim program.Limits) *program.Stats {
 			t.Helper()
 			got, st, err := p.Run(db, relation.NewExec(), lim, relation.All)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, label, err)
+			}
+			ggot, gst, err := p.Run(db, genericExec(), lim, relation.All)
+			if err != nil {
+				t.Fatalf("%s: %s on the generic paths: %v", name, label, err)
+			}
+			if !ggot.Equal(got) || !sameStats(st, gst, false) {
+				t.Fatalf("%s: %s: on the generic paths the answer or the stats differ\n%s\n%s",
+					name, label, st.Table(), gst.Table())
+			}
+			if gas := st.TuplesProduced - 1; gas > 0 && lim == (program.Limits{}) {
+				_, _, aerr := p.Run(db, relation.NewExec(), program.Limits{MaxTuples: gas}, relation.All)
+				_, _, gerr := p.Run(db, genericExec(), program.Limits{MaxTuples: gas}, relation.All)
+				var a, g *program.LimitError
+				if !errors.As(aerr, &a) || !errors.As(gerr, &g) || a.Reason != g.Reason || a.Stmt != g.Stmt {
+					t.Fatalf("%s: %s: gas %d stops %v; on the generic paths %v", name, label, gas, aerr, gerr)
+				}
 			}
 			if !got.Attrs().Equal(x) || !got.Equal(want) || st.AnswerCard() != want.Card() {
 				t.Fatalf("%s: %s: %d tuples over %s (card %d), naive join has %d\n%s",
@@ -200,6 +221,15 @@ func FuzzQueryEquivalence(f *testing.F) {
 				}
 				if !sameStats(st, kst, false) {
 					t.Fatalf("%s: %s at k=%d: stats differ from the whole run's\n%s\n%s", name, label, k, st.Table(), kst.Table())
+				}
+				gfirst, gkst, err := p.Run(db, genericExec(), lim, k)
+				if err != nil {
+					t.Fatalf("%s: %s at k=%d on the generic paths: %v", name, label, k, err)
+				}
+				if gfirst.Card() != first.Card() || gkst.AnswerCard() != kst.AnswerCard() ||
+					gkst.Detail[last].Counted != kst.Detail[last].Counted || !sameStats(kst, gkst, false) {
+					t.Fatalf("%s: %s at k=%d: on the generic paths %d rows kept, or the stats differ\n%s\n%s",
+						name, label, k, gfirst.Card(), kst.Table(), gkst.Table())
 				}
 			}
 			return st
@@ -262,6 +292,13 @@ func FuzzQueryEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// genericExec returns a fresh Exec held to the generic paths.
+func genericExec() *relation.Exec {
+	ex := relation.NewExec()
+	ex.SetGeneric(true)
+	return ex
 }
 
 // certified holds qp to its Theorem 6.1 certificate, with P(D) the

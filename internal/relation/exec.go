@@ -69,6 +69,9 @@ type Exec struct {
 	bits  []uint64     // Semijoin's one-column key set, when it is a bitmap (keyBits)
 	marks []uint64     // Semijoin's kept rows, or a chain's projected probe rows: a bit per row (keepMarked)
 	sets  []setScratch // a chain's semijoin key sets, one per stage (JoinFilter)
+	// generic turns every specialization off (SetGeneric); each call reads
+	// it once.
+	generic bool
 }
 
 // setScratch is the storage of one of a chain's semijoin key sets
@@ -89,6 +92,18 @@ type keyScratch struct {
 
 // NewExec returns a fresh execution context.
 func NewExec() *Exec { return &Exec{} }
+
+// SetGeneric makes e run every operator on its generic path (on) or lets
+// the data steer it again (off). Generic, a one-column semijoin key set is
+// a keyTable, not a bitmap; a streamed join's build side is the chained
+// table, not bit rows, its groups are numbered by a keyTable, not by
+// value, and a chain's semijoin is a key set, not a mask; a counted Join
+// walks every bucket instead of adding up its size; and Semijoin and a
+// chain's projection copy their survivors row by row, not in 64-row
+// blocks. The outputs are the same sets, with the same counts; only the
+// order of a streamed join's rows may differ. It is for tests, which run
+// one input both ways and compare the two; nothing else calls it.
+func (e *Exec) SetGeneric(on bool) { e.generic = on }
 
 // slotScratch returns ks.slots resized to n and zeroed.
 func (ks *keyScratch) slotScratch(n int) []int32 {
@@ -505,11 +520,6 @@ type Chain struct {
 	Onto      *Relation
 }
 
-// maskStages lets a chain on bit rows hold a semijoin keyed by h alone as
-// a mask over h's window (JoinFilter); BenchmarkJoinChain turns it off to
-// price the mask against the key set it stands in for.
-var maskStages = true
-
 // JoinFilter evaluates the chain of statements v₀ = r ⋈ s, v₁ = v₀ ⋈ f —
 // equally v₀ ⋉ f, for an f whose attributes are a subset of r's and s's
 // — vᵢ₊₁ = vᵢ ⋉ c.Semijoins[i−1], and, when c.Onto is set,
@@ -638,11 +648,11 @@ func (e *Exec) stages(ch *chain, out *Relation, br *bitRows, h []schema.Attr) {
 			sPos[j], rPos[j] = rel.colPos(a), out.colPos(a)
 		}
 		sc := &e.sets[i]
-		if maskStages && br != nil && len(shared) == 1 && shared[0] == h[0] {
+		if br != nil && len(shared) == 1 && shared[0] == h[0] {
 			ch.stages[i].mask = bitsOver(rel, sPos[0], br.hlo, br.w, &sc.bits).words
 			continue
 		}
-		ch.stages[i].set = sc.keys.keySet(rel, sPos, rPos, &sc.bits)
+		ch.stages[i].set = sc.keys.keySet(rel, sPos, rPos, &sc.bits, !e.generic)
 		ch.rowTest = true
 	}
 }
@@ -732,12 +742,12 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, ch *
 	// of walking them.
 	var t keyTable
 	var br bitRows
-	bitPath := nk == 1 && nh == 1 && (sk == projectRows || sk == filterRows && build.width == 2)
+	bitPath := !e.generic && nk == 1 && nh == 1 && (sk == projectRows || sk == filterRows && build.width == 2)
 	if bitPath {
 		br, bitPath = e.bitRows(build, bPos[0], hPos[0], sk)
 	}
 	if !bitPath {
-		t = e.keys.buildKeys(build, bPos, true, sk == appendRows && keep < All)
+		t = e.keys.buildKeys(build, bPos, true, !e.generic && sk == appendRows && keep < All)
 	}
 	next := t.next // bucket chains, newest build row first
 	var bp *bitRows
@@ -760,6 +770,11 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, ch *
 	check := b.next(0)
 
 	if sk == appendRows {
+		// Sized, a bucket's rows past keep are counted, not walked.
+		walk, sizes := All, t.sizes
+		if sizes != nil {
+			walk = keep
+		}
 		w := probe.width
 		for c := range probe.chunks {
 			ch := &probe.chunks[c]
@@ -770,13 +785,14 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, ch *
 				prow := ch.data[k*w : k*w+w]
 				bi := t.lookup(prow, pPos)
 				total := card
-				if keep < All && bi != 0 {
-					total += int(t.sizes[bi-1]) // the bucket's rows past keep are counted, not walked
+				if sizes != nil && bi != 0 {
+					total += int(sizes[bi-1])
 				}
-				for ; bi != 0 && card < keep; bi = next[bi-1] {
-					card++
-					fillRow(obuf, srcs, prow, build.row(int(bi-1)))
-					out.appendRow(obuf)
+				for ; bi != 0 && card < walk; bi = next[bi-1] {
+					if card++; card <= keep {
+						fillRow(obuf, srcs, prow, build.row(int(bi-1)))
+						out.appendRow(obuf)
+					}
 				}
 				if card = max(card, total); card >= check { // every join row is an output row
 					if b.spent(card) {
@@ -959,7 +975,7 @@ func (e *Exec) join(r, s *Relation, sk sink, x schema.AttrSet, f *Relation, ch *
 	}
 	switch {
 	case chained && ch.marks != nil:
-		out = keepMarked(probe, ch.marks)
+		out = keepMarked(probe, ch.marks, !e.generic)
 		card = out.Card()
 	case sk == filterRows && !chained:
 		ch.filtered = card // a plain filter counts every row it keeps
@@ -1001,7 +1017,7 @@ func (e *Exec) group(probe, f *Relation, gPos, fgPos, pPos, fhPos []int, br *bit
 	var t keyTable
 	var nums []int32
 	lo, n, dense := int64(0), 0, false
-	if len(gPos) == 1 {
+	if len(gPos) == 1 && !e.generic {
 		var span int64
 		lo, span, dense = liveSpan(probe, gPos[0], int64(tableSize(probe.Card()))-1)
 		n = int(span)
@@ -1280,7 +1296,7 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 		sPos[i] = s.colPos(c)
 		rPos[i] = r.colPos(c)
 	}
-	set := e.keys.keySet(s, sPos, rPos, &e.bits)
+	set := e.keys.keySet(s, sPos, rPos, &e.bits, !e.generic)
 	e.marks = scratch(e.marks, (r.n+63)>>6)
 	marks, w := e.marks, r.width
 	for c := range r.chunks {
@@ -1301,7 +1317,7 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 			marks[(c<<chunkShift+k0)>>6] = m
 		}
 	}
-	return keepMarked(r, marks)
+	return keepMarked(r, marks, !e.generic)
 }
 
 // keepMarked returns the rows of r whose bits are set in marks — a dead
@@ -1311,8 +1327,9 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 // copied: the output adopts the clean prefix before the first unmarked
 // row, sharing its full chunks with r — ids included, the way compact
 // shares the chunks before a delete — and only the marked rows past it
-// are repacked.
-func keepMarked(r *Relation, marks []uint64) *Relation {
+// are repacked, 64 rows at a time where a word of marks is full and
+// blocks allows it, else row by row.
+func keepMarked(r *Relation, marks []uint64, blocks bool) *Relation {
 	out := New(r.U, r.attrs)
 	first := r.n
 	for wi, m := range marks {
@@ -1328,7 +1345,7 @@ func keepMarked(r *Relation, marks []uint64) *Relation {
 		if wi == first>>6 {
 			m &= math.MaxUint64 << (first & 63)
 		}
-		if m == math.MaxUint64 && w > 0 { // 64 rows of one chunk, in one copy
+		if blocks && m == math.MaxUint64 && w > 0 { // 64 rows of one chunk, in one copy
 			c, k := wi>>(chunkShift-6), wi<<6&chunkMask
 			out.appendRows(r.chunks[c].data[k*w : (k+64)*w])
 			continue
@@ -1342,8 +1359,8 @@ func keepMarked(r *Relation, marks []uint64) *Relation {
 
 // keySet is a semijoin's build side: the distinct keys of its right
 // operand's shared columns, as a bitmap (bits) when the key is one column
-// that denseSpan allows, else as a keyTable without chains (t). A row
-// probes it on its own key columns, p or pos.
+// that denseSpan allows and bitmaps are allowed, else as a keyTable
+// without chains (t). A row probes it on its own key columns, p or pos.
 type keySet struct {
 	bits  keyBits
 	t     keyTable
@@ -1353,10 +1370,11 @@ type keySet struct {
 }
 
 // keySet builds the key set of s's columns sPos — in ks, or in *words
-// when it is a bitmap — for rows whose key columns are rPos.
-func (ks *keyScratch) keySet(s *Relation, sPos, rPos []int, words *[]uint64) keySet {
+// when it is a bitmap, which bitmap allows — for rows whose key columns
+// are rPos.
+func (ks *keyScratch) keySet(s *Relation, sPos, rPos []int, words *[]uint64, bitmap bool) keySet {
 	set := keySet{pos: rPos}
-	if len(sPos) == 1 {
+	if len(sPos) == 1 && bitmap {
 		set.bits, set.dense = denseKeys(s, sPos[0], words)
 		set.p = rPos[0]
 	}

@@ -1419,7 +1419,9 @@ func liveValues(rel *Relation, a schema.Attr) []int64 {
 // checkStreams' oracles: the nested-loop results, the two-statement
 // forms of the streamed sinks and of a chain (checkChain), Join's,
 // Semijoin's, Project's and the filter's row order, dense outputs,
-// untouched operands. Runs in the CI
+// untouched operands. It runs every input twice, on an Exec that lets the
+// data pick its paths and on one held to the generic paths (SetGeneric),
+// and holds the two runs to each other (sameTwins). Runs in the CI
 // fuzz-smoke lane; the seeds run under go test.
 func FuzzOperators(f *testing.F) {
 	for _, seed := range [][]byte{
@@ -1444,15 +1446,85 @@ func FuzzOperators(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		op := decodeOperands(raw)
-		ex := NewExec()
-		checkKernels(t, "r,s", ex, op.r, op.s, op.px)
-		checkKernels(t, "s,r", ex, op.s, op.r, op.px.Intersect(op.s.attrs))
-		checkStreams(t, "r,s", ex, op.r, op.s, op.f, op.x)
-		checkStreams(t, "s,r", ex, op.s, op.r, op.f, op.x)
-		onto := [...]*Relation{nil, op.r, op.s}[op.onto]
-		checkChain(t, "r,s", ex, op.r, op.s, op.f, op.semis, onto)
-		checkChain(t, "s,r", ex, op.s, op.r, op.f, op.semis, onto)
+		auto, generic := twinExecs()
+		for _, run := range []struct {
+			name string
+			ex   *Exec
+		}{{"", auto}, {"generic ", generic}} {
+			ex := run.ex
+			checkKernels(t, run.name+"r,s", ex, op.r, op.s, op.px)
+			checkKernels(t, run.name+"s,r", ex, op.s, op.r, op.px.Intersect(op.s.attrs))
+			checkStreams(t, run.name+"r,s", ex, op.r, op.s, op.f, op.x)
+			checkStreams(t, run.name+"s,r", ex, op.s, op.r, op.f, op.x)
+			onto := [...]*Relation{nil, op.r, op.s}[op.onto]
+			checkChain(t, run.name+"r,s", ex, op.r, op.s, op.f, op.semis, onto)
+			checkChain(t, run.name+"s,r", ex, op.s, op.r, op.f, op.semis, onto)
+		}
+		sameTwins(t, op, auto, generic)
 	})
+}
+
+// sameTwins holds the operators' results over op on auto, whose paths the
+// data picks, to their results on generic, held to the generic paths:
+// twinResults must be equal line by line.
+func sameTwins(t *testing.T, op fuzzOperands, auto, generic *Exec) {
+	t.Helper()
+	a, g := twinResults(auto, op), twinResults(generic, op)
+	for i := range a {
+		if a[i] != g[i] {
+			t.Fatalf("the generic paths differ:\nauto    %s\ngeneric %s", a[i], g[i])
+		}
+	}
+}
+
+// twinResults renders what no path may change of every operator over op,
+// both ways round, run on ex: each output's rows as a set — a counted
+// one's count alone, since a streamed join's paths may order its rows
+// differently — and every count it returns; and whether budgets of 1,
+// |r ⋈ s| and |r ⋈ s| + 1 join rows stop each join, with how many rows it
+// walked at the exact one.
+func twinResults(ex *Exec, op fuzzOperands) []string {
+	var res []string
+	add := func(label string, out *Relation, counts ...int) {
+		rows := "stopped"
+		switch {
+		case out != nil && slices.Contains([]string{"join first", "project", "filter"}, label) && counts[0] != All:
+			rows = fmt.Sprint(out.Card(), " rows kept")
+		case out != nil:
+			rows = strings.Join(sortedRows(out.Tuples()), " ")
+		}
+		res = append(res, fmt.Sprint(label, " ", counts, ": ", rows))
+	}
+	onto := [...]*Relation{nil, op.r, op.s}[op.onto]
+	for _, rs := range [][2]*Relation{{op.r, op.s}, {op.s, op.r}} {
+		r, s := rs[0], rs[1]
+		add("join", ex.Join(r, s))
+		add("semijoin", ex.Semijoin(r, s))
+		add("projection", ex.Project(r, op.px.Intersect(r.attrs)))
+		for _, k := range []int{0, 1, 3, All} {
+			out, card := ex.JoinFirst(r, s, k, Budget{})
+			add("join first", out, k, card)
+			out, card, joined := ex.JoinProject(r, s, op.x, k, Budget{})
+			add("project", out, k, card, joined)
+			out, cards := ex.JoinFilter(r, s, op.f, Chain{Semijoins: op.semis}, k, Budget{}, nil)
+			add("filter", out, append([]int{k}, cards...)...)
+		}
+		out, cards := ex.JoinFilter(r, s, op.f, Chain{Semijoins: op.semis, Onto: onto}, All, Budget{}, nil)
+		add("chain", out, cards...)
+		n := ex.Join(r, s).Card()
+		for _, rows := range []int{1, n, n + 1} {
+			b := Budget{Rows: rows}
+			out, card := ex.JoinFirst(r, s, 1, b)
+			pout, _, joined := ex.JoinProject(r, s, op.x, All, b)
+			cout, cards := ex.JoinFilter(r, s, op.f, Chain{Semijoins: op.semis, Onto: onto}, All, b, nil)
+			stops := fmt.Sprint(out == nil, pout == nil, cout == nil)
+			if rows == n {
+				stops += fmt.Sprint(card, joined, cards[0])
+			}
+			res = append(res, fmt.Sprint("budget ", rows, ": ", stops))
+		}
+	}
+	return res
 }
 
 // joinFilter is JoinFilter with nothing past the filter: its output, its

@@ -273,8 +273,8 @@ func BenchmarkJoinFilter(b *testing.B) {
 // JoinFilter chain — the filter by ac on bit rows, the semijoin by cd a
 // mask over c, the projection marks of ab's rows — against the three
 // statements it replaces, JoinFilter alone, Semijoin and Project, and
-// against the chain with the semijoin a key set tested bit by bit
-// (key-sets: maskStages off). Seed 1 gives |ab| > |bc|, so ab is probed
+// against the chain on the generic paths (SetGeneric): the chained table,
+// groups numbered by a keyTable and the semijoin a key set. Seed 1 gives |ab| > |bc|, so ab is probed
 // either way; seed 3 gives |ab| < |bc|, so JoinFilter builds ab and the
 // chain, projecting onto ab, still probes it.
 func BenchmarkJoinChain(b *testing.B) {
@@ -282,17 +282,13 @@ func BenchmarkJoinChain(b *testing.B) {
 		u := schema.NewUniverse()
 		abcd, _ := RandomUniversal(u, u.Set("a", "b", "c", "d"), 20000, 2000, rand.New(rand.NewSource(seed)))
 		ab, bc, ac, cd := abcd.Project(u.Set("a", "b")), abcd.Project(u.Set("b", "c")), abcd.Project(u.Set("a", "c")), abcd.Project(u.Set("c", "d"))
-		ex := NewExec()
+		ex, generic := twinExecs()
 		chain := Chain{Semijoins: []*Relation{cd}, Onto: ab}
 		var cards []int
 		b.Run(fmt.Sprintf("seed=%d", seed), func(b *testing.B) {
 			benchForms(b,
 				benchForm{"chain", func() { _, cards = ex.JoinFilter(ab, bc, ac, chain, All, Budget{}, cards[:0]) }},
-				benchForm{"key-sets", func() {
-					maskStages = false
-					_, cards = ex.JoinFilter(ab, bc, ac, chain, All, Budget{}, cards[:0])
-					maskStages = true
-				}},
+				benchForm{"generic", func() { _, cards = generic.JoinFilter(ab, bc, ac, chain, All, Budget{}, cards[:0]) }},
 				benchForm{"three-statement", func() {
 					var bag *Relation
 					bag, cards = ex.JoinFilter(ab, bc, ac, Chain{}, All, Budget{}, cards[:0])
