@@ -53,25 +53,29 @@ import (
 // Semijoin builds its one, or, on bit rows, a mask over h's window in that
 // scratch's bits; a closing projection marks its probe rows in marks, a
 // bit per row, where Semijoin marks the rows it keeps.
+// The dense passes — Semijoin's probe, liveSpan, bitsOver and group's
+// passes over the probe side — pick their path once per call or chunk and
+// read one column with stride the row width: a chunk with no dead rows in
+// a loop with no dead-row test, a chunk with some by its live rows' bits
+// or with its dead rows masked out afterwards. SetGeneric holds an Exec to
+// the generic twin of every specialization, for tests.
 // Every operator emits an index-free output by plain appends (the
 // output's own set index is built only if something later asks it for
 // membership — see the package comment). The zero value is ready to use;
 // an Exec must not be used concurrently.
 type Exec struct {
-	keys  keyScratch // Join's and Semijoin's build side; Project's output keys
-	aux   keyScratch // a streamed join's probe side: g's numbering, then its groups (group)
-	local keyScratch // a streamed join's group-local keys, by h
-	fends []int32    // JoinFilter: by group, the end of its run of filter entries in fents
-	fents []int32    // JoinFilter: f's live rows, group by group (group)
-	obuf  []Value
-	pos   []int // column positions of one call, carved per operand
-	srcs  []int32
-	bits  []uint64     // Semijoin's one-column key set, when it is a bitmap (keyBits)
-	marks []uint64     // Semijoin's kept rows, or a chain's projected probe rows: a bit per row (keepMarked)
-	sets  []setScratch // a chain's semijoin key sets, one per stage (JoinFilter)
-	// generic turns every specialization off (SetGeneric); each call reads
-	// it once.
-	generic bool
+	keys    keyScratch // Join's and Semijoin's build side; Project's output keys
+	aux     keyScratch // a streamed join's probe side: g's numbering, then its groups (group)
+	local   keyScratch // a streamed join's group-local keys, by h
+	fends   []int32    // JoinFilter: by group, the end of its run of filter entries in fents
+	fents   []int32    // JoinFilter: f's live rows, group by group (group)
+	obuf    []Value
+	pos     []int // column positions of one call, carved per operand
+	srcs    []int32
+	bits    []uint64     // Semijoin's one-column key set, when it is a bitmap (keyBits)
+	marks   []uint64     // Semijoin's kept rows, or a chain's projected probe rows: a bit per row (keepMarked)
+	sets    []setScratch // a chain's semijoin key sets, one per stage (JoinFilter)
+	generic bool         // every specialization off (SetGeneric), read once a call
 }
 
 // setScratch is the storage of one of a chain's semijoin key sets
@@ -93,16 +97,13 @@ type keyScratch struct {
 // NewExec returns a fresh execution context.
 func NewExec() *Exec { return &Exec{} }
 
-// SetGeneric makes e run every operator on its generic path (on) or lets
-// the data steer it again (off). Generic, a one-column semijoin key set is
-// a keyTable, not a bitmap; a streamed join's build side is the chained
-// table, not bit rows, its groups are numbered by a keyTable, not by
-// value, and a chain's semijoin is a key set, not a mask; a counted Join
-// walks every bucket instead of adding up its size; and Semijoin and a
-// chain's projection copy their survivors row by row, not in 64-row
-// blocks. The outputs are the same sets, with the same counts; only the
-// order of a streamed join's rows may differ. It is for tests, which run
-// one input both ways and compare the two; nothing else calls it.
+// SetGeneric holds e to the generic paths (on) or lets the data pick them
+// (off): a semijoin key set is a keyTable, not a bitmap; a streamed join
+// builds the chained table, not bit rows, numbers its groups by a
+// keyTable, and tests a chain's semijoin by key set, not mask; a counted
+// Join walks every bucket; survivors are copied row by row. Outputs are
+// the same sets with the same counts; a streamed join's row order may
+// differ. It is for tests, which run an input both ways and compare.
 func (e *Exec) SetGeneric(on bool) { e.generic = on }
 
 // slotScratch returns ks.slots resized to n and zeroed.
@@ -1007,6 +1008,9 @@ type groups struct {
 // pPos[0], so the walk reads no probe row it does not emit, and a filter
 // entry is the offset of its h, column fhPos[0], in br's window; a filter
 // row whose h lies outside the window has no partner, and is dropped too.
+// Numbered by value, a clean chunk of the probe side is counted by g's
+// column alone and placed in a loop with no dead-row test, and a chunk
+// with dead rows is walked by its live rows' bits (liveWord).
 // The ends are aux's slots and the entries its words, which a keyTable
 // of g leaves behind once f has been looked up in it; f's are fends and
 // fents.
@@ -1030,30 +1034,37 @@ func (e *Exec) group(probe, f *Relation, gPos, fgPos, pPos, fhPos []int, br *bit
 		e.fends = scratch(e.fends, n)
 		gs.fends = e.fends
 		clear(gs.fends)
-		w := f.width
+		// Dense, a row's group is column fgp; on bit rows its entry is
+		// column fhp's offset.
+		w, fgp, fhp := f.width, 0, 0
+		if dense {
+			fgp = fgPos[0]
+		}
+		if br != nil {
+			fhp = fhPos[0]
+		}
 		for pass := range 2 {
 			for c := range f.chunks {
 				data, dead := f.chunks[c].data, f.chunks[c].dead
-				for k := range f.chunkRows(c) {
+				for k, o := 0, 0; k < f.chunkRows(c); k, o = k+1, o+w {
 					if dead != nil && dead.has(k) {
 						continue
 					}
-					row := data[k*w : k*w+w]
 					var grp int
 					if dense {
-						d := uint64(int64(row[fgPos[0]]) - lo)
+						d := uint64(int64(data[o+fgp]) - lo)
 						if d >= uint64(n) {
 							continue
 						}
 						grp = int(d)
-					} else if head := t.lookup(row, fgPos); head != 0 {
+					} else if head := t.lookup(data[o:o+w], fgPos); head != 0 {
 						grp = int(nums[head-1])
 					} else {
 						continue
 					}
 					ent := int32(c<<chunkShift + k)
 					if br != nil {
-						u := uint64(int64(row[fhPos[0]]) - br.hlo)
+						u := uint64(int64(data[o+fhp]) - br.hlo)
 						if u>>6 >= uint64(br.w) {
 							continue
 						}
@@ -1074,33 +1085,55 @@ func (e *Exec) group(probe, f *Relation, gPos, fgPos, pPos, fhPos []int, br *bit
 	gs.ends = e.aux.slotScratch(n)
 	e.aux.words = scratch(e.aux.words, probe.Card())
 	gs.ents = e.aux.words
-	w, gp := probe.width, 0
+	// Dense, an entry's high word is the join key, column kp, masked by
+	// keyed: nothing off bit rows.
+	w, gp, kp, keyed := probe.width, 0, 0, uint64(0)
 	if dense {
 		gp = gPos[0]
 	}
+	if br != nil {
+		kp, keyed = pPos[0], math.MaxUint32
+	}
 	for pass := range 2 {
 		for c := range probe.chunks {
-			data, dead := probe.chunks[c].data, probe.chunks[c].dead
-			for k := range probe.chunkRows(c) {
-				i := c<<chunkShift + k
-				var grp int
-				if !dense {
-					if grp = int(nums[i]); grp < 0 {
+			data, dead, rows := probe.chunks[c].data, probe.chunks[c].dead, probe.chunkRows(c)
+			i0 := c << chunkShift
+			switch {
+			case !dense:
+				for i, grp := range nums[i0 : i0+rows] {
+					if grp < 0 {
 						continue
 					}
-				} else if dead != nil && dead.has(k) {
-					continue
-				} else {
-					grp = int(int64(data[k*w+gp]) - lo)
-				}
-				if pass == 1 {
-					ent := uint64(i)
-					if br != nil {
-						ent |= uint64(uint32(data[k*w+pPos[0]])) << 32
+					if pass == 1 {
+						ent := uint64(i0 + i)
+						if br != nil {
+							ent |= uint64(uint32(data[i*w+kp])) << 32
+						}
+						gs.ents[gs.ends[grp]] = ent
 					}
-					gs.ents[gs.ends[grp]] = ent
+					gs.ends[grp]++
 				}
-				gs.ends[grp]++
+			case dead == nil && pass == 0: // g's column alone
+				for o, end := gp, rows*w; o < end; o += w {
+					gs.ends[int64(data[o])-lo]++
+				}
+			case dead == nil:
+				for k, o := 0, 0; k < rows; k, o = k+1, o+w {
+					grp := int64(data[o+gp]) - lo
+					gs.ents[gs.ends[grp]] = uint64(i0+k) | uint64(uint32(data[o+kp]))&keyed<<32
+					gs.ends[grp]++
+				}
+			default:
+				for k0 := 0; k0 < rows; k0 += 64 {
+					for live := liveWord(dead, k0, rows); live != 0; live &= live - 1 {
+						k := k0 + bits.TrailingZeros64(live)
+						grp := int64(data[k*w+gp]) - lo
+						if pass == 1 {
+							gs.ents[gs.ends[grp]] = uint64(i0+k) | uint64(uint32(data[k*w+kp]))&keyed<<32
+						}
+						gs.ends[grp]++
+					}
+				}
 			}
 		}
 		if pass == 0 {
@@ -1199,11 +1232,11 @@ func bitSpans(rel *Relation, kp, hp, perRow int) (klo, kspan, hlo, hspan int64, 
 	w := rel.width
 	for c := range rel.chunks {
 		data, dead := rel.chunks[c].data, rel.chunks[c].dead
-		for k := range rel.chunkRows(c) {
+		for k, o := 0, 0; k < rel.chunkRows(c); k, o = k+1, o+w {
 			if dead != nil && dead.has(k) {
 				continue
 			}
-			kv, hv := int64(data[k*w+kp]), int64(data[k*w+hp])
+			kv, hv := int64(data[o+kp]), int64(data[o+hp])
 			if kv < klo || kv > khi || hv < hlo || hv > hhi {
 				klo, khi = min(klo, kv), max(khi, kv)
 				hlo, hhi = min(hlo, hv), max(hhi, hv)
@@ -1233,11 +1266,11 @@ func (e *Exec) bitRows(rel *Relation, kp, hp int, sk sink) (bitRows, bool) {
 	w := rel.width
 	for c := range rel.chunks {
 		data, dead := rel.chunks[c].data, rel.chunks[c].dead
-		for k := range rel.chunkRows(c) {
+		for k, o := 0, 0; k < rel.chunkRows(c); k, o = k+1, o+w {
 			if dead != nil && dead.has(k) {
 				continue
 			}
-			d, u := int64(data[k*w+kp])-klo, uint64(int64(data[k*w+hp])-hlo)
+			d, u := int64(data[o+kp])-klo, uint64(int64(data[o+hp])-hlo)
 			br.words[int(d)*br.w+int(u>>6)] |= 1 << (u & 63)
 			br.sizes[d]++
 		}
@@ -1277,17 +1310,20 @@ func fillRow(buf []Value, srcs []int32, prow, brow []Value) {
 // s form a set (keySet) which every row of r probes, chunk by chunk. A
 // key of one column whose live values in s span few enough values
 // (denseSpan) is a bitmap over [lo, hi] (keyBits), and a probe is a
-// subtract, an unsigned compare and a bit test; any other key is an
-// open-addressing set — Join's build table without the chains, keyed by
-// the same key word, so for a key of up to two columns a probe never
-// touches a row of s. A row that has a partner is marked, a bit per row
-// of r, and the marked rows are the output (keepMarked): the clean
-// prefix — every row before the first dropped one — shares r's full
-// chunks, and only the rows from the first drop's chunk onward are
-// repacked. A dead row of r is a dropped row, so the output is dense
-// whatever r carries. A semijoin that filters nothing, the steady state
-// of a full reducer over consistent data, costs the build, the probes, a
-// chunk-table copy and one block copy of the tail.
+// subtract, an unsigned compare and a bit test on r's key column, read
+// with stride |r|'s width; any other key is an open-addressing set —
+// Join's build table without the chains, keyed by the same key word, so
+// for a key of up to two columns a probe never touches a row of s. The
+// path is chosen once per call, and each has a loop of its own. A row
+// that has a partner is marked, a bit per row of r, 64 rows to a word,
+// and a chunk's dead rows are masked out of its words afterwards; the
+// marked rows are the output (keepMarked): the clean prefix — every row
+// before the first dropped one — shares r's full chunks, and only the
+// rows from the first drop's chunk onward are repacked. A dead row of r
+// is a dropped row, so the output is dense whatever r carries. A
+// semijoin that filters nothing, the steady state of a full reducer over
+// consistent data, costs the build, the probes, a chunk-table copy and
+// one block copy of the tail.
 func (e *Exec) Semijoin(r, s *Relation) *Relation {
 	sharedCols := r.attrs.Intersect(s.attrs).Attrs()
 	pos := e.positions(2 * len(sharedCols))
@@ -1298,26 +1334,31 @@ func (e *Exec) Semijoin(r, s *Relation) *Relation {
 	}
 	set := e.keys.keySet(s, sPos, rPos, &e.bits, !e.generic)
 	e.marks = scratch(e.marks, (r.n+63)>>6)
-	marks, w := e.marks, r.width
 	for c := range r.chunks {
-		ch, rows := &r.chunks[c], r.chunkRows(c)
 		// A chunk is a whole number of words: each word of marks is one
 		// run of 64 rows, written once.
-		for k0 := 0; k0 < rows; k0 += 64 {
+		data, dead, rows := r.chunks[c].data, r.chunks[c].dead, r.chunkRows(c)
+		marks, w := e.marks[c<<(chunkShift-6):][:(rows+63)>>6], r.width
+		for wi := range marks {
+			if set.dense {
+				marks[wi] = set.bits.mark(data, wi<<6, rows, w, set.p)
+				continue
+			}
 			var m uint64
-			for k := k0; k < min(k0+64, rows); k++ {
-				row := ch.data[k*w : k*w+w]
-				if set.dense && set.bits.has(row[set.p]) || !set.dense && set.t.lookup(row, set.pos) != 0 {
+			for k := wi << 6; k < min(wi<<6+64, rows); k++ {
+				if set.t.lookup(data[k*w:k*w+w], set.pos) != 0 {
 					m |= 1 << (k & 63)
 				}
 			}
-			if ch.dead != nil {
-				m &^= ch.dead[k0>>6]
+			marks[wi] = m
+		}
+		if dead != nil {
+			for wi := range marks {
+				marks[wi] &^= dead[wi]
 			}
-			marks[(c<<chunkShift+k0)>>6] = m
 		}
 	}
-	return keepMarked(r, marks, !e.generic)
+	return keepMarked(r, e.marks, !e.generic)
 }
 
 // keepMarked returns the rows of r whose bits are set in marks — a dead
@@ -1375,7 +1416,9 @@ type keySet struct {
 func (ks *keyScratch) keySet(s *Relation, sPos, rPos []int, words *[]uint64, bitmap bool) keySet {
 	set := keySet{pos: rPos}
 	if len(sPos) == 1 && bitmap {
-		set.bits, set.dense = denseKeys(s, sPos[0], words)
+		if lo, span, ok := denseSpan(s, sPos[0]); ok {
+			set.bits, set.dense = bitsOver(s, sPos[0], lo, int((span+63)>>6), words), true
+		}
 		set.p = rPos[0]
 	}
 	if !set.dense {
@@ -1403,9 +1446,11 @@ func denseSpan(s *Relation, p int) (lo, span int64, ok bool) {
 // liveSpan returns the least live value lo of rel's column p and the span
 // hi − lo + 1 of its live values, and whether that span is at most limit.
 // The span is taken in int64, so [MinInt32, MaxInt32] is 2³² and does not
-// wrap. The scan stops at the first live row that pushes the span past
-// limit, so a sparse column costs a few rows, not a pass. A rel with no
-// live row has span 0.
+// wrap. It reads the column with stride rel's width, 64 rows at a time —
+// a chunk with no dead rows in one loop, a chunk with some by its live
+// rows' bits (liveWord) — and stops after the first block of 64 whose
+// rows push the span past limit, so a sparse column costs a few blocks,
+// not a pass. A rel with no live row has span 0.
 func liveSpan(rel *Relation, p int, limit int64) (lo, span int64, ok bool) {
 	if rel.Card() == 0 {
 		return 0, 0, true
@@ -1413,19 +1458,34 @@ func liveSpan(rel *Relation, p int, limit int64) (lo, span int64, ok bool) {
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	w := rel.width
 	for c := range rel.chunks {
-		data, dead := rel.chunks[c].data, rel.chunks[c].dead
-		for k := range rel.chunkRows(c) {
-			if dead != nil && dead.has(k) {
-				continue
+		data, dead, rows := rel.chunks[c].data, rel.chunks[c].dead, rel.chunkRows(c)
+		for k0 := 0; k0 < rows; k0 += 64 {
+			if end := min(k0+64, rows) * w; dead == nil {
+				for o := k0*w + p; o < end; o += w {
+					lo, hi = min(lo, int64(data[o])), max(hi, int64(data[o]))
+				}
+			} else {
+				for live := liveWord(dead, k0, rows); live != 0; live &= live - 1 {
+					v := int64(data[(k0+bits.TrailingZeros64(live))*w+p])
+					lo, hi = min(lo, v), max(hi, v)
+				}
 			}
-			v := int64(data[k*w+p])
-			lo, hi = min(lo, v), max(hi, v)
-			if hi-lo >= limit {
+			if hi > lo && hi-lo >= limit {
 				return 0, 0, false
 			}
 		}
 	}
 	return lo, hi - lo + 1, true
+}
+
+// liveWord returns the live rows among the 64 from k0 of a chunk of rows
+// rows with dead-row bitmap dead: bit k − k0 is set for each live row k.
+func liveWord(dead *deadBits, k0, rows int) uint64 {
+	live := ^dead[k0>>6]
+	if n := rows - k0; n < 64 {
+		live &= 1<<n - 1
+	}
+	return live
 }
 
 // keyBits is a one-column key set as a bitmap: bit v − lo of words is
@@ -1435,35 +1495,45 @@ type keyBits struct {
 	lo    int64
 }
 
-// denseKeys returns the live values of s's column p as a bitmap over
-// [lo, hi] in *words, when denseSpan allows one; otherwise false.
-func denseKeys(s *Relation, p int, words *[]uint64) (keyBits, bool) {
-	lo, span, ok := denseSpan(s, p)
-	if !ok {
-		return keyBits{}, false
-	}
-	return bitsOver(s, p, lo, int((span+63)>>6), words), true
-}
-
 // bitsOver returns the live values of s's column p that lie in the n
 // words' window [lo, lo + 64n) as a bitmap in *words; the others are
-// left out.
+// left out. It reads the column as liveSpan does.
 func bitsOver(s *Relation, p int, lo int64, n int, words *[]uint64) keyBits {
 	*words = scratch(*words, n)
 	clear(*words)
 	set := keyBits{words: *words, lo: lo}
-	w := s.width
+	w, nw := s.width, uint64(n)
 	for c := range s.chunks {
-		data, dead := s.chunks[c].data, s.chunks[c].dead
-		for k := range s.chunkRows(c) {
-			if dead == nil || !dead.has(k) {
-				if d := uint64(int64(data[k*w+p]) - lo); d>>6 < uint64(n) {
+		data, dead, rows := s.chunks[c].data, s.chunks[c].dead, s.chunkRows(c)
+		if dead == nil {
+			for o, end := p, rows*w; o < end; o += w {
+				if d := uint64(int64(data[o]) - lo); d>>6 < nw {
+					set.words[d>>6] |= 1 << (d & 63)
+				}
+			}
+			continue
+		}
+		for k0 := 0; k0 < rows; k0 += 64 {
+			for live := liveWord(dead, k0, rows); live != 0; live &= live - 1 {
+				if d := uint64(int64(data[(k0+bits.TrailingZeros64(live))*w+p]) - lo); d>>6 < nw {
 					set.words[d>>6] |= 1 << (d & 63)
 				}
 			}
 		}
 	}
 	return set
+}
+
+// mark returns the rows from k0 of data, rows rows of width w, whose
+// column p the set holds: bit k − k0 for row k, up to 64 of them.
+func (b keyBits) mark(data []Value, k0, rows, w, p int) (m uint64) {
+	n := uint64(len(b.words))
+	for k, o, end := 0, k0*w+p, min(64, rows-k0); k < end; k, o = k+1, o+w {
+		if d := uint64(int64(data[o]) - b.lo); d>>6 < n {
+			m |= b.words[d>>6] >> (d & 63) & 1 << k
+		}
+	}
+	return m
 }
 
 // has reports whether the set holds v: a v below lo wraps to a large d,

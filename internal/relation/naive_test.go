@@ -755,7 +755,15 @@ type fuzzOperands struct {
 // not a million. A count byte of 0xfe makes it literal: the row count is
 // the next byte (modulo 41 again), and after the mask every value is four
 // bytes, little-endian (literalRel) — any int32, so a seed can put spans
-// where it likes. A row of f starts with a selector byte: even picks row
+// where it likes. A count byte of 0xfd makes it long (longRel): dense
+// rows, as many as the next two bytes say, up to 3·ChunkRows for an r
+// that shares an attribute with s and as many as a dense relation has
+// otherwise; the dead-row mask
+// applies to its second chunk alone, and after the mask a byte counts
+// patches (modulo 16), each a two-byte row index and a four-byte value
+// for that row's first column — so a seed can mix clean and dead chunks,
+// end on a partial chunk and put a value at any 64-row block's edge. A
+// row of f starts with a selector byte: even picks row
 // selector/2 of r ⋈ s (modulo its size) and projects it onto f, so the
 // filter hits; odd is followed by the row. Last come the chain's bytes:
 // a count of semijoins (modulo 3), each an attribute mask and a relation
@@ -781,25 +789,38 @@ func decodeOperands(raw []byte) fuzzOperands {
 		}
 		return u.Set(names...)
 	}
-	decode := func(attrs schema.AttrSet, denseRows int, join []Tuple, joinCols []schema.Attr) *Relation {
+	decode := func(attrs schema.AttrSet, denseRows, longRows int, join []Tuple, joinCols []schema.Attr) *Relation {
 		r := New(u, attrs)
 		n := int(next())
-		dense, literal := n == 0xff, n == 0xfe
+		dense, literal, long := n == 0xff, n == 0xfe, n == 0xfd
 		switch {
 		case dense:
 			n = denseRows
 		case literal:
 			n = int(next()) % 41
+		case long:
+			n = min(int(next())|int(next())<<8, longRows)
 		default:
 			n %= 41
 		}
 		dead := uint16(next()) | uint16(next())<<8
+		patch, patches := map[int]Value{}, 0 // a long relation's first column, by row
+		if long {
+			patches = int(next()) % 16
+		}
+		for range patches {
+			at := int(next()) | int(next())<<8
+			patch[at%max(n, 1)] = Value(uint32(next()) | uint32(next())<<8 | uint32(next())<<16 | uint32(next())<<24)
+		}
 		for i := 0; i < n; i++ {
 			row := make(Tuple, r.width)
 			switch sel := byte(1); {
-			case dense:
+			case dense || long:
 				for j := range row {
 					row[j] = Value(i >> j)
+				}
+				if v, ok := patch[i]; ok && len(row) > 0 {
+					row[0] = v
 				}
 			case literal:
 				for j := range row {
@@ -823,7 +844,7 @@ func decodeOperands(raw []byte) fuzzOperands {
 		}
 		var drop []Tuple
 		for i, tp := range r.Tuples() {
-			if dead>>(i%16)&1 == 1 {
+			if dead>>(i%16)&1 == 1 && (!long || i>>chunkShift == 1) {
 				drop = append(drop, tp)
 			}
 		}
@@ -833,20 +854,24 @@ func decodeOperands(raw []byte) fuzzOperands {
 	var op fuzzOperands
 	ra, sa := attrsOf(next()), attrsOf(next())
 	op.px = attrsOf(next()).Intersect(ra)
-	op.r = decode(ra, 1024, nil, nil)
+	longRows := 1024 // a keyless product with s is |r| · |s| rows
+	if ra.Intersects(sa) {
+		longRows = 3 * ChunkRows
+	}
+	op.r = decode(ra, 1024, longRows, nil, nil)
 	sDense := 1024
 	if !ra.Intersects(sa) && op.r.Card() > 64 {
 		sDense = 64
 	}
-	op.s = decode(sa, sDense, nil, nil)
+	op.s = decode(sa, sDense, sDense, nil, nil)
 	rs := ra.Union(sa)
 	fa := attrsOf(next()).Intersect(rs)
 	op.x = attrsOf(next()).Intersect(rs)
 	joinRows := NewExec().Join(op.r, op.s).Tuples()
-	op.f = decode(fa, 1024, joinRows, rs.Attrs())
+	op.f = decode(fa, 1024, 1024, joinRows, rs.Attrs())
 	op.semis = make([]*Relation, int(next())%3)
 	for i := range op.semis {
-		op.semis[i] = decode(attrsOf(next()), 1024, joinRows, rs.Attrs())
+		op.semis[i] = decode(attrsOf(next()), 1024, 1024, joinRows, rs.Attrs())
 	}
 	op.onto = int(next()) % 3
 	return op
@@ -1052,6 +1077,112 @@ var bitSeeds = map[string][]byte{
 		literalRel(0, Tuple{0, 0}, Tuple{0, 1}, Tuple{0, 2}, Tuple{1, 0}, Tuple{1, 1}, Tuple{1, 2}, Tuple{2, 0}, Tuple{2, 1}, Tuple{2, 2}),
 		literalRel(0, Tuple{0, 0, 0}, Tuple{0, 0, 1}, Tuple{0, 2, 0}, Tuple{1, 1, 0}, Tuple{1, 3, 1}, Tuple{1, 3, 2}, Tuple{2, 0, 5}),
 		literalRel(0, Tuple{0, 0}, Tuple{1, 3}, Tuple{2, 2}, Tuple{0, 1}, Tuple{2, 0})),
+}
+
+// rowValue is a value for one row's first column: a patch of longRel.
+type rowValue struct {
+	row int
+	v   Value
+}
+
+// longRel encodes a relation in decodeOperands' long form: 0xfd, the row
+// count, the dead-row mask of its second chunk and the patches.
+func longRel(n int, dead uint16, patches ...rowValue) []byte {
+	b := []byte{0xfd, byte(n), byte(n >> 8), byte(dead), byte(dead >> 8), byte(len(patches))}
+	for _, p := range patches {
+		b = append(b, byte(p.row), byte(p.row>>8))
+		b = binary.LittleEndian.AppendUint32(b, uint32(p.v))
+	}
+	return b
+}
+
+// strideSeed encodes a FuzzOperators input of r = ab, long, and s = ac,
+// literal, joined on a, r's first column: px = a, f = bc and x = ac, so
+// both streamed sinks probe r — the larger — grouped on a.
+func strideSeed(r []byte, s ...Tuple) []byte {
+	return literalSeed(0b00011, 0b00101, 0b00001, r, literalRel(0, s...), 0b00110, 0b00101,
+		literalRel(0, Tuple{0, 0}, Tuple{32, 2}, Tuple{0, 1}, Tuple{500, 3}, Tuple{2048, 6}))
+}
+
+// strideSeeds are the FuzzOperators seeds at the edges of the column-stride
+// loops (Semijoin's probe, liveSpan, bitsOver, group);
+// TestStrideSeedsCoverTheirCases checks each reaches its case.
+var strideSeeds = map[string][]byte{
+	// r has a clean chunk, one with dead rows, and a clean partial tail.
+	"stride mixed chunks": strideSeed(longRel(2*ChunkRows+100, 0x0101),
+		Tuple{0, 0}, Tuple{63, 1}, Tuple{64, 2}, Tuple{4095, 3}, Tuple{4096, 4}, Tuple{4100, 5}, Tuple{8291, 6},
+		Tuple{9000, 7}, Tuple{-1, 8}),
+	// r's a spans exactly as many values as s ⋉ r's bitmap may cover, the
+	// last of them in the first row of r's second 64-row block; one more,
+	// in the last row of its first block, and the key set is a keyTable.
+	"stride key span at the bitmap's limit": strideSeed(longRel(1000, 0, rowValue{64, 65535}),
+		Tuple{0, 0}, Tuple{64, 1}, Tuple{65535, 2}, Tuple{999, 3}, Tuple{65536, 4}, Tuple{-1, 5}),
+	"stride key span one past the bitmap's limit": strideSeed(longRel(1000, 0, rowValue{63, 65536}),
+		Tuple{0, 0}, Tuple{63, 1}, Tuple{65536, 2}, Tuple{999, 3}, Tuple{65535, 4}, Tuple{-1, 5}),
+	// r's a spans tableSize(|r|) − 1 values, the most its groups are
+	// numbered by; one more and a keyTable numbers them.
+	"stride group span at the limit": strideSeed(longRel(1000, 0, rowValue{64, 2046}),
+		Tuple{0, 0}, Tuple{64, 1}, Tuple{2046, 2}, Tuple{999, 3}, Tuple{2047, 4}),
+	"stride group span one past the limit": strideSeed(longRel(1000, 0, rowValue{63, 2047}),
+		Tuple{0, 0}, Tuple{63, 1}, Tuple{2047, 2}, Tuple{999, 3}, Tuple{2046, 4}),
+	// r ⋉ s's bitmap starts at MinInt32: r's other values, MaxInt32 among
+	// them, lie past its window.
+	"stride keys at MinInt32, probes past the window": strideSeed(
+		longRel(1000, 0, rowValue{0, math.MinInt32}, rowValue{64, math.MinInt32 + 1}, rowValue{999, math.MaxInt32}),
+		Tuple{math.MinInt32, 0}, Tuple{math.MinInt32 + 1, 1}, Tuple{math.MinInt32 + 3, 2}),
+	// r ⋉ s's bitmap ends at MaxInt32: r's other values lie below it, so
+	// their offsets wrap.
+	"stride keys at MaxInt32, probes below the window": strideSeed(
+		longRel(1000, 0, rowValue{64, math.MaxInt32}, rowValue{65, math.MaxInt32 - 1}),
+		Tuple{math.MaxInt32 - 2, 0}, Tuple{math.MaxInt32, 1}, Tuple{math.MaxInt32 - 1, 2}),
+}
+
+// TestStrideSeedsCoverTheirCases decodes each stride seed and checks it
+// reaches its case, and that each has r ⋉ s and s ⋉ r drop rows and keep
+// rows.
+func TestStrideSeedsCoverTheirCases(t *testing.T) {
+	for name, raw := range strideSeeds {
+		op := decodeOperands(raw)
+		a := op.r.colPos(op.r.U.Attr("a"))
+		limit := 32 * int64(tableSize(op.r.Card()))
+		_, keySpan, keyDense := denseSpan(op.r, a)
+		_, groupSpan, _ := liveSpan(op.r, a, math.MaxInt64)
+		ok := true
+		for _, rs := range [][2]*Relation{{op.r, op.s}, {op.s, op.r}} {
+			kept := NewExec().Semijoin(rs[0], rs[1]).Card()
+			ok = ok && 0 < kept && kept < rs[0].Card()
+		}
+		// lo and the span of s's a, and r's values below and past them.
+		slo, sspan, sdense := denseSpan(op.s, 0)
+		below, past := false, false
+		for _, v := range liveValues(op.r, op.r.U.Attr("a")) {
+			below, past = below || v < slo, past || v >= slo+(sspan+63)&^63
+		}
+		switch name {
+		case "stride mixed chunks":
+			ok = ok && len(op.r.chunks) == 3 && op.r.n%ChunkRows != 0 && op.r.chunks[0].dead == nil &&
+				op.r.chunks[1].dead != nil && op.r.chunks[2].dead == nil
+		case "stride key span at the bitmap's limit":
+			ok = ok && keyDense && keySpan == limit && op.r.TupleAt(64)[a] == 65535
+		case "stride key span one past the bitmap's limit":
+			ok = ok && !keyDense && groupSpan == limit+1 && op.r.TupleAt(63)[a] == 65536
+		case "stride group span at the limit", "stride group span one past the limit":
+			want := int64(tableSize(op.r.Card()) - 1)
+			if name == "stride group span one past the limit" {
+				want++
+			}
+			byValue := strings.HasSuffix(streamPath(op, false), " dense") // JoinProject groups r on a
+			ok = ok && groupSpan == want && byValue == (want < int64(tableSize(op.r.Card())))
+		case "stride keys at MinInt32, probes past the window":
+			ok = ok && sdense && slo == math.MinInt32 && past && !below
+		case "stride keys at MaxInt32, probes below the window":
+			ok = ok && sdense && slo+sspan-1 == math.MaxInt32 && below && !past
+		}
+		if !ok {
+			t.Errorf("seed %q misses its case: r %d rows (%d dead, %d chunks), s %d rows; key span %d (%v), group span %d, s's lo %d span %d (%v), below %v past %v",
+				name, op.r.Card(), op.r.dead, len(op.r.chunks), op.s.Card(), keySpan, keyDense, groupSpan, slo, sspan, sdense, below, past)
+		}
+	}
 }
 
 // spanSeed is a bitSeed whose nine-row r has a values from lo to
@@ -1441,8 +1572,10 @@ func FuzzOperators(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
-	for _, seed := range streamSeeds {
-		f.Add(seed)
+	for _, seeds := range []map[string][]byte{streamSeeds, strideSeeds} {
+		for _, seed := range seeds {
+			f.Add(seed)
+		}
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		op := decodeOperands(raw)

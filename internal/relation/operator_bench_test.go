@@ -156,20 +156,35 @@ func spread(r *Relation, attrs schema.AttrSet) *Relation {
 	return out
 }
 
-// BenchmarkSemijoinD20k prices ab ⋉ bc — eval_read's semijoin — in three
+// everyChunkDead returns r less the first row of each of its chunks:
+// every chunk then carries a dead-row bitmap.
+func everyChunkDead(r *Relation) *Relation {
+	var drop []Tuple
+	for c := range r.chunks {
+		drop = append(drop, slices.Clone(Tuple(r.row(c<<chunkShift))))
+	}
+	out, _ := r.Without(drop)
+	return out
+}
+
+// BenchmarkSemijoinD20k prices ab ⋉ bc — eval_read's semijoin — in four
 // forms: dense is D20k's, whose one key column b spans [0, 2000), so its
-// key set is a bitmap; sparse is the same rows with b multiplied by
-// 1 000 003, a span no bitmap within budget covers, so the keyTable holds
-// it; n=20 is the size of plan_churn's relations.
+// key set is a bitmap; dense-dead is dense with a dead row in every chunk
+// of both operands, so each chunk takes the loops for chunks with dead
+// rows; sparse is the same rows with b multiplied by 1 000 003, a span no
+// bitmap within budget covers, so the keyTable holds it; n=20 is the size
+// of plan_churn's relations.
 func BenchmarkSemijoinD20k(b *testing.B) {
 	abc, ab, bc, _ := benchD20k()
 	u := abc.U
 	small, _ := RandomUniversal(u, abc.Attrs(), 20, 2000, rand.New(rand.NewSource(2)))
 	sab, sbc := small.Project(u.Set("a", "b")), small.Project(u.Set("b", "c"))
 	wab, wbc := spread(ab, u.Set("b")), spread(bc, u.Set("b"))
+	dab, dbc := everyChunkDead(ab), everyChunkDead(bc)
 	ex := NewExec()
 	benchForms(b,
 		benchForm{"dense", func() { ex.Semijoin(ab, bc) }},
+		benchForm{"dense-dead", func() { ex.Semijoin(dab, dbc) }},
 		benchForm{"sparse", func() { ex.Semijoin(wab, wbc) }},
 		benchForm{"n=20", func() { ex.Semijoin(sab, sbc) }})
 }
@@ -209,16 +224,20 @@ func BenchmarkProjectD20k(b *testing.B) {
 // in the counted form an answer read with "limit": 10 runs. D20k's key b
 // and h column a span [0, 2000), so the streamed forms run on bit rows;
 // wide is the counted form on the same rows with every column multiplied
-// by 1 000 003, so it runs on the chained table.
+// by 1 000 003, so it runs on the chained table; dead is the counted form
+// with a dead row in every chunk of both operands, so the probe side is
+// grouped by the loops for chunks with dead rows.
 func BenchmarkJoinProject(b *testing.B) {
 	abc, ab, bc, ac := benchD20k()
 	wab, wbc := spread(ab, abc.Attrs()), spread(bc, abc.Attrs())
+	dab, dbc := everyChunkDead(ab), everyChunkDead(bc)
 	ex := NewExec()
 	benchForms(b,
 		benchForm{"streamed", func() { ex.JoinProject(ab, bc, ac.Attrs(), All, Budget{}) }},
 		benchForm{"counted/k=10", func() { ex.JoinProject(ab, bc, ac.Attrs(), 10, Budget{}) }},
 		benchForm{"two-statement", func() { ex.Project(ex.Join(ab, bc), ac.Attrs()) }},
-		benchForm{"wide", func() { ex.JoinProject(wab, wbc, ac.Attrs(), 10, Budget{}) }})
+		benchForm{"wide", func() { ex.JoinProject(wab, wbc, ac.Attrs(), 10, Budget{}) }},
+		benchForm{"dead", func() { ex.JoinProject(dab, dbc, ac.Attrs(), 10, Budget{}) }})
 }
 
 // BenchmarkJoinProjectRowGroups prices JoinProject on groups of one probe
