@@ -56,8 +56,8 @@ import (
 // The dense passes — Semijoin's probe, liveSpan, bitsOver and group's
 // passes over the probe side — pick their path once per call or chunk and
 // read one column with stride the row width: a chunk with no dead rows in
-// a loop with no dead-row test, a chunk with some by its live rows' bits
-// or with its dead rows masked out afterwards. SetGeneric holds an Exec to
+// a loop with no dead-row test, a chunk with some row by row or with its
+// dead rows masked out afterwards. SetGeneric holds an Exec to
 // the generic twin of every specialization, for tests.
 // Every operator emits an index-free output by plain appends (the
 // output's own set index is built only if something later asks it for
@@ -1009,8 +1009,7 @@ type groups struct {
 // entry is the offset of its h, column fhPos[0], in br's window; a filter
 // row whose h lies outside the window has no partner, and is dropped too.
 // Numbered by value, a clean chunk of the probe side is counted by g's
-// column alone and placed in a loop with no dead-row test, and a chunk
-// with dead rows is walked by its live rows' bits (liveWord).
+// column alone and placed in a loop with no dead-row test.
 // The ends are aux's slots and the entries its words, which a keyTable
 // of g leaves behind once f has been looked up in it; f's are fends and
 // fents.
@@ -1124,15 +1123,15 @@ func (e *Exec) group(probe, f *Relation, gPos, fgPos, pPos, fhPos []int, br *bit
 					gs.ends[grp]++
 				}
 			default:
-				for k0 := 0; k0 < rows; k0 += 64 {
-					for live := liveWord(dead, k0, rows); live != 0; live &= live - 1 {
-						k := k0 + bits.TrailingZeros64(live)
-						grp := int64(data[k*w+gp]) - lo
-						if pass == 1 {
-							gs.ents[gs.ends[grp]] = uint64(i0+k) | uint64(uint32(data[k*w+kp]))&keyed<<32
-						}
-						gs.ends[grp]++
+				for k, o := 0, 0; k < rows; k, o = k+1, o+w {
+					if dead.has(k) {
+						continue
 					}
+					grp := int64(data[o+gp]) - lo
+					if pass == 1 {
+						gs.ents[gs.ends[grp]] = uint64(i0+k) | uint64(uint32(data[o+kp]))&keyed<<32
+					}
+					gs.ends[grp]++
 				}
 			}
 		}
@@ -1447,10 +1446,10 @@ func denseSpan(s *Relation, p int) (lo, span int64, ok bool) {
 // hi − lo + 1 of its live values, and whether that span is at most limit.
 // The span is taken in int64, so [MinInt32, MaxInt32] is 2³² and does not
 // wrap. It reads the column with stride rel's width, 64 rows at a time —
-// a chunk with no dead rows in one loop, a chunk with some by its live
-// rows' bits (liveWord) — and stops after the first block of 64 whose
-// rows push the span past limit, so a sparse column costs a few blocks,
-// not a pass. A rel with no live row has span 0.
+// a chunk with no dead rows in a loop with no dead-row test — and stops
+// after the first block of 64 whose rows push the span past limit, so a
+// sparse column costs a few blocks, not a pass. A rel with no live row
+// has span 0.
 func liveSpan(rel *Relation, p int, limit int64) (lo, span int64, ok bool) {
 	if rel.Card() == 0 {
 		return 0, 0, true
@@ -1465,9 +1464,10 @@ func liveSpan(rel *Relation, p int, limit int64) (lo, span int64, ok bool) {
 					lo, hi = min(lo, int64(data[o])), max(hi, int64(data[o]))
 				}
 			} else {
-				for live := liveWord(dead, k0, rows); live != 0; live &= live - 1 {
-					v := int64(data[(k0+bits.TrailingZeros64(live))*w+p])
-					lo, hi = min(lo, v), max(hi, v)
+				for k, o := k0, k0*w+p; o < end; k, o = k+1, o+w {
+					if !dead.has(k) {
+						lo, hi = min(lo, int64(data[o])), max(hi, int64(data[o]))
+					}
 				}
 			}
 			if hi > lo && hi-lo >= limit {
@@ -1476,16 +1476,6 @@ func liveSpan(rel *Relation, p int, limit int64) (lo, span int64, ok bool) {
 		}
 	}
 	return lo, hi - lo + 1, true
-}
-
-// liveWord returns the live rows among the 64 from k0 of a chunk of rows
-// rows with dead-row bitmap dead: bit k − k0 is set for each live row k.
-func liveWord(dead *deadBits, k0, rows int) uint64 {
-	live := ^dead[k0>>6]
-	if n := rows - k0; n < 64 {
-		live &= 1<<n - 1
-	}
-	return live
 }
 
 // keyBits is a one-column key set as a bitmap: bit v − lo of words is
@@ -1513,11 +1503,9 @@ func bitsOver(s *Relation, p int, lo int64, n int, words *[]uint64) keyBits {
 			}
 			continue
 		}
-		for k0 := 0; k0 < rows; k0 += 64 {
-			for live := liveWord(dead, k0, rows); live != 0; live &= live - 1 {
-				if d := uint64(int64(data[(k0+bits.TrailingZeros64(live))*w+p]) - lo); d>>6 < nw {
-					set.words[d>>6] |= 1 << (d & 63)
-				}
+		for k, o := 0, p; k < rows; k, o = k+1, o+w {
+			if d := uint64(int64(data[o]) - lo); d>>6 < nw && !dead.has(k) {
+				set.words[d>>6] |= 1 << (d & 63)
 			}
 		}
 	}
