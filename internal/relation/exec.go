@@ -1491,37 +1491,37 @@ type keyBits struct {
 func bitsOver(s *Relation, p int, lo int64, n int, words *[]uint64) keyBits {
 	*words = scratch(*words, n)
 	clear(*words)
-	set := keyBits{words: *words, lo: lo}
-	w, nw := s.width, uint64(n)
+	bw, w := *words, s.width
 	for c := range s.chunks {
 		data, dead, rows := s.chunks[c].data, s.chunks[c].dead, s.chunkRows(c)
 		if dead == nil {
 			for o, end := p, rows*w; o < end; o += w {
-				if d := uint64(int64(data[o]) - lo); d>>6 < nw {
-					set.words[d>>6] |= 1 << (d & 63)
+				if d := uint64(int64(data[o]) - lo); d>>6 < uint64(len(bw)) {
+					bw[d>>6] |= 1 << (d & 63)
 				}
 			}
 			continue
 		}
 		for k, o := 0, p; k < rows; k, o = k+1, o+w {
-			if d := uint64(int64(data[o]) - lo); d>>6 < nw && !dead.has(k) {
-				set.words[d>>6] |= 1 << (d & 63)
+			if d := uint64(int64(data[o]) - lo); d>>6 < uint64(len(bw)) && !dead.has(k) {
+				bw[d>>6] |= 1 << (d & 63)
 			}
 		}
 	}
-	return set
+	return keyBits{words: bw, lo: lo}
 }
 
 // mark returns the rows from k0 of data, rows rows of width w, whose
 // column p the set holds: bit k − k0 for row k, up to 64 of them.
 func (b keyBits) mark(data []Value, k0, rows, w, p int) (m uint64) {
-	n := uint64(len(b.words))
-	for k, o, end := 0, k0*w+p, min(64, rows-k0); k < end; k, o = k+1, o+w {
+	n, end := uint64(len(b.words)), min(64, rows-k0)
+	for o, stop := k0*w+p, (k0+end)*w; o < stop; o += w {
+		m >>= 1 // row k's bit enters at the top and is shifted down to k
 		if d := uint64(int64(data[o]) - b.lo); d>>6 < n {
-			m |= b.words[d>>6] >> (d & 63) & 1 << k
+			m |= b.words[d>>6] << (63 - d&63) & (1 << 63)
 		}
 	}
-	return m
+	return m >> (64 - end)
 }
 
 // has reports whether the set holds v: a v below lo wraps to a large d,
