@@ -57,25 +57,26 @@ import (
 // passes over the probe side — pick their path once per call or chunk and
 // read one column with stride the row width: a chunk with no dead rows in
 // a loop with no dead-row test, a chunk with some row by row or with its
-// dead rows masked out afterwards. SetGeneric holds an Exec to
-// the generic twin of every specialization, for tests.
+// dead rows masked out afterwards. SetGeneric holds an Exec to the generic
+// twin of every specialization, for tests.
 // Every operator emits an index-free output by plain appends (the
 // output's own set index is built only if something later asks it for
 // membership — see the package comment). The zero value is ready to use;
 // an Exec must not be used concurrently.
 type Exec struct {
-	keys    keyScratch // Join's and Semijoin's build side; Project's output keys
-	aux     keyScratch // a streamed join's probe side: g's numbering, then its groups (group)
-	local   keyScratch // a streamed join's group-local keys, by h
-	fends   []int32    // JoinFilter: by group, the end of its run of filter entries in fents
-	fents   []int32    // JoinFilter: f's live rows, group by group (group)
-	obuf    []Value
-	pos     []int // column positions of one call, carved per operand
-	srcs    []int32
-	bits    []uint64     // Semijoin's one-column key set, when it is a bitmap (keyBits)
-	marks   []uint64     // Semijoin's kept rows, or a chain's projected probe rows: a bit per row (keepMarked)
-	sets    []setScratch // a chain's semijoin key sets, one per stage (JoinFilter)
-	generic bool         // every specialization off (SetGeneric), read once a call
+	keys  keyScratch // Join's and Semijoin's build side; Project's output keys
+	aux   keyScratch // a streamed join's probe side: g's numbering, then its groups (group)
+	local keyScratch // a streamed join's group-local keys, by h
+	fends []int32    // JoinFilter: by group, the end of its run of filter entries in fents
+	fents []int32    // JoinFilter: f's live rows, group by group (group)
+	obuf  []Value
+	pos   []int // column positions of one call, carved per operand
+	srcs  []int32
+	bits  []uint64     // Semijoin's one-column key set, when it is a bitmap (keyBits)
+	marks []uint64     // Semijoin's kept rows, or a chain's projected probe rows: a bit per row (keepMarked)
+	sets  []setScratch // a chain's semijoin key sets, one per stage (JoinFilter)
+
+	generic bool // every specialization off (SetGeneric), read once a call
 }
 
 // setScratch is the storage of one of a chain's semijoin key sets
