@@ -758,13 +758,12 @@ type fuzzOperands struct {
 // where it likes. A count byte of 0xfd makes it long (longRel): dense
 // rows, as many as the next two bytes say, up to 2·ChunkRows for an r
 // that shares an attribute with s and as many as a dense relation has
-// otherwise; the dead-row mask
-// applies to its second chunk alone, and after the mask a byte counts
-// patches (modulo 16), each a two-byte row index and a four-byte value
-// for that row's first column — so a seed can mix clean and dead chunks,
-// end on a partial chunk and put a value at any 64-row block's edge. A
-// row of f starts with a selector byte: even picks row
-// selector/2 of r ⋈ s (modulo its size) and projects it onto f, so the
+// otherwise; the dead-row mask applies to its second chunk alone, and
+// after the mask a byte counts patches (modulo 16), each a two-byte row
+// index and a four-byte value for that row's first column — so a seed can
+// mix clean and dead chunks, end on a partial chunk and put a value at any
+// 64-row block's edge. A row of f starts with a selector byte: even picks
+// row selector/2 of r ⋈ s (modulo its size) and projects it onto f, so the
 // filter hits; odd is followed by the row. Last come the chain's bytes:
 // a count of semijoins (modulo 3), each an attribute mask and a relation
 // decoded like f — a picked join row gives it its shared columns, and
