@@ -1085,8 +1085,8 @@ func (e *Exec) group(probe, f *Relation, gPos, fgPos, pPos, fhPos []int, br *bit
 	gs.ends = e.aux.slotScratch(n)
 	e.aux.words = scratch(e.aux.words, probe.Card())
 	gs.ents = e.aux.words
-	// Dense, an entry's high word is the join key, column kp, masked by
-	// keyed: nothing off bit rows.
+	// On bit rows an entry's high word is the probe row's join key, column
+	// kp; off them keyed masks it out.
 	w, gp, kp, keyed := probe.width, 0, 0, uint64(0)
 	if dense {
 		gp = gPos[0]
@@ -1311,19 +1311,19 @@ func fillRow(buf []Value, srcs []int32, prow, brow []Value) {
 // key of one column whose live values in s span few enough values
 // (denseSpan) is a bitmap over [lo, hi] (keyBits), and a probe is a
 // subtract, an unsigned compare and a bit test on r's key column, read
-// with stride |r|'s width; any other key is an open-addressing set —
+// with stride r's width; any other key is an open-addressing set —
 // Join's build table without the chains, keyed by the same key word, so
 // for a key of up to two columns a probe never touches a row of s. The
-// path is chosen once per call, and each has a loop of its own. A row
-// that has a partner is marked, a bit per row of r, 64 rows to a word,
-// and a chunk's dead rows are masked out of its words afterwards; the
-// marked rows are the output (keepMarked): the clean prefix — every row
-// before the first dropped one — shares r's full chunks, and only the
-// rows from the first drop's chunk onward are repacked. A dead row of r
-// is a dropped row, so the output is dense whatever r carries. A
-// semijoin that filters nothing, the steady state of a full reducer over
-// consistent data, costs the build, the probes, a chunk-table copy and
-// one block copy of the tail.
+// path, chosen once per call, is tested once per 64 rows, and each has a
+// loop of its own. A row that has a partner is marked, a bit per row of
+// r, 64 rows to a word, and a chunk's dead rows are masked out of its
+// words afterwards; the marked rows are the output (keepMarked): the
+// clean prefix — every row before the first dropped one — shares r's full
+// chunks, and only the rows from the first drop's chunk onward are
+// repacked. A dead row of r is a dropped row, so the output is dense
+// whatever r carries. A semijoin that filters nothing, the steady state
+// of a full reducer over consistent data, costs the build, the probes, a
+// chunk-table copy and one block copy of the tail.
 func (e *Exec) Semijoin(r, s *Relation) *Relation {
 	sharedCols := r.attrs.Intersect(s.attrs).Attrs()
 	pos := e.positions(2 * len(sharedCols))
@@ -1411,8 +1411,8 @@ type keySet struct {
 }
 
 // keySet builds the key set of s's columns sPos — in ks, or in *words
-// when it is a bitmap, which bitmap allows — for rows whose key columns
-// are rPos.
+// when it is a bitmap, which only bitmap lets it be — for rows whose key
+// columns are rPos.
 func (ks *keyScratch) keySet(s *Relation, sPos, rPos []int, words *[]uint64, bitmap bool) keySet {
 	set := keySet{pos: rPos}
 	if len(sPos) == 1 && bitmap {
