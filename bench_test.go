@@ -398,8 +398,9 @@ func BenchmarkSolveByJoins(b *testing.B) {
 
 // BenchmarkPlanQuery times one plan miss below the cache: GYO
 // reduction, decomposition and emission (gyokit.Plan), on the chains
-// plan_churn sends to /v1/plan, heads {first, middle attribute}, and on
-// rings, heads {a₀, a_{n/2}}.
+// plan_churn sends to /v1/plan, heads {first, middle attribute}, on
+// rings, heads {a₀, a_{n/2}}, and on a /v1/solve over plan_churn's
+// serving schema, Dtiny's 8-chain, with a 3-attribute target.
 func BenchmarkPlanQuery(b *testing.B) {
 	type query struct {
 		name string
@@ -417,6 +418,8 @@ func BenchmarkPlanQuery(b *testing.B) {
 		attrs := d.Attrs().Attrs()
 		qs = append(qs, query{fmt.Sprintf("ring%d", n), d, schema.NewAttrSet(attrs[0], attrs[n/2])})
 	}
+	u := schema.NewUniverse()
+	qs = append(qs, query{"dtiny/aei", schema.MustParse(u, "ab, bc, cd, de, ef, fg, gh, hi"), u.Set("a", "e", "i")})
 	for _, q := range qs {
 		b.Run(q.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gyokit/internal/gamma"
 	"gyokit/internal/graph"
@@ -275,7 +276,8 @@ func PlanQuery(d *schema.Schema, x schema.AttrSet) (*QueryPlan, error) {
 	qp := &QueryPlan{Kind: KindCyclic}
 	if res.Empty() {
 		qp.Kind = KindAcyclic
-		if gyo.IsTree(d.WithRel(x)) {
+		// D ∪ (X), sharing D's sets: GYO never changes them.
+		if gyo.IsTree(&schema.Schema{U: d.U, Rels: append(slices.Clip(d.Rels), x)}) {
 			qp.Kind = KindFreeConnex
 		}
 	}

@@ -340,3 +340,34 @@ func TestPrepareBadTarget(t *testing.T) {
 		t.Error("Prepare accepted a target outside U(D)")
 	}
 }
+
+// TestPlanQueryAllocBudget fails if a plan miss starts allocating more
+// than half of what PlanQuery took before GYO re-tested only the
+// relations that changed and the qual tree came from a sparse Kruskal
+// (chain19 664, ring6 122, Dtiny's 8-chain with a 3-attribute target
+// 346 allocations): every plan_churn request that misses the plan cache
+// pays them, and their GC.
+func TestPlanQueryAllocBudget(t *testing.T) {
+	u := schema.NewUniverse()
+	chain, ring := gen.Chain(19), gen.Ring(6)
+	ca, ra := chain.Attrs().Attrs(), ring.Attrs().Attrs()
+	for _, c := range []struct {
+		name   string
+		d      *schema.Schema
+		x      schema.AttrSet
+		budget float64
+	}{
+		{"chain19", chain, schema.NewAttrSet(ca[0], ca[len(ca)/2]), 664 / 2},
+		{"ring6", ring, schema.NewAttrSet(ra[0], ra[3]), 122 / 2},
+		{"Dtiny", parse(t, u, "ab, bc, cd, de, ef, fg, gh, hi"), u.Set("a", "e", "i"), 346 / 2},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(50, func() { _, err = PlanQuery(c.d, c.x) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs > c.budget {
+			t.Errorf("%s: PlanQuery makes %.0f allocations, budget %.0f", c.name, allocs, c.budget)
+		}
+	}
+}

@@ -184,7 +184,9 @@ func Lower(canonical string, d *schema.Schema, x schema.AttrSet) (*Compiled, err
 		}
 	}
 	headIDs := x.Attrs()
-	return plan(&Compiled{Canonical: canonical, U: d.U, D: d.Clone(), HeadVars: names(headIDs), HeadIDs: headIDs, Atoms: atoms})
+	// D copies d's list of relations and shares its (immutable) sets.
+	dc := &schema.Schema{U: d.U, Rels: slices.Clone(d.Rels)}
+	return plan(&Compiled{Canonical: canonical, U: d.U, D: dc, HeadVars: names(headIDs), HeadIDs: headIDs, Atoms: atoms})
 }
 
 // LoweredText is the canonical text of the schema solve (d, x), the key

@@ -15,9 +15,14 @@ type Undirected struct {
 	adj [][]int
 }
 
-// NewUndirected returns an edgeless graph with n vertices.
+// NewUndirected returns an edgeless graph with n vertices. Adjacency
+// lists start in one block, two slots each: a tree's mean degree.
 func NewUndirected(n int) *Undirected {
-	return &Undirected{n: n, adj: make([][]int, n)}
+	adj, block := make([][]int, n), make([]int, 2*n)
+	for u := range adj {
+		adj[u] = block[2*u : 2*u : 2*u+2]
+	}
+	return &Undirected{n: n, adj: adj}
 }
 
 // N returns the number of vertices.
@@ -228,51 +233,6 @@ func (g *Undirected) Clone() *Undirected {
 		}
 	}
 	return h
-}
-
-// WeightedEdge is an edge with a weight, used by spanning-tree
-// construction.
-type WeightedEdge struct {
-	U, V   int
-	Weight int
-}
-
-// MaxSpanningForest computes a maximum-weight spanning forest over n
-// vertices from the given candidate edges (Kruskal). Edges of
-// non-positive weight are still usable; ties break deterministically by
-// (weight desc, U asc, V asc) so results are reproducible.
-func MaxSpanningForest(n int, edges []WeightedEdge) *Undirected {
-	sorted := append([]WeightedEdge(nil), edges...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Weight != sorted[j].Weight {
-			return sorted[i].Weight > sorted[j].Weight
-		}
-		if sorted[i].U != sorted[j].U {
-			return sorted[i].U < sorted[j].U
-		}
-		return sorted[i].V < sorted[j].V
-	})
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	t := NewUndirected(n)
-	for _, e := range sorted {
-		ru, rv := find(e.U), find(e.V)
-		if ru != rv {
-			parent[ru] = rv
-			t.MustAddEdge(e.U, e.V)
-		}
-	}
-	return t
 }
 
 // SpanningTrees enumerates all spanning trees of the graph, calling

@@ -133,31 +133,6 @@ func TestClone(t *testing.T) {
 	}
 }
 
-func TestMaxSpanningForest(t *testing.T) {
-	// Square with a heavy diagonal: MST must keep the weight-5 diagonal.
-	edges := []WeightedEdge{
-		{0, 1, 2}, {1, 2, 2}, {2, 3, 2}, {3, 0, 2}, {0, 2, 5},
-	}
-	t1 := MaxSpanningForest(4, edges)
-	if !t1.IsTree() {
-		t.Fatal("not a tree")
-	}
-	if !t1.HasEdge(0, 2) {
-		t.Error("max spanning tree dropped the heaviest edge")
-	}
-	// Weight-0 edges still connect components.
-	t2 := MaxSpanningForest(3, []WeightedEdge{{0, 1, 0}, {1, 2, 0}})
-	if !t2.IsTree() {
-		t.Error("zero-weight edges should still produce a spanning tree")
-	}
-	// Deterministic under permutation of input.
-	perm := []WeightedEdge{{3, 0, 2}, {0, 2, 5}, {2, 3, 2}, {0, 1, 2}, {1, 2, 2}}
-	t3 := MaxSpanningForest(4, perm)
-	if !reflect.DeepEqual(t1.Edges(), t3.Edges()) {
-		t.Error("MaxSpanningForest not deterministic")
-	}
-}
-
 func TestSpanningTreesCayley(t *testing.T) {
 	// Cayley's formula: K_n has n^(n-2) spanning trees.
 	for n, want := range map[int]int{2: 1, 3: 3, 4: 16, 5: 125} {

@@ -100,6 +100,43 @@ func TestSacredSet(t *testing.T) {
 	}
 }
 
+// applicableOps returns every currently legal GYO operation, in a
+// deterministic order.
+func applicableOps(st *State) []Op {
+	var ops []Op
+	for i := range st.alive {
+		st.Rel(i).ForEach(func(a schema.Attr) bool {
+			if st.occ[a] == 1 && !st.x.Has(a) {
+				ops = append(ops, Op{Kind: AttrDelete, Rel: i, Attr: a})
+			}
+			return true
+		})
+	}
+	for i := range st.alive {
+		for j := range st.alive {
+			if i != j && st.alive[i] && st.alive[j] && st.Rel(i).SubsetOf(st.Rel(j)) {
+				ops = append(ops, Op{Kind: SubsetEliminate, Rel: i, Into: j})
+			}
+		}
+	}
+	return ops
+}
+
+// runRandom applies up to maxSteps random applicable operations using
+// rng, stopping early at a fixpoint. With maxSteps < 0 it runs to the
+// fixpoint. It exercises partial reductions and confluence.
+func runRandom(st *State, rng *rand.Rand, maxSteps int) {
+	for steps := 0; maxSteps < 0 || steps < maxSteps; steps++ {
+		ops := applicableOps(st)
+		if len(ops) == 0 {
+			return
+		}
+		if err := st.Apply(ops[rng.Intn(len(ops))]); err != nil {
+			panic("gyo: internal: " + err.Error())
+		}
+	}
+}
+
 func mustAttr(u *schema.Universe, name string) schema.Attr {
 	a, ok := u.Lookup(name)
 	if !ok {
@@ -135,8 +172,8 @@ func TestConfluence(t *testing.T) {
 		want := Reduce(d, x).GR
 		for run := 0; run < 4; run++ {
 			st := NewState(d, x)
-			st.RunRandom(rng, -1)
-			got := st.Snapshot()
+			runRandom(st, rng, -1)
+			got := st.Result().GR
 			if got.Key() != want.Key() {
 				t.Fatalf("trial %d run %d: random order gave %s, deterministic gave %s (D=%s, X=%s)",
 					trial, run, got, want, d, d.U.FormatSet(x))
@@ -153,9 +190,9 @@ func TestPartialThenFull(t *testing.T) {
 		x := gen.RandomAttrSubset(rng, d.Attrs(), 0.2)
 		want := Reduce(d, x).GR.Key()
 		st := NewState(d, x)
-		st.RunRandom(rng, rng.Intn(4)) // partial
-		st.Run()                       // complete
-		if st.Snapshot().Key() != want {
+		runRandom(st, rng, rng.Intn(4)) // partial
+		st.Run()                        // complete
+		if st.Result().GR.Key() != want {
 			t.Fatalf("partial+full ≠ full on %s", d)
 		}
 	}
@@ -187,11 +224,11 @@ func TestTypePreservation(t *testing.T) {
 		x := gen.RandomAttrSubset(rng, d.Attrs(), 0.25)
 		before := IsTree(d)
 		st := NewState(d, x)
-		st.RunRandom(rng, 1+rng.Intn(5))
-		after := IsTree(st.Snapshot())
+		runRandom(st, rng, 1+rng.Intn(5))
+		after := IsTree(st.Result().GR)
 		if before != after {
 			t.Fatalf("partial GYO changed type: %s (tree=%v) → %s (tree=%v)",
-				d, before, st.Snapshot(), after)
+				d, before, st.Result().GR, after)
 		}
 	}
 }
@@ -326,11 +363,131 @@ func TestTraceReplay(t *testing.T) {
 				t.Fatalf("replay failed at %v: %v", op, err)
 			}
 		}
-		if st.Snapshot().Key() != res.GR.Key() {
+		if st.Result().GR.Key() != res.GR.Key() {
 			t.Fatal("replay diverged")
 		}
-		if len(st.ApplicableOps()) != 0 {
+		if len(applicableOps(st)) != 0 {
 			t.Fatal("trace was not maximal")
+		}
+	}
+}
+
+// refReduce is the round-based reduction Run replaced, kept as its
+// oracle: every round scans every alive relation for isolated
+// attributes, then tests every ordered pair for a subset, eliminating
+// each relation into its first superset. It copies a set per deletion.
+func refReduce(d *schema.Schema, x schema.AttrSet) (gr []schema.AttrSet, alive []int, trace []Op) {
+	rels := make([]schema.AttrSet, len(d.Rels))
+	live := make([]bool, len(d.Rels))
+	occ := make([]int, d.U.Size())
+	for i, r := range d.Rels {
+		rels[i], live[i] = r.Clone(), true
+		r.ForEach(func(a schema.Attr) bool {
+			occ[a]++
+			return true
+		})
+	}
+	for {
+		progress := false
+		for i, r := range rels {
+			if !live[i] {
+				continue
+			}
+			var doomed []schema.Attr
+			r.ForEach(func(a schema.Attr) bool {
+				if occ[a] == 1 && !x.Has(a) {
+					doomed = append(doomed, a)
+				}
+				return true
+			})
+			for _, a := range doomed {
+				rels[i] = rels[i].Remove(a)
+				occ[a] = 0
+				trace = append(trace, Op{Kind: AttrDelete, Rel: i, Attr: a})
+				progress = true
+			}
+		}
+		for i := range rels {
+			for j := range rels {
+				if i == j || !live[j] || !live[i] || !rels[i].SubsetOf(rels[j]) {
+					continue
+				}
+				live[i] = false
+				rels[i].ForEach(func(a schema.Attr) bool {
+					occ[a]--
+					return true
+				})
+				trace = append(trace, Op{Kind: SubsetEliminate, Rel: i, Into: j})
+				progress = true
+				break
+			}
+		}
+		if !progress {
+			break
+		}
+	}
+	for i, r := range rels {
+		if live[i] {
+			gr, alive = append(gr, r), append(alive, i)
+		}
+	}
+	return gr, alive, trace
+}
+
+// randomInstance draws a schema of 0–9 relations over up to 9
+// attributes — empty, duplicate and disconnected relations included —
+// and an X drawn from the whole universe, attributes outside U(D) too.
+func randomInstance(rng *rand.Rand) (*schema.Schema, schema.AttrSet) {
+	u, attrs := gen.Universe(1 + rng.Intn(9))
+	d := schema.New(u)
+	p := 0.15 + 0.5*rng.Float64()
+	for n := rng.Intn(10); len(d.Rels) < n; {
+		if len(d.Rels) > 0 && rng.Intn(6) == 0 {
+			d.Add(d.Rels[rng.Intn(len(d.Rels))])
+			continue
+		}
+		var r schema.AttrSet
+		for _, a := range attrs {
+			if rng.Float64() < p {
+				r = r.Add(a)
+			}
+		}
+		d.Add(r)
+	}
+	var x schema.AttrSet
+	if rng.Intn(3) > 0 {
+		q := 0.4 * rng.Float64()
+		for _, a := range attrs {
+			if rng.Float64() < q {
+				x = x.Add(a)
+			}
+		}
+	}
+	return d, x
+}
+
+// TestRunMatchesRoundReduction holds Run to refReduce on random (D, X):
+// the same Trace, survivors and surviving schemas.
+func TestRunMatchesRoundReduction(t *testing.T) {
+	trials := 100_000
+	if testing.Short() {
+		trials = 10_000
+	}
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < trials; trial++ {
+		d, x := randomInstance(rng)
+		gr, alive, trace := refReduce(d, x)
+		res := Reduce(d, x)
+		same := len(res.Trace) == len(trace) && len(res.Alive) == len(alive)
+		for k := 0; same && k < len(trace); k++ {
+			same = res.Trace[k] == trace[k]
+		}
+		for k := 0; same && k < len(alive); k++ {
+			same = res.Alive[k] == alive[k] && res.GR.Rels[k].Equal(gr[k])
+		}
+		if !same {
+			t.Fatalf("trial %d: D = %s, X = %s:\nRun   %v alive %v GR %s\nrounds %v alive %v GR %s",
+				trial, d, d.U.FormatSet(x), res.Trace, res.Alive, res.GR, trace, alive, schema.New(d.U, gr...))
 		}
 	}
 }

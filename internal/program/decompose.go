@@ -3,7 +3,7 @@ package program
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gyokit/internal/graph"
 	"gyokit/internal/gyo"
@@ -48,23 +48,31 @@ type Decomposition struct {
 // are D itself.
 func Decompose(d *schema.Schema, res *gyo.Result, x schema.AttrSet) (*Decomposition, error) {
 	whole := make([]bool, len(d.Rels)) // goes into ∪GR(D) unprojected
+	bags := len(d.Rels)
 	var core []InputRef
 	if !res.Empty() {
+		core = make([]InputRef, 0, len(res.GR.Rels))
 		for _, k := range GreedyJoinOrder(res.GR, inputIDs(len(res.GR.Rels))) {
 			in := InputRef{Rel: res.Alive[k]}
 			if content := res.GR.Rels[k]; content.Equal(d.Rels[in.Rel]) {
 				whole[in.Rel] = true
+				bags--
 			} else {
 				in.Proj = content
 			}
 			core = append(core, in)
 		}
 	}
-	dec := &Decomposition{Bags: schema.New(d.U)}
+	one := make([]InputRef, 0, bags) // the source of each relation kept as a bag
+	if core != nil {
+		bags++
+	}
+	dec := &Decomposition{Bags: &schema.Schema{U: d.U, Rels: make([]schema.AttrSet, 0, bags)}, Src: make([][]InputRef, 0, bags)}
 	for i, r := range d.Rels {
 		if !whole[i] {
+			one = append(one, InputRef{Rel: i})
 			dec.Bags.Add(r)
-			dec.Src = append(dec.Src, []InputRef{{Rel: i}})
+			dec.Src = append(dec.Src, one[len(one)-1:len(one):len(one)])
 		}
 	}
 	if core != nil {
@@ -100,8 +108,16 @@ func Emit(d *schema.Schema, dec *Decomposition, x schema.AttrSet) (*Program, err
 		}
 		return id
 	}}
-	for v := range cur.ids {
+	for v, src := range dec.Src {
 		cur.ids[v] = -1
+		if len(src) > 1 || !src[0].Proj.IsEmpty() {
+			cur.reserve += len(src) // the joins and the bag's projection
+			for _, in := range src {
+				if !in.Proj.IsEmpty() {
+					cur.reserve++
+				}
+			}
+		}
 	}
 	if e := emitYannakakis(p, dec.Bags.Rels, cur, dec.Tree, dec.Root, x); e != nil || err != nil {
 		return nil, cmp.Or(err, e)
@@ -132,14 +148,10 @@ func GreedyJoinOrder(d *schema.Schema, idx []int) []int {
 	}
 	rest := append([]int(nil), idx...)
 	// Start from the smallest relation schema.
-	sort.Slice(rest, func(a, b int) bool {
-		ca, cb := d.Rels[rest[a]].Card(), d.Rels[rest[b]].Card()
-		if ca != cb {
-			return ca < cb
-		}
-		return rest[a] < rest[b]
+	slices.SortFunc(rest, func(a, b int) int {
+		return cmp.Or(cmp.Compare(d.Rels[a].Card(), d.Rels[b].Card()), cmp.Compare(a, b))
 	})
-	order := []int{rest[0]}
+	order := append(make([]int, 0, len(idx)), rest[0])
 	joined := d.Rels[rest[0]].Clone()
 	rest = rest[1:]
 	for len(rest) > 0 {

@@ -11,6 +11,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -650,10 +651,12 @@ func FullReducer(d *schema.Schema, t *graph.Undirected) (*Program, []int, error)
 // states holds, for the emitters, the id of each tree node's current
 // state. A node whose id is −1 is not built yet — Emit's ∪GR(D) — and
 // build builds it right before the first statement that reads it, so
-// that statement can stream its joins (see Run).
+// that statement can stream its joins (see Run), in at most reserve
+// statements in all.
 type states struct {
-	ids   []int
-	build func(v int) int
+	ids     []int
+	build   func(v int) int
+	reserve int
 }
 
 // at returns the id of node v's state, building it first if need be.
@@ -722,26 +725,29 @@ func (p *Program) emit(s Stmt) int {
 }
 
 // postorder returns the vertices of tree t in post-order from root,
-// plus the parent array (parent[root] = -1).
+// plus the parent array (parent[root] = -1): a depth-first walk that
+// visits each vertex's neighbours in adjacency order.
 func postorder(t *graph.Undirected, root int) (order []int, parent []int) {
 	n := t.N()
-	parent = make([]int, n)
+	block := make([]int, 3*n)
+	// next[v] − 1 indexes v's next neighbour to try; 0 marks v unseen.
+	parent, order, next := block[:n:n], block[n:n:2*n], block[2*n:]
 	for i := range parent {
 		parent[i] = -1
 	}
-	seen := make([]bool, n)
-	var dfs func(v int)
-	dfs = func(v int) {
-		seen[v] = true
-		for _, w := range t.Neighbors(v) {
-			if !seen[w] {
-				parent[w] = v
-				dfs(w)
+	next[root] = 1
+	for v := root; v >= 0; {
+		if nb := t.Neighbors(v); next[v] <= len(nb) {
+			w := nb[next[v]-1]
+			next[v]++
+			if next[w] == 0 {
+				parent[w], next[w], v = v, 1, w
 			}
+			continue
 		}
 		order = append(order, v)
+		v = parent[v]
 	}
-	dfs(root)
 	return order, parent
 }
 
@@ -768,13 +774,15 @@ func YannakakisRooted(d *schema.Schema, x schema.AttrSet, t *graph.Undirected, r
 	return p, nil
 }
 
-// headBelow returns head[v] = x ∩ attrs(subtree of v) over the rooted
-// tree (order, parent), and the test the answer-directed emitter and
-// AnswerRoot share: below(v) reports whether that set escapes v's link
-// to its parent, i.e. whether v must hand tuples — not just a filter —
-// up the tree.
-func headBelow(rels []schema.AttrSet, order, parent []int, x schema.AttrSet) (head []schema.AttrSet, below func(v int) bool) {
-	head = make([]schema.AttrSet, len(rels))
+// heads holds head[v] = x ∩ attrs(subtree of v) over a rooted tree.
+type heads struct {
+	head, rels []schema.AttrSet
+	parent     []int
+}
+
+// headBelow returns the heads of x over the rooted tree (order, parent).
+func headBelow(rels []schema.AttrSet, order, parent []int, x schema.AttrSet) heads {
+	head := make([]schema.AttrSet, len(rels))
 	for _, v := range order {
 		head[v] = x.Intersect(rels[v])
 	}
@@ -783,10 +791,14 @@ func headBelow(rels []schema.AttrSet, order, parent []int, x schema.AttrSet) (he
 			head[parent[v]] = head[parent[v]].Union(head[v])
 		}
 	}
-	below = func(v int) bool {
-		return !head[v].SubsetOf(rels[v].Intersect(rels[parent[v]]))
-	}
-	return head, below
+	return heads{head, rels, parent}
+}
+
+// below is the test the answer-directed emitter and AnswerRoot share: it
+// reports whether head[v] escapes v's link to its parent, i.e. whether v
+// must hand tuples — not just a filter — up the tree.
+func (h heads) below(v int) bool {
+	return !h.head[v].SubsetOf(h.rels[v]) || !h.head[v].SubsetOf(h.rels[h.parent[v]])
 }
 
 // AnswerRoot is the root rule for answering x over the tree schema rels
@@ -808,21 +820,21 @@ func AnswerRoot(rels []schema.AttrSet, t *graph.Undirected, x schema.AttrSet) in
 		return 0 // no tree to root; the emitter reports it
 	}
 	order, parent := postorder(t, 0)
-	head, below := headBelow(rels, order, parent, x)
+	h := headBelow(rels, order, parent, x)
 	live := make([]int, len(rels)) // live[r] = |S| under root r
 	live[0] = 1
 	for _, v := range order {
-		if v != 0 && below(v) {
+		if v != 0 && h.below(v) {
 			live[0]++
 		}
 	}
 	for i := len(order) - 2; i >= 0; i-- { // reverse post-order: a parent before its children
 		v := order[i]
 		live[v] = live[parent[v]]
-		if below(v) {
+		if h.below(v) {
 			live[v]--
 		}
-		if !head[v].Equal(x) {
+		if !h.head[v].Equal(x) {
 			live[v]++
 		}
 	}
@@ -848,11 +860,16 @@ func emitYannakakis(p *Program, rels []schema.AttrSet, cur states, t *graph.Undi
 	if err != nil {
 		return err
 	}
-	head, below := headBelow(rels, order, parent, x)
-	live := make([]bool, len(rels))
+	h := headBelow(rels, order, parent, x)
+	live, s := make([]bool, len(rels)), 0
 	for _, v := range order {
-		live[v] = v == root || below(v)
+		live[v] = v == root || h.below(v)
+		if live[v] {
+			s++
+		}
 	}
+	// (|D|−1) + (|S|−1) semijoins, |S|−1 joins and ≤ |S| projections.
+	p.Stmts = slices.Grow(p.Stmts, cur.reserve+len(order)+3*s)
 	emitReducer(p, cur, order, parent, live)
 	// Bottom-up join with early projection over the live subtree: agg[v]
 	// is the id of the joined subtree result at v, over schema has[v].
@@ -872,7 +889,7 @@ func emitYannakakis(p *Program, rels []schema.AttrSet, cur states, t *graph.Undi
 		// Keep only what is needed above v.
 		keep := x
 		if v != root {
-			keep = head[v].Union(rels[v].Intersect(rels[parent[v]]))
+			keep = h.head[v].Union(rels[v].Intersect(rels[parent[v]]))
 		}
 		keep = keep.Intersect(sch)
 		// The program's answer is its last statement: a root that needed

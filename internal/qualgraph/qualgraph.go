@@ -7,10 +7,20 @@
 // weight-spanning-tree method and a GYO-trace method — plus exhaustive
 // enumeration for small schemas, and the Theorem 3.1 characterization
 // of subtrees via GYO reductions.
+//
+// Forest weight identity: a forest F over the relations of D is a qual
+// graph iff Σ_v |R_v| − Σ_{(u,v)∈F} |R_u ∩ R_v| = |U(D)|. Proof: for
+// each attribute A the nodes holding A induce a subforest F_A, which
+// has |V_A| − |E_A| ≥ 1 components; summed over A, the |V_A| give
+// Σ_v |R_v| and the |E_A| give Σ_F |R_u ∩ R_v|, so the left side counts
+// the components of all the F_A, and equals |U(D)| iff each F_A is
+// connected. QualTreeMST checks its tree this way in O(|D| + |F|) set
+// operations instead of a connectivity sweep per attribute.
 package qualgraph
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 
 	"gyokit/internal/graph"
 	"gyokit/internal/gyo"
@@ -35,40 +45,16 @@ func IsQualGraph(d *schema.Schema, g *graph.Undirected) bool {
 	return ok
 }
 
-// VerifyAttributeConnectivity checks the paper's "useful fact" on a qual
-// tree T: for nodes r, s and any node p on the tree path from r to s,
-// R ∩ S ⊆ P. It returns a descriptive error on the first violation.
-// For trees this is equivalent to the qual-graph property.
-func VerifyAttributeConnectivity(d *schema.Schema, t *graph.Undirected) error {
-	if !t.IsTree() {
-		return fmt.Errorf("qualgraph: graph is not a tree")
-	}
-	n := len(d.Rels)
-	for r := 0; r < n; r++ {
-		for s := r + 1; s < n; s++ {
-			shared := d.Rels[r].Intersect(d.Rels[s])
-			if shared.IsEmpty() {
-				continue
-			}
-			path, ok := t.Path(r, s)
-			if !ok {
-				return fmt.Errorf("qualgraph: no path between %d and %d", r, s)
-			}
-			for _, p := range path {
-				if !shared.SubsetOf(d.Rels[p]) {
-					return fmt.Errorf("qualgraph: R%d ∩ R%d = %s ⊄ R%d on path",
-						r, s, d.U.FormatSet(shared), p)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // QualTreeMST constructs a qual tree for d using the classical maximum-
 // weight spanning tree of the intersection graph (weight |Rᵢ ∩ Rⱼ|),
 // built over the reduction of d with subsumed relations re-attached as
 // leaves of a superset. ok is false iff d is a cyclic schema.
+//
+// Kruskal takes the positive-weight edges in (weight desc, U, V) order.
+// Zero-weight edges come last in (U, V) order, so when that forest does
+// not span they join the first kept relation to the least one of each
+// other component. The forest weight identity of the package comment
+// then decides the qual property.
 func QualTreeMST(d *schema.Schema) (t *graph.Undirected, ok bool) {
 	n := len(d.Rels)
 	if n == 0 {
@@ -76,37 +62,69 @@ func QualTreeMST(d *schema.Schema) (t *graph.Undirected, ok bool) {
 	}
 	// Map each relation either to itself (kept) or to a chosen superset.
 	kept, parentOf := reduceWithParents(d)
-	// MST over the kept relations.
-	var edges []graph.WeightedEdge
-	for i := 0; i < len(kept); i++ {
-		for j := i + 1; j < len(kept); j++ {
-			w := d.Rels[kept[i]].IntersectCard(d.Rels[kept[j]])
-			edges = append(edges, graph.WeightedEdge{U: i, V: j, Weight: w})
+	type edge struct{ u, v, w int }
+	edges := make([]edge, 0, len(kept)-1)
+	for i, u := range kept {
+		for _, v := range kept[i+1:] {
+			if w := d.Rels[u].IntersectCard(d.Rels[v]); w > 0 {
+				edges = append(edges, edge{u, v, w})
+			}
 		}
 	}
-	sub := graph.MaxSpanningForest(len(kept), edges)
-	// Verify qual property on the reduced schema.
-	red := d.Restrict(kept)
-	if !IsQualGraph(red, sub) {
+	slices.SortFunc(edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
+	})
+	root := make([]int, n) // union-find over d's indexes
+	for i := range root {
+		root[i] = i
+	}
+	find := func(i int) int {
+		for root[i] != i {
+			root[i] = root[root[i]]
+			i = root[i]
+		}
+		return i
+	}
+	attrs, gap := d.Attrs().Card(), 0
+	for _, v := range kept {
+		gap += d.Rels[v].Card()
+	}
+	forest := edges[:0]
+	for _, e := range edges {
+		if ru, rv := find(e.u), find(e.v); ru != rv {
+			root[ru] = rv
+			forest = append(forest, e)
+			gap -= e.w
+		}
+	}
+	for _, v := range kept[1:] {
+		if ru, rv := find(kept[0]), find(v); ru != rv {
+			root[rv] = ru
+			forest = append(forest, edge{kept[0], v, 0})
+		}
+	}
+	if gap != attrs {
 		return nil, false
 	}
-	// Lift back to all n nodes: kept nodes take the MST edges; each
-	// eliminated relation hangs as a leaf off its superset. Hanging a
-	// subset R′ ⊆ R as a leaf of R preserves the qual property: any
-	// attribute of R′ is also in R, so its induced subgraph gains a
-	// pendant vertex adjacent to an existing member.
+	// Lift back to all n nodes: kept nodes take the forest's edges; each
+	// eliminated relation hangs as a leaf off its superset, which adds
+	// |R′| − |R′ ∩ R| = 0 to the gap when R′ ⊆ R. Edges go in (U, V)
+	// order, then by ascending child: edge order fixes Neighbors order,
+	// which fixes the statement order of every plan built over this tree.
+	slices.SortFunc(forest, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.u, b.u), cmp.Compare(a.v, b.v))
+	})
 	t = graph.NewUndirected(n)
-	for _, e := range sub.Edges() {
-		t.MustAddEdge(kept[e[0]], kept[e[1]])
+	for _, e := range forest {
+		t.MustAddEdge(e.u, e.v)
 	}
-	// Ascending child order: edge order fixes Neighbors order, which fixes
-	// the statement order of every plan built over this tree.
 	for child, parent := range parentOf {
 		if parent >= 0 {
 			t.MustAddEdge(child, parent)
+			gap += d.Rels[child].Card() - d.Rels[child].IntersectCard(d.Rels[parent])
 		}
 	}
-	if !IsQualGraph(d, t) {
+	if gap != attrs {
 		// Should be impossible; fail loudly rather than return a bogus tree.
 		panic("qualgraph: internal: lifted MST tree lost the qual property")
 	}
@@ -118,30 +136,25 @@ func QualTreeMST(d *schema.Schema) (t *graph.Undirected, ok bool) {
 // to a kept superset (parentOf is -1 at kept indexes).
 func reduceWithParents(d *schema.Schema) (kept []int, parentOf []int) {
 	n := len(d.Rels)
-	parentOf = make([]int, n)
-	eliminated := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if eliminated[i] {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if i == j || eliminated[j] || eliminated[i] {
-				continue
-			}
-			ri, rj := d.Rels[i], d.Rels[j]
-			if ri.SubsetOf(rj) && (!rj.SubsetOf(ri) || i > j) {
-				eliminated[i] = true
+	block := make([]int, 2*n)
+	parentOf, kept = block[:n:n], block[n:n]
+	// parentOf[i] is 1 once i is eliminated, until the superset is chosen.
+	for i, ri := range d.Rels {
+		for j, rj := range d.Rels {
+			if i != j && parentOf[j] == 0 && ri.SubsetOf(rj) && (!rj.SubsetOf(ri) || i > j) {
+				parentOf[i] = 1
+				break
 			}
 		}
 	}
-	for i := 0; i < n; i++ {
-		if !eliminated[i] {
+	for i, p := range parentOf {
+		if p == 0 {
 			kept = append(kept, i)
 		}
 	}
-	for i := 0; i < n; i++ {
+	for i, p := range parentOf {
 		parentOf[i] = -1
-		if !eliminated[i] {
+		if p == 0 {
 			continue
 		}
 		for _, k := range kept {
@@ -244,22 +257,4 @@ func IsSubtree(d, dprime *schema.Schema) bool {
 		}
 	}
 	return true
-}
-
-// IsSubtreeExhaustive decides subtree-ness by enumerating qual trees; a
-// slow oracle for tests. idx selects the candidate node set of d.
-func IsSubtreeExhaustive(d *schema.Schema, idx []int) bool {
-	want := make(map[int]bool, len(idx))
-	for _, i := range idx {
-		want[i] = true
-	}
-	found := false
-	EnumerateQualTrees(d, func(t *graph.Undirected) bool {
-		if t.ConnectedOn(func(v int) bool { return want[v] }) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }

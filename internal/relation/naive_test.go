@@ -9,6 +9,7 @@ package relation
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -1140,8 +1141,8 @@ var strideSeeds = map[string][]byte{
 // reaches its case, and that each has r ⋉ s and s ⋉ r drop rows and keep
 // rows.
 func TestStrideSeedsCoverTheirCases(t *testing.T) {
-	for name, raw := range strideSeeds {
-		op := decodeOperands(raw)
+	for _, name := range slices.Sorted(maps.Keys(strideSeeds)) {
+		op := decodeOperands(strideSeeds[name])
 		a := op.r.colPos(op.r.U.Attr("a"))
 		limit := 32 * int64(tableSize(op.r.Card()))
 		_, keySpan, keyDense := denseSpan(op.r, a)
@@ -1369,8 +1370,8 @@ func streamPath(op fuzzOperands, filter bool) string {
 // reaches the case it is named for, so an edit to the decoder cannot
 // quietly turn a seed into a duplicate of another.
 func TestStreamSeedsCoverTheirCases(t *testing.T) {
-	for name, raw := range streamSeeds {
-		op := decodeOperands(raw)
+	for _, name := range slices.Sorted(maps.Keys(streamSeeds)) {
+		op := decodeOperands(streamSeeds[name])
 		build, probe := op.r, op.s
 		if op.s.Card() < op.r.Card() {
 			build, probe = op.s, op.r
@@ -1571,9 +1572,10 @@ func FuzzOperators(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	// In name order, so seed#N names the same input on every run.
 	for _, seeds := range []map[string][]byte{streamSeeds, strideSeeds} {
-		for _, seed := range seeds {
-			f.Add(seed)
+		for _, name := range slices.Sorted(maps.Keys(seeds)) {
+			f.Add(seeds[name])
 		}
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -255,6 +255,16 @@ func (s AttrSet) Min() Attr {
 	return -1
 }
 
+// top returns the largest attribute in the set, or -1 if empty.
+func (s AttrSet) top() Attr {
+	for wi := len(s.words) - 1; wi >= 0; wi-- {
+		if w := s.words[wi]; w != 0 {
+			return Attr(wi*wordBits + wordBits - 1 - bits.LeadingZeros64(w))
+		}
+	}
+	return -1
+}
+
 // Hash returns a 64-bit hash of the set, equal for Equal sets.
 func (s AttrSet) Hash() uint64 {
 	var h uint64 = 1469598103934665603 // FNV offset basis

@@ -33,10 +33,17 @@ func (d *Schema) Len() int { return len(d.Rels) }
 
 // Attrs returns U(D) = ∪ᵢ Rᵢ, the attributes of the schema.
 func (d *Schema) Attrs() AttrSet {
-	var s AttrSet
+	n := 0
 	for _, r := range d.Rels {
-		s = s.Union(r)
+		n = max(n, len(r.words))
 	}
+	s := AttrSet{words: make([]uint64, n)}
+	for _, r := range d.Rels {
+		for i, w := range r.words {
+			s.words[i] |= w
+		}
+	}
+	s.trim()
 	return s
 }
 
@@ -331,8 +338,8 @@ func (d *Schema) Validate() error {
 	}
 	size := d.U.Size()
 	for i, r := range d.Rels {
-		if m := r.Attrs(); len(m) > 0 && int(m[len(m)-1]) >= size {
-			return fmt.Errorf("schema: relation %d uses attribute %d beyond universe size %d", i, m[len(m)-1], size)
+		if top := r.top(); int(top) >= size {
+			return fmt.Errorf("schema: relation %d uses attribute %d beyond universe size %d", i, top, size)
 		}
 	}
 	return nil
